@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import os
 import sys as _sys
 import time
@@ -416,6 +417,8 @@ def main(argv=None) -> int:
                 if _flag_given(argv, key):
                     continue
                 setattr(args, attr, value)
+        if not isinstance(args.tol, (int, float)) or not math.isfinite(args.tol):
+            raise DomainError(f"tol must be a finite number, got {args.tol!r}")
         inputs: list = []
         results = _DISPATCH[args.command](args, inputs)
     except _INPUT_ERRORS as exc:

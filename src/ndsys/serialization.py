@@ -62,10 +62,6 @@ def _unmatrix(obj) -> np.ndarray:
     ).reshape(len(obj), len(obj[0]) if obj else 0)
 
 
-def _vector(v: np.ndarray) -> list:
-    return [_pair(x) for x in np.asarray(v, dtype=complex)]
-
-
 def _unvector(obj) -> np.ndarray:
     if not isinstance(obj, list):
         raise DomainError(f"expected a vector list, got {type(obj).__name__}")
@@ -113,12 +109,14 @@ def json_to_system(obj: dict) -> MultiLSDS:
 
 
 def signal_to_json(sig: LatticeSignal) -> dict:
+    points = sorted(sig.entries)
+    values = np.array([sig.entries[t] for t in points], dtype=complex)
+    values = values.reshape(len(points), sig.dim)
+    pairs = np.stack([values.real, values.imag], -1).tolist()
     return {
         "n": sig.n,
         "dim": sig.dim,
-        "entries": [
-            {"t": list(t), "v": _vector(v)} for t, v in sig.items()
-        ],
+        "entries": [{"t": list(t), "v": v} for t, v in zip(points, pairs)],
     }
 
 
@@ -131,7 +129,13 @@ def json_to_signal(obj: dict) -> LatticeSignal:
     for item in obj.get("entries", []):
         t = tuple(int(v) for v in _need(item, "t", "signal entry"))
         entries[t] = _unvector(_need(item, "v", "signal entry"))
-    return LatticeSignal(n=n, dim=dim, entries=entries)
+    sig = LatticeSignal(n=n, dim=dim, entries=entries)
+    values = np.array(list(sig.entries.values())).reshape(len(sig.entries), dim)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = list(sig.entries)[int(np.argmin(finite))]
+        raise DomainError(f"signal: non-finite value at {list(bad)}")
+    return sig
 
 
 def poly_to_json(poly: MatrixPolynomial) -> dict:

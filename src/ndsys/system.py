@@ -11,19 +11,21 @@ direction:
 with initial state data prescribed on the zero-order front.  Two trajectory
 evaluators are provided: the recursion itself (`simulate`) and the closed
 multipower form (`closed_form`); they are independent code paths and must
-agree on uncontaminated window points.
+agree on uncontaminated window points.  `simulate` steps whole fronts
+(Lamport's hyperplanes: a front depends only on the one before it) as dense
+arrays, and `energy_balance_report` buckets every signal by order in one
+pass, so both are linear in the window.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ShapeError
-from .lattice import Box, LatticeSignal, SimulationWindow, add, order, sub, unit
+from .lattice import Box, LatticeSignal, SimulationWindow, order, sub
 from .pencil import (
     OperatorTuple,
     bordered_multipower_table,
@@ -215,6 +217,42 @@ def _octant_exact(input_signal: LatticeSignal, init: LatticeSignal) -> bool:
     return input_signal.octant_supported() and init.octant_supported()
 
 
+def _row_locator(box: Box, n_max: int, points: list):
+    """A map from window points (tuples, or an int array with one point
+    per row) to their positions in ``points``.
+
+    Points are keyed row-major over the part of the box that fronts
+    0..n_max can reach, so a huge box with few fronts keeps a small key
+    space; Python-int keys stand in when it outgrows int64.
+    """
+    extents = [
+        max(1, min(h, n_max - sum(box.lo) + l) - l + 1) for l, h in zip(box.lo, box.hi)
+    ]
+    strides = [1] * box.n
+    for i in range(box.n - 2, -1, -1):
+        strides[i] = strides[i + 1] * extents[i + 1]
+    dtype = np.int64 if strides[0] * extents[0] < 2**62 else object
+    strides = np.array(strides, dtype=dtype)
+    lo = np.array(box.lo, dtype=dtype)
+
+    def keys(pts):
+        return (np.asarray(pts, dtype=dtype).reshape(-1, box.n) - lo) @ strides
+
+    window_keys = keys(points)
+    sorter = np.argsort(window_keys)
+    sorted_keys = window_keys[sorter]
+    return lambda pts: sorter[np.searchsorted(sorted_keys, keys(pts))]
+
+
+def _scatter(signal: LatticeSignal, box: Box, n_max: int, locate, rows: np.ndarray):
+    """Copy the entries of ``signal`` on fronts 0..n_max of the box into ``rows``."""
+    inside = [
+        (t, v) for t, v in signal.entries.items() if 0 <= order(t) <= n_max and box.contains(t)
+    ]
+    if inside:
+        rows[locate([t for t, _ in inside])] = [v for _, v in inside]
+
+
 def simulate(
     sys: MultiLSDS,
     window: SimulationWindow,
@@ -223,62 +261,62 @@ def simulate(
 ) -> SimulationResult:
     """Evaluate the recursion front by front over the window.
 
-    Off-window reads yield zero vectors; the result masks every point whose
-    value depended on such a read, except reads at negative coordinates when
-    all supplied data is supported in the nonnegative octant (those are
-    exact zeros).
+    Each front is one dense array step: every point reads its predecessor
+    ``t - e_k`` on the previous front through a fixed index per direction,
+    and the stacked blocks ``[[A_k, B_k], [C_k, D_k]]`` act on all points at
+    once.  Off-window reads yield zero vectors; the result masks every point
+    whose value depended on such a read, except reads at negative
+    coordinates when all supplied data is supported in the nonnegative
+    octant (those are exact zeros).
     """
     _check_signals(sys, window, input_signal, init)
-    box = window.box
+    box, n_max = window.box, window.n_max
     octant = _octant_exact(input_signal, init)
-    n, dim_x = sys.n, sys.dim_x
+    n, dim_x, dim_in = sys.n, sys.dim_x, sys.dim_in
 
-    states: dict[tuple[int, ...], np.ndarray] = {}
-    outputs: dict[tuple[int, ...], np.ndarray] = {}
-    dirty_states: set[tuple[int, ...]] = set()
-    dirty_outputs: set[tuple[int, ...]] = set()
+    fronts = [box.front(f) for f in range(n_max + 1)]
+    points = [t for front in fronts for t in front]
+    bounds = np.cumsum([0] + [len(front) for front in fronts])
+    size = len(points)
+    locate = _row_locator(box, n_max, points)
+    coords = np.array(points, dtype=np.int64).reshape(size, n)
 
-    for t in box.front(0):
-        states[t] = init.value(t)
+    # state and input side by side, plus one zero row that off-box reads hit
+    z = np.zeros((size + 1, dim_x + dim_in), dtype=complex)
+    _scatter(init, box, 0, locate, z[:, :dim_x])
+    _scatter(input_signal, box, n_max, locate, z[:, dim_x:])
+    y = np.zeros((size, sys.dim_out), dtype=complex)
+    gains = np.vstack(
+        [np.block([[sys.a[k], sys.b[k]], [sys.c[k], sys.d[k]]]).T for k in range(n)]
+    )
 
-    def read_state(p):
-        if box.contains(p):
-            return states[p], p in dirty_states
-        if octant and min(p) < 0:
-            return np.zeros(dim_x, dtype=complex), False
-        return np.zeros(dim_x, dtype=complex), True
+    # predecessor rows: t - e_k is in the box exactly when t_k > lo_k
+    pred = np.full((size, n), size, dtype=np.intp)
+    dirty_read = np.zeros((size, n), dtype=bool)
+    negative = (coords < 0).any(axis=1)
+    for k in range(n):
+        inside = coords[:, k] > box.lo[k]
+        e_k = np.eye(1, n, k, dtype=np.int64)
+        pred[inside, k] = locate(coords[inside] - e_k)
+        exact_zero = octant & (negative | (coords[:, k] < 1))
+        dirty_read[:, k] = ~inside & ~exact_zero
 
-    def read_input(p):
-        if box.contains(p):
-            return input_signal.value(p), False
-        if octant and min(p) < 0:
-            return np.zeros(sys.dim_in, dtype=complex), False
-        return np.zeros(sys.dim_in, dtype=complex), True
+    dirty = np.zeros(size + 1, dtype=bool)
+    for f in range(1, n_max + 1):
+        rows = slice(bounds[f], bounds[f + 1])
+        step = z[pred[rows]].reshape(-1, n * (dim_x + dim_in)) @ gains
+        z[rows, :dim_x] = step[:, :dim_x]
+        y[rows] = step[:, dim_x:]
+        dirty[rows] = (dirty[pred[rows]] | dirty_read[rows]).any(axis=1)
 
-    for front in range(1, window.n_max + 1):
-        for t in box.front(front):
-            x_acc = np.zeros(dim_x, dtype=complex)
-            y_acc = np.zeros(sys.dim_out, dtype=complex)
-            dirty = False
-            for k in range(n):
-                p = sub(t, unit(n, k))
-                xv, dx = read_state(p)
-                uv, du = read_input(p)
-                dirty = dirty or dx or du
-                x_acc += sys.a[k] @ xv + sys.b[k] @ uv
-                y_acc += sys.c[k] @ xv + sys.d[k] @ uv
-            states[t] = x_acc
-            outputs[t] = y_acc
-            if dirty:
-                dirty_states.add(t)
-                dirty_outputs.add(t)
-
+    masked = frozenset(points[i] for i in np.flatnonzero(dirty[:size]))
+    first = int(bounds[1])
     return SimulationResult(
         window=window,
-        states=LatticeSignal(n, dim_x, states),
-        outputs=LatticeSignal(n, sys.dim_out, outputs),
-        contaminated_states=frozenset(dirty_states),
-        contaminated_outputs=frozenset(dirty_outputs),
+        states=LatticeSignal(n, dim_x, dict(zip(points, z[:size, :dim_x]))),
+        outputs=LatticeSignal(n, sys.dim_out, dict(zip(points[first:], y[first:]))),
+        contaminated_states=masked,
+        contaminated_outputs=masked,
         octant_exact=octant,
     )
 
@@ -424,6 +462,42 @@ class EnergyReport:
         return all(abs(r.lhs - r.rhs) <= self.tol for r in self.clean_rows)
 
 
+def _by_order(signal: LatticeSignal, box: Box, n_max: int):
+    """Per-front tallies of one signal, from one pass over its entries.
+
+    Returns four arrays indexed by order 0..n_max: the squared mass, the
+    squared mass inside the box, whether a nonzero entry lies outside the
+    box, and whether a nonzero entry feeds a point outside the box on the
+    next front.
+    """
+    mass = np.zeros(n_max + 1)
+    mass_in = np.zeros(n_max + 1)
+    escaped = np.zeros(n_max + 1, dtype=bool)
+    lost = np.zeros(n_max + 1, dtype=bool)
+    kept = [(t, v) for t, v in signal.entries.items() if 0 <= sum(t) <= n_max]
+    if not kept:
+        return mass, mass_in, escaped, lost
+    pts = np.array([t for t, _ in kept])  # object dtype past int64
+    vals = np.array([v for _, v in kept]).reshape(len(kept), signal.dim)
+    orders = pts.sum(axis=1).astype(np.intp)
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    coord_in = (pts >= lo) & (pts <= hi)
+    step_in = (pts + 1 >= lo) & (pts + 1 <= hi)
+    inside = coord_in.all(axis=1)
+    leaks = np.zeros(len(kept), dtype=bool)
+    for k in range(box.n):
+        ok = coord_in.copy()
+        ok[:, k] = step_in[:, k]
+        leaks |= ~ok.all(axis=1)
+    sq = (vals.real**2 + vals.imag**2).sum(axis=1)
+    nonzero = (vals != 0).any(axis=1)
+    mass = np.bincount(orders, sq, minlength=n_max + 1)
+    mass_in = np.bincount(orders[inside], sq[inside], minlength=n_max + 1)
+    escaped[orders[nonzero & ~inside]] = True
+    lost[orders[nonzero & leaks]] = True
+    return mass, mass_in, escaped, lost
+
+
 def energy_balance_report(
     sys: MultiLSDS,
     window: SimulationWindow,
@@ -436,54 +510,36 @@ def energy_balance_report(
 
     A row is marked contaminated when any window point feeding its four
     energies is masked, or when the input carries mass on its front outside
-    the window.
+    the window.  Each signal and mask is read once and bucketed by order,
+    so the ledger is linear in the window.
     """
     if result is None:
         result = simulate(sys, window, input_signal, init)
-    box = window.box
-    units = [unit(sys.n, k) for k in range(sys.n)]
-
-    def leaks(t) -> bool:
-        # mass here feeds window-external points on the next front
-        return any(not box.contains(add(t, e)) for e in units)
+    box, n_max = window.box, window.n_max
+    _, e_minus, escaped, input_lost = _by_order(input_signal, box, n_max)
+    e_x, _, _, state_lost = _by_order(result.states, box, n_max)
+    e_plus = _by_order(result.outputs, box, n_max)[0]
+    dirty_states = {order(t) for t in result.contaminated_states}
+    dirty_outputs = {order(t) for t in result.contaminated_outputs}
 
     rows = []
-    for front in range(1, window.n_max + 1):
-        feed = [
-            t for t in input_signal.support if order(t) == front - 1
-        ]
-        escaped = any(
-            not box.contains(t) and np.any(input_signal.entries[t] != 0)
-            for t in feed
-        )
-        e_minus = float(
-            sum(
-                np.vdot(input_signal.entries[t], input_signal.entries[t]).real
-                for t in feed
-                if box.contains(t)
-            )
-        )
-        lost = any(
-            np.any(v != 0) and leaks(t)
-            for t, v in result.states.entries.items()
-            if order(t) == front - 1
-        ) or any(
-            box.contains(t) and np.any(input_signal.entries[t] != 0) and leaks(t)
-            for t in feed
-        )
-        contaminated = (
-            escaped
-            or lost
-            or any(order(t) in (front - 1, front) for t in result.contaminated_states)
-            or any(order(t) == front for t in result.contaminated_outputs)
+    for front in range(1, n_max + 1):
+        prev = front - 1
+        contaminated = bool(
+            escaped[prev]
+            or input_lost[prev]
+            or state_lost[prev]
+            or prev in dirty_states
+            or front in dirty_states
+            or front in dirty_outputs
         )
         rows.append(
             EnergyRow(
                 n=front,
-                e_minus=e_minus,
-                e_plus=front_energy(result.outputs, front),
-                e_x=front_energy(result.states, front),
-                e_x_prev=front_energy(result.states, front - 1),
+                e_minus=float(e_minus[prev]),
+                e_plus=float(e_plus[front]),
+                e_x=float(e_x[front]),
+                e_x_prev=float(e_x[prev]),
                 contaminated=contaminated,
             )
         )

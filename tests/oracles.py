@@ -1,0 +1,130 @@
+"""Point-by-point reference evaluators for the front-array engine.
+
+`simulate_dict` steps the recursion one lattice point at a time with a dict
+entry per point, and `energy_balance_report_dict` rescans every signal once
+per front.  Both follow the definitions word for word and are slow; the
+library's `simulate` and `energy_balance_report` must reproduce them: values
+to rounding, masks and contamination flags exactly.
+"""
+
+import numpy as np
+
+from ndsys import EnergyReport, EnergyRow, LatticeSignal, SimulationResult
+from ndsys.lattice import add, order, sub, unit
+from ndsys.system import _check_signals, _octant_exact
+
+
+def simulate_dict(sys, window, input_signal, init):
+    """The recursion evaluated point by point over the window."""
+    _check_signals(sys, window, input_signal, init)
+    box = window.box
+    octant = _octant_exact(input_signal, init)
+    n, dim_x = sys.n, sys.dim_x
+
+    states = {}
+    outputs = {}
+    dirty_states = set()
+    dirty_outputs = set()
+
+    for t in box.front(0):
+        states[t] = init.value(t)
+
+    def read_state(p):
+        if box.contains(p):
+            return states[p], p in dirty_states
+        if octant and min(p) < 0:
+            return np.zeros(dim_x, dtype=complex), False
+        return np.zeros(dim_x, dtype=complex), True
+
+    def read_input(p):
+        if box.contains(p):
+            return input_signal.value(p), False
+        if octant and min(p) < 0:
+            return np.zeros(sys.dim_in, dtype=complex), False
+        return np.zeros(sys.dim_in, dtype=complex), True
+
+    for front in range(1, window.n_max + 1):
+        for t in box.front(front):
+            x_acc = np.zeros(dim_x, dtype=complex)
+            y_acc = np.zeros(sys.dim_out, dtype=complex)
+            dirty = False
+            for k in range(n):
+                p = sub(t, unit(n, k))
+                xv, dx = read_state(p)
+                uv, du = read_input(p)
+                dirty = dirty or dx or du
+                x_acc += sys.a[k] @ xv + sys.b[k] @ uv
+                y_acc += sys.c[k] @ xv + sys.d[k] @ uv
+            states[t] = x_acc
+            outputs[t] = y_acc
+            if dirty:
+                dirty_states.add(t)
+                dirty_outputs.add(t)
+
+    return SimulationResult(
+        window=window,
+        states=LatticeSignal(n, dim_x, states),
+        outputs=LatticeSignal(n, sys.dim_out, outputs),
+        contaminated_states=frozenset(dirty_states),
+        contaminated_outputs=frozenset(dirty_outputs),
+        octant_exact=octant,
+    )
+
+
+def front_energy_dict(signal, n):
+    """Squared l2 mass of the signal on the order-n front."""
+    return float(
+        sum(np.vdot(v, v).real for t, v in signal.entries.items() if order(t) == n)
+    )
+
+
+def energy_balance_report_dict(sys, window, input_signal, init, tol=1e-9, result=None):
+    """The energy ledger, each front found by a scan of every signal."""
+    if result is None:
+        result = simulate_dict(sys, window, input_signal, init)
+    box = window.box
+    units = [unit(sys.n, k) for k in range(sys.n)]
+
+    def leaks(t):
+        # mass here feeds window-external points on the next front
+        return any(not box.contains(add(t, e)) for e in units)
+
+    rows = []
+    for front in range(1, window.n_max + 1):
+        feed = [t for t in input_signal.support if order(t) == front - 1]
+        escaped = any(
+            not box.contains(t) and np.any(input_signal.entries[t] != 0)
+            for t in feed
+        )
+        e_minus = float(
+            sum(
+                np.vdot(input_signal.entries[t], input_signal.entries[t]).real
+                for t in feed
+                if box.contains(t)
+            )
+        )
+        lost = any(
+            np.any(v != 0) and leaks(t)
+            for t, v in result.states.entries.items()
+            if order(t) == front - 1
+        ) or any(
+            box.contains(t) and np.any(input_signal.entries[t] != 0) and leaks(t)
+            for t in feed
+        )
+        contaminated = (
+            escaped
+            or lost
+            or any(order(t) in (front - 1, front) for t in result.contaminated_states)
+            or any(order(t) == front for t in result.contaminated_outputs)
+        )
+        rows.append(
+            EnergyRow(
+                n=front,
+                e_minus=e_minus,
+                e_plus=front_energy_dict(result.outputs, front),
+                e_x=front_energy_dict(result.states, front),
+                e_x_prev=front_energy_dict(result.states, front - 1),
+                contaminated=contaminated,
+            )
+        )
+    return EnergyReport(rows=tuple(rows), tol=tol)

@@ -326,6 +326,48 @@ def test_bad_env_tol_is_an_input_error(capsys, monkeypatch):
     assert "input error" in err
 
 
+def test_simulate_rejects_non_finite_input(capsys, tmp_path):
+    obj = json.loads(ser.dump(ser.signal_to_json(LatticeSignal(2, 1, {(0, 0): np.ones(1)}))))
+    obj["entries"][0]["v"][0][0] = float("nan")
+    argv = ["simulate", "builtin:alpha", "--input", write(tmp_path, "nan.json", obj)]
+    code, _, err = run(capsys, argv + ["--box", "0:3,0:3", "--nmax", "2"])
+    assert code == 2
+    assert "input error" in err and "non-finite" in err
+
+
+def test_laxphillips_rejects_non_finite_vector(capsys, tmp_path):
+    vec = TruncatedLPVector(
+        Box((-2, -2), (2, 2)),
+        LatticeSignal(2, 1, {}),
+        LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
+        LatticeSignal(2, 1, {}),
+    )
+    obj = ser.lp_vector_to_json(vec)
+    obj["y"]["entries"][0]["v"][0][1] = float("inf")
+    argv = ["laxphillips", "builtin:alpha", "--op", "generator"]
+    code, _, err = run(capsys, argv + ["--vector", write(tmp_path, "inf.json", obj)])
+    assert code == 2
+    assert "non-finite" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_non_finite_tol_is_an_input_error(capsys, tol):
+    code, report, err = run(capsys, ["check", "builtin:alpha", f"--tol={tol}"])
+    assert code == 2 and report is None
+    assert "input error" in err and "tol" in err
+
+
+def test_non_finite_tol_from_env_or_config_is_an_input_error(capsys, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text('{"tol": NaN}')
+    code, _, err = run(capsys, ["check", "builtin:alpha", "--config", str(config)])
+    assert code == 2 and "tol" in err
+
+    monkeypatch.setenv("NDSYS_TOL", "inf")
+    code, _, err = run(capsys, ["check", "builtin:alpha"])
+    assert code == 2 and "tol" in err
+
+
 def test_module_invocation(tmp_path):
     proc = subprocess.run(
         [_sys.executable, "-m", "ndsys", "check", "builtin:alpha"],

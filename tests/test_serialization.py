@@ -72,6 +72,58 @@ def test_empty_signal_round_trip():
     assert back.n == 3 and back.dim == 2 and not back.support
 
 
+def _signal_to_json_per_entry(sig):
+    # reference encoder: one complex scalar at a time
+    return {
+        "n": sig.n,
+        "dim": sig.dim,
+        "entries": [
+            {"t": list(t), "v": [[complex(x).real, complex(x).imag] for x in v]}
+            for t, v in sig.items()
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [
+        gen.random_signal(
+            np.random.default_rng(5), 2, 3, [(0, 0), (2, -1), (-1, 1), (7, 3)]
+        ),
+        LatticeSignal(
+            2,
+            2,
+            {
+                (1, 0): np.array([complex(-0.0, 0.0), complex(0.0, -0.0)]),
+                (0, 1): np.array([complex(-0.0, -0.0), 1e-300 - 2.5e300j]),
+            },
+        ),
+        LatticeSignal(3, 2, {}),
+        LatticeSignal(1, 0, {(4,): np.zeros(0, dtype=complex)}),
+    ],
+    ids=["random", "signed-zeros", "empty", "zero-dim"],
+)
+def test_signal_encoding_matches_per_entry_encoder(sig):
+    text = ser.dump(ser.signal_to_json(sig))
+    assert text == ser.dump(_signal_to_json_per_entry(sig))
+
+
+def test_signal_encoding_keeps_negative_zero():
+    sig = LatticeSignal(1, 1, {(0,): np.array([complex(-0.0, -0.0)])})
+    assert ser.signal_to_json(sig)["entries"][0]["v"] == [[-0.0, -0.0]]
+    assert "-0.0" in ser.dump(ser.signal_to_json(sig))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_signal_with_non_finite_value_is_rejected(bad):
+    obj = ser.signal_to_json(
+        LatticeSignal(2, 2, {(0, 0): np.ones(2, dtype=complex), (1, 0): np.ones(2, dtype=complex)})
+    )
+    obj["entries"][1]["v"][1] = [0.0, bad]
+    with pytest.raises(DomainError, match=r"non-finite value at \[1, 0\]"):
+        ser.json_to_signal(obj)
+
+
 def test_poly_round_trip():
     poly = MatrixPolynomial(
         n=2,

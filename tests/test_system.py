@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
+import oracles
 from ndsys import (
     Box,
     DomainError,
@@ -17,6 +20,7 @@ from ndsys import (
     closed_form,
     energy_balance_report,
     front_energy,
+    maclaurin_poly,
     simulate,
     validate,
 )
@@ -162,6 +166,117 @@ def test_simulate_matches_closed_form(seed):
             assert np.allclose(v, r2.outputs.value(t), atol=1e-10 * scale)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_impulse_response_is_the_maclaurin_series(n):
+    # y(t) = theta_t u(0): the recursion against the transfer layer
+    rng = np.random.default_rng(400 + n)
+    sys = gen.random_system(rng, n, 3, 2, 2)
+    top = 4 if n < 3 else 3
+    u0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    origin = tuple(0 for _ in range(n))
+    window = SimulationWindow(Box(origin, tuple(top for _ in range(n))), top)
+    result = simulate(sys, window, LatticeSignal(n, 2, {origin: u0}), empty(n, 3))
+    poly = maclaurin_poly(sys, top)
+    assert set(result.outputs.entries) == set(poly.coeffs)
+    assert not result.contaminated_outputs
+    for t, theta in poly.coeffs.items():
+        want = theta @ u0
+        scale = max(1.0, float(np.abs(want).max()))
+        assert np.abs(result.outputs.value(t) - want).max() <= 1e-12 * scale
+
+
+def _assert_results_agree(got, want):
+    assert got.octant_exact == want.octant_exact
+    assert got.contaminated_states == want.contaminated_states
+    assert got.contaminated_outputs == want.contaminated_outputs
+    for a, b in ((got.states, want.states), (got.outputs, want.outputs)):
+        assert list(a.entries) == list(b.entries)
+        for t, v in b.entries.items():
+            scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+            assert np.abs(a.entries[t] - v).max(initial=0.0) <= 1e-12 * scale
+
+
+def _assert_ledgers_agree(got, want):
+    assert [r.n for r in got.rows] == [r.n for r in want.rows]
+    for a, b in zip(got.rows, want.rows):
+        assert a.contaminated == b.contaminated
+        for name in ("e_minus", "e_plus", "e_x", "e_x_prev"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= 1e-12 * max(1.0, abs(y))
+
+
+@st.composite
+def windows(draw):
+    """A random system and window with data that may sit off the octant
+    and off the box, so every contamination path can fire."""
+    n = draw(st.integers(1, 3))
+    lo = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+    hi = tuple(a + draw(st.integers(0, 4 if n < 3 else 2)) for a in lo)
+    box = Box(lo, hi)
+    n_max = draw(st.integers(1, 5))
+    dims = [draw(st.integers(1, 3)) for _ in range(3)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = gen.random_system(rng, n, *dims)
+    near = st.tuples(*[st.integers(a - 2, b + 2) for a, b in zip(lo, hi)])
+    support = draw(st.lists(near, max_size=12, unique=True))
+    octant = draw(st.booleans())
+    if octant:
+        support = [t for t in support if min(t) >= 0]
+    zeros = draw(st.lists(st.booleans(), min_size=len(support), max_size=len(support)))
+    inp = LatticeSignal(
+        n,
+        dims[1],
+        {
+            t: np.zeros(dims[1]) if z else rng.standard_normal(dims[1]) + 1j * rng.standard_normal(dims[1])
+            for t, z in zip(support, zeros)
+        },
+    )
+    front0 = [t for t in box.front(0) if min(t) >= 0 or not octant]
+    seeds = draw(st.lists(st.sampled_from(front0), unique=True)) if front0 else []
+    init = LatticeSignal(n, dims[0], {t: rng.standard_normal(dims[0]) + 0j for t in seeds})
+    return sys, SimulationWindow(box, n_max), inp, init
+
+
+@settings(max_examples=80, deadline=None)
+@given(windows())
+def test_front_engine_and_ledger_match_the_pointwise_oracles(case):
+    sys, window, inp, init = case
+    got = simulate(sys, window, inp, init)
+    want = oracles.simulate_dict(sys, window, inp, init)
+    _assert_results_agree(got, want)
+    _assert_ledgers_agree(
+        energy_balance_report(sys, window, inp, init, result=got),
+        oracles.energy_balance_report_dict(sys, window, inp, init, result=want),
+    )
+    # the ledger takes any result, the closed form's included
+    closed = closed_form(sys, window, inp, init)
+    _assert_ledgers_agree(
+        energy_balance_report(sys, window, inp, init, result=closed),
+        oracles.energy_balance_report_dict(sys, window, inp, init, result=closed),
+    )
+
+
+def test_huge_box_with_few_fronts_stays_small():
+    sys = gen.random_system(np.random.default_rng(13), 2, 2, 1, 1)
+    window = SimulationWindow(Box((0, 0), (1000, 1000)), 2)
+    result = simulate(sys, window, impulse(2, 1), empty(2, 2))
+    assert len(result.states.entries) == 6 and len(result.outputs.entries) == 5
+    rows = energy_balance_report(sys, window, impulse(2, 1), empty(2, 2), result=result).rows
+    assert [r.contaminated for r in rows] == [False, False]
+
+
+def test_box_wider_than_int64_keys():
+    # the first coordinate spans 2e19 values, past any int64 point key
+    rng = np.random.default_rng(15)
+    sys = gen.random_system(rng, 3, 2, 1, 1)
+    window = SimulationWindow(Box((-(10**19), 0, 0), (10**19, 1, 1)), 3)
+    inp = dense_input(rng, 3, 1, window.box, 2)
+    init = LatticeSignal(3, 2, {(-1, 0, 1): rng.standard_normal(2) + 0j})
+    got = simulate(sys, window, inp, init)
+    assert len(got.states.entries) == 16
+    _assert_results_agree(got, oracles.simulate_dict(sys, window, inp, init))
+
+
 def test_general_box_contaminates_boundary_reads():
     rng = np.random.default_rng(7)
     sys = gen.random_system(rng, 2, 2, 1, 1)
@@ -178,6 +293,20 @@ def test_general_box_contaminates_boundary_reads():
     # the mask floods forward through dependents
     assert (0, 2) in result.contaminated_states
     assert result.contaminated_states == result.contaminated_outputs
+
+
+def test_octant_data_reads_below_any_negative_coordinate_exactly():
+    # (2, -1) and (2, 0) both read below the box floor in direction 0; only
+    # the read at (1, -1) has a negative coordinate, so only it is exact
+    rng = np.random.default_rng(14)
+    sys = gen.random_system(rng, 2, 2, 1, 1)
+    window = SimulationWindow(Box((2, -2), (4, 1)), 3)
+    inp = LatticeSignal(2, 1, {(2, 0): np.ones(1, dtype=complex)})
+    result = simulate(sys, window, inp, empty(2, 2))
+    assert result.octant_exact
+    assert (2, -1) not in result.contaminated_states
+    assert (2, 0) in result.contaminated_states
+    _assert_results_agree(result, oracles.simulate_dict(sys, window, inp, empty(2, 2)))
 
 
 def test_octant_data_reads_negative_coordinates_exactly():
