@@ -17,6 +17,7 @@ paths of the form builtin:NAME resolve to bundled example files.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import hashlib
 import math
@@ -97,8 +98,9 @@ def _matrix_out(m) -> list:
 
 def _load_system(path: str, inputs: list):
     path = _resolve_path(path)
+    sys_obj = serialization.json_to_system(serialization.load_file(path))
     inputs.append(_digest(path))
-    return serialization.json_to_system(serialization.load_file(path))
+    return sys_obj
 
 
 def _load_signal(path: str, inputs: list) -> LatticeSignal:
@@ -107,10 +109,7 @@ def _load_signal(path: str, inputs: list) -> LatticeSignal:
 
 
 def _cmd_check(args, inputs) -> dict:
-    sys_obj = serialization.json_to_system(
-        serialization.load_file(_resolve_path(args.system))
-    )
-    inputs.append(_digest(_resolve_path(args.system)))
+    sys_obj = _load_system(args.system, inputs)
     problems = validate(sys_obj)
     cert = analysis.conservativity_check(sys_obj, tol=args.tol)
     scan = analysis.dissipativity_scan(
@@ -202,19 +201,21 @@ def _cmd_simulate(args, inputs) -> dict:
     }
 
 
-def _transfer_points(args, n: int):
-    if args.points is not None:
-        raw = serialization.load_file(args.points)
-        if not isinstance(raw, list):
-            raise DomainError("points file must hold a JSON list of points")
-        pts = []
-        for item in raw:
-            z = tuple(complex(float(p[0]), float(p[1])) for p in item)
-            if len(z) != n:
-                raise ArityError(f"point {item} has arity {len(z)}, system has {n}")
-            pts.append(z)
-        return pts
-    return halton_disc(args.grid, n, 0.7)
+def _transfer_points(args, n: int) -> np.ndarray:
+    if args.points is None:
+        return np.array(halton_disc(args.grid, n, 0.7), dtype=complex).reshape(-1, n)
+    raw = serialization.load_file(args.points)
+    if not isinstance(raw, list):
+        raise DomainError("points file must hold a JSON list of points")
+    pts = []
+    for item in raw:
+        z = tuple(complex(float(p[0]), float(p[1])) for p in item)
+        if len(z) != n:
+            raise ArityError(f"point {item} has arity {len(z)}, system has {n}")
+        if not all(map(cmath.isfinite, z)):
+            raise DomainError(f"point {item} has non-finite coordinates")
+        pts.append(z)
+    return np.array(pts, dtype=complex).reshape(-1, n)
 
 
 def _cmd_transfer(args, inputs) -> dict:
@@ -222,22 +223,20 @@ def _cmd_transfer(args, inputs) -> dict:
     if args.points is not None:
         inputs.append(_digest(args.points))
     pts = _transfer_points(args, sys_obj.n)
-    values = []
-    series_gap = None
-    for z in pts:
-        val = transfer.transfer_eval(sys_obj, z)
-        values.append(
+    vals = transfer.transfer_eval(sys_obj, pts)
+    results = {
+        "points": [
             {"z": [_complex_out(v) for v in z], "value": _matrix_out(val)}
-        )
-        if args.series_terms is not None:
-            approx = transfer.transfer_eval_series(sys_obj, z, args.series_terms)
-            gap = float(np.linalg.norm(val - approx))
-            series_gap = gap if series_gap is None else max(series_gap, gap)
-    results = {"points": values}
-    if series_gap is not None:
+            for z, val in zip(pts, vals)
+        ]
+    }
+    if args.series_terms is not None and len(pts):
+        approx = transfer.transfer_eval_series(sys_obj, pts, args.series_terms)
         results["series_gap"] = {
             "terms": args.series_terms,
-            "max_truncation_error": series_gap,
+            "max_truncation_error": max(
+                float(np.linalg.norm(v - a)) for v, a in zip(vals, approx)
+            ),
         }
     if args.coeffs is not None:
         poly = transfer.maclaurin_poly(sys_obj, args.coeffs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -98,18 +98,22 @@ class OperatorTuple:
         return all(np.all(np.isfinite(m.view(float))) for m in self.mats)
 
 
-def eval_pencil(z: Sequence[complex], ops: OperatorTuple) -> np.ndarray:
-    """The pencil value ``sum_k z_k ops_k``.
-
-    Raises ArityError if ``z`` and ``ops`` disagree in length.
+def eval_pencil(z, ops: OperatorTuple) -> np.ndarray:
+    """The pencil value ``sum_k z_k ops_k`` at one point ``(n,)``, or the
+    ``(S, rows, cols)`` values at a stack ``(S, n)``; a stacked value is
+    bitwise its point's value.  Raises ArityError unless the trailing
+    length of ``z`` is the length of ``ops``.
     """
     z = np.asarray(z, dtype=complex)
-    if z.shape != (ops.n,):
+    if z.ndim not in (1, 2) or z.shape[-1] != ops.n:
         raise ArityError(f"pencil point has shape {z.shape}, tuple has {ops.n} members")
-    acc = np.zeros((ops.rows, ops.cols), dtype=complex)
-    for zk, m in zip(z, ops):
-        acc += zk * m
-    return acc
+    stack = z.reshape(-1, ops.n)
+    acc = np.zeros((len(stack), ops.rows, ops.cols), dtype=complex)
+    for k, m in enumerate(ops):
+        # equal ranks on both sides: numpy rounds a one-entry product of
+        # unequal ranks differently from the same product taken alone
+        acc += stack[:, k, None, None] * m[None]
+    return acc if z.ndim == 2 else acc[0]
 
 
 def multinomial(s: Iterable[int]) -> int:

@@ -17,6 +17,7 @@ points before the result is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -512,34 +513,19 @@ def assemble_colligation(
     )
 
 
-_HALF = 1.0 / np.sqrt(2.0)
-
-
 def builtin_examples() -> dict[str, MultiLSDS]:
     """The two bundled two-direction systems sharing the transfer function
     z1 z2: a minimal one on a one-dimensional state space and a
     three-dimensional one.  Both are conservative and closely connected,
-    witnessing non-uniqueness of conservative realizations."""
-    alpha = MultiLSDS(
-        a=OperatorTuple((np.zeros((1, 1)), np.zeros((1, 1)))),
-        b=OperatorTuple((np.zeros((1, 1)), np.eye(1))),
-        c=OperatorTuple((np.eye(1), np.zeros((1, 1)))),
-        d=OperatorTuple((np.zeros((1, 1)), np.zeros((1, 1)))),
-    )
-    a1 = np.array([[0, 0, -_HALF], [0, 0, 0], [0, _HALF, 0]])
-    b1 = np.array([[_HALF], [0.0], [0.0]])
-    c1 = np.array([[0, _HALF, 0]])
-    a2 = np.array([[0, 0, 0], [0, 0, _HALF], [-_HALF, 0, 0]])
-    b2 = np.array([[0.0], [_HALF], [0.0]])
-    c2 = np.array([[_HALF, 0, 0]])
-    zero = np.zeros((1, 1))
-    alpha_prime = MultiLSDS(
-        a=OperatorTuple((a1, a2)),
-        b=OperatorTuple((b1, b2)),
-        c=OperatorTuple((c1, c2)),
-        d=OperatorTuple((zero, zero)),
-    )
-    return {"alpha": alpha, "alpha_prime": alpha_prime}
+    witnessing non-uniqueness of conservative realizations.  They are read
+    from the files that ``builtin:alpha`` and ``builtin:alpha_prime`` name."""
+    from . import serialization  # serialization imports this module
+
+    data = resources.files("ndsys") / "data"
+    return {
+        name: serialization.json_to_system(serialization.load_file(str(data / f"{name}.json")))
+        for name in ("alpha", "alpha_prime")
+    }
 
 
 def canonical_fixture(grid_points: int = 50) -> AglerData:

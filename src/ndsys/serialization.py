@@ -104,6 +104,9 @@ def json_to_system(obj: dict) -> MultiLSDS:
             f"system: stated dims {stated} disagree with matrices "
             f"({sys.dim_x}, {sys.dim_in}, {sys.dim_out})"
         )
+    for key, t in zip("ABCD", (sys.a, sys.b, sys.c, sys.d)):
+        if not t.is_finite():
+            raise DomainError(f"system: {key} has non-finite entries")
     sys.require_wellformed()
     return sys
 

@@ -103,12 +103,13 @@ class MultiLSDS:
     def block(self, k: int) -> np.ndarray:
         """The 2x2 block matrix pairing state and value spaces in direction k."""
         self.require_wellformed()
-        top = np.hstack([self.a[k], self.b[k]])
-        bot = np.hstack([self.c[k], self.d[k]])
-        return np.vstack([top, bot])
+        return np.block([[self.a[k], self.b[k]], [self.c[k], self.d[k]]])
 
     def blocks(self) -> OperatorTuple:
-        return OperatorTuple(tuple(self.block(k) for k in range(self.n)))
+        """Every direction's block, validating the system once."""
+        self.require_wellformed()
+        parts = zip(self.a, self.b, self.c, self.d)
+        return OperatorTuple(tuple(np.block([[a, b], [c, d]]) for a, b, c, d in parts))
 
     def require_wellformed(self):
         problems = validate(self)

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lattice import as_index, order
 from .numerics import spectral_norm
-from .pencil import bordered_multipower, eval_pencil, multinomial
+from .pencil import bordered_multipower_table, eval_pencil, multinomial
 from .system import MultiLSDS, conjugate
 
 __all__ = [
@@ -152,59 +152,58 @@ class CommutingTuple:
         return acc
 
 
-def _resolvent_factor(sys: MultiLSDS, z) -> tuple[np.ndarray, np.ndarray]:
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (sys.n,):
-        raise ArityError(f"point has shape {z.shape}, system has {sys.n} directions")
-    za = eval_pencil(z, sys.a)
-    m = np.eye(sys.dim_x, dtype=complex) - za
-    if sys.dim_x:
-        s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] <= _SINGULAR_REL * max(1.0, s[0]):
-            raise SingularityError(
-                f"resolvent factor singular at z={tuple(z)}", sigma_min=float(s[-1])
-            )
-    return m, z
+def _first(bad: np.ndarray):
+    """Index of the first flagged point of a point or a stack, else None."""
+    hits = np.flatnonzero(bad)
+    return np.unravel_index(hits[0], bad.shape) if hits.size else None
 
 
-def transfer_eval(sys: MultiLSDS, z: Sequence[complex]) -> np.ndarray:
+def transfer_eval(sys: MultiLSDS, z) -> np.ndarray:
     """Transfer function value via a direct solve.
 
-    Raises SingularityError (carrying the smallest singular value) when the
-    resolvent factor I - zA is numerically singular at ``z``.
+    ``z`` is one point ``(n,)`` or a stack ``(S, n)``, as for `eval_pencil`.
+    Raises SingularityError (carrying the smallest singular value) for the
+    first point where the resolvent factor I - zA is numerically singular.
     """
     sys.require_wellformed()
-    m, z = _resolvent_factor(sys, z)
-    zb = eval_pencil(z, sys.b)
-    zc = eval_pencil(z, sys.c)
+    z = np.asarray(z, dtype=complex)
     zd = eval_pencil(z, sys.d)
     if sys.dim_x == 0:
         return zd
-    return zd + zc @ np.linalg.solve(m, zb)
+    m = np.eye(sys.dim_x, dtype=complex) - eval_pencil(z, sys.a)
+    s = np.linalg.svd(m, compute_uv=False)
+    i = _first(s[..., -1] <= _SINGULAR_REL * np.maximum(1.0, s[..., 0]))
+    if i is not None:
+        raise SingularityError(
+            f"resolvent factor singular at z={tuple(z[i])}", sigma_min=float(s[i][-1])
+        )
+    return zd + eval_pencil(z, sys.c) @ np.linalg.solve(m, eval_pencil(z, sys.b))
 
 
-def transfer_eval_series(sys: MultiLSDS, z: Sequence[complex], terms: int) -> np.ndarray:
-    """Partial Neumann sum zD + sum_{i<=terms} zC (zA)^i zB.
+def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
+    """Partial Neumann sum zD + sum_{i<=terms} zC (zA)^i zB at a point or a
+    stack of points.
 
     Requires the pencil value zA to be a strict contraction so the full
-    series converges geometrically; otherwise DivergenceError.
+    series converges geometrically; the first point where it is not raises
+    DivergenceError.
     """
     sys.require_wellformed()
     if terms < 0:
         raise DomainError(f"terms must be >= 0, got {terms}")
     z = np.asarray(z, dtype=complex)
-    if z.shape != (sys.n,):
-        raise ArityError(f"point has shape {z.shape}, system has {sys.n} directions")
     za = eval_pencil(z, sys.a)
-    norm_za = spectral_norm(za)
-    if norm_za >= 1.0:
+    norm_za = np.zeros(za.shape[:-2])
+    if sys.dim_x:
+        norm_za = np.linalg.svd(za, compute_uv=False)[..., 0]
+    i = _first(norm_za >= 1.0)
+    if i is not None:
         raise DivergenceError(
-            f"series needs ||zA|| < 1, got {norm_za:.6f} at z={tuple(z)}"
+            f"series needs ||zA|| < 1, got {float(norm_za[i]):.6f} at z={tuple(z[i])}"
         )
-    zb = eval_pencil(z, sys.b)
     zc = eval_pencil(z, sys.c)
     acc = eval_pencil(z, sys.d)
-    cur = zb
+    cur = eval_pencil(z, sys.b)
     for _ in range(terms + 1):
         acc = acc + zc @ cur
         cur = za @ cur
@@ -221,28 +220,34 @@ def maclaurin_coeff(sys: MultiLSDS, t: Iterable[int]) -> np.ndarray:
     """
     sys.require_wellformed()
     t = as_index(t, sys.n)
-    n_t = order(t)
     if any(v < 0 for v in t):
         raise DomainError(f"exponent must be nonnegative, got {t}")
-    if n_t == 0:
+    if order(t) == 0:
         raise DomainError("the zero exponent has no coefficient; theta(0) = 0 identically")
-    if n_t == 1:
-        return sys.d[t.index(1)]
-    weight = float(multinomial(t))
-    return weight * bordered_multipower("both", sys.a, t, b=sys.b, c=sys.c)
+    return _coefficients(sys, [t])[t]
 
 
 def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
     """All Maclaurin coefficients with 1 <= |t| <= max_order as one polynomial."""
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
-    coeffs = {}
-    for t in itertools.product(range(max_order + 1), repeat=sys.n):
-        if 1 <= sum(t) <= max_order:
-            coeffs[t] = maclaurin_coeff(sys, t)
+    sys.require_wellformed()
+    grid = itertools.product(range(max_order + 1), repeat=sys.n)
+    coeffs = _coefficients(sys, [t for t in grid if 1 <= sum(t) <= max_order])
     return MatrixPolynomial(
         n=sys.n, shape=(sys.dim_out, sys.dim_in), coeffs=coeffs
     )
+
+
+def _coefficients(sys: MultiLSDS, exps: list[tuple[int, ...]]) -> dict:
+    """Coefficients at nonzero exponents from one doubly bordered table; an
+    entry depends only on its predecessors, never on the other exponents."""
+    higher = [t for t in exps if order(t) >= 2]
+    table = bordered_multipower_table("both", sys.a, higher, b=sys.b, c=sys.c)
+    return {
+        t: float(multinomial(t)) * table[t] if order(t) >= 2 else sys.d[t.index(1)]
+        for t in exps
+    }
 
 
 def conjugate_transfer_check(
@@ -250,14 +255,12 @@ def conjugate_transfer_check(
 ) -> float:
     """Largest deviation of the adjoint-system transfer from the reflected
     adjoint value over the given points."""
-    adj = conjugate(sys)
-    worst = 0.0
-    for z in points:
-        z = np.asarray(z, dtype=complex)
-        lhs = transfer_eval(adj, z)
-        rhs = transfer_eval(sys, np.conj(z)).conj().T
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    z = np.asarray(points, dtype=complex)
+    if not z.size:
+        return 0.0
+    lhs = transfer_eval(conjugate(sys), z)
+    rhs = transfer_eval(sys, z.conj()).conj().swapaxes(-1, -2)
+    return max(float(np.linalg.norm(gap)) for gap in lhs - rhs)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,36 @@
-"""Point-by-point reference evaluators for the front-array engine.
+"""Point-by-point reference evaluators for the array engines.
 
 `simulate_dict` steps the recursion one lattice point at a time with a dict
 entry per point, and `energy_balance_report_dict` rescans every signal once
 per front.  Both follow the definitions word for word and are slow; the
 library's `simulate` and `energy_balance_report` must reproduce them: values
 to rounding, masks and contamination flags exactly.
+
+`eval_pencil_point`, `dissipativity_scan_pointwise`, `transfer_eval_point`
+and `transfer_eval_series_point` evaluate the pencil, the torus scan and
+the transfer function one point at a time.  The library's stacked versions
+must reproduce them bit for bit, errors included.
 """
+
+import itertools
 
 import numpy as np
 
-from ndsys import EnergyReport, EnergyRow, LatticeSignal, SimulationResult
+from ndsys import (
+    DivergenceError,
+    EnergyReport,
+    EnergyRow,
+    LatticeSignal,
+    SimulationResult,
+    SingularityError,
+    TorusScanReport,
+    halton_torus,
+    spectral_norm,
+)
+from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.lattice import add, order, sub, unit
 from ndsys.system import _check_signals, _octant_exact
+from ndsys.transfer import _SINGULAR_REL
 
 
 def simulate_dict(sys, window, input_signal, init):
@@ -128,3 +147,90 @@ def energy_balance_report_dict(sys, window, input_signal, init, tol=1e-9, result
             )
         )
     return EnergyReport(rows=tuple(rows), tol=tol)
+
+
+def same_bits(x, y):
+    """Equal shape, dtype and bytes: bitwise equality, signed zeros included."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def eval_pencil_point(z, ops):
+    """The pencil value at one point, summed member by member."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros((ops.rows, ops.cols), dtype=complex)
+    for zk, m in zip(z, ops):
+        acc += zk * m
+    return acc
+
+
+def torus_grid_pointwise(n, samples):
+    """The scan points as a list of tuples, built point by point."""
+    if samples is None:
+        samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
+    per_axis = round(samples ** (1.0 / n))
+    if per_axis >= 1 and per_axis**n == samples:
+        return [
+            tuple(np.exp(2j * np.pi * j / per_axis) for j in idx)
+            for idx in itertools.product(range(per_axis), repeat=n)
+        ]
+    return halton_torus(samples, n)
+
+
+def dissipativity_scan_pointwise(sys, samples=None, refine=True, tol=1e-9):
+    """The torus scan with one spectral norm per point; the first strict
+    maximum in enumeration order is the witness."""
+    blocks = sys.blocks()
+    phases = torus_grid_pointwise(sys.n, samples)
+    best = -1.0
+    witness = phases[0]
+    for z in phases:
+        sigma = spectral_norm(eval_pencil_point(z, blocks))
+        if sigma > best:
+            best = sigma
+            witness = z
+    if refine:
+        best, witness = _refine(blocks, witness, best)
+    return TorusScanReport(
+        max_norm=best, witness=witness, samples=len(phases), refined=refine, tol=tol
+    )
+
+
+def transfer_eval_point(sys, z):
+    """zD + zC (I - zA)^-1 zB at one point, by a direct solve."""
+    sys.require_wellformed()
+    z = np.asarray(z, dtype=complex)
+    za = eval_pencil_point(z, sys.a)
+    m = np.eye(sys.dim_x, dtype=complex) - za
+    if sys.dim_x:
+        s = np.linalg.svd(m, compute_uv=False)
+        if s[-1] <= _SINGULAR_REL * max(1.0, s[0]):
+            raise SingularityError(
+                f"resolvent factor singular at z={tuple(z)}", sigma_min=float(s[-1])
+            )
+    zb = eval_pencil_point(z, sys.b)
+    zc = eval_pencil_point(z, sys.c)
+    zd = eval_pencil_point(z, sys.d)
+    if sys.dim_x == 0:
+        return zd
+    return zd + zc @ np.linalg.solve(m, zb)
+
+
+def transfer_eval_series_point(sys, z, terms):
+    """The partial Neumann sum at one point."""
+    sys.require_wellformed()
+    z = np.asarray(z, dtype=complex)
+    za = eval_pencil_point(z, sys.a)
+    norm_za = spectral_norm(za)
+    if norm_za >= 1.0:
+        raise DivergenceError(
+            f"series needs ||zA|| < 1, got {norm_za:.6f} at z={tuple(z)}"
+        )
+    zb = eval_pencil_point(z, sys.b)
+    zc = eval_pencil_point(z, sys.c)
+    acc = eval_pencil_point(z, sys.d)
+    cur = zb
+    for _ in range(terms + 1):
+        acc = acc + zc @ cur
+        cur = za @ cur
+    return acc

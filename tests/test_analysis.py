@@ -3,8 +3,11 @@ close connectedness."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
+import oracles
 from ndsys import (
     DomainError,
     MultiLSDS,
@@ -94,6 +97,81 @@ def test_scan_witness_is_on_the_torus_and_attains():
     stacked = [sys.block(k) for k in range(sys.n)]
     val = spectral_norm(eval_pencil(report.witness, OperatorTuple(tuple(stacked))))
     assert np.isclose(val, report.max_norm)
+
+
+def same_scan(got, want):
+    return (
+        type(got.max_norm) is type(want.max_norm)
+        and got.max_norm == want.max_norm
+        and got.samples == want.samples
+        and got.refined == want.refined
+        and [type(v) for v in got.witness] == [type(v) for v in want.witness]
+        and oracles.same_bits(np.array(got.witness), np.array(want.witness))
+    )
+
+
+@st.composite
+def scan_cases(draw):
+    n = draw(st.integers(1, 3))
+    per_axis = draw(st.integers(1, {1: 40, 2: 9, 3: 4}[n]))
+    # a perfect n-th power gives the tensor grid, any other budget Halton points
+    samples = draw(st.sampled_from([per_axis**n, draw(st.integers(1, 60))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim_x, dim_io = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["dissipative", "conservative", "random"]))
+    if kind == "random":
+        sys = gen.random_system(rng, n, dim_x, dim_io, dim_io, scale=0.6)
+    else:
+        sys = getattr(gen, f"{kind}_system")(rng, n, max(dim_x, 1), dim_io)
+    return sys, samples, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases())
+def test_scan_matches_the_pointwise_oracle_bitwise(case):
+    sys, samples, refine = case
+    got = dissipativity_scan(sys, samples=samples, refine=refine)
+    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, refine))
+
+
+@pytest.mark.parametrize(
+    "n,samples,refine",
+    [(2, 65**2, False), (3, 4100, False), (3, None, True)],
+)
+def test_scan_across_chunks_matches_the_pointwise_oracle(n, samples, refine):
+    # more points than one stacked SVD takes, on a tensor grid, a Halton set
+    # and the default budget
+    sys = gen.dissipative_system(np.random.default_rng(9), n, 4, 2)
+    got = dissipativity_scan(sys, samples=samples, refine=refine)
+    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, refine))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("n,samples", [(2, 81), (3, 50)])
+def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, samples):
+    import ndsys.analysis
+
+    monkeypatch.setattr(ndsys.analysis, "_CHUNK", chunk)
+    sys = gen.dissipative_system(np.random.default_rng(n), n, 3, 2)
+    got = dissipativity_scan(sys, samples=samples, refine=False)
+    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, False))
+
+
+def test_scan_ties_resolve_to_the_lowest_grid_index():
+    # G_2 = 0: the pencil, and so its norm, does not depend on z_2, and every
+    # maximum repeats along the whole z_2 axis
+    rng = np.random.default_rng(5)
+    base = gen.dissipative_system(rng, 1, 2, 2)
+    z = np.zeros((2, 2), dtype=complex)
+    sys = MultiLSDS(
+        a=OperatorTuple((base.a[0], z)),
+        b=OperatorTuple((base.b[0], z)),
+        c=OperatorTuple((base.c[0], z)),
+        d=OperatorTuple((base.d[0], z)),
+    )
+    report = dissipativity_scan(sys, samples=64, refine=False)
+    assert report.witness[1] == 1.0  # index 0 on the z_2 axis
+    assert same_scan(report, oracles.dissipativity_scan_pointwise(sys, 64, False))
 
 
 def test_scan_rejects_empty_budget():

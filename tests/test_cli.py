@@ -350,6 +350,39 @@ def test_laxphillips_rejects_non_finite_vector(capsys, tmp_path):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_transfer_rejects_non_finite_points(capsys, tmp_path, bad):
+    pts = write(tmp_path, "pts.json", [[[0.1, 0.0], [0.2, 0.0]], [[float(bad), 0.0], [0.1, 0.0]]])
+    code, report, err = run(capsys, ["transfer", "builtin:alpha", "--points", pts])
+    assert code == 2 and report is None
+    assert "input error" in err and "non-finite" in err
+
+
+def non_finite_system_file(tmp_path):
+    from importlib import resources
+
+    obj = json.loads(
+        resources.files("ndsys").joinpath("data/alpha_prime.json").read_text()
+    )
+    obj["A"][1][0][0] = [float("nan"), 0.0]
+    return write(tmp_path, "nan_system.json", obj)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["transfer", "--series-terms", "3"],
+        ["laxphillips", "--op", "metric", "--box", "0:2,0:2"],
+    ],
+)
+def test_non_finite_system_file_is_an_input_error(capsys, tmp_path, argv):
+    path = non_finite_system_file(tmp_path)
+    code, report, err = run(capsys, argv[:1] + [path] + argv[1:])
+    assert code == 2 and report is None
+    assert "input error" in err and "non-finite" in err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
 def test_non_finite_tol_is_an_input_error(capsys, tol):
     code, report, err = run(capsys, ["check", "builtin:alpha", f"--tol={tol}"])

@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ndsys import (
     ArityError,
     DomainError,
@@ -82,6 +83,38 @@ def test_eval_pencil_arity():
     t = random_tuple(np.random.default_rng(1), 2, 2, 2)
     with pytest.raises(ArityError):
         eval_pencil((1.0,), t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 40),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 1, 1, 1, 14)  # one 1x1 product: the rank-mismatch rounding trap
+def test_eval_pencil_stack_matches_points_bitwise(n, rows, cols, count, seed):
+    rng = np.random.default_rng(seed)
+    t = random_tuple(rng, n, rows, cols)
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    z[rng.random((count, n)) < 0.2] = 0.0  # zero coordinates, signed zeros in the sums
+    stack = eval_pencil(z, t)
+    assert stack.shape == (count, rows, cols)
+    for point, value in zip(z, stack):
+        want = oracles.eval_pencil_point(point, t)
+        assert oracles.same_bits(value, want)
+        assert oracles.same_bits(eval_pencil(point, t), want)
+        assert oracles.same_bits(eval_pencil(tuple(point), t), want)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3,), (5, 3), (5, 1), (0, 3), (2, 2, 2), (), (1, 2, 2)]
+)
+def test_eval_pencil_rejects_a_wrong_trailing_dimension(shape):
+    t = random_tuple(np.random.default_rng(1), 2, 2, 2)
+    with pytest.raises(ArityError):
+        eval_pencil(np.zeros(shape, dtype=complex), t)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,17 @@
 """Transfer functions on the polydisc and their Maclaurin data."""
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
+import oracles
 from ndsys import (
+    ArityError,
     CommutingTuple,
     DivergenceError,
     DomainError,
@@ -15,10 +20,12 @@ from ndsys import (
     OperatorTuple,
     PreconditionError,
     SingularityError,
+    bordered_multipower,
     builtin_examples,
     conjugate_transfer_check,
     maclaurin_coeff,
     maclaurin_poly,
+    multinomial,
     schur_agler_sample_test,
     schwarz_split,
     transfer_eval,
@@ -104,6 +111,136 @@ def test_singular_resolvent_is_reported():
     with pytest.raises(SingularityError) as exc:
         transfer_eval(sys, (0.5, 0.0))
     assert exc.value.sigma_min <= 1e-13
+
+
+def first_point_failure(fn, points):
+    """The error the pointwise oracle raises first, walking the points in
+    order, or None."""
+    for z in points:
+        try:
+            fn(z)
+        except (SingularityError, DivergenceError) as exc:
+            return exc
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(1, 2),
+    st.integers(0, 30),
+    st.floats(0.1, 1.5),
+    st.integers(0, 30),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_transfer_matches_the_pointwise_oracles(n, dim_x, dim_io, count, radius, terms, seed):
+    rng = np.random.default_rng(seed)
+    sys = gen.random_system(rng, n, dim_x, dim_io, dim_io + 1, scale=0.4)
+    z = radius * (rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n))))
+    cases = (
+        (transfer_eval, oracles.transfer_eval_point, ()),
+        (transfer_eval_series, oracles.transfer_eval_series_point, (terms,)),
+    )
+    for fn, oracle, extra in cases:
+        want = first_point_failure(lambda p: oracle(sys, p, *extra), z)
+        if want is not None:
+            with pytest.raises(type(want)) as exc:
+                fn(sys, z, *extra)
+            assert str(exc.value) == str(want)
+            assert getattr(exc.value, "sigma_min", None) == getattr(want, "sigma_min", None)
+            continue
+        stack = fn(sys, z, *extra)
+        assert stack.shape == (count, sys.dim_out, sys.dim_in)
+        for p, value in zip(z, stack):
+            point = oracle(sys, p, *extra)
+            assert oracles.same_bits(value, point)
+            assert oracles.same_bits(fn(sys, p, *extra), point)
+
+
+def _diagonal_state_system():
+    # A_1 = diag(2, 1), A_2 = 0: I - zA is singular where z_1 is 1/2 or 1,
+    # and ||zA|| = 2 |z_1|
+    zeros = np.zeros((2, 2), dtype=complex)
+    return MultiLSDS(
+        a=OperatorTuple((np.diag([2.0, 1.0]).astype(complex), zeros)),
+        b=OperatorTuple((np.eye(2, dtype=complex), zeros)),
+        c=OperatorTuple((np.eye(2, dtype=complex), zeros)),
+        d=OperatorTuple((zeros, zeros)),
+    )
+
+
+def test_stacked_singularity_names_the_first_singular_point():
+    sys = _diagonal_state_system()
+    z = np.array([(0.1, 0.0), (0.2, 0.9j), (1.0, 0.3), (0.5, 0.0), (0.5, 0.7)])
+    oracle = functools.partial(oracles.transfer_eval_point, sys)
+    want = first_point_failure(oracle, z)
+    assert str(want) == str(first_point_failure(oracle, z[2:3]))  # the third point
+    with pytest.raises(SingularityError) as exc:
+        transfer_eval(sys, z)
+    assert str(exc.value) == str(want)
+    assert exc.value.sigma_min == want.sigma_min <= 1e-13
+
+
+def test_stacked_series_divergence_names_the_first_divergent_point():
+    sys = _diagonal_state_system()
+    z = np.array([(0.1, 0.0), (0.3, 0.9), (-0.7j, 0.0), (0.6, 0.0)])
+    oracle = functools.partial(oracles.transfer_eval_series_point, sys, terms=5)
+    want = first_point_failure(oracle, z)
+    assert "got 1.400000" in str(want)  # z_1 = -0.7j, the third point
+    with pytest.raises(DivergenceError) as exc:
+        transfer_eval_series(sys, z, 5)
+    assert str(exc.value) == str(want)
+
+
+def test_stacked_transfer_takes_an_empty_stack():
+    sys = builtin_examples()["alpha_prime"]
+    empty = np.zeros((0, 2), dtype=complex)
+    assert transfer_eval(sys, empty).shape == (0, 1, 1)
+    assert transfer_eval_series(sys, empty, 4).shape == (0, 1, 1)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 2, 2)])
+def test_stacked_transfer_rejects_a_wrong_trailing_dimension(shape):
+    sys = builtin_examples()["alpha_prime"]
+    z = np.zeros(shape, dtype=complex)
+    with pytest.raises(ArityError):
+        transfer_eval(sys, z)
+    with pytest.raises(ArityError):
+        transfer_eval_series(sys, z, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_maclaurin_poly_equals_single_entry_tables_bitwise(n):
+    # the shared table must give each coefficient exactly what a table built
+    # for that exponent alone gives
+    sys = gen.dissipative_system(np.random.default_rng(n), n, 3, 2)
+    poly = maclaurin_poly(sys, 5)
+    assert len(poly.coeffs) == sum(
+        1 for t in itertools.product(range(6), repeat=n) if 1 <= sum(t) <= 5
+    )
+    for t, m in poly.coeffs.items():
+        if sum(t) == 1:
+            want = sys.d[t.index(1)]
+        else:
+            single = bordered_multipower("both", sys.a, t, b=sys.b, c=sys.c)
+            want = float(multinomial(t)) * single
+        assert oracles.same_bits(m, want)
+        assert oracles.same_bits(maclaurin_coeff(sys, t), want)
+
+
+def test_maclaurin_poly_validates_once(monkeypatch):
+    import ndsys.system as system_module
+
+    calls = []
+    real = system_module.validate
+    monkeypatch.setattr(system_module, "validate", lambda s: calls.append(1) or real(s))
+    sys = gen.dissipative_system(np.random.default_rng(0), 2, 2, 2)
+    maclaurin_poly(sys, 6)
+    assert len(calls) == 1
+    calls.clear()
+    sys.blocks()
+    assert len(calls) == 1
 
 
 def test_maclaurin_units_are_the_d_members():
