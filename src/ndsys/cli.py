@@ -104,8 +104,9 @@ def _load_system(path: str, inputs: list):
 
 
 def _load_signal(path: str, inputs: list) -> LatticeSignal:
+    signal = serialization.json_to_signal(serialization.load_file(path))
     inputs.append(_digest(path))
-    return serialization.json_to_signal(serialization.load_file(path))
+    return signal
 
 
 def _cmd_check(args, inputs) -> dict:
@@ -220,9 +221,9 @@ def _transfer_points(args, n: int) -> np.ndarray:
 
 def _cmd_transfer(args, inputs) -> dict:
     sys_obj = _load_system(args.system, inputs)
+    pts = _transfer_points(args, sys_obj.n)
     if args.points is not None:
         inputs.append(_digest(args.points))
-    pts = _transfer_points(args, sys_obj.n)
     vals = transfer.transfer_eval(sys_obj, pts)
     results = {
         "points": [
@@ -246,8 +247,8 @@ def _cmd_transfer(args, inputs) -> dict:
 
 def _cmd_realize(args, inputs) -> dict:
     path = _resolve_path(args.data)
-    inputs.append(_digest(path))
     data = serialization.json_to_agler(serialization.load_file(path))
+    inputs.append(_digest(path))
     check = realization.verify_agler_identity(
         data, seed=args.seed, tol=args.tol if args.tol <= 1e-8 else 1e-8
     )
@@ -265,6 +266,7 @@ def _cmd_realize(args, inputs) -> dict:
         "grid_size": result.grid_size,
         "conservative": result.conservative,
         "residuals": result.residuals,
+        "thresholds": {"identity": check.tol, **result.thresholds},
         "system": serialization.system_to_json(result.system),
     }
 
@@ -275,10 +277,10 @@ def _cmd_laxphillips(args, inputs) -> dict:
     if op in ("generator", "adjoint", "gamma"):
         if args.vector is None:
             raise DomainError(f"op {op!r} needs --vector")
-        inputs.append(_digest(args.vector))
         vec = serialization.json_to_lp_vector(
             serialization.load_file(args.vector)
         )
+        inputs.append(_digest(args.vector))
         if op == "gamma":
             out = laxphillips.gamma_map(vec)
             return {"vector": serialization.lp_vector_to_json(out)}

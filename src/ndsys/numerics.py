@@ -12,7 +12,6 @@ __all__ = [
     "spectral_norm",
     "orth_basis",
     "ordered_completion",
-    "halton_unit",
     "halton_disc",
     "halton_torus",
 ]
@@ -48,10 +47,7 @@ def orth_basis(
                 f"relative singular values {stuck} fall inside the "
                 f"[{rank_tol / 10:g}, {rank_tol:g}] dead zone"
             )
-        rank = int(np.sum(rel > rank_tol))
-    else:
-        rank = int(np.sum(rel > rank_tol))
-    return u[:, :rank]
+    return u[:, : int(np.sum(rel > rank_tol))]
 
 
 def ordered_completion(q: np.ndarray) -> np.ndarray:
@@ -67,7 +63,7 @@ def ordered_completion(q: np.ndarray) -> np.ndarray:
     return full[:, r:dim]
 
 
-def halton_unit(count: int, dims: int) -> np.ndarray:
+def _halton_unit(count: int, dims: int) -> np.ndarray:
     """``count`` Halton points in the unit cube [0, 1)^dims, unscrambled."""
     sampler = qmc.Halton(d=dims, scramble=False)
     return sampler.random(count)
@@ -79,7 +75,7 @@ def halton_disc(count: int, n: int, radius: float) -> list[tuple[complex, ...]]:
     Each coordinate uses an area-uniform (sqrt-radius) map from a Halton
     pair, so the sequence is deterministic.
     """
-    u = halton_unit(count, 2 * n)
+    u = _halton_unit(count, 2 * n)
     out = []
     for row in u:
         z = tuple(
@@ -92,5 +88,5 @@ def halton_disc(count: int, n: int, radius: float) -> list[tuple[complex, ...]]:
 
 def halton_torus(count: int, n: int) -> list[tuple[complex, ...]]:
     """Low-discrepancy points of the n-torus, deterministic."""
-    u = halton_unit(count, n)
+    u = _halton_unit(count, n)
     return [tuple(np.exp(2j * np.pi * row[k]) for k in range(n)) for row in u]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +38,6 @@ __all__ = [
     "AglerData",
     "AglerReport",
     "verify_agler_identity",
-    "StackPair",
-    "build_stacks",
-    "IsometryMatch",
-    "gram_matched_isometry",
     "RealizationResult",
     "assemble_colligation",
     "builtin_examples",
@@ -103,32 +100,73 @@ class AglerData:
         return tuple(f.shape[0] for f in self.factors)
 
 
-def _identity_residual(data: AglerData, pts_a, pts_b) -> float:
+class _Samples(NamedTuple):
+    """theta and the factors at S points, each evaluated once per point.
+
+    ``z`` is (S, n) and ``theta`` is (S, p, q).  ``factors`` stacks F_1
+    over ... over F_n, (S, sum m_k, q); ``g`` stacks z_1 F_1 over ... over
+    z_n F_n over the identity, (S, sum m_k + q, q).  The Gramians of ``g``
+    and of ``factors`` over ``theta`` agree wherever the decomposition
+    identity holds.
+    """
+
+    z: np.ndarray
+    theta: np.ndarray
+    factors: np.ndarray
+    g: np.ndarray
+
+
+def _sample(data: AglerData, points) -> _Samples:
+    z = np.asarray(points, dtype=complex).reshape(-1, data.n)
+    count, q = len(z), data.in_dim
+    theta = np.array([data.theta.evaluate(p) for p in z], dtype=complex)
+    factors = np.array(
+        [np.vstack([f.evaluate(p) for f in data.factors]) for p in z], dtype=complex
+    ).reshape(count, sum(data.factor_dims), q)
+    # weight on the left: numpy rounds w * F and F * w differently
+    weighted = np.repeat(z, data.factor_dims, axis=1)[:, :, None] * factors
+    eye = np.broadcast_to(np.eye(q, dtype=complex), (count, q, q))
+    return _Samples(
+        z=z,
+        theta=theta.reshape(count, data.out_dim, q),
+        factors=factors,
+        g=np.concatenate([weighted, eye], axis=1),
+    )
+
+
+def _columns(stack: np.ndarray) -> np.ndarray:
+    """The (S, rows, cols) stack as one (rows, S * cols) matrix, its members
+    side by side in order, C-contiguous as `np.hstack` leaves them."""
+    return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(stack.shape[1], -1)
+
+
+def _largest_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over a stack of matrices (0.0 when empty), each
+    rounded as `np.linalg.norm` rounds it: re.re + im.im, each a BLAS dot."""
+    count, rows, cols = stack.shape
+    flat = stack.reshape(count, 1, rows * cols)
+
+    def dots(v):
+        return (v @ v.swapaxes(1, 2))[:, 0, 0]
+
+    return float(np.sqrt(dots(flat.real) + dots(flat.imag)).max(initial=0.0))
+
+
+def _identity_residual(data: AglerData, a: _Samples, b: _Samples) -> float:
     """Largest pairwise decomposition residual (Frobenius) between the two
-    point lists, assembled from stacked Gramians in one pass."""
+    sample sets, assembled from stacked Gramians in one pass."""
     q = data.in_dim
-    a, b = len(pts_a), len(pts_b)
-
-    def stacked(points):
-        th = np.hstack([data.theta.evaluate(z) for z in points])
-        fs = [
-            np.hstack([f.evaluate(z) for z in points]) for f in data.factors
-        ]
-        weights = [
-            np.repeat([z[k] for z in points], q) for k in range(data.n)
-        ]
-        return th, fs, weights
-
-    th_a, fs_a, w_a = stacked(pts_a)
-    th_b, fs_b, w_b = stacked(pts_b)
-    resid = np.kron(np.ones((a, b)), np.eye(q, dtype=complex))
-    resid -= th_a.conj().T @ th_b
+    rows = np.cumsum((0,) + data.factor_dims)
+    resid = np.kron(np.ones((len(a.z), len(b.z))), np.eye(q, dtype=complex))
+    resid -= _columns(a.theta).conj().T @ _columns(b.theta)
     for k in range(data.n):
-        gram = fs_a[k].conj().T @ fs_b[k]
+        f_a, f_b = (_columns(s.factors[:, rows[k] : rows[k + 1]]) for s in (a, b))
+        w_a, w_b = (np.repeat(s.z[:, k], q) for s in (a, b))
+        gram = f_a.conj().T @ f_b
         resid -= gram
-        resid += (np.conj(w_a[k])[:, None] * gram) * w_b[k][None, :]
+        resid += (np.conj(w_a)[:, None] * gram) * w_b[None, :]
     per_pair = np.sqrt(
-        np.sum(np.abs(resid.reshape(a, q, b, q)) ** 2, axis=(1, 3))
+        np.sum(np.abs(resid.reshape(len(a.z), q, len(b.z), q)) ** 2, axis=(1, 3))
     )
     return float(per_pair.max()) if per_pair.size else 0.0
 
@@ -158,140 +196,32 @@ def verify_agler_identity(
     of random fresh points drawn inside the sampling polydisc."""
     if not data.grid:
         raise DomainError("data carries no sample grid")
-    grid_res = _identity_residual(data, data.grid, data.grid)
-    rng = np.random.default_rng(seed)
-    fresh = [_random_disc_point(rng, data.n) for _ in range(fresh_pairs)]
-    fresh_res = _identity_residual(data, fresh, fresh)
-    return AglerReport(grid_residual=grid_res, fresh_residual=fresh_res, tol=tol)
-
-
-def _random_disc_point(rng, n: int, radius: float = _GRID_RADIUS):
-    return tuple(
-        radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-        for _ in range(n)
+    grid = _sample(data, data.grid)
+    fresh = _sample(data, _random_disc(np.random.default_rng(seed), fresh_pairs, data.n))
+    return AglerReport(
+        grid_residual=_identity_residual(data, grid, grid),
+        fresh_residual=_identity_residual(data, fresh, fresh),
+        tol=tol,
     )
 
 
-@dataclass(frozen=True)
-class StackPair:
-    """The two stacked vector polynomials of the construction.
-
-    ``g`` prepends the variable-weighted factors to a constant identity
-    block (height k_dim = sum m_k + q); ``f`` stacks the bare factors over
-    theta (height l_dim = sum m_k + p).  Their Gramians agree wherever the
-    decomposition identity holds.
-    """
-
-    data: AglerData
-
-    def g(self, z) -> np.ndarray:
-        parts = [
-            z[k] * self.data.factors[k].evaluate(z) for k in range(self.data.n)
-        ]
-        parts.append(np.eye(self.data.in_dim, dtype=complex))
-        return np.vstack(parts)
-
-    def f(self, z) -> np.ndarray:
-        parts = [self.data.factors[k].evaluate(z) for k in range(self.data.n)]
-        parts.append(self.data.theta.evaluate(z))
-        return np.vstack(parts)
-
-    @property
-    def k_dim(self) -> int:
-        return sum(self.data.factor_dims) + self.data.in_dim
-
-    @property
-    def l_dim(self) -> int:
-        return sum(self.data.factor_dims) + self.data.out_dim
+def _random_disc(rng, count: int, n: int) -> np.ndarray:
+    """``count`` random points of the sampling polydisc as a (count, n)
+    array; each coordinate draws its radius, then its angle."""
+    u = rng.uniform(size=(count, n, 2))
+    return _GRID_RADIUS * np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
 
 
-def build_stacks(data: AglerData) -> StackPair:
-    return StackPair(data)
-
-
-@dataclass(frozen=True)
-class IsometryMatch:
-    """An isometry between sampled column spans, in basis coordinates.
-
-    ``domain_basis`` spans the sampled g-columns; ``matrix`` maps those
-    basis coordinates into the f-side ambient space and has orthonormal
-    columns up to ``isometry_residual``.
-    """
-
-    domain_basis: np.ndarray
-    matrix: np.ndarray
-    gram_residual: float
-    isometry_residual: float
-
-
-def _matched_isometry(
-    dom_cols: np.ndarray,
-    img_cols: np.ndarray,
-    rank_tol: float,
-    tol: float,
-    what: str,
-) -> IsometryMatch:
-    # the correspondence dom-column -> img-column is well defined only
-    # when the two Gramians agree; check before solving
-    gram_gap = float(
-        np.linalg.norm(
-            dom_cols.conj().T @ dom_cols - img_cols.conj().T @ img_cols
-        )
-    )
-    scale = max(1.0, spectral_norm(dom_cols))
-    if gram_gap > tol * scale * scale:
-        raise PreconditionError(
-            f"{what}: Gramians differ by {gram_gap:.3e}, "
-            f"beyond {tol:g} at scale {scale:.3g}"
-        )
-    basis = orth_basis(dom_cols, rank_tol, dead_zone=True)
-    coords = basis.conj().T @ dom_cols
-    mapped = img_cols @ np.linalg.pinv(coords)
-    iso_gap = float(
-        np.linalg.norm(
-            mapped.conj().T @ mapped - np.eye(mapped.shape[1], dtype=complex)
-        )
-    )
-    return IsometryMatch(
-        domain_basis=basis,
-        matrix=mapped,
-        gram_residual=gram_gap,
-        isometry_residual=iso_gap,
-    )
-
-
-def gram_matched_isometry(
-    stacks: StackPair,
-    grid=None,
-    rank_tol: float = 1e-10,
-    tol: float = 1e-8,
-) -> IsometryMatch:
-    """The isometry carrying sampled g-columns to the matching f-columns.
-
-    Raises PreconditionError when the sampled Gramians disagree beyond
-    ``tol`` and RankAmbiguityError when the span rank cannot be decided.
-    """
-    if grid is None:
-        grid = stacks.data.grid
-    if not grid:
-        raise DomainError("empty sample grid")
-    dom = np.hstack([stacks.g(z) for z in grid])
-    img = np.hstack([stacks.f(z) for z in grid])
-    return _matched_isometry(dom, img, rank_tol, tol, "stack correspondence")
-
-
-def _stable_grid(stacks: StackPair, rank_tol: float) -> tuple[list, int]:
+def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
     """Grow a low-discrepancy grid until the sampled g-span dimension holds
-    still for two consecutive doublings."""
+    still for two consecutive doublings; return that grid's samples."""
     count = _GRID_START
     dims = []
-    grid = None
     for _ in range(_GRID_DOUBLINGS):
-        grid = halton_disc(count, stacks.data.n, _GRID_RADIUS)
-        cols = np.hstack([stacks.g(z) for z in grid])
-        dims.append(orth_basis(cols, rank_tol).shape[1])
+        samples = _sample(data, halton_disc(count, data.n, _GRID_RADIUS))
+        dims.append(orth_basis(_columns(samples.g), rank_tol).shape[1])
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
-            return grid, dims[-1]
+            return samples
         count *= 2
     # span dimension is capped by the stack height, so this means noise
     raise RealizationError(
@@ -302,7 +232,10 @@ def _stable_grid(stacks: StackPair, rank_tol: float) -> tuple[list, int]:
 
 @dataclass(frozen=True)
 class RealizationResult:
-    """Assembled system plus the verification residuals that admitted it."""
+    """Assembled system plus the verification residuals that admitted it and
+    the thresholds they were held to: ``residual`` for every residual but
+    the two fresh-point ones, ``transfer`` for those, and ``rank`` for the
+    rank cuts (a relative singular value in [rank / 10, rank] is refused)."""
 
     system: MultiLSDS
     state_dim: int
@@ -310,6 +243,7 @@ class RealizationResult:
     grid_size: int
     conservative: bool
     residuals: dict[str, float]
+    thresholds: dict[str, float]
 
 
 def _padded(data: AglerData, padding: int) -> AglerData:
@@ -360,15 +294,15 @@ def assemble_colligation(
             "correspondence cannot extend isometrically"
         )
     work = _padded(data, extra_padding)
-    theta0 = work.theta.evaluate((0.0,) * work.n)
+    origin = _sample(work, [(0.0,) * work.n])
+    theta0 = origin.theta[0]
     if float(np.linalg.norm(theta0)) > tol:
         raise PreconditionError(
             f"theta must vanish at the origin, got norm {np.linalg.norm(theta0):.3e}"
         )
 
-    stacks = build_stacks(work)
-    grid, _ = _stable_grid(stacks, rank_tol)
-    probe = grid[: min(len(grid), 120)]
+    samples = _stable_grid(work, rank_tol)
+    probe = _Samples._make(a[:120] for a in samples)
     ident = _identity_residual(work, probe, probe)
     if ident > tol:
         raise PreconditionError(
@@ -376,11 +310,7 @@ def assemble_colligation(
         )
 
     m_total = sum(work.factor_dims)
-
-    def factor_stack(z) -> np.ndarray:
-        return np.vstack([f.evaluate(z) for f in work.factors])
-
-    f0 = factor_stack((0.0,) * work.n)
+    f0 = origin.factors[0]
     f0_gap = float(np.linalg.norm(f0.conj().T @ f0 - np.eye(q, dtype=complex)))
 
     # state coordinates: the orthocomplement of ran F(0) inside the stack
@@ -393,29 +323,40 @@ def assemble_colligation(
         )
     )
 
-    dom_cols = []
-    img_cols = []
-    for z in grid:
-        fz = factor_stack(z)
-        top = np.vstack(
-            [z[k] * work.factors[k].evaluate(z) for k in range(work.n)]
+    def state(s: _Samples) -> np.ndarray:
+        return basis_x.conj().T @ (s.factors - f0)
+
+    # the correspondence dom-column -> img-column is well defined only
+    # when the two Gramians agree; check before solving
+    dom_cols = _columns(samples.g[:, :m_total])
+    img_cols = _columns(np.concatenate([state(samples), samples.theta], axis=1))
+    gram_gap = float(
+        np.linalg.norm(
+            dom_cols.conj().T @ dom_cols - img_cols.conj().T @ img_cols
         )
-        dom_cols.append(top)
-        img_cols.append(
-            np.vstack([basis_x.conj().T @ (fz - f0), work.theta.evaluate(z)])
-        )
-    match = _matched_isometry(
-        np.hstack(dom_cols), np.hstack(img_cols), rank_tol, tol, "colligation core"
     )
-    if match.isometry_residual > tol:
+    scale = max(1.0, spectral_norm(dom_cols))
+    if gram_gap > tol * scale * scale:
+        raise PreconditionError(
+            f"colligation core: Gramians differ by {gram_gap:.3e}, "
+            f"beyond {tol:g} at scale {scale:.3g}"
+        )
+    dom_basis = orth_basis(dom_cols, rank_tol, dead_zone=True)
+    mapped = img_cols @ np.linalg.pinv(dom_basis.conj().T @ dom_cols)
+    iso_gap = float(
+        np.linalg.norm(
+            mapped.conj().T @ mapped - np.eye(mapped.shape[1], dtype=complex)
+        )
+    )
+    if iso_gap > tol:
         raise RealizationError(
-            f"core isometry residual {match.isometry_residual:.3e} exceeds {tol:g}",
-            report={"isometry": match.isometry_residual},
+            f"core isometry residual {iso_gap:.3e} exceeds {tol:g}",
+            report={"isometry": iso_gap},
         )
 
     # extend by pairing the ordered completions of both sides
-    dom_rest = ordered_completion(match.domain_basis)
-    img_span = orth_basis(match.matrix, rank_tol)
+    dom_rest = ordered_completion(dom_basis)
+    img_span = orth_basis(mapped, rank_tol)
     img_rest = ordered_completion(img_span)
     if dom_rest.shape[1] > img_rest.shape[1]:
         raise RealizationError(
@@ -423,7 +364,7 @@ def assemble_colligation(
             f"exceeds image completion {img_rest.shape[1]}"
         )
     extension = (
-        match.matrix @ match.domain_basis.conj().T
+        mapped @ dom_basis.conj().T
         + img_rest[:, : dom_rest.shape[1]] @ dom_rest.conj().T
     )
     ext_gap = float(
@@ -456,29 +397,20 @@ def assemble_colligation(
     conservative = cert.passed
     iso_side = max(cert.residuals["iso"], cert.residuals["iso_cross"])
 
-    rng = np.random.default_rng(seed)
-    fresh = [_random_disc_point(rng, work.n) for _ in range(fresh_points)]
-    transfer_gap = 0.0
-    intermediate_gap = 0.0
-    for z in fresh:
-        transfer_gap = max(
-            transfer_gap,
-            float(
-                np.linalg.norm(transfer_eval(system, z) - data.theta.evaluate(z))
-            ),
-        )
-        za = eval_pencil(z, system.a)
-        zb = eval_pencil(z, system.b)
-        lhs = basis_x.conj().T @ (factor_stack(z) - f0)
-        rhs = np.linalg.solve(np.eye(x_dim, dtype=complex) - za, zb)
-        intermediate_gap = max(intermediate_gap, float(np.linalg.norm(lhs - rhs)))
+    fresh = _sample(work, _random_disc(np.random.default_rng(seed), fresh_points, work.n))
+    transfer_gap = _largest_norm(transfer_eval(system, fresh.z) - fresh.theta)
+    resolved = np.linalg.solve(
+        np.eye(x_dim, dtype=complex) - eval_pencil(fresh.z, system.a),
+        eval_pencil(fresh.z, system.b),
+    )
+    intermediate_gap = _largest_norm(state(fresh) - resolved)
 
     residuals = {
         "decomposition": ident,
         "f0_isometry": f0_gap,
         "orthogonal_split": split_gap,
-        "gram": match.gram_residual,
-        "core_isometry": match.isometry_residual,
+        "gram": gram_gap,
+        "core_isometry": iso_gap,
         "extension": ext_gap,
         "conservativity": cert.max_residual,
         "conservativity_iso": iso_side,
@@ -507,9 +439,10 @@ def assemble_colligation(
         system=system,
         state_dim=x_dim,
         padding=extra_padding,
-        grid_size=len(grid),
+        grid_size=len(samples.z),
         conservative=conservative,
         residuals=residuals,
+        thresholds={"residual": tol, "transfer": transfer_tol, "rank": rank_tol},
     )
 
 

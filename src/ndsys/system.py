@@ -358,19 +358,11 @@ def closed_form(
     for t in box.front(0):
         states[t] = init.value(t)
 
-    def read_init(p):
+    def read(signal: LatticeSignal, p):
+        """The signal's value at ``p`` and whether the read is contaminated."""
         if box.contains(p):
-            return init.value(p), False
-        if octant and min(p) < 0:
-            return np.zeros(sys.dim_x, dtype=complex), False
-        return np.zeros(sys.dim_x, dtype=complex), True
-
-    def read_input(p):
-        if box.contains(p):
-            return input_signal.value(p), False
-        if octant and min(p) < 0:
-            return np.zeros(sys.dim_in, dtype=complex), False
-        return np.zeros(sys.dim_in, dtype=complex), True
+            return signal.value(p), False
+        return np.zeros(signal.dim, dtype=complex), not (octant and min(p) < 0)
 
     for front in range(1, n_max + 1):
         for t in box.front(front):
@@ -384,11 +376,11 @@ def closed_form(
                 p = sub(t, d)
                 weight = float(multinomial(d))
                 if nd == front:
-                    x0, dirty_read = read_init(p)
+                    x0, dirty_read = read(init, p)
                     dirty = dirty or dirty_read
                     x_acc += weight * (pow_a[d] @ x0)
                     y_acc += weight * (pow_ca[d] @ x0)
-                uv, dirty_read = read_input(p)
+                uv, dirty_read = read(input_signal, p)
                 dirty = dirty or dirty_read
                 x_acc += weight * (pow_ab[d] @ uv)
                 if nd == 1:

@@ -10,6 +10,12 @@ to rounding, masks and contamination flags exactly.
 and `transfer_eval_series_point` evaluate the pencil, the torus scan and
 the transfer function one point at a time.  The library's stacked versions
 must reproduce them bit for bit, errors included.
+
+`assemble_colligation_pointwise` is the realization built from per-point
+columns: `stack_g_columns` for the grid growth, `core_columns_pointwise` for
+the colligation core and `fresh_gaps_pointwise` for the fresh-point checks.
+The library samples each point once into stacks and must reproduce its
+residuals and realized matrices bit for bit.
 """
 
 import itertools
@@ -18,17 +24,24 @@ import numpy as np
 
 from ndsys import (
     DivergenceError,
+    MultiLSDS,
+    OperatorTuple,
     EnergyReport,
     EnergyRow,
     LatticeSignal,
     SimulationResult,
     SingularityError,
     TorusScanReport,
+    conservativity_check,
+    halton_disc,
     halton_torus,
+    ordered_completion,
+    orth_basis,
     spectral_norm,
 )
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.lattice import add, order, sub, unit
+from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
 from ndsys.transfer import _SINGULAR_REL
 
@@ -234,3 +247,139 @@ def transfer_eval_series_point(sys, z, terms):
         acc = acc + zc @ cur
         cur = za @ cur
     return acc
+
+
+def stack_g_columns(data, grid):
+    """The g-columns [z_1 F_1(z); ...; z_n F_n(z); I] side by side."""
+
+    def g(z):
+        parts = [z[k] * data.factors[k].evaluate(z) for k in range(data.n)]
+        parts.append(np.eye(data.in_dim, dtype=complex))
+        return np.vstack(parts)
+
+    return np.hstack([g(z) for z in grid])
+
+
+def identity_residual_pointwise(data, pts_a, pts_b):
+    """Largest pairwise decomposition residual, from per-point values."""
+    q = data.in_dim
+    a, b = len(pts_a), len(pts_b)
+
+    def stacked(points):
+        th = np.hstack([data.theta.evaluate(z) for z in points])
+        fs = [np.hstack([f.evaluate(z) for z in points]) for f in data.factors]
+        weights = [np.repeat([z[k] for z in points], q) for k in range(data.n)]
+        return th, fs, weights
+
+    th_a, fs_a, w_a = stacked(pts_a)
+    th_b, fs_b, w_b = stacked(pts_b)
+    resid = np.kron(np.ones((a, b)), np.eye(q, dtype=complex))
+    resid -= th_a.conj().T @ th_b
+    for k in range(data.n):
+        gram = fs_a[k].conj().T @ fs_b[k]
+        resid -= gram
+        resid += (np.conj(w_a[k])[:, None] * gram) * w_b[k][None, :]
+    per_pair = np.sqrt(np.sum(np.abs(resid.reshape(a, q, b, q)) ** 2, axis=(1, 3)))
+    return float(per_pair.max()) if per_pair.size else 0.0
+
+
+def random_disc_points(rng, count, n):
+    """Random polydisc points, drawn point by point: radius, then angle."""
+    return [
+        tuple(
+            _GRID_RADIUS * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+            for _ in range(n)
+        )
+        for _ in range(count)
+    ]
+
+
+def core_columns_pointwise(data, grid, basis_x, f0):
+    """Domain columns [z_k F_k(z)] and image columns
+    [basis_x^H (F(z) - F(0)); theta(z)], one point at a time."""
+    dom, img = [], []
+    for z in grid:
+        fz = np.vstack([f.evaluate(z) for f in data.factors])
+        dom.append(np.vstack([z[k] * data.factors[k].evaluate(z) for k in range(data.n)]))
+        img.append(np.vstack([basis_x.conj().T @ (fz - f0), data.theta.evaluate(z)]))
+    return np.hstack(dom), np.hstack(img)
+
+
+def fresh_gaps_pointwise(data, system, basis_x, f0, fresh_points=100, seed=0):
+    """The transfer and intermediate residuals over fresh random points."""
+    x_dim = basis_x.shape[1]
+    transfer_gap = intermediate_gap = 0.0
+    for z in random_disc_points(np.random.default_rng(seed), fresh_points, data.n):
+        gap = transfer_eval_point(system, z) - data.theta.evaluate(z)
+        transfer_gap = max(transfer_gap, float(np.linalg.norm(gap)))
+        lhs = basis_x.conj().T @ (np.vstack([f.evaluate(z) for f in data.factors]) - f0)
+        rhs = np.linalg.solve(
+            np.eye(x_dim, dtype=complex) - eval_pencil_point(z, system.a),
+            eval_pencil_point(z, system.b),
+        )
+        intermediate_gap = max(intermediate_gap, float(np.linalg.norm(lhs - rhs)))
+    return transfer_gap, intermediate_gap
+
+
+def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e-8):
+    """The realization of admissible data from per-point columns: the system,
+    the residuals and the grid size, without the verdicts."""
+    work = _padded(data, extra_padding)
+    n, q = work.n, work.in_dim
+    count, dims = _GRID_START, []
+    for _ in range(_GRID_DOUBLINGS):
+        grid = halton_disc(count, n, _GRID_RADIUS)
+        dims.append(orth_basis(stack_g_columns(work, grid), rank_tol).shape[1])
+        if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
+            break
+        count *= 2
+    probe = grid[:120]
+    f0 = np.vstack([f.evaluate((0.0,) * n) for f in work.factors])
+    m_total = f0.shape[0]
+    basis_x = np.linalg.svd(f0, full_matrices=True)[0][:, q:]
+    x_dim = m_total - q
+    dom, img = core_columns_pointwise(work, grid, basis_x, f0)
+    dom_basis = orth_basis(dom, rank_tol, dead_zone=True)
+    mapped = img @ np.linalg.pinv(dom_basis.conj().T @ dom)
+    dom_rest = ordered_completion(dom_basis)
+    img_rest = ordered_completion(orth_basis(mapped, rank_tol))
+    extension = (
+        mapped @ dom_basis.conj().T
+        + img_rest[:, : dom_rest.shape[1]] @ dom_rest.conj().T
+    )
+    embed = np.hstack([basis_x, f0])
+    offsets = np.cumsum((0,) + work.factor_dims)
+    blocks = []
+    for k in range(n):
+        select = np.zeros((m_total, m_total))
+        select[offsets[k] : offsets[k + 1], offsets[k] : offsets[k + 1]] = np.eye(
+            work.factor_dims[k]
+        )
+        blocks.append(extension @ select @ embed)
+    system = MultiLSDS(
+        a=OperatorTuple(tuple(g[:x_dim, :x_dim] for g in blocks)),
+        b=OperatorTuple(tuple(g[:x_dim, x_dim:] for g in blocks)),
+        c=OperatorTuple(tuple(g[x_dim:, :x_dim] for g in blocks)),
+        d=OperatorTuple(tuple(g[x_dim:, x_dim:] for g in blocks)),
+    )
+    cert = conservativity_check(system, tol=tol)
+    transfer_gap, intermediate_gap = fresh_gaps_pointwise(work, system, basis_x, f0)
+
+    def gap(m, eye_dim):
+        return float(np.linalg.norm(m - np.eye(eye_dim, dtype=complex)))
+
+    residuals = {
+        "decomposition": identity_residual_pointwise(work, probe, probe),
+        "f0_isometry": gap(f0.conj().T @ f0, q),
+        "orthogonal_split": float(
+            np.linalg.norm(basis_x @ basis_x.conj().T + f0 @ f0.conj().T - np.eye(m_total))
+        ),
+        "gram": float(np.linalg.norm(dom.conj().T @ dom - img.conj().T @ img)),
+        "core_isometry": gap(mapped.conj().T @ mapped, mapped.shape[1]),
+        "extension": gap(extension.conj().T @ extension, m_total),
+        "conservativity": cert.max_residual,
+        "conservativity_iso": max(cert.residuals["iso"], cert.residuals["iso_cross"]),
+        "transfer": transfer_gap,
+        "intermediate": intermediate_gap,
+    }
+    return system, residuals, len(grid)

@@ -57,9 +57,20 @@ def test_unknown_builtin_is_an_input_error(capsys):
 
 
 def test_missing_file_is_an_input_error(capsys, tmp_path):
-    code, _, err = run(capsys, ["check", str(tmp_path / "absent.json")])
-    assert code == 2
-    assert "input error" in err
+    absent = str(tmp_path / "absent.json")
+    impulse = impulse_file(tmp_path)
+    sim = ["simulate", "builtin:alpha", "--box", "0:2,0:2", "--nmax", "1"]
+    for argv in (
+        ["check", absent],
+        sim + ["--input", absent],
+        sim + ["--input", impulse, "--init", absent],
+        ["transfer", "builtin:alpha", "--points", absent],
+        ["laxphillips", "builtin:alpha", "--op", "gamma", "--vector", absent],
+        ["realize", absent],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert "input error" in err and "no such file" in err, argv
 
 
 def test_malformed_json_is_an_input_error(capsys, tmp_path):
@@ -203,6 +214,23 @@ def test_realize_canonical_data(capsys, tmp_path):
     assert res["conservative"] is True
     assert res["residuals"]["transfer"] <= 1e-7
     assert res["system"]["dims"] == {"x": 1, "nm": 1, "np": 1}
+
+
+def test_realize_reports_the_thresholds_it_applied(capsys, tmp_path):
+    data = write(
+        tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30))
+    )
+    # the identity check clamps --tol to 1e-8; the assembly keeps its own
+    for tol, identity in (("1e-12", 1e-12), ("1e-3", 1e-8)):
+        code, report, _ = run(capsys, ["realize", data, "--tol", tol])
+        assert code == 0
+        assert report["parameters"]["tol"] == float(tol)
+        assert report["results"]["thresholds"] == {
+            "identity": identity,
+            "residual": 1e-8,
+            "transfer": 1e-7,
+            "rank": 1e-10,
+        }
 
 
 def test_realize_padding_flag(capsys, tmp_path):

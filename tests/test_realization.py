@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gen
+import oracles
 from ndsys import (
     AglerData,
     DomainError,
@@ -19,7 +20,7 @@ from ndsys import (
     transfer_eval,
     verify_agler_identity,
 )
-from ndsys.realization import build_stacks, gram_matched_isometry
+from ndsys.realization import _columns, _padded, _sample
 
 
 def poly_gap(sys, theta, points):
@@ -36,13 +37,12 @@ def test_canonical_fixture_identity_is_exact():
 
 
 def test_canonical_stack_values():
-    # by hand at (0.5, 0.5): g carries the variable weights, f does not
-    stacks = build_stacks(canonical_fixture())
-    assert stacks.k_dim == 3 and stacks.l_dim == 3
-    g = stacks.g((0.5, 0.5))
-    f = stacks.f((0.5, 0.5))
-    assert np.allclose(g, [[0.25], [0.5], [1.0]])
-    assert np.allclose(f, [[0.5], [1.0], [0.25]])
+    # by hand at (0.5, 0.5): g = [z1 F1; z2 F2; I] carries the variable
+    # weights, the f side [F1; F2; theta] does not
+    s = _sample(canonical_fixture(), [(0.5, 0.5)])
+    assert s.g.shape == (1, 3, 1) and s.factors.shape == (1, 2, 1)
+    assert np.allclose(s.g[0], [[0.25], [0.5], [1.0]])
+    assert np.allclose(np.vstack([s.factors[0], s.theta[0]]), [[0.5], [1.0], [0.25]])
 
 
 def test_canonical_realization_is_conservative_and_minimal():
@@ -188,15 +188,51 @@ def test_empty_grid_rejected():
     hollow = AglerData(theta=fix.theta, factors=fix.factors, grid=())
     with pytest.raises(DomainError):
         verify_agler_identity(hollow)
-    with pytest.raises(DomainError):
-        gram_matched_isometry(build_stacks(fix), grid=[])
 
 
 def test_rank_dead_zone_is_refused():
-    # pick the rank cutoff to sit exactly on a sampled singular value
-    stacks = build_stacks(canonical_fixture(20))
-    dom = np.hstack([stacks.g(z) for z in stacks.data.grid])
-    rel = np.linalg.svd(dom, compute_uv=False)
+    # put the rank cutoff just above the smallest relative singular value
+    # of the core columns [z1 F1; z2 F2] on the 800-point grid the assembly
+    # settles on, so that value falls inside the dead zone
+    fix = canonical_fixture(20)
+    core = _columns(_sample(fix, halton_disc(800, 2, 0.8)).g[:, :2])
+    rel = np.linalg.svd(core, compute_uv=False)
     rel = rel / rel[0]
     with pytest.raises(RankAmbiguityError):
-        gram_matched_isometry(stacks, rank_tol=float(2.0 * rel[1]))
+        assemble_colligation(fix, rank_tol=float(1.5 * rel[-1]))
+
+
+ORACLE_CASES = [pytest.param(canonical_fixture(), id="canonical")] + [
+    pytest.param(
+        gen.inner_fixture(np.random.default_rng(100 + seed), n, q), id=f"inner-n{n}-q{q}"
+    )
+    for seed, n, q in [(1, 2, 1), (4, 2, 2), (2, 3, 1), (4, 3, 2)]
+]
+
+
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("data", ORACLE_CASES)
+def test_sampled_realization_matches_the_pointwise_oracle(data, padding):
+    # each point's theta and factors are evaluated once into stacks; the
+    # columns, residuals and realized matrices stay those of the per-point
+    # construction, bit for bit
+    res = assemble_colligation(data, extra_padding=padding)
+    system, residuals, grid_size = oracles.assemble_colligation_pointwise(data, padding)
+    assert res.grid_size == grid_size
+    work = _padded(data, padding)
+    grid = halton_disc(grid_size, data.n, 0.8)
+    assert oracles.same_bits(
+        _columns(_sample(work, grid).g), oracles.stack_g_columns(work, grid)
+    )
+    assert {k: v.hex() for k, v in res.residuals.items()} == {
+        k: v.hex() for k, v in residuals.items()
+    }
+    for key in "abcd":
+        for got, want in zip(getattr(res.system, key), getattr(system, key)):
+            assert oracles.same_bits(got, want)
+    report = verify_agler_identity(data)
+    fresh = oracles.random_disc_points(np.random.default_rng(0), 50, data.n)
+    assert report.grid_residual == oracles.identity_residual_pointwise(
+        data, data.grid, data.grid
+    )
+    assert report.fresh_residual == oracles.identity_residual_pointwise(data, fresh, fresh)
