@@ -174,8 +174,8 @@ def _cmd_simulate(args, inputs) -> dict:
     return {
         "evaluator": "closed_form" if args.closed_form else "recursion",
         "octant_exact": result.octant_exact,
-        "states": serialization.signal_to_json(result.states),
-        "outputs": serialization.signal_to_json(result.outputs),
+        "states": result.states,
+        "outputs": result.outputs,
         "contaminated_states": sorted(
             list(t) for t in result.contaminated_states
         ),
@@ -283,13 +283,13 @@ def _cmd_laxphillips(args, inputs) -> dict:
         inputs.append(_digest(args.vector))
         if op == "gamma":
             out = laxphillips.gamma_map(vec)
-            return {"vector": serialization.lp_vector_to_json(out)}
+            return {"vector": serialization.lp_vector_fields(out)}
         apply_fn = (
             laxphillips.apply_generator if op == "generator" else laxphillips.apply_adjoint
         )
         out, mask = apply_fn(sys_obj, args.k, vec)
         return {
-            "vector": serialization.lp_vector_to_json(out),
+            "vector": serialization.lp_vector_fields(out),
             "mask": {
                 "u_plus": sorted(list(t) for t in mask.u_plus),
                 "y": sorted(list(t) for t in mask.y),
@@ -422,30 +422,41 @@ def main(argv=None) -> int:
             raise DomainError(f"tol must be a finite number, got {args.tol!r}")
         inputs: list = []
         results = _DISPATCH[args.command](args, inputs)
+        text = serialization.dump(
+            {
+                "schema": SCHEMA,
+                "command": args.command,
+                "inputs": inputs,
+                "parameters": {
+                    "tol": args.tol,
+                    "seed": args.seed,
+                },
+                "results": results,
+                "timing": {"seconds": round(time.monotonic() - started, 3)},
+            }
+        )
     except _INPUT_ERRORS as exc:
         _sys.stderr.write(f"input error: {exc}\n")
         return 2
     except _VERIFICATION_ERRORS as exc:
         _sys.stderr.write(f"verification failure: {exc}\n")
         if isinstance(exc, RealizationError) and exc.report:
-            _sys.stderr.write(serialization.dump({"residuals": exc.report}) + "\n")
+            _sys.stderr.write(_residuals_text(exc.report) + "\n")
         return 3
     except NdsysError as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
-    report = {
-        "schema": SCHEMA,
-        "command": args.command,
-        "inputs": inputs,
-        "parameters": {
-            "tol": args.tol,
-            "seed": args.seed,
-        },
-        "results": results,
-        "timing": {"seconds": round(time.monotonic() - started, 3)},
-    }
-    print(serialization.dump(report))
+    print(text)
     return 0
+
+
+def _residuals_text(residuals: dict) -> str:
+    try:
+        return serialization.dump({"residuals": residuals})
+    except DomainError:
+        # a NaN or infinite residual is still the diagnosis; strict JSON
+        # cannot carry it, so it goes out as Python writes it
+        return f"residuals: {residuals!r}"
 
 
 def _flag_given(argv, key: str) -> bool:

@@ -3,13 +3,18 @@
 Complex scalars are [re, im] pairs, matrices are nested row-major lists of
 pairs.  Every writer sorts keys and entry lists, so serialization is
 deterministic; floats use repr round-tripping, so parse(serialize(x))
-restores x bit for bit.  Malformed input surfaces as DomainError (or
-ShapeError for structurally valid but dimensionally inconsistent data),
-never as a raw KeyError or TypeError.
+restores x bit for bit.  Malformed input, non-finite numbers included,
+surfaces as DomainError (or ShapeError for structurally valid but
+dimensionally inconsistent data), never as a raw KeyError or TypeError.
+
+`dump` writes strict JSON and takes LatticeSignal values anywhere in its
+argument: it writes each one straight from its arrays, with the same bytes
+the standard library writes for its `signal_to_json` dict.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
@@ -30,6 +35,7 @@ __all__ = [
     "json_to_signal",
     "poly_to_json",
     "json_to_poly",
+    "lp_vector_fields",
     "lp_vector_to_json",
     "json_to_lp_vector",
     "agler_to_json",
@@ -111,10 +117,15 @@ def json_to_system(obj: dict) -> MultiLSDS:
     return sys
 
 
-def signal_to_json(sig: LatticeSignal) -> dict:
+def _sorted_values(sig: LatticeSignal) -> tuple[list, np.ndarray]:
+    """The support in sorted order and its values as one (N, dim) array."""
     points = sorted(sig.entries)
     values = np.array([sig.entries[t] for t in points], dtype=complex)
-    values = values.reshape(len(points), sig.dim)
+    return points, values.reshape(len(points), sig.dim)
+
+
+def signal_to_json(sig: LatticeSignal) -> dict:
+    points, values = _sorted_values(sig)
     pairs = np.stack([values.real, values.imag], -1).tolist()
     return {
         "n": sig.n,
@@ -160,17 +171,28 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
     for item in obj.get("terms", []):
         t = tuple(int(v) for v in _need(item, "t", "polynomial term"))
         coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"))
+        if not np.isfinite(coeffs[t]).all():
+            raise DomainError(f"polynomial: non-finite coefficient at exponent {list(t)}")
     return MatrixPolynomial(
         n=n, shape=(int(shape[0]), int(shape[1])), coeffs=coeffs
     )
 
 
-def lp_vector_to_json(vec: TruncatedLPVector) -> dict:
+def lp_vector_fields(vec: TruncatedLPVector) -> dict:
+    """The JSON layout of a vector with its three parts left as
+    LatticeSignal values, which `dump` writes as `signal_to_json` does."""
     return {
         "box": {"lo": list(vec.box.lo), "hi": list(vec.box.hi)},
-        "u_plus": signal_to_json(vec.u_plus),
-        "y": signal_to_json(vec.y),
-        "u_minus": signal_to_json(vec.u_minus),
+        "u_plus": vec.u_plus,
+        "y": vec.y,
+        "u_minus": vec.u_minus,
+    }
+
+
+def lp_vector_to_json(vec: TruncatedLPVector) -> dict:
+    return {
+        key: signal_to_json(v) if isinstance(v, LatticeSignal) else v
+        for key, v in lp_vector_fields(vec).items()
     }
 
 
@@ -208,12 +230,78 @@ def json_to_agler(obj: dict) -> AglerData:
     grid = tuple(
         tuple(_unpair(v) for v in z) for z in obj.get("grid", [])
     )
+    for i, z in enumerate(grid):
+        if not all(map(cmath.isfinite, z)):
+            raise DomainError(f"decomposition data: non-finite grid point at index {i}")
     return AglerData(theta=theta, factors=factors, grid=grid)
 
 
+# What `dump` leaves in the text for each LatticeSignal it meets.
+_PLACEHOLDER = "\x00LatticeSignal"
+_PLACED = json.dumps(_PLACEHOLDER)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list whose opening line sits at ``indent``, as indent=2 writes it."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _write_signal(sig: LatticeSignal, indent: str) -> str:
+    """``json.dumps(signal_to_json(sig), sort_keys=True, indent=2)`` with
+    every line after the first shifted right by ``indent``, filled from one
+    template with one ``%`` operation."""
+    points, values = _sorted_values(sig)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        bad = points[int(np.argmin(finite))]
+        raise DomainError(f"report is not strict JSON: non-finite signal value at {list(bad)}")
+    at = indent + "    "  # an entry's opening line
+    pair = _json_list(["%r", "%r"], at + "    ")
+    entry = (
+        "{\n" + at + '  "t": ' + _json_list(["%d"] * sig.n, at + "  ")
+        + ",\n" + at + '  "v": ' + _json_list([pair] * sig.dim, at + "  ")
+        + "\n" + at + "}"
+    )
+    args = np.empty((len(points), sig.n + 2 * sig.dim), dtype=object)
+    args[:, : sig.n] = np.array(points, dtype=object).reshape(-1, sig.n)
+    args[:, sig.n :] = values.view(float)
+    entries = _json_list([entry] * len(points), indent + "  ") % tuple(args.ravel())
+    return (
+        "{\n" + indent + f'  "dim": {sig.dim},\n' + indent + '  "entries": ' + entries
+        + ",\n" + indent + f'  "n": {sig.n}\n' + indent + "}"
+    )
+
+
 def dump(obj: Any) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic strict JSON text: sorted keys, two-space indent.
+
+    A LatticeSignal anywhere in ``obj`` is written as its `signal_to_json`
+    dict, from its arrays.  A NaN or infinite number raises DomainError.
+    """
+    signals = []
+
+    def place(value):
+        if isinstance(value, LatticeSignal):
+            signals.append(value)
+            return _PLACEHOLDER
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=place)
+    except ValueError as exc:
+        raise DomainError(f"report is not strict JSON: {exc}") from exc
+    pieces = text.split(_PLACED)
+    if len(pieces) != len(signals) + 1:
+        raise DomainError("report: a string equals the placeholder for a signal")
+    out = [pieces[0]]
+    for sig, before, after in zip(signals, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        out.append(_write_signal(sig, line[: len(line) - len(line.lstrip(" "))]))
+        out.append(after)
+    return "".join(out)
 
 
 def load_file(path: str) -> Any:

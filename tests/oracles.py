@@ -16,9 +16,15 @@ columns: `stack_g_columns` for the grid growth, `core_columns_pointwise` for
 the colligation core and `fresh_gaps_pointwise` for the fresh-point checks.
 The library samples each point once into stacks and must reproduce its
 residuals and realized matrices bit for bit.
+
+`dump_reference` is the report writer as the standard library alone
+writes it: every LatticeSignal first becomes its `signal_to_json` dict.
+`serialization.dump` writes signals from their arrays and must produce the
+same bytes.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from ndsys import (
 )
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.lattice import add, order, sub, unit
+from ndsys.serialization import signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
 from ndsys.transfer import _SINGULAR_REL
@@ -383,3 +390,17 @@ def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e
         "intermediate": intermediate_gap,
     }
     return system, residuals, len(grid)
+
+
+def _plain(obj):
+    if isinstance(obj, LatticeSignal):
+        return signal_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+def dump_reference(obj):
+    return json.dumps(_plain(obj), sort_keys=True, indent=2)

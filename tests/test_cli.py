@@ -7,6 +7,7 @@ import sys as _sys
 import numpy as np
 import pytest
 
+import oracles
 from ndsys import Box, LatticeSignal, TruncatedLPVector, canonical_fixture
 from ndsys import serialization as ser
 from ndsys.cli import main
@@ -20,8 +21,10 @@ def run(capsys, argv):
 
 
 def write(tmp_path, name, obj):
+    # the standard library writer: it also writes the NaN and Infinity
+    # input files that the CLI must refuse
     path = tmp_path / name
-    path.write_text(ser.dump(obj))
+    path.write_text(json.dumps(obj))
     return str(path)
 
 
@@ -286,6 +289,43 @@ def test_laxphillips_generator_and_gamma(capsys, tmp_path):
     assert np.allclose(out.u_plus.value((0, -1)), [2.0])
 
 
+def _report_argv(tmp_path, command):
+    if command == "check":
+        return ["check", "builtin:alpha_prime", "--samples", "64"]
+    if command == "simulate":
+        sig = LatticeSignal(2, 1, {(0, 0): np.array([1.0 + 0.5j]), (-1, 2): np.array([-0.0j])})
+        init = LatticeSignal(2, 1, {(1, -1): np.array([1e-310 - 2.5j])})
+        paths = [
+            write(tmp_path, name, ser.signal_to_json(s))
+            for name, s in (("input.json", sig), ("init.json", init))
+        ]
+        return ["simulate", "builtin:alpha", "--input", paths[0], "--init", paths[1],
+                "--box=-2:3,-1:3", "--nmax", "4"]
+    vec = TruncatedLPVector(
+        Box((-2, -2), (2, 2)),
+        LatticeSignal(2, 1, {(-1, 0): np.array([0.25 - 1j])}),
+        LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j]), (0, 0): np.array([1e-300j])}),
+        LatticeSignal(2, 1, {(0, 1): np.array([2.0 + 0j])}),
+    )
+    path = write(tmp_path, "vec.json", ser.lp_vector_to_json(vec))
+    return ["laxphillips", "builtin:alpha", "--op", command, "--vector", path, "--k", "1"]
+
+
+@pytest.mark.parametrize("command", ["check", "simulate", "generator", "adjoint", "gamma"])
+def test_report_bytes_match_the_reference_writer(capsys, tmp_path, monkeypatch, command):
+    argv = _report_argv(tmp_path, command)
+    reports = []
+
+    def recording(obj, dump=ser.dump):
+        reports.append(obj)
+        return dump(obj)
+
+    monkeypatch.setattr(ser, "dump", recording)
+    assert main(argv) == 0
+    (report,) = reports
+    assert capsys.readouterr().out == oracles.dump_reference(report) + "\n"
+
+
 def test_laxphillips_commute_and_metric(capsys):
     code, report, _ = run(
         capsys,
@@ -427,6 +467,47 @@ def test_non_finite_tol_from_env_or_config_is_an_input_error(capsys, tmp_path, m
     monkeypatch.setenv("NDSYS_TOL", "inf")
     code, _, err = run(capsys, ["check", "builtin:alpha"])
     assert code == 2 and "tol" in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_result_is_an_input_error(capsys, tmp_path):
+    one = [[[1.0, 0.0]]]
+    system = {
+        "n": 1, "dims": {"x": 1, "nm": 1, "np": 1},
+        "A": [[[[1e200, 0.0]]]], "B": [one], "C": [one], "D": [[[[0.0, 0.0]]]],
+    }
+    impulse = ser.signal_to_json(LatticeSignal(1, 1, {(0,): np.ones(1)}))
+    argv = ["simulate", write(tmp_path, "big.json", system)]
+    argv += ["--input", write(tmp_path, "impulse.json", impulse), "--box", "0:4", "--nmax", "4"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: report is not strict JSON" in captured.err
+
+
+@pytest.mark.parametrize("part", ["theta", "grid"])
+def test_realize_rejects_non_finite_data(capsys, tmp_path, part):
+    obj = ser.agler_to_json(canonical_fixture(grid_points=30))
+    if part == "theta":
+        obj["theta"]["terms"][0]["m"][0][0] = [float("nan"), 0.0]
+    else:
+        obj["grid"][3][0] = [float("inf"), 0.0]
+    code, report, err = run(capsys, ["realize", write(tmp_path, "bad.json", obj)])
+    assert code == 2 and report is None
+    assert "input error" in err and "non-finite" in err
+
+
+def test_non_finite_residual_is_still_a_verification_failure(capsys, tmp_path, monkeypatch):
+    from ndsys import RealizationError, realization
+
+    def failing(*args, **kwargs):
+        raise RealizationError("residuals above threshold", report={"transfer": float("nan")})
+
+    monkeypatch.setattr(realization, "assemble_colligation", failing)
+    data = write(tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30)))
+    code, report, err = run(capsys, ["realize", data])
+    assert code == 3 and report is None
+    assert "verification failure" in err and "'transfer': nan" in err
 
 
 def test_module_invocation(tmp_path):

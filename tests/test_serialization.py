@@ -1,11 +1,15 @@
 """JSON interchange for systems, signals, polynomials, and fixtures."""
 
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gen
+import oracles
 from ndsys import (
     Box,
     DomainError,
@@ -106,6 +110,77 @@ def _signal_to_json_per_entry(sig):
 def test_signal_encoding_matches_per_entry_encoder(sig):
     text = ser.dump(ser.signal_to_json(sig))
     assert text == ser.dump(_signal_to_json_per_entry(sig))
+    assert ser.dump(sig) == text
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072e-310, 1e300, -1e300, 0.1, -1.0]
+_floats = st.one_of(
+    st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def signals(draw):
+    n = draw(st.integers(1, 3))
+    dim = draw(st.integers(0, 4))
+    points = draw(
+        st.lists(st.tuples(*[st.integers(-4, 4)] * n), max_size=5, unique=True)
+    )
+    entries = {
+        t: np.array(
+            [complex(draw(_floats), draw(_floats)) for _ in range(dim)], dtype=complex
+        ).reshape(dim)
+        for t in points
+    }
+    return LatticeSignal(n, dim, entries)
+
+
+_keys = st.text(alphabet="abcdeftuvxy_", max_size=4)
+reports = st.recursive(
+    st.one_of(signals(), _floats, st.integers(), _keys, st.booleans(), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_keys, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+_SIG = LatticeSignal(
+    2, 2, {(-1, 3): np.array([1e300 - 0.0j, 5e-324j]), (0, -2): np.array([0.1, -1e-300])}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports)
+@example(_SIG)
+@example([1, _SIG, [_SIG, LatticeSignal(3, 0, {})]])
+@example({"a": {"b": [{"c": _SIG}], "z": 1.5}, "b": LatticeSignal(1, 4, {})})
+def test_dump_matches_the_reference_writer(obj):
+    assert ser.dump(obj) == oracles.dump_reference(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": [1.0, float("nan")]},
+        {"a": {"b": float("inf")}},
+        -float("inf"),
+    ],
+    ids=["nan", "inf", "-inf"],
+)
+def test_dump_refuses_non_finite_numbers(obj):
+    with pytest.raises(DomainError, match="report is not strict JSON"):
+        ser.dump(obj)
+
+
+def test_dump_refuses_a_string_equal_to_its_signal_placeholder():
+    with pytest.raises(DomainError, match="placeholder"):
+        ser.dump(["\x00LatticeSignal", LatticeSignal(1, 1, {})])
+
+
+def test_dump_names_the_non_finite_signal_point():
+    sig = LatticeSignal(2, 2, {(0, 0): np.ones(2), (1, -1): np.array([1.0, complex(0, np.inf)])})
+    with pytest.raises(DomainError, match=r"non-finite signal value at \[1, -1\]"):
+        ser.dump({"states": [sig]})
 
 
 def test_signal_encoding_keeps_negative_zero():
@@ -137,6 +212,23 @@ def test_poly_round_trip():
     assert back.n == poly.n and back.shape == poly.shape
     z = (0.3 + 0.1j, -0.2)
     assert np.allclose(back.evaluate(z), poly.evaluate(z))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_polynomial_with_non_finite_coefficient_is_rejected(bad):
+    obj = ser.agler_to_json(canonical_fixture(grid_points=4))
+    obj["theta"]["terms"][0]["m"][0][0] = [bad, 0.0]
+    exponent = re.escape(str(obj["theta"]["terms"][0]["t"]))
+    with pytest.raises(DomainError, match=f"non-finite coefficient at exponent {exponent}"):
+        ser.json_to_agler(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_agler_grid_with_non_finite_point_is_rejected(bad):
+    obj = ser.agler_to_json(canonical_fixture(grid_points=4))
+    obj["grid"][2][1] = [0.1, bad]
+    with pytest.raises(DomainError, match="non-finite grid point at index 2"):
+        ser.json_to_agler(obj)
 
 
 def test_lp_vector_round_trip():
