@@ -290,11 +290,7 @@ def _cmd_laxphillips(args, inputs) -> dict:
         out, mask = apply_fn(sys_obj, args.k, vec)
         return {
             "vector": serialization.lp_vector_fields(out),
-            "mask": {
-                "u_plus": sorted(list(t) for t in mask.u_plus),
-                "y": sorted(list(t) for t in mask.y),
-                "u_minus": sorted(list(t) for t in mask.u_minus),
-            },
+            "mask": {p: sorted(map(list, getattr(mask, p))) for p in ("u_plus", "y", "u_minus")},
         }
     if args.box is None:
         raise DomainError(f"op {op!r} needs --box")

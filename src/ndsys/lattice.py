@@ -1,15 +1,18 @@
 """Multi-index arithmetic, axis-aligned boxes, and finitely supported signals.
 
-Lattice points are plain tuples of Python ints.  The *order* of a point is the
-sum of its coordinates; the set of points of one fixed order is a front.  All
-enumeration here is lexicographic so that downstream assemblies are
+Lattice points are plain tuples of Python ints, and a signal keeps its
+support as one int64 array with a point per row.  The *order* of a point is
+the sum of its coordinates; the set of points of one fixed order is a front.
+All enumeration here is lexicographic so that downstream assemblies are
 deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -77,9 +80,9 @@ class Box:
     def contains(self, t: tuple[int, ...]) -> bool:
         return all(a <= v <= b for a, v, b in zip(self.lo, t, self.hi))
 
-    def order_range(self) -> tuple[int, int]:
-        """Smallest and largest front order meeting the box."""
-        return order(self.lo), order(self.hi)
+    def holds(self, points: np.ndarray) -> np.ndarray:
+        """Whether each row of an (N, n) point array lies in the box."""
+        return ((points >= np.array(self.lo)) & (points <= np.array(self.hi))).all(axis=1)
 
     def front(self, n: int) -> list[tuple[int, ...]]:
         """All box points of order ``n``, lexicographically."""
@@ -131,67 +134,123 @@ class SimulationWindow:
         return self.box.n
 
 
-def _freeze(vec: np.ndarray) -> np.ndarray:
-    out = np.array(vec, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _row_locator(points: np.ndarray):
+    """A map from (M, n) arrays of rows of the (N, n) int array ``points``
+    to their row numbers there.
+
+    Points are keyed row-major over the bounding box of ``points``, so a
+    huge box with few fronts keeps a small key space.
+    """
+    if not len(points):
+        return lambda pts: np.zeros(0, dtype=np.intp)
+    lo = points.min(axis=0)
+    extents = points.max(axis=0) - lo + 1
+    if np.prod(np.asarray(extents, dtype=float)) >= 2.0**62:
+        raise DomainError(f"points spanning {extents.tolist()} are too wide to index")
+    strides = np.cumprod(np.append(extents[1:], 1)[::-1])[::-1]
+
+    def keys(pts):
+        return (pts - lo) @ strides
+
+    window_keys = keys(points)
+    sorter = np.argsort(window_keys)
+    sorted_keys = window_keys[sorter]
+    return lambda pts: sorter[np.searchsorted(sorted_keys, keys(pts))]
 
 
-@dataclass(frozen=True)
+class _Entries(Mapping):
+    """The read-only ``{point: value}`` view of a signal; its length needs
+    no point index."""
+
+    def __init__(self, signal: "LatticeSignal"):
+        self._signal = signal
+
+    def __len__(self) -> int:
+        return len(self._signal.points)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._signal._rows)
+
+    def __getitem__(self, t) -> np.ndarray:
+        return self._signal._rows[t]
+
+
 class LatticeSignal:
     """Finitely supported map from Z^n into C^dim.
 
-    Points absent from ``entries`` read as the zero vector; ``dim`` is kept
-    explicitly so the empty signal still knows its value space.
+    ``points`` is the support as a read-only (N, n) int64 array, sorted
+    lexicographically without repeats, and ``values`` the read-only (N, dim)
+    complex array of the values there; other points read as zero.  Build one
+    from a mapping, ``LatticeSignal(n, dim, {t: v})``, or with `from_arrays`.
+    ``entries``, ``support``, ``value`` and ``items`` read through a point
+    index built on first use.
     """
 
-    n: int
-    dim: int
-    entries: Mapping[tuple[int, ...], np.ndarray] = field(default_factory=dict)
+    def __init__(self, n: int, dim: int, entries: Mapping | None = None):
+        entries = {} if entries is None else entries
+        self.n, self.dim = n, dim
+        self.points = [as_index(t) for t in entries]
+        self.values = list(entries.values())
+        self.__post_init__()
+
+    @classmethod
+    def from_arrays(cls, n: int, dim: int, points, values) -> "LatticeSignal":
+        """The signal with ``values[i]`` at ``points[i]``, in any point order."""
+        sig = cls.__new__(cls)
+        sig.n, sig.dim, sig.points, sig.values = n, dim, points, values
+        sig.__post_init__()
+        return sig
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"lattice dimension must be >= 1, got {self.n}")
-        if self.dim < 0:
-            raise DomainError(f"value dimension must be >= 0, got {self.dim}")
-        clean: dict[tuple[int, ...], np.ndarray] = {}
-        for t, v in self.entries.items():
-            key = as_index(t, self.n)
-            vec = _freeze(v)
-            if vec.shape != (self.dim,):
-                raise ShapeError(
-                    f"value at {key} has shape {vec.shape}, expected ({self.dim},)"
-                )
-            clean[key] = vec
-        object.__setattr__(self, "entries", clean)
+        n, dim = self.n, self.dim
+        if n < 1:
+            raise DomainError(f"lattice dimension must be >= 1, got {n}")
+        if dim < 0:
+            raise DomainError(f"value dimension must be >= 0, got {dim}")
+        count = len(self.points)
+        try:
+            reach = np.abs(np.array(self.points, dtype=float).reshape(count, n)).sum(axis=1)
+        except (TypeError, ValueError) as exc:
+            raise ArityError(f"expected {count} points of Z^{n} as integers") from exc
+        if (reach >= 2.0**63).any():  # coordinates and orders must not overflow int64
+            bad = [int(c) for c in self.points[int(np.argmax(reach >= 2.0**63))]]
+            raise DomainError(f"point {bad} lies outside the int64 lattice range")
+        points = np.array(self.points, dtype=np.int64).reshape(count, n)
+        try:
+            values = np.array(self.values, dtype=complex).reshape(count, dim)
+        except ValueError as exc:
+            raise ShapeError(f"expected {count} values in C^{dim}") from exc
+        perm = np.lexsort(points.T[::-1])
+        points, values = points[perm], values[perm]
+        repeated = (points[1:] == points[:-1]).all(axis=1)
+        if repeated.any():
+            raise DomainError(f"point {points[int(np.argmax(repeated))].tolist()} is given twice")
+        points.setflags(write=False)
+        values.setflags(write=False)
+        self.points, self.values = points, values
 
-    def value(self, t: tuple[int, ...]) -> np.ndarray:
-        v = self.entries.get(tuple(t))
-        if v is None:
-            return np.zeros(self.dim, dtype=complex)
-        return v
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], np.ndarray]:
+        return dict(zip(map(tuple, self.points.tolist()), self.values))
 
     @property
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.entries)
+    def entries(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        return _Entries(self)
+
+    def value(self, t: tuple[int, ...]) -> np.ndarray:
+        v = self._rows.get(tuple(t))
+        return np.zeros(self.dim, dtype=complex) if v is None else v
+
+    @property
+    def support(self):
+        return self._rows.keys()
 
     def items(self) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-        return iter(sorted(self.entries.items()))
-
-    def on_front(self, n: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        return [(t, v) for t, v in self.items() if order(t) == n]
-
-    def restricted(self, points: Iterable[tuple[int, ...]]) -> "LatticeSignal":
-        keep = set(points)
-        return LatticeSignal(
-            self.n, self.dim, {t: v for t, v in self.entries.items() if t in keep}
-        )
+        return zip(map(tuple, self.points.tolist()), self.values)
 
     def octant_supported(self) -> bool:
         """Whether every support point has only nonnegative coordinates."""
-        return all(min(t) >= 0 for t in self.entries) if self.entries else True
+        return not (self.points < 0).any()
 
     def norm(self) -> float:
-        return float(
-            np.sqrt(sum(float(np.vdot(v, v).real) for v in self.entries.values()))
-        )
+        return float(np.linalg.norm(self.values))

@@ -4,8 +4,8 @@ The ambient space splits into an outgoing part (output values on fronts of
 order <= 0), a present part (state values on the zero front), and an
 incoming part (input values on fronts of order >= 0).  One generator per
 lattice direction translates a vector one step along that direction,
-consuming incoming data through the system matrices; the adjoints run the
-same coupling backwards through the conjugate matrices.
+consuming incoming data through the system matrices; each adjoint is the
+conjugate system's generator seen through the reflection `gamma_map`.
 
 Vectors are truncated to a box.  A read outside the box yields zero and
 masks the written point, mirroring the window semantics of simulation.
@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .lattice import Box, LatticeSignal, add, order, sub, unit
+from .lattice import Box, LatticeSignal, _row_locator, add, sub, unit
 from .pencil import OperatorTuple
-from .system import MultiLSDS
+from .system import MultiLSDS, conjugate
 
 __all__ = [
     "TruncatedLPVector",
@@ -55,15 +55,12 @@ class TruncatedLPVector:
         for name, sig in (("u_plus", self.u_plus), ("y", self.y), ("u_minus", self.u_minus)):
             if sig.n != n:
                 raise ShapeError(f"{name} lives on Z^{sig.n}, box on Z^{n}")
-        for t in self.u_plus.support:
-            if order(t) > 0 or not self.box.contains(t):
-                raise DomainError(f"u_plus support out of band at {t}")
-        for t in self.y.support:
-            if order(t) != 0 or not self.box.contains(t):
-                raise DomainError(f"y support out of band at {t}")
-        for t in self.u_minus.support:
-            if order(t) < 0 or not self.box.contains(t):
-                raise DomainError(f"u_minus support out of band at {t}")
+            orders = sig.points.sum(axis=1)
+            band = {"u_plus": orders <= 0, "y": orders == 0, "u_minus": orders >= 0}[name]
+            bad = ~(band & self.box.holds(sig.points))
+            if bad.any():
+                t = tuple(sig.points[int(np.argmax(bad))].tolist())
+                raise DomainError(f"{name} support out of band at {t}")
 
     def norm(self) -> float:
         return float(
@@ -87,24 +84,19 @@ def _check_dims(sys: MultiLSDS, vec: TruncatedLPVector):
     sys.require_wellformed()
     if vec.box.n != sys.n:
         raise ShapeError(f"vector box in Z^{vec.box.n}, system in Z^{sys.n}")
-    if vec.u_plus.dim != sys.dim_out:
-        raise ShapeError(
-            f"u_plus dimension {vec.u_plus.dim} != output dimension {sys.dim_out}"
-        )
-    if vec.y.dim != sys.dim_x:
-        raise ShapeError(f"y dimension {vec.y.dim} != state dimension {sys.dim_x}")
-    if vec.u_minus.dim != sys.dim_in:
-        raise ShapeError(
-            f"u_minus dimension {vec.u_minus.dim} != input dimension {sys.dim_in}"
-        )
+    for name, have, space, want in (
+        ("u_plus", vec.u_plus.dim, "output", sys.dim_out),
+        ("y", vec.y.dim, "state", sys.dim_x),
+        ("u_minus", vec.u_minus.dim, "input", sys.dim_in),
+    ):
+        if have != want:
+            raise ShapeError(f"{name} dimension {have} != {space} dimension {want}")
 
 
-def _band_points(box: Box, lowest: int | None, highest: int | None):
-    lo, hi = box.order_range()
-    start = lo if lowest is None else max(lo, lowest)
-    stop = hi if highest is None else min(hi, highest)
-    for front in range(start, stop + 1):
-        yield from box.front(front)
+def _box_points(box: Box) -> np.ndarray:
+    """Every point of the box as an (N, n) int64 array, lexicographically."""
+    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(box.lo, box.hi)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.n)
 
 
 def apply_generator(
@@ -116,119 +108,66 @@ def apply_generator(
     the adjacent state and incoming data through the system matrices, and
     incoming values shift away.  Returns the new vector and the off-box
     read mask.
+
+    Each band is one gather from dense box arrays: a point reads row
+    ``t + e_k``, a zero-front point rows ``t - e_j + e_k``, and an off-box
+    read hits one shared zero row.
     """
     _check_dims(sys, vec)
     n = sys.n
     if not 0 <= k < n:
         raise DomainError(f"direction {k} outside 0..{n - 1}")
     box = vec.box
-    e_k = unit(n, k)
+    points = _box_points(box)
+    orders = points.sum(axis=1)
+    front, plus, minus = orders == 0, orders <= 0, orders >= 0
+    locate = _row_locator(points)
 
-    up: dict = {}
-    yv: dict = {}
-    um: dict = {}
-    mask_up, mask_y, mask_um = set(), set(), set()
+    def rows(p):  # each point's row in the box arrays, or the zero row after them
+        inside = box.holds(p)
+        out = np.full(len(p), len(points))
+        out[inside] = locate(p[inside])
+        return out, ~inside
 
-    def read(sig, p):
-        if box.contains(p):
-            return sig.value(p), False
-        return np.zeros(sig.dim, dtype=complex), True
+    def grid(sig):  # the signal's values on the box rows, then the zero row
+        out = np.zeros((len(points) + 1, sig.dim), dtype=complex)
+        out[locate(sig.points)] = sig.values
+        return out
 
-    for t in _band_points(box, None, -1):
-        v, dirty = read(vec.u_plus, add(t, e_k))
-        up[t] = v
-        if dirty:
-            mask_up.add(t)
-
-    for t in box.front(0):
-        acc_up = np.zeros(sys.dim_out, dtype=complex)
-        acc_y = np.zeros(sys.dim_x, dtype=complex)
-        dirty = False
-        for j in range(n):
-            p = add(sub(t, unit(n, j)), e_k)
-            ys, d1 = read(vec.y, p)
-            us, d2 = read(vec.u_minus, p)
-            dirty = dirty or d1 or d2
-            acc_up += sys.c[j] @ ys + sys.d[j] @ us
-            acc_y += sys.a[j] @ ys + sys.b[j] @ us
-        up[t] = acc_up
-        yv[t] = acc_y
-        if dirty:
-            mask_up.add(t)
-            mask_y.add(t)
-
-    for t in _band_points(box, 0, None):
-        v, dirty = read(vec.u_minus, add(t, e_k))
-        um[t] = v
-        if dirty:
-            mask_um.add(t)
-
+    e = np.eye(n, dtype=np.int64)
+    shift, off = rows(points + e[k])
+    coupled, dirty = zip(*(rows(points[front] - e[j] + e[k]) for j in range(n)))
+    u_in = grid(vec.u_minus)
+    gains = np.vstack([g.T for g in sys.blocks()])
+    step = np.hstack([grid(vec.y), u_in])[np.stack(coupled, axis=1)]
+    step = step.reshape(len(step), len(gains)) @ gains
+    up = grid(vec.u_plus)[shift]
+    up[front] = step[:, sys.dim_x :]
+    off_up = off.copy()
+    off_up[front] = np.any(dirty, axis=0)
     out = TruncatedLPVector(
-        box=box,
-        u_plus=LatticeSignal(n, sys.dim_out, up),
-        y=LatticeSignal(n, sys.dim_x, yv),
-        u_minus=LatticeSignal(n, sys.dim_in, um),
+        box,
+        LatticeSignal.from_arrays(n, sys.dim_out, points[plus], up[plus]),
+        LatticeSignal.from_arrays(n, sys.dim_x, points[front], step[:, : sys.dim_x]),
+        LatticeSignal.from_arrays(n, sys.dim_in, points[minus], u_in[shift][minus]),
     )
-    return out, LPMask(frozenset(mask_up), frozenset(mask_y), frozenset(mask_um))
+    masks = (plus & off_up, front & off_up, minus & off)
+    return out, LPMask(*(frozenset(map(tuple, points[m].tolist())) for m in masks))
 
 
 def apply_adjoint(
     sys: MultiLSDS, k: int, vec: TruncatedLPVector
 ) -> tuple[TruncatedLPVector, LPMask]:
-    """Adjoint of the direction-k generator, via the conjugate matrices."""
+    """Adjoint of the direction-k generator: ``gamma W_k(conj sys) gamma``.
+
+    The reflection `gamma_map` identifies the conjugate system's scattering
+    space with this one, so the adjoint is the conjugate system's generator
+    seen through it, with the read mask reflected the same way.
+    """
     _check_dims(sys, vec)
-    n = sys.n
-    if not 0 <= k < n:
-        raise DomainError(f"direction {k} outside 0..{n - 1}")
-    box = vec.box
-    e_k = unit(n, k)
-
-    up: dict = {}
-    yv: dict = {}
-    um: dict = {}
-    mask_up, mask_y, mask_um = set(), set(), set()
-
-    def read(sig, p):
-        if box.contains(p):
-            return sig.value(p), False
-        return np.zeros(sig.dim, dtype=complex), True
-
-    for t in _band_points(box, None, 0):
-        v, dirty = read(vec.u_plus, sub(t, e_k))
-        up[t] = v
-        if dirty:
-            mask_up.add(t)
-
-    for t in box.front(0):
-        acc_y = np.zeros(sys.dim_x, dtype=complex)
-        acc_um = np.zeros(sys.dim_in, dtype=complex)
-        dirty = False
-        for j in range(n):
-            p = add(sub(t, e_k), unit(n, j))
-            ys, d1 = read(vec.y, p)
-            us, d2 = read(vec.u_plus, p)
-            dirty = dirty or d1 or d2
-            acc_y += sys.a[j].conj().T @ ys + sys.c[j].conj().T @ us
-            acc_um += sys.b[j].conj().T @ ys + sys.d[j].conj().T @ us
-        yv[t] = acc_y
-        um[t] = acc_um
-        if dirty:
-            mask_y.add(t)
-            mask_um.add(t)
-
-    for t in _band_points(box, 1, None):
-        v, dirty = read(vec.u_minus, sub(t, e_k))
-        um[t] = v
-        if dirty:
-            mask_um.add(t)
-
-    out = TruncatedLPVector(
-        box=box,
-        u_plus=LatticeSignal(n, sys.dim_out, up),
-        y=LatticeSignal(n, sys.dim_x, yv),
-        u_minus=LatticeSignal(n, sys.dim_in, um),
-    )
-    return out, LPMask(frozenset(mask_up), frozenset(mask_y), frozenset(mask_um))
+    out, mask = apply_generator(conjugate(sys), k, gamma_map(vec))
+    flipped = (mask.u_minus, mask.y, mask.u_plus)
+    return gamma_map(out), LPMask(*(frozenset(tuple(-c for c in t) for t in m) for m in flipped))
 
 
 def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
@@ -237,50 +176,38 @@ def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
 
     This is the unitary identification between the space of a system and
     that of its conjugate; applying it twice restores the vector exactly.
+    Negation reverses lexicographic order, so each reflected signal is its
+    original's arrays negated and read backwards.
     """
-    n = vec.box.n
-    box = vec.box.negated()
 
-    def flip(entries):
-        return {tuple(-v for v in t): val for t, val in entries.items()}
+    def flip(sig: LatticeSignal) -> LatticeSignal:
+        return LatticeSignal.from_arrays(sig.n, sig.dim, -sig.points[::-1], sig.values[::-1])
 
-    return TruncatedLPVector(
-        box=box,
-        u_plus=LatticeSignal(n, vec.u_minus.dim, flip(vec.u_minus.entries)),
-        y=LatticeSignal(n, vec.y.dim, flip(vec.y.entries)),
-        u_minus=LatticeSignal(n, vec.u_plus.dim, flip(vec.u_plus.entries)),
-    )
+    return TruncatedLPVector(vec.box.negated(), flip(vec.u_minus), flip(vec.y), flip(vec.u_plus))
 
 
 def _random_interior_vector(sys: MultiLSDS, box: Box, margin: int, rng) -> TruncatedLPVector:
-    inner = box.shrunk(margin)
-    def gauss(dim):
-        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    up = {t: gauss(sys.dim_out) for t in _band_points(inner, None, 0)}
-    yv = {t: gauss(sys.dim_x) for t in inner.front(0)}
-    um = {t: gauss(sys.dim_in) for t in _band_points(inner, 0, None)}
-    if not (up or yv or um):
-        raise DomainError(
-            f"box {box.lo}..{box.hi} leaves no interior at margin {margin}"
-        )
-    return TruncatedLPVector(
-        box=box,
-        u_plus=LatticeSignal(sys.n, sys.dim_out, up),
-        y=LatticeSignal(sys.n, sys.dim_x, yv),
-        u_minus=LatticeSignal(sys.n, sys.dim_in, um),
-    )
+    points = _box_points(box.shrunk(margin))
+    points = points[np.argsort(points.sum(axis=1), kind="stable")]  # seeds draw front by front
+    orders = points.sum(axis=1)
+
+    def gauss(band, dim):
+        # a real then an imaginary draw of ``dim`` per point, point by point
+        draws = rng.standard_normal((int(band.sum()), 2, dim))
+        return LatticeSignal.from_arrays(sys.n, dim, points[band], draws[:, 0] + 1j * draws[:, 1])
+
+    u_plus, y = gauss(orders <= 0, sys.dim_out), gauss(orders == 0, sys.dim_x)
+    return TruncatedLPVector(box, u_plus, y, gauss(orders >= 0, sys.dim_in))
 
 
 def _masked_diff(a: TruncatedLPVector, b: TruncatedLPVector, skip: LPMask) -> float:
+    """Norm of ``a - b`` off the skipped points.  Both are generator images
+    on one box, so each part has the same points in both."""
     total = 0.0
-    for part, bad in (("u_plus", skip.u_plus), ("y", skip.y), ("u_minus", skip.u_minus)):
-        sa: LatticeSignal = getattr(a, part)
-        sb: LatticeSignal = getattr(b, part)
-        for t in sa.support | sb.support:
-            if t in bad:
-                continue
-            d = sa.value(t) - sb.value(t)
-            total += float(np.vdot(d, d).real)
+    for part in ("u_plus", "y", "u_minus"):
+        sa, sb, bad = getattr(a, part), getattr(b, part), getattr(skip, part)
+        diff = (sa.values - sb.values)[[t not in bad for t in map(tuple, sa.points.tolist())]]
+        total += float(np.vdot(diff, diff).real)
     return float(np.sqrt(total))
 
 

@@ -137,7 +137,8 @@ def _sample(data: AglerData, points) -> _Samples:
 def _columns(stack: np.ndarray) -> np.ndarray:
     """The (S, rows, cols) stack as one (rows, S * cols) matrix, its members
     side by side in order, C-contiguous as `np.hstack` leaves them."""
-    return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(stack.shape[1], -1)
+    count, rows, cols = stack.shape
+    return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(rows, count * cols)
 
 
 def _largest_norm(stack: np.ndarray) -> float:

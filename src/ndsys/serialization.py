@@ -68,12 +68,6 @@ def _unmatrix(obj) -> np.ndarray:
     ).reshape(len(obj), len(obj[0]) if obj else 0)
 
 
-def _unvector(obj) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise DomainError(f"expected a vector list, got {type(obj).__name__}")
-    return np.array([_unpair(x) for x in obj], dtype=complex)
-
-
 def system_to_json(sys: MultiLSDS) -> dict:
     sys.require_wellformed()
     return {
@@ -117,20 +111,12 @@ def json_to_system(obj: dict) -> MultiLSDS:
     return sys
 
 
-def _sorted_values(sig: LatticeSignal) -> tuple[list, np.ndarray]:
-    """The support in sorted order and its values as one (N, dim) array."""
-    points = sorted(sig.entries)
-    values = np.array([sig.entries[t] for t in points], dtype=complex)
-    return points, values.reshape(len(points), sig.dim)
-
-
 def signal_to_json(sig: LatticeSignal) -> dict:
-    points, values = _sorted_values(sig)
-    pairs = np.stack([values.real, values.imag], -1).tolist()
+    pairs = np.stack([sig.values.real, sig.values.imag], -1).tolist()
     return {
         "n": sig.n,
         "dim": sig.dim,
-        "entries": [{"t": list(t), "v": v} for t, v in zip(points, pairs)],
+        "entries": [{"t": t, "v": v} for t, v in zip(sig.points.tolist(), pairs)],
     }
 
 
@@ -139,17 +125,20 @@ def json_to_signal(obj: dict) -> LatticeSignal:
         raise DomainError(f"signal must be a JSON object, got {type(obj).__name__}")
     n = int(_need(obj, "n", "signal"))
     dim = int(_need(obj, "dim", "signal"))
-    entries = {}
-    for item in obj.get("entries", []):
-        t = tuple(int(v) for v in _need(item, "t", "signal entry"))
-        entries[t] = _unvector(_need(item, "v", "signal entry"))
-    sig = LatticeSignal(n=n, dim=dim, entries=entries)
-    values = np.array(list(sig.entries.values())).reshape(len(sig.entries), dim)
+    items = obj.get("entries", [])
+    points = [_need(item, "t", "signal entry") for item in items]
+    try:
+        pairs = np.array([_need(item, "v", "signal entry") for item in items], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"signal: each value must list {dim} [re, im] pairs") from exc
+    if pairs.shape != (len(items), dim, 2) and (pairs.size or len(items) * dim):
+        raise DomainError(f"signal: each value must list {dim} [re, im] pairs")
+    values = pairs.reshape(len(items), dim, 2).view(complex)[..., 0]
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        bad = list(sig.entries)[int(np.argmin(finite))]
+        bad = points[int(np.argmin(finite))]
         raise DomainError(f"signal: non-finite value at {list(bad)}")
-    return sig
+    return LatticeSignal.from_arrays(n, dim, points, values)
 
 
 def poly_to_json(poly: MatrixPolynomial) -> dict:
@@ -253,11 +242,11 @@ def _write_signal(sig: LatticeSignal, indent: str) -> str:
     """``json.dumps(signal_to_json(sig), sort_keys=True, indent=2)`` with
     every line after the first shifted right by ``indent``, filled from one
     template with one ``%`` operation."""
-    points, values = _sorted_values(sig)
+    points, values = sig.points, sig.values
     finite = np.isfinite(values).all(axis=1)
     if not finite.all():
-        bad = points[int(np.argmin(finite))]
-        raise DomainError(f"report is not strict JSON: non-finite signal value at {list(bad)}")
+        bad = points[int(np.argmin(finite))].tolist()
+        raise DomainError(f"report is not strict JSON: non-finite signal value at {bad}")
     at = indent + "    "  # an entry's opening line
     pair = _json_list(["%r", "%r"], at + "    ")
     entry = (
@@ -266,7 +255,7 @@ def _write_signal(sig: LatticeSignal, indent: str) -> str:
         + "\n" + at + "}"
     )
     args = np.empty((len(points), sig.n + 2 * sig.dim), dtype=object)
-    args[:, : sig.n] = np.array(points, dtype=object).reshape(-1, sig.n)
+    args[:, : sig.n] = points
     args[:, sig.n :] = values.view(float)
     entries = _json_list([entry] * len(points), indent + "  ") % tuple(args.ravel())
     return (

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ShapeError
-from .lattice import Box, LatticeSignal, SimulationWindow, order, sub
+from .lattice import Box, LatticeSignal, SimulationWindow, _row_locator, order, sub
 from .pencil import (
     OperatorTuple,
     bordered_multipower_table,
@@ -205,11 +205,13 @@ def _check_signals(sys: MultiLSDS, window: SimulationWindow, input_signal, init)
         )
     if window.n != sys.n:
         raise ShapeError(f"window lives in Z^{window.n}, system in Z^{sys.n}")
-    for t in init.support:
-        if order(t) != 0:
-            raise DomainError(f"initial data off the zero-order front at {t}")
-        if not window.box.contains(t):
-            raise DomainError(f"initial data outside the window at {t}")
+    for bad, where in (
+        (init.points.sum(axis=1) != 0, "off the zero-order front"),
+        (~window.box.holds(init.points), "outside the window"),
+    ):
+        if bad.any():
+            t = tuple(init.points[int(np.argmax(bad))].tolist())
+            raise DomainError(f"initial data {where} at {t}")
 
 
 def _octant_exact(input_signal: LatticeSignal, init: LatticeSignal) -> bool:
@@ -218,40 +220,11 @@ def _octant_exact(input_signal: LatticeSignal, init: LatticeSignal) -> bool:
     return input_signal.octant_supported() and init.octant_supported()
 
 
-def _row_locator(box: Box, n_max: int, points: list):
-    """A map from window points (tuples, or an int array with one point
-    per row) to their positions in ``points``.
-
-    Points are keyed row-major over the part of the box that fronts
-    0..n_max can reach, so a huge box with few fronts keeps a small key
-    space; Python-int keys stand in when it outgrows int64.
-    """
-    extents = [
-        max(1, min(h, n_max - sum(box.lo) + l) - l + 1) for l, h in zip(box.lo, box.hi)
-    ]
-    strides = [1] * box.n
-    for i in range(box.n - 2, -1, -1):
-        strides[i] = strides[i + 1] * extents[i + 1]
-    dtype = np.int64 if strides[0] * extents[0] < 2**62 else object
-    strides = np.array(strides, dtype=dtype)
-    lo = np.array(box.lo, dtype=dtype)
-
-    def keys(pts):
-        return (np.asarray(pts, dtype=dtype).reshape(-1, box.n) - lo) @ strides
-
-    window_keys = keys(points)
-    sorter = np.argsort(window_keys)
-    sorted_keys = window_keys[sorter]
-    return lambda pts: sorter[np.searchsorted(sorted_keys, keys(pts))]
-
-
 def _scatter(signal: LatticeSignal, box: Box, n_max: int, locate, rows: np.ndarray):
-    """Copy the entries of ``signal`` on fronts 0..n_max of the box into ``rows``."""
-    inside = [
-        (t, v) for t, v in signal.entries.items() if 0 <= order(t) <= n_max and box.contains(t)
-    ]
-    if inside:
-        rows[locate([t for t, _ in inside])] = [v for _, v in inside]
+    """Copy the values of ``signal`` on fronts 0..n_max of the box into ``rows``."""
+    orders = signal.points.sum(axis=1)
+    inside = (orders >= 0) & (orders <= n_max) & box.holds(signal.points)
+    rows[locate(signal.points[inside])] = signal.values[inside]
 
 
 def simulate(
@@ -279,17 +252,15 @@ def simulate(
     points = [t for front in fronts for t in front]
     bounds = np.cumsum([0] + [len(front) for front in fronts])
     size = len(points)
-    locate = _row_locator(box, n_max, points)
     coords = np.array(points, dtype=np.int64).reshape(size, n)
+    locate = _row_locator(coords)
 
     # state and input side by side, plus one zero row that off-box reads hit
     z = np.zeros((size + 1, dim_x + dim_in), dtype=complex)
     _scatter(init, box, 0, locate, z[:, :dim_x])
     _scatter(input_signal, box, n_max, locate, z[:, dim_x:])
     y = np.zeros((size, sys.dim_out), dtype=complex)
-    gains = np.vstack(
-        [np.block([[sys.a[k], sys.b[k]], [sys.c[k], sys.d[k]]]).T for k in range(n)]
-    )
+    gains = np.vstack([g.T for g in sys.blocks()])
 
     # predecessor rows: t - e_k is in the box exactly when t_k > lo_k
     pred = np.full((size, n), size, dtype=np.intp)
@@ -314,8 +285,8 @@ def simulate(
     first = int(bounds[1])
     return SimulationResult(
         window=window,
-        states=LatticeSignal(n, dim_x, dict(zip(points, z[:size, :dim_x]))),
-        outputs=LatticeSignal(n, sys.dim_out, dict(zip(points[first:], y[first:]))),
+        states=LatticeSignal.from_arrays(n, dim_x, coords, z[:size, :dim_x]),
+        outputs=LatticeSignal.from_arrays(n, sys.dim_out, coords[first:], y[first:]),
         contaminated_states=masked,
         contaminated_outputs=masked,
         octant_exact=octant,
@@ -405,9 +376,8 @@ def closed_form(
 
 def front_energy(signal: LatticeSignal, n: int) -> float:
     """Squared l2 mass of the signal on the order-n front."""
-    return float(
-        sum(np.vdot(v, v).real for t, v in signal.entries.items() if order(t) == n)
-    )
+    vals = signal.values[signal.points.sum(axis=1) == n]
+    return float((vals.real**2 + vals.imag**2).sum())
 
 
 @dataclass(frozen=True)
@@ -456,28 +426,21 @@ class EnergyReport:
 
 
 def _by_order(signal: LatticeSignal, box: Box, n_max: int):
-    """Per-front tallies of one signal, from one pass over its entries.
+    """Per-front tallies of one signal, from one pass over its arrays.
 
     Returns four arrays indexed by order 0..n_max: the squared mass, the
     squared mass inside the box, whether a nonzero entry lies outside the
     box, and whether a nonzero entry feeds a point outside the box on the
     next front.
     """
-    mass = np.zeros(n_max + 1)
-    mass_in = np.zeros(n_max + 1)
-    escaped = np.zeros(n_max + 1, dtype=bool)
-    lost = np.zeros(n_max + 1, dtype=bool)
-    kept = [(t, v) for t, v in signal.entries.items() if 0 <= sum(t) <= n_max]
-    if not kept:
-        return mass, mass_in, escaped, lost
-    pts = np.array([t for t, _ in kept])  # object dtype past int64
-    vals = np.array([v for _, v in kept]).reshape(len(kept), signal.dim)
-    orders = pts.sum(axis=1).astype(np.intp)
+    orders = signal.points.sum(axis=1)
+    kept = (orders >= 0) & (orders <= n_max)
+    pts, vals, orders = signal.points[kept], signal.values[kept], orders[kept]
     lo, hi = np.array(box.lo), np.array(box.hi)
     coord_in = (pts >= lo) & (pts <= hi)
-    step_in = (pts + 1 >= lo) & (pts + 1 <= hi)
+    step_in = (pts >= lo - 1) & (pts <= hi - 1)
     inside = coord_in.all(axis=1)
-    leaks = np.zeros(len(kept), dtype=bool)
+    leaks = np.zeros(len(pts), dtype=bool)
     for k in range(box.n):
         ok = coord_in.copy()
         ok[:, k] = step_in[:, k]
@@ -486,6 +449,8 @@ def _by_order(signal: LatticeSignal, box: Box, n_max: int):
     nonzero = (vals != 0).any(axis=1)
     mass = np.bincount(orders, sq, minlength=n_max + 1)
     mass_in = np.bincount(orders[inside], sq[inside], minlength=n_max + 1)
+    escaped = np.zeros(n_max + 1, dtype=bool)
+    lost = np.zeros(n_max + 1, dtype=bool)
     escaped[orders[nonzero & ~inside]] = True
     lost[orders[nonzero & leaks]] = True
     return mass, mass_in, escaped, lost

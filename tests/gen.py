@@ -171,3 +171,16 @@ def inner_fixture(rng, n, q, max_degree=2, grid_points=60):
 
     grid = halton_disc(grid_points, n, 0.75)
     return AglerData(theta=theta, factors=tuple(factors), grid=tuple(grid))
+
+
+def zero_row_fixture(grid_points=40):
+    """Decomposition data for theta = z1 z2 on n = 3 with factors (z2), (1)
+    and a 0x1 factor: the third direction's block has rank 0."""
+    one = np.eye(1)
+    theta = MatrixPolynomial(n=3, shape=(1, 1), coeffs={(1, 1, 0): one})
+    factors = (
+        MatrixPolynomial(n=3, shape=(1, 1), coeffs={(0, 1, 0): one}),
+        MatrixPolynomial(n=3, shape=(1, 1), coeffs={(0, 0, 0): one}),
+        MatrixPolynomial(n=3, shape=(0, 1), coeffs={}),
+    )
+    return AglerData(theta=theta, factors=factors, grid=tuple(halton_disc(grid_points, 3, 0.8)))

@@ -17,6 +17,14 @@ the colligation core and `fresh_gaps_pointwise` for the fresh-point checks.
 The library samples each point once into stacks and must reproduce its
 residuals and realized matrices bit for bit.
 
+`apply_generator_dict` and `apply_adjoint_dict` are the scattering
+generators and their adjoints walked front by front with a dict entry per
+point, the adjoint by its own coupling loop through the conjugate matrices.
+The library runs the generator as gathers over box arrays and derives the
+adjoint as ``gamma W_k(conj sys) gamma``; supports and masks must match
+exactly, values to 1e-12.  `signal_to_json_dict` and `json_to_signal_dict`
+are the signal codec one entry and one pair at a time.
+
 `dump_reference` is the report writer as the standard library alone
 writes it: every LatticeSignal first becomes its `signal_to_json` dict.
 `serialization.dump` writes signals from their arrays and must produce the
@@ -29,7 +37,10 @@ import json
 import numpy as np
 
 from ndsys import (
+    Box,
     DivergenceError,
+    DomainError,
+    LPMask,
     MultiLSDS,
     OperatorTuple,
     EnergyReport,
@@ -38,6 +49,7 @@ from ndsys import (
     SimulationResult,
     SingularityError,
     TorusScanReport,
+    TruncatedLPVector,
     conservativity_check,
     halton_disc,
     halton_torus,
@@ -47,6 +59,7 @@ from ndsys import (
 )
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.lattice import add, order, sub, unit
+from ndsys.laxphillips import _check_dims
 from ndsys.serialization import signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
@@ -390,6 +403,159 @@ def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e
         "intermediate": intermediate_gap,
     }
     return system, residuals, len(grid)
+
+
+def _band_points(box: Box, lowest: int | None, highest: int | None):
+    lo, hi = order(box.lo), order(box.hi)
+    start = lo if lowest is None else max(lo, lowest)
+    stop = hi if highest is None else min(hi, highest)
+    for front in range(start, stop + 1):
+        yield from box.front(front)
+
+
+def apply_generator_dict(
+    sys: MultiLSDS, k: int, vec: TruncatedLPVector
+) -> tuple[TruncatedLPVector, LPMask]:
+    """One translation step along direction ``k``.
+
+    Outgoing values shift toward the zero front, the zero front consumes
+    the adjacent state and incoming data through the system matrices, and
+    incoming values shift away.  Returns the new vector and the off-box
+    read mask.
+    """
+    _check_dims(sys, vec)
+    n = sys.n
+    if not 0 <= k < n:
+        raise DomainError(f"direction {k} outside 0..{n - 1}")
+    box = vec.box
+    e_k = unit(n, k)
+
+    up: dict = {}
+    yv: dict = {}
+    um: dict = {}
+    mask_up, mask_y, mask_um = set(), set(), set()
+
+    def read(sig, p):
+        if box.contains(p):
+            return sig.value(p), False
+        return np.zeros(sig.dim, dtype=complex), True
+
+    for t in _band_points(box, None, -1):
+        v, dirty = read(vec.u_plus, add(t, e_k))
+        up[t] = v
+        if dirty:
+            mask_up.add(t)
+
+    for t in box.front(0):
+        acc_up = np.zeros(sys.dim_out, dtype=complex)
+        acc_y = np.zeros(sys.dim_x, dtype=complex)
+        dirty = False
+        for j in range(n):
+            p = add(sub(t, unit(n, j)), e_k)
+            ys, d1 = read(vec.y, p)
+            us, d2 = read(vec.u_minus, p)
+            dirty = dirty or d1 or d2
+            acc_up += sys.c[j] @ ys + sys.d[j] @ us
+            acc_y += sys.a[j] @ ys + sys.b[j] @ us
+        up[t] = acc_up
+        yv[t] = acc_y
+        if dirty:
+            mask_up.add(t)
+            mask_y.add(t)
+
+    for t in _band_points(box, 0, None):
+        v, dirty = read(vec.u_minus, add(t, e_k))
+        um[t] = v
+        if dirty:
+            mask_um.add(t)
+
+    out = TruncatedLPVector(
+        box=box,
+        u_plus=LatticeSignal(n, sys.dim_out, up),
+        y=LatticeSignal(n, sys.dim_x, yv),
+        u_minus=LatticeSignal(n, sys.dim_in, um),
+    )
+    return out, LPMask(frozenset(mask_up), frozenset(mask_y), frozenset(mask_um))
+
+
+def apply_adjoint_dict(
+    sys: MultiLSDS, k: int, vec: TruncatedLPVector
+) -> tuple[TruncatedLPVector, LPMask]:
+    """Adjoint of the direction-k generator, via the conjugate matrices."""
+    _check_dims(sys, vec)
+    n = sys.n
+    if not 0 <= k < n:
+        raise DomainError(f"direction {k} outside 0..{n - 1}")
+    box = vec.box
+    e_k = unit(n, k)
+
+    up: dict = {}
+    yv: dict = {}
+    um: dict = {}
+    mask_up, mask_y, mask_um = set(), set(), set()
+
+    def read(sig, p):
+        if box.contains(p):
+            return sig.value(p), False
+        return np.zeros(sig.dim, dtype=complex), True
+
+    for t in _band_points(box, None, 0):
+        v, dirty = read(vec.u_plus, sub(t, e_k))
+        up[t] = v
+        if dirty:
+            mask_up.add(t)
+
+    for t in box.front(0):
+        acc_y = np.zeros(sys.dim_x, dtype=complex)
+        acc_um = np.zeros(sys.dim_in, dtype=complex)
+        dirty = False
+        for j in range(n):
+            p = add(sub(t, e_k), unit(n, j))
+            ys, d1 = read(vec.y, p)
+            us, d2 = read(vec.u_plus, p)
+            dirty = dirty or d1 or d2
+            acc_y += sys.a[j].conj().T @ ys + sys.c[j].conj().T @ us
+            acc_um += sys.b[j].conj().T @ ys + sys.d[j].conj().T @ us
+        yv[t] = acc_y
+        um[t] = acc_um
+        if dirty:
+            mask_y.add(t)
+            mask_um.add(t)
+
+    for t in _band_points(box, 1, None):
+        v, dirty = read(vec.u_minus, sub(t, e_k))
+        um[t] = v
+        if dirty:
+            mask_um.add(t)
+
+    out = TruncatedLPVector(
+        box=box,
+        u_plus=LatticeSignal(n, sys.dim_out, up),
+        y=LatticeSignal(n, sys.dim_x, yv),
+        u_minus=LatticeSignal(n, sys.dim_in, um),
+    )
+    return out, LPMask(frozenset(mask_up), frozenset(mask_y), frozenset(mask_um))
+
+
+def signal_to_json_dict(sig):
+    """The signal encoding written one entry at a time, points sorted."""
+    return {
+        "n": sig.n,
+        "dim": sig.dim,
+        "entries": [
+            {"t": list(t), "v": [[complex(x).real, complex(x).imag] for x in sig.entries[t]]}
+            for t in sorted(sig.entries)
+        ],
+    }
+
+
+def json_to_signal_dict(obj):
+    """The signal decoding read pair by pair into a dict."""
+    entries = {}
+    for item in obj["entries"]:
+        t = tuple(int(v) for v in item["t"])
+        entries[t] = np.array([complex(float(p[0]), float(p[1])) for p in item["v"]], dtype=complex)
+    return LatticeSignal(int(obj["n"]), int(obj["dim"]), entries)
 
 
 def _plain(obj):

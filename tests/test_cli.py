@@ -7,6 +7,7 @@ import sys as _sys
 import numpy as np
 import pytest
 
+import gen
 import oracles
 from ndsys import Box, LatticeSignal, TruncatedLPVector, canonical_fixture
 from ndsys import serialization as ser
@@ -219,6 +220,17 @@ def test_realize_canonical_data(capsys, tmp_path):
     assert res["system"]["dims"] == {"x": 1, "nm": 1, "np": 1}
 
 
+def test_realize_with_a_zero_row_factor(capsys, tmp_path):
+    data = write(tmp_path, "zero_row.json", ser.agler_to_json(gen.zero_row_fixture()))
+    code, report, _ = run(capsys, ["realize", data])
+    assert code == 0
+    res = report["results"]
+    assert res["identity"]["passed"] is True
+    assert res["conservative"] is True
+    assert res["state_dim"] == 1
+    assert max(res["residuals"].values()) <= 1e-12
+
+
 def test_realize_reports_the_thresholds_it_applied(capsys, tmp_path):
     data = write(
         tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30))
@@ -401,6 +413,22 @@ def test_simulate_rejects_non_finite_input(capsys, tmp_path):
     code, _, err = run(capsys, argv + ["--box", "0:3,0:3", "--nmax", "2"])
     assert code == 2
     assert "input error" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ([{"t": [0, 0], "v": [[1.0, 0.0]]}, {"t": [0, 0], "v": [[5.0, 0.0]]}], "[0, 0]"),
+        ([{"t": [10**20, -(10**20)], "v": [[1.0, 0.0]]}], f"[{10**20}, {-(10**20)}]"),
+    ],
+    ids=["repeated-point", "outside-int64"],
+)
+def test_simulate_rejects_a_bad_signal_point(capsys, tmp_path, entries, named):
+    path = write(tmp_path, "bad.json", {"n": 2, "dim": 1, "entries": entries})
+    argv = ["simulate", "builtin:alpha", "--input", path, "--box", "0:3,0:3", "--nmax", "2"]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "input error" in err and named in err
 
 
 def test_laxphillips_rejects_non_finite_vector(capsys, tmp_path):

@@ -1,9 +1,14 @@
 """Translation generators, the reflection map, and associated systems."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
+import oracles
 from ndsys import (
     Box,
     DomainError,
@@ -16,6 +21,7 @@ from ndsys import (
     gamma_map,
     metric_check,
     simulate,
+    ShapeError,
     SimulationWindow,
     TruncatedLPVector,
 )
@@ -64,6 +70,13 @@ def test_band_membership_enforced():
             LatticeSignal(2, 1, {}),
             empty_in,
         )
+
+
+def test_band_membership_needs_the_box():
+    box = Box((-2, -2), (2, 2))
+    outside = LatticeSignal(2, 1, {(0, 0): np.ones(1), (3, 0): np.ones(1)})
+    with pytest.raises(DomainError, match=r"u_minus support out of band at \(3, 0\)"):
+        TruncatedLPVector(box, LatticeSignal(2, 1, {}), LatticeSignal(2, 1, {}), outside)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -245,3 +258,92 @@ def test_associated_empty_front_rejected():
     sys = builtin_examples()["alpha"]
     with pytest.raises(DomainError):
         associated_one_param(sys, 0, Box((1, 1), (2, 2)))
+
+
+@st.composite
+def lp_cases(draw):
+    """A system, a box and a vector on it: dense up to the box faces or
+    sparse, on symmetric, asymmetric and all-negative boxes."""
+    n = draw(st.integers(1, 3))
+    dim_x = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        sys = gen.conservative_system(rng, n, dim_x, draw(st.integers(1, 2)))
+    else:
+        sys = gen.random_system(rng, n, dim_x, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    reach = 3 if n < 3 else 2
+    shape = draw(st.sampled_from(["symmetric", "asymmetric", "negative"]))
+    if shape == "symmetric":
+        half = draw(st.integers(0, reach))
+        lo, hi = (-half,) * n, (half,) * n
+    elif shape == "asymmetric":
+        lo = tuple(draw(st.integers(-reach, 1)) for _ in range(n))
+        hi = tuple(a + draw(st.integers(0, reach)) for a in lo)
+    else:
+        hi = tuple(draw(st.integers(-reach, -1)) for _ in range(n))
+        lo = tuple(b - draw(st.integers(0, reach)) for b in hi)
+    box = Box(lo, hi)
+    density = draw(st.sampled_from([1.0, 0.3]))
+    pts = [
+        t
+        for t in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        if rng.random() < density
+    ]
+
+    def part(keep, dim):
+        return gen.random_signal(rng, n, dim, [t for t in pts if keep(order(t))])
+
+    vec = TruncatedLPVector(
+        box,
+        part(lambda o: o <= 0, sys.dim_out),
+        part(lambda o: o == 0, sys.dim_x),
+        part(lambda o: o >= 0, sys.dim_in),
+    )
+    return sys, draw(st.integers(0, n - 1)), vec
+
+
+@settings(max_examples=120, deadline=None)
+@given(lp_cases())
+def test_generator_and_adjoint_match_the_dict_oracles(case):
+    # supports and masks exactly; values to 1e-12 relative, because the
+    # zero front is one stacked product where the oracle sums direction by
+    # direction
+    sys, k, vec = case
+    for fast, slow in (
+        (apply_generator, oracles.apply_generator_dict),
+        (apply_adjoint, oracles.apply_adjoint_dict),
+    ):
+        got, got_mask = fast(sys, k, vec)
+        want, want_mask = slow(sys, k, vec)
+        assert got_mask == want_mask
+        assert got.box == want.box
+        for part in ("u_plus", "y", "u_minus"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dim == b.dim
+            assert np.array_equal(a.points, b.points)
+            scale = max(1.0, float(np.abs(b.values).max(initial=0.0)))
+            assert np.abs(a.values - b.values).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(lp_cases())
+def test_gamma_twice_is_bitwise_the_identity(case):
+    _, _, vec = case
+    back = gamma_map(gamma_map(vec))
+    assert back.box == vec.box
+    for part in ("u_plus", "y", "u_minus"):
+        a, b = getattr(back, part), getattr(vec, part)
+        assert oracles.same_bits(a.points, b.points)
+        assert oracles.same_bits(a.values, b.values)
+
+
+def test_adjoint_dimension_errors_name_the_callers_parts():
+    sys = builtin_examples()["alpha"]
+    vec = TruncatedLPVector(
+        Box((-1, -1), (1, 1)),
+        LatticeSignal(2, 2, {}),
+        LatticeSignal(2, sys.dim_x, {}),
+        LatticeSignal(2, sys.dim_in, {}),
+    )
+    with pytest.raises(ShapeError, match="u_plus dimension 2"):
+        apply_adjoint(sys, 0, vec)

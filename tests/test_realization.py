@@ -57,6 +57,17 @@ def test_canonical_realization_is_conservative_and_minimal():
         assert abs(transfer_eval(res.system, z)[0, 0] - z[0] * z[1]) <= 1e-10
 
 
+def test_zero_row_factor_is_realized():
+    # a direction whose block has rank 0 gives an empty (S, 0, q) stack
+    data = gen.zero_row_fixture()
+    assert verify_agler_identity(data).passed
+    res = assemble_colligation(data)
+    assert res.conservative and res.state_dim == 1
+    assert max(res.residuals.values()) <= 1e-12
+    assert _columns(np.zeros((4, 0, 2))).shape == (0, 8)
+    assert poly_gap(res.system, data.theta, halton_disc(10, 3, 0.7)) <= 1e-10
+
+
 def test_canonical_realization_matches_the_minimal_example_up_to_phase():
     # one-dimensional state leaves a single unitary freedom, a phase; peel
     # it off the c blocks and the two colligations coincide

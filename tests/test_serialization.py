@@ -199,6 +199,43 @@ def test_signal_with_non_finite_value_is_rejected(bad):
         ser.json_to_signal(obj)
 
 
+@settings(max_examples=100, deadline=None)
+@given(signals(), st.randoms(use_true_random=False))
+def test_array_codec_round_trips_like_the_dict_codec(sig, shuffle):
+    obj = ser.signal_to_json(sig)
+    assert ser.dump(obj) == ser.dump(oracles.signal_to_json_dict(sig))
+    shuffle.shuffle(obj["entries"])  # a file need not list its points in order
+    got, want = ser.json_to_signal(obj), oracles.json_to_signal_dict(obj)
+    for back in (got, want):
+        assert (back.n, back.dim) == (sig.n, sig.dim)
+        assert oracles.same_bits(back.points, sig.points)
+        assert oracles.same_bits(back.values, sig.values)
+
+
+def test_signal_listing_a_point_twice_is_rejected():
+    obj = {"n": 2, "dim": 1, "entries": [
+        {"t": [0, 0], "v": [[1.0, 0.0]]},
+        {"t": [1, 0], "v": [[2.0, 0.0]]},
+        {"t": [0, 0], "v": [[5.0, 0.0]]},
+    ]}
+    with pytest.raises(DomainError, match=r"point \[0, 0\] is given twice"):
+        ser.json_to_signal(obj)
+
+
+@pytest.mark.parametrize("t", [[10**20, -(10**20)], [2**63, 0], [0, -(2**63) - 1]])
+def test_signal_coordinate_outside_int64_is_rejected(t):
+    obj = {"n": 2, "dim": 1, "entries": [{"t": t, "v": [[1.0, 0.0]]}]}
+    with pytest.raises(DomainError, match=re.escape(f"point {t} lies outside the int64")):
+        ser.json_to_signal(obj)
+    with pytest.raises(DomainError, match=re.escape(f"point {t} lies outside the int64")):
+        LatticeSignal(2, 1, {tuple(t): np.ones(1)})
+
+
+def test_signal_order_outside_int64_is_rejected():
+    with pytest.raises(DomainError, match="outside the int64"):
+        LatticeSignal(2, 1, {(2**62, 2**62): np.ones(1)})
+
+
 def test_poly_round_trip():
     poly = MatrixPolynomial(
         n=2,

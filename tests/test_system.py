@@ -406,6 +406,14 @@ def test_init_data_must_sit_on_the_zero_front():
         simulate(sys, window, empty(2, 1), bad)
 
 
+def test_init_data_must_lie_in_the_window():
+    sys = gen.random_system(np.random.default_rng(10), 2, 2, 1, 1)
+    window = SimulationWindow(Box((0, 0), (2, 2)), 2)
+    bad = LatticeSignal(2, 2, {(0, 0): np.ones(2), (3, -3): np.ones(2)})
+    with pytest.raises(DomainError, match=r"outside the window at \(3, -3\)"):
+        simulate(sys, window, empty(2, 1), bad)
+
+
 def test_signal_dimension_mismatch_rejected():
     sys = gen.random_system(np.random.default_rng(11), 2, 2, 1, 1)
     window = SimulationWindow(Box((0, 0), (2, 2)), 2)
