@@ -189,7 +189,7 @@ class LatticeSignal:
     def __init__(self, n: int, dim: int, entries: Mapping | None = None):
         entries = {} if entries is None else entries
         self.n, self.dim = n, dim
-        self.points = [as_index(t) for t in entries]
+        self.points = [tuple(t) for t in entries]
         self.values = list(entries.values())
         self.__post_init__()
 
@@ -209,9 +209,16 @@ class LatticeSignal:
             raise DomainError(f"value dimension must be >= 0, got {dim}")
         count = len(self.points)
         try:
-            reach = np.abs(np.array(self.points, dtype=float).reshape(count, n)).sum(axis=1)
+            coords = np.array(self.points, dtype=float).reshape(count, n)
         except (TypeError, ValueError) as exc:
             raise ArityError(f"expected {count} points of Z^{n} as integers") from exc
+        fraction = ~np.isfinite(coords) | (coords != np.round(coords))
+        if fraction.any():
+            row, col = np.argwhere(fraction)[0]
+            raise DomainError(
+                f"point {coords[row].tolist()} has the non-integer coordinate {coords[row, col]}"
+            )
+        reach = np.abs(coords).sum(axis=1)
         if (reach >= 2.0**63).any():  # coordinates and orders must not overflow int64
             bad = [int(c) for c in self.points[int(np.argmax(reach >= 2.0**63))]]
             raise DomainError(f"point {bad} lies outside the int64 lattice range")

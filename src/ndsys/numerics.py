@@ -4,7 +4,6 @@ completions, and low-discrepancy sample sets."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import RankAmbiguityError
 
@@ -63,10 +62,35 @@ def ordered_completion(q: np.ndarray) -> np.ndarray:
     return full[:, r:dim]
 
 
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
 def _halton_unit(count: int, dims: int) -> np.ndarray:
-    """``count`` Halton points in the unit cube [0, 1)^dims, unscrambled."""
-    sampler = qmc.Halton(d=dims, scramble=False)
-    return sampler.random(count)
+    """``count`` Halton points in the unit cube [0, 1)^dims, unscrambled.
+
+    Column k is the radical inverse of 0, 1, ..., count - 1 in the k-th
+    prime base, summed from the lowest digit up, so the points are those of
+    ``scipy.stats.qmc.Halton(dims, scramble=False).random(count)`` bit for
+    bit.
+    """
+    out = np.zeros((count, dims))
+    for k, base in enumerate(_primes(dims)):
+        index, f = np.arange(count), 1.0
+        top = count - 1  # the largest index fixes the number of digits
+        while top > 0:
+            f /= base
+            index, digit = np.divmod(index, base)
+            out[:, k] += f * digit
+            top //= base
+    return out
 
 
 def halton_disc(count: int, n: int, radius: float) -> list[tuple[complex, ...]]:
@@ -76,17 +100,10 @@ def halton_disc(count: int, n: int, radius: float) -> list[tuple[complex, ...]]:
     pair, so the sequence is deterministic.
     """
     u = _halton_unit(count, 2 * n)
-    out = []
-    for row in u:
-        z = tuple(
-            radius * np.sqrt(row[2 * k]) * np.exp(2j * np.pi * row[2 * k + 1])
-            for k in range(n)
-        )
-        out.append(z)
-    return out
+    z = radius * np.sqrt(u[:, 0::2]) * np.exp(2j * np.pi * u[:, 1::2])
+    return list(map(tuple, z))
 
 
 def halton_torus(count: int, n: int) -> list[tuple[complex, ...]]:
     """Low-discrepancy points of the n-torus, deterministic."""
-    u = _halton_unit(count, n)
-    return [tuple(np.exp(2j * np.pi * row[k]) for k in range(n)) for row in u]
+    return list(map(tuple, np.exp(2j * np.pi * _halton_unit(count, n))))

@@ -80,6 +80,17 @@ def system_to_json(sys: MultiLSDS) -> dict:
     }
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; a fractional number is refused, not truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
+    if isinstance(value, float) and out != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 def _need(obj: dict, key: str, context: str):
     if key not in obj:
         raise DomainError(f"{context}: missing key {key!r}")
@@ -89,7 +100,7 @@ def _need(obj: dict, key: str, context: str):
 def json_to_system(obj: dict) -> MultiLSDS:
     if not isinstance(obj, dict):
         raise DomainError(f"system file must be a JSON object, got {type(obj).__name__}")
-    n = int(_need(obj, "n", "system"))
+    n = _whole(_need(obj, "n", "system"), "system: n")
     dims = _need(obj, "dims", "system")
     tuples = {}
     for key in ("A", "B", "C", "D"):
@@ -98,7 +109,7 @@ def json_to_system(obj: dict) -> MultiLSDS:
             raise DomainError(f"system: {key} must list {n} matrices")
         tuples[key] = OperatorTuple(tuple(_unmatrix(m) for m in raw))
     sys = MultiLSDS(a=tuples["A"], b=tuples["B"], c=tuples["C"], d=tuples["D"])
-    stated = (int(dims.get("x", -1)), int(dims.get("nm", -1)), int(dims.get("np", -1)))
+    stated = tuple(_whole(dims.get(key, -1), f"system: dims {key}") for key in ("x", "nm", "np"))
     if stated != (sys.dim_x, sys.dim_in, sys.dim_out):
         raise DomainError(
             f"system: stated dims {stated} disagree with matrices "
@@ -123,8 +134,8 @@ def signal_to_json(sig: LatticeSignal) -> dict:
 def json_to_signal(obj: dict) -> LatticeSignal:
     if not isinstance(obj, dict):
         raise DomainError(f"signal must be a JSON object, got {type(obj).__name__}")
-    n = int(_need(obj, "n", "signal"))
-    dim = int(_need(obj, "dim", "signal"))
+    n = _whole(_need(obj, "n", "signal"), "signal: n")
+    dim = _whole(_need(obj, "dim", "signal"), "signal: dim")
     items = obj.get("entries", [])
     points = [_need(item, "t", "signal entry") for item in items]
     try:
@@ -154,17 +165,16 @@ def poly_to_json(poly: MatrixPolynomial) -> dict:
 def json_to_poly(obj: dict) -> MatrixPolynomial:
     if not isinstance(obj, dict):
         raise DomainError(f"polynomial must be a JSON object, got {type(obj).__name__}")
-    n = int(_need(obj, "n", "polynomial"))
+    n = _whole(_need(obj, "n", "polynomial"), "polynomial: n")
     shape = _need(obj, "shape", "polynomial")
     coeffs = {}
     for item in obj.get("terms", []):
-        t = tuple(int(v) for v in _need(item, "t", "polynomial term"))
+        t = tuple(_whole(v, "polynomial: exponent") for v in _need(item, "t", "polynomial term"))
         coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"))
         if not np.isfinite(coeffs[t]).all():
             raise DomainError(f"polynomial: non-finite coefficient at exponent {list(t)}")
-    return MatrixPolynomial(
-        n=n, shape=(int(shape[0]), int(shape[1])), coeffs=coeffs
-    )
+    rows, cols = _whole(shape[0], "polynomial: shape"), _whole(shape[1], "polynomial: shape")
+    return MatrixPolynomial(n=n, shape=(rows, cols), coeffs=coeffs)
 
 
 def lp_vector_fields(vec: TruncatedLPVector) -> dict:
@@ -190,8 +200,8 @@ def json_to_lp_vector(obj: dict) -> TruncatedLPVector:
         raise DomainError(f"vector must be a JSON object, got {type(obj).__name__}")
     box_obj = _need(obj, "box", "vector")
     box = Box(
-        tuple(int(v) for v in _need(box_obj, "lo", "vector box")),
-        tuple(int(v) for v in _need(box_obj, "hi", "vector box")),
+        tuple(_whole(v, "vector box: lo") for v in _need(box_obj, "lo", "vector box")),
+        tuple(_whole(v, "vector box: hi") for v in _need(box_obj, "hi", "vector box")),
     )
     return TruncatedLPVector(
         box=box,

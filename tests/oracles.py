@@ -29,12 +29,18 @@ are the signal codec one entry and one pair at a time.
 writes it: every LatticeSignal first becomes its `signal_to_json` dict.
 `serialization.dump` writes signals from their arrays and must produce the
 same bytes.
+
+`halton_unit_scipy` is scipy's unscrambled Halton engine, and
+`halton_disc_rows` and `halton_torus_rows` map its points one row and one
+coordinate at a time.  The library's numpy radical inverse and its array
+maps must reproduce them bit for bit.
 """
 
 import itertools
 import json
 
 import numpy as np
+from scipy.stats import qmc
 
 from ndsys import (
     Box,
@@ -570,3 +576,24 @@ def _plain(obj):
 
 def dump_reference(obj):
     return json.dumps(_plain(obj), sort_keys=True, indent=2)
+
+
+def halton_unit_scipy(count, dims):
+    """``count`` unscrambled Halton points of [0, 1)^dims from scipy."""
+    return qmc.Halton(d=dims, scramble=False).random(count)
+
+
+def halton_disc_rows(count, n, radius):
+    """The polydisc Halton points, mapped coordinate by coordinate."""
+    return [
+        tuple(
+            radius * np.sqrt(row[2 * k]) * np.exp(2j * np.pi * row[2 * k + 1])
+            for k in range(n)
+        )
+        for row in halton_unit_scipy(count, 2 * n)
+    ]
+
+
+def halton_torus_rows(count, n):
+    """The torus Halton points, mapped coordinate by coordinate."""
+    return [tuple(np.exp(2j * np.pi * row[k]) for k in range(n)) for row in halton_unit_scipy(count, n)]

@@ -420,8 +420,9 @@ def test_simulate_rejects_non_finite_input(capsys, tmp_path):
     [
         ([{"t": [0, 0], "v": [[1.0, 0.0]]}, {"t": [0, 0], "v": [[5.0, 0.0]]}], "[0, 0]"),
         ([{"t": [10**20, -(10**20)], "v": [[1.0, 0.0]]}], f"[{10**20}, {-(10**20)}]"),
+        ([{"t": [1.5, -0.5], "v": [[1.0, 0.0]]}], "non-integer coordinate 1.5"),
     ],
-    ids=["repeated-point", "outside-int64"],
+    ids=["repeated-point", "outside-int64", "fractional-coordinate"],
 )
 def test_simulate_rejects_a_bad_signal_point(capsys, tmp_path, entries, named):
     path = write(tmp_path, "bad.json", {"n": 2, "dim": 1, "entries": entries})
@@ -429,6 +430,32 @@ def test_simulate_rejects_a_bad_signal_point(capsys, tmp_path, entries, named):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "input error" in err and named in err
+
+
+@pytest.mark.parametrize("key, bad", [("n", 2.7), ("dim", 1.5)])
+def test_simulate_rejects_a_fractional_signal_header(capsys, tmp_path, key, bad):
+    obj = {"n": 2, "dim": 1, "entries": [{"t": [0, 0], "v": [[1.0, 0.0]]}]}
+    obj[key] = bad
+    path = write(tmp_path, "bad.json", obj)
+    argv = ["simulate", "builtin:alpha", "--input", path, "--box", "0:3,0:3", "--nmax", "2"]
+    code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert f"input error: signal: {key} must be an integer, got {bad}" in err
+
+
+def test_laxphillips_rejects_a_fractional_vector_point(capsys, tmp_path):
+    vec = TruncatedLPVector(
+        Box((-2, -2), (2, 2)),
+        LatticeSignal(2, 1, {}),
+        LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
+        LatticeSignal(2, 1, {}),
+    )
+    obj = ser.lp_vector_to_json(vec)
+    obj["y"]["entries"][0]["t"] = [0.5, -0.5]
+    argv = ["laxphillips", "builtin:alpha", "--op", "generator"]
+    code, report, err = run(capsys, argv + ["--vector", write(tmp_path, "frac.json", obj)])
+    assert code == 2 and report is None
+    assert "non-integer coordinate 0.5" in err
 
 
 def test_laxphillips_rejects_non_finite_vector(capsys, tmp_path):

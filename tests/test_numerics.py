@@ -1,11 +1,19 @@
 """Shared linear-algebra and sampling helpers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import gen
+import oracles
+import ndsys
 from ndsys import RankAmbiguityError, halton_disc, halton_torus
-from ndsys.numerics import ordered_completion, orth_basis, spectral_norm
+from ndsys.numerics import _halton_unit, ordered_completion, orth_basis, spectral_norm
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def test_spectral_norm_matches_svd():
@@ -73,3 +81,36 @@ def test_halton_torus_on_the_circle():
     pts = halton_torus(32, 3)
     assert all(np.isclose(abs(c), 1.0) for z in pts for c in z)
     assert pts == halton_torus(32, 3)
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+def test_halton_unit_matches_scipy_bitwise(dims):
+    # each base's powers are where a column gains a digit
+    counts = {0, 1, 100_000}
+    for p in PRIMES[:dims]:
+        counts |= {p, p + 1, p * p, p * p + 1}
+    for count in sorted(counts):
+        got = _halton_unit(count, dims)
+        assert oracles.same_bits(got, np.ascontiguousarray(oracles.halton_unit_scipy(count, dims))), count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_halton_maps_match_the_per_row_oracles_bitwise(n):
+    for count in (0, 1, 7, 1000):
+        pairs = [
+            (halton_disc(count, n, 0.7), oracles.halton_disc_rows(count, n, 0.7)),
+            (halton_torus(count, n), oracles.halton_torus_rows(count, n)),
+        ]
+        for got, want in pairs:
+            # the same list of tuples of numpy complex scalars, bit for bit
+            assert [list(map(type, z)) for z in got] == [list(map(type, z)) for z in want]
+            assert oracles.same_bits(np.array(got, dtype=complex), np.array(want, dtype=complex))
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndsys.__file__)))
+    code = "import sys, ndsys.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -231,6 +231,67 @@ def test_signal_coordinate_outside_int64_is_rejected(t):
         LatticeSignal(2, 1, {tuple(t): np.ones(1)})
 
 
+@pytest.mark.parametrize(
+    "t, named",
+    [([1.5, -0.5], "1.5"), ([0, -0.5], "-0.5"), ([2, float("nan")], "nan"), ([float("inf"), 0], "inf")],
+)
+def test_signal_coordinate_that_is_not_an_integer_is_rejected(t, named):
+    obj = {"n": 2, "dim": 1, "entries": [{"t": t, "v": [[1.0, 0.0]]}]}
+    message = rf"point \[.*\] has the non-integer coordinate {named}$"
+    with pytest.raises(DomainError, match=message):
+        ser.json_to_signal(obj)
+    with pytest.raises(DomainError, match=message):
+        LatticeSignal(2, 1, {tuple(t): np.ones(1)})
+    with pytest.raises(DomainError, match=message):
+        LatticeSignal.from_arrays(2, 1, np.array([t]), np.ones((1, 1)))
+
+
+def test_signal_accepts_integral_floats():
+    obj = {"n": 2.0, "dim": 1.0, "entries": [{"t": [1.0, -2.0], "v": [[1.0, 0.0]]}]}
+    sig = ser.json_to_signal(obj)
+    assert (sig.n, sig.dim) == (2, 1) and type(sig.n) is int
+    assert oracles.same_bits(sig.points, np.array([[1, -2]]))
+    assert LatticeSignal(2, 1, {(1.0, -2.0): np.ones(1)}).support == {(1, -2)}
+
+
+@pytest.mark.parametrize("key, bad", [("n", 2.7), ("dim", 1.5), ("n", None), ("dim", "one")])
+def test_signal_header_that_is_not_an_integer_is_rejected(key, bad):
+    obj = {"n": 2, "dim": 1, "entries": [{"t": [0, 0], "v": [[1.0, 0.0]]}]}
+    obj[key] = bad
+    with pytest.raises(DomainError, match=re.escape(f"signal: {key} must be an integer, got {bad!r}")):
+        ser.json_to_signal(obj)
+
+
+def _decoder_cases():
+    sys_obj = ser.system_to_json(builtin_examples()["alpha"])
+    poly_obj = ser.poly_to_json(canonical_fixture(4).theta)
+    vec = TruncatedLPVector(
+        box=Box((-2, -2), (2, 2)),
+        u_plus=LatticeSignal(2, 1, {}),
+        y=LatticeSignal(2, 1, {(1, -1): np.ones(1)}),
+        u_minus=LatticeSignal(2, 1, {}),
+    )
+    vec_obj = ser.lp_vector_to_json(vec)
+    cases = [
+        (ser.json_to_system, sys_obj, lambda o: o.__setitem__("n", 2.5), "system: n"),
+        (ser.json_to_system, sys_obj, lambda o: o["dims"].__setitem__("x", 1.5), "system: dims x"),
+        (ser.json_to_poly, poly_obj, lambda o: o.__setitem__("n", 1.5), "polynomial: n"),
+        (ser.json_to_poly, poly_obj, lambda o: o["terms"][0].__setitem__("t", [0.5, 1]), "polynomial: exponent"),
+        (ser.json_to_poly, poly_obj, lambda o: o.__setitem__("shape", [1, 1.5]), "polynomial: shape"),
+        (ser.json_to_lp_vector, vec_obj, lambda o: o["box"].__setitem__("hi", [2, 2.5]), "vector box: hi"),
+    ]
+    return [pytest.param(*case, id=case[-1]) for case in cases]
+
+
+@pytest.mark.parametrize("decode, obj, spoil, named", _decoder_cases())
+def test_decoders_refuse_a_fractional_integer_field(decode, obj, spoil, named):
+    obj = json.loads(json.dumps(obj))
+    decode(obj)
+    spoil(obj)
+    with pytest.raises(DomainError, match=f"{named} must be an integer"):
+        decode(obj)
+
+
 def test_signal_order_outside_int64_is_rejected():
     with pytest.raises(DomainError, match="outside the int64"):
         LatticeSignal(2, 1, {(2**62, 2**62): np.ones(1)})
