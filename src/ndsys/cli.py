@@ -17,7 +17,6 @@ paths of the form builtin:NAME resolve to bundled example files.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import hashlib
 import math
@@ -68,10 +67,12 @@ def _resolve_path(path: str) -> str:
     return path
 
 
-def _digest(path: str) -> dict:
+def _load(path: str, inputs: list):
+    """The parsed JSON file at ``path``; its digest joins ``inputs``."""
+    obj = serialization.load_file(path)
     with open(path, "rb") as fh:
-        h = hashlib.sha256(fh.read()).hexdigest()
-    return {"path": path, "sha256": h}
+        inputs.append({"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()})
+    return obj
 
 
 def _parse_box(text: str, n: int | None = None) -> Box:
@@ -88,25 +89,8 @@ def _parse_box(text: str, n: int | None = None) -> Box:
     return Box(lo, hi)
 
 
-def _complex_out(v: complex) -> list[float]:
-    return [float(v.real), float(v.imag)]
-
-
-def _matrix_out(m) -> list:
-    return [[_complex_out(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
 def _load_system(path: str, inputs: list):
-    path = _resolve_path(path)
-    sys_obj = serialization.json_to_system(serialization.load_file(path))
-    inputs.append(_digest(path))
-    return sys_obj
-
-
-def _load_signal(path: str, inputs: list) -> LatticeSignal:
-    signal = serialization.json_to_signal(serialization.load_file(path))
-    inputs.append(_digest(path))
-    return signal
+    return serialization.json_to_system(_load(_resolve_path(path), inputs))
 
 
 def _cmd_check(args, inputs) -> dict:
@@ -126,7 +110,7 @@ def _cmd_check(args, inputs) -> dict:
         },
         "torus_scan": {
             "max_norm": scan.max_norm,
-            "witness": [_complex_out(z) for z in scan.witness],
+            "witness": np.array(scan.witness, dtype=complex),
             "samples": scan.samples,
             "refined": scan.refined,
             "dissipative": scan.dissipative,
@@ -142,9 +126,9 @@ def _cmd_check(args, inputs) -> dict:
 
 def _cmd_simulate(args, inputs) -> dict:
     sys_obj = _load_system(args.system, inputs)
-    input_signal = _load_signal(args.input, inputs)
+    input_signal = serialization.json_to_signal(_load(args.input, inputs))
     if args.init is not None:
-        init = _load_signal(args.init, inputs)
+        init = serialization.json_to_signal(_load(args.init, inputs))
     else:
         init = LatticeSignal(sys_obj.n, sys_obj.dim_x, {})
     window = SimulationWindow(_parse_box(args.box, sys_obj.n), args.nmax)
@@ -153,24 +137,16 @@ def _cmd_simulate(args, inputs) -> dict:
     report = energy_balance_report(
         sys_obj, window, input_signal, init, tol=args.tol, result=result
     )
+    columns = ("n", "E_minus", "E_plus", "E_x", "lhs", "rhs", "contaminated")
+    rows = [
+        dict(zip(columns, (r.n, r.e_minus, r.e_plus, r.e_x, r.lhs, r.rhs, r.contaminated)))
+        for r in report.rows
+    ]
     if args.energy is not None:
         with open(args.energy, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "E_minus", "E_plus", "E_x", "lhs", "rhs", "contaminated"]
-            )
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        row.n,
-                        repr(row.e_minus),
-                        repr(row.e_plus),
-                        repr(row.e_x),
-                        repr(row.lhs),
-                        repr(row.rhs),
-                        int(row.contaminated),
-                    ]
-                )
+            writer = csv.writer(fh)  # it writes a float as its repr
+            writer.writerow(columns)
+            writer.writerows({**row, "contaminated": int(row["contaminated"])}.values() for row in rows)
     return {
         "evaluator": "closed_form" if args.closed_form else "recursion",
         "octant_exact": result.octant_exact,
@@ -183,18 +159,7 @@ def _cmd_simulate(args, inputs) -> dict:
             list(t) for t in result.contaminated_outputs
         ),
         "energy": {
-            "rows": [
-                {
-                    "n": r.n,
-                    "E_minus": r.e_minus,
-                    "E_plus": r.e_plus,
-                    "E_x": r.e_x,
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "contaminated": r.contaminated,
-                }
-                for r in report.rows
-            ],
+            "rows": rows,
             "dissipative_consistent": report.dissipative_consistent,
             "conservative_consistent": report.conservative_consistent,
             "tol": report.tol,
@@ -202,35 +167,37 @@ def _cmd_simulate(args, inputs) -> dict:
     }
 
 
-def _transfer_points(args, n: int) -> np.ndarray:
+def _transfer_points(args, n: int, inputs: list) -> np.ndarray:
     if args.points is None:
         return np.array(halton_disc(args.grid, n, 0.7), dtype=complex).reshape(-1, n)
-    raw = serialization.load_file(args.points)
+    raw = _load(args.points, inputs)
     if not isinstance(raw, list):
         raise DomainError("points file must hold a JSON list of points")
-    pts = []
-    for item in raw:
-        z = tuple(complex(float(p[0]), float(p[1])) for p in item)
-        if len(z) != n:
-            raise ArityError(f"point {item} has arity {len(z)}, system has {n}")
-        if not all(map(cmath.isfinite, z)):
-            raise DomainError(f"point {item} has non-finite coordinates")
-        pts.append(z)
-    return np.array(pts, dtype=complex).reshape(-1, n)
+    try:
+        coords = np.array(raw, dtype=float)
+    except (TypeError, ValueError):
+        coords = np.zeros(0)
+    if coords.shape[1:] != (n, 2) or not np.isfinite(coords).all():
+        for item in raw:  # the error names the first bad point
+            try:
+                z = np.array(item, dtype=float)
+            except (TypeError, ValueError):
+                z = None
+            if not isinstance(item, list) or z is None or (item and z.shape[1:] != (2,)):
+                raise DomainError(f"point {item} must be a list of [re, im] pairs")
+            if len(z) != n:
+                raise ArityError(f"point {item} has arity {len(z)}, system has {n}")
+            if not np.isfinite(z).all():
+                raise DomainError(f"point {item} has non-finite coordinates")
+        coords = np.zeros((0, n, 2))  # no point failed, so the list is empty
+    return coords.view(complex)[..., 0]
 
 
 def _cmd_transfer(args, inputs) -> dict:
     sys_obj = _load_system(args.system, inputs)
-    pts = _transfer_points(args, sys_obj.n)
-    if args.points is not None:
-        inputs.append(_digest(args.points))
+    pts = _transfer_points(args, sys_obj.n, inputs)
     vals = transfer.transfer_eval(sys_obj, pts)
-    results = {
-        "points": [
-            {"z": [_complex_out(v) for v in z], "value": _matrix_out(val)}
-            for z, val in zip(pts, vals)
-        ]
-    }
+    results = {"points": serialization.Rows("transfer value", z=pts, value=vals)}
     if args.series_terms is not None and len(pts):
         approx = transfer.transfer_eval_series(sys_obj, pts, args.series_terms)
         results["series_gap"] = {
@@ -247,8 +214,7 @@ def _cmd_transfer(args, inputs) -> dict:
 
 def _cmd_realize(args, inputs) -> dict:
     path = _resolve_path(args.data)
-    data = serialization.json_to_agler(serialization.load_file(path))
-    inputs.append(_digest(path))
+    data = serialization.json_to_agler(_load(path, inputs))
     check = realization.verify_agler_identity(
         data, seed=args.seed, tol=args.tol if args.tol <= 1e-8 else 1e-8
     )
@@ -277,10 +243,7 @@ def _cmd_laxphillips(args, inputs) -> dict:
     if op in ("generator", "adjoint", "gamma"):
         if args.vector is None:
             raise DomainError(f"op {op!r} needs --vector")
-        vec = serialization.json_to_lp_vector(
-            serialization.load_file(args.vector)
-        )
-        inputs.append(_digest(args.vector))
+        vec = serialization.json_to_lp_vector(_load(args.vector, inputs))
         if op == "gamma":
             out = laxphillips.gamma_map(vec)
             return {"vector": serialization.lp_vector_fields(out)}
@@ -315,10 +278,10 @@ def _cmd_laxphillips(args, inputs) -> dict:
         return {
             "direction": view.direction,
             "front": [list(t) for t in view.front],
-            "A": _matrix_out(view.a),
-            "B": _matrix_out(view.b),
-            "C": _matrix_out(view.c),
-            "D": _matrix_out(view.d),
+            "A": view.a,
+            "B": view.b,
+            "C": view.c,
+            "D": view.d,
         }
     raise DomainError(f"unknown laxphillips op {op!r}")
 

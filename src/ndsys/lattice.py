@@ -42,9 +42,20 @@ def unit(n: int, k: int) -> tuple[int, ...]:
     return tuple(1 if i == k else 0 for i in range(n))
 
 
+def whole(value, what: str) -> int:
+    """``value`` as an int; a fractional number is refused, not truncated."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
+    if out != value and not isinstance(value, str):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return out
+
+
 def as_index(t: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     """Coerce to an int tuple, checking length against ``n`` when given."""
-    out = tuple(int(v) for v in t)
+    out = tuple(whole(v, "a lattice coordinate") for v in t)
     if n is not None and len(out) != n:
         raise ArityError(f"expected a point of Z^{n}, got length {len(out)}")
     return out

@@ -7,21 +7,23 @@ restores x bit for bit.  Malformed input, non-finite numbers included,
 surfaces as DomainError (or ShapeError for structurally valid but
 dimensionally inconsistent data), never as a raw KeyError or TypeError.
 
-`dump` writes strict JSON and takes LatticeSignal values anywhere in its
-argument: it writes each one straight from its arrays, with the same bytes
-the standard library writes for its `signal_to_json` dict.
+`dump` writes strict JSON and takes `Rows` tables, complex ndarrays and
+LatticeSignal values anywhere in its argument: it writes each one straight
+from its arrays, with the bytes the standard library writes for its
+nested-list form.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .errors import DomainError
-from .lattice import Box, LatticeSignal
+from .errors import DomainError, ShapeError
+from .lattice import Box, LatticeSignal, whole
 from .laxphillips import TruncatedLPVector
 from .pencil import OperatorTuple
 from .realization import AglerData
@@ -40,6 +42,7 @@ __all__ = [
     "json_to_lp_vector",
     "agler_to_json",
     "json_to_agler",
+    "Rows",
     "dump",
     "load_file",
 ]
@@ -80,17 +83,6 @@ def system_to_json(sys: MultiLSDS) -> dict:
     }
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int; a fractional number is refused, not truncated."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
-    if isinstance(value, float) and out != value:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return out
-
-
 def _need(obj: dict, key: str, context: str):
     if key not in obj:
         raise DomainError(f"{context}: missing key {key!r}")
@@ -100,7 +92,7 @@ def _need(obj: dict, key: str, context: str):
 def json_to_system(obj: dict) -> MultiLSDS:
     if not isinstance(obj, dict):
         raise DomainError(f"system file must be a JSON object, got {type(obj).__name__}")
-    n = _whole(_need(obj, "n", "system"), "system: n")
+    n = whole(_need(obj, "n", "system"), "system: n")
     dims = _need(obj, "dims", "system")
     tuples = {}
     for key in ("A", "B", "C", "D"):
@@ -109,7 +101,7 @@ def json_to_system(obj: dict) -> MultiLSDS:
             raise DomainError(f"system: {key} must list {n} matrices")
         tuples[key] = OperatorTuple(tuple(_unmatrix(m) for m in raw))
     sys = MultiLSDS(a=tuples["A"], b=tuples["B"], c=tuples["C"], d=tuples["D"])
-    stated = tuple(_whole(dims.get(key, -1), f"system: dims {key}") for key in ("x", "nm", "np"))
+    stated = tuple(whole(dims.get(key, -1), f"system: dims {key}") for key in ("x", "nm", "np"))
     if stated != (sys.dim_x, sys.dim_in, sys.dim_out):
         raise DomainError(
             f"system: stated dims {stated} disagree with matrices "
@@ -134,8 +126,8 @@ def signal_to_json(sig: LatticeSignal) -> dict:
 def json_to_signal(obj: dict) -> LatticeSignal:
     if not isinstance(obj, dict):
         raise DomainError(f"signal must be a JSON object, got {type(obj).__name__}")
-    n = _whole(_need(obj, "n", "signal"), "signal: n")
-    dim = _whole(_need(obj, "dim", "signal"), "signal: dim")
+    n = whole(_need(obj, "n", "signal"), "signal: n")
+    dim = whole(_need(obj, "dim", "signal"), "signal: dim")
     items = obj.get("entries", [])
     points = [_need(item, "t", "signal entry") for item in items]
     try:
@@ -165,15 +157,15 @@ def poly_to_json(poly: MatrixPolynomial) -> dict:
 def json_to_poly(obj: dict) -> MatrixPolynomial:
     if not isinstance(obj, dict):
         raise DomainError(f"polynomial must be a JSON object, got {type(obj).__name__}")
-    n = _whole(_need(obj, "n", "polynomial"), "polynomial: n")
+    n = whole(_need(obj, "n", "polynomial"), "polynomial: n")
     shape = _need(obj, "shape", "polynomial")
     coeffs = {}
     for item in obj.get("terms", []):
-        t = tuple(_whole(v, "polynomial: exponent") for v in _need(item, "t", "polynomial term"))
+        t = tuple(whole(v, "polynomial: exponent") for v in _need(item, "t", "polynomial term"))
         coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"))
         if not np.isfinite(coeffs[t]).all():
             raise DomainError(f"polynomial: non-finite coefficient at exponent {list(t)}")
-    rows, cols = _whole(shape[0], "polynomial: shape"), _whole(shape[1], "polynomial: shape")
+    rows, cols = whole(shape[0], "polynomial: shape"), whole(shape[1], "polynomial: shape")
     return MatrixPolynomial(n=n, shape=(rows, cols), coeffs=coeffs)
 
 
@@ -200,8 +192,8 @@ def json_to_lp_vector(obj: dict) -> TruncatedLPVector:
         raise DomainError(f"vector must be a JSON object, got {type(obj).__name__}")
     box_obj = _need(obj, "box", "vector")
     box = Box(
-        tuple(_whole(v, "vector box: lo") for v in _need(box_obj, "lo", "vector box")),
-        tuple(_whole(v, "vector box: hi") for v in _need(box_obj, "hi", "vector box")),
+        tuple(whole(v, "vector box: lo") for v in _need(box_obj, "lo", "vector box")),
+        tuple(whole(v, "vector box: hi") for v in _need(box_obj, "hi", "vector box")),
     )
     return TruncatedLPVector(
         box=box,
@@ -235,56 +227,86 @@ def json_to_agler(obj: dict) -> AglerData:
     return AglerData(theta=theta, factors=factors, grid=grid)
 
 
-# What `dump` leaves in the text for each LatticeSignal it meets.
+class Rows:
+    """A table for `dump`: int or complex arrays that share their first axis,
+    written as a JSON list of records ``{name: array[i]}`` in nested lists,
+    a complex number as its [re, im] pair.  A non-finite number is refused
+    with an error naming ``what`` and the first bad row by its first field.
+    """
+
+    def __init__(self, what: str, /, **fields):
+        self.what, self.fields = what, {name: np.asarray(a) for name, a in fields.items()}
+        rows = {a.shape[:1] for a in self.fields.values()}
+        if len(rows) != 1 or () in rows or any(a.dtype.kind not in "iuc" for a in self.fields.values()):
+            raise ShapeError(f"table fields {sorted(fields)} must be int or complex arrays with shared rows")
+
+
+# What `dump` leaves in the text for each table or complex array it meets.
 _PLACEHOLDER = "\x00LatticeSignal"
 _PLACED = json.dumps(_PLACEHOLDER)
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """A JSON list whose opening line sits at ``indent``, as indent=2 writes it."""
-    if not items:
+def _nested(shape: tuple[int, ...], slot: str, indent: str) -> str:
+    """Nested lists of ``shape`` opening at ``indent`` as indent=2 writes
+    them, with ``slot`` for each innermost item."""
+    if not shape:
+        return slot
+    if not shape[0]:
         return "[]"
-    inner = "\n" + indent + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+    inner, item = "\n" + indent + "  ", _nested(shape[1:], slot, indent + "  ")
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + indent + "]"
 
 
-def _write_signal(sig: LatticeSignal, indent: str) -> str:
-    """``json.dumps(signal_to_json(sig), sort_keys=True, indent=2)`` with
-    every line after the first shifted right by ``indent``, filled from one
-    template with one ``%`` operation."""
-    points, values = sig.points, sig.values
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        bad = points[int(np.argmin(finite))].tolist()
-        raise DomainError(f"report is not strict JSON: non-finite signal value at {bad}")
-    at = indent + "    "  # an entry's opening line
-    pair = _json_list(["%r", "%r"], at + "    ")
-    entry = (
-        "{\n" + at + '  "t": ' + _json_list(["%d"] * sig.n, at + "  ")
-        + ",\n" + at + '  "v": ' + _json_list([pair] * sig.dim, at + "  ")
-        + "\n" + at + "}"
-    )
-    args = np.empty((len(points), sig.n + 2 * sig.dim), dtype=object)
-    args[:, : sig.n] = points
-    args[:, sig.n :] = values.view(float)
-    entries = _json_list([entry] * len(points), indent + "  ") % tuple(args.ravel())
-    return (
-        "{\n" + indent + f'  "dim": {sig.dim},\n' + indent + '  "entries": ' + entries
-        + ",\n" + indent + f'  "n": {sig.n}\n' + indent + "}"
-    )
+def _numbers(a: np.ndarray) -> tuple[str, np.ndarray]:
+    """The slot and the numbers of an int or complex array, a complex number
+    as a trailing [re, im] axis."""
+    if a.dtype.kind == "c":
+        return "%r", np.ascontiguousarray(a, dtype=complex).view(float).reshape(a.shape + (2,))
+    return "%d", a
+
+
+def _write_array(value, indent: str) -> str:
+    """What ``json.dumps(..., sort_keys=True, indent=2)`` writes for the
+    nested lists of ``value``, a `Rows` table or a complex array, with every
+    line after the first shifted right by ``indent``: one template, filled
+    with one ``%`` operation."""
+    if isinstance(value, np.ndarray):
+        slot, numbers = _numbers(value)
+        bad = np.argwhere(~np.isfinite(value))
+        if len(bad):
+            raise DomainError(f"report is not strict JSON: non-finite array value at {bad[0].tolist()}")
+        return _nested(numbers.shape, slot, indent) % tuple(numbers.ravel().tolist())
+    first, at = next(iter(value.fields.values())), indent + "    "  # a record's fields
+    slots, columns = [], []
+    for name in sorted(value.fields):
+        slot, numbers = _numbers(value.fields[name])
+        columns.append(numbers.reshape(len(first), math.prod(numbers.shape[1:])))
+        finite = np.isfinite(columns[-1]).all(axis=1)
+        if not finite.all():
+            bad = first[int(np.argmin(finite))].tolist()
+            raise DomainError(f"report is not strict JSON: non-finite {value.what} at {bad}")
+        slots.append(json.dumps(name).replace("%", "%%") + ": " + _nested(numbers.shape[1:], slot, at))
+    record = "{\n" + at + (",\n" + at).join(slots) + "\n" + indent + "  }"
+    args = np.concatenate(columns, axis=1, dtype=object)
+    return _nested((len(first),), record, indent) % tuple(args.ravel())
 
 
 def dump(obj: Any) -> str:
     """Deterministic strict JSON text: sorted keys, two-space indent.
 
-    A LatticeSignal anywhere in ``obj`` is written as its `signal_to_json`
-    dict, from its arrays.  A NaN or infinite number raises DomainError.
+    ``obj`` may hold `Rows` tables, complex ndarrays and LatticeSignal values
+    anywhere: each is written from its arrays, with the bytes the standard
+    library writes for its nested-list form (a signal's is `signal_to_json`).
+    A NaN or infinite number raises DomainError.
     """
-    signals = []
+    arrays = []
 
     def place(value):
         if isinstance(value, LatticeSignal):
-            signals.append(value)
+            table = Rows("signal value", t=value.points, v=value.values)
+            return {"dim": value.dim, "entries": table, "n": value.n}
+        if isinstance(value, Rows) or isinstance(value, np.ndarray) and value.dtype.kind == "c":
+            arrays.append(value)
             return _PLACEHOLDER
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -293,12 +315,12 @@ def dump(obj: Any) -> str:
     except ValueError as exc:
         raise DomainError(f"report is not strict JSON: {exc}") from exc
     pieces = text.split(_PLACED)
-    if len(pieces) != len(signals) + 1:
-        raise DomainError("report: a string equals the placeholder for a signal")
+    if len(pieces) != len(arrays) + 1:
+        raise DomainError("report: a string equals the placeholder for an array")
     out = [pieces[0]]
-    for sig, before, after in zip(signals, pieces, pieces[1:]):
+    for value, before, after in zip(arrays, pieces, pieces[1:]):
         line = before[before.rfind("\n") + 1 :]
-        out.append(_write_signal(sig, line[: len(line) - len(line.lstrip(" "))]))
+        out.append(_write_array(value, line[: len(line) - len(line.lstrip(" "))]))
         out.append(after)
     return "".join(out)
 

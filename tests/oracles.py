@@ -26,9 +26,12 @@ exactly, values to 1e-12.  `signal_to_json_dict` and `json_to_signal_dict`
 are the signal codec one entry and one pair at a time.
 
 `dump_reference` is the report writer as the standard library alone
-writes it: every LatticeSignal first becomes its `signal_to_json` dict.
-`serialization.dump` writes signals from their arrays and must produce the
-same bytes.
+writes it: every LatticeSignal first becomes its `signal_to_json` dict, and
+every `Rows` table and complex array its nested lists, built entry by entry.
+`list_built_results` builds the arrays of a `transfer`, `check` or
+`laxphillips --op associated` result as the CLI built them before it handed
+them to `dump`.  `serialization.dump` writes all of these from their arrays
+and must produce the same bytes.
 
 `halton_unit_scipy` is scipy's unscrambled Halton engine, and
 `halton_disc_rows` and `halton_torus_rows` map its points one row and one
@@ -66,7 +69,7 @@ from ndsys import (
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.lattice import add, order, sub, unit
 from ndsys.laxphillips import _check_dims
-from ndsys.serialization import signal_to_json
+from ndsys.serialization import Rows, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
 from ndsys.transfer import _SINGULAR_REL
@@ -564,9 +567,49 @@ def json_to_signal_dict(obj):
     return LatticeSignal(int(obj["n"]), int(obj["dim"]), entries)
 
 
+def complex_out(v):
+    return [float(v.real), float(v.imag)]
+
+
+def matrix_out(m):
+    return [[complex_out(v) for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def nested_out(a):
+    """An int or complex array as nested lists built entry by entry, each
+    complex number as its [re, im] pair."""
+    if not np.iscomplexobj(a):
+        return np.asarray(a).tolist()
+    return complex_out(a) if np.ndim(a) == 0 else [nested_out(x) for x in a]
+
+
+def list_built_results(command, results):
+    """``results`` with its arrays built as nested lists, as the CLI built
+    its reports before it handed the arrays to `dump`."""
+    out = dict(results)
+    if command == "transfer":
+        rows = results["points"].fields
+        out["points"] = [
+            {"z": [complex_out(v) for v in z], "value": matrix_out(val)}
+            for z, val in zip(rows["z"], rows["value"])
+        ]
+    elif command == "check":
+        scan = dict(results["torus_scan"])
+        scan["witness"] = [complex_out(z) for z in scan["witness"]]
+        out["torus_scan"] = scan
+    else:
+        out.update({key: matrix_out(results[key]) for key in "ABCD"})
+    return out
+
+
 def _plain(obj):
     if isinstance(obj, LatticeSignal):
         return signal_to_json(obj)
+    if isinstance(obj, Rows):
+        count = len(next(iter(obj.fields.values())))
+        return [{name: nested_out(a[i]) for name, a in obj.fields.items()} for i in range(count)]
+    if isinstance(obj, np.ndarray):
+        return nested_out(obj)
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -338,6 +338,92 @@ def test_report_bytes_match_the_reference_writer(capsys, tmp_path, monkeypatch, 
     assert capsys.readouterr().out == oracles.dump_reference(report) + "\n"
 
 
+def _array_report_argv(tmp_path, case):
+    points = [[[0.3, -0.0], [5e-324, -0.7]], [[-0.0, 0.0], [0.1, 1e-300]]]
+    return {
+        "transfer-grid": ["transfer", "builtin:alpha"],
+        "transfer-points": [
+            "transfer", "builtin:alpha", "--points", write(tmp_path, "pts.json", points),
+            "--series-terms", "8", "--coeffs", "3",
+        ],
+        "transfer-empty": [
+            "transfer", "builtin:alpha", "--points", write(tmp_path, "none.json", []),
+            "--series-terms", "8",
+        ],
+        "transfer-coeffs": ["transfer", "builtin:alpha_prime", "--grid", "5", "--coeffs", "4"],
+        "check": ["check", "builtin:alpha_prime", "--samples", "64"],
+        "associated": ["laxphillips", "builtin:alpha_prime", "--op", "associated", "--k", "1",
+                       "--box=-1:3,-2:2"],
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["transfer-grid", "transfer-points", "transfer-empty", "transfer-coeffs", "check", "associated"],
+)
+def test_array_reports_match_the_list_built_reports(capsys, tmp_path, monkeypatch, case):
+    argv = _array_report_argv(tmp_path, case)
+    reports = []
+
+    def recording(obj, dump=ser.dump):
+        reports.append(obj)
+        return dump(obj)
+
+    monkeypatch.setattr(ser, "dump", recording)
+    assert main(argv) == 0
+    (report,) = reports
+    listed = {**report, "results": oracles.list_built_results(argv[0], report["results"])}
+    out = capsys.readouterr().out
+    assert out == json.dumps(listed, sort_keys=True, indent=2) + "\n"
+    if case == "transfer-empty":
+        assert '"points": []' in out
+
+
+def _per_point_parse(raw):
+    # the points file read one coordinate at a time
+    return np.array(
+        [[complex(float(p[0]), float(p[1])) for p in item] for item in raw], dtype=complex
+    ).reshape(len(raw), -1)
+
+
+def test_points_file_parses_as_the_per_point_reader_does(tmp_path):
+    from argparse import Namespace
+
+    from ndsys.cli import _transfer_points
+
+    raw = [[[0.3, -0.0], [5e-324, -0.7]], [[-0.0, 0.0], [1, True]], [[1e300, -1e-310], [0, 0]]]
+    inputs = []
+    got = _transfer_points(Namespace(points=write(tmp_path, "pts.json", raw)), 2, inputs)
+    assert got.shape == (3, 2)
+    assert oracles.same_bits(got, _per_point_parse(raw))
+    empty = _transfer_points(Namespace(points=write(tmp_path, "none.json", [])), 2, inputs)
+    assert empty.shape == (0, 2) and empty.dtype == complex
+    assert [item["path"] for item in inputs] == [str(tmp_path / "pts.json"), str(tmp_path / "none.json")]
+
+
+@pytest.mark.parametrize(
+    "points, named, kind",
+    [
+        ([[["a", 0.0], [0.1, 0.0]]], "[['a', 0.0], [0.1, 0.0]]", "[re, im] pairs"),
+        ([[0.1, 0.2]], "[0.1, 0.2]", "[re, im] pairs"),
+        ([[[0.1], [0.1, 0.0]]], "[[0.1], [0.1, 0.0]]", "[re, im] pairs"),
+        ([[[0.1, 0.0, 5.0], [0.1, 0.0]]], "[[0.1, 0.0, 5.0], [0.1, 0.0]]", "[re, im] pairs"),
+        ([[[0.1, 0.0], [0.2, 0.0]], 7], "7", "[re, im] pairs"),
+        ([[[0.1, 0.0], [0.2, 0.0]], [[0.1, 0.0, 1.0], [0.2, 0.0, 1.0]]],
+         "[[0.1, 0.0, 1.0], [0.2, 0.0, 1.0]]", "[re, im] pairs"),
+        ([[[0.1, 0.0], [0.2, 0.0]], []], "[]", "arity 0"),
+        ([[[float("nan"), 0.0], [0.2, 0.0]], [[0.1]]], "[[nan, 0.0], [0.2, 0.0]]", "non-finite"),
+    ],
+    ids=["string", "bare-pair", "short-pair", "long-pair", "number", "all-long", "empty-point",
+         "non-finite-first"],
+)
+def test_malformed_points_file_is_an_input_error(capsys, tmp_path, points, named, kind):
+    path = write(tmp_path, "bad.json", points)
+    code, report, err = run(capsys, ["transfer", "builtin:alpha", "--points", path])
+    assert code == 2 and report is None
+    assert err.startswith("input error: point " + named) and kind in err
+
+
 def test_laxphillips_commute_and_metric(capsys):
     code, report, _ = run(
         capsys,

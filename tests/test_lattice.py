@@ -33,6 +33,21 @@ def test_box_rejects_inverted_bounds():
         Box((2,), (1,))
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    [((0.5, 0), (2, 1)), ((0, 0), (2.7, 1)), ((float("nan"), 0), (1, 1)), ((0, 0), (float("inf"), 1))],
+)
+def test_box_refuses_fractional_bounds(lo, hi):
+    with pytest.raises(DomainError, match="lattice coordinate must be an integer"):
+        Box(lo, hi)
+
+
+def test_box_accepts_integral_floats():
+    box = Box((0.0, np.int64(-1)), (2.0, np.float64(3.0)))
+    assert box.lo == (0, -1) and box.hi == (2, 3)
+    assert all(type(v) is int for v in box.lo + box.hi)
+
+
 def test_front_enumerates_exactly_the_order_level():
     box = Box((-2, -2), (2, 2))
     for n in range(-4, 5):

@@ -1,6 +1,7 @@
 """JSON interchange for systems, signals, polynomials, and fixtures."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from ndsys import (
     DomainError,
     LatticeSignal,
     MatrixPolynomial,
+    ShapeError,
     TruncatedLPVector,
     builtin_examples,
     canonical_fixture,
@@ -170,6 +172,92 @@ def test_dump_matches_the_reference_writer(obj):
 def test_dump_refuses_non_finite_numbers(obj):
     with pytest.raises(DomainError, match="report is not strict JSON"):
         ser.dump(obj)
+
+
+_ints = st.one_of(st.sampled_from([0, -1, 2**63 - 1, -(2**63)]), st.integers(-(2**63), 2**63 - 1))
+_trails = st.lists(st.integers(0, 3), max_size=2).map(tuple)
+
+
+def _complex_array(draw, shape):
+    size = math.prod(shape)
+    pairs = draw(st.lists(_floats, min_size=2 * size, max_size=2 * size))
+    return np.array(pairs, dtype=float).view(complex).reshape(shape)
+
+
+@st.composite
+def tables(draw):
+    count = draw(st.integers(0, 4))
+    fields = {}
+    for name in draw(st.lists(_keys, min_size=1, max_size=3, unique=True)):
+        shape = (count,) + draw(_trails)
+        if draw(st.booleans()):
+            size = math.prod(shape)
+            ints = draw(st.lists(_ints, min_size=size, max_size=size))
+            fields[name] = np.array(ints, dtype=np.int64).reshape(shape)
+        else:
+            fields[name] = _complex_array(draw, shape)
+    return ser.Rows("table value", **fields)
+
+
+@st.composite
+def complex_arrays(draw):
+    return _complex_array(draw, tuple(draw(st.lists(st.integers(0, 3), max_size=3))))
+
+
+array_reports = st.recursive(
+    st.one_of(tables(), complex_arrays(), _floats, st.integers(), _keys, st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_keys, inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+_TABLE = ser.Rows(
+    "table value",
+    t=np.array([[0, -1], [2**63 - 1, 3]]),
+    v=np.array([[1e300 - 0.0j, 5e-324j], [-1e-310, complex(-0.0, 1e-300)]]),
+    w=np.zeros((2, 3, 0), dtype=complex),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(array_reports)
+@example(_TABLE)
+@example([_TABLE, 1, [_TABLE, ser.Rows("table value", z=np.zeros((0, 2), dtype=complex))]])
+@example({"a": {"b": [{"c": _TABLE}], "z": 1.5}, "b": np.array(-0.0 + 1e300j)})
+@example({"points": ser.Rows("table value", **{'a%d"b': np.arange(3), "": np.ones(3) * 1j})})
+@example([np.zeros((2, 0, 3), dtype=complex), np.zeros((0,), dtype=complex)])
+def test_dump_writes_tables_and_complex_arrays_as_the_reference_writer(obj):
+    assert ser.dump(obj) == oracles.dump_reference(obj)
+
+
+def test_dump_names_the_first_non_finite_table_row():
+    values = np.ones((3, 2, 2), dtype=complex)
+    values[2, 0, 1] = np.nan
+    values[1, 1, 0] = complex(0, -np.inf)
+    table = ser.Rows("transfer value", t=np.array([[0, 0], [4, -2], [1, 1]]), v=values)
+    with pytest.raises(DomainError, match=r"non-finite transfer value at \[4, -2\]"):
+        ser.dump({"points": table})
+    first = ser.Rows("point", z=np.array([[1.0, np.inf]], dtype=complex), k=np.zeros(1, dtype=int))
+    with pytest.raises(DomainError, match=r"report is not strict JSON: non-finite point"):
+        ser.dump([first])
+
+
+def test_dump_names_the_first_non_finite_array_entry():
+    witness = np.array([[1.0, 2.0], [complex(np.nan, 0.0), np.inf]])
+    with pytest.raises(DomainError, match=r"non-finite array value at \[1, 0\]"):
+        ser.dump({"witness": witness})
+
+
+def test_table_fields_must_share_rows_and_hold_ints_or_complex_numbers():
+    with pytest.raises(ShapeError):
+        ser.Rows("x", a=np.zeros(2, dtype=int), b=np.zeros(3, dtype=int))
+    with pytest.raises(ShapeError):
+        ser.Rows("x", a=np.array(1j))
+    with pytest.raises(ShapeError):
+        ser.Rows("x")
+    with pytest.raises(ShapeError):
+        ser.Rows("x", a=np.zeros(2, dtype=int), b=np.zeros(2))
 
 
 def test_dump_refuses_a_string_equal_to_its_signal_placeholder():

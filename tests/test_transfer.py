@@ -311,6 +311,13 @@ def test_matrix_polynomial_evaluation():
     assert p.degrees() == (1, 2)
 
 
+def test_matrix_polynomial_refuses_a_fractional_exponent():
+    with pytest.raises(DomainError, match="lattice coordinate must be an integer"):
+        MatrixPolynomial(2, (1, 1), {(1.5, 0): np.ones((1, 1))})
+    p = MatrixPolynomial(2, (1, 1), {(1.0, 0.0): np.ones((1, 1))})
+    assert list(p.coeffs) == [(1, 0)]
+
+
 def test_matrix_polynomial_rejects_mixed_shapes():
     from ndsys import ShapeError
 
