@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import halton_torus, orth_basis, spectral_norm
+from .numerics import _halton_torus_points, orth_basis, spectral_norm
 from .pencil import OperatorTuple, eval_pencil
 from .system import MultiLSDS
 
@@ -34,8 +34,22 @@ __all__ = [
 
 _GRID_CAP = 100_000
 _AXIS_DEFAULT = 32
+# the largest scan budget taken: the grid is held whole, n complex numbers
+# a point, so a larger one is refused before anything is allocated
+_SAMPLE_CAP = 2**24
 # points per stacked SVD: bounds the scan's working memory
 _CHUNK = 4096
+# Recheck margin, in units of 1 + sum_k ||G_k||_2.  The pencil is linear,
+# so the points z and w z (|w| = 1) of one diagonal orbit have the same norm
+# in exact arithmetic.  A computed norm is off by rounding only: the axis
+# phases are a few ulp u = 2^-53 off 2 pi j / P, and eval_pencil's n-term
+# sum and the backward-stable SVD each add a small multiple (n, the block
+# size) of u sum_k ||G_k||.  That error e stays below 1e4 u (1 + sum_k
+# ||G_k||) for any block a scan can hold, so two members of one orbit differ
+# by at most 2 e, well inside the margin of about 1e6 u.  An orbit holding a
+# point that reaches the best representative's norm therefore has its own
+# representative within the margin of the best, and is rechecked.
+_RECHECK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -63,12 +77,21 @@ class TorusScanReport:
         return 1.0 - self.max_norm
 
 
-def _torus_grid(n: int, samples: int | None) -> np.ndarray:
-    """The scan points as one ``(samples, n)`` array."""
+def _torus_grid(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """The scan points as one ``(samples, n)`` array, the diagonal orbit of
+    each point, and the number of orbits.
+
+    Orbit ``o`` is represented by point ``o``, so the representatives are
+    the first points.  On the ``P^n`` tensor grid the orbit of index ``j``
+    is ``(j_2 - j_1, ..., j_n - j_1) mod P``, numbered as its ``j_1 = 0``
+    member is; a Halton point is its own orbit.
+    """
     if samples is None:
         samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
     if samples < 1:
         raise DomainError(f"sample budget must be >= 1, got {samples}")
+    if samples > _SAMPLE_CAP:
+        raise DomainError(f"sample budget must be <= {_SAMPLE_CAP}, got {samples}")
     per_axis = round(samples ** (1.0 / n))
     if per_axis >= 1 and per_axis**n == samples:
         # scalar phase arithmetic: numpy's vectorised complex division
@@ -76,8 +99,21 @@ def _torus_grid(n: int, samples: int | None) -> np.ndarray:
         axis = np.exp([2j * np.pi * j / per_axis for j in range(per_axis)])
         # C order of the index grid is itertools.product order
         idx = np.indices((per_axis,) * n).reshape(n, -1).T
-        return axis[idx]
-    return np.asarray(halton_torus(samples, n))
+        place = per_axis ** np.arange(n - 2, -1, -1)
+        orbit = (idx[:, 1:] - idx[:, :1]) % per_axis @ place
+        return axis[idx], orbit, per_axis ** (n - 1)
+    return _halton_torus_points(samples, n), np.arange(samples), samples
+
+
+def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
+    """The pencil norm at each of the ``(S, n)`` points, one stacked SVD per
+    ``_CHUNK`` of them."""
+    sigma = np.zeros(len(points))
+    if blocks.rows and blocks.cols:
+        for start in range(0, len(points), _CHUNK):
+            stack = eval_pencil(points[start : start + _CHUNK], blocks)
+            sigma[start : start + _CHUNK] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return sigma
 
 
 def _top_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -96,25 +132,30 @@ def dissipativity_scan(
     Parameters
     ----------
     samples : int, optional
-        Total budget; a perfect n-th power yields the full tensor grid,
-        anything else a deterministic low-discrepancy set.  Defaults to
-        32^n capped at 1e5.
+        Total budget, at most 2^24; a perfect n-th power yields the full
+        tensor grid, anything else a deterministic low-discrepancy set.
+        Defaults to 32^n capped at 1e5.
     refine : bool
         Polish the best grid point with 50 gradient-ascent steps on the
         top singular value, stepping in torus phases.
 
-    The grid is evaluated in stacked chunks.  The maximum is the first one
-    in enumeration order, so ties resolve to the lexicographically smallest
+    The norm is constant on each diagonal orbit ``{w z : |w| = 1}`` of the
+    grid, so it is computed at one representative per orbit, then at the
+    other members of the orbits whose representative comes within a
+    rounding margin of the best one; every point that can be the maximum
+    is computed on its own grid value.  The maximum is the first one in
+    enumeration order, so ties resolve to the lexicographically smallest
     grid index.
     """
     blocks = sys.blocks()
-    grid = _torus_grid(sys.n, samples)
+    grid, orbit, orbits = _torus_grid(sys.n, samples)
 
-    sigma = np.zeros(len(grid))
-    if blocks.rows and blocks.cols:
-        for start in range(0, len(grid), _CHUNK):
-            stack = eval_pencil(grid[start : start + _CHUNK], blocks)
-            sigma[start : start + _CHUNK] = np.linalg.svd(stack, compute_uv=False)[:, 0]
+    sigma = np.full(len(grid), -1.0)  # a skipped point stays below the rest
+    sigma[:orbits] = _sigma_max(grid[:orbits], blocks)
+    margin = _RECHECK * (1.0 + sum(spectral_norm(g) for g in blocks))
+    near = sigma[:orbits] >= sigma[:orbits].max() - margin
+    rest = orbits + np.flatnonzero(near[orbit[orbits:]])
+    sigma[rest] = _sigma_max(grid[rest], blocks)
     i = int(np.argmax(sigma))
     best, witness = float(sigma[i]), tuple(grid[i])
 

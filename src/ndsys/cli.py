@@ -41,7 +41,7 @@ from .errors import (
     SingularityError,
 )
 from .lattice import Box, LatticeSignal, SimulationWindow
-from .numerics import halton_disc
+from .numerics import _halton_disc_points
 from .system import closed_form, energy_balance_report, simulate, validate
 
 SCHEMA = "ndsys/1"
@@ -169,7 +169,7 @@ def _cmd_simulate(args, inputs) -> dict:
 
 def _transfer_points(args, n: int, inputs: list) -> np.ndarray:
     if args.points is None:
-        return np.array(halton_disc(args.grid, n, 0.7), dtype=complex).reshape(-1, n)
+        return _halton_disc_points(args.grid, n, 0.7)
     raw = _load(args.points, inputs)
     if not isinstance(raw, list):
         raise DomainError("points file must hold a JSON list of points")

@@ -93,17 +93,26 @@ def _halton_unit(count: int, dims: int) -> np.ndarray:
     return out
 
 
+def _halton_disc_points(count: int, n: int, radius: float) -> np.ndarray:
+    """The points of `halton_disc` as one ``(count, n)`` array."""
+    u = _halton_unit(count, 2 * n)
+    return radius * np.sqrt(u[:, 0::2]) * np.exp(2j * np.pi * u[:, 1::2])
+
+
+def _halton_torus_points(count: int, n: int) -> np.ndarray:
+    """The points of `halton_torus` as one ``(count, n)`` array."""
+    return np.exp(2j * np.pi * _halton_unit(count, n))
+
+
 def halton_disc(count: int, n: int, radius: float) -> list[tuple[complex, ...]]:
     """Low-discrepancy points of the polydisc of the given radius in C^n.
 
     Each coordinate uses an area-uniform (sqrt-radius) map from a Halton
     pair, so the sequence is deterministic.
     """
-    u = _halton_unit(count, 2 * n)
-    z = radius * np.sqrt(u[:, 0::2]) * np.exp(2j * np.pi * u[:, 1::2])
-    return list(map(tuple, z))
+    return list(map(tuple, _halton_disc_points(count, n, radius)))
 
 
 def halton_torus(count: int, n: int) -> list[tuple[complex, ...]]:
     """Low-discrepancy points of the n-torus, deterministic."""
-    return list(map(tuple, np.exp(2j * np.pi * _halton_unit(count, n))))
+    return list(map(tuple, _halton_torus_points(count, n)))

@@ -29,7 +29,13 @@ from .errors import (
     RealizationError,
     ShapeError,
 )
-from .numerics import halton_disc, ordered_completion, orth_basis, spectral_norm
+from .numerics import (
+    _halton_disc_points,
+    halton_disc,
+    ordered_completion,
+    orth_basis,
+    spectral_norm,
+)
 from .pencil import OperatorTuple, eval_pencil
 from .system import MultiLSDS
 from .transfer import MatrixPolynomial, transfer_eval
@@ -219,7 +225,7 @@ def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
     count = _GRID_START
     dims = []
     for _ in range(_GRID_DOUBLINGS):
-        samples = _sample(data, halton_disc(count, data.n, _GRID_RADIUS))
+        samples = _sample(data, _halton_disc_points(count, data.n, _GRID_RADIUS))
         dims.append(orth_basis(_columns(samples.g), rank_tol).shape[1])
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             return samples

@@ -113,16 +113,21 @@ def same_scan(got, want):
 @st.composite
 def scan_cases(draw):
     n = draw(st.integers(1, 3))
-    per_axis = draw(st.integers(1, {1: 40, 2: 9, 3: 4}[n]))
+    per_axis = draw(st.integers(1, {1: 40, 2: 16, 3: 4}[n]))
     # a perfect n-th power gives the tensor grid, any other budget Halton points
     samples = draw(st.sampled_from([per_axis**n, draw(st.integers(1, 60))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim_x, dim_io = draw(st.integers(0, 3)), draw(st.integers(1, 2))
-    kind = draw(st.sampled_from(["dissipative", "conservative", "random"]))
-    if kind == "random":
+    kind = draw(st.sampled_from(["dissipative", "conservative", "random", "real"]))
+    if kind in ("random", "real"):
         sys = gen.random_system(rng, n, dim_x, dim_io, dim_io, scale=0.6)
     else:
         sys = getattr(gen, f"{kind}_system")(rng, n, max(dim_x, 1), dim_io)
+    if kind == "real":
+        # real blocks: the norm at the conjugate point is the same, so the
+        # maximum ties across two diagonal orbits
+        real = {k: OperatorTuple(tuple(m.real + 0j for m in getattr(sys, k))) for k in "abcd"}
+        sys = MultiLSDS(**real)
     return sys, samples, draw(st.booleans())
 
 
@@ -157,6 +162,15 @@ def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, sampl
     assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, False))
 
 
+@pytest.mark.parametrize("name", ["alpha", "alpha_prime"])
+def test_scan_of_a_conservative_pencil_matches_the_pointwise_oracle(name):
+    # the norm is 1 up to rounding at every point, so the maximum can sit at
+    # any member of any orbit
+    sys = builtin_examples()[name]
+    got = dissipativity_scan(sys, refine=False)
+    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, None, False))
+
+
 def test_scan_ties_resolve_to_the_lowest_grid_index():
     # G_2 = 0: the pencil, and so its norm, does not depend on z_2, and every
     # maximum repeats along the whole z_2 axis
@@ -177,6 +191,44 @@ def test_scan_ties_resolve_to_the_lowest_grid_index():
 def test_scan_rejects_empty_budget():
     with pytest.raises(DomainError):
         dissipativity_scan(builtin_examples()["alpha"], samples=0)
+
+
+def test_scan_refuses_a_budget_over_the_cap_before_building_the_grid(monkeypatch):
+    import ndsys.analysis
+
+    def build(*args, **kwargs):
+        raise AssertionError("the scan built its grid")
+
+    monkeypatch.setattr(np, "indices", build)
+    monkeypatch.setattr(ndsys.analysis, "_halton_torus_points", build)
+    # 2^40 is a perfect square (a tensor grid for n = 2), and Halton for n = 3
+    n3 = gen.dissipative_system(np.random.default_rng(0), 3, 2, 2)
+    for sys in (builtin_examples()["alpha"], n3):
+        with pytest.raises(DomainError, match="sample budget"):
+            dissipativity_scan(sys, samples=2**40)
+
+
+def test_scan_computes_the_norm_once_per_orbit_away_from_the_maximum(monkeypatch):
+    import ndsys.analysis
+
+    rows = []
+    sigma_max = ndsys.analysis._sigma_max
+
+    def counted(points, blocks):
+        rows.append(len(points))
+        return sigma_max(points, blocks)
+
+    monkeypatch.setattr(ndsys.analysis, "_sigma_max", counted)
+    # generic: one representative per orbit, then the orbits near the top
+    sys = gen.dissipative_system(np.random.default_rng(1), 3, 3, 3)
+    report = dissipativity_scan(sys, refine=False)
+    assert report.samples == 32**3
+    assert sum(rows) <= 32**2 + 2 * 32
+    # conservative: the norm is 1 on the whole torus, so every orbit is near
+    # the top and every point is computed, none twice
+    rows.clear()
+    report = dissipativity_scan(builtin_examples()["alpha_prime"], refine=False)
+    assert sum(rows) == report.samples == 32**2
 
 
 def test_block_structure_of_the_one_dimensional_example():

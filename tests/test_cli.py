@@ -77,6 +77,21 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
         assert "input error" in err and "no such file" in err, argv
 
 
+def test_scan_budget_over_the_cap_is_an_input_error(capsys, monkeypatch):
+    import ndsys.analysis
+
+    def build(*args, **kwargs):
+        raise AssertionError("the scan built its grid")
+
+    # 2^40 is a perfect square: a tensor grid for the n = 2 system
+    monkeypatch.setattr(np, "indices", build)
+    monkeypatch.setattr(ndsys.analysis, "_halton_torus_points", build)
+    argv = ["check", "builtin:alpha", "--samples", str(2**40)]
+    code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert "input error" in err and "sample budget" in err
+
+
 def test_malformed_json_is_an_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
