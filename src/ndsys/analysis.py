@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import _halton_torus_points, orth_basis, spectral_norm
+from .numerics import halton_torus, orth_basis, spectral_norm
 from .pencil import OperatorTuple, eval_pencil
 from .system import MultiLSDS
 
@@ -102,7 +102,7 @@ def _torus_grid(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray, in
         place = per_axis ** np.arange(n - 2, -1, -1)
         orbit = (idx[:, 1:] - idx[:, :1]) % per_axis @ place
         return axis[idx], orbit, per_axis ** (n - 1)
-    return _halton_torus_points(samples, n), np.arange(samples), samples
+    return halton_torus(samples, n), np.arange(samples), samples
 
 
 def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:

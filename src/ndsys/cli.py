@@ -8,9 +8,10 @@ arity, domain, singular evaluation points), 3 for verification failures
 (realization residuals, Gram mismatches, rank ambiguity, violated
 preconditions).
 
-The shared flags --tol and --seed apply everywhere; --config names a JSON
-file of flag defaults.  Precedence: explicit flag, then config file, then
-the NDSYS_TOL environment variable (for tol), then built-ins.  System
+The shared flags --tol and --seed apply everywhere; --config, after the
+subcommand, names a JSON object of that subcommand's flags, parsed as if
+written just after its name.  Precedence: explicit flag, then config file,
+then the NDSYS_TOL environment variable (for tol), then built-ins.  System
 paths of the form builtin:NAME resolve to bundled example files.
 """
 
@@ -41,7 +42,7 @@ from .errors import (
     SingularityError,
 )
 from .lattice import Box, LatticeSignal, SimulationWindow
-from .numerics import _halton_disc_points
+from .numerics import _largest_norm, halton_disc
 from .system import closed_form, energy_balance_report, simulate, validate
 
 SCHEMA = "ndsys/1"
@@ -169,7 +170,7 @@ def _cmd_simulate(args, inputs) -> dict:
 
 def _transfer_points(args, n: int, inputs: list) -> np.ndarray:
     if args.points is None:
-        return _halton_disc_points(args.grid, n, 0.7)
+        return halton_disc(args.grid, n, 0.7)
     raw = _load(args.points, inputs)
     if not isinstance(raw, list):
         raise DomainError("points file must hold a JSON list of points")
@@ -202,9 +203,7 @@ def _cmd_transfer(args, inputs) -> dict:
         approx = transfer.transfer_eval_series(sys_obj, pts, args.series_terms)
         results["series_gap"] = {
             "terms": args.series_terms,
-            "max_truncation_error": max(
-                float(np.linalg.norm(v - a)) for v, a in zip(vals, approx)
-            ),
+            "max_truncation_error": _largest_norm(vals - approx),
         }
     if args.coeffs is not None:
         poly = transfer.maclaurin_poly(sys_obj, args.coeffs)
@@ -286,6 +285,28 @@ def _cmd_laxphillips(args, inputs) -> dict:
     raise DomainError(f"unknown laxphillips op {op!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 2)."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
+def _config_flags(path: str) -> list[str]:
+    """The flags spelled by the JSON object in the config file at ``path``:
+    ``--key=value`` for a string or a number, a bare ``--key`` for true."""
+    obj = serialization.load_file(path)
+    if not isinstance(obj, dict):
+        raise DomainError("config file must hold a JSON object")
+    flags = []
+    for key, value in obj.items():
+        if value is False or not isinstance(value, (str, int, float)):
+            raise DomainError(f"config key {key!r} must hold a string, a number or true")
+        flag = "--" + key.replace("_", "-")
+        flags.append(flag if value is True else f"{flag}={value}")
+    return flags
+
+
 def _build_parser() -> argparse.ArgumentParser:
     env_tol = os.environ.get("NDSYS_TOL")
     try:
@@ -293,17 +314,16 @@ def _build_parser() -> argparse.ArgumentParser:
     except ValueError:
         raise DomainError(f"NDSYS_TOL must be a float, got {env_tol!r}")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ndsys",
         description="Multiparametric stationary system toolkit",
     )
-    parser.add_argument("--config", help="JSON file of flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
         p.add_argument("--tol", type=float, default=default_tol)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", help="JSON file of flag defaults")
+        p.add_argument("--config", help="JSON file of this subcommand's flags")
 
     p = sub.add_parser("check", help="validate and analyse a system file")
     p.add_argument("system")
@@ -362,22 +382,14 @@ _DISPATCH = {
 def main(argv=None) -> int:
     started = time.monotonic()
     try:
+        argv = _sys.argv[1:] if argv is None else list(argv)
         parser = _build_parser()
         args = parser.parse_args(argv)
         if args.config is not None:
-            overrides = serialization.load_file(args.config)
-            if not isinstance(overrides, dict):
-                raise DomainError("config file must hold a JSON object")
-            known = set(vars(args))
-            for key, value in overrides.items():
-                attr = key.replace("-", "_")
-                if attr not in known:
-                    raise DomainError(f"config key {key!r} matches no flag")
-                # explicit flags win; config only fills values left at default
-                if _flag_given(argv, key):
-                    continue
-                setattr(args, attr, value)
-        if not isinstance(args.tol, (int, float)) or not math.isfinite(args.tol):
+            # the last value given wins, so the user's own flags override
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+        if not math.isfinite(args.tol):
             raise DomainError(f"tol must be a finite number, got {args.tol!r}")
         inputs: list = []
         results = _DISPATCH[args.command](args, inputs)
@@ -416,12 +428,6 @@ def _residuals_text(residuals: dict) -> str:
         # a NaN or infinite residual is still the diagnosis; strict JSON
         # cannot carry it, so it goes out as Python writes it
         return f"residuals: {residuals!r}"
-
-
-def _flag_given(argv, key: str) -> bool:
-    source = argv if argv is not None else _sys.argv[1:]
-    want = "--" + key.replace("_", "-")
-    return any(tok == want or tok.startswith(want + "=") for tok in source)
 
 
 if __name__ == "__main__":

@@ -223,7 +223,10 @@ def commutation_residual(
     j, over random interior vectors, compared on jointly clean points.
 
     For n = 1 the two generators coincide and the residual is vacuously 0.
+    Fewer than one trial raises DomainError.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -271,8 +274,10 @@ def metric_check(
 
     Interior support (one layer off every face) makes the truncated image
     exact and fully contained in the box, so the ratios are true norm
-    ratios of the untruncated generator.
+    ratios of the untruncated generator.  Fewer than one trial raises DomainError.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     ratios = []
     for k in range(sys.n):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankAmbiguityError
+from .errors import DomainError, RankAmbiguityError
 
 __all__ = [
     "spectral_norm",
@@ -20,6 +20,18 @@ def spectral_norm(m: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def _largest_norm(stack: np.ndarray) -> float:
+    """Largest Frobenius norm over a stack of matrices (0.0 when empty), each
+    rounded as `np.linalg.norm` rounds it: re.re + im.im, each a BLAS dot."""
+    count, rows, cols = stack.shape
+    flat = stack.reshape(count, 1, rows * cols)
+
+    def dots(v):
+        return (v @ v.swapaxes(1, 2))[:, 0, 0]
+
+    return float(np.sqrt(dots(flat.real) + dots(flat.imag)).max(initial=0.0))
 
 
 def orth_basis(
@@ -79,8 +91,10 @@ def _halton_unit(count: int, dims: int) -> np.ndarray:
     Column k is the radical inverse of 0, 1, ..., count - 1 in the k-th
     prime base, summed from the lowest digit up, so the points are those of
     ``scipy.stats.qmc.Halton(dims, scramble=False).random(count)`` bit for
-    bit.
+    bit.  Raises DomainError for a negative ``count``.
     """
+    if count < 0:
+        raise DomainError(f"a Halton set needs a nonnegative point count, got {count}")
     out = np.zeros((count, dims))
     for k, base in enumerate(_primes(dims)):
         index, f = np.arange(count), 1.0
@@ -93,26 +107,17 @@ def _halton_unit(count: int, dims: int) -> np.ndarray:
     return out
 
 
-def _halton_disc_points(count: int, n: int, radius: float) -> np.ndarray:
-    """The points of `halton_disc` as one ``(count, n)`` array."""
-    u = _halton_unit(count, 2 * n)
-    return radius * np.sqrt(u[:, 0::2]) * np.exp(2j * np.pi * u[:, 1::2])
-
-
-def _halton_torus_points(count: int, n: int) -> np.ndarray:
-    """The points of `halton_torus` as one ``(count, n)`` array."""
-    return np.exp(2j * np.pi * _halton_unit(count, n))
-
-
-def halton_disc(count: int, n: int, radius: float) -> list[tuple[complex, ...]]:
-    """Low-discrepancy points of the polydisc of the given radius in C^n.
+def halton_disc(count: int, n: int, radius: float) -> np.ndarray:
+    """A ``(count, n)`` array of low-discrepancy points of the polydisc of
+    the given radius in C^n.
 
     Each coordinate uses an area-uniform (sqrt-radius) map from a Halton
     pair, so the sequence is deterministic.
     """
-    return list(map(tuple, _halton_disc_points(count, n, radius)))
+    u = _halton_unit(count, 2 * n)
+    return radius * np.sqrt(u[:, 0::2]) * np.exp(2j * np.pi * u[:, 1::2])
 
 
-def halton_torus(count: int, n: int) -> list[tuple[complex, ...]]:
-    """Low-discrepancy points of the n-torus, deterministic."""
-    return list(map(tuple, _halton_torus_points(count, n)))
+def halton_torus(count: int, n: int) -> np.ndarray:
+    """A ``(count, n)`` array of low-discrepancy points of the n-torus."""
+    return np.exp(2j * np.pi * _halton_unit(count, n))

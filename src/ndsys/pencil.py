@@ -28,8 +28,6 @@ __all__ = [
     "OperatorTuple",
     "eval_pencil",
     "multinomial",
-    "sym_multipower",
-    "bordered_multipower",
     "sym_multipower_table",
     "bordered_multipower_table",
 ]
@@ -154,6 +152,25 @@ def _closure(targets: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]
     return sorted(seen, key=lambda t: (order(t), t))
 
 
+def _letter_sum(s: tuple[int, ...], term) -> np.ndarray:
+    """``sum_k (s_k / |s|) term(k, s - e_k)``, added up from 0 in letter order."""
+    m = order(s)
+    return sum((v / m) * term(k, sub(s, unit(len(s), k))) for k, v in enumerate(s) if v > 0)
+
+
+def _table(closure, low: int, seed, step) -> dict[tuple[int, ...], np.ndarray]:
+    """The recursion over the downward-closed ``closure``: ``seed(s)`` at the
+    indices of order ``low``, ``sum_k (s_k / |s|) step(k, table[s - e_k])``
+    above them, and no entry below."""
+    table: dict[tuple[int, ...], np.ndarray] = {}
+    for s in closure:
+        if order(s) == low:
+            table[s] = seed(s)
+        elif order(s) > low:
+            table[s] = _letter_sum(s, lambda k, t: step(k, table[t]))
+    return table
+
+
 def sym_multipower_table(
     a: OperatorTuple, targets: Iterable[tuple[int, ...]]
 ) -> dict[tuple[int, ...], np.ndarray]:
@@ -168,18 +185,9 @@ def sym_multipower_table(
     """
     if a.rows != a.cols:
         raise ShapeError(f"multipower needs square members, got {a.rows}x{a.cols}")
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    for s in _closure(targets, a.n):
-        m = order(s)
-        if m == 0:
-            table[s] = np.eye(a.rows, dtype=complex)
-            continue
-        acc = np.zeros((a.rows, a.rows), dtype=complex)
-        for k in range(a.n):
-            if s[k] > 0:
-                acc += (s[k] / m) * (a[k] @ table[sub(s, unit(a.n, k))])
-        table[s] = acc
-    return table
+    # seeded at order 0: an order-1 entry is 0 + a_k @ I, so its zeros are +0.0
+    identity = np.eye(a.rows, dtype=complex)
+    return _table(_closure(targets, a.n), 0, lambda s: identity, lambda k, m: a[k] @ m)
 
 
 def _check_chain(kind: str, a: OperatorTuple, b: OperatorTuple | None, c: OperatorTuple | None):
@@ -219,83 +227,11 @@ def bordered_multipower_table(
     if kind not in ("right", "left", "both"):
         raise DomainError(f"unknown bordered kind {kind!r}")
     _check_chain(kind, a, b, c)
-    n = a.n
-    closure = _closure(targets, n)
-
-    if kind == "right":
-        return _right_table(a, b, closure)
+    closure = _closure(targets, a.n)
     if kind == "left":
-        table: dict[tuple[int, ...], np.ndarray] = {}
-        for s in closure:
-            m = order(s)
-            if m == 0:
-                continue
-            if m == 1:
-                table[s] = c[s.index(1)]
-                continue
-            acc = np.zeros((c.rows, a.cols), dtype=complex)
-            for k in range(n):
-                if s[k] > 0:
-                    # last-letter split keeps the pinned first factor intact
-                    acc += (s[k] / m) * (table[sub(s, unit(n, k))] @ a[k])
-            table[s] = acc
-        return table
-
-    right = _right_table(a, b, closure)
-    table = {}
-    for s in closure:
-        m = order(s)
-        if m < 2:
-            continue
-        acc = np.zeros((c.rows, b.cols), dtype=complex)
-        for k in range(n):
-            if s[k] > 0:
-                acc += (s[k] / m) * (c[k] @ right[sub(s, unit(n, k))])
-        table[s] = acc
-    return table
-
-
-def _right_table(a, b, closure):
-    table = {}
-    for s in closure:
-        m = order(s)
-        if m == 0:
-            continue
-        if m == 1:
-            table[s] = b[s.index(1)]
-            continue
-        acc = np.zeros((a.rows, b.cols), dtype=complex)
-        for k in range(a.n):
-            if s[k] > 0:
-                acc += (s[k] / m) * (a[k] @ table[sub(s, unit(a.n, k))])
-        table[s] = acc
-    return table
-
-
-def sym_multipower(a: OperatorTuple, s: Iterable[int]) -> np.ndarray:
-    """Single symmetrized multipower ``a^s``."""
-    s = as_index(s, a.n)
-    return sym_multipower_table(a, [s])[s]
-
-
-def bordered_multipower(
-    kind: str,
-    a: OperatorTuple,
-    s: Iterable[int],
-    *,
-    b: OperatorTuple | None = None,
-    c: OperatorTuple | None = None,
-) -> np.ndarray:
-    """Single bordered multipower of the given kind at index ``s``.
-
-    Raises DomainError when ``|s|`` is below the minimum order of the kind.
-    """
-    s = as_index(s, a.n)
-    minimum = 2 if kind == "both" else 1
-    if kind not in ("right", "left", "both"):
-        raise DomainError(f"unknown bordered kind {kind!r}")
-    if order(s) < minimum:
-        raise DomainError(
-            f"kind {kind!r} needs |s| >= {minimum}, got |{s}| = {order(s)}"
-        )
-    return bordered_multipower_table(kind, a, [s], b=b, c=c)[s]
+        # last-letter split keeps the pinned first factor intact
+        return _table(closure, 1, lambda s: c[s.index(1)], lambda k, m: m @ a[k])
+    right = _table(closure, 1, lambda s: b[s.index(1)], lambda k, m: a[k] @ m)
+    if kind == "right":
+        return right
+    return {s: _letter_sum(s, lambda k, t: c[k] @ right[t]) for s in closure if order(s) >= 2}

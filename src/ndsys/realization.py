@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
 )
 from .numerics import (
-    _halton_disc_points,
+    _largest_norm,
     halton_disc,
     ordered_completion,
     orth_basis,
@@ -147,18 +147,6 @@ def _columns(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(rows, count * cols)
 
 
-def _largest_norm(stack: np.ndarray) -> float:
-    """Largest Frobenius norm over a stack of matrices (0.0 when empty), each
-    rounded as `np.linalg.norm` rounds it: re.re + im.im, each a BLAS dot."""
-    count, rows, cols = stack.shape
-    flat = stack.reshape(count, 1, rows * cols)
-
-    def dots(v):
-        return (v @ v.swapaxes(1, 2))[:, 0, 0]
-
-    return float(np.sqrt(dots(flat.real) + dots(flat.imag)).max(initial=0.0))
-
-
 def _identity_residual(data: AglerData, a: _Samples, b: _Samples) -> float:
     """Largest pairwise decomposition residual (Frobenius) between the two
     sample sets, assembled from stacked Gramians in one pass."""
@@ -225,7 +213,7 @@ def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
     count = _GRID_START
     dims = []
     for _ in range(_GRID_DOUBLINGS):
-        samples = _sample(data, _halton_disc_points(count, data.n, _GRID_RADIUS))
+        samples = _sample(data, halton_disc(count, data.n, _GRID_RADIUS))
         dims.append(orth_basis(_columns(samples.g), rank_tol).shape[1])
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             return samples

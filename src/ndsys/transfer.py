@@ -27,7 +27,7 @@ from .errors import (
     SingularityError,
 )
 from .lattice import as_index, order
-from .numerics import spectral_norm
+from .numerics import _largest_norm, spectral_norm
 from .pencil import bordered_multipower_table, eval_pencil, multinomial
 from .system import MultiLSDS, conjugate
 
@@ -260,7 +260,7 @@ def conjugate_transfer_check(
         return 0.0
     lhs = transfer_eval(conjugate(sys), z)
     rhs = transfer_eval(sys, z.conj()).conj().swapaxes(-1, -2)
-    return max(float(np.linalg.norm(gap)) for gap in lhs - rhs)
+    return _largest_norm(lhs - rhs)
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,11 @@ every `Rows` table and complex array its nested lists, built entry by entry.
 them to `dump`.  `serialization.dump` writes all of these from their arrays
 and must produce the same bytes.
 
+`sym_multipower_table_loops` and `bordered_multipower_table_loops` build
+the multipower tables with one written-out accumulator loop per kind.  The
+library's single recursion kernel must reproduce all four kinds bit for
+bit, signed zeros included.
+
 `halton_unit_scipy` is scipy's unscrambled Halton engine, and
 `halton_disc_rows` and `halton_torus_rows` map its points one row and one
 coordinate at a time.  The library's numpy radical inverse and its array
@@ -69,6 +74,7 @@ from ndsys import (
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.lattice import add, order, sub, unit
 from ndsys.laxphillips import _check_dims
+from ndsys.pencil import _closure
 from ndsys.serialization import Rows, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
@@ -640,3 +646,72 @@ def halton_disc_rows(count, n, radius):
 def halton_torus_rows(count, n):
     """The torus Halton points, mapped coordinate by coordinate."""
     return [tuple(np.exp(2j * np.pi * row[k]) for k in range(n)) for row in halton_unit_scipy(count, n)]
+
+
+def sym_multipower_table_loops(a, targets):
+    """The symmetrized multipowers over the closure, one accumulator each."""
+    table = {}
+    for s in _closure(targets, a.n):
+        m = order(s)
+        if m == 0:
+            table[s] = np.eye(a.rows, dtype=complex)
+            continue
+        acc = np.zeros((a.rows, a.rows), dtype=complex)
+        for k in range(a.n):
+            if s[k] > 0:
+                acc += (s[k] / m) * (a[k] @ table[sub(s, unit(a.n, k))])
+        table[s] = acc
+    return table
+
+
+def _right_table_loop(a, b, closure):
+    table = {}
+    for s in closure:
+        m = order(s)
+        if m == 0:
+            continue
+        if m == 1:
+            table[s] = b[s.index(1)]
+            continue
+        acc = np.zeros((a.rows, b.cols), dtype=complex)
+        for k in range(a.n):
+            if s[k] > 0:
+                acc += (s[k] / m) * (a[k] @ table[sub(s, unit(a.n, k))])
+        table[s] = acc
+    return table
+
+
+def bordered_multipower_table_loops(kind, a, targets, b=None, c=None):
+    """The bordered multipowers of one kind over the closure: the right
+    table by its own loop, the left one by a last-letter loop, and the
+    doubly bordered one by a first-letter contraction of the right table."""
+    n = a.n
+    closure = _closure(targets, n)
+    if kind == "right":
+        return _right_table_loop(a, b, closure)
+    table = {}
+    if kind == "left":
+        for s in closure:
+            m = order(s)
+            if m == 0:
+                continue
+            if m == 1:
+                table[s] = c[s.index(1)]
+                continue
+            acc = np.zeros((c.rows, a.cols), dtype=complex)
+            for k in range(n):
+                if s[k] > 0:
+                    acc += (s[k] / m) * (table[sub(s, unit(n, k))] @ a[k])
+            table[s] = acc
+        return table
+    right = _right_table_loop(a, b, closure)
+    for s in closure:
+        m = order(s)
+        if m < 2:
+            continue
+        acc = np.zeros((c.rows, b.cols), dtype=complex)
+        for k in range(n):
+            if s[k] > 0:
+                acc += (s[k] / m) * (c[k] @ right[sub(s, unit(n, k))])
+        table[s] = acc
+    return table

@@ -20,7 +20,7 @@ from ndsys import (
     assemble_colligation,
     associated_one_param,
     block_structure,
-    bordered_multipower,
+    bordered_multipower_table,
     builtin_examples,
     canonical_fixture,
     closed_form,
@@ -34,7 +34,7 @@ from ndsys import (
     multinomial,
     schwarz_split,
     simulate,
-    sym_multipower,
+    sym_multipower_table,
     transfer_eval,
     verify_agler_identity,
 )
@@ -187,33 +187,23 @@ def test_multipower_generating_identity():
                 1.0, float(np.linalg.norm(lhs))
             )
 
+        sym = sym_multipower_table(a, front)
+        right = bordered_multipower_table("right", a, front, b=b)
+        left = bordered_multipower_table("left", a, front, c=c)
         lhs = np.linalg.matrix_power(za, order)
-        worst = max(worst, rel(lhs, front_sum(lambda s: sym_multipower(a, s))))
+        worst = max(worst, rel(lhs, front_sum(sym.get)))
         lhs = np.linalg.matrix_power(za, order - 1) @ eval_pencil(z, b)
-        worst = max(
-            worst,
-            rel(lhs, front_sum(lambda s: bordered_multipower("right", a, s, b=b))),
-        )
+        worst = max(worst, rel(lhs, front_sum(right.get)))
         lhs = eval_pencil(z, c) @ np.linalg.matrix_power(za, order - 1)
-        worst = max(
-            worst,
-            rel(lhs, front_sum(lambda s: bordered_multipower("left", a, s, c=c))),
-        )
+        worst = max(worst, rel(lhs, front_sum(left.get)))
         if order >= 2:
+            both = bordered_multipower_table("both", a, front, b=b, c=c)
             lhs = (
                 eval_pencil(z, c)
                 @ np.linalg.matrix_power(za, order - 2)
                 @ eval_pencil(z, b)
             )
-            worst = max(
-                worst,
-                rel(
-                    lhs,
-                    front_sum(
-                        lambda s: bordered_multipower("both", a, s, b=b, c=c)
-                    ),
-                ),
-            )
+            worst = max(worst, rel(lhs, front_sum(both.get)))
     elapsed = time.perf_counter() - start
     verdict(
         "multipower generating identity",

@@ -200,7 +200,7 @@ def test_scan_refuses_a_budget_over_the_cap_before_building_the_grid(monkeypatch
         raise AssertionError("the scan built its grid")
 
     monkeypatch.setattr(np, "indices", build)
-    monkeypatch.setattr(ndsys.analysis, "_halton_torus_points", build)
+    monkeypatch.setattr(ndsys.analysis, "halton_torus", build)
     # 2^40 is a perfect square (a tensor grid for n = 2), and Halton for n = 3
     n3 = gen.dissipative_system(np.random.default_rng(0), 3, 2, 2)
     for sys in (builtin_examples()["alpha"], n3):

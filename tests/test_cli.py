@@ -85,7 +85,7 @@ def test_scan_budget_over_the_cap_is_an_input_error(capsys, monkeypatch):
 
     # 2^40 is a perfect square: a tensor grid for the n = 2 system
     monkeypatch.setattr(np, "indices", build)
-    monkeypatch.setattr(ndsys.analysis, "_halton_torus_points", build)
+    monkeypatch.setattr(ndsys.analysis, "halton_torus", build)
     argv = ["check", "builtin:alpha", "--samples", str(2**40)]
     code, report, err = run(capsys, argv)
     assert code == 2 and report is None
@@ -498,6 +498,52 @@ def test_config_with_unknown_key_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["check", "builtin:alpha", "--config", config])
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["check", "builtin:alpha"], {"samples": "many"}),
+        (["check", "builtin:alpha"], {"samples": 2.5}),
+        (["check", "builtin:alpha"], {"seed": "x"}),
+        (["check", "builtin:alpha"], {"no-refine": False}),
+        (["check", "builtin:alpha"], {"tol": None}),
+        (["transfer", "builtin:alpha"], {"grid": "x"}),
+        (["laxphillips", "builtin:alpha", "--op", "metric", "--box=-2:2,-2:2"], {"seed": "x"}),
+    ],
+)
+def test_config_values_are_checked_as_their_flags(capsys, tmp_path, argv, config):
+    code, report, err = run(capsys, argv + ["--config", write(tmp_path, "config.json", config)])
+    assert code == 2 and report is None
+    assert "input error" in err
+
+
+def test_config_true_gives_a_switch(capsys, tmp_path):
+    config = write(tmp_path, "config.json", {"no-refine": True, "tol": 0.5})
+    _, report, _ = run(capsys, ["check", "builtin:alpha", "--config", config])
+    assert report["results"]["torus_scan"]["refined"] is False
+    assert report["parameters"]["tol"] == 0.5
+
+
+def test_config_before_the_subcommand_is_refused(capsys, tmp_path):
+    config = write(tmp_path, "config.json", {"tol": 0.5})
+    code, report, err = run(capsys, ["--config", config, "check", "builtin:alpha"])
+    assert code == 2 and report is None
+    assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transfer", "builtin:alpha", "--grid", "-1"],
+        ["laxphillips", "builtin:alpha", "--op", "commute", "--box=-2:2,-2:2", "--trials", "0"],
+        ["laxphillips", "builtin:alpha", "--op", "metric", "--box=-2:2,-2:2", "--trials", "0"],
+    ],
+)
+def test_counts_below_their_minimum_are_input_errors(capsys, argv):
+    code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert "input error" in err and argv[-1] in err
 
 
 def test_bad_env_tol_is_an_input_error(capsys, monkeypatch):

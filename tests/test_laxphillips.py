@@ -207,6 +207,15 @@ def test_metric_needs_interior():
         metric_check(sys, Box((0, 0), (1, 1)), trials=2, seed=0)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_probes_need_at_least_one_trial(trials):
+    sys, box = builtin_examples()["alpha"], Box((-3, -3), (3, 3))
+    with pytest.raises(DomainError, match="trials"):
+        metric_check(sys, box, trials=trials)
+    with pytest.raises(DomainError, match="trials"):
+        commutation_residual(sys, 0, 1, box, trials=trials)
+
+
 def test_associated_system_is_the_original_when_one_dimensional():
     rng = np.random.default_rng(6)
     base = gen.random_system(rng, 1, 2, 2, 2)

@@ -11,7 +11,7 @@ import gen
 import oracles
 import ndsys
 from ndsys import RankAmbiguityError, halton_disc, halton_torus
-from ndsys.numerics import _halton_unit, ordered_completion, orth_basis, spectral_norm
+from ndsys.numerics import _halton_unit, _largest_norm, ordered_completion, orth_basis, spectral_norm
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -20,6 +20,21 @@ def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     assert np.isclose(spectral_norm(m), np.linalg.svd(m, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_largest_norm_matches_the_per_matrix_loop_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 3001))
+    rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
+    stack = rng.standard_normal((count, rows, cols, 2)).view(complex)[..., 0]
+    stack *= 10.0 ** rng.integers(-8, 9, size=(count, 1, 1))
+    want = max(float(np.linalg.norm(m)) for m in stack)
+    assert oracles.same_bits(_largest_norm(stack), want)
+
+
+def test_largest_norm_of_an_empty_stack_is_zero():
+    assert _largest_norm(np.zeros((0, 2, 3), dtype=complex)) == 0.0
 
 
 def test_orth_basis_spans_and_truncates():
@@ -64,10 +79,9 @@ def test_ordered_completion_of_full_basis_is_empty():
 
 def test_halton_disc_bounds_and_determinism():
     pts = halton_disc(64, 2, 0.7)
-    assert len(pts) == 64
-    assert all(len(z) == 2 for z in pts)
-    assert max(abs(c) for z in pts for c in z) <= 0.7 + 1e-12
-    assert pts == halton_disc(64, 2, 0.7)
+    assert pts.shape == (64, 2)
+    assert np.abs(pts).max() <= 0.7 + 1e-12
+    assert oracles.same_bits(pts, halton_disc(64, 2, 0.7))
 
 
 def test_halton_disc_fills_the_disc():
@@ -79,8 +93,9 @@ def test_halton_disc_fills_the_disc():
 
 def test_halton_torus_on_the_circle():
     pts = halton_torus(32, 3)
-    assert all(np.isclose(abs(c), 1.0) for z in pts for c in z)
-    assert pts == halton_torus(32, 3)
+    assert pts.shape == (32, 3)
+    assert np.allclose(np.abs(pts), 1.0)
+    assert oracles.same_bits(pts, halton_torus(32, 3))
 
 
 @pytest.mark.parametrize("dims", [1, 2, 3, 4, 5, 6, 7, 8, 12])
@@ -102,9 +117,7 @@ def test_halton_maps_match_the_per_row_oracles_bitwise(n):
             (halton_torus(count, n), oracles.halton_torus_rows(count, n)),
         ]
         for got, want in pairs:
-            # the same list of tuples of numpy complex scalars, bit for bit
-            assert [list(map(type, z)) for z in got] == [list(map(type, z)) for z in want]
-            assert oracles.same_bits(np.array(got, dtype=complex), np.array(want, dtype=complex))
+            assert oracles.same_bits(got, np.array(want, dtype=complex).reshape(count, n))
 
 
 def test_cli_import_loads_no_scipy():

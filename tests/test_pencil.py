@@ -20,10 +20,9 @@ from ndsys import (
     OperatorTuple,
     RangeError,
     ShapeError,
-    bordered_multipower,
+    bordered_multipower_table,
     eval_pencil,
     multinomial,
-    sym_multipower,
     sym_multipower_table,
 )
 
@@ -156,16 +155,22 @@ def test_multinomial_pascal_recursion(s):
     assert multinomial(s) == total
 
 
+def sym_entry(t, s):
+    """The entry at ``s`` of the table built for ``s`` alone."""
+    return sym_multipower_table(t, [s])[s]
+
+
 def test_sym_multipower_zero_is_identity():
     t = random_tuple(np.random.default_rng(3), 2, 3, 3)
-    assert np.allclose(sym_multipower(t, (0, 0)), np.eye(3))
+    assert np.allclose(sym_entry(t, (0, 0)), np.eye(3))
 
 
 def test_sym_multipower_unit_selects_member():
     t = random_tuple(np.random.default_rng(4), 3, 2, 2)
+    table = sym_multipower_table(t, [(1, 1, 1)])
     for k in range(3):
         s = tuple(1 if i == k else 0 for i in range(3))
-        assert np.allclose(sym_multipower(t, s), t.mats[k])
+        assert np.allclose(table[s], t.mats[k])
 
 
 def test_sym_multipower_pair_average():
@@ -173,7 +178,11 @@ def test_sym_multipower_pair_average():
     t = random_tuple(rng, 2, 3, 3)
     a1, a2 = t.mats
     want = (a1 @ a2 + a2 @ a1) / 2
-    assert np.allclose(sym_multipower(t, (1, 1)), want)
+    assert np.allclose(sym_entry(t, (1, 1)), want)
+
+
+def low_orders(n, lowest):
+    return [s for s in itertools.product(range(4), repeat=n) if lowest <= sum(s) <= 4]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -181,12 +190,9 @@ def test_sym_multipower_vs_enumeration(seed):
     rng = np.random.default_rng(10 + seed)
     n = 2 + seed % 2
     t = random_tuple(rng, n, 3, 3)
-    for s in itertools.product(range(4), repeat=n):
-        if not 1 <= sum(s) <= 4:
-            continue
-        got = sym_multipower(t, s)
-        want = enum_multipower(t, s)
-        assert np.allclose(got, want, atol=1e-10), s
+    table = sym_multipower_table(t, low_orders(n, 1))
+    for s in low_orders(n, 1):
+        assert np.allclose(table[s], enum_multipower(t, s), atol=1e-10), s
 
 
 def test_sym_multipower_commuting_case():
@@ -195,7 +201,7 @@ def test_sym_multipower_commuting_case():
     t = OperatorTuple((base, base @ base - base))
     s = (2, 1)
     want = np.linalg.matrix_power(t.mats[0], 2) @ t.mats[1]
-    assert np.allclose(sym_multipower(t, s), want)
+    assert np.allclose(sym_entry(t, s), want)
 
 
 def test_sym_multipower_permutation_invariance():
@@ -205,7 +211,7 @@ def test_sym_multipower_permutation_invariance():
     perm = (2, 0, 1)
     permuted = OperatorTuple(tuple(t.mats[p] for p in perm))
     s_permuted = tuple(s[p] for p in perm)
-    assert np.allclose(sym_multipower(t, s), sym_multipower(permuted, s_permuted))
+    assert np.allclose(sym_entry(t, s), sym_entry(permuted, s_permuted))
 
 
 def test_generating_identity():
@@ -213,12 +219,13 @@ def test_generating_identity():
     rng = np.random.default_rng(8)
     t = random_tuple(rng, 2, 3, 3)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    table = sym_multipower_table(t, [(5, 5)])
     for n in range(1, 6):
         lhs = np.linalg.matrix_power(eval_pencil(z, t), n)
         rhs = np.zeros((3, 3), dtype=complex)
         for s in itertools.product(range(n + 1), repeat=2):
             if sum(s) == n:
-                rhs += multinomial(s) * np.prod(z**np.array(s)) * sym_multipower(t, s)
+                rhs += multinomial(s) * np.prod(z**np.array(s)) * table[s]
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
 
 
@@ -227,12 +234,9 @@ def test_bordered_right_vs_enumeration(seed):
     rng = np.random.default_rng(20 + seed)
     a = random_tuple(rng, 2, 3, 3)
     b = random_tuple(rng, 2, 3, 2)
-    for s in itertools.product(range(4), repeat=2):
-        if not 1 <= sum(s) <= 4:
-            continue
-        got = bordered_multipower("right", a, s, b=b)
-        want = enum_multipower(a, s, b=b)
-        assert np.allclose(got, want, atol=1e-10), s
+    table = bordered_multipower_table("right", a, low_orders(2, 1), b=b)
+    for s in low_orders(2, 1):
+        assert np.allclose(table[s], enum_multipower(a, s, b=b), atol=1e-10), s
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -240,12 +244,9 @@ def test_bordered_left_vs_enumeration(seed):
     rng = np.random.default_rng(30 + seed)
     a = random_tuple(rng, 2, 3, 3)
     c = random_tuple(rng, 2, 2, 3)
-    for s in itertools.product(range(4), repeat=2):
-        if not 1 <= sum(s) <= 4:
-            continue
-        got = bordered_multipower("left", a, s, c=c)
-        want = enum_multipower(a, s, c=c)
-        assert np.allclose(got, want, atol=1e-10), s
+    table = bordered_multipower_table("left", a, low_orders(2, 1), c=c)
+    for s in low_orders(2, 1):
+        assert np.allclose(table[s], enum_multipower(a, s, c=c), atol=1e-10), s
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -254,21 +255,19 @@ def test_bordered_both_vs_enumeration(seed):
     a = random_tuple(rng, 2, 3, 3)
     b = random_tuple(rng, 2, 3, 2)
     c = random_tuple(rng, 2, 4, 3)
-    for s in itertools.product(range(4), repeat=2):
-        if not 2 <= sum(s) <= 4:
-            continue
-        got = bordered_multipower("both", a, s, b=b, c=c)
-        want = enum_multipower(a, s, c=c, b=b)
-        assert np.allclose(got, want, atol=1e-10), s
+    table = bordered_multipower_table("both", a, low_orders(2, 2), b=b, c=c)
+    for s in low_orders(2, 2):
+        assert np.allclose(table[s], enum_multipower(a, s, c=c, b=b), atol=1e-10), s
 
 
 def test_bordered_right_unit_is_border_member():
     rng = np.random.default_rng(9)
     a = random_tuple(rng, 3, 2, 2)
     b = random_tuple(rng, 3, 2, 4)
+    table = bordered_multipower_table("right", a, [(1, 1, 1)], b=b)
     for k in range(3):
         s = tuple(1 if i == k else 0 for i in range(3))
-        assert np.allclose(bordered_multipower("right", a, s, b=b), b.mats[k])
+        assert np.allclose(table[s], b.mats[k])
 
 
 def test_bordered_pair_mixes_borders():
@@ -277,7 +276,8 @@ def test_bordered_pair_mixes_borders():
     b = random_tuple(rng, 2, 3, 1)
     c = random_tuple(rng, 2, 1, 3)
     want = (c.mats[0] @ b.mats[1] + c.mats[1] @ b.mats[0]) / 2
-    assert np.allclose(bordered_multipower("both", a, (1, 1), b=b, c=c), want)
+    got = bordered_multipower_table("both", a, [(1, 1)], b=b, c=c)[(1, 1)]
+    assert np.allclose(got, want)
 
 
 def test_bordered_identity_with_pencil():
@@ -286,28 +286,28 @@ def test_bordered_identity_with_pencil():
     a = random_tuple(rng, 2, 3, 3)
     b = random_tuple(rng, 2, 3, 2)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    table = bordered_multipower_table("right", a, [(4, 4)], b=b)
     for n in range(1, 5):
         lhs = np.linalg.matrix_power(eval_pencil(z, a), n - 1) @ eval_pencil(z, b)
         rhs = np.zeros((3, 2), dtype=complex)
         for s in itertools.product(range(n + 1), repeat=2):
             if sum(s) == n:
-                rhs += (
-                    multinomial(s)
-                    * np.prod(z**np.array(s))
-                    * bordered_multipower("right", a, s, b=b)
-                )
+                rhs += multinomial(s) * np.prod(z**np.array(s)) * table[s]
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
 
 
 def test_minimum_order_enforced():
+    # an index below the kind's minimum order has no entry
     rng = np.random.default_rng(13)
     a = random_tuple(rng, 2, 2, 2)
     b = random_tuple(rng, 2, 2, 2)
     c = random_tuple(rng, 2, 2, 2)
+    assert bordered_multipower_table("right", a, [(0, 0)], b=b) == {}
+    assert bordered_multipower_table("left", a, [(0, 0)], c=c) == {}
+    both = bordered_multipower_table("both", a, [(2, 0)], b=b, c=c)
+    assert list(both) == [(2, 0)]
     with pytest.raises(DomainError):
-        bordered_multipower("right", a, (0, 0), b=b)
-    with pytest.raises(DomainError):
-        bordered_multipower("both", a, (1, 0), b=b, c=c)
+        bordered_multipower_table("middle", a, [(1, 0)], b=b, c=c)
 
 
 def test_shape_chain_checked():
@@ -315,13 +315,13 @@ def test_shape_chain_checked():
     a = random_tuple(rng, 2, 3, 3)
     bad_b = random_tuple(rng, 2, 2, 2)  # rows disagree with a's cols
     with pytest.raises(ShapeError):
-        bordered_multipower("right", a, (1, 1), b=bad_b)
+        bordered_multipower_table("right", a, [(1, 1)], b=bad_b)
 
 
 def test_nonsquare_multipower_rejected():
     t = random_tuple(np.random.default_rng(15), 2, 2, 3)
     with pytest.raises(ShapeError):
-        sym_multipower(t, (1, 0))
+        sym_multipower_table(t, [(1, 0)])
 
 
 def test_table_agrees_with_single_entry():
@@ -330,7 +330,7 @@ def test_table_agrees_with_single_entry():
     offsets = [(1, 0), (0, 1), (1, 1), (2, 1)]
     table = sym_multipower_table(t, offsets)
     for s in offsets:
-        assert np.allclose(table[s], sym_multipower(t, s))
+        assert np.allclose(table[s], sym_entry(t, s))
 
 
 @settings(max_examples=30, deadline=None)
@@ -342,6 +342,37 @@ def test_sym_multipower_scaling(s1, s2):
     rng = np.random.default_rng(17)
     t = random_tuple(rng, 2, 2, 2)
     scaled = OperatorTuple((2.0 * t.mats[0], t.mats[1]))
-    got = sym_multipower(scaled, (s1, s2))
-    want = 2.0**s1 * sym_multipower(t, (s1, s2))
+    got = sym_entry(scaled, (s1, s2))
+    want = 2.0**s1 * sym_entry(t, (s1, s2))
     assert np.allclose(got, want)
+
+
+def signed_zero_tuple(rng, n, rows, cols):
+    """A random tuple with about a third of its real and imaginary parts
+    set to +0.0 or -0.0."""
+    parts = rng.standard_normal((n, rows, cols, 2))
+    zeros = rng.random(parts.shape) < 0.35
+    parts[zeros] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[zeros]
+    return OperatorTuple(tuple(parts.view(complex)[..., 0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_every_kind_matches_its_loop_bitwise(n, dim, top, seed):
+    rng = np.random.default_rng(seed)
+    a = signed_zero_tuple(rng, n, dim, dim)
+    b = signed_zero_tuple(rng, n, dim, int(rng.integers(1, 4)))
+    c = signed_zero_tuple(rng, n, int(rng.integers(1, 4)), dim)
+    targets = [tuple(int(v) for v in rng.multinomial(top, [1 / n] * n)) for _ in range(3)]
+    pairs = [(sym_multipower_table(a, targets), oracles.sym_multipower_table_loops(a, targets))]
+    for kind in ("right", "left", "both"):
+        pairs.append(
+            (
+                bordered_multipower_table(kind, a, targets, b=b, c=c),
+                oracles.bordered_multipower_table_loops(kind, a, targets, b=b, c=c),
+            )
+        )
+    for got, want in pairs:
+        assert list(got) == list(want)
+        for s in want:
+            assert oracles.same_bits(got[s], want[s]), s
