@@ -36,31 +36,22 @@ from .system import (
     Violation,
     closed_form,
     energy_balance_report,
-    front_energy,
     simulate,
     validate,
 )
 from .numerics import halton_disc, halton_torus, ordered_completion, orth_basis, spectral_norm
 from .analysis import (
     BlockStructure,
-    CnuReport,
     ConservativityCertificate,
     TorusScanReport,
     block_structure,
     closely_connected_subspace,
-    completely_nonunitary_check,
     conservativity_check,
     dissipativity_scan,
-    reduce_closely_connected,
 )
 from .transfer import (
-    CommutingTuple,
     MatrixPolynomial,
-    SchurSampleReport,
-    conjugate_transfer_check,
-    maclaurin_coeff,
     maclaurin_poly,
-    schur_agler_sample_test,
     schwarz_split,
     transfer_eval,
     transfer_eval_series,
@@ -115,7 +106,6 @@ __all__ = [
     "simulate",
     "closed_form",
     "SimulationResult",
-    "front_energy",
     "EnergyRow",
     "EnergyReport",
     "energy_balance_report",
@@ -131,18 +121,10 @@ __all__ = [
     "BlockStructure",
     "block_structure",
     "closely_connected_subspace",
-    "reduce_closely_connected",
-    "CnuReport",
-    "completely_nonunitary_check",
     "MatrixPolynomial",
-    "CommutingTuple",
     "transfer_eval",
     "transfer_eval_series",
-    "maclaurin_coeff",
     "maclaurin_poly",
-    "conjugate_transfer_check",
-    "SchurSampleReport",
-    "schur_agler_sample_test",
     "schwarz_split",
     "TruncatedLPVector",
     "LPMask",

@@ -27,9 +27,6 @@ __all__ = [
     "BlockStructure",
     "block_structure",
     "closely_connected_subspace",
-    "reduce_closely_connected",
-    "CnuReport",
-    "completely_nonunitary_check",
 ]
 
 _GRID_CAP = 100_000
@@ -349,52 +346,3 @@ def closely_connected_subspace(sys: MultiLSDS, rank_tol: float = 1e-10) -> np.nd
         q = q_next
     return q
 
-
-def reduce_closely_connected(
-    sys: MultiLSDS, rank_tol: float = 1e-10
-) -> tuple[MultiLSDS, np.ndarray]:
-    """Compress the system onto its closely connected subspace.
-
-    Returns the compressed system and the basis used; the transfer function
-    is preserved because the discarded complement is invariant and
-    unreachable from inputs and unobservable to outputs.
-    """
-    q = closely_connected_subspace(sys, rank_tol)
-    qh = q.conj().T
-    reduced = MultiLSDS(
-        a=OperatorTuple(tuple(qh @ sys.a[k] @ q for k in range(sys.n))),
-        b=OperatorTuple(tuple(qh @ sys.b[k] for k in range(sys.n))),
-        c=OperatorTuple(tuple(sys.c[k] @ q for k in range(sys.n))),
-        d=sys.d,
-    )
-    return reduced, q
-
-
-@dataclass(frozen=True)
-class CnuReport:
-    dim_x: int
-    connected_dim: int
-
-    @property
-    def completely_nonunitary(self) -> bool:
-        return self.connected_dim == self.dim_x
-
-
-def completely_nonunitary_check(
-    sys: MultiLSDS, tol: float = 1e-9, rank_tol: float = 1e-10
-) -> CnuReport:
-    """For a conservative system, close connectedness of the whole state
-    space is equivalent to the state pencil having no unitary direct
-    summand; this reports the two dimensions whose equality decides it.
-
-    Raises PreconditionError when the system is not conservative at ``tol``
-    (the equivalence does not hold without it).
-    """
-    cert = conservativity_check(sys, tol)
-    if not cert.passed:
-        raise PreconditionError(
-            f"complete-nonunitarity test needs a conservative system; "
-            f"residual {cert.max_residual:.3e} exceeds {tol:g}"
-        )
-    q = closely_connected_subspace(sys, rank_tol)
-    return CnuReport(dim_x=sys.dim_x, connected_dim=q.shape[1])

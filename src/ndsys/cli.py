@@ -79,9 +79,8 @@ def _load(path: str, inputs: list):
 def _parse_box(text: str, n: int | None = None) -> Box:
     try:
         parts = [p.split(":") for p in text.split(",")]
-        lo = tuple(int(p[0]) for p in parts)
-        hi = tuple(int(p[1]) for p in parts)
-    except (ValueError, IndexError) as exc:
+        lo, hi = zip(*((int(a), int(b)) for a, b in parts))
+    except ValueError as exc:
         raise DomainError(
             f"box must look like lo:hi,lo:hi,... got {text!r}"
         ) from exc
@@ -300,6 +299,8 @@ def _config_flags(path: str) -> list[str]:
         raise DomainError("config file must hold a JSON object")
     flags = []
     for key, value in obj.items():
+        if key == "config":
+            raise DomainError("config key 'config' is refused: a config file cannot name another")
         if value is False or not isinstance(value, (str, int, float)):
             raise DomainError(f"config key {key!r} must hold a string, a number or true")
         flag = "--" + key.replace("_", "-")
@@ -389,8 +390,8 @@ def main(argv=None) -> int:
             # the last value given wins, so the user's own flags override
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
-        if not math.isfinite(args.tol):
-            raise DomainError(f"tol must be a finite number, got {args.tol!r}")
+        if not math.isfinite(args.tol) or args.tol < 0:
+            raise DomainError(f"tol must be a finite number >= 0, got {args.tol!r}")
         inputs: list = []
         results = _DISPATCH[args.command](args, inputs)
         text = serialization.dump(

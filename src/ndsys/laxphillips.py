@@ -76,9 +76,6 @@ class LPMask:
     y: frozenset[tuple[int, ...]]
     u_minus: frozenset[tuple[int, ...]]
 
-    def clean(self) -> bool:
-        return not (self.u_plus or self.y or self.u_minus)
-
 
 def _check_dims(sys: MultiLSDS, vec: TruncatedLPVector):
     sys.require_wellformed()

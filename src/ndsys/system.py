@@ -41,7 +41,6 @@ __all__ = [
     "conjugate",
     "simulate",
     "closed_form",
-    "front_energy",
     "energy_balance_report",
     "EnergyRow",
     "EnergyReport",
@@ -372,12 +371,6 @@ def closed_form(
         contaminated_outputs=frozenset(dirty_outputs),
         octant_exact=octant,
     )
-
-
-def front_energy(signal: LatticeSignal, n: int) -> float:
-    """Squared l2 mass of the signal on the order-n front."""
-    vals = signal.values[signal.points.sum(axis=1) == n]
-    return float((vals.real**2 + vals.imag**2).sum())
 
 
 @dataclass(frozen=True)

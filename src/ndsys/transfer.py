@@ -1,4 +1,4 @@
-"""Transfer functions on the polydisc and their sampled operator calculus.
+"""Transfer functions on the polydisc and their Maclaurin expansion.
 
 The transfer function of a system is
 
@@ -6,41 +6,27 @@ The transfer function of a system is
 
 where ``zA`` abbreviates the pencil value, so theta vanishes at the origin
 by construction.  Maclaurin coefficients come in closed form from bordered
-multipowers.  `schur_agler_sample_test` probes the defining property of the
-generalized Schur class on tuples of commuting contractions.
+multipowers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArityError,
-    DivergenceError,
-    DomainError,
-    PreconditionError,
-    ShapeError,
-    SingularityError,
-)
+from .errors import ArityError, DivergenceError, DomainError, ShapeError, SingularityError
 from .lattice import as_index, order
-from .numerics import _largest_norm, spectral_norm
 from .pencil import bordered_multipower_table, eval_pencil, multinomial
-from .system import MultiLSDS, conjugate
+from .system import MultiLSDS
 
 __all__ = [
     "MatrixPolynomial",
-    "CommutingTuple",
     "transfer_eval",
     "transfer_eval_series",
-    "maclaurin_coeff",
     "maclaurin_poly",
-    "conjugate_transfer_check",
-    "schur_agler_sample_test",
-    "SchurSampleReport",
     "schwarz_split",
 ]
 
@@ -86,70 +72,8 @@ class MatrixPolynomial:
             acc += m * np.prod(z**np.array(t))
         return acc
 
-    def degrees(self) -> tuple[int, ...]:
-        """Largest exponent appearing per variable."""
-        if not self.coeffs:
-            return (0,) * self.n
-        return tuple(max(t[k] for t in self.coeffs) for k in range(self.n))
-
     def term_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: (order(kv[0]), kv[0]))
-
-
-@dataclass(frozen=True)
-class CommutingTuple:
-    """A tuple of pairwise commuting square contractions.
-
-    Commutation is checked to 1e-10 and norms to 1 + 1e-12 at construction;
-    violations raise PreconditionError because downstream sampling results
-    would be meaningless.
-    """
-
-    mats: tuple[np.ndarray, ...]
-    comm_tol: float = 1e-10
-    norm_tol: float = 1e-12
-
-    def __post_init__(self):
-        mats = tuple(np.array(m, dtype=complex) for m in self.mats)
-        if not mats:
-            raise ArityError("a commuting tuple needs at least one member")
-        size = mats[0].shape
-        if size[0] != size[1]:
-            raise ShapeError(f"members must be square, got {size}")
-        for m in mats:
-            if m.shape != size:
-                raise ShapeError("members must share one shape")
-            if spectral_norm(m) > 1.0 + self.norm_tol:
-                raise PreconditionError(
-                    f"member norm {spectral_norm(m):.6f} exceeds 1 + {self.norm_tol:g}"
-                )
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                gap = spectral_norm(mats[i] @ mats[j] - mats[j] @ mats[i])
-                if gap > self.comm_tol:
-                    raise PreconditionError(
-                        f"members {i} and {j} fail to commute: residual {gap:.3e}"
-                    )
-        for m in mats:
-            m.setflags(write=False)
-        object.__setattr__(self, "mats", mats)
-
-    @property
-    def n(self) -> int:
-        return len(self.mats)
-
-    @property
-    def size(self) -> int:
-        return self.mats[0].shape[0]
-
-    def power(self, t: tuple[int, ...]) -> np.ndarray:
-        """Ordinary commuting multipower ``T_1^{t_1} ... T_n^{t_n}``."""
-        t = as_index(t, self.n)
-        acc = np.eye(self.size, dtype=complex)
-        for k, e in enumerate(t):
-            if e:
-                acc = acc @ np.linalg.matrix_power(self.mats[k], e)
-        return acc
 
 
 def _first(bad: np.ndarray):
@@ -210,23 +134,6 @@ def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
     return acc
 
 
-def maclaurin_coeff(sys: MultiLSDS, t: Iterable[int]) -> np.ndarray:
-    """Maclaurin coefficient of the transfer function at exponent ``t``.
-
-    Unit exponents give the corresponding D member; higher orders come from
-    the doubly bordered multipower scaled by the multinomial weight.  The
-    zero exponent is outside the domain (the transfer function vanishes at
-    the origin identically) and raises DomainError.
-    """
-    sys.require_wellformed()
-    t = as_index(t, sys.n)
-    if any(v < 0 for v in t):
-        raise DomainError(f"exponent must be nonnegative, got {t}")
-    if order(t) == 0:
-        raise DomainError("the zero exponent has no coefficient; theta(0) = 0 identically")
-    return _coefficients(sys, [t])[t]
-
-
 def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
     """All Maclaurin coefficients with 1 <= |t| <= max_order as one polynomial."""
     if max_order < 1:
@@ -248,65 +155,6 @@ def _coefficients(sys: MultiLSDS, exps: list[tuple[int, ...]]) -> dict:
         t: float(multinomial(t)) * table[t] if order(t) >= 2 else sys.d[t.index(1)]
         for t in exps
     }
-
-
-def conjugate_transfer_check(
-    sys: MultiLSDS, points: Sequence[Sequence[complex]]
-) -> float:
-    """Largest deviation of the adjoint-system transfer from the reflected
-    adjoint value over the given points."""
-    z = np.asarray(points, dtype=complex)
-    if not z.size:
-        return 0.0
-    lhs = transfer_eval(conjugate(sys), z)
-    rhs = transfer_eval(sys, z.conj()).conj().swapaxes(-1, -2)
-    return _largest_norm(lhs - rhs)
-
-
-@dataclass(frozen=True)
-class SchurSampleReport:
-    max_norm: float
-    tuple_count: int
-    radius: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_norm <= 1.0 + self.tol
-
-
-def schur_agler_sample_test(
-    theta: MatrixPolynomial,
-    tuples: Sequence[CommutingTuple],
-    r: float,
-    tol: float = 1e-9,
-) -> SchurSampleReport:
-    """Sample the Schur-class contractivity property on commuting tuples.
-
-    Each coefficient acts through a Kronecker product on the left factor,
-    the tuple multipower (scaled by r^|t|) on the right.  Pass means the
-    largest operator norm over the supplied tuples stayed within 1 + tol;
-    this certifies nothing beyond the sample.
-    """
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"radius must lie in (0, 1), got {r}")
-    if not tuples:
-        raise DomainError("need at least one commuting tuple")
-    worst = 0.0
-    for ct in tuples:
-        if ct.n != theta.n:
-            raise ArityError(
-                f"tuple has {ct.n} members, polynomial has {theta.n} variables"
-            )
-        acc = np.zeros(
-            (theta.shape[0] * ct.size, theta.shape[1] * ct.size), dtype=complex
-        )
-        for t, m in theta.coeffs.items():
-            acc += np.kron(m, (r ** order(t)) * ct.power(t))
-        worst = max(worst, spectral_norm(acc))
-    return SchurSampleReport(
-        max_norm=worst, tuple_count=len(tuples), radius=r, tol=tol
-    )
 
 
 def schwarz_split(theta: MatrixPolynomial, tol: float = 0.0) -> MatrixPolynomial:

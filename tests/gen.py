@@ -8,7 +8,6 @@ import numpy as np
 
 from ndsys import (
     AglerData,
-    CommutingTuple,
     LatticeSignal,
     MatrixPolynomial,
     MultiLSDS,
@@ -63,6 +62,27 @@ def conservative_system(rng, n, dim_x, dim_io):
     )
 
 
+def with_unitary_summand(rng):
+    """A conservative n=2 system (2 states, 2 in/out) plus a closed
+    conservative 2-state corner that touches no port: the sum is still
+    conservative, but the corner never connects, so only 2 of its 4 states
+    are closely connected."""
+    base = conservative_system(rng, 2, 2, 2)
+    corner = conservative_system(rng, 2, 2, 0)
+    grown_a = []
+    for k in range(2):
+        block = np.zeros((4, 4), dtype=complex)
+        block[:2, :2] = base.a[k]
+        block[2:, 2:] = corner.a[k]
+        grown_a.append(block)
+    return MultiLSDS(
+        a=OperatorTuple(tuple(grown_a)),
+        b=OperatorTuple(tuple(np.vstack([base.b[k], np.zeros((2, 2))]) for k in range(2))),
+        c=OperatorTuple(tuple(np.hstack([base.c[k], np.zeros((2, 2))]) for k in range(2))),
+        d=base.d,
+    )
+
+
 def dissipative_system(rng, n, dim_x, dim_io, mixtures=3):
     """Convex combination of conservative members: dissipative, and
     strictly so with probability one."""
@@ -97,21 +117,6 @@ def random_system(rng, n, dim_x, dim_in, dim_out, scale=0.5):
         c=OperatorTuple(tuple(draw(dim_out, dim_x) for _ in range(n))),
         d=OperatorTuple(tuple(draw(dim_out, dim_in) for _ in range(n))),
     )
-
-
-def contraction_tuple(rng, n, dim, norm_cap=0.8):
-    """Commuting strict contractions: polynomials of one random matrix."""
-    t = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    t *= norm_cap / np.linalg.norm(t, 2)
-    members = []
-    for _ in range(n):
-        coeffs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        m = coeffs[0] * np.eye(dim) + coeffs[1] * t + coeffs[2] * t @ t
-        nrm = np.linalg.norm(m, 2)
-        if nrm > norm_cap:
-            m *= norm_cap / nrm
-        members.append(m)
-    return CommutingTuple(tuple(members))
 
 
 def random_signal(rng, n, dim, points):

@@ -16,10 +16,8 @@ from ndsys import (
     block_structure,
     builtin_examples,
     closely_connected_subspace,
-    completely_nonunitary_check,
     conservativity_check,
     dissipativity_scan,
-    reduce_closely_connected,
     transfer_eval,
 )
 from ndsys.system import conjugate
@@ -300,10 +298,19 @@ def test_decoupled_state_block_is_dropped():
 
 
 def test_reduction_preserves_the_transfer_function():
+    # compressing onto the closely connected subspace drops an invariant
+    # complement that no input reaches and no output observes
     rng = np.random.default_rng(7)
     base = gen.conservative_system(rng, 2, 2, 2)
-    reduced, basis = reduce_closely_connected(base)
-    assert reduced.dim_x == basis.shape[1]
+    q = closely_connected_subspace(base)
+    qh = q.conj().T
+    reduced = MultiLSDS(
+        a=OperatorTuple(tuple(qh @ base.a[k] @ q for k in range(2))),
+        b=OperatorTuple(tuple(qh @ base.b[k] for k in range(2))),
+        c=OperatorTuple(tuple(base.c[k] @ q for k in range(2))),
+        d=base.d,
+    )
+    assert reduced.dim_x == q.shape[1]
     for _ in range(5):
         z = tuple(0.6 * np.exp(2j * np.pi * rng.random()) for _ in range(2))
         gap = np.abs(transfer_eval(base, z) - transfer_eval(reduced, z)).max()
@@ -311,36 +318,15 @@ def test_reduction_preserves_the_transfer_function():
 
 
 def test_cnu_flags_for_the_examples():
-    ex = builtin_examples()
-    assert completely_nonunitary_check(ex["alpha"]).completely_nonunitary
-    assert completely_nonunitary_check(ex["alpha_prime"]).completely_nonunitary
+    # a conservative system is completely nonunitary exactly when its
+    # whole state space is closely connected
+    for sys in builtin_examples().values():
+        assert conservativity_check(sys).passed
+        assert closely_connected_subspace(sys).shape[1] == sys.dim_x
 
 
 def test_cnu_detects_a_unitary_summand():
-    # direct sum with a closed conservative corner that touches no port:
-    # still conservative, but the corner never connects
-    rng = np.random.default_rng(8)
-    base = gen.conservative_system(rng, 2, 2, 2)
-    corner = gen.conservative_system(rng, 2, 2, 0)
-    grown_a = []
-    for k in range(2):
-        block = np.zeros((4, 4), dtype=complex)
-        block[:2, :2] = base.a[k]
-        block[2:, 2:] = corner.a[k]
-        grown_a.append(block)
-    grown = MultiLSDS(
-        a=OperatorTuple(tuple(grown_a)),
-        b=OperatorTuple(tuple(np.vstack([base.b[k], np.zeros((2, 2))]) for k in range(2))),
-        c=OperatorTuple(tuple(np.hstack([base.c[k], np.zeros((2, 2))]) for k in range(2))),
-        d=base.d,
-    )
+    grown = gen.with_unitary_summand(np.random.default_rng(8))
     assert conservativity_check(grown).passed
-    report = completely_nonunitary_check(grown)
-    assert not report.completely_nonunitary
-    assert report.connected_dim == 2 and report.dim_x == 4
-
-
-def test_cnu_requires_conservative_by_default():
-    sys = gen.dissipative_system(np.random.default_rng(9), 2, 2, 2)
-    with pytest.raises(PreconditionError):
-        completely_nonunitary_check(sys)
+    assert grown.dim_x == 4
+    assert closely_connected_subspace(grown).shape[1] == 2

@@ -671,6 +671,50 @@ def test_non_finite_tol_from_env_or_config_is_an_input_error(capsys, tmp_path, m
     assert code == 2 and "tol" in err
 
 
+def test_negative_tol_from_flag_config_or_env_is_an_input_error(capsys, tmp_path, monkeypatch):
+    code, report, err = run(capsys, ["check", "builtin:alpha", "--tol", "-1"])
+    assert code == 2 and report is None
+    assert "input error" in err and "tol must be a finite number >= 0" in err
+
+    config = write(tmp_path, "config.json", {"tol": -0.5})
+    code, _, err = run(capsys, ["check", "builtin:alpha", "--config", config])
+    assert code == 2 and "tol must be a finite number >= 0" in err
+
+    monkeypatch.setenv("NDSYS_TOL", "-0.5")
+    code, _, err = run(capsys, ["check", "builtin:alpha"])
+    assert code == 2 and "tol must be a finite number >= 0" in err
+
+    code, report, _ = run(capsys, ["check", "builtin:alpha", "--tol", "0"])
+    assert code == 0 and report["parameters"]["tol"] == 0.0
+
+
+def test_config_naming_config_is_an_input_error(capsys, tmp_path):
+    config = write(tmp_path, "config.json", {"config": "nonexistent.json"})
+    code, report, err = run(capsys, ["check", "builtin:alpha", "--config", config])
+    assert code == 2 and report is None
+    assert "input error" in err and "'config'" in err
+
+
+@pytest.mark.parametrize("box", ["0:3:9,0:3", "0:3,1:2:"])
+def test_box_axis_that_is_not_lo_hi_is_an_input_error(capsys, tmp_path, box):
+    impulse = impulse_file(tmp_path)
+    for argv in (
+        ["simulate", "builtin:alpha", "--input", impulse, "--box", box, "--nmax", "2"],
+        ["laxphillips", "builtin:alpha", "--op", "metric", "--box", box],
+    ):
+        code, report, err = run(capsys, argv)
+        assert code == 2 and report is None, argv
+        assert "input error" in err and "box must look like" in err, argv
+
+
+def test_check_reports_a_unitary_summand_as_not_closely_connected(capsys, tmp_path):
+    grown = gen.with_unitary_summand(np.random.default_rng(8))
+    code, report, _ = run(capsys, ["check", write(tmp_path, "grown.json", ser.system_to_json(grown))])
+    assert code == 0
+    assert report["results"]["conservativity"]["passed"] is True
+    assert report["results"]["closely_connected"] == {"dim_state": 4, "dim_connected": 2}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_result_is_an_input_error(capsys, tmp_path):
     one = [[[1.0, 0.0]]]

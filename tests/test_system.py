@@ -19,7 +19,6 @@ from ndsys import (
     builtin_examples,
     closed_form,
     energy_balance_report,
-    front_energy,
     maclaurin_poly,
     simulate,
     validate,
@@ -322,13 +321,6 @@ def test_octant_data_reads_negative_coordinates_exactly():
     result = simulate(sys, window, inp, empty(2, 2))
     assert result.octant_exact
     assert not result.contaminated_states
-
-
-def test_front_energy_values():
-    sig = LatticeSignal(2, 1, {(0, 0): np.array([1.0 + 0j]), (1, 0): np.array([2.0j])})
-    assert np.isclose(front_energy(sig, 0), 1.0)
-    assert np.isclose(front_energy(sig, 1), 4.0)
-    assert front_energy(sig, 5) == 0.0
 
 
 def test_energy_ledger_worked_rows():
