@@ -392,6 +392,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
         if not math.isfinite(args.tol) or args.tol < 0:
             raise DomainError(f"tol must be a finite number >= 0, got {args.tol!r}")
+        if args.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {args.seed}")
         inputs: list = []
         results = _DISPATCH[args.command](args, inputs)
         text = serialization.dump(

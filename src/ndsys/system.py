@@ -10,22 +10,26 @@ direction:
 
 with initial state data prescribed on the zero-order front.  Two trajectory
 evaluators are provided: the recursion itself (`simulate`) and the closed
-multipower form (`closed_form`); they are independent code paths and must
-agree on uncontaminated window points.  `simulate` steps whole fronts
-(Lamport's hyperplanes: a front depends only on the one before it) as dense
-arrays, and `energy_balance_report` buckets every signal by order in one
-pass, so both are linear in the window.
+multipower form (`closed_form`).  Both are array code on one window index,
+the box points of fronts 0..n_max in front order, and they stay numerically
+independent, so they must agree on uncontaminated window points: `simulate`
+steps whole fronts (Lamport's hyperplanes: a front depends only on the one
+before it) through the blocks, and `closed_form` gathers the data at
+``t - d`` once per offset ``d`` through the multipower tables.
+`energy_balance_report` buckets every signal by order in one pass, so it is
+linear in the window.  A window of more than 2**24 values, and a closed form
+of more than 2**26 point-offset pairs, is refused before it is allocated.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ShapeError
-from .lattice import Box, LatticeSignal, SimulationWindow, _row_locator, order, sub
+from .lattice import Box, LatticeSignal, SimulationWindow, _row_locator, order
 from .pencil import (
     OperatorTuple,
     bordered_multipower_table,
@@ -45,6 +49,9 @@ __all__ = [
     "EnergyRow",
     "EnergyReport",
 ]
+
+_VALUE_BUDGET = 2**24  # window points times (dim_x + dim_in + dim_out)
+_PAIR_BUDGET = 2**26  # closed-form window points times the offsets in their cones
 
 
 @dataclass(frozen=True)
@@ -226,6 +233,57 @@ def _scatter(signal: LatticeSignal, box: Box, n_max: int, locate, rows: np.ndarr
     rows[locate(signal.points[inside])] = signal.values[inside]
 
 
+def _window_index(box: Box, n_max: int, width: int):
+    """The box points of order 0..n_max, front by front and lexicographically
+    within a front: their ``(P, n)`` coordinates, the first row of each front
+    0..top+1 (top the highest nonempty front, 0 for an empty window) and
+    their `_row_locator`.
+
+    Each axis is clipped to the values that its window points take, then the
+    prefixes grow one axis at a time by their feasible ranges, so the cost
+    follows the point count however wide the box.  More than
+    ``_VALUE_BUDGET`` values, ``width`` a point, are refused before they are
+    allocated.
+    """
+    n = box.n
+    lo = [max(a, b - sum(box.hi)) for a, b in zip(box.lo, box.hi)]
+    hi = [min(b, n_max - sum(box.lo) + a) for a, b in zip(box.lo, box.hi)]
+    if sum(max(-a, b) for a, b in zip(lo, hi)) >= 2**62:
+        raise DomainError(f"the window {lo}..{hi} reaches past the int64 lattice range")
+    top = min(n_max, sum(hi))
+    coords, orders = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        first = np.maximum(lo[i], -orders - sum(hi[i + 1 :]))
+        count = np.maximum(np.minimum(hi[i], top - orders - sum(lo[i + 1 :])) - first + 1, 0)
+        total = count.sum(dtype=float)  # every prefix grows into a window point
+        if total * width > _VALUE_BUDGET:
+            raise DomainError(
+                f"the window holds {total:.0f} points or more of {width} values each, "
+                "past the budget of 2**24 values"
+            )
+        col = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(total))
+        coords = np.column_stack([np.repeat(coords, count, axis=0), col])
+        orders = np.repeat(orders, count) + col
+    perm = np.argsort(orders, kind="stable")
+    coords, orders = coords[perm], orders[perm]
+    bounds = np.searchsorted(orders, np.arange(int(orders.max(initial=0)) + 2))
+    return coords, bounds, _row_locator(coords)
+
+
+def _result(window, coords, bounds, x, y, dirty, octant) -> SimulationResult:
+    """The trajectory from its window arrays; outputs start on front 1."""
+    masked = frozenset(map(tuple, coords[dirty].tolist()))
+    first = int(bounds[1])
+    return SimulationResult(
+        window=window,
+        states=LatticeSignal.from_arrays(window.n, x.shape[1], coords, x),
+        outputs=LatticeSignal.from_arrays(window.n, y.shape[1], coords[first:], y[first:]),
+        contaminated_states=masked,
+        contaminated_outputs=masked,
+        octant_exact=octant,
+    )
+
+
 def simulate(
     sys: MultiLSDS,
     window: SimulationWindow,
@@ -246,13 +304,8 @@ def simulate(
     box, n_max = window.box, window.n_max
     octant = _octant_exact(input_signal, init)
     n, dim_x, dim_in = sys.n, sys.dim_x, sys.dim_in
-
-    fronts = [box.front(f) for f in range(n_max + 1)]
-    points = [t for front in fronts for t in front]
-    bounds = np.cumsum([0] + [len(front) for front in fronts])
-    size = len(points)
-    coords = np.array(points, dtype=np.int64).reshape(size, n)
-    locate = _row_locator(coords)
+    coords, bounds, locate = _window_index(box, n_max, dim_x + dim_in + sys.dim_out)
+    size = len(coords)
 
     # state and input side by side, plus one zero row that off-box reads hit
     z = np.zeros((size + 1, dim_x + dim_in), dtype=complex)
@@ -273,23 +326,13 @@ def simulate(
         dirty_read[:, k] = ~inside & ~exact_zero
 
     dirty = np.zeros(size + 1, dtype=bool)
-    for f in range(1, n_max + 1):
+    for f in range(1, len(bounds) - 1):
         rows = slice(bounds[f], bounds[f + 1])
         step = z[pred[rows]].reshape(-1, n * (dim_x + dim_in)) @ gains
         z[rows, :dim_x] = step[:, :dim_x]
         y[rows] = step[:, dim_x:]
         dirty[rows] = (dirty[pred[rows]] | dirty_read[rows]).any(axis=1)
-
-    masked = frozenset(points[i] for i in np.flatnonzero(dirty[:size]))
-    first = int(bounds[1])
-    return SimulationResult(
-        window=window,
-        states=LatticeSignal.from_arrays(n, dim_x, coords, z[:size, :dim_x]),
-        outputs=LatticeSignal.from_arrays(n, sys.dim_out, coords[first:], y[first:]),
-        contaminated_states=masked,
-        contaminated_outputs=masked,
-        octant_exact=octant,
-    )
+    return _result(window, coords, bounds, z[:size, :dim_x], y, dirty[:size], octant)
 
 
 def closed_form(
@@ -300,77 +343,60 @@ def closed_form(
 ) -> SimulationResult:
     """Evaluate the trajectory from the multipower sum instead of stepping.
 
-    Each window point is assembled directly from initial data and inputs in
-    its dependency cone, weighted by multinomially normalized multipowers.
-    Contamination masks agree with `simulate` exactly: both reduce to
-    whether the cone leaves the trusted region.
+    A point ``t`` of order ``f`` sums, over the offsets ``d`` with
+    ``1 <= |d| <= f``, the input at ``t - d`` (and for ``|d| = f`` the
+    initial data there) through the multipowers of ``d`` weighted by
+    ``multinomial(d)``.  The loop runs over the offsets: one gather of the
+    rows ``t - d``, with off-box reads hitting a zero row, and one product
+    per table serve every point of order ``>= |d|`` at once.  Contamination
+    masks agree with `simulate` exactly: both reduce to whether the cone
+    leaves the trusted region.  More than ``_PAIR_BUDGET`` point-offset
+    pairs are refused before any table is built.
     """
     _check_signals(sys, window, input_signal, init)
     box = window.box
     octant = _octant_exact(input_signal, init)
-    n, n_max = sys.n, window.n_max
+    n, dim_x, dim_in = sys.n, sys.dim_x, sys.dim_in
+    coords, bounds, locate = _window_index(box, window.n_max, dim_x + dim_in + sys.dim_out)
+    size, top = len(coords), len(bounds) - 2
+    pairs = sum(int(p) * (math.comb(f + n, n) - 1) for f, p in enumerate(np.diff(bounds)))
+    if pairs > _PAIR_BUDGET:
+        raise DomainError(
+            f"the closed form needs {pairs} point-offset pairs, past the budget of 2**26"
+        )
 
-    offsets = [
-        d
-        for d in itertools.product(range(n_max + 1), repeat=n)
-        if 0 < sum(d) <= n_max
-    ]
-    pow_a = sym_multipower_table(sys.a, offsets)
-    pow_ab = bordered_multipower_table("right", sys.a, offsets, b=sys.b)
-    pow_ca = bordered_multipower_table("left", sys.a, offsets, c=sys.c)
-    pow_cab = bordered_multipower_table("both", sys.a, offsets, b=sys.b, c=sys.c)
+    # the offsets are the window index of the cube 0..top
+    offsets = _window_index(Box((0,) * n, (top,) * n), top, n)[0]
+    keys = list(map(tuple, offsets.tolist()))
+    pow_a = sym_multipower_table(sys.a, keys)
+    pow_ab = bordered_multipower_table("right", sys.a, keys, b=sys.b)
+    pow_ca = bordered_multipower_table("left", sys.a, keys, c=sys.c)
+    pow_cab = bordered_multipower_table("both", sys.a, keys, b=sys.b, c=sys.c)
 
-    states: dict[tuple[int, ...], np.ndarray] = {}
-    outputs: dict[tuple[int, ...], np.ndarray] = {}
-    dirty_states: set[tuple[int, ...]] = set()
-    dirty_outputs: set[tuple[int, ...]] = set()
-
-    for t in box.front(0):
-        states[t] = init.value(t)
-
-    def read(signal: LatticeSignal, p):
-        """The signal's value at ``p`` and whether the read is contaminated."""
-        if box.contains(p):
-            return signal.value(p), False
-        return np.zeros(signal.dim, dtype=complex), not (octant and min(p) < 0)
-
-    for front in range(1, n_max + 1):
-        for t in box.front(front):
-            x_acc = np.zeros(sys.dim_x, dtype=complex)
-            y_acc = np.zeros(sys.dim_out, dtype=complex)
-            dirty = False
-            for d in offsets:
-                nd = sum(d)
-                if nd > front:
-                    continue
-                p = sub(t, d)
-                weight = float(multinomial(d))
-                if nd == front:
-                    x0, dirty_read = read(init, p)
-                    dirty = dirty or dirty_read
-                    x_acc += weight * (pow_a[d] @ x0)
-                    y_acc += weight * (pow_ca[d] @ x0)
-                uv, dirty_read = read(input_signal, p)
-                dirty = dirty or dirty_read
-                x_acc += weight * (pow_ab[d] @ uv)
-                if nd == 1:
-                    y_acc += sys.d[d.index(1)] @ uv
-                elif nd >= 2:
-                    y_acc += weight * (pow_cab[d] @ uv)
-            states[t] = x_acc
-            outputs[t] = y_acc
-            if dirty:
-                dirty_states.add(t)
-                dirty_outputs.add(t)
-
-    return SimulationResult(
-        window=window,
-        states=LatticeSignal(n, sys.dim_x, states),
-        outputs=LatticeSignal(n, sys.dim_out, outputs),
-        contaminated_states=frozenset(dirty_states),
-        contaminated_outputs=frozenset(dirty_outputs),
-        octant_exact=octant,
-    )
+    # input and initial data on the window, plus one zero row that off-box reads hit
+    u = np.zeros((size + 1, dim_in), dtype=complex)
+    x0 = np.zeros((size + 1, dim_x), dtype=complex)
+    _scatter(input_signal, box, window.n_max, locate, u)
+    _scatter(init, box, 0, locate, x0)
+    x = x0[:size].copy()  # front 0 keeps the initial data, the sums start from zero above it
+    y = np.zeros((size, sys.dim_out), dtype=complex)
+    dirty = np.zeros(size, dtype=bool)
+    lo = np.array(box.lo)
+    for d, key in zip(offsets[1:], keys[1:]):
+        m = sum(key)
+        rows, front = slice(bounds[m], size), slice(bounds[m], bounds[m + 1])
+        p = coords[rows] - d
+        inside = (p >= lo).all(axis=1)
+        src = np.full(len(p), size)
+        src[inside] = locate(p[inside])
+        dirty[rows] |= ~inside & ~(octant & (p < 0).any(axis=1))
+        w = float(multinomial(key))
+        xv, uv = x0[src[: front.stop - front.start]], u[src]
+        x[front] += xv @ (w * pow_a[key]).T
+        y[front] += xv @ (w * pow_ca[key]).T
+        x[rows] += uv @ (w * pow_ab[key]).T
+        y[rows] += uv @ (sys.d[key.index(1)] if m == 1 else w * pow_cab[key]).T
+    return _result(window, coords, bounds, x, y, dirty, octant)
 
 
 @dataclass(frozen=True)

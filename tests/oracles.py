@@ -1,10 +1,12 @@
 """Point-by-point reference evaluators for the array engines.
 
 `simulate_dict` steps the recursion one lattice point at a time with a dict
-entry per point, and `energy_balance_report_dict` rescans every signal once
-per front.  Both follow the definitions word for word and are slow; the
-library's `simulate` and `energy_balance_report` must reproduce them: values
-to rounding, masks and contamination flags exactly.
+entry per point, `closed_form_dict` sums each point's dependency cone one
+offset at a time, and `energy_balance_report_dict` rescans every signal
+once per front.  All three follow the definitions word for word and are
+slow; the library's `simulate`, `closed_form` and `energy_balance_report`
+must reproduce them: values to rounding, masks and contamination flags
+exactly.
 
 `eval_pencil_point`, `dissipativity_scan_pointwise`, `transfer_eval_point`
 and `transfer_eval_series_point` evaluate the pencil, the torus scan and
@@ -74,7 +76,7 @@ from ndsys import (
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.lattice import add, order, sub, unit
 from ndsys.laxphillips import _check_dims
-from ndsys.pencil import _closure
+from ndsys.pencil import _closure, bordered_multipower_table, multinomial, sym_multipower_table
 from ndsys.serialization import Rows, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
@@ -131,6 +133,77 @@ def simulate_dict(sys, window, input_signal, init):
     return SimulationResult(
         window=window,
         states=LatticeSignal(n, dim_x, states),
+        outputs=LatticeSignal(n, sys.dim_out, outputs),
+        contaminated_states=frozenset(dirty_states),
+        contaminated_outputs=frozenset(dirty_outputs),
+        octant_exact=octant,
+    )
+
+
+def closed_form_dict(sys, window, input_signal, init):
+    """The multipower sum assembled point by point, offset by offset, over
+    every offset of order at most n_max."""
+    _check_signals(sys, window, input_signal, init)
+    box = window.box
+    octant = _octant_exact(input_signal, init)
+    n, n_max = sys.n, window.n_max
+
+    offsets = [
+        d
+        for d in itertools.product(range(n_max + 1), repeat=n)
+        if 0 < sum(d) <= n_max
+    ]
+    pow_a = sym_multipower_table(sys.a, offsets)
+    pow_ab = bordered_multipower_table("right", sys.a, offsets, b=sys.b)
+    pow_ca = bordered_multipower_table("left", sys.a, offsets, c=sys.c)
+    pow_cab = bordered_multipower_table("both", sys.a, offsets, b=sys.b, c=sys.c)
+
+    states: dict[tuple[int, ...], np.ndarray] = {}
+    outputs: dict[tuple[int, ...], np.ndarray] = {}
+    dirty_states: set[tuple[int, ...]] = set()
+    dirty_outputs: set[tuple[int, ...]] = set()
+
+    for t in box.front(0):
+        states[t] = init.value(t)
+
+    def read(signal: LatticeSignal, p):
+        """The signal's value at ``p`` and whether the read is contaminated."""
+        if box.contains(p):
+            return signal.value(p), False
+        return np.zeros(signal.dim, dtype=complex), not (octant and min(p) < 0)
+
+    for front in range(1, n_max + 1):
+        for t in box.front(front):
+            x_acc = np.zeros(sys.dim_x, dtype=complex)
+            y_acc = np.zeros(sys.dim_out, dtype=complex)
+            dirty = False
+            for d in offsets:
+                nd = sum(d)
+                if nd > front:
+                    continue
+                p = sub(t, d)
+                weight = float(multinomial(d))
+                if nd == front:
+                    x0, dirty_read = read(init, p)
+                    dirty = dirty or dirty_read
+                    x_acc += weight * (pow_a[d] @ x0)
+                    y_acc += weight * (pow_ca[d] @ x0)
+                uv, dirty_read = read(input_signal, p)
+                dirty = dirty or dirty_read
+                x_acc += weight * (pow_ab[d] @ uv)
+                if nd == 1:
+                    y_acc += sys.d[d.index(1)] @ uv
+                elif nd >= 2:
+                    y_acc += weight * (pow_cab[d] @ uv)
+            states[t] = x_acc
+            outputs[t] = y_acc
+            if dirty:
+                dirty_states.add(t)
+                dirty_outputs.add(t)
+
+    return SimulationResult(
+        window=window,
+        states=LatticeSignal(n, sys.dim_x, states),
         outputs=LatticeSignal(n, sys.dim_out, outputs),
         contaminated_states=frozenset(dirty_states),
         contaminated_outputs=frozenset(dirty_outputs),

@@ -688,6 +688,42 @@ def test_negative_tol_from_flag_config_or_env_is_an_input_error(capsys, tmp_path
     assert code == 0 and report["parameters"]["tol"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "builtin:alpha", "--seed", "-1"],
+        ["realize", "DATA", "--seed", "-5"],
+        ["laxphillips", "builtin:alpha", "--op", "metric", "--box=-2:2,-2:2", "--seed", "-5"],
+        ["laxphillips", "builtin:alpha", "--op", "commute", "--box=-2:2,-2:2", "--seed", "-5"],
+    ],
+)
+def test_negative_seed_is_an_input_error(capsys, tmp_path, argv):
+    data = write(tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30)))
+    argv = [data if a == "DATA" else a for a in argv]
+    code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert "input error: seed must be >= 0" in err
+    config = write(tmp_path, "config.json", {"seed": -3})
+    code, _, err = run(capsys, argv[:-2] + ["--config", config])
+    assert code == 2 and "seed must be >= 0" in err
+
+
+def test_window_budgets_are_input_errors(capsys, tmp_path):
+    impulse = impulse_file(tmp_path)
+    sim = ["simulate", "builtin:alpha", "--input", impulse]
+    wide = sim + ["--box", "0:3000,0:3000", "--nmax", "6000"]
+    for argv in (wide, wide + ["--closed-form"]):
+        code, report, err = run(capsys, argv)
+        assert code == 2 and report is None
+        assert "input error" in err and "budget of 2**24 values" in err
+    deep = sim + ["--box", "0:200,0:200", "--nmax", "400"]
+    code, report, err = run(capsys, deep + ["--closed-form"])
+    assert code == 2 and report is None
+    assert "input error" in err and "point-offset pairs, past the budget of 2**26" in err
+    code, report, _ = run(capsys, deep)
+    assert code == 0 and len(report["results"]["energy"]["rows"]) == 400
+
+
 def test_config_naming_config_is_an_input_error(capsys, tmp_path):
     config = write(tmp_path, "config.json", {"config": "nonexistent.json"})
     code, report, err = run(capsys, ["check", "builtin:alpha", "--config", config])

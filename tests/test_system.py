@@ -23,7 +23,7 @@ from ndsys import (
     simulate,
     validate,
 )
-from ndsys.system import conjugate
+from ndsys.system import _window_index, conjugate
 
 
 def impulse(n, dim):
@@ -257,6 +257,55 @@ def test_front_engine_and_ledger_match_the_pointwise_oracles(case):
     )
 
 
+@settings(max_examples=80, deadline=None)
+@given(windows())
+def test_offset_gathers_match_the_pointwise_closed_form(case):
+    sys, window, inp, init = case
+    got = closed_form(sys, window, inp, init)
+    want = oracles.closed_form_dict(sys, window, inp, init)
+    assert np.array_equal(got.states.points, want.states.points)
+    assert np.array_equal(got.outputs.points, want.outputs.points)
+    _assert_results_agree(got, want)
+
+
+@pytest.mark.parametrize(
+    "box, n_max",
+    [
+        (Box((-2, -1), (2, 3)), 4),
+        (Box((-2, 0, -1), (0, 2, 1)), 3),
+        (Box((3, -5), (4, -2)), 2),
+        (Box((-3,), (2,)), 5),
+        (Box((-4, -4), (-1, -1)), 3),  # every order negative: no point
+        (Box((0, 0), (1000, 1000)), 2),
+        (Box((-(10**19), 0, 0), (10**19, 1, 1)), 3),
+        (Box((0, 0, -(10**19)), (1, 1, 10**19)), 3),
+    ],
+)
+def test_window_index_is_the_front_walk(box, n_max):
+    coords, bounds, locate = _window_index(box, n_max, 1)
+    fronts = [box.front(f) for f in range(n_max + 1)]
+    assert [tuple(t) for t in coords.tolist()] == [t for front in fronts for t in front]
+    sizes = [len(front) for front in fronts]
+    top = max([f for f, size in enumerate(sizes) if size] or [0])
+    assert bounds.tolist() == np.cumsum([0] + sizes[: top + 1]).tolist()
+    assert np.array_equal(locate(coords), np.arange(len(coords)))
+
+
+def test_wide_windows_are_refused_before_they_are_built():
+    # per-axis counts whose integer sum would overflow int64, and a window
+    # whose points leave the int64 lattice range
+    for lo, hi in (((-(2**40),) * 2, (2**40,) * 2), ((0, -(2**60), -(2**60)), (3, 2**60, 2**60))):
+        n = len(lo)
+        sys = gen.random_system(np.random.default_rng(16), n, 1, 1, 1)
+        for evaluate in (simulate, closed_form):
+            with pytest.raises(DomainError, match="budget of 2\\*\\*24"):
+                evaluate(sys, SimulationWindow(Box(lo, hi), 2), impulse(n, 1), empty(n, 1))
+    far = SimulationWindow(Box((2**62, -(2**62)), (2**62 + 1, 1 - 2**62)), 1)
+    sys = gen.random_system(np.random.default_rng(17), 2, 1, 1, 1)
+    with pytest.raises(DomainError, match="int64 lattice range"):
+        simulate(sys, far, impulse(2, 1), empty(2, 1))
+
+
 def test_huge_box_with_few_fronts_stays_small():
     sys = gen.random_system(np.random.default_rng(13), 2, 2, 1, 1)
     window = SimulationWindow(Box((0, 0), (1000, 1000)), 2)
@@ -276,6 +325,8 @@ def test_box_wider_than_int64_keys():
     got = simulate(sys, window, inp, init)
     assert len(got.states.entries) == 16
     _assert_results_agree(got, oracles.simulate_dict(sys, window, inp, init))
+    closed = closed_form(sys, window, inp, init)
+    _assert_results_agree(closed, oracles.closed_form_dict(sys, window, inp, init))
 
 
 def test_general_box_contaminates_boundary_reads():
