@@ -107,7 +107,7 @@ class AglerData:
 
 
 class _Samples(NamedTuple):
-    """theta and the factors at S points, each evaluated once per point.
+    """theta and the factors at S points, each evaluated once per stack.
 
     ``z`` is (S, n) and ``theta`` is (S, p, q).  ``factors`` stacks F_1
     over ... over F_n, (S, sum m_k, q); ``g`` stacks z_1 F_1 over ... over
@@ -124,17 +124,14 @@ class _Samples(NamedTuple):
 
 def _sample(data: AglerData, points) -> _Samples:
     z = np.asarray(points, dtype=complex).reshape(-1, data.n)
-    count, q = len(z), data.in_dim
-    theta = np.array([data.theta.evaluate(p) for p in z], dtype=complex)
-    factors = np.array(
-        [np.vstack([f.evaluate(p) for f in data.factors]) for p in z], dtype=complex
-    ).reshape(count, sum(data.factor_dims), q)
+    q = data.in_dim
+    factors = np.concatenate([f.evaluate(z) for f in data.factors], axis=1)
     # weight on the left: numpy rounds w * F and F * w differently
     weighted = np.repeat(z, data.factor_dims, axis=1)[:, :, None] * factors
-    eye = np.broadcast_to(np.eye(q, dtype=complex), (count, q, q))
+    eye = np.broadcast_to(np.eye(q, dtype=complex), (len(z), q, q))
     return _Samples(
         z=z,
-        theta=theta.reshape(count, data.out_dim, q),
+        theta=data.theta.evaluate(z),
         factors=factors,
         g=np.concatenate([weighted, eye], axis=1),
     )

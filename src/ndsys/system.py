@@ -351,7 +351,8 @@ def closed_form(
     per table serve every point of order ``>= |d|`` at once.  Contamination
     masks agree with `simulate` exactly: both reduce to whether the cone
     leaves the trusted region.  More than ``_PAIR_BUDGET`` point-offset
-    pairs are refused before any table is built.
+    pairs, or a weight past int64 (RangeError), are refused before any
+    table is built.
     """
     _check_signals(sys, window, input_signal, init)
     box = window.box
@@ -364,6 +365,10 @@ def closed_form(
         raise DomainError(
             f"the closed form needs {pairs} point-offset pairs, past the budget of 2**26"
         )
+    # the weight grows with the order and peaks at the most balanced offset,
+    # so that offset of the top order passes int64 first
+    even, extra = divmod(top, n)
+    multinomial((even + 1,) * extra + (even,) * (n - extra))
 
     # the offsets are the window index of the cube 0..top
     offsets = _window_index(Box((0,) * n, (top,) * n), top, n)[0]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -63,14 +63,22 @@ class MatrixPolynomial:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coeffs", clean)
 
-    def evaluate(self, z: Sequence[complex]) -> np.ndarray:
+    def evaluate(self, z) -> np.ndarray:
+        """The value at one point ``(n,)`` or at a stack ``(S, n)``: a
+        ``(p, q)`` matrix or an ``(S, p, q)`` stack, as for `eval_pencil`.
+        Terms are summed in dictionary order, each over every point at once."""
         z = np.asarray(z, dtype=complex)
-        if z.shape != (self.n,):
-            raise ArityError(f"point has shape {z.shape}, polynomial has {self.n} variables")
-        acc = np.zeros(self.shape, dtype=complex)
+        if z.ndim not in (1, 2) or z.shape[-1] != self.n:
+            raise ArityError(
+                f"points have shape {z.shape}, expected ({self.n},) or (S, {self.n})"
+            )
+        stack = z.reshape(-1, self.n)
+        acc = np.zeros((len(stack),) + self.shape, dtype=complex)
         for t, m in self.coeffs.items():
-            acc += m * np.prod(z**np.array(t))
-        return acc
+            # m[None], not m: broadcast over a one-point stack, a 1x1 m goes
+            # through another numpy multiply loop that rounds differently
+            acc += m[None] * np.prod(stack ** np.array(t), axis=1)[:, None, None]
+        return acc if z.ndim == 2 else acc[0]
 
     def term_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: (order(kv[0]), kv[0]))

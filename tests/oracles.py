@@ -13,11 +13,14 @@ and `transfer_eval_series_point` evaluate the pencil, the torus scan and
 the transfer function one point at a time.  The library's stacked versions
 must reproduce them bit for bit, errors included.
 
-`assemble_colligation_pointwise` is the realization built from per-point
-columns: `stack_g_columns` for the grid growth, `core_columns_pointwise` for
-the colligation core and `fresh_gaps_pointwise` for the fresh-point checks.
-The library samples each point once into stacks and must reproduce its
-residuals and realized matrices bit for bit.
+`matrix_poly_eval_point` sums a matrix polynomial term by term at one
+point; `MatrixPolynomial.evaluate` over a stack must reproduce it bit for
+bit.  `assemble_colligation_pointwise` is the realization built from
+per-point columns through it: `stack_g_columns` for the grid growth,
+`core_columns_pointwise` for the colligation core and
+`fresh_gaps_pointwise` for the fresh-point checks.  The library evaluates
+each function once per stack of points and must reproduce its residuals and
+realized matrices bit for bit.
 
 `apply_generator_dict` and `apply_adjoint_dict` are the scattering
 generators and their adjoints walked front by front with a dict entry per
@@ -357,11 +360,20 @@ def transfer_eval_series_point(sys, z, terms):
     return acc
 
 
+def matrix_poly_eval_point(poly, z):
+    """The polynomial's value at one point, summed term by term."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros(poly.shape, dtype=complex)
+    for t, m in poly.coeffs.items():
+        acc += m * np.prod(z ** np.array(t))
+    return acc
+
+
 def stack_g_columns(data, grid):
     """The g-columns [z_1 F_1(z); ...; z_n F_n(z); I] side by side."""
 
     def g(z):
-        parts = [z[k] * data.factors[k].evaluate(z) for k in range(data.n)]
+        parts = [z[k] * matrix_poly_eval_point(data.factors[k], z) for k in range(data.n)]
         parts.append(np.eye(data.in_dim, dtype=complex))
         return np.vstack(parts)
 
@@ -374,8 +386,8 @@ def identity_residual_pointwise(data, pts_a, pts_b):
     a, b = len(pts_a), len(pts_b)
 
     def stacked(points):
-        th = np.hstack([data.theta.evaluate(z) for z in points])
-        fs = [np.hstack([f.evaluate(z) for z in points]) for f in data.factors]
+        th = np.hstack([matrix_poly_eval_point(data.theta, z) for z in points])
+        fs = [np.hstack([matrix_poly_eval_point(f, z) for z in points]) for f in data.factors]
         weights = [np.repeat([z[k] for z in points], q) for k in range(data.n)]
         return th, fs, weights
 
@@ -407,9 +419,10 @@ def core_columns_pointwise(data, grid, basis_x, f0):
     [basis_x^H (F(z) - F(0)); theta(z)], one point at a time."""
     dom, img = [], []
     for z in grid:
-        fz = np.vstack([f.evaluate(z) for f in data.factors])
-        dom.append(np.vstack([z[k] * data.factors[k].evaluate(z) for k in range(data.n)]))
-        img.append(np.vstack([basis_x.conj().T @ (fz - f0), data.theta.evaluate(z)]))
+        parts = [matrix_poly_eval_point(f, z) for f in data.factors]
+        dom.append(np.vstack([z[k] * parts[k] for k in range(data.n)]))
+        theta = matrix_poly_eval_point(data.theta, z)
+        img.append(np.vstack([basis_x.conj().T @ (np.vstack(parts) - f0), theta]))
     return np.hstack(dom), np.hstack(img)
 
 
@@ -418,9 +431,10 @@ def fresh_gaps_pointwise(data, system, basis_x, f0, fresh_points=100, seed=0):
     x_dim = basis_x.shape[1]
     transfer_gap = intermediate_gap = 0.0
     for z in random_disc_points(np.random.default_rng(seed), fresh_points, data.n):
-        gap = transfer_eval_point(system, z) - data.theta.evaluate(z)
+        gap = transfer_eval_point(system, z) - matrix_poly_eval_point(data.theta, z)
         transfer_gap = max(transfer_gap, float(np.linalg.norm(gap)))
-        lhs = basis_x.conj().T @ (np.vstack([f.evaluate(z) for f in data.factors]) - f0)
+        fz = np.vstack([matrix_poly_eval_point(f, z) for f in data.factors])
+        lhs = basis_x.conj().T @ (fz - f0)
         rhs = np.linalg.solve(
             np.eye(x_dim, dtype=complex) - eval_pencil_point(z, system.a),
             eval_pencil_point(z, system.b),
@@ -442,7 +456,7 @@ def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e
             break
         count *= 2
     probe = grid[:120]
-    f0 = np.vstack([f.evaluate((0.0,) * n) for f in work.factors])
+    f0 = np.vstack([matrix_poly_eval_point(f, (0.0,) * n) for f in work.factors])
     m_total = f0.shape[0]
     basis_x = np.linalg.svd(f0, full_matrices=True)[0][:, q:]
     x_dim = m_total - q

@@ -138,6 +138,32 @@ def test_simulate_writes_the_energy_ledger(capsys, tmp_path):
     assert lines[2] == "2,0.0,1.0,0.0,-1.0,-1.0,0"
 
 
+def test_closed_form_weight_overflow_exits_2_before_any_table(capsys, tmp_path, monkeypatch):
+    import ndsys.system
+
+    def build(*args, **kwargs):
+        raise AssertionError("closed_form built a multipower table")
+
+    monkeypatch.setattr(ndsys.system, "sym_multipower_table", build)
+    monkeypatch.setattr(ndsys.system, "bordered_multipower_table", build)
+    sys_obj = gen.random_system(np.random.default_rng(18), 3, 1, 1, 1)
+    sig = LatticeSignal(3, 1, {(80, 0, 0): np.array([1.0 + 0j])})
+    argv = [
+        "simulate",
+        write(tmp_path, "sys.json", ser.system_to_json(sys_obj)),
+        "--input",
+        write(tmp_path, "input.json", ser.signal_to_json(sig)),
+        "--box",
+        "80:80,0:0,0:0",
+        "--nmax",
+        "80",
+        "--closed-form",
+    ]
+    code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert "exceeds 64-bit range" in err and "Traceback" not in err
+
+
 def test_simulate_routes_agree(capsys, tmp_path):
     argv = [
         "simulate",

@@ -213,6 +213,17 @@ def test_rank_dead_zone_is_refused():
         assemble_colligation(fix, rank_tol=float(1.5 * rel[-1]))
 
 
+@pytest.mark.parametrize("padding", [1, 3])
+def test_padded_factor_evaluates_as_the_factor_over_zero_rows(padding):
+    data = gen.inner_fixture(np.random.default_rng(104), 3, 2)
+    work = _padded(data, padding)
+    z = halton_disc(40, 3, 0.8)
+    f0 = data.factors[0].evaluate(z)
+    zeros = np.zeros((len(z), padding, f0.shape[2]), dtype=complex)
+    assert oracles.same_bits(work.factors[0].evaluate(z), np.concatenate([f0, zeros], axis=1))
+    assert work.theta is data.theta and work.factors[1:] == data.factors[1:]
+
+
 ORACLE_CASES = [pytest.param(canonical_fixture(), id="canonical")] + [
     pytest.param(
         gen.inner_fixture(np.random.default_rng(100 + seed), n, q), id=f"inner-n{n}-q{q}"

@@ -14,12 +14,14 @@ from ndsys import (
     MultiLSDS,
     OperatorTuple,
     PreconditionError,
+    RangeError,
     ShapeError,
     SimulationWindow,
     builtin_examples,
     closed_form,
     energy_balance_report,
     maclaurin_poly,
+    multinomial,
     simulate,
     validate,
 )
@@ -304,6 +306,32 @@ def test_wide_windows_are_refused_before_they_are_built():
     sys = gen.random_system(np.random.default_rng(17), 2, 1, 1, 1)
     with pytest.raises(DomainError, match="int64 lattice range"):
         simulate(sys, far, impulse(2, 1), empty(2, 1))
+
+
+def test_closed_form_weight_overflow_is_refused_before_any_table(monkeypatch):
+    import ndsys.system
+
+    def build(*args, **kwargs):
+        raise AssertionError("closed_form built a multipower table")
+
+    monkeypatch.setattr(ndsys.system, "sym_multipower_table", build)
+    monkeypatch.setattr(ndsys.system, "bordered_multipower_table", build)
+    # one point of order 80: multinomial((27, 27, 26)) passes int64
+    sys = gen.random_system(np.random.default_rng(18), 3, 1, 1, 1)
+    window = SimulationWindow(Box((80, 0, 0), (80, 0, 0)), 80)
+    with pytest.raises(RangeError, match="exceeds 64-bit range"):
+        closed_form(sys, window, impulse(3, 1), empty(3, 1))
+
+
+@pytest.mark.parametrize("n, top", [(1, 30), (2, 66), (3, 43), (4, 20)])
+def test_top_order_weight_is_the_largest(n, top):
+    # the balanced offset of the top order bounds every offset's weight;
+    # 66 and 43 are the highest orders whose weights fit int64 at n = 2, 3
+    balanced = multinomial(
+        (top // n + 1,) * (top % n) + (top // n,) * (n - top % n)
+    )
+    offsets = _window_index(Box((0,) * n, (top,) * n), top, n)[0]
+    assert max(multinomial(d) for d in offsets.tolist()) == balanced
 
 
 def test_huge_box_with_few_fronts_stays_small():

@@ -313,6 +313,45 @@ def test_matrix_polynomial_evaluation():
     assert np.allclose(p.evaluate(z), [[0.5, 12.0j]])
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    terms=st.integers(0, 7),
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
+    count=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_evaluate_matches_the_pointwise_oracle_bitwise(n, terms, rows, cols, count, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = {
+        tuple(int(v) for v in rng.integers(0, 4, size=n)): rng.standard_normal((rows, cols))
+        + 1j * rng.standard_normal((rows, cols))
+        for _ in range(terms)
+    }
+    poly = MatrixPolynomial(n, (rows, cols), coeffs)
+    z = rng.uniform(-1, 1, size=(count, n)) + 1j * rng.uniform(-1, 1, size=(count, n))
+    got = poly.evaluate(z)
+    want = np.array(
+        [oracles.matrix_poly_eval_point(poly, p) for p in z], dtype=complex
+    ).reshape(count, rows, cols)
+    assert oracles.same_bits(got, want)
+    for point, value in zip(z, got):
+        assert oracles.same_bits(poly.evaluate(point), value)
+
+
+def test_evaluate_takes_an_empty_stack():
+    p = MatrixPolynomial(3, (2, 1), {(1, 0, 2): np.ones((2, 1))})
+    assert oracles.same_bits(p.evaluate(np.zeros((0, 3))), np.zeros((0, 2, 1), dtype=complex))
+
+
+@pytest.mark.parametrize("shape", [(5, 1), (5, 3), (2, 2, 2), (3,), (1,), ()])
+def test_evaluate_rejects_a_wrong_arity(shape):
+    p = MatrixPolynomial(2, (1, 1), {(1, 1): np.eye(1)})
+    with pytest.raises(ArityError):
+        p.evaluate(np.zeros(shape, dtype=complex))
+
+
 def test_matrix_polynomial_refuses_a_fractional_exponent():
     with pytest.raises(DomainError, match="lattice coordinate must be an integer"):
         MatrixPolynomial(2, (1, 1), {(1.5, 0): np.ones((1, 1))})
