@@ -46,6 +46,7 @@ from .numerics import _largest_norm, halton_disc
 from .system import closed_form, energy_balance_report, simulate, validate
 
 SCHEMA = "ndsys/1"
+_POINT_BUDGET = 2**24  # transfer points times (n + dim_x**2 + dim_out * dim_in)
 
 _INPUT_ERRORS = (
     DomainError,
@@ -193,9 +194,23 @@ def _transfer_points(args, n: int, inputs: list) -> np.ndarray:
     return coords.view(complex)[..., 0]
 
 
+def _check_point_budget(count: int, sys_obj) -> None:
+    width = sys_obj.n + sys_obj.dim_x**2 + sys_obj.dim_out * sys_obj.dim_in
+    if count * width > _POINT_BUDGET:
+        raise DomainError(
+            f"the transfer request holds {count} points of {width} values each, "
+            "past the budget of 2**24 values"
+        )
+
+
 def _cmd_transfer(args, inputs) -> dict:
     sys_obj = _load_system(args.system, inputs)
+    if args.series_terms is not None and args.series_terms < 0:
+        raise DomainError(f"series terms must be >= 0, got {args.series_terms}")
+    if args.points is None:
+        _check_point_budget(args.grid, sys_obj)  # before the grid is drawn
     pts = _transfer_points(args, sys_obj.n, inputs)
+    _check_point_budget(len(pts), sys_obj)
     vals = transfer.transfer_eval(sys_obj, pts)
     results = {"points": serialization.Rows("transfer value", z=pts, value=vals)}
     if args.series_terms is not None and len(pts):
@@ -206,7 +221,7 @@ def _cmd_transfer(args, inputs) -> dict:
         }
     if args.coeffs is not None:
         poly = transfer.maclaurin_poly(sys_obj, args.coeffs)
-        results["maclaurin"] = serialization.poly_to_json(poly)
+        results["maclaurin"] = serialization.poly_fields(poly)
     return results
 
 

@@ -133,6 +133,15 @@ def multinomial(s: Iterable[int]) -> int:
     return out
 
 
+def _check_weights(top: int, n: int) -> None:
+    """Raise RangeError if some multinomial weight of an index in n
+    variables, of order at most ``top``, passes int64.  The weight grows with
+    the order and peaks at the most balanced index, so that index of order
+    ``top`` passes first."""
+    even, extra = divmod(top, n)
+    multinomial((even + 1,) * extra + (even,) * (n - extra))
+
+
 def _closure(targets: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     """Downward closure of ``targets`` under unit subtraction, ordered by
     front then lexicographically."""

@@ -36,6 +36,7 @@ __all__ = [
     "signal_to_json",
     "json_to_signal",
     "poly_to_json",
+    "poly_fields",
     "json_to_poly",
     "lp_vector_fields",
     "lp_vector_to_json",
@@ -151,6 +152,21 @@ def poly_to_json(poly: MatrixPolynomial) -> dict:
         "terms": [
             {"t": list(t), "m": _matrix(m)} for t, m in poly.term_items()
         ],
+    }
+
+
+def poly_fields(poly: MatrixPolynomial) -> dict:
+    """The JSON layout of `poly_to_json` with its terms left as a `Rows`
+    table, which `dump` writes from its arrays with the same bytes."""
+    exps, mats = zip(*poly.term_items()) if poly.coeffs else ((), ())
+    return {
+        "n": poly.n,
+        "shape": list(poly.shape),
+        "terms": Rows(
+            "polynomial term",
+            t=np.array(exps, dtype=np.int64).reshape(len(exps), poly.n),
+            m=np.array(mats, dtype=complex).reshape((len(mats),) + poly.shape),
+        ),
     }
 
 

@@ -32,6 +32,7 @@ from .errors import DomainError, PreconditionError, ShapeError
 from .lattice import Box, LatticeSignal, SimulationWindow, _row_locator, order
 from .pencil import (
     OperatorTuple,
+    _check_weights,
     bordered_multipower_table,
     multinomial,
     sym_multipower_table,
@@ -365,10 +366,7 @@ def closed_form(
         raise DomainError(
             f"the closed form needs {pairs} point-offset pairs, past the budget of 2**26"
         )
-    # the weight grows with the order and peaks at the most balanced offset,
-    # so that offset of the top order passes int64 first
-    even, extra = divmod(top, n)
-    multinomial((even + 1,) * extra + (even,) * (n - extra))
+    _check_weights(top, n)
 
     # the offsets are the window index of the cube 0..top
     offsets = _window_index(Box((0,) * n, (top,) * n), top, n)[0]

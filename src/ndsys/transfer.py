@@ -12,6 +12,7 @@ multipowers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ArityError, DivergenceError, DomainError, ShapeError, SingularityError
 from .lattice import as_index, order
-from .pencil import bordered_multipower_table, eval_pencil, multinomial
+from .pencil import _check_weights, bordered_multipower_table, eval_pencil, multinomial
 from .system import MultiLSDS
 
 __all__ = [
@@ -31,6 +32,11 @@ __all__ = [
 ]
 
 _SINGULAR_REL = 1e-13
+# ||zA||_F <= 0.99 keeps sigma_min(I - zA) >= 0.01, far above the cut
+_RESOLVENT_SAFE = 0.99
+# ||zA||_2 <= ||zA||_F; the margin covers the rounding of both norms
+_CONTRACTION_MARGIN = 1 + 1e-12
+_TERM_BUDGET = 2**17  # Maclaurin coefficients; keeps every int64 order for n <= 4
 
 
 def _freeze_matrix(m, shape) -> np.ndarray:
@@ -84,10 +90,41 @@ class MatrixPolynomial:
         return sorted(self.coeffs.items(), key=lambda kv: (order(kv[0]), kv[0]))
 
 
-def _first(bad: np.ndarray):
-    """Index of the first flagged point of a point or a stack, else None."""
-    hits = np.flatnonzero(bad)
-    return np.unravel_index(hits[0], bad.shape) if hits.size else None
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of an ``(S, rows, cols)`` stack."""
+    return np.sqrt(np.square(stack.view(float)).sum(axis=(1, 2)))
+
+
+def _rows(m: np.ndarray) -> np.ndarray:
+    """An ``(S, r, c)`` complex stack as the ``(2r, c, S)`` real stack of its
+    real rows over its imaginary rows."""
+    r, m = m.shape[1], np.moveaxis(m, 0, -1)
+    out = np.empty((2 * r,) + m.shape[1:])
+    out[:r], out[r:] = m.real, m.imag
+    return out
+
+
+def _block(m: np.ndarray) -> np.ndarray:
+    """An ``(S, r, k)`` complex stack as the ``(2r, 2k, S)`` real stack of
+    ``[[re, -im], [im, re]]``, which maps `_rows` forms as ``m`` maps
+    complex ones."""
+    (r, k), m = m.shape[1:], np.moveaxis(m, 0, -1)
+    out = np.empty((2 * r, 2 * k, m.shape[2]))
+    out[:r, :k], out[:r, k:], out[r:, :k], out[r:, k:] = m.real, -m.imag, m.imag, m.real
+    return out
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pointwise product of ``(r, k, S)`` and ``(k, c, S)`` real stacks,
+    added up over the inner index in order.  Each step is one real multiply
+    or add over every point at once, so a point's value does not depend on
+    the rest of the stack or on the loop numpy picks for its shape."""
+    if not a.shape[1]:
+        return np.zeros((a.shape[0], b.shape[1], a.shape[2]))
+    out = a[:, 0, None] * b[0]
+    for k in range(1, a.shape[1]):
+        out += a[:, k, None] * b[k]
+    return out
 
 
 def transfer_eval(sys: MultiLSDS, z) -> np.ndarray:
@@ -96,57 +133,81 @@ def transfer_eval(sys: MultiLSDS, z) -> np.ndarray:
     ``z`` is one point ``(n,)`` or a stack ``(S, n)``, as for `eval_pencil`.
     Raises SingularityError (carrying the smallest singular value) for the
     first point where the resolvent factor I - zA is numerically singular.
+    A point with ||zA||_F <= 0.99 has sigma_min(I - zA) >= 0.01, so only
+    the points past that screen are checked by an SVD.
     """
     sys.require_wellformed()
     z = np.asarray(z, dtype=complex)
     zd = eval_pencil(z, sys.d)
     if sys.dim_x == 0:
         return zd
-    m = np.eye(sys.dim_x, dtype=complex) - eval_pencil(z, sys.a)
-    s = np.linalg.svd(m, compute_uv=False)
-    i = _first(s[..., -1] <= _SINGULAR_REL * np.maximum(1.0, s[..., 0]))
-    if i is not None:
-        raise SingularityError(
-            f"resolvent factor singular at z={tuple(z[i])}", sigma_min=float(s[i][-1])
-        )
+    za = eval_pencil(z, sys.a)
+    m = np.eye(sys.dim_x, dtype=complex) - za
+    stack = m.reshape(-1, sys.dim_x, sys.dim_x)
+    near = np.flatnonzero(~(_frobenius(za.reshape(stack.shape)) <= _RESOLVENT_SAFE))
+    if near.size:
+        # LAPACK factors each matrix alone, so a subset keeps its bits
+        s = np.linalg.svd(stack[near], compute_uv=False)
+        bad = np.flatnonzero(s[:, -1] <= _SINGULAR_REL * np.maximum(1.0, s[:, 0]))
+        if bad.size:
+            raise SingularityError(
+                f"resolvent factor singular at z={tuple(z.reshape(-1, sys.n)[near[bad[0]]])}",
+                sigma_min=float(s[bad[0], -1]),
+            )
     return zd + eval_pencil(z, sys.c) @ np.linalg.solve(m, eval_pencil(z, sys.b))
 
 
 def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
     """Partial Neumann sum zD + sum_{i<=terms} zC (zA)^i zB at a point or a
-    stack of points.
+    stack of points, summed by Horner's rule: h = zB, then ``terms`` times
+    h = zB + zA h, and zD + zC h.
 
     Requires the pencil value zA to be a strict contraction so the full
     series converges geometrically; the first point where it is not raises
-    DivergenceError.
+    DivergenceError.  ||zA|| <= ||zA||_F, so only the points that the
+    Frobenius norm cannot clear are checked by an SVD.
     """
     sys.require_wellformed()
     if terms < 0:
         raise DomainError(f"terms must be >= 0, got {terms}")
     z = np.asarray(z, dtype=complex)
     za = eval_pencil(z, sys.a)
-    norm_za = np.zeros(za.shape[:-2])
-    if sys.dim_x:
-        norm_za = np.linalg.svd(za, compute_uv=False)[..., 0]
-    i = _first(norm_za >= 1.0)
-    if i is not None:
-        raise DivergenceError(
-            f"series needs ||zA|| < 1, got {float(norm_za[i]):.6f} at z={tuple(z[i])}"
-        )
-    zc = eval_pencil(z, sys.c)
-    acc = eval_pencil(z, sys.d)
-    cur = eval_pencil(z, sys.b)
-    for _ in range(terms + 1):
-        acc = acc + zc @ cur
-        cur = za @ cur
-    return acc
+    pts = z.reshape(-1, sys.n)
+    stack = za.reshape(len(pts), sys.dim_x, sys.dim_x)
+    near = np.flatnonzero(~(_frobenius(stack) * _CONTRACTION_MARGIN < 1.0))
+    if near.size:
+        norm_za = np.linalg.svd(stack[near], compute_uv=False)[:, 0]
+        bad = np.flatnonzero(norm_za >= 1.0)
+        if bad.size:
+            raise DivergenceError(
+                f"series needs ||zA|| < 1, got {float(norm_za[bad[0]]):.6f} "
+                f"at z={tuple(pts[near[bad[0]]])}"
+            )
+    a, b = _block(stack), _rows(eval_pencil(pts, sys.b))
+    h = b
+    for _ in range(terms):
+        h = b + _product(a, h)
+    out = _rows(eval_pencil(pts, sys.d)) + _product(_block(eval_pencil(pts, sys.c)), h)
+    value = np.empty((len(pts), sys.dim_out, sys.dim_in), dtype=complex)
+    value.real, value.imag = np.moveaxis(out.reshape(2, sys.dim_out, sys.dim_in, len(pts)), -1, 1)
+    return value if z.ndim == 2 else value[0]
 
 
 def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
-    """All Maclaurin coefficients with 1 <= |t| <= max_order as one polynomial."""
+    """All Maclaurin coefficients with 1 <= |t| <= max_order as one polynomial.
+
+    More than 2**17 coefficients (DomainError), or a multinomial weight past
+    int64 (RangeError), are refused before any table is built.
+    """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
     sys.require_wellformed()
+    count = math.comb(max_order + sys.n, sys.n) - 1
+    if count > _TERM_BUDGET:
+        raise DomainError(
+            f"order {max_order} has {count} Maclaurin coefficients, past the budget of 2**17"
+        )
+    _check_weights(max_order, sys.n)
     grid = itertools.product(range(max_order + 1), repeat=sys.n)
     coeffs = _coefficients(sys, [t for t in grid if 1 <= sum(t) <= max_order])
     return MatrixPolynomial(

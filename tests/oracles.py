@@ -10,8 +10,10 @@ exactly.
 
 `eval_pencil_point`, `dissipativity_scan_pointwise`, `transfer_eval_point`
 and `transfer_eval_series_point` evaluate the pencil, the torus scan and
-the transfer function one point at a time.  The library's stacked versions
-must reproduce them bit for bit, errors included.
+the transfer function one point at a time, the series by the two-product
+loop with an SVD at every point.  The library's stacked versions must
+reproduce them bit for bit, errors included, except the series values:
+the library sums them by Horner's rule, within 1e-12 relative.
 
 `matrix_poly_eval_point` sums a matrix polynomial term by term at one
 point; `MatrixPolynomial.evaluate` over a stack must reproduce it bit for
@@ -35,8 +37,9 @@ writes it: every LatticeSignal first becomes its `signal_to_json` dict, and
 every `Rows` table and complex array its nested lists, built entry by entry.
 `list_built_results` builds the arrays of a `transfer`, `check` or
 `laxphillips --op associated` result as the CLI built them before it handed
-them to `dump`.  `serialization.dump` writes all of these from their arrays
-and must produce the same bytes.
+them to `dump`, a Maclaurin block as `poly_to_json` writes it.
+`serialization.dump` writes all of these from their arrays and must
+produce the same bytes.
 
 `sym_multipower_table_loops` and `bordered_multipower_table_loops` build
 the multipower tables with one written-out accumulator loop per kind.  The
@@ -72,15 +75,17 @@ from ndsys import (
     conservativity_check,
     halton_disc,
     halton_torus,
+    maclaurin_poly,
     ordered_completion,
     orth_basis,
     spectral_norm,
 )
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
+from ndsys.cli import _resolve_path
 from ndsys.lattice import add, order, sub, unit
 from ndsys.laxphillips import _check_dims
 from ndsys.pencil import _closure, bordered_multipower_table, multinomial, sym_multipower_table
-from ndsys.serialization import Rows, signal_to_json
+from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
 from ndsys.transfer import _SINGULAR_REL
@@ -676,9 +681,12 @@ def nested_out(a):
     return complex_out(a) if np.ndim(a) == 0 else [nested_out(x) for x in a]
 
 
-def list_built_results(command, results):
-    """``results`` with its arrays built as nested lists, as the CLI built
-    its reports before it handed the arrays to `dump`."""
+def list_built_results(argv, results):
+    """``results`` of the command line ``argv`` with its arrays built as
+    nested lists, as the CLI built its reports before it handed the arrays
+    to `dump`; a Maclaurin block is `poly_to_json` of the system's
+    `maclaurin_poly`."""
+    command = argv[0]
     out = dict(results)
     if command == "transfer":
         rows = results["points"].fields
@@ -686,6 +694,10 @@ def list_built_results(command, results):
             {"z": [complex_out(v) for v in z], "value": matrix_out(val)}
             for z, val in zip(rows["z"], rows["value"])
         ]
+        if "--coeffs" in argv:
+            system = json_to_system(load_file(_resolve_path(argv[1])))
+            order = int(argv[argv.index("--coeffs") + 1])
+            out["maclaurin"] = poly_to_json(maclaurin_poly(system, order))
     elif command == "check":
         scan = dict(results["torus_scan"])
         scan["witness"] = [complex_out(z) for z in scan["witness"]]

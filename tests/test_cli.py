@@ -413,7 +413,7 @@ def test_array_reports_match_the_list_built_reports(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(ser, "dump", recording)
     assert main(argv) == 0
     (report,) = reports
-    listed = {**report, "results": oracles.list_built_results(argv[0], report["results"])}
+    listed = {**report, "results": oracles.list_built_results(argv, report["results"])}
     out = capsys.readouterr().out
     assert out == json.dumps(listed, sort_keys=True, indent=2) + "\n"
     if case == "transfer-empty":
@@ -826,3 +826,67 @@ def test_module_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "ndsys/1"
+
+
+@pytest.mark.parametrize("where", [["--grid", "0"], ["--points", "none.json"], ["--grid", "3"]])
+def test_negative_series_terms_are_an_input_error_with_or_without_points(capsys, tmp_path, where):
+    if where[0] == "--points":
+        where = ["--points", write(tmp_path, "none.json", [])]
+    code, report, err = run(capsys, ["transfer", "builtin:alpha", *where, "--series-terms", "-1"])
+    assert code == 2 and report is None
+    assert "input error: series terms must be >= 0, got -1" in err
+
+
+def _n1_system(tmp_path):
+    rng = np.random.default_rng(3)
+    return write(tmp_path, "n1.json", ser.system_to_json(gen.random_system(rng, 1, 2, 1, 1, scale=0.4)))
+
+
+@pytest.mark.parametrize(
+    "system, order, named",
+    [
+        ("builtin:alpha", "200", "multinomial((100, 100))"),
+        ("n1", str(2**17 + 1), "131073 Maclaurin coefficients, past the budget of 2**17"),
+    ],
+)
+def test_oversized_coeffs_are_refused_before_any_table(capsys, tmp_path, monkeypatch, system, order, named):
+    import ndsys.transfer
+
+    def build(*args, **kwargs):
+        raise AssertionError("the Maclaurin table was built")
+
+    monkeypatch.setattr(ndsys.transfer, "bordered_multipower_table", build)
+    path = _n1_system(tmp_path) if system == "n1" else system
+    code, report, err = run(capsys, ["transfer", path, "--grid", "2", "--coeffs", order])
+    assert code == 2 and report is None
+    assert "input error" in err and named in err
+
+
+def test_transfer_point_budget_is_checked_before_the_grid_is_drawn(capsys, monkeypatch):
+    import ndsys.cli
+
+    def draw(*args, **kwargs):
+        raise AssertionError("the grid was drawn")
+
+    monkeypatch.setattr(ndsys.cli, "halton_disc", draw)
+    # alpha: n = 2, dim_x = 1, one input and one output, so 4 values a point
+    code, report, err = run(capsys, ["transfer", "builtin:alpha", "--grid", str(2**22 + 1)])
+    assert code == 2 and report is None
+    assert "input error" in err and "4194305 points of 4 values each, past the budget of 2**24" in err
+
+
+def test_transfer_point_budget_is_checked_before_a_points_file_is_evaluated(capsys, tmp_path, monkeypatch):
+    import ndsys.cli
+
+    def evaluate(*args, **kwargs):
+        raise AssertionError("a pencil was evaluated")
+
+    pts = write(tmp_path, "pts.json", [[[0.1, 0.0], [0.2, 0.0]]] * 3)
+    monkeypatch.setattr(ndsys.cli, "_POINT_BUDGET", 2 * 4)
+    monkeypatch.setattr(ndsys.transfer, "eval_pencil", evaluate)
+    code, report, err = run(capsys, ["transfer", "builtin:alpha", "--points", pts])
+    assert code == 2 and report is None
+    assert "input error" in err and "3 points of 4 values each" in err
+    monkeypatch.setattr(ndsys.cli, "_POINT_BUDGET", 3 * 4)
+    with pytest.raises(AssertionError, match="a pencil was evaluated"):
+        main(["transfer", "builtin:alpha", "--points", pts])

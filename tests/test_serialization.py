@@ -400,6 +400,23 @@ def test_poly_round_trip():
     assert np.allclose(back.evaluate(z), poly.evaluate(z))
 
 
+@pytest.mark.parametrize(
+    "poly",
+    [
+        MatrixPolynomial(n=2, shape=(1, 1), coeffs={}),
+        MatrixPolynomial(n=1, shape=(2, 3), coeffs={(4,): np.full((2, 3), -0.0 + 1e-300j)}),
+        MatrixPolynomial(
+            n=3,
+            shape=(2, 1),
+            coeffs={(0, 2, 1): [[0.5j], [-0.0]], (1, 0, 0): [[5e-324], [1e300 - 0.1j]], (0, 0, 0): [[1], [0]]},
+        ),
+        MatrixPolynomial(n=2, shape=(2, 0), coeffs={(1, 1): np.zeros((2, 0))}),
+    ],
+)
+def test_poly_fields_are_written_as_poly_to_json(poly):
+    assert ser.dump({"p": ser.poly_fields(poly)}) == ser.dump({"p": ser.poly_to_json(poly)})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_polynomial_with_non_finite_coefficient_is_rejected(bad):
     obj = ser.agler_to_json(canonical_fixture(grid_points=4))

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ndsys import (
     MatrixPolynomial,
     MultiLSDS,
     OperatorTuple,
+    RangeError,
     SingularityError,
     bordered_multipower_table,
     builtin_examples,
@@ -27,6 +29,7 @@ from ndsys import (
     transfer_eval_series,
 )
 from ndsys.numerics import halton_disc
+from ndsys.pencil import _check_weights
 from ndsys.system import conjugate
 
 
@@ -134,11 +137,14 @@ def test_stacked_transfer_matches_the_pointwise_oracles(n, dim_x, dim_io, count,
     rng = np.random.default_rng(seed)
     sys = gen.random_system(rng, n, dim_x, dim_io, dim_io + 1, scale=0.4)
     z = radius * (rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n))))
+    # the Horner series sums in another order than the two-product oracle;
+    # without a state there is nothing to sum, and both give zD + 0
+    series_agrees = oracles.same_bits if dim_x == 0 else within_1e12
     cases = (
-        (transfer_eval, oracles.transfer_eval_point, ()),
-        (transfer_eval_series, oracles.transfer_eval_series_point, (terms,)),
+        (transfer_eval, oracles.transfer_eval_point, (), oracles.same_bits),
+        (transfer_eval_series, oracles.transfer_eval_series_point, (terms,), series_agrees),
     )
-    for fn, oracle, extra in cases:
+    for fn, oracle, extra, agree in cases:
         want = first_point_failure(lambda p: oracle(sys, p, *extra), z)
         if want is not None:
             with pytest.raises(type(want)) as exc:
@@ -149,9 +155,14 @@ def test_stacked_transfer_matches_the_pointwise_oracles(n, dim_x, dim_io, count,
         stack = fn(sys, z, *extra)
         assert stack.shape == (count, sys.dim_out, sys.dim_in)
         for p, value in zip(z, stack):
-            point = oracle(sys, p, *extra)
-            assert oracles.same_bits(value, point)
-            assert oracles.same_bits(fn(sys, p, *extra), point)
+            assert agree(value, oracle(sys, p, *extra))
+            assert oracles.same_bits(fn(sys, p, *extra), value)
+
+
+def within_1e12(got, want):
+    """Agreement to 1e-12 relative to the larger of 1 and the oracle value."""
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    return got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
 def _diagonal_state_system():
@@ -187,6 +198,59 @@ def test_stacked_series_divergence_names_the_first_divergent_point():
     with pytest.raises(DivergenceError) as exc:
         transfer_eval_series(sys, z, 5)
     assert str(exc.value) == str(want)
+
+
+# ||zA||_F = sqrt(5) |z_1| on the diagonal system, so the resolvent screen
+# (0.99) sits at |z_1| = 0.4427 and the series screen (1) at 0.4472; the
+# spectral norm 2 |z_1| reaches 1, and I - zA turns singular, at 0.5
+_SCREENED = [(0.1, 0.9), (0.3j, 0.0), (0.44, 0.2), (-0.4, 0.0)]
+_PAST_THE_SCREENS = [(0.45, 0.0), (0.49j, 0.5), (-0.47, 0.1)]
+
+
+def _svd_rows(monkeypatch):
+    """The matrix counts of every `np.linalg.svd` call from now on."""
+    rows, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: rows.append(len(m)) or svd(m, **kw))
+    return rows
+
+
+def test_only_the_points_past_the_frobenius_screen_reach_an_svd(monkeypatch):
+    sys = _diagonal_state_system()
+    rows = _svd_rows(monkeypatch)
+    transfer_eval(sys, np.array(_SCREENED))
+    transfer_eval_series(sys, np.array(_SCREENED), 7)
+    assert rows == []
+    z = np.array(_SCREENED[:2] + _PAST_THE_SCREENS + _SCREENED[2:])
+    values = transfer_eval(sys, z)
+    approx = transfer_eval_series(sys, z, 7)
+    assert rows == [len(_PAST_THE_SCREENS)] * 2
+    for p, value, partial in zip(z, values, approx):
+        assert oracles.same_bits(value, oracles.transfer_eval_point(sys, p))
+        assert within_1e12(partial, oracles.transfer_eval_series_point(sys, p, 7))
+
+
+@pytest.mark.parametrize("failing", [(0.5, 0.3), (1.0, -0.2j), (-0.5j, 0.0), (0.6, 0.0)])
+@pytest.mark.parametrize("at", [0, 3, 8])
+def test_a_mixed_stack_fails_like_the_pointwise_oracles(failing, at):
+    # I - zA is singular only at z_1 = 0.5 and 1; the series diverges from
+    # |z_1| = 0.5 on, so the last point fails it wherever the first failure is
+    sys = _diagonal_state_system()
+    points = _SCREENED + _PAST_THE_SCREENS + [(0.7, 0.0)]
+    z = np.array(points[:at] + [failing] + points[at:])
+    cases = (
+        (transfer_eval, (), oracles.transfer_eval_point),
+        (transfer_eval_series, (4,), functools.partial(oracles.transfer_eval_series_point, terms=4)),
+    )
+    for fn, extra, oracle in cases:
+        want = first_point_failure(functools.partial(oracle, sys), z)
+        if want is None:
+            for p, value in zip(z, fn(sys, z, *extra)):
+                assert oracles.same_bits(value, oracle(sys, p))
+            continue
+        with pytest.raises(type(want)) as exc:
+            fn(sys, z, *extra)
+        assert str(exc.value) == str(want)
+        assert getattr(exc.value, "sigma_min", None) == getattr(want, "sigma_min", None)
 
 
 def test_stacked_transfer_takes_an_empty_stack():
@@ -255,6 +319,21 @@ def test_maclaurin_rejects_the_origin():
     with pytest.raises(DomainError, match="max_order must be >= 1"):
         maclaurin_poly(sys, 0)
 
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_maclaurin_budget_keeps_every_order_whose_weights_fit_int64(n):
+    top = 1
+    while True:
+        try:
+            _check_weights(top + 1, n)
+        except RangeError:
+            break
+        top += 1
+    assert math.comb(top + n, n) - 1 <= 2**17
+    sys = gen.random_system(np.random.default_rng(n), n, 1, 1, 1)
+    with pytest.raises(RangeError):
+        maclaurin_poly(sys, top + 1)
 
 @pytest.mark.parametrize("seed", range(4))
 def test_maclaurin_against_torus_sampling(seed):
