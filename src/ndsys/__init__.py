@@ -21,13 +21,7 @@ from .errors import (
     SingularityError,
 )
 from .lattice import Box, LatticeSignal, SimulationWindow
-from .pencil import (
-    OperatorTuple,
-    bordered_multipower_table,
-    eval_pencil,
-    multinomial,
-    sym_multipower_table,
-)
+from .pencil import OperatorTuple, eval_pencil, multinomial, sym_multipower_table
 from .system import (
     EnergyReport,
     EnergyRow,
@@ -99,7 +93,6 @@ __all__ = [
     "eval_pencil",
     "multinomial",
     "sym_multipower_table",
-    "bordered_multipower_table",
     "MultiLSDS",
     "Violation",
     "validate",

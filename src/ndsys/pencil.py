@@ -3,14 +3,15 @@
 For a tuple ``A = (A_1, ..., A_n)`` of square matrices and a multi-index
 ``s`` the symmetrized multipower ``A^s`` averages the products
 ``A_{w_1} ... A_{w_|s|}`` over every word ``w`` spelling the letter multiset
-``s``.  Bordered variants pin the first factor to a ``C`` tuple, the last to
-a ``B`` tuple, or both.  Everything is evaluated through the first-letter
-recursion
+``s``.  It is evaluated through the first-letter recursion
 
     A^s = sum_k (s_k / |s|) A_k A^(s - e_k),
 
 never by enumerating words; the enumeration definition survives only as a
-test oracle.
+test oracle.  `sym_multipower_table` is the only table builder: the
+bordered multipowers of a system, whose first factor is a ``C`` member or
+whose last is a ``B`` member, are corners of the multipowers of its lifted
+colligation (see `ndsys.system`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "eval_pencil",
     "multinomial",
     "sym_multipower_table",
-    "bordered_multipower_table",
 ]
 
 _INT64_MAX = 2**63 - 1
@@ -161,30 +161,12 @@ def _closure(targets: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]
     return sorted(seen, key=lambda t: (order(t), t))
 
 
-def _letter_sum(s: tuple[int, ...], term) -> np.ndarray:
-    """``sum_k (s_k / |s|) term(k, s - e_k)``, added up from 0 in letter order."""
-    m = order(s)
-    return sum((v / m) * term(k, sub(s, unit(len(s), k))) for k, v in enumerate(s) if v > 0)
-
-
-def _table(closure, low: int, seed, step) -> dict[tuple[int, ...], np.ndarray]:
-    """The recursion over the downward-closed ``closure``: ``seed(s)`` at the
-    indices of order ``low``, ``sum_k (s_k / |s|) step(k, table[s - e_k])``
-    above them, and no entry below."""
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    for s in closure:
-        if order(s) == low:
-            table[s] = seed(s)
-        elif order(s) > low:
-            table[s] = _letter_sum(s, lambda k, t: step(k, table[t]))
-    return table
-
-
 def sym_multipower_table(
     a: OperatorTuple, targets: Iterable[tuple[int, ...]]
 ) -> dict[tuple[int, ...], np.ndarray]:
     """Symmetrized multipowers ``a^s`` for every ``s`` in the downward
-    closure of ``targets``.
+    closure of ``targets``, each ``sum_k (s_k / |s|) a_k a^(s - e_k)``
+    added up from 0 in letter order.
 
     Returns
     -------
@@ -194,53 +176,16 @@ def sym_multipower_table(
     """
     if a.rows != a.cols:
         raise ShapeError(f"multipower needs square members, got {a.rows}x{a.cols}")
-    # seeded at order 0: an order-1 entry is 0 + a_k @ I, so its zeros are +0.0
-    identity = np.eye(a.rows, dtype=complex)
-    return _table(_closure(targets, a.n), 0, lambda s: identity, lambda k, m: a[k] @ m)
-
-
-def _check_chain(kind: str, a: OperatorTuple, b: OperatorTuple | None, c: OperatorTuple | None):
-    if a.rows != a.cols:
-        raise ShapeError(f"inner tuple must be square, got {a.rows}x{a.cols}")
-    if kind in ("right", "both"):
-        if b is None:
-            raise ArityError(f"kind {kind!r} needs the right border tuple")
-        if b.n != a.n:
-            raise ArityError(f"border tuple has {b.n} members, inner has {a.n}")
-        if b.rows != a.rows:
-            raise ShapeError(f"right border rows {b.rows} != inner size {a.rows}")
-    if kind in ("left", "both"):
-        if c is None:
-            raise ArityError(f"kind {kind!r} needs the left border tuple")
-        if c.n != a.n:
-            raise ArityError(f"border tuple has {c.n} members, inner has {a.n}")
-        if c.cols != a.rows:
-            raise ShapeError(f"left border cols {c.cols} != inner size {a.rows}")
-
-
-def bordered_multipower_table(
-    kind: str,
-    a: OperatorTuple,
-    targets: Iterable[tuple[int, ...]],
-    *,
-    b: OperatorTuple | None = None,
-    c: OperatorTuple | None = None,
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Bordered multipowers over the downward closure of ``targets``.
-
-    ``kind`` selects which factors are pinned: "right" draws the last factor
-    from ``b``, "left" the first from ``c``, "both" pins both ends.  Indices
-    below the minimum order of the kind (1, 1, and 2 respectively) are
-    simply absent from the returned table.
-    """
-    if kind not in ("right", "left", "both"):
-        raise DomainError(f"unknown bordered kind {kind!r}")
-    _check_chain(kind, a, b, c)
-    closure = _closure(targets, a.n)
-    if kind == "left":
-        # last-letter split keeps the pinned first factor intact
-        return _table(closure, 1, lambda s: c[s.index(1)], lambda k, m: m @ a[k])
-    right = _table(closure, 1, lambda s: b[s.index(1)], lambda k, m: a[k] @ m)
-    if kind == "right":
-        return right
-    return {s: _letter_sum(s, lambda k, t: c[k] @ right[t]) for s in closure if order(s) >= 2}
+    n = a.n
+    table: dict[tuple[int, ...], np.ndarray] = {}
+    for s in _closure(targets, n):
+        m = order(s)
+        if m == 0:
+            table[s] = np.eye(a.rows, dtype=complex)
+        else:
+            # from 0, not from the first term: an order-1 entry is
+            # 0 + a_k @ I, so its zeros are +0.0
+            table[s] = sum(
+                (v / m) * (a[k] @ table[sub(s, unit(n, k))]) for k, v in enumerate(s) if v > 0
+            )
+    return table

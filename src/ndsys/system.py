@@ -15,7 +15,14 @@ the box points of fronts 0..n_max in front order, and they stay numerically
 independent, so they must agree on uncontaminated window points: `simulate`
 steps whole fronts (Lamport's hyperplanes: a front depends only on the one
 before it) through the blocks, and `closed_form` gathers the data at
-``t - d`` once per offset ``d`` through the multipower tables.
+``t - d`` once per offset ``d`` through the multipowers of the lifted
+colligation
+
+    L_k = [[A_k, 0, B_k], [C_k, 0, D_k], [0, 0, 0]]   on X + Y + U,
+
+whose table holds, for ``|s| >= 1``, ``A^s``, ``(A...B)^s``, ``(C...A)^s``
+and ``(C...B)^s`` in its corners, with ``(C...B)^(e_k) = D_k``.  The
+Maclaurin coefficients of the transfer function are its ``Y, U`` corners.
 `energy_balance_report` buckets every signal by order in one pass, so it is
 linear in the window.  A window of more than 2**24 values, and a closed form
 of more than 2**26 point-offset pairs, is refused before it is allocated.
@@ -30,13 +37,7 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, ShapeError
 from .lattice import Box, LatticeSignal, SimulationWindow, _row_locator, order
-from .pencil import (
-    OperatorTuple,
-    _check_weights,
-    bordered_multipower_table,
-    multinomial,
-    sym_multipower_table,
-)
+from .pencil import OperatorTuple, _check_weights, multinomial, sym_multipower_table
 
 __all__ = [
     "MultiLSDS",
@@ -125,6 +126,18 @@ class MultiLSDS:
             raise ShapeError("; ".join(str(v) for v in shapeish))
         if problems:
             raise PreconditionError("; ".join(str(v) for v in problems))
+
+
+def _lift(sys: MultiLSDS) -> OperatorTuple:
+    """The lifted colligation ``[[A_k, 0, B_k], [C_k, 0, D_k], [0, 0, 0]]``
+    on ``X + Y + U``, built from the four tuples of a system its caller has
+    already validated."""
+    x, y = sys.dim_x, sys.dim_x + sys.dim_out
+    size = y + sys.dim_in
+    mats = np.zeros((sys.n, size, size), dtype=complex)
+    mats[:, :x, :x], mats[:, :x, y:] = sys.a.mats, sys.b.mats
+    mats[:, x:y, :x], mats[:, x:y, y:] = sys.c.mats, sys.d.mats
+    return OperatorTuple(tuple(mats))
 
 
 def validate(sys: MultiLSDS) -> list[Violation]:
@@ -345,15 +358,15 @@ def closed_form(
     """Evaluate the trajectory from the multipower sum instead of stepping.
 
     A point ``t`` of order ``f`` sums, over the offsets ``d`` with
-    ``1 <= |d| <= f``, the input at ``t - d`` (and for ``|d| = f`` the
-    initial data there) through the multipowers of ``d`` weighted by
-    ``multinomial(d)``.  The loop runs over the offsets: one gather of the
-    rows ``t - d``, with off-box reads hitting a zero row, and one product
-    per table serve every point of order ``>= |d|`` at once.  Contamination
-    masks agree with `simulate` exactly: both reduce to whether the cone
-    leaves the trusted region.  More than ``_PAIR_BUDGET`` point-offset
-    pairs, or a weight past int64 (RangeError), are refused before any
-    table is built.
+    ``1 <= |d| <= f``, ``multinomial(d) L^d`` applied to ``[x0 | 0 | u]``
+    at ``t - d``, where ``L`` is the lifted colligation (`_lift`) and the
+    initial data ``x0`` is zero off the zero-order front.  The loop runs
+    over the offsets: one gather of the rows ``t - d``, with off-box reads
+    hitting a zero row, and one product serve every point of order
+    ``>= |d|`` at once.  Contamination masks agree with `simulate` exactly:
+    both reduce to whether the cone leaves the trusted region.  More than
+    ``_PAIR_BUDGET`` point-offset pairs, or a weight past int64
+    (RangeError), are refused before the table is built.
     """
     _check_signals(sys, window, input_signal, init)
     box = window.box
@@ -371,35 +384,26 @@ def closed_form(
     # the offsets are the window index of the cube 0..top
     offsets = _window_index(Box((0,) * n, (top,) * n), top, n)[0]
     keys = list(map(tuple, offsets.tolist()))
-    pow_a = sym_multipower_table(sys.a, keys)
-    pow_ab = bordered_multipower_table("right", sys.a, keys, b=sys.b)
-    pow_ca = bordered_multipower_table("left", sys.a, keys, c=sys.c)
-    pow_cab = bordered_multipower_table("both", sys.a, keys, b=sys.b, c=sys.c)
+    powers = sym_multipower_table(_lift(sys), keys)
 
-    # input and initial data on the window, plus one zero row that off-box reads hit
-    u = np.zeros((size + 1, dim_in), dtype=complex)
-    x0 = np.zeros((size + 1, dim_x), dtype=complex)
-    _scatter(input_signal, box, window.n_max, locate, u)
-    _scatter(init, box, 0, locate, x0)
-    x = x0[:size].copy()  # front 0 keeps the initial data, the sums start from zero above it
-    y = np.zeros((size, sys.dim_out), dtype=complex)
+    # [x0 | 0 | u] on the window, plus one zero row that off-box reads hit
+    xy = dim_x + sys.dim_out
+    z = np.zeros((size + 1, xy + dim_in), dtype=complex)
+    _scatter(init, box, 0, locate, z[:, :dim_x])
+    _scatter(input_signal, box, window.n_max, locate, z[:, xy:])
+    # front 0 keeps the initial data, the sums start from zero above it
+    acc = z[:size, :xy].copy()
     dirty = np.zeros(size, dtype=bool)
     lo = np.array(box.lo)
     for d, key in zip(offsets[1:], keys[1:]):
-        m = sum(key)
-        rows, front = slice(bounds[m], size), slice(bounds[m], bounds[m + 1])
+        rows = slice(bounds[sum(key)], size)
         p = coords[rows] - d
         inside = (p >= lo).all(axis=1)
         src = np.full(len(p), size)
         src[inside] = locate(p[inside])
         dirty[rows] |= ~inside & ~(octant & (p < 0).any(axis=1))
-        w = float(multinomial(key))
-        xv, uv = x0[src[: front.stop - front.start]], u[src]
-        x[front] += xv @ (w * pow_a[key]).T
-        y[front] += xv @ (w * pow_ca[key]).T
-        x[rows] += uv @ (w * pow_ab[key]).T
-        y[rows] += uv @ (sys.d[key.index(1)] if m == 1 else w * pow_cab[key]).T
-    return _result(window, coords, bounds, x, y, dirty, octant)
+        acc[rows] += z[src] @ (float(multinomial(key)) * powers[key][:xy]).T
+    return _result(window, coords, bounds, acc[:, :dim_x], acc[:, dim_x:], dirty, octant)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ The transfer function of a system is
     theta(z) = zD + zC (I - zA)^(-1) zB,
 
 where ``zA`` abbreviates the pencil value, so theta vanishes at the origin
-by construction.  Maclaurin coefficients come in closed form from bordered
-multipowers.
+by construction.  The Maclaurin coefficient at ``t`` is
+``multinomial(t) (C...B)^t``, read from the ``Y, U`` corner of the
+multipowers of the lifted colligation (see `ndsys.system`); at order one it
+is ``D_k``.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .errors import ArityError, DivergenceError, DomainError, ShapeError, SingularityError
 from .lattice import as_index, order
-from .pencil import _check_weights, bordered_multipower_table, eval_pencil, multinomial
-from .system import MultiLSDS
+from .pencil import _check_weights, eval_pencil, multinomial, sym_multipower_table
+from .system import MultiLSDS, _lift
 
 __all__ = [
     "MatrixPolynomial",
@@ -194,10 +196,11 @@ def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
 
 
 def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
-    """All Maclaurin coefficients with 1 <= |t| <= max_order as one polynomial.
+    """All Maclaurin coefficients with 1 <= |t| <= max_order as one polynomial,
+    ``multinomial(t) L^t[Y, U]`` from one table of the lifted colligation.
 
     More than 2**17 coefficients (DomainError), or a multinomial weight past
-    int64 (RangeError), are refused before any table is built.
+    int64 (RangeError), are refused before the table is built.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
@@ -209,21 +212,11 @@ def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
         )
     _check_weights(max_order, sys.n)
     grid = itertools.product(range(max_order + 1), repeat=sys.n)
-    coeffs = _coefficients(sys, [t for t in grid if 1 <= sum(t) <= max_order])
-    return MatrixPolynomial(
-        n=sys.n, shape=(sys.dim_out, sys.dim_in), coeffs=coeffs
-    )
-
-
-def _coefficients(sys: MultiLSDS, exps: list[tuple[int, ...]]) -> dict:
-    """Coefficients at nonzero exponents from one doubly bordered table; an
-    entry depends only on its predecessors, never on the other exponents."""
-    higher = [t for t in exps if order(t) >= 2]
-    table = bordered_multipower_table("both", sys.a, higher, b=sys.b, c=sys.c)
-    return {
-        t: float(multinomial(t)) * table[t] if order(t) >= 2 else sys.d[t.index(1)]
-        for t in exps
-    }
+    exps = [t for t in grid if 1 <= sum(t) <= max_order]
+    table = sym_multipower_table(_lift(sys), exps)
+    y, u = slice(sys.dim_x, sys.dim_x + sys.dim_out), slice(sys.dim_x + sys.dim_out, None)
+    coeffs = {t: float(multinomial(t)) * table[t][y, u] for t in exps}
+    return MatrixPolynomial(n=sys.n, shape=(sys.dim_out, sys.dim_in), coeffs=coeffs)
 
 
 def schwarz_split(theta: MatrixPolynomial, tol: float = 0.0) -> MatrixPolynomial:

@@ -42,9 +42,11 @@ them to `dump`, a Maclaurin block as `poly_to_json` writes it.
 produce the same bytes.
 
 `sym_multipower_table_loops` and `bordered_multipower_table_loops` build
-the multipower tables with one written-out accumulator loop per kind.  The
-library's single recursion kernel must reproduce all four kinds bit for
-bit, signed zeros included.
+the multipower tables with one written-out accumulator loop per kind, and
+`closed_form_dict` reads its four tables from them.  The library builds one
+table, of the lifted colligation: it must reproduce the sym loop on that
+lift bit for bit, signed zeros included, and the bordered loops in its
+corners to 1e-12.
 
 `halton_unit_scipy` is scipy's unscrambled Halton engine, and
 `halton_disc_rows` and `halton_torus_rows` map its points one row and one
@@ -84,7 +86,7 @@ from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.cli import _resolve_path
 from ndsys.lattice import add, order, sub, unit
 from ndsys.laxphillips import _check_dims
-from ndsys.pencil import _closure, bordered_multipower_table, multinomial, sym_multipower_table
+from ndsys.pencil import _closure, multinomial
 from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
@@ -161,10 +163,10 @@ def closed_form_dict(sys, window, input_signal, init):
         for d in itertools.product(range(n_max + 1), repeat=n)
         if 0 < sum(d) <= n_max
     ]
-    pow_a = sym_multipower_table(sys.a, offsets)
-    pow_ab = bordered_multipower_table("right", sys.a, offsets, b=sys.b)
-    pow_ca = bordered_multipower_table("left", sys.a, offsets, c=sys.c)
-    pow_cab = bordered_multipower_table("both", sys.a, offsets, b=sys.b, c=sys.c)
+    pow_a = sym_multipower_table_loops(sys.a, offsets)
+    pow_ab = bordered_multipower_table_loops("right", sys.a, offsets, b=sys.b)
+    pow_ca = bordered_multipower_table_loops("left", sys.a, offsets, c=sys.c)
+    pow_cab = bordered_multipower_table_loops("both", sys.a, offsets, b=sys.b, c=sys.c)
 
     states: dict[tuple[int, ...], np.ndarray] = {}
     outputs: dict[tuple[int, ...], np.ndarray] = {}

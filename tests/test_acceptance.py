@@ -13,6 +13,7 @@ import gen
 from ndsys import (
     Box,
     LatticeSignal,
+    MultiLSDS,
     OperatorTuple,
     SimulationWindow,
     apply_adjoint,
@@ -20,7 +21,6 @@ from ndsys import (
     assemble_colligation,
     associated_one_param,
     block_structure,
-    bordered_multipower_table,
     builtin_examples,
     canonical_fixture,
     closed_form,
@@ -39,7 +39,7 @@ from ndsys import (
     verify_agler_identity,
 )
 from ndsys.laxphillips import _random_interior_vector
-from ndsys.system import conjugate
+from ndsys.system import _lift, conjugate
 
 
 def verdict(label, ok, elapsed, limit=None, detail=""):
@@ -187,23 +187,27 @@ def test_multipower_generating_identity():
                 1.0, float(np.linalg.norm(lhs))
             )
 
-        sym = sym_multipower_table(a, front)
-        right = bordered_multipower_table("right", a, front, b=b)
-        left = bordered_multipower_table("left", a, front, c=c)
+        # the four multipowers are corners of the lifted colligation's table
+        d = OperatorTuple((np.zeros((2, 2)),) * n_vars)
+        table = sym_multipower_table(_lift(MultiLSDS(a, b, c, d)), front)
+        x, y, u = slice(0, dim), slice(dim, dim + 2), slice(dim + 2, None)
+
+        def corner(rows, cols):
+            return lambda s: table[s][rows, cols]
+
         lhs = np.linalg.matrix_power(za, order)
-        worst = max(worst, rel(lhs, front_sum(sym.get)))
+        worst = max(worst, rel(lhs, front_sum(corner(x, x))))
         lhs = np.linalg.matrix_power(za, order - 1) @ eval_pencil(z, b)
-        worst = max(worst, rel(lhs, front_sum(right.get)))
+        worst = max(worst, rel(lhs, front_sum(corner(x, u))))
         lhs = eval_pencil(z, c) @ np.linalg.matrix_power(za, order - 1)
-        worst = max(worst, rel(lhs, front_sum(left.get)))
+        worst = max(worst, rel(lhs, front_sum(corner(y, x))))
         if order >= 2:
-            both = bordered_multipower_table("both", a, front, b=b, c=c)
             lhs = (
                 eval_pencil(z, c)
                 @ np.linalg.matrix_power(za, order - 2)
                 @ eval_pencil(z, b)
             )
-            worst = max(worst, rel(lhs, front_sum(both.get)))
+            worst = max(worst, rel(lhs, front_sum(corner(y, u))))
     elapsed = time.perf_counter() - start
     verdict(
         "multipower generating identity",

@@ -27,6 +27,7 @@ REMOVED = [
     "front_energy",
     "MatrixPolynomial.degrees",
     "LPMask.clean",
+    "bordered_multipower_table",
 ]
 
 

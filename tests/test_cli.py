@@ -145,7 +145,6 @@ def test_closed_form_weight_overflow_exits_2_before_any_table(capsys, tmp_path, 
         raise AssertionError("closed_form built a multipower table")
 
     monkeypatch.setattr(ndsys.system, "sym_multipower_table", build)
-    monkeypatch.setattr(ndsys.system, "bordered_multipower_table", build)
     sys_obj = gen.random_system(np.random.default_rng(18), 3, 1, 1, 1)
     sig = LatticeSignal(3, 1, {(80, 0, 0): np.array([1.0 + 0j])})
     argv = [
@@ -855,7 +854,7 @@ def test_oversized_coeffs_are_refused_before_any_table(capsys, tmp_path, monkeyp
     def build(*args, **kwargs):
         raise AssertionError("the Maclaurin table was built")
 
-    monkeypatch.setattr(ndsys.transfer, "bordered_multipower_table", build)
+    monkeypatch.setattr(ndsys.transfer, "sym_multipower_table", build)
     path = _n1_system(tmp_path) if system == "n1" else system
     code, report, err = run(capsys, ["transfer", path, "--grid", "2", "--coeffs", order])
     assert code == 2 and report is None

@@ -2,7 +2,8 @@
 
 The production multipower path runs on the downward recursion; the oracle
 here re-derives small cases by brute-force enumeration of typed words, the
-defining sum itself.
+defining sum itself.  Bordered multipowers are read from the corners of
+the table of a lifted colligation.
 """
 
 import itertools
@@ -17,14 +18,15 @@ import oracles
 from ndsys import (
     ArityError,
     DomainError,
+    MultiLSDS,
     OperatorTuple,
     RangeError,
     ShapeError,
-    bordered_multipower_table,
     eval_pencil,
     multinomial,
     sym_multipower_table,
 )
+from ndsys.system import _lift
 
 
 def words_of(s):
@@ -160,6 +162,27 @@ def sym_entry(t, s):
     return sym_multipower_table(t, [s])[s]
 
 
+def lift_corners(a, targets, b=None, c=None, d=None):
+    """The multipower table of the lifted colligation of ``(a, b, c, d)``
+    at every order >= 1, cut into its corners: "sym" ``A^s``, "right"
+    ``(A...B)^s``, "left" ``(C...A)^s`` and "both" ``(C...B)^s``.  A
+    missing tuple is zero, with one row or column."""
+    n, dim = a.n, a.rows
+    if b is None:
+        b = OperatorTuple((np.zeros((dim, 1)),) * n)
+    if c is None:
+        c = OperatorTuple((np.zeros((1, dim)),) * n)
+    if d is None:
+        d = OperatorTuple((np.zeros((c.rows, b.cols)),) * n)
+    table = sym_multipower_table(_lift(MultiLSDS(a, b, c, d)), targets)
+    x, y, u = slice(0, dim), slice(dim, dim + c.rows), slice(dim + c.rows, None)
+    cuts = {"sym": (x, x), "right": (x, u), "left": (y, x), "both": (y, u)}
+    return {
+        kind: {s: m[rows, cols] for s, m in table.items() if sum(s) >= 1}
+        for kind, (rows, cols) in cuts.items()
+    }
+
+
 def test_sym_multipower_zero_is_identity():
     t = random_tuple(np.random.default_rng(3), 2, 3, 3)
     assert np.allclose(sym_entry(t, (0, 0)), np.eye(3))
@@ -234,7 +257,7 @@ def test_bordered_right_vs_enumeration(seed):
     rng = np.random.default_rng(20 + seed)
     a = random_tuple(rng, 2, 3, 3)
     b = random_tuple(rng, 2, 3, 2)
-    table = bordered_multipower_table("right", a, low_orders(2, 1), b=b)
+    table = lift_corners(a, low_orders(2, 1), b=b)["right"]
     for s in low_orders(2, 1):
         assert np.allclose(table[s], enum_multipower(a, s, b=b), atol=1e-10), s
 
@@ -244,7 +267,7 @@ def test_bordered_left_vs_enumeration(seed):
     rng = np.random.default_rng(30 + seed)
     a = random_tuple(rng, 2, 3, 3)
     c = random_tuple(rng, 2, 2, 3)
-    table = bordered_multipower_table("left", a, low_orders(2, 1), c=c)
+    table = lift_corners(a, low_orders(2, 1), c=c)["left"]
     for s in low_orders(2, 1):
         assert np.allclose(table[s], enum_multipower(a, s, c=c), atol=1e-10), s
 
@@ -255,7 +278,7 @@ def test_bordered_both_vs_enumeration(seed):
     a = random_tuple(rng, 2, 3, 3)
     b = random_tuple(rng, 2, 3, 2)
     c = random_tuple(rng, 2, 4, 3)
-    table = bordered_multipower_table("both", a, low_orders(2, 2), b=b, c=c)
+    table = lift_corners(a, low_orders(2, 2), b=b, c=c)["both"]
     for s in low_orders(2, 2):
         assert np.allclose(table[s], enum_multipower(a, s, c=c, b=b), atol=1e-10), s
 
@@ -264,7 +287,7 @@ def test_bordered_right_unit_is_border_member():
     rng = np.random.default_rng(9)
     a = random_tuple(rng, 3, 2, 2)
     b = random_tuple(rng, 3, 2, 4)
-    table = bordered_multipower_table("right", a, [(1, 1, 1)], b=b)
+    table = lift_corners(a, [(1, 1, 1)], b=b)["right"]
     for k in range(3):
         s = tuple(1 if i == k else 0 for i in range(3))
         assert np.allclose(table[s], b.mats[k])
@@ -276,7 +299,7 @@ def test_bordered_pair_mixes_borders():
     b = random_tuple(rng, 2, 3, 1)
     c = random_tuple(rng, 2, 1, 3)
     want = (c.mats[0] @ b.mats[1] + c.mats[1] @ b.mats[0]) / 2
-    got = bordered_multipower_table("both", a, [(1, 1)], b=b, c=c)[(1, 1)]
+    got = lift_corners(a, [(1, 1)], b=b, c=c)["both"][(1, 1)]
     assert np.allclose(got, want)
 
 
@@ -286,7 +309,7 @@ def test_bordered_identity_with_pencil():
     a = random_tuple(rng, 2, 3, 3)
     b = random_tuple(rng, 2, 3, 2)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    table = bordered_multipower_table("right", a, [(4, 4)], b=b)
+    table = lift_corners(a, [(4, 4)], b=b)["right"]
     for n in range(1, 5):
         lhs = np.linalg.matrix_power(eval_pencil(z, a), n - 1) @ eval_pencil(z, b)
         rhs = np.zeros((3, 2), dtype=complex)
@@ -294,28 +317,6 @@ def test_bordered_identity_with_pencil():
             if sum(s) == n:
                 rhs += multinomial(s) * np.prod(z**np.array(s)) * table[s]
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
-
-
-def test_minimum_order_enforced():
-    # an index below the kind's minimum order has no entry
-    rng = np.random.default_rng(13)
-    a = random_tuple(rng, 2, 2, 2)
-    b = random_tuple(rng, 2, 2, 2)
-    c = random_tuple(rng, 2, 2, 2)
-    assert bordered_multipower_table("right", a, [(0, 0)], b=b) == {}
-    assert bordered_multipower_table("left", a, [(0, 0)], c=c) == {}
-    both = bordered_multipower_table("both", a, [(2, 0)], b=b, c=c)
-    assert list(both) == [(2, 0)]
-    with pytest.raises(DomainError):
-        bordered_multipower_table("middle", a, [(1, 0)], b=b, c=c)
-
-
-def test_shape_chain_checked():
-    rng = np.random.default_rng(14)
-    a = random_tuple(rng, 2, 3, 3)
-    bad_b = random_tuple(rng, 2, 2, 2)  # rows disagree with a's cols
-    with pytest.raises(ShapeError):
-        bordered_multipower_table("right", a, [(1, 1)], b=bad_b)
 
 
 def test_nonsquare_multipower_rejected():
@@ -359,20 +360,31 @@ def signed_zero_tuple(rng, n, rows, cols):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_every_kind_matches_its_loop_bitwise(n, dim, top, seed):
+    # the lifted table is bitwise the sym loop on the same lift, and its
+    # corners are the four kinds' own loops up to rounding
     rng = np.random.default_rng(seed)
+    outs, ins = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     a = signed_zero_tuple(rng, n, dim, dim)
-    b = signed_zero_tuple(rng, n, dim, int(rng.integers(1, 4)))
-    c = signed_zero_tuple(rng, n, int(rng.integers(1, 4)), dim)
+    b = signed_zero_tuple(rng, n, dim, ins)
+    c = signed_zero_tuple(rng, n, outs, dim)
+    d = signed_zero_tuple(rng, n, outs, ins)
     targets = [tuple(int(v) for v in rng.multinomial(top, [1 / n] * n)) for _ in range(3)]
-    pairs = [(sym_multipower_table(a, targets), oracles.sym_multipower_table_loops(a, targets))]
+    lift = _lift(MultiLSDS(a, b, c, d))
+    got = sym_multipower_table(lift, targets)
+    want = oracles.sym_multipower_table_loops(lift, targets)
+    assert list(got) == list(want)
+    for s in want:
+        assert oracles.same_bits(got[s], want[s]), s
+    corners = lift_corners(a, targets, b=b, c=c, d=d)
+    loops = {"sym": oracles.sym_multipower_table_loops(a, targets)}
     for kind in ("right", "left", "both"):
-        pairs.append(
-            (
-                bordered_multipower_table(kind, a, targets, b=b, c=c),
-                oracles.bordered_multipower_table_loops(kind, a, targets, b=b, c=c),
-            )
-        )
-    for got, want in pairs:
-        assert list(got) == list(want)
-        for s in want:
-            assert oracles.same_bits(got[s], want[s]), s
+        loops[kind] = oracles.bordered_multipower_table_loops(kind, a, targets, b=b, c=c)
+    for kind, table in loops.items():
+        for s, m in table.items():
+            if sum(s) >= 1:
+                gap = np.linalg.norm(corners[kind][s] - m)
+                assert gap <= 1e-12 * np.linalg.norm(m), (kind, s)
+    for k in range(n):
+        s = tuple(1 if i == k else 0 for i in range(n))
+        if s in corners["both"]:
+            assert np.array_equal(corners["both"][s], d[k])

@@ -315,12 +315,34 @@ def test_closed_form_weight_overflow_is_refused_before_any_table(monkeypatch):
         raise AssertionError("closed_form built a multipower table")
 
     monkeypatch.setattr(ndsys.system, "sym_multipower_table", build)
-    monkeypatch.setattr(ndsys.system, "bordered_multipower_table", build)
     # one point of order 80: multinomial((27, 27, 26)) passes int64
     sys = gen.random_system(np.random.default_rng(18), 3, 1, 1, 1)
     window = SimulationWindow(Box((80, 0, 0), (80, 0, 0)), 80)
     with pytest.raises(RangeError, match="exceeds 64-bit range"):
         closed_form(sys, window, impulse(3, 1), empty(3, 1))
+
+
+def test_closed_form_and_maclaurin_build_one_table_each(monkeypatch):
+    import ndsys.pencil
+    import ndsys.system
+    import ndsys.transfer
+
+    built = []
+
+    def spy(a, targets):
+        built.append(a)
+        return ndsys.pencil.sym_multipower_table(a, targets)
+
+    monkeypatch.setattr(ndsys.system, "sym_multipower_table", spy)
+    monkeypatch.setattr(ndsys.transfer, "sym_multipower_table", spy)
+    sys = gen.random_system(np.random.default_rng(19), 2, 2, 1, 2)
+    window = SimulationWindow(Box((0, 0), (4, 4)), 4)
+    closed_form(sys, window, impulse(2, 1), empty(2, 2))
+    assert len(built) == 1
+    maclaurin_poly(sys, 4)
+    assert len(built) == 2
+    # the one table is of the lifted colligation on X + Y + U
+    assert all(a.rows == a.cols == 5 for a in built)
 
 
 @pytest.mark.parametrize("n, top", [(1, 30), (2, 66), (3, 43), (4, 20)])

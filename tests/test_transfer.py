@@ -20,17 +20,17 @@ from ndsys import (
     OperatorTuple,
     RangeError,
     SingularityError,
-    bordered_multipower_table,
     builtin_examples,
     maclaurin_poly,
     multinomial,
     schwarz_split,
+    sym_multipower_table,
     transfer_eval,
     transfer_eval_series,
 )
 from ndsys.numerics import halton_disc
 from ndsys.pencil import _check_weights
-from ndsys.system import conjugate
+from ndsys.system import _lift, conjugate
 
 
 def fft_coefficients(sys, max_order, grid=16, radius=0.3):
@@ -272,20 +272,18 @@ def test_stacked_transfer_rejects_a_wrong_trailing_dimension(shape):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_maclaurin_poly_equals_single_entry_tables_bitwise(n):
-    # the shared table must give each coefficient exactly what a table built
-    # for that exponent alone gives
+    # the shared table must give each coefficient exactly what a table of
+    # the lift built for that exponent alone gives in its output corner
     sys = gen.dissipative_system(np.random.default_rng(n), n, 3, 2)
     poly = maclaurin_poly(sys, 5)
     assert len(poly.coeffs) == sum(
         1 for t in itertools.product(range(6), repeat=n) if 1 <= sum(t) <= 5
     )
+    y = slice(sys.dim_x, sys.dim_x + sys.dim_out)
+    u = slice(sys.dim_x + sys.dim_out, None)
     for t, m in poly.coeffs.items():
-        if sum(t) == 1:
-            want = sys.d[t.index(1)]
-        else:
-            single = bordered_multipower_table("both", sys.a, [t], b=sys.b, c=sys.c)[t]
-            want = float(multinomial(t)) * single
-        assert oracles.same_bits(m, want)
+        single = sym_multipower_table(_lift(sys), [t])[t][y, u]
+        assert oracles.same_bits(m, float(multinomial(t)) * single)
 
 
 def test_maclaurin_poly_validates_once(monkeypatch):
