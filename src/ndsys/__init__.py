@@ -46,7 +46,6 @@ from .analysis import (
 from .transfer import (
     MatrixPolynomial,
     maclaurin_poly,
-    schwarz_split,
     transfer_eval,
     transfer_eval_series,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "transfer_eval",
     "transfer_eval_series",
     "maclaurin_poly",
-    "schwarz_split",
     "TruncatedLPVector",
     "LPMask",
     "apply_generator",

@@ -4,7 +4,9 @@ Lattice points are plain tuples of Python ints, and a signal keeps its
 support as one int64 array with a point per row.  The *order* of a point is
 the sum of its coordinates; the set of points of one fixed order is a front.
 All enumeration here is lexicographic so that downstream assemblies are
-deterministic.
+deterministic.  The window index (`_window_index`: the box points of
+fronts 0..n_max, front by front) is the one index that `simulate`,
+`closed_form` and the multipower table (on the cube ``0..top``) read.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "SimulationWindow",
     "LatticeSignal",
 ]
+
+_VALUE_BUDGET = 2**24  # window points times the values each point carries
 
 
 def order(t: tuple[int, ...]) -> int:
@@ -167,6 +171,43 @@ def _row_locator(points: np.ndarray):
     sorter = np.argsort(window_keys)
     sorted_keys = window_keys[sorter]
     return lambda pts: sorter[np.searchsorted(sorted_keys, keys(pts))]
+
+
+def _window_index(box: Box, n_max: int, width: int):
+    """The box points of order 0..n_max, front by front and lexicographically
+    within a front: their ``(P, n)`` coordinates, the first row of each front
+    0..top+1 (top the highest nonempty front, 0 for an empty window) and
+    their `_row_locator`.
+
+    Each axis is clipped to the values that its window points take, then the
+    prefixes grow one axis at a time by their feasible ranges, so the cost
+    follows the point count however wide the box.  More than
+    ``_VALUE_BUDGET`` values, ``width`` a point, are refused before they are
+    allocated.
+    """
+    n = box.n
+    lo = [max(a, b - sum(box.hi)) for a, b in zip(box.lo, box.hi)]
+    hi = [min(b, n_max - sum(box.lo) + a) for a, b in zip(box.lo, box.hi)]
+    if sum(max(-a, b) for a, b in zip(lo, hi)) >= 2**62:
+        raise DomainError(f"the window {lo}..{hi} reaches past the int64 lattice range")
+    top = min(n_max, sum(hi))
+    coords, orders = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        first = np.maximum(lo[i], -orders - sum(hi[i + 1 :]))
+        count = np.maximum(np.minimum(hi[i], top - orders - sum(lo[i + 1 :])) - first + 1, 0)
+        total = count.sum(dtype=float)  # every prefix grows into a window point
+        if total * width > _VALUE_BUDGET:
+            raise DomainError(
+                f"the window holds {total:.0f} points or more of {width} values each, "
+                "past the budget of 2**24 values"
+            )
+        col = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(total))
+        coords = np.column_stack([np.repeat(coords, count, axis=0), col])
+        orders = np.repeat(orders, count) + col
+    perm = np.argsort(orders, kind="stable")
+    coords, orders = coords[perm], orders[perm]
+    bounds = np.searchsorted(orders, np.arange(int(orders.max(initial=0)) + 2))
+    return coords, bounds, _row_locator(coords)
 
 
 class _Entries(Mapping):

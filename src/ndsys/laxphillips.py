@@ -305,28 +305,6 @@ class OneParamSystemView:
     c: np.ndarray
     d: np.ndarray
 
-    def system(self) -> MultiLSDS:
-        """The view packaged as a one-direction system."""
-        return MultiLSDS(
-            a=OperatorTuple((self.a,)),
-            b=OperatorTuple((self.b,)),
-            c=OperatorTuple((self.c,)),
-            d=OperatorTuple((self.d,)),
-        )
-
-    def stack(self, values: dict[tuple[int, ...], np.ndarray], dim: int) -> np.ndarray:
-        out = np.zeros(len(self.front) * dim, dtype=complex)
-        for i, t in enumerate(self.front):
-            v = values.get(t)
-            if v is not None:
-                out[i * dim : (i + 1) * dim] = v
-        return out
-
-    def unstack(self, vec: np.ndarray, dim: int) -> dict[tuple[int, ...], np.ndarray]:
-        return {
-            t: vec[i * dim : (i + 1) * dim] for i, t in enumerate(self.front)
-        }
-
 
 def associated_one_param(sys: MultiLSDS, k: int, box: Box) -> OneParamSystemView:
     """Assemble the associated classical system for direction ``k`` on the

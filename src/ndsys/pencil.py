@@ -11,11 +11,15 @@ never by enumerating words; the enumeration definition survives only as a
 test oracle.  `sym_multipower_table` is the only table builder: the
 bordered multipowers of a system, whose first factor is a ``C`` member or
 whose last is a ``B`` member, are corners of the multipowers of its lifted
-colligation (see `ndsys.system`).
+colligation (see `ndsys.system`).  Its table is a stack on the window index
+of the cube ``0..top`` (`_cube`, the index `simulate` and `closed_form`
+build for their windows), filled one front at a time, and the multinomial
+weights are one int64 array over the same index, by Pascal's rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -23,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ArityError, DomainError, RangeError, ShapeError
-from .lattice import as_index, order, sub, unit
+from .lattice import Box, _window_index, as_index
 
 __all__ = [
     "OperatorTuple",
@@ -142,50 +146,69 @@ def _check_weights(top: int, n: int) -> None:
     multinomial((even + 1,) * extra + (even,) * (n - extra))
 
 
-def _closure(targets: Iterable[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Downward closure of ``targets`` under unit subtraction, ordered by
-    front then lexicographically."""
-    seen: set[tuple[int, ...]] = set()
-    stack = [as_index(t, n) for t in targets]
-    for t in stack:
-        if any(v < 0 for v in t):
-            raise DomainError(f"multipower index must be nonnegative, got {t}")
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        for k in range(n):
-            if t[k] > 0:
-                stack.append(sub(t, unit(n, k)))
-    return sorted(seen, key=lambda t: (order(t), t))
+@functools.lru_cache(maxsize=8)
+def _cube(n: int, top: int):
+    """The window index of the cube ``0..top`` in ``n`` variables: every
+    multi-index of order at most ``top``, front by front and
+    lexicographically within a front.  Returns its ``(P, n)`` coordinates,
+    the first row of each front 0..top+1, and the ``(P, n)`` rows of the
+    predecessors ``s - e_k``, row ``P`` (a zero row of the caller's) where
+    ``s_k = 0``.  The arrays are read-only: the table builder and both of
+    its callers read the same index, so it is built once per ``(n, top)``.
+    """
+    if top < 0:
+        raise DomainError(f"the top order must be >= 0, got {top}")
+    coords, bounds, locate = _window_index(Box((0,) * n, (top,) * n), top, n)
+    pred = np.full(coords.shape, len(coords), dtype=np.intp)
+    for k in range(n):
+        has = coords[:, k] > 0
+        pred[has, k] = locate(coords[has] - np.eye(1, n, k, dtype=np.int64))
+    for out in (coords, bounds, pred):
+        out.setflags(write=False)
+    return coords, bounds, pred
 
 
-def sym_multipower_table(
-    a: OperatorTuple, targets: Iterable[tuple[int, ...]]
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Symmetrized multipowers ``a^s`` for every ``s`` in the downward
-    closure of ``targets``, each ``sum_k (s_k / |s|) a_k a^(s - e_k)``
-    added up from 0 in letter order.
+def _weights(n: int, top: int) -> np.ndarray:
+    """``multinomial(s)`` for every row ``s`` of `_cube` ``(n, top)``, by
+    Pascal's rule ``w(s) = sum_k w(s - e_k)``: exact in int64, because a
+    weight past int64 is refused first (RangeError)."""
+    _check_weights(top, n)
+    _, bounds, pred = _cube(n, top)
+    w = np.zeros(len(pred) + 1, dtype=np.int64)
+    w[0] = 1
+    for f in range(1, len(bounds) - 1):
+        rows = slice(bounds[f], bounds[f + 1])
+        w[rows] = w[pred[rows]].sum(axis=1)
+    return w[:-1]
+
+
+def sym_multipower_table(a: OperatorTuple, top: int) -> np.ndarray:
+    """Symmetrized multipowers ``a^s`` for every ``s`` of order at most
+    ``top``, each ``sum_k (s_k / |s|) a_k a^(s - e_k)`` added up from 0 in
+    letter order, one stacked product per letter and front.
 
     Returns
     -------
-    dict
-        Maps each multi-index to a matrix; the zero index maps to the
-        identity.
+    ndarray
+        The ``(P, r, r)`` stack whose row ``i`` is ``a^s`` for the row ``s``
+        of the cube index (`_cube`); row 0, the zero index, is the
+        identity.  A front holding a non-finite entry raises RangeError.
     """
     if a.rows != a.cols:
         raise ShapeError(f"multipower needs square members, got {a.rows}x{a.cols}")
-    n = a.n
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    for s in _closure(targets, n):
-        m = order(s)
-        if m == 0:
-            table[s] = np.eye(a.rows, dtype=complex)
-        else:
-            # from 0, not from the first term: an order-1 entry is
-            # 0 + a_k @ I, so its zeros are +0.0
-            table[s] = sum(
-                (v / m) * (a[k] @ table[sub(s, unit(n, k))]) for k, v in enumerate(s) if v > 0
-            )
-    return table
+    coords, bounds, pred = _cube(a.n, top)
+    size = len(coords)
+    table = np.zeros((size + 1, a.rows, a.rows), dtype=complex)
+    table[0] = np.eye(a.rows, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(1, len(bounds) - 1):
+            rows = slice(bounds[f], bounds[f + 1])
+            # from 0: an order-1 entry is 0 + a_k @ I, so its zeros are +0.0,
+            # and a letter absent from s reads the zero row, adding +0.0
+            acc = np.zeros((rows.stop - rows.start, a.rows, a.rows), dtype=complex)
+            for k in range(a.n):
+                acc += (coords[rows, k] / f)[:, None, None] * (a[k] @ table[pred[rows, k]])
+            if not np.isfinite(acc.view(float)).all():
+                raise RangeError(f"the multipowers of order {f} are not finite")
+            table[rows] = acc
+    return table[:size]

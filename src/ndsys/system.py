@@ -22,6 +22,8 @@ colligation
 
 whose table holds, for ``|s| >= 1``, ``A^s``, ``(A...B)^s``, ``(C...A)^s``
 and ``(C...B)^s`` in its corners, with ``(C...B)^(e_k) = D_k``.  The
+offsets, their multinomial weights and the table are rows of one index,
+the window index (`lattice._window_index`) of the cube ``0..top``.  The
 Maclaurin coefficients of the transfer function are its ``Y, U`` corners.
 `energy_balance_report` buckets every signal by order in one pass, so it is
 linear in the window.  A window of more than 2**24 values, and a closed form
@@ -36,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError, ShapeError
-from .lattice import Box, LatticeSignal, SimulationWindow, _row_locator, order
-from .pencil import OperatorTuple, _check_weights, multinomial, sym_multipower_table
+from .lattice import Box, LatticeSignal, SimulationWindow, _window_index, order
+from .pencil import OperatorTuple, _cube, _weights, sym_multipower_table
 
 __all__ = [
     "MultiLSDS",
@@ -52,7 +54,6 @@ __all__ = [
     "EnergyReport",
 ]
 
-_VALUE_BUDGET = 2**24  # window points times (dim_x + dim_in + dim_out)
 _PAIR_BUDGET = 2**26  # closed-form window points times the offsets in their cones
 
 
@@ -247,43 +248,6 @@ def _scatter(signal: LatticeSignal, box: Box, n_max: int, locate, rows: np.ndarr
     rows[locate(signal.points[inside])] = signal.values[inside]
 
 
-def _window_index(box: Box, n_max: int, width: int):
-    """The box points of order 0..n_max, front by front and lexicographically
-    within a front: their ``(P, n)`` coordinates, the first row of each front
-    0..top+1 (top the highest nonempty front, 0 for an empty window) and
-    their `_row_locator`.
-
-    Each axis is clipped to the values that its window points take, then the
-    prefixes grow one axis at a time by their feasible ranges, so the cost
-    follows the point count however wide the box.  More than
-    ``_VALUE_BUDGET`` values, ``width`` a point, are refused before they are
-    allocated.
-    """
-    n = box.n
-    lo = [max(a, b - sum(box.hi)) for a, b in zip(box.lo, box.hi)]
-    hi = [min(b, n_max - sum(box.lo) + a) for a, b in zip(box.lo, box.hi)]
-    if sum(max(-a, b) for a, b in zip(lo, hi)) >= 2**62:
-        raise DomainError(f"the window {lo}..{hi} reaches past the int64 lattice range")
-    top = min(n_max, sum(hi))
-    coords, orders = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for i in range(n):
-        first = np.maximum(lo[i], -orders - sum(hi[i + 1 :]))
-        count = np.maximum(np.minimum(hi[i], top - orders - sum(lo[i + 1 :])) - first + 1, 0)
-        total = count.sum(dtype=float)  # every prefix grows into a window point
-        if total * width > _VALUE_BUDGET:
-            raise DomainError(
-                f"the window holds {total:.0f} points or more of {width} values each, "
-                "past the budget of 2**24 values"
-            )
-        col = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(total))
-        coords = np.column_stack([np.repeat(coords, count, axis=0), col])
-        orders = np.repeat(orders, count) + col
-    perm = np.argsort(orders, kind="stable")
-    coords, orders = coords[perm], orders[perm]
-    bounds = np.searchsorted(orders, np.arange(int(orders.max(initial=0)) + 2))
-    return coords, bounds, _row_locator(coords)
-
-
 def _result(window, coords, bounds, x, y, dirty, octant) -> SimulationResult:
     """The trajectory from its window arrays; outputs start on front 1."""
     masked = frozenset(map(tuple, coords[dirty].tolist()))
@@ -366,7 +330,8 @@ def closed_form(
     ``>= |d|`` at once.  Contamination masks agree with `simulate` exactly:
     both reduce to whether the cone leaves the trusted region.  More than
     ``_PAIR_BUDGET`` point-offset pairs, or a weight past int64
-    (RangeError), are refused before the table is built.
+    (RangeError), are refused before the table is built; a table whose
+    entries stop being finite raises RangeError at that front.
     """
     _check_signals(sys, window, input_signal, init)
     box = window.box
@@ -379,12 +344,9 @@ def closed_form(
         raise DomainError(
             f"the closed form needs {pairs} point-offset pairs, past the budget of 2**26"
         )
-    _check_weights(top, n)
-
-    # the offsets are the window index of the cube 0..top
-    offsets = _window_index(Box((0,) * n, (top,) * n), top, n)[0]
-    keys = list(map(tuple, offsets.tolist()))
-    powers = sym_multipower_table(_lift(sys), keys)
+    weights = _weights(n, top)
+    offsets, fronts, _ = _cube(n, top)
+    powers = sym_multipower_table(_lift(sys), top)
 
     # [x0 | 0 | u] on the window, plus one zero row that off-box reads hit
     xy = dim_x + sys.dim_out
@@ -395,14 +357,15 @@ def closed_form(
     acc = z[:size, :xy].copy()
     dirty = np.zeros(size, dtype=bool)
     lo = np.array(box.lo)
-    for d, key in zip(offsets[1:], keys[1:]):
-        rows = slice(bounds[sum(key)], size)
-        p = coords[rows] - d
-        inside = (p >= lo).all(axis=1)
-        src = np.full(len(p), size)
-        src[inside] = locate(p[inside])
-        dirty[rows] |= ~inside & ~(octant & (p < 0).any(axis=1))
-        acc[rows] += z[src] @ (float(multinomial(key)) * powers[key][:xy]).T
+    for f in range(1, top + 1):
+        rows, pts = slice(bounds[f], size), coords[bounds[f] :]
+        for i in range(fronts[f], fronts[f + 1]):
+            p = pts - offsets[i]
+            inside = (p >= lo).all(axis=1)
+            src = np.full(len(p), size)
+            src[inside] = locate(p[inside])
+            dirty[rows] |= ~inside & ~(octant & (p < 0).any(axis=1))
+            acc[rows] += z[src] @ (float(weights[i]) * powers[i, :xy]).T
     return _result(window, coords, bounds, acc[:, :dim_x], acc[:, dim_x:], dirty, octant)
 
 

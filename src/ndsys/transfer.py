@@ -8,12 +8,13 @@ where ``zA`` abbreviates the pencil value, so theta vanishes at the origin
 by construction.  The Maclaurin coefficient at ``t`` is
 ``multinomial(t) (C...B)^t``, read from the ``Y, U`` corner of the
 multipowers of the lifted colligation (see `ndsys.system`); at order one it
-is ``D_k``.
+is ``D_k``.  `maclaurin_poly` reads exponents, weights and multipowers as
+rows of one index of the cube ``0..max_order``, so its coefficients come
+in front-then-lexicographic order, the order of `term_items`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ArityError, DivergenceError, DomainError, ShapeError, SingularityError
 from .lattice import as_index, order
-from .pencil import _check_weights, eval_pencil, multinomial, sym_multipower_table
+from .pencil import _cube, _weights, eval_pencil, sym_multipower_table
 from .system import MultiLSDS, _lift
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "transfer_eval",
     "transfer_eval_series",
     "maclaurin_poly",
-    "schwarz_split",
 ]
 
 _SINGULAR_REL = 1e-13
@@ -200,7 +200,8 @@ def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
     ``multinomial(t) L^t[Y, U]`` from one table of the lifted colligation.
 
     More than 2**17 coefficients (DomainError), or a multinomial weight past
-    int64 (RangeError), are refused before the table is built.
+    int64 (RangeError), are refused before the table is built, and a table
+    whose entries stop being finite raises RangeError at that front.
     """
     if max_order < 1:
         raise DomainError(f"max_order must be >= 1, got {max_order}")
@@ -210,29 +211,10 @@ def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
         raise DomainError(
             f"order {max_order} has {count} Maclaurin coefficients, past the budget of 2**17"
         )
-    _check_weights(max_order, sys.n)
-    grid = itertools.product(range(max_order + 1), repeat=sys.n)
-    exps = [t for t in grid if 1 <= sum(t) <= max_order]
-    table = sym_multipower_table(_lift(sys), exps)
+    weights = _weights(sys.n, max_order)
+    exps = _cube(sys.n, max_order)[0]
+    table = sym_multipower_table(_lift(sys), max_order)
     y, u = slice(sys.dim_x, sys.dim_x + sys.dim_out), slice(sys.dim_x + sys.dim_out, None)
-    coeffs = {t: float(multinomial(t)) * table[t][y, u] for t in exps}
+    terms = weights[1:, None, None].astype(float) * table[1:, y, u]
+    coeffs = dict(zip(map(tuple, exps[1:].tolist()), terms))
     return MatrixPolynomial(n=sys.n, shape=(sys.dim_out, sys.dim_in), coeffs=coeffs)
-
-
-def schwarz_split(theta: MatrixPolynomial, tol: float = 0.0) -> MatrixPolynomial:
-    """Divide a one-variable polynomial vanishing at the origin by z.
-
-    The inverse of multiplying through by the variable; a nonzero constant
-    term (beyond ``tol``) means the polynomial is outside the domain of the
-    bijection and raises DomainError.
-    """
-    if theta.n != 1:
-        raise DomainError(f"defined for one variable only, got {theta.n}")
-    zero = (0,)
-    const = theta.coeffs.get(zero)
-    if const is not None and float(np.max(np.abs(const))) > tol:
-        raise DomainError("constant term present; the polynomial does not vanish at 0")
-    shifted = {
-        (t[0] - 1,): m for t, m in theta.coeffs.items() if t != zero
-    }
-    return MatrixPolynomial(n=1, shape=theta.shape, coeffs=shifted)

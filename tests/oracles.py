@@ -42,11 +42,16 @@ them to `dump`, a Maclaurin block as `poly_to_json` writes it.
 produce the same bytes.
 
 `sym_multipower_table_loops` and `bordered_multipower_table_loops` build
-the multipower tables with one written-out accumulator loop per kind, and
-`closed_form_dict` reads its four tables from them.  The library builds one
-table, of the lifted colligation: it must reproduce the sym loop on that
+the multipower tables over a set-based downward closure (`_closure`) with
+one written-out accumulator loop per kind, and `closed_form_dict` reads its
+four tables from them.  The library builds one table, of the lifted
+colligation, as a stack on the window index of the cube ``0..top``
+(`multipower_rows` keys its rows): it must reproduce the sym loop on that
 lift bit for bit, signed zeros included, and the bordered loops in its
 corners to 1e-12.
+
+`stack_front` and `unstack_front` move front values in and out of the
+stacked vectors of a `OneParamSystemView`.
 
 `halton_unit_scipy` is scipy's unscrambled Halton engine, and
 `halton_disc_rows` and `halton_torus_rows` map its points one row and one
@@ -86,7 +91,7 @@ from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.cli import _resolve_path
 from ndsys.lattice import add, order, sub, unit
 from ndsys.laxphillips import _check_dims
-from ndsys.pencil import _closure, multinomial
+from ndsys.pencil import _cube, multinomial, sym_multipower_table
 from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
@@ -749,6 +754,29 @@ def halton_torus_rows(count, n):
     return [tuple(np.exp(2j * np.pi * row[k]) for k in range(n)) for row in halton_unit_scipy(count, n)]
 
 
+def _closure(targets, n):
+    """Downward closure of ``targets`` under unit subtraction, ordered by
+    front then lexicographically."""
+    seen = set()
+    stack = [tuple(int(v) for v in t) for t in targets]
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        for k in range(n):
+            if t[k] > 0:
+                stack.append(sub(t, unit(n, k)))
+    return sorted(seen, key=lambda t: (order(t), t))
+
+
+def multipower_rows(a, top):
+    """The rows of ``sym_multipower_table(a, top)``, keyed by the rows of
+    the cube index they stand for."""
+    keys = map(tuple, _cube(a.n, top)[0].tolist())
+    return dict(zip(keys, sym_multipower_table(a, top)))
+
+
 def sym_multipower_table_loops(a, targets):
     """The symmetrized multipowers over the closure, one accumulator each."""
     table = {}
@@ -816,3 +844,19 @@ def bordered_multipower_table_loops(kind, a, targets, b=None, c=None):
                 acc += (s[k] / m) * (c[k] @ right[sub(s, unit(n, k))])
         table[s] = acc
     return table
+
+
+def stack_front(view, values, dim):
+    """The front values of ``values`` stacked in the view's point order,
+    zero where a point has none."""
+    out = np.zeros(len(view.front) * dim, dtype=complex)
+    for i, t in enumerate(view.front):
+        v = values.get(t)
+        if v is not None:
+            out[i * dim : (i + 1) * dim] = v
+    return out
+
+
+def unstack_front(view, vec, dim):
+    """A stacked front vector of the view back as ``{point: value}``."""
+    return {t: vec[i * dim : (i + 1) * dim] for i, t in enumerate(view.front)}

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 import gen
+import oracles
 from ndsys import (
     Box,
     LatticeSignal,
@@ -32,9 +33,7 @@ from ndsys import (
     gamma_map,
     maclaurin_poly,
     multinomial,
-    schwarz_split,
     simulate,
-    sym_multipower_table,
     transfer_eval,
     verify_agler_identity,
 )
@@ -189,7 +188,7 @@ def test_multipower_generating_identity():
 
         # the four multipowers are corners of the lifted colligation's table
         d = OperatorTuple((np.zeros((2, 2)),) * n_vars)
-        table = sym_multipower_table(_lift(MultiLSDS(a, b, c, d)), front)
+        table = oracles.multipower_rows(_lift(MultiLSDS(a, b, c, d)), order)
         x, y, u = slice(0, dim), slice(dim, dim + 2), slice(dim + 2, None)
 
         def corner(rows, cols):
@@ -354,14 +353,9 @@ def _reproduction_gap(sys, box, rng):
         front0 = view.front
         x0 = {t: rng.standard_normal(sys.dim_x) + 0j for t in front0}
         u0 = {t: rng.standard_normal(sys.dim_in) + 0j for t in front0}
-        x1 = view.unstack(
-            view.a @ view.stack(x0, sys.dim_x) + view.b @ view.stack(u0, sys.dim_in),
-            sys.dim_x,
-        )
-        y1 = view.unstack(
-            view.c @ view.stack(x0, sys.dim_x) + view.d @ view.stack(u0, sys.dim_in),
-            sys.dim_out,
-        )
+        x, u = oracles.stack_front(view, x0, sys.dim_x), oracles.stack_front(view, u0, sys.dim_in)
+        x1 = oracles.unstack_front(view, view.a @ x + view.b @ u, sys.dim_x)
+        y1 = oracles.unstack_front(view, view.c @ x + view.d @ u, sys.dim_out)
         result = simulate(
             sys,
             window,
@@ -501,13 +495,15 @@ def test_classical_degeneration():
                 float(np.linalg.norm(transfer_eval(sys, (z,)) - z * classical)),
             )
 
-        split = schwarz_split(maclaurin_poly(sys, steps))
+        # theta(z) = z theta_classical(z): the coefficient at j + 1 is the
+        # classical one at j
+        coeffs = maclaurin_poly(sys, steps).coeffs
         power = np.eye(dim_x, dtype=complex)
         for j in range(steps):
             textbook = d if j == 0 else c @ power @ b
             split_gap = max(
                 split_gap,
-                float(np.max(np.abs(split.coeffs.get((j,), np.zeros_like(textbook)) - textbook))),
+                float(np.max(np.abs(coeffs.get((j + 1,), np.zeros_like(textbook)) - textbook))),
             )
             if j >= 1:
                 power = power @ a

@@ -28,6 +28,10 @@ REMOVED = [
     "MatrixPolynomial.degrees",
     "LPMask.clean",
     "bordered_multipower_table",
+    "schwarz_split",
+    "OneParamSystemView.system",
+    "OneParamSystemView.stack",
+    "OneParamSystemView.unstack",
 ]
 
 

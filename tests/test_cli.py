@@ -3,13 +3,14 @@
 import json
 import subprocess
 import sys as _sys
+import warnings
 
 import numpy as np
 import pytest
 
 import gen
 import oracles
-from ndsys import Box, LatticeSignal, TruncatedLPVector, canonical_fixture
+from ndsys import Box, LatticeSignal, MultiLSDS, OperatorTuple, TruncatedLPVector, canonical_fixture
 from ndsys import serialization as ser
 from ndsys.cli import main
 
@@ -859,6 +860,44 @@ def test_oversized_coeffs_are_refused_before_any_table(capsys, tmp_path, monkeyp
     code, report, err = run(capsys, ["transfer", path, "--grid", "2", "--coeffs", order])
     assert code == 2 and report is None
     assert "input error" in err and named in err
+
+
+@pytest.mark.parametrize("system", ["n1", "a104"])
+def test_coeffs_whose_table_stops_being_finite_exit_2_without_warnings(capsys, tmp_path, system):
+    # both n = 1 systems have a state operator of spectral radius 1.04, so
+    # the table overflows near order 18,100, before the 20,000th term
+    if system == "n1":
+        path = _n1_system(tmp_path)
+    else:
+        ops = (OperatorTuple((np.array([[v]]),)) for v in (1.04, 1.0, 1.0, 0.0))
+        path = write(tmp_path, "a104.json", ser.system_to_json(MultiLSDS(*ops)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run(capsys, ["transfer", path, "--grid", "2", "--coeffs", "20000"])
+    assert code == 2 and report is None
+    assert "input error" in err and "are not finite" in err and "Traceback" not in err
+
+
+def test_closed_form_whose_table_stops_being_finite_exits_2_without_warnings(capsys, tmp_path):
+    # A = 1e10 overflows at order 31, where the parent wrote NaN states
+    ops = (OperatorTuple((np.array([[v]]),)) for v in (1e10, 1.0, 1.0, 0.5))
+    sig = LatticeSignal(1, 1, {(5,): np.array([1.0 + 0j])})
+    argv = [
+        "simulate",
+        write(tmp_path, "sys.json", ser.system_to_json(MultiLSDS(*ops))),
+        "--input",
+        write(tmp_path, "input.json", ser.signal_to_json(sig)),
+        "--box",
+        "0:40",
+        "--nmax",
+        "40",
+        "--closed-form",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert "multipowers of order 31 are not finite" in err and "Traceback" not in err
 
 
 def test_transfer_point_budget_is_checked_before_the_grid_is_drawn(capsys, monkeypatch):

@@ -8,6 +8,7 @@ the table of a lifted colligation.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ndsys import (
     multinomial,
     sym_multipower_table,
 )
+from ndsys.pencil import _cube, _weights
 from ndsys.system import _lift
 
 
@@ -158,8 +160,8 @@ def test_multinomial_pascal_recursion(s):
 
 
 def sym_entry(t, s):
-    """The entry at ``s`` of the table built for ``s`` alone."""
-    return sym_multipower_table(t, [s])[s]
+    """The row for ``s`` of the table built up to the order of ``s``."""
+    return oracles.multipower_rows(t, sum(s))[s]
 
 
 def lift_corners(a, targets, b=None, c=None, d=None):
@@ -174,7 +176,8 @@ def lift_corners(a, targets, b=None, c=None, d=None):
         c = OperatorTuple((np.zeros((1, dim)),) * n)
     if d is None:
         d = OperatorTuple((np.zeros((c.rows, b.cols)),) * n)
-    table = sym_multipower_table(_lift(MultiLSDS(a, b, c, d)), targets)
+    top = max(sum(s) for s in targets)
+    table = oracles.multipower_rows(_lift(MultiLSDS(a, b, c, d)), top)
     x, y, u = slice(0, dim), slice(dim, dim + c.rows), slice(dim + c.rows, None)
     cuts = {"sym": (x, x), "right": (x, u), "left": (y, x), "both": (y, u)}
     return {
@@ -190,7 +193,7 @@ def test_sym_multipower_zero_is_identity():
 
 def test_sym_multipower_unit_selects_member():
     t = random_tuple(np.random.default_rng(4), 3, 2, 2)
-    table = sym_multipower_table(t, [(1, 1, 1)])
+    table = oracles.multipower_rows(t, 1)
     for k in range(3):
         s = tuple(1 if i == k else 0 for i in range(3))
         assert np.allclose(table[s], t.mats[k])
@@ -213,7 +216,7 @@ def test_sym_multipower_vs_enumeration(seed):
     rng = np.random.default_rng(10 + seed)
     n = 2 + seed % 2
     t = random_tuple(rng, n, 3, 3)
-    table = sym_multipower_table(t, low_orders(n, 1))
+    table = oracles.multipower_rows(t, 4)
     for s in low_orders(n, 1):
         assert np.allclose(table[s], enum_multipower(t, s), atol=1e-10), s
 
@@ -242,7 +245,7 @@ def test_generating_identity():
     rng = np.random.default_rng(8)
     t = random_tuple(rng, 2, 3, 3)
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    table = sym_multipower_table(t, [(5, 5)])
+    table = oracles.multipower_rows(t, 5)
     for n in range(1, 6):
         lhs = np.linalg.matrix_power(eval_pencil(z, t), n)
         rhs = np.zeros((3, 3), dtype=complex)
@@ -322,14 +325,14 @@ def test_bordered_identity_with_pencil():
 def test_nonsquare_multipower_rejected():
     t = random_tuple(np.random.default_rng(15), 2, 2, 3)
     with pytest.raises(ShapeError):
-        sym_multipower_table(t, [(1, 0)])
+        sym_multipower_table(t, 1)
 
 
 def test_table_agrees_with_single_entry():
     rng = np.random.default_rng(16)
     t = random_tuple(rng, 2, 3, 3)
     offsets = [(1, 0), (0, 1), (1, 1), (2, 1)]
-    table = sym_multipower_table(t, offsets)
+    table = oracles.multipower_rows(t, 3)
     for s in offsets:
         assert np.allclose(table[s], sym_entry(t, s))
 
@@ -358,10 +361,12 @@ def signed_zero_tuple(rng, n, rows, cols):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 6), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_every_kind_matches_its_loop_bitwise(n, dim, top, seed):
     # the lifted table is bitwise the sym loop on the same lift, and its
-    # corners are the four kinds' own loops up to rounding
+    # corners are the four kinds' own loops up to rounding; row i of the
+    # stack is row i of the cube index, the downward closure of the top
+    # front in front-then-lexicographic order
     rng = np.random.default_rng(seed)
     outs, ins = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     a = signed_zero_tuple(rng, n, dim, dim)
@@ -370,11 +375,15 @@ def test_every_kind_matches_its_loop_bitwise(n, dim, top, seed):
     d = signed_zero_tuple(rng, n, outs, ins)
     targets = [tuple(int(v) for v in rng.multinomial(top, [1 / n] * n)) for _ in range(3)]
     lift = _lift(MultiLSDS(a, b, c, d))
-    got = sym_multipower_table(lift, targets)
+    got = sym_multipower_table(lift, top)
     want = oracles.sym_multipower_table_loops(lift, targets)
-    assert list(got) == list(want)
+    front = [s for s in itertools.product(range(top + 1), repeat=n) if sum(s) == top]
+    cube = oracles._closure(front, n)
+    assert _cube(n, top)[0].tolist() == [list(s) for s in cube]
+    assert len(got) == len(cube)
+    row = {s: i for i, s in enumerate(cube)}
     for s in want:
-        assert oracles.same_bits(got[s], want[s]), s
+        assert oracles.same_bits(got[row[s]], want[s]), s
     corners = lift_corners(a, targets, b=b, c=c, d=d)
     loops = {"sym": oracles.sym_multipower_table_loops(a, targets)}
     for kind in ("right", "left", "both"):
@@ -388,3 +397,36 @@ def test_every_kind_matches_its_loop_bitwise(n, dim, top, seed):
         s = tuple(1 if i == k else 0 for i in range(n))
         if s in corners["both"]:
             assert np.array_equal(corners["both"][s], d[k])
+
+
+@pytest.mark.parametrize("n, top", [(1, 30), (2, 66), (3, 43), (4, 20), (4, 35)])
+def test_weights_are_the_multinomials_at_the_int64_edge(n, top):
+    # Pascal's rule over the cube index; 66, 43 and 35 are the highest
+    # orders whose weights fit int64 at n = 2, 3, 4
+    coords = _cube(n, top)[0].tolist()
+    weights = _weights(n, top)
+    assert weights.dtype == np.int64 and len(weights) == len(coords)
+    assert [int(w) for w in weights] == [multinomial(s) for s in coords]
+
+
+@pytest.mark.parametrize("n, top", [(2, 67), (3, 44), (4, 36)])
+def test_weights_past_int64_are_refused(n, top):
+    with pytest.raises(RangeError, match="exceeds 64-bit range"):
+        _weights(n, top)
+
+
+def test_a_table_that_stops_being_finite_is_refused_at_its_front():
+    # 1e200^2 overflows: order 2 is the first front holding inf, and the
+    # build raises there without a numpy warning
+    t = OperatorTuple((np.array([[1e200]]), np.array([[0.5]])))
+    assert np.isfinite(sym_multipower_table(t, 1)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="multipowers of order 2 are not finite"):
+            sym_multipower_table(t, 5)
+
+
+def test_a_negative_top_order_is_refused():
+    t = random_tuple(np.random.default_rng(18), 2, 2, 2)
+    with pytest.raises(DomainError, match="top order"):
+        sym_multipower_table(t, -1)

@@ -1,5 +1,7 @@
 """System aggregate, trajectories, and the energy ledger."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,8 @@ from ndsys import (
     simulate,
     validate,
 )
-from ndsys.system import _window_index, conjugate
+from ndsys.lattice import _window_index
+from ndsys.system import conjugate
 
 
 def impulse(n, dim):
@@ -128,7 +131,7 @@ def test_worked_impulse_trajectory():
 
 def test_single_initial_point_zero_input():
     # with nothing flowing in, the state is the weighted pure multipower
-    from ndsys import multinomial, sym_multipower_table
+    from ndsys import multinomial
 
     rng = np.random.default_rng(6)
     sys = gen.random_system(rng, 2, 3, 2, 2)
@@ -137,7 +140,7 @@ def test_single_initial_point_zero_input():
     window = SimulationWindow(Box((0, 0), (4, 4)), 4)
     result = simulate(sys, window, empty(2, 2), init)
     targets = [(1, 0), (2, 1), (2, 2)]
-    table = sym_multipower_table(sys.a, targets)
+    table = oracles.multipower_rows(sys.a, 4)
     for t in targets:
         want = multinomial(t) * table[t] @ x0
         assert np.allclose(result.states.value(t), want, atol=1e-10)
@@ -322,6 +325,22 @@ def test_closed_form_weight_overflow_is_refused_before_any_table(monkeypatch):
         closed_form(sys, window, impulse(3, 1), empty(3, 1))
 
 
+def test_closed_form_refuses_a_table_that_stops_being_finite():
+    # A = 1e10: A^31 overflows, so the table's order-31 front holds inf,
+    # where the parent's closed form returned NaN states from order 31 on;
+    # the recursion itself stays finite up to order 36
+    sys = MultiLSDS(*(OperatorTuple((np.array([[v]]),)) for v in (1e10, 1.0, 1.0, 0.5)))
+    window = SimulationWindow(Box((0,), (40,)), 40)
+    inp = LatticeSignal(1, 1, {(5,): np.array([1.0])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="multipowers of order 31 are not finite"):
+            closed_form(sys, window, inp, empty(1, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = simulate(sys, window, inp, empty(1, 1)).states
+    assert np.isfinite(states.values[:37]).all()
+
+
 def test_closed_form_and_maclaurin_build_one_table_each(monkeypatch):
     import ndsys.pencil
     import ndsys.system
@@ -329,9 +348,9 @@ def test_closed_form_and_maclaurin_build_one_table_each(monkeypatch):
 
     built = []
 
-    def spy(a, targets):
+    def spy(a, top):
         built.append(a)
-        return ndsys.pencil.sym_multipower_table(a, targets)
+        return ndsys.pencil.sym_multipower_table(a, top)
 
     monkeypatch.setattr(ndsys.system, "sym_multipower_table", spy)
     monkeypatch.setattr(ndsys.transfer, "sym_multipower_table", spy)

@@ -23,8 +23,6 @@ from ndsys import (
     builtin_examples,
     maclaurin_poly,
     multinomial,
-    schwarz_split,
-    sym_multipower_table,
     transfer_eval,
     transfer_eval_series,
 )
@@ -282,7 +280,7 @@ def test_maclaurin_poly_equals_single_entry_tables_bitwise(n):
     y = slice(sys.dim_x, sys.dim_x + sys.dim_out)
     u = slice(sys.dim_x + sys.dim_out, None)
     for t, m in poly.coeffs.items():
-        single = sym_multipower_table(_lift(sys), [t])[t][y, u]
+        single = oracles.multipower_rows(_lift(sys), sum(t))[t][y, u]
         assert oracles.same_bits(m, float(multinomial(t)) * single)
 
 
@@ -445,7 +443,9 @@ def test_matrix_polynomial_rejects_mixed_shapes():
         )
 
 
-def test_schwarz_split_recovers_classical_coefficients():
+def test_maclaurin_coefficients_shift_the_classical_ones():
+    # for n = 1, theta(z) = z theta_classical(z): the coefficient at j + 1
+    # is the classical one at j
     rng = np.random.default_rng(10)
     a = 0.5 * gen.haar_unitary(rng, 3)
     b = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
@@ -454,20 +454,8 @@ def test_schwarz_split_recovers_classical_coefficients():
     sys = MultiLSDS(
         a=OperatorTuple((a,)), b=OperatorTuple((b,)), c=OperatorTuple((c,)), d=OperatorTuple((d,))
     )
-    split = schwarz_split(maclaurin_poly(sys, 6))
-    assert np.abs(split.coeffs[(0,)] - d).max() <= 1e-12
+    coeffs = maclaurin_poly(sys, 6).coeffs
+    assert np.abs(coeffs[(1,)] - d).max() <= 1e-12
     for j in range(1, 6):
         want = c @ np.linalg.matrix_power(a, j - 1) @ b
-        assert np.abs(split.coeffs[(j,)] - want).max() <= 1e-12
-
-
-def test_schwarz_split_needs_vanishing_constant_term():
-    p = MatrixPolynomial(1, (1, 1), {(0,): np.array([[1.0]])})
-    with pytest.raises(DomainError):
-        schwarz_split(p)
-
-
-def test_schwarz_split_is_single_variable_only():
-    p = MatrixPolynomial(2, (1, 1), {(1, 1): np.array([[1.0]])})
-    with pytest.raises(DomainError):
-        schwarz_split(p)
+        assert np.abs(coeffs[(j + 1,)] - want).max() <= 1e-12
