@@ -33,7 +33,8 @@ class ShapeError(NdsysError):
 
 
 class RangeError(NdsysError):
-    """An exact integer result left the representable range."""
+    """A result left the representable range: an exact integer past int64,
+    or a float past the float range."""
 
 
 class DomainError(NdsysError):

@@ -1,12 +1,15 @@
-"""Multi-index arithmetic, axis-aligned boxes, and finitely supported signals.
+"""Lattice points, axis-aligned boxes, and finitely supported signals.
 
 Lattice points are plain tuples of Python ints, and a signal keeps its
 support as one int64 array with a point per row.  The *order* of a point is
 the sum of its coordinates; the set of points of one fixed order is a front.
-All enumeration here is lexicographic so that downstream assemblies are
-deterministic.  The window index (`_window_index`: the box points of
-fronts 0..n_max, front by front) is the one index that `simulate`,
-`closed_form` and the multipower table (on the cube ``0..top``) read.
+The window index (`_window_index`: the box points of the fronts
+first..last, front by front and lexicographically within a front) is the
+library's one way to enumerate lattice points: `Box.front`, `simulate`,
+`closed_form`, the multipower table (on the cube ``0..top``) and the
+scattering generators (on the whole box) all read it.  Its row locator
+answers every query: a point the index does not hold gets row ``N``, the
+shared zero row its callers keep after the ``N`` index rows.
 """
 
 from __future__ import annotations
@@ -22,10 +25,7 @@ from .errors import ArityError, DomainError, ShapeError
 
 __all__ = [
     "order",
-    "unit",
     "as_index",
-    "add",
-    "sub",
     "Box",
     "SimulationWindow",
     "LatticeSignal",
@@ -37,13 +37,6 @@ _VALUE_BUDGET = 2**24  # window points times the values each point carries
 def order(t: tuple[int, ...]) -> int:
     """Sum of the coordinates of ``t``."""
     return sum(t)
-
-
-def unit(n: int, k: int) -> tuple[int, ...]:
-    """The k-th coordinate unit vector in Z^n, k counted from 0."""
-    if not 0 <= k < n:
-        raise DomainError(f"coordinate index {k} outside 0..{n - 1}")
-    return tuple(1 if i == k else 0 for i in range(n))
 
 
 def whole(value, what: str) -> int:
@@ -65,14 +58,6 @@ def as_index(t: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     return out
 
 
-def add(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a + b for a, b in zip(s, t))
-
-
-def sub(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(s, t))
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box ``lo <= t <= hi`` in Z^n (bounds inclusive)."""
@@ -92,31 +77,16 @@ class Box:
     def n(self) -> int:
         return len(self.lo)
 
-    def contains(self, t: tuple[int, ...]) -> bool:
-        return all(a <= v <= b for a, v, b in zip(self.lo, t, self.hi))
-
     def holds(self, points: np.ndarray) -> np.ndarray:
         """Whether each row of an (N, n) point array lies in the box."""
         return ((points >= np.array(self.lo)) & (points <= np.array(self.hi))).all(axis=1)
 
     def front(self, n: int) -> list[tuple[int, ...]]:
-        """All box points of order ``n``, lexicographically."""
-        out: list[tuple[int, ...]] = []
-        self._walk(0, n, (), out)
-        return out
-
-    def _walk(self, i, remaining, prefix, out):
-        if i == self.n:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        # prune by what the remaining coordinates can still sum to
-        rest_lo = sum(self.lo[i + 1 :])
-        rest_hi = sum(self.hi[i + 1 :])
-        lo = max(self.lo[i], remaining - rest_hi)
-        hi = min(self.hi[i], remaining - rest_lo)
-        for v in range(lo, hi + 1):
-            self._walk(i + 1, remaining - v, prefix + (v,), out)
+        """All box points of order ``n``, lexicographically: the rows of
+        the window index of that one front."""
+        if not sum(self.lo) <= n <= sum(self.hi):
+            return []  # and an order past int64 never reaches numpy
+        return list(map(tuple, _window_index(self, n, self.n, n)[0].tolist()))
 
     def negated(self) -> "Box":
         """The reflection ``-t`` of the box through the origin."""
@@ -150,63 +120,73 @@ class SimulationWindow:
 
 
 def _row_locator(points: np.ndarray):
-    """A map from (M, n) arrays of rows of the (N, n) int array ``points``
-    to their row numbers there.
+    """A map from (..., n) int arrays of points to their row numbers in the
+    (N, n) int array ``points``; a point not in ``points`` gets row ``N``,
+    the shared zero row its callers keep after the ``N`` rows.
 
     Points are keyed row-major over the bounding box of ``points``, so a
-    huge box with few fronts keeps a small key space.
+    huge box with few fronts keeps a small key space.  The row that the key
+    search finds is confirmed by comparing its point with the query, so a
+    query off the index misses whatever key it forms: one inside the
+    bounding box, and a far one whose key wraps or aliases a member's.
     """
-    if not len(points):
-        return lambda pts: np.zeros(0, dtype=np.intp)
+    size = len(points)
+    if not size:
+        return lambda pts: np.zeros(pts.shape[:-1], dtype=np.intp)
     lo = points.min(axis=0)
     extents = points.max(axis=0) - lo + 1
     if np.prod(np.asarray(extents, dtype=float)) >= 2.0**62:
         raise DomainError(f"points spanning {extents.tolist()} are too wide to index")
     strides = np.cumprod(np.append(extents[1:], 1)[::-1])[::-1]
+    keys = (points - lo) @ strides
+    sorter = np.argsort(keys)
+    sorted_keys = keys[sorter]
+    # a search past the last key lands on row N, whose point is any point:
+    # a match there still answers N
+    sorter = np.append(sorter, size)
+    held = np.append(points, points[:1], axis=0)
 
-    def keys(pts):
-        return (pts - lo) @ strides
+    def locate(pts):
+        rows = sorter[np.searchsorted(sorted_keys, (pts - lo) @ strides)]
+        return np.where((held[rows] == pts).all(axis=-1), rows, size)
 
-    window_keys = keys(points)
-    sorter = np.argsort(window_keys)
-    sorted_keys = window_keys[sorter]
-    return lambda pts: sorter[np.searchsorted(sorted_keys, keys(pts))]
+    return locate
 
 
-def _window_index(box: Box, n_max: int, width: int):
-    """The box points of order 0..n_max, front by front and lexicographically
-    within a front: their ``(P, n)`` coordinates, the first row of each front
-    0..top+1 (top the highest nonempty front, 0 for an empty window) and
-    their `_row_locator`.
+def _window_index(box: Box, last: int, width: int, first: int = 0):
+    """The box points of order first..last, front by front and
+    lexicographically within a front: their ``(P, n)`` coordinates, the
+    first row of each front first..top+1 (top the highest nonempty front,
+    ``first`` for an empty index) and their `_row_locator`.
 
-    Each axis is clipped to the values that its window points take, then the
+    Each axis is clipped to the values that the index points take, then the
     prefixes grow one axis at a time by their feasible ranges, so the cost
     follows the point count however wide the box.  More than
     ``_VALUE_BUDGET`` values, ``width`` a point, are refused before they are
     allocated.
     """
     n = box.n
-    lo = [max(a, b - sum(box.hi)) for a, b in zip(box.lo, box.hi)]
-    hi = [min(b, n_max - sum(box.lo) + a) for a, b in zip(box.lo, box.hi)]
+    lo = [max(a, first - sum(box.hi) + b) for a, b in zip(box.lo, box.hi)]
+    hi = [min(b, last - sum(box.lo) + a) for a, b in zip(box.lo, box.hi)]
     if sum(max(-a, b) for a, b in zip(lo, hi)) >= 2**62:
         raise DomainError(f"the window {lo}..{hi} reaches past the int64 lattice range")
-    top = min(n_max, sum(hi))
+    top = min(last, sum(hi))
     coords, orders = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for i in range(n):
-        first = np.maximum(lo[i], -orders - sum(hi[i + 1 :]))
-        count = np.maximum(np.minimum(hi[i], top - orders - sum(lo[i + 1 :])) - first + 1, 0)
-        total = count.sum(dtype=float)  # every prefix grows into a window point
+        start = np.maximum(lo[i], first - orders - sum(hi[i + 1 :]))
+        count = np.maximum(np.minimum(hi[i], top - orders - sum(lo[i + 1 :])) - start + 1, 0)
+        total = count.sum(dtype=float)  # every prefix grows into an index point
         if total * width > _VALUE_BUDGET:
             raise DomainError(
                 f"the window holds {total:.0f} points or more of {width} values each, "
                 "past the budget of 2**24 values"
             )
-        col = np.repeat(first - np.cumsum(count) + count, count) + np.arange(int(total))
+        col = np.repeat(start - np.cumsum(count) + count, count) + np.arange(int(total))
         coords = np.column_stack([np.repeat(coords, count, axis=0), col])
         orders = np.repeat(orders, count) + col
     perm = np.argsort(orders, kind="stable")
     coords, orders = coords[perm], orders[perm]
-    bounds = np.searchsorted(orders, np.arange(int(orders.max(initial=0)) + 2))
+    bounds = np.searchsorted(orders, np.arange(first, int(orders.max(initial=first)) + 2))
     return coords, bounds, _row_locator(coords)
 
 

@@ -9,6 +9,11 @@ conjugate system's generator seen through the reflection `gamma_map`.
 
 Vectors are truncated to a box.  A read outside the box yields zero and
 masks the written point, mirroring the window semantics of simulation.
+The box points are the window index (`lattice._window_index`) of the whole
+box, and an off-box read is the row locator's miss, the shared zero row.
+A box of more than 2**24 values, ``dim_x + dim_in + dim_out`` a point, and
+an associated view of more than 2**24 values are refused before they are
+built.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .lattice import Box, LatticeSignal, _row_locator, add, sub, unit
+from .lattice import _VALUE_BUDGET, Box, LatticeSignal, _window_index
 from .pencil import OperatorTuple
 from .system import MultiLSDS, conjugate
 
@@ -90,10 +95,13 @@ def _check_dims(sys: MultiLSDS, vec: TruncatedLPVector):
             raise ShapeError(f"{name} dimension {have} != {space} dimension {want}")
 
 
-def _box_points(box: Box) -> np.ndarray:
-    """Every point of the box as an (N, n) int64 array, lexicographically."""
-    axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(box.lo, box.hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, box.n)
+def _box_points(sys: MultiLSDS, box: Box):
+    """The window index of the whole box, front by front, and its row
+    locator; a box of more than 2**24 values, ``dim_x + dim_in + dim_out``
+    a point, is refused before it is built."""
+    width = sys.dim_x + sys.dim_in + sys.dim_out
+    coords, _, locate = _window_index(box, sum(box.hi), width, sum(box.lo))
+    return coords, locate
 
 
 def apply_generator(
@@ -106,25 +114,18 @@ def apply_generator(
     incoming values shift away.  Returns the new vector and the off-box
     read mask.
 
-    Each band is one gather from dense box arrays: a point reads row
-    ``t + e_k``, a zero-front point rows ``t - e_j + e_k``, and an off-box
-    read hits one shared zero row.
+    Each band is one gather from dense arrays on the box index: a point
+    reads row ``t + e_k``, a zero-front point rows ``t - e_j + e_k``, and
+    an off-box read hits one shared zero row.
     """
     _check_dims(sys, vec)
     n = sys.n
     if not 0 <= k < n:
         raise DomainError(f"direction {k} outside 0..{n - 1}")
     box = vec.box
-    points = _box_points(box)
+    points, locate = _box_points(sys, box)
     orders = points.sum(axis=1)
     front, plus, minus = orders == 0, orders <= 0, orders >= 0
-    locate = _row_locator(points)
-
-    def rows(p):  # each point's row in the box arrays, or the zero row after them
-        inside = box.holds(p)
-        out = np.full(len(p), len(points))
-        out[inside] = locate(p[inside])
-        return out, ~inside
 
     def grid(sig):  # the signal's values on the box rows, then the zero row
         out = np.zeros((len(points) + 1, sig.dim), dtype=complex)
@@ -132,16 +133,17 @@ def apply_generator(
         return out
 
     e = np.eye(n, dtype=np.int64)
-    shift, off = rows(points + e[k])
-    coupled, dirty = zip(*(rows(points[front] - e[j] + e[k]) for j in range(n)))
+    shift = locate(points + e[k])
+    coupled = locate(points[front, None] - e + e[k])  # row i, column j: t_i - e_j + e_k
     u_in = grid(vec.u_minus)
     gains = np.vstack([g.T for g in sys.blocks()])
-    step = np.hstack([grid(vec.y), u_in])[np.stack(coupled, axis=1)]
+    step = np.hstack([grid(vec.y), u_in])[coupled]
     step = step.reshape(len(step), len(gains)) @ gains
     up = grid(vec.u_plus)[shift]
     up[front] = step[:, sys.dim_x :]
+    off = shift == len(points)
     off_up = off.copy()
-    off_up[front] = np.any(dirty, axis=0)
+    off_up[front] = (coupled == len(points)).any(axis=1)
     out = TruncatedLPVector(
         box,
         LatticeSignal.from_arrays(n, sys.dim_out, points[plus], up[plus]),
@@ -184,8 +186,7 @@ def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
 
 
 def _random_interior_vector(sys: MultiLSDS, box: Box, margin: int, rng) -> TruncatedLPVector:
-    points = _box_points(box.shrunk(margin))
-    points = points[np.argsort(points.sum(axis=1), kind="stable")]  # seeds draw front by front
+    points = _box_points(sys, box.shrunk(margin))[0]  # seeds draw front by front
     orders = points.sum(axis=1)
 
     def gauss(band, dim):
@@ -311,29 +312,33 @@ def associated_one_param(sys: MultiLSDS, k: int, box: Box) -> OneParamSystemView
     zero-order front of ``box``.
 
     For n = 1 the front is the single origin point and the matrices reduce
-    to the system's own members bit for bit.
+    to the system's own members bit for bit.  A view of more than 2**24
+    values, ``m**2 (dim_x + dim_out)(dim_x + dim_in)`` for ``m`` front
+    points, is refused before it is allocated.
     """
     sys.require_wellformed()
-    if not 0 <= k < sys.n:
-        raise DomainError(f"direction {k} outside 0..{sys.n - 1}")
-    if box.n != sys.n:
-        raise ShapeError(f"box in Z^{box.n}, system in Z^{sys.n}")
-    front = box.front(0)
-    if not front:
-        raise DomainError("the box misses the zero-order front entirely")
-    pos = {t: i for i, t in enumerate(front)}
-    m = len(front)
     n = sys.n
+    if not 0 <= k < n:
+        raise DomainError(f"direction {k} outside 0..{n - 1}")
+    if box.n != n:
+        raise ShapeError(f"box in Z^{box.n}, system in Z^{n}")
+    front, _, locate = _window_index(box, 0, sys.dim_x + sys.dim_in + sys.dim_out)
+    m = len(front)
+    if not m:
+        raise DomainError("the box misses the zero-order front entirely")
+    values = m * m * (sys.dim_x + sys.dim_out) * (sys.dim_x + sys.dim_in)
+    if values > _VALUE_BUDGET:
+        raise DomainError(
+            f"the view of {m} front points holds {values} values, past the budget of 2**24"
+        )
+    e = np.eye(n, dtype=np.int64)
 
     def shift_matrix(j: int) -> np.ndarray:
-        # maps the stacked front to itself by t -> t + e_k - e_j, losing
-        # whatever shifts off the front
-        p = np.zeros((m, m))
-        for t, i in pos.items():
-            src = add(sub(t, unit(n, j)), unit(n, k))
-            if src in pos:
-                p[i, pos[src]] = 1.0
-        return p
+        # maps the stacked front to itself by t -> t + e_k - e_j; whatever
+        # shifts off the front reads the dropped zero column m
+        p = np.zeros((m, m + 1))
+        p[np.arange(m), locate(front - e[j] + e[k])] = 1.0
+        return p[:, :m]
 
     def assemble(ops: OperatorTuple) -> np.ndarray:
         acc = np.kron(np.eye(m), ops[k])
@@ -344,7 +349,7 @@ def associated_one_param(sys: MultiLSDS, k: int, box: Box) -> OneParamSystemView
 
     return OneParamSystemView(
         direction=k,
-        front=tuple(front),
+        front=tuple(map(tuple, front.tolist())),
         a=assemble(sys.a),
         b=assemble(sys.b),
         c=assemble(sys.c),

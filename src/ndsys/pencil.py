@@ -159,10 +159,7 @@ def _cube(n: int, top: int):
     if top < 0:
         raise DomainError(f"the top order must be >= 0, got {top}")
     coords, bounds, locate = _window_index(Box((0,) * n, (top,) * n), top, n)
-    pred = np.full(coords.shape, len(coords), dtype=np.intp)
-    for k in range(n):
-        has = coords[:, k] > 0
-        pred[has, k] = locate(coords[has] - np.eye(1, n, k, dtype=np.int64))
+    pred = locate(coords[:, None] - np.eye(n, dtype=np.int64))
     for out in (coords, bounds, pred):
         out.setflags(write=False)
     return coords, bounds, pred

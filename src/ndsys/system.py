@@ -11,7 +11,8 @@ direction:
 with initial state data prescribed on the zero-order front.  Two trajectory
 evaluators are provided: the recursion itself (`simulate`) and the closed
 multipower form (`closed_form`).  Both are array code on one window index,
-the box points of fronts 0..n_max in front order, and they stay numerically
+the box points of fronts 0..n_max in front order, whose row locator sends a
+read off the window to the shared zero row; they stay numerically
 independent, so they must agree on uncontaminated window points: `simulate`
 steps whole fronts (Lamport's hyperplanes: a front depends only on the one
 before it) through the blocks, and `closed_form` gathers the data at
@@ -27,7 +28,8 @@ the window index (`lattice._window_index`) of the cube ``0..top``.  The
 Maclaurin coefficients of the transfer function are its ``Y, U`` corners.
 `energy_balance_report` buckets every signal by order in one pass, so it is
 linear in the window.  A window of more than 2**24 values, and a closed form
-of more than 2**26 point-offset pairs, is refused before it is allocated.
+of more than 2**26 point-offset pairs, is refused before it is allocated; a
+trajectory or a front energy that stops being finite raises RangeError.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ShapeError
+from .errors import DomainError, PreconditionError, RangeError, ShapeError
 from .lattice import Box, LatticeSignal, SimulationWindow, _window_index, order
 from .pencil import OperatorTuple, _cube, _weights, sym_multipower_table
 
@@ -241,15 +243,20 @@ def _octant_exact(input_signal: LatticeSignal, init: LatticeSignal) -> bool:
     return input_signal.octant_supported() and init.octant_supported()
 
 
-def _scatter(signal: LatticeSignal, box: Box, n_max: int, locate, rows: np.ndarray):
-    """Copy the values of ``signal`` on fronts 0..n_max of the box into ``rows``."""
-    orders = signal.points.sum(axis=1)
-    inside = (orders >= 0) & (orders <= n_max) & box.holds(signal.points)
-    rows[locate(signal.points[inside])] = signal.values[inside]
+def _scatter(signal: LatticeSignal, locate, rows: np.ndarray):
+    """Copy the values of ``signal`` at the window points into ``rows``;
+    the values off the window land on the zero row, which is cleared."""
+    rows[locate(signal.points)] = signal.values
+    rows[-1] = 0
 
 
 def _result(window, coords, bounds, x, y, dirty, octant) -> SimulationResult:
-    """The trajectory from its window arrays; outputs start on front 1."""
+    """The trajectory from its window arrays; outputs start on front 1.
+    Raises RangeError at the lowest front holding a value that is not
+    finite."""
+    bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
+    if bad.any():
+        raise RangeError(f"the trajectory on front {coords[bad].sum(axis=1).min()} is not finite")
     masked = frozenset(map(tuple, coords[dirty].tolist()))
     first = int(bounds[1])
     return SimulationResult(
@@ -276,7 +283,8 @@ def simulate(
     once.  Off-window reads yield zero vectors; the result masks every point
     whose value depended on such a read, except reads at negative
     coordinates when all supplied data is supported in the nonnegative
-    octant (those are exact zeros).
+    octant (those are exact zeros).  A trajectory that stops being finite
+    raises RangeError at its lowest such front.
     """
     _check_signals(sys, window, input_signal, init)
     box, n_max = window.box, window.n_max
@@ -287,29 +295,24 @@ def simulate(
 
     # state and input side by side, plus one zero row that off-box reads hit
     z = np.zeros((size + 1, dim_x + dim_in), dtype=complex)
-    _scatter(init, box, 0, locate, z[:, :dim_x])
-    _scatter(input_signal, box, n_max, locate, z[:, dim_x:])
+    _scatter(init, locate, z[:, :dim_x])
+    _scatter(input_signal, locate, z[:, dim_x:])
     y = np.zeros((size, sys.dim_out), dtype=complex)
     gains = np.vstack([g.T for g in sys.blocks()])
 
-    # predecessor rows: t - e_k is in the box exactly when t_k > lo_k
-    pred = np.full((size, n), size, dtype=np.intp)
-    dirty_read = np.zeros((size, n), dtype=bool)
-    negative = (coords < 0).any(axis=1)
-    for k in range(n):
-        inside = coords[:, k] > box.lo[k]
-        e_k = np.eye(1, n, k, dtype=np.int64)
-        pred[inside, k] = locate(coords[inside] - e_k)
-        exact_zero = octant & (negative | (coords[:, k] < 1))
-        dirty_read[:, k] = ~inside & ~exact_zero
+    # the rows of the predecessors t - e_k; off the window, the zero row
+    pred = locate(coords[:, None] - np.eye(n, dtype=np.int64))
+    exact_zero = octant & ((coords < 0).any(axis=1)[:, None] | (coords < 1))
+    dirty_read = (pred == size) & ~exact_zero
 
     dirty = np.zeros(size + 1, dtype=bool)
-    for f in range(1, len(bounds) - 1):
-        rows = slice(bounds[f], bounds[f + 1])
-        step = z[pred[rows]].reshape(-1, n * (dim_x + dim_in)) @ gains
-        z[rows, :dim_x] = step[:, :dim_x]
-        y[rows] = step[:, dim_x:]
-        dirty[rows] = (dirty[pred[rows]] | dirty_read[rows]).any(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(1, len(bounds) - 1):
+            rows = slice(bounds[f], bounds[f + 1])
+            step = z[pred[rows]].reshape(-1, n * (dim_x + dim_in)) @ gains
+            z[rows, :dim_x] = step[:, :dim_x]
+            y[rows] = step[:, dim_x:]
+            dirty[rows] = (dirty[pred[rows]] | dirty_read[rows]).any(axis=1)
     return _result(window, coords, bounds, z[:size, :dim_x], y, dirty[:size], octant)
 
 
@@ -331,13 +334,13 @@ def closed_form(
     both reduce to whether the cone leaves the trusted region.  More than
     ``_PAIR_BUDGET`` point-offset pairs, or a weight past int64
     (RangeError), are refused before the table is built; a table whose
-    entries stop being finite raises RangeError at that front.
+    entries stop being finite raises RangeError at that front, and so does
+    a trajectory, at its lowest such front.
     """
     _check_signals(sys, window, input_signal, init)
-    box = window.box
     octant = _octant_exact(input_signal, init)
     n, dim_x, dim_in = sys.n, sys.dim_x, sys.dim_in
-    coords, bounds, locate = _window_index(box, window.n_max, dim_x + dim_in + sys.dim_out)
+    coords, bounds, locate = _window_index(window.box, window.n_max, dim_x + dim_in + sys.dim_out)
     size, top = len(coords), len(bounds) - 2
     pairs = sum(int(p) * (math.comb(f + n, n) - 1) for f, p in enumerate(np.diff(bounds)))
     if pairs > _PAIR_BUDGET:
@@ -351,21 +354,19 @@ def closed_form(
     # [x0 | 0 | u] on the window, plus one zero row that off-box reads hit
     xy = dim_x + sys.dim_out
     z = np.zeros((size + 1, xy + dim_in), dtype=complex)
-    _scatter(init, box, 0, locate, z[:, :dim_x])
-    _scatter(input_signal, box, window.n_max, locate, z[:, xy:])
+    _scatter(init, locate, z[:, :dim_x])
+    _scatter(input_signal, locate, z[:, xy:])
     # front 0 keeps the initial data, the sums start from zero above it
     acc = z[:size, :xy].copy()
     dirty = np.zeros(size, dtype=bool)
-    lo = np.array(box.lo)
-    for f in range(1, top + 1):
-        rows, pts = slice(bounds[f], size), coords[bounds[f] :]
-        for i in range(fronts[f], fronts[f + 1]):
-            p = pts - offsets[i]
-            inside = (p >= lo).all(axis=1)
-            src = np.full(len(p), size)
-            src[inside] = locate(p[inside])
-            dirty[rows] |= ~inside & ~(octant & (p < 0).any(axis=1))
-            acc[rows] += z[src] @ (float(weights[i]) * powers[i, :xy]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(1, top + 1):
+            rows, pts = slice(bounds[f], size), coords[bounds[f] :]
+            for i in range(fronts[f], fronts[f + 1]):
+                p = pts - offsets[i]
+                src = locate(p)
+                dirty[rows] |= (src == size) & ~(octant & (p < 0).any(axis=1))
+                acc[rows] += z[src] @ (float(weights[i]) * powers[i, :xy]).T
     return _result(window, coords, bounds, acc[:, :dim_x], acc[:, dim_x:], dirty, octant)
 
 
@@ -434,10 +435,11 @@ def _by_order(signal: LatticeSignal, box: Box, n_max: int):
         ok = coord_in.copy()
         ok[:, k] = step_in[:, k]
         leaks |= ~ok.all(axis=1)
-    sq = (vals.real**2 + vals.imag**2).sum(axis=1)
+    with np.errstate(over="ignore"):  # an infinite mass is refused by the caller
+        sq = (vals.real**2 + vals.imag**2).sum(axis=1)
+        mass = np.bincount(orders, sq, minlength=n_max + 1)
+        mass_in = np.bincount(orders[inside], sq[inside], minlength=n_max + 1)
     nonzero = (vals != 0).any(axis=1)
-    mass = np.bincount(orders, sq, minlength=n_max + 1)
-    mass_in = np.bincount(orders[inside], sq[inside], minlength=n_max + 1)
     escaped = np.zeros(n_max + 1, dtype=bool)
     lost = np.zeros(n_max + 1, dtype=bool)
     escaped[orders[nonzero & ~inside]] = True
@@ -458,7 +460,8 @@ def energy_balance_report(
     A row is marked contaminated when any window point feeding its four
     energies is masked, or when the input carries mass on its front outside
     the window.  Each signal and mask is read once and bucketed by order,
-    so the ledger is linear in the window.
+    so the ledger is linear in the window.  A front whose energies are not
+    finite raises RangeError.
     """
     if result is None:
         result = simulate(sys, window, input_signal, init)
@@ -466,6 +469,10 @@ def energy_balance_report(
     _, e_minus, escaped, input_lost = _by_order(input_signal, box, n_max)
     e_x, _, _, state_lost = _by_order(result.states, box, n_max)
     e_plus = _by_order(result.outputs, box, n_max)[0]
+    # front f reads e_minus[f - 1], e_x[f - 1], e_x[f] and e_plus[f]
+    finite = np.isfinite([e_minus[:-1], e_x[:-1], e_x[1:], e_plus[1:]]).all(axis=0)
+    if not finite.all():
+        raise RangeError(f"the energies of front {int(np.argmin(finite)) + 1} are not finite")
     dirty_states = {order(t) for t in result.contaminated_states}
     dirty_outputs = {order(t) for t in result.contaminated_outputs}
 

@@ -50,8 +50,16 @@ colligation, as a stack on the window index of the cube ``0..top``
 lift bit for bit, signed zeros included, and the bordered loops in its
 corners to 1e-12.
 
+`associated_one_param_dict` assembles the associated one-parameter view
+with its shift matrices filled one point at a time through a dict; the
+library's view must reproduce its front and matrices bit for bit.
 `stack_front` and `unstack_front` move front values in and out of the
 stacked vectors of a `OneParamSystemView`.
+
+`front_walk` enumerates a front by a recursive walk over the coordinates,
+and `add`, `sub`, `unit` and `contains` are the tuple arithmetic the
+point-by-point oracles use; the library enumerates and looks up lattice
+points only through its window index, so these are independent of it.
 
 `halton_unit_scipy` is scipy's unscrambled Halton engine, and
 `halton_disc_rows` and `halton_torus_rows` map its points one row and one
@@ -89,13 +97,49 @@ from ndsys import (
 )
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.cli import _resolve_path
-from ndsys.lattice import add, order, sub, unit
+from ndsys.lattice import order
 from ndsys.laxphillips import _check_dims
 from ndsys.pencil import _cube, multinomial, sym_multipower_table
 from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _octant_exact
 from ndsys.transfer import _SINGULAR_REL
+
+
+def unit(n, k):
+    """The k-th coordinate unit vector in Z^n, k counted from 0."""
+    return tuple(1 if i == k else 0 for i in range(n))
+
+
+def add(s, t):
+    return tuple(a + b for a, b in zip(s, t))
+
+
+def sub(s, t):
+    return tuple(a - b for a, b in zip(s, t))
+
+
+def contains(box, t):
+    """Whether the box holds the point ``t``."""
+    return all(a <= v <= b for a, v, b in zip(box.lo, t, box.hi))
+
+
+def front_walk(box, f):
+    """The box points of order ``f``, lexicographically, by a recursive
+    walk over the coordinates pruned by what the rest can still sum to."""
+    out = []
+
+    def walk(i, remaining, prefix):
+        if i == box.n:
+            if remaining == 0:
+                out.append(prefix)
+            return
+        rest_lo, rest_hi = sum(box.lo[i + 1 :]), sum(box.hi[i + 1 :])
+        for v in range(max(box.lo[i], remaining - rest_hi), min(box.hi[i], remaining - rest_lo) + 1):
+            walk(i + 1, remaining - v, prefix + (v,))
+
+    walk(0, f, ())
+    return out
 
 
 def simulate_dict(sys, window, input_signal, init):
@@ -110,25 +154,25 @@ def simulate_dict(sys, window, input_signal, init):
     dirty_states = set()
     dirty_outputs = set()
 
-    for t in box.front(0):
+    for t in front_walk(box, 0):
         states[t] = init.value(t)
 
     def read_state(p):
-        if box.contains(p):
+        if contains(box, p):
             return states[p], p in dirty_states
         if octant and min(p) < 0:
             return np.zeros(dim_x, dtype=complex), False
         return np.zeros(dim_x, dtype=complex), True
 
     def read_input(p):
-        if box.contains(p):
+        if contains(box, p):
             return input_signal.value(p), False
         if octant and min(p) < 0:
             return np.zeros(sys.dim_in, dtype=complex), False
         return np.zeros(sys.dim_in, dtype=complex), True
 
     for front in range(1, window.n_max + 1):
-        for t in box.front(front):
+        for t in front_walk(box, front):
             x_acc = np.zeros(dim_x, dtype=complex)
             y_acc = np.zeros(sys.dim_out, dtype=complex)
             dirty = False
@@ -178,17 +222,17 @@ def closed_form_dict(sys, window, input_signal, init):
     dirty_states: set[tuple[int, ...]] = set()
     dirty_outputs: set[tuple[int, ...]] = set()
 
-    for t in box.front(0):
+    for t in front_walk(box, 0):
         states[t] = init.value(t)
 
     def read(signal: LatticeSignal, p):
         """The signal's value at ``p`` and whether the read is contaminated."""
-        if box.contains(p):
+        if contains(box, p):
             return signal.value(p), False
         return np.zeros(signal.dim, dtype=complex), not (octant and min(p) < 0)
 
     for front in range(1, n_max + 1):
-        for t in box.front(front):
+        for t in front_walk(box, front):
             x_acc = np.zeros(sys.dim_x, dtype=complex)
             y_acc = np.zeros(sys.dim_out, dtype=complex)
             dirty = False
@@ -242,20 +286,20 @@ def energy_balance_report_dict(sys, window, input_signal, init, tol=1e-9, result
 
     def leaks(t):
         # mass here feeds window-external points on the next front
-        return any(not box.contains(add(t, e)) for e in units)
+        return any(not contains(box, add(t, e)) for e in units)
 
     rows = []
     for front in range(1, window.n_max + 1):
         feed = [t for t in input_signal.support if order(t) == front - 1]
         escaped = any(
-            not box.contains(t) and np.any(input_signal.entries[t] != 0)
+            not contains(box, t) and np.any(input_signal.entries[t] != 0)
             for t in feed
         )
         e_minus = float(
             sum(
                 np.vdot(input_signal.entries[t], input_signal.entries[t]).real
                 for t in feed
-                if box.contains(t)
+                if contains(box, t)
             )
         )
         lost = any(
@@ -263,7 +307,7 @@ def energy_balance_report_dict(sys, window, input_signal, init, tol=1e-9, result
             for t, v in result.states.entries.items()
             if order(t) == front - 1
         ) or any(
-            box.contains(t) and np.any(input_signal.entries[t] != 0) and leaks(t)
+            contains(box, t) and np.any(input_signal.entries[t] != 0) and leaks(t)
             for t in feed
         )
         contaminated = (
@@ -524,7 +568,7 @@ def _band_points(box: Box, lowest: int | None, highest: int | None):
     start = lo if lowest is None else max(lo, lowest)
     stop = hi if highest is None else min(hi, highest)
     for front in range(start, stop + 1):
-        yield from box.front(front)
+        yield from front_walk(box, front)
 
 
 def apply_generator_dict(
@@ -550,7 +594,7 @@ def apply_generator_dict(
     mask_up, mask_y, mask_um = set(), set(), set()
 
     def read(sig, p):
-        if box.contains(p):
+        if contains(box, p):
             return sig.value(p), False
         return np.zeros(sig.dim, dtype=complex), True
 
@@ -560,7 +604,7 @@ def apply_generator_dict(
         if dirty:
             mask_up.add(t)
 
-    for t in box.front(0):
+    for t in front_walk(box, 0):
         acc_up = np.zeros(sys.dim_out, dtype=complex)
         acc_y = np.zeros(sys.dim_x, dtype=complex)
         dirty = False
@@ -609,7 +653,7 @@ def apply_adjoint_dict(
     mask_up, mask_y, mask_um = set(), set(), set()
 
     def read(sig, p):
-        if box.contains(p):
+        if contains(box, p):
             return sig.value(p), False
         return np.zeros(sig.dim, dtype=complex), True
 
@@ -619,7 +663,7 @@ def apply_adjoint_dict(
         if dirty:
             mask_up.add(t)
 
-    for t in box.front(0):
+    for t in front_walk(box, 0):
         acc_y = np.zeros(sys.dim_x, dtype=complex)
         acc_um = np.zeros(sys.dim_in, dtype=complex)
         dirty = False
@@ -844,6 +888,31 @@ def bordered_multipower_table_loops(kind, a, targets, b=None, c=None):
                 acc += (s[k] / m) * (c[k] @ right[sub(s, unit(n, k))])
         table[s] = acc
     return table
+
+
+def associated_one_param_dict(sys, k, box):
+    """The associated view's four matrices, each shift matrix filled one
+    front point at a time through a ``{point: position}`` dict."""
+    front = front_walk(box, 0)
+    pos = {t: i for i, t in enumerate(front)}
+    m, n = len(front), sys.n
+
+    def shift_matrix(j):
+        p = np.zeros((m, m))
+        for t, i in pos.items():
+            src = add(sub(t, unit(n, j)), unit(n, k))
+            if src in pos:
+                p[i, pos[src]] = 1.0
+        return p
+
+    def assemble(ops):
+        acc = np.kron(np.eye(m), ops[k])
+        for j in range(n):
+            if j != k:
+                acc = acc + np.kron(shift_matrix(j), ops[j])
+        return acc
+
+    return tuple(front), tuple(assemble(ops) for ops in (sys.a, sys.b, sys.c, sys.d))
 
 
 def stack_front(view, values, dim):

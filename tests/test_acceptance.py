@@ -343,7 +343,7 @@ def _conjugation_square_gap(sys, box, rng):
 
 
 def _reproduction_gap(sys, box, rng):
-    from ndsys.lattice import add, sub, unit
+    from oracles import add, contains, sub, unit
 
     n = sys.n
     gap = 0.0
@@ -364,7 +364,7 @@ def _reproduction_gap(sys, box, rng):
         )
         for s in front0:
             target = add(s, unit(n, k))
-            if not box.contains(target):
+            if not contains(box, target):
                 continue
             if any(sub(target, unit(n, j)) not in front0 for j in range(n)):
                 continue

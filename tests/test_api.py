@@ -32,6 +32,10 @@ REMOVED = [
     "OneParamSystemView.system",
     "OneParamSystemView.stack",
     "OneParamSystemView.unstack",
+    "Box.contains",
+    "add",
+    "sub",
+    "unit",
 ]
 
 

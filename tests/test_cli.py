@@ -777,7 +777,7 @@ def test_check_reports_a_unitary_summand_as_not_closely_connected(capsys, tmp_pa
     assert report["results"]["closely_connected"] == {"dim_state": 4, "dim_connected": 2}
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_result_is_an_input_error(capsys, tmp_path):
     one = [[[1.0, 0.0]]]
     system = {
@@ -790,7 +790,9 @@ def test_overflowing_result_is_an_input_error(capsys, tmp_path):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "input error: report is not strict JSON" in captured.err
+    # the recursion refuses its first non-finite front itself, with no
+    # numpy warning, before the report is written
+    assert captured.err == "input error: the trajectory on front 3 is not finite\n"
 
 
 @pytest.mark.parametrize("part", ["theta", "grid"])
@@ -928,3 +930,69 @@ def test_transfer_point_budget_is_checked_before_a_points_file_is_evaluated(caps
     monkeypatch.setattr(ndsys.cli, "_POINT_BUDGET", 3 * 4)
     with pytest.raises(AssertionError, match="a pencil was evaluated"):
         main(["transfer", "builtin:alpha", "--points", pts])
+
+
+WIDE = "--box=-10000000:10000000,-10000000:10000000"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laxphillips", "builtin:alpha", "--op", "metric", WIDE],
+        ["laxphillips", "builtin:alpha", "--op", "commute", WIDE, "--j", "1"],
+        ["laxphillips", "builtin:alpha", "--op", "associated", "--box=-3000:3000,-3000:3000"],
+        ["laxphillips", "builtin:alpha", "--op", "associated", WIDE],
+    ],
+)
+def test_wide_scattering_boxes_exit_2_before_they_are_built(capsys, argv):
+    # before, metric and commute raised MemoryError from a box meshgrid and
+    # the associated view ran out of memory on its dense kron matrices
+    code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    assert "budget of 2**24" in err
+
+
+@pytest.mark.parametrize("op", ["generator", "adjoint"])
+def test_a_vector_on_a_wide_box_exits_2(capsys, tmp_path, op):
+    vec = TruncatedLPVector(
+        Box((-(10**7), -(10**7)), (10**7, 10**7)),
+        LatticeSignal(2, 1, {}),
+        LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
+        LatticeSignal(2, 1, {(0, 1): np.array([2.0 + 0j])}),
+    )
+    path = write(tmp_path, "vec.json", ser.lp_vector_to_json(vec))
+    code, report, err = run(capsys, ["laxphillips", "builtin:alpha", "--op", op, "--vector", path])
+    assert code == 2 and report is None
+    assert err.startswith("input error: ") and "budget of 2**24" in err
+
+
+@pytest.mark.parametrize(
+    "a, point, value, closed, message",
+    [
+        (1e10, 5, 1.0, False, "the trajectory on front 37 is not finite"),
+        (1e10, 5, 1.0, True, "the multipowers of order 31 are not finite"),
+        (0.5, 1, 1e200, False, "the energies of front 2 are not finite"),
+        (0.5, 1, 1e200, True, "the energies of front 2 are not finite"),
+    ],
+)
+def test_overflowing_trajectories_exit_2_without_warnings(capsys, tmp_path, a, point, value, closed, message):
+    # before, the recursion printed numpy overflow warnings and only the
+    # report writer refused the inf it returned
+    ops = (OperatorTuple((np.array([[v]]),)) for v in (a, 1.0, 1.0, 0.5))
+    sig = LatticeSignal(1, 1, {(point,): np.array([value + 0j])})
+    argv = [
+        "simulate",
+        write(tmp_path, "sys.json", ser.system_to_json(MultiLSDS(*ops))),
+        "--input",
+        write(tmp_path, "input.json", ser.signal_to_json(sig)),
+        "--box",
+        "0:40",
+        "--nmax",
+        "40",
+    ] + ["--closed-form"] * closed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report, err = run(capsys, argv)
+    assert code == 2 and report is None
+    assert err == f"input error: {message}\n"

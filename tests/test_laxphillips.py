@@ -25,7 +25,8 @@ from ndsys import (
     SimulationWindow,
     TruncatedLPVector,
 )
-from ndsys.lattice import add, order, sub, unit
+from ndsys.lattice import order
+from oracles import add, contains, sub, unit
 from ndsys.laxphillips import _random_interior_vector
 from ndsys.system import conjugate
 
@@ -251,7 +252,7 @@ def test_associated_system_reproduces_the_front_dynamics(k):
     checked = 0
     for s in front0:
         target = add(s, unit(2, k))
-        if not box.contains(target):
+        if not contains(box, target):
             continue
         reads = [sub(target, unit(2, j)) for j in range(2)]
         if any(r not in front0 for r in reads):
@@ -266,6 +267,66 @@ def test_associated_empty_front_rejected():
     sys = builtin_examples()["alpha"]
     with pytest.raises(DomainError):
         associated_one_param(sys, 0, Box((1, 1), (2, 2)))
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi",
+    [
+        (2, (-3, -2), (2, 4)),
+        (2, (-1, 0), (1, 2)),  # the front stops short of the box faces
+        (3, (-2, -1, -2), (1, 2, 2)),
+        (3, (0, -2, 0), (2, 0, 1)),
+    ],
+)
+def test_associated_view_is_the_pointwise_assembly_bitwise(n, lo, hi):
+    rng = np.random.default_rng(30 + n)
+    sys = gen.random_system(rng, n, 2, 1, 3)
+    box = Box(lo, hi)
+    for k in range(n):
+        view = associated_one_param(sys, k, box)
+        front, mats = oracles.associated_one_param_dict(sys, k, box)
+        assert view.front == front
+        for got, want in zip((view.a, view.b, view.c, view.d), mats):
+            assert np.array_equal(got, want)
+
+
+def test_associated_view_budget_is_checked_at_its_edge(monkeypatch):
+    import ndsys.laxphillips
+
+    # alpha: dim_x = dim_in = dim_out = 1, so 4 m**2 values for m front points
+    sys = builtin_examples()["alpha"]
+    monkeypatch.setattr(ndsys.laxphillips, "_VALUE_BUDGET", 4 * 3**2)
+    assert len(associated_one_param(sys, 0, Box((-1, -1), (1, 1))).front) == 3
+    with pytest.raises(DomainError, match="view of 4 front points holds 64 values"):
+        associated_one_param(sys, 0, Box((-1, -2), (2, 1)))
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        lambda sys, box: metric_check(sys, box, trials=1),
+        lambda sys, box: commutation_residual(sys, 0, 1, box, trials=1),
+        lambda sys, box: associated_one_param(sys, 0, box),
+    ],
+    ids=["metric", "commute", "associated"],
+)
+def test_wide_scattering_boxes_are_refused_before_they_are_built(probe):
+    sys = builtin_examples()["alpha"]
+    with pytest.raises(DomainError, match="budget of 2\\*\\*24"):
+        probe(sys, Box((-(10**7),) * 2, (10**7,) * 2))
+
+
+@pytest.mark.parametrize("apply", [apply_generator, apply_adjoint])
+def test_a_vector_on_a_wide_box_is_refused(apply):
+    sys = builtin_examples()["alpha"]
+    vec = TruncatedLPVector(
+        Box((-(10**7),) * 2, (10**7,) * 2),
+        LatticeSignal(2, 1, {}),
+        LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
+        LatticeSignal(2, 1, {}),
+    )
+    with pytest.raises(DomainError, match="budget of 2\\*\\*24"):
+        apply(sys, 0, vec)
 
 
 @st.composite

@@ -288,7 +288,7 @@ def test_offset_gathers_match_the_pointwise_closed_form(case):
 )
 def test_window_index_is_the_front_walk(box, n_max):
     coords, bounds, locate = _window_index(box, n_max, 1)
-    fronts = [box.front(f) for f in range(n_max + 1)]
+    fronts = [oracles.front_walk(box, f) for f in range(n_max + 1)]
     assert [tuple(t) for t in coords.tolist()] == [t for front in fronts for t in front]
     sizes = [len(front) for front in fronts]
     top = max([f for f, size in enumerate(sizes) if size] or [0])
@@ -336,9 +336,48 @@ def test_closed_form_refuses_a_table_that_stops_being_finite():
         warnings.simplefilter("error")
         with pytest.raises(RangeError, match="multipowers of order 31 are not finite"):
             closed_form(sys, window, inp, empty(1, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        states = simulate(sys, window, inp, empty(1, 1)).states
-    assert np.isfinite(states.values[:37]).all()
+    states = simulate(sys, SimulationWindow(Box((0,), (36,)), 36), inp, empty(1, 1)).states
+    assert np.isfinite(states.values).all()
+
+
+def test_the_recursion_refuses_its_first_front_that_is_not_finite():
+    # the same A = 1e10 system: front 37 overflows; before, the recursion
+    # returned inf and NaN states with numpy warnings
+    sys = MultiLSDS(*(OperatorTuple((np.array([[v]]),)) for v in (1e10, 1.0, 1.0, 0.5)))
+    window = SimulationWindow(Box((0,), (40,)), 40)
+    inp = LatticeSignal(1, 1, {(5,): np.array([1.0])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match="the trajectory on front 37 is not finite"):
+            simulate(sys, window, inp, empty(1, 1))
+
+
+def test_both_evaluators_refuse_a_trajectory_that_overflows_under_a_finite_table():
+    # A = 10 keeps every multipower of order <= 40 finite, but an input of
+    # 1e300 at the origin makes the state 1e300 * 10**9 = inf on front 10
+    sys = MultiLSDS(*(OperatorTuple((np.array([[v]]),)) for v in (10.0, 1.0, 1.0, 0.0)))
+    window = SimulationWindow(Box((0,), (40,)), 40)
+    inp = LatticeSignal(1, 1, {(0,): np.array([1e300])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (simulate, closed_form):
+            with pytest.raises(RangeError, match="the trajectory on front 10 is not finite"):
+                evaluate(sys, window, inp, empty(1, 1))
+
+
+def test_the_ledger_refuses_a_front_energy_that_is_not_finite():
+    # A = 0.5 and 1e200 at (1,): every state is finite, but the squared
+    # input mass of front 1, read by the row of front 2, is not
+    sys = MultiLSDS(*(OperatorTuple((np.array([[v]]),)) for v in (0.5, 1.0, 1.0, 0.5)))
+    window = SimulationWindow(Box((0,), (40,)), 40)
+    inp = LatticeSignal(1, 1, {(1,): np.array([1e200])})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (simulate, closed_form):
+            result = evaluate(sys, window, inp, empty(1, 1))
+            assert np.isfinite(result.states.values).all()
+            with pytest.raises(RangeError, match="the energies of front 2 are not finite"):
+                energy_balance_report(sys, window, inp, empty(1, 1), result=result)
 
 
 def test_closed_form_and_maclaurin_build_one_table_each(monkeypatch):
