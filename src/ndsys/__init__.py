@@ -33,7 +33,7 @@ from .system import (
     simulate,
     validate,
 )
-from .numerics import halton_disc, halton_torus, ordered_completion, orth_basis, spectral_norm
+from .numerics import halton_disc, ordered_completion, orth_basis, spectral_norm
 from .analysis import (
     BlockStructure,
     ConservativityCertificate,
@@ -105,7 +105,6 @@ __all__ = [
     "orth_basis",
     "ordered_completion",
     "halton_disc",
-    "halton_torus",
     "TorusScanReport",
     "dissipativity_scan",
     "ConservativityCertificate",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .numerics import halton_torus, orth_basis, spectral_norm
+from .numerics import orth_basis, spectral_norm
 from .pencil import OperatorTuple, eval_pencil
 from .system import MultiLSDS
 
@@ -74,14 +74,23 @@ class TorusScanReport:
         return 1.0 - self.max_norm
 
 
+def _axis_size(n: int, samples: int) -> int:
+    """The largest ``P`` with ``P^n <= samples``.  For any budget below
+    ``2^53`` the float root is off the real one by far less than one half,
+    so it rounds to ``P`` or ``P + 1``."""
+    per_axis = round(samples ** (1.0 / n))
+    return per_axis - 1 if per_axis**n > samples else per_axis
+
+
 def _torus_grid(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """The scan points as one ``(samples, n)`` array, the diagonal orbit of
-    each point, and the number of orbits.
+    """The ``P^n`` tensor grid of the torus, ``P = floor(samples^(1/n))`` the
+    largest axis whose grid fits the budget: the points as one ``(P^n, n)``
+    array, the diagonal orbit of each point, and the number of orbits.
 
     Orbit ``o`` is represented by point ``o``, so the representatives are
-    the first points.  On the ``P^n`` tensor grid the orbit of index ``j``
-    is ``(j_2 - j_1, ..., j_n - j_1) mod P``, numbered as its ``j_1 = 0``
-    member is; a Halton point is its own orbit.
+    the first points.  The orbit of index ``j`` is
+    ``(j_2 - j_1, ..., j_n - j_1) mod P``, numbered as its ``j_1 = 0``
+    member is.
     """
     if samples is None:
         samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
@@ -89,17 +98,15 @@ def _torus_grid(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray, in
         raise DomainError(f"sample budget must be >= 1, got {samples}")
     if samples > _SAMPLE_CAP:
         raise DomainError(f"sample budget must be <= {_SAMPLE_CAP}, got {samples}")
-    per_axis = round(samples ** (1.0 / n))
-    if per_axis >= 1 and per_axis**n == samples:
-        # scalar phase arithmetic: numpy's vectorised complex division
-        # rounds differently, and the grid must not move
-        axis = np.exp([2j * np.pi * j / per_axis for j in range(per_axis)])
-        # C order of the index grid is itertools.product order
-        idx = np.indices((per_axis,) * n).reshape(n, -1).T
-        place = per_axis ** np.arange(n - 2, -1, -1)
-        orbit = (idx[:, 1:] - idx[:, :1]) % per_axis @ place
-        return axis[idx], orbit, per_axis ** (n - 1)
-    return halton_torus(samples, n), np.arange(samples), samples
+    per_axis = _axis_size(n, samples)
+    # scalar phase arithmetic: numpy's vectorised complex division rounds
+    # differently, and the grid must not move
+    axis = np.exp([2j * np.pi * j / per_axis for j in range(per_axis)])
+    # C order of the index grid is itertools.product order
+    idx = np.indices((per_axis,) * n).reshape(n, -1).T
+    place = per_axis ** np.arange(n - 2, -1, -1)
+    orbit = (idx[:, 1:] - idx[:, :1]) % per_axis @ place
+    return axis[idx], orbit, per_axis ** (n - 1)
 
 
 def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
@@ -129,9 +136,9 @@ def dissipativity_scan(
     Parameters
     ----------
     samples : int, optional
-        Total budget, at most 2^24; a perfect n-th power yields the full
-        tensor grid, anything else a deterministic low-discrepancy set.
-        Defaults to 32^n capped at 1e5.
+        Total budget, from 1 to 2^24; the scan takes the largest ``P^n``
+        tensor grid within it, so a perfect n-th power is scanned whole and
+        any other budget rounds down.  Defaults to 32^n capped at 1e5.
     refine : bool
         Polish the best grid point with 50 gradient-ascent steps on the
         top singular value, stepping in torus phases.

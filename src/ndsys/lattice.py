@@ -178,7 +178,7 @@ def _window_index(box: Box, last: int, width: int, first: int = 0):
         total = count.sum(dtype=float)  # every prefix grows into an index point
         if total * width > _VALUE_BUDGET:
             raise DomainError(
-                f"the window holds {total:.0f} points or more of {width} values each, "
+                f"the request spans {total:.0f} lattice points or more of {width} values each, "
                 "past the budget of 2**24 values"
             )
         col = np.repeat(start - np.cumsum(count) + count, count) + np.arange(int(total))

@@ -1,5 +1,6 @@
 """Small shared numeric helpers: rank-revealing bases, deterministic
-completions, and low-discrepancy sample sets."""
+completions, and the low-discrepancy polydisc points of the realization
+grid and the default transfer grid."""
 
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ __all__ = [
     "orth_basis",
     "ordered_completion",
     "halton_disc",
-    "halton_torus",
 ]
 
 
@@ -116,8 +116,3 @@ def halton_disc(count: int, n: int, radius: float) -> np.ndarray:
     """
     u = _halton_unit(count, 2 * n)
     return radius * np.sqrt(u[:, 0::2]) * np.exp(2j * np.pi * u[:, 1::2])
-
-
-def halton_torus(count: int, n: int) -> np.ndarray:
-    """A ``(count, n)`` array of low-discrepancy points of the n-torus."""
-    return np.exp(2j * np.pi * _halton_unit(count, n))

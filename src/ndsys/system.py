@@ -418,33 +418,24 @@ class EnergyReport:
 def _by_order(signal: LatticeSignal, box: Box, n_max: int):
     """Per-front tallies of one signal, from one pass over its arrays.
 
-    Returns four arrays indexed by order 0..n_max: the squared mass, the
-    squared mass inside the box, whether a nonzero entry lies outside the
-    box, and whether a nonzero entry feeds a point outside the box on the
-    next front.
+    Returns three arrays indexed by order 0..n_max: the squared mass, the
+    squared mass inside the box, and whether a nonzero entry leaks, that is
+    lies off the box or feeds a successor ``t + e_k`` off it: exactly when
+    ``lo <= t < hi`` fails in some coordinate.
     """
     orders = signal.points.sum(axis=1)
     kept = (orders >= 0) & (orders <= n_max)
     pts, vals, orders = signal.points[kept], signal.values[kept], orders[kept]
     lo, hi = np.array(box.lo), np.array(box.hi)
-    coord_in = (pts >= lo) & (pts <= hi)
-    step_in = (pts >= lo - 1) & (pts <= hi - 1)
-    inside = coord_in.all(axis=1)
-    leaks = np.zeros(len(pts), dtype=bool)
-    for k in range(box.n):
-        ok = coord_in.copy()
-        ok[:, k] = step_in[:, k]
-        leaks |= ~ok.all(axis=1)
+    inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
     with np.errstate(over="ignore"):  # an infinite mass is refused by the caller
         sq = (vals.real**2 + vals.imag**2).sum(axis=1)
         mass = np.bincount(orders, sq, minlength=n_max + 1)
         mass_in = np.bincount(orders[inside], sq[inside], minlength=n_max + 1)
-    nonzero = (vals != 0).any(axis=1)
-    escaped = np.zeros(n_max + 1, dtype=bool)
+    leaks = (vals != 0).any(axis=1) & ~((pts >= lo) & (pts < hi)).all(axis=1)
     lost = np.zeros(n_max + 1, dtype=bool)
-    escaped[orders[nonzero & ~inside]] = True
-    lost[orders[nonzero & leaks]] = True
-    return mass, mass_in, escaped, lost
+    lost[orders[leaks]] = True
+    return mass, mass_in, lost
 
 
 def energy_balance_report(
@@ -466,8 +457,8 @@ def energy_balance_report(
     if result is None:
         result = simulate(sys, window, input_signal, init)
     box, n_max = window.box, window.n_max
-    _, e_minus, escaped, input_lost = _by_order(input_signal, box, n_max)
-    e_x, _, _, state_lost = _by_order(result.states, box, n_max)
+    _, e_minus, input_lost = _by_order(input_signal, box, n_max)
+    e_x, _, state_lost = _by_order(result.states, box, n_max)
     e_plus = _by_order(result.outputs, box, n_max)[0]
     # front f reads e_minus[f - 1], e_x[f - 1], e_x[f] and e_plus[f]
     finite = np.isfinite([e_minus[:-1], e_x[:-1], e_x[1:], e_plus[1:]]).all(axis=0)
@@ -480,8 +471,7 @@ def energy_balance_report(
     for front in range(1, n_max + 1):
         prev = front - 1
         contaminated = bool(
-            escaped[prev]
-            or input_lost[prev]
+            input_lost[prev]
             or state_lost[prev]
             or prev in dirty_states
             or front in dirty_states

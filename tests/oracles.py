@@ -62,9 +62,9 @@ point-by-point oracles use; the library enumerates and looks up lattice
 points only through its window index, so these are independent of it.
 
 `halton_unit_scipy` is scipy's unscrambled Halton engine, and
-`halton_disc_rows` and `halton_torus_rows` map its points one row and one
-coordinate at a time.  The library's numpy radical inverse and its array
-maps must reproduce them bit for bit.
+`halton_disc_rows` maps its points one row and one coordinate at a time.
+The library's numpy radical inverse and its polydisc map must reproduce
+them bit for bit.
 """
 
 import itertools
@@ -89,7 +89,6 @@ from ndsys import (
     TruncatedLPVector,
     conservativity_check,
     halton_disc,
-    halton_torus,
     maclaurin_poly,
     ordered_completion,
     orth_basis,
@@ -345,16 +344,17 @@ def eval_pencil_point(z, ops):
 
 
 def torus_grid_pointwise(n, samples):
-    """The scan points as a list of tuples, built point by point."""
+    """The scan points as a list of tuples, built point by point on the
+    largest tensor grid within the budget, its axis found by integer search."""
     if samples is None:
         samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
-    per_axis = round(samples ** (1.0 / n))
-    if per_axis >= 1 and per_axis**n == samples:
-        return [
-            tuple(np.exp(2j * np.pi * j / per_axis) for j in idx)
-            for idx in itertools.product(range(per_axis), repeat=n)
-        ]
-    return halton_torus(samples, n)
+    per_axis = 1
+    while (per_axis + 1) ** n <= samples:
+        per_axis += 1
+    return [
+        tuple(np.exp(2j * np.pi * j / per_axis) for j in idx)
+        for idx in itertools.product(range(per_axis), repeat=n)
+    ]
 
 
 def dissipativity_scan_pointwise(sys, samples=None, refine=True, tol=1e-9):
@@ -791,11 +791,6 @@ def halton_disc_rows(count, n, radius):
         )
         for row in halton_unit_scipy(count, 2 * n)
     ]
-
-
-def halton_torus_rows(count, n):
-    """The torus Halton points, mapped coordinate by coordinate."""
-    return [tuple(np.exp(2j * np.pi * row[k]) for k in range(n)) for row in halton_unit_scipy(count, n)]
 
 
 def _closure(targets, n):

@@ -112,7 +112,7 @@ def same_scan(got, want):
 def scan_cases(draw):
     n = draw(st.integers(1, 3))
     per_axis = draw(st.integers(1, {1: 40, 2: 16, 3: 4}[n]))
-    # a perfect n-th power gives the tensor grid, any other budget Halton points
+    # a perfect n-th power is scanned whole, any other budget rounds down
     samples = draw(st.sampled_from([per_axis**n, draw(st.integers(1, 60))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dim_x, dim_io = draw(st.integers(0, 3)), draw(st.integers(1, 2))
@@ -139,14 +139,34 @@ def test_scan_matches_the_pointwise_oracle_bitwise(case):
 
 @pytest.mark.parametrize(
     "n,samples,refine",
-    [(2, 65**2, False), (3, 4100, False), (3, None, True)],
+    [(2, 65**2, False), (3, None, True)],
 )
 def test_scan_across_chunks_matches_the_pointwise_oracle(n, samples, refine):
-    # more points than one stacked SVD takes, on a tensor grid, a Halton set
-    # and the default budget
+    # more grid points than one stacked SVD takes, on a given and the
+    # default budget
     sys = gen.dissipative_system(np.random.default_rng(9), n, 4, 2)
     got = dissipativity_scan(sys, samples=samples, refine=refine)
     assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, refine))
+
+
+def test_scan_recheck_across_chunks_matches_the_pointwise_oracle(monkeypatch):
+    # a conservative pencil has norm 1 everywhere, so every orbit is
+    # rechecked: one call takes the 70 * 69 non-representatives of the 70^2
+    # grid under the budget 5000, more than one stacked SVD takes
+    import ndsys.analysis
+
+    rows = []
+    sigma_max = ndsys.analysis._sigma_max
+
+    def counted(points, blocks):
+        rows.append(len(points))
+        return sigma_max(points, blocks)
+
+    monkeypatch.setattr(ndsys.analysis, "_sigma_max", counted)
+    sys = gen.conservative_system(np.random.default_rng(9), 2, 4, 2)
+    got = dissipativity_scan(sys, samples=5000, refine=False)
+    assert rows == [70, 70 * 69] and max(rows) > ndsys.analysis._CHUNK
+    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, 5000, False))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -198,12 +218,50 @@ def test_scan_refuses_a_budget_over_the_cap_before_building_the_grid(monkeypatch
         raise AssertionError("the scan built its grid")
 
     monkeypatch.setattr(np, "indices", build)
-    monkeypatch.setattr(ndsys.analysis, "halton_torus", build)
-    # 2^40 is a perfect square (a tensor grid for n = 2), and Halton for n = 3
     n3 = gen.dissipative_system(np.random.default_rng(0), 3, 2, 2)
     for sys in (builtin_examples()["alpha"], n3):
         with pytest.raises(DomainError, match="sample budget"):
             dissipativity_scan(sys, samples=2**40)
+
+
+@st.composite
+def grid_budgets(draw):
+    """A dimension and a budget up to the cap, often one off a power."""
+    n = draw(st.integers(1, 6))
+    per_axis = draw(st.integers(1, int(2 ** (24 / n))))
+    near = [b for b in (per_axis**n - 1, per_axis**n, per_axis**n + 1) if 1 <= b <= 2**24]
+    return n, draw(st.one_of(st.integers(1, 2**24), st.sampled_from(near)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_budgets())
+def test_torus_grid_is_the_largest_tensor_grid_within_the_budget(case):
+    from ndsys.analysis import _axis_size, _torus_grid
+
+    n, budget = case
+    per_axis = _axis_size(n, budget)
+    assert per_axis**n <= budget < (per_axis + 1) ** n
+    if per_axis**n > 5000:
+        return  # the grid itself is checked where it is small
+    grid, orbit, orbits = _torus_grid(n, budget)
+    assert grid.shape == (per_axis**n, n) and orbits == per_axis ** (n - 1)
+    # each point's axis index from its phase, and the orbit from the index
+    j = np.rint(np.angle(grid) * per_axis / (2 * np.pi)).astype(int) % per_axis
+    assert np.allclose(grid, np.exp(2j * np.pi * j / per_axis))
+    want = np.zeros(len(grid), dtype=int)
+    for k in range(1, n):
+        want = want * per_axis + (j[:, k] - j[:, 0]) % per_axis
+    assert np.array_equal(orbit, want)
+    assert np.array_equal(orbit[:orbits], np.arange(orbits))
+
+
+def test_default_scans_take_the_largest_tensor_grid_under_the_cap():
+    # 32^4 and 32^6 pass the 1e5 default, which rounds down to 17^4 and 6^6
+    for n, samples in ((4, 17**4), (6, 6**6)):
+        sys = gen.dissipative_system(np.random.default_rng(0), n, 3, 3)
+        report = dissipativity_scan(sys, refine=False)
+        assert report.samples == samples
+        assert same_scan(report, dissipativity_scan(sys, samples=samples, refine=False))
 
 
 def test_scan_computes_the_norm_once_per_orbit_away_from_the_maximum(monkeypatch):

@@ -36,6 +36,7 @@ REMOVED = [
     "add",
     "sub",
     "unit",
+    "halton_torus",
 ]
 
 

@@ -79,18 +79,23 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
 
 
 def test_scan_budget_over_the_cap_is_an_input_error(capsys, monkeypatch):
-    import ndsys.analysis
-
     def build(*args, **kwargs):
         raise AssertionError("the scan built its grid")
 
-    # 2^40 is a perfect square: a tensor grid for the n = 2 system
     monkeypatch.setattr(np, "indices", build)
-    monkeypatch.setattr(ndsys.analysis, "halton_torus", build)
     argv = ["check", "builtin:alpha", "--samples", str(2**40)]
     code, report, err = run(capsys, argv)
     assert code == 2 and report is None
     assert "input error" in err and "sample budget" in err
+
+
+def test_a_check_budget_rounds_down_to_a_tensor_grid(capsys, tmp_path):
+    code, report, _ = run(capsys, ["check", "builtin:alpha", "--samples", "1000"])
+    assert code == 0 and report["results"]["torus_scan"]["samples"] == 31**2
+    # the n = 4 default budget is 1e5, not 32^4
+    n4 = gen.dissipative_system(np.random.default_rng(0), 4, 3, 3)
+    code, report, _ = run(capsys, ["check", write(tmp_path, "n4.json", ser.system_to_json(n4))])
+    assert code == 0 and report["results"]["torus_scan"]["samples"] == 17**4
 
 
 def test_malformed_json_is_an_input_error(capsys, tmp_path):
@@ -951,6 +956,9 @@ def test_wide_scattering_boxes_exit_2_before_they_are_built(capsys, argv):
     assert code == 2 and report is None
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert "budget of 2**24" in err
+    if "metric" in argv:
+        assert "the request spans 19999999 lattice points or more" in err
+        assert "window" not in err
 
 
 @pytest.mark.parametrize("op", ["generator", "adjoint"])

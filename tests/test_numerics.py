@@ -10,7 +10,7 @@ import pytest
 import gen
 import oracles
 import ndsys
-from ndsys import RankAmbiguityError, halton_disc, halton_torus
+from ndsys import RankAmbiguityError, halton_disc
 from ndsys.numerics import _halton_unit, _largest_norm, ordered_completion, orth_basis, spectral_norm
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -91,13 +91,6 @@ def test_halton_disc_fills_the_disc():
     assert 0.4 * 512 <= outer <= 0.6 * 512
 
 
-def test_halton_torus_on_the_circle():
-    pts = halton_torus(32, 3)
-    assert pts.shape == (32, 3)
-    assert np.allclose(np.abs(pts), 1.0)
-    assert oracles.same_bits(pts, halton_torus(32, 3))
-
-
 @pytest.mark.parametrize("dims", [1, 2, 3, 4, 5, 6, 7, 8, 12])
 def test_halton_unit_matches_scipy_bitwise(dims):
     # each base's powers are where a column gains a digit
@@ -112,12 +105,8 @@ def test_halton_unit_matches_scipy_bitwise(dims):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_halton_maps_match_the_per_row_oracles_bitwise(n):
     for count in (0, 1, 7, 1000):
-        pairs = [
-            (halton_disc(count, n, 0.7), oracles.halton_disc_rows(count, n, 0.7)),
-            (halton_torus(count, n), oracles.halton_torus_rows(count, n)),
-        ]
-        for got, want in pairs:
-            assert oracles.same_bits(got, np.array(want, dtype=complex).reshape(count, n))
+        got, want = halton_disc(count, n, 0.7), oracles.halton_disc_rows(count, n, 0.7)
+        assert oracles.same_bits(got, np.array(want, dtype=complex).reshape(count, n))
 
 
 def test_cli_import_loads_no_scipy():

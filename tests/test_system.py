@@ -262,6 +262,19 @@ def test_front_engine_and_ledger_match_the_pointwise_oracles(case):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(windows())
+def test_one_leak_rule_marks_the_fronts_the_oracle_marks(case):
+    # the oracle dirties a front by an input entry off the box and by an
+    # input or state entry with a successor t + e_k off it, each rule apart;
+    # the ledger reads one test, lo <= t < hi, for both
+    sys, window, inp, init = case
+    result = oracles.simulate_dict(sys, window, inp, init)
+    got = energy_balance_report(sys, window, inp, init, result=result)
+    want = oracles.energy_balance_report_dict(sys, window, inp, init, result=result)
+    assert [r.contaminated for r in got.rows] == [r.contaminated for r in want.rows]
+
+
 @settings(max_examples=80, deadline=None)
 @given(windows())
 def test_offset_gathers_match_the_pointwise_closed_form(case):
