@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -323,13 +324,21 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _env_tol() -> float:
+    """The tol of a call that sets none by flag or config: NDSYS_TOL when
+    it is set, else 1e-9."""
     env_tol = os.environ.get("NDSYS_TOL")
     try:
-        default_tol = float(env_tol) if env_tol is not None else 1e-9
+        return float(env_tol) if env_tol is not None else 1e-9
     except ValueError:
         raise DomainError(f"NDSYS_TOL must be a float, got {env_tol!r}")
 
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and kept:
+    it holds no per-call state, since tol defaults to None here and `main`
+    resolves it from the environment on every call."""
     parser = _Parser(
         prog="ndsys",
         description="Multiparametric stationary system toolkit",
@@ -337,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=default_tol)
+        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="JSON file of this subcommand's flags")
 
@@ -399,12 +408,15 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         argv = _sys.argv[1:] if argv is None else list(argv)
-        parser = _build_parser()
+        env_tol = _env_tol()
+        parser = _parser()
         args = parser.parse_args(argv)
         if args.config is not None:
             # the last value given wins, so the user's own flags override
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_flags(args.config) + argv[at:])
+        if args.tol is None:
+            args.tol = env_tol
         if not math.isfinite(args.tol) or args.tol < 0:
             raise DomainError(f"tol must be a finite number >= 0, got {args.tol!r}")
         if args.seed < 0:

@@ -222,6 +222,18 @@ def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
     )
 
 
+def _gram_gap(dom: np.ndarray, img: np.ndarray) -> tuple[float, float]:
+    """``||dom^H dom - img^H img||_F`` and ``||dom||_2`` without forming
+    either Gramian: Q has orthonormal columns in the thin QR
+    ``[dom; img]^H = Q R``, so they are ``||R_dom R_dom^H - R_img R_img^H||_F``
+    and ``||R_dom||_2``, R_dom and R_img the leading ``len(dom)`` and the
+    remaining columns of R."""
+    r = np.linalg.qr(np.vstack([dom, img]).conj().T, mode="r")
+    r_dom, r_img = r[:, : len(dom)], r[:, len(dom) :]
+    gap = float(np.linalg.norm(r_dom @ r_dom.conj().T - r_img @ r_img.conj().T))
+    return gap, spectral_norm(r_dom)
+
+
 @dataclass(frozen=True)
 class RealizationResult:
     """Assembled system plus the verification residuals that admitted it and
@@ -319,15 +331,13 @@ def assemble_colligation(
         return basis_x.conj().T @ (s.factors - f0)
 
     # the correspondence dom-column -> img-column is well defined only
-    # when the two Gramians agree; check before solving
+    # when the two Gramians agree; check before solving.  Their difference
+    # dom^H dom - img^H img is M^H J M for M = [dom; img], J = diag(I, -I),
+    # and its norm is read from a thin QR of M^H
     dom_cols = _columns(samples.g[:, :m_total])
     img_cols = _columns(np.concatenate([state(samples), samples.theta], axis=1))
-    gram_gap = float(
-        np.linalg.norm(
-            dom_cols.conj().T @ dom_cols - img_cols.conj().T @ img_cols
-        )
-    )
-    scale = max(1.0, spectral_norm(dom_cols))
+    gram_gap, dom_norm = _gram_gap(dom_cols, img_cols)
+    scale = max(1.0, dom_norm)
     if gram_gap > tol * scale * scale:
         raise PreconditionError(
             f"colligation core: Gramians differ by {gram_gap:.3e}, "

@@ -11,6 +11,7 @@ import pytest
 import gen
 import oracles
 from ndsys import Box, LatticeSignal, MultiLSDS, OperatorTuple, TruncatedLPVector, canonical_fixture
+from ndsys import cli
 from ndsys import serialization as ser
 from ndsys.cli import main
 
@@ -575,6 +576,21 @@ def test_counts_below_their_minimum_are_input_errors(capsys, argv):
     code, report, err = run(capsys, argv)
     assert code == 2 and report is None
     assert "input error" in err and argv[-1] in err
+
+
+def test_env_tol_is_read_on_every_call_of_one_parser(capsys, monkeypatch):
+    # the parser is built once per process, so NDSYS_TOL must not be baked
+    # into it: each call reads the variable afresh
+    monkeypatch.setenv("NDSYS_TOL", "1e-5")
+    _, first, _ = run(capsys, ["check", "builtin:alpha"])
+    parser = cli._parser()
+    monkeypatch.setenv("NDSYS_TOL", "2e-4")
+    _, second, _ = run(capsys, ["check", "builtin:alpha"])
+    assert cli._parser() is parser
+    assert (first["parameters"]["tol"], second["parameters"]["tol"]) == (1e-5, 2e-4)
+    monkeypatch.delenv("NDSYS_TOL")
+    _, third, _ = run(capsys, ["check", "builtin:alpha"])
+    assert third["parameters"]["tol"] == 1e-9
 
 
 def test_bad_env_tol_is_an_input_error(capsys, monkeypatch):

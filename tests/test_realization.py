@@ -1,5 +1,9 @@
 """Colligation assembly from transfer-function decomposition data."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,10 +21,11 @@ from ndsys import (
     builtin_examples,
     canonical_fixture,
     halton_disc,
+    realization,
     transfer_eval,
     verify_agler_identity,
 )
-from ndsys.realization import _columns, _padded, _sample
+from ndsys.realization import _columns, _gram_gap, _padded, _sample
 
 
 def poly_gap(sys, theta, points):
@@ -172,6 +177,56 @@ def test_corrupted_decomposition_is_caught():
         assemble_colligation(bad)
 
 
+def test_gramian_mismatch_is_refused_past_the_decomposition_probe(monkeypatch):
+    # F1 = z2 + 1e-6 z1 breaks the decomposition by about 1e-6; with the
+    # 120-point decomposition probe silenced, the Gramian check must refuse
+    # it against tol * scale^2 on its own
+    fix = canonical_fixture()
+    f1 = MatrixPolynomial(
+        n=2, shape=(1, 1), coeffs={(0, 1): np.eye(1), (1, 0): 1e-6 * np.eye(1)}
+    )
+    bad = AglerData(theta=fix.theta, factors=(f1, fix.factors[1]), grid=fix.grid)
+    monkeypatch.setattr(realization, "_identity_residual", lambda *args: 0.0)
+    with pytest.raises(PreconditionError, match="Gramians differ"):
+        assemble_colligation(bad)
+
+
+@pytest.mark.parametrize("perturb", [0.0, 1e-6])
+def test_gram_gap_matches_the_explicit_gramian_difference(perturb):
+    # the R-factor form against the two Gramians formed outright, on the
+    # per-point core columns of one oracle case's 800-point grid
+    work = _padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1)
+    f0 = np.vstack([f.evaluate(np.zeros((1, 3)))[0] for f in work.factors])
+    basis_x = np.linalg.svd(f0, full_matrices=True)[0][:, 2:]
+    dom, img = oracles.core_columns_pointwise(work, halton_disc(800, 3, 0.8), basis_x, f0)
+    img = img + perturb * np.roll(img, 1, axis=0)
+    gap, norm = _gram_gap(dom, img)
+    want = float(np.linalg.norm(dom.conj().T @ dom - img.conj().T @ img))
+    assert abs(gap - want) <= 1e-11 + 1e-9 * want
+    assert (want > 1e-6) == (perturb > 0)
+    assert abs(norm - np.linalg.norm(dom, 2)) <= 1e-12 * norm
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_n3_realization_holds_no_point_by_point_gramian():
+    # two 1600 x 1600 complex Gramians of the 800-point, q = 2 grid would
+    # grow the peak resident set by about 80 MB
+    code = (
+        "import resource, numpy as np, gen\n"
+        "from ndsys import assemble_colligation\n"
+        "data = gen.inner_fixture(np.random.default_rng(104), 3, 2)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assemble_colligation(data, extra_padding=1)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(realization.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 40
+
+
 def test_nonvanishing_origin_rejected():
     fix = canonical_fixture()
     shifted = MatrixPolynomial(
@@ -236,8 +291,10 @@ ORACLE_CASES = [pytest.param(canonical_fixture(), id="canonical")] + [
 @pytest.mark.parametrize("data", ORACLE_CASES)
 def test_sampled_realization_matches_the_pointwise_oracle(data, padding):
     # each point's theta and factors are evaluated once into stacks; the
-    # columns, residuals and realized matrices stay those of the per-point
-    # construction, bit for bit
+    # columns, realized matrices and every residual but `gram` stay those of
+    # the per-point construction, bit for bit.  `gram` is read from a thin QR
+    # of the stacked columns, not from the two Gramians, so it agrees with
+    # the oracle to rounding level, far below its threshold tol * scale^2 >= 1e-8
     res = assemble_colligation(data, extra_padding=padding)
     system, residuals, grid_size = oracles.assemble_colligation_pointwise(data, padding)
     assert res.grid_size == grid_size
@@ -246,9 +303,11 @@ def test_sampled_realization_matches_the_pointwise_oracle(data, padding):
     assert oracles.same_bits(
         _columns(_sample(work, grid).g), oracles.stack_g_columns(work, grid)
     )
-    assert {k: v.hex() for k, v in res.residuals.items()} == {
-        k: v.hex() for k, v in residuals.items()
-    }
+    got, want = dict(res.residuals), dict(residuals)
+    gram_got, gram_want = got.pop("gram"), want.pop("gram")
+    assert abs(gram_got - gram_want) <= 1e-11
+    assert gram_got <= 1e-11 and gram_want <= 1e-11
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
     for key in "abcd":
         for got, want in zip(getattr(res.system, key), getattr(system, key)):
             assert oracles.same_bits(got, want)
