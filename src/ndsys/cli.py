@@ -247,7 +247,7 @@ def _cmd_realize(args, inputs) -> dict:
         "conservative": result.conservative,
         "residuals": result.residuals,
         "thresholds": {"identity": check.tol, **result.thresholds},
-        "system": serialization.system_to_json(result.system),
+        "system": serialization.system_fields(result.system),
     }
 
 

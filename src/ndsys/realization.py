@@ -144,23 +144,21 @@ def _columns(stack: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(stack.transpose(1, 0, 2)).reshape(rows, count * cols)
 
 
-def _identity_residual(data: AglerData, a: _Samples, b: _Samples) -> float:
+def _identity_residual(a: _Samples, b: _Samples) -> float:
     """Largest pairwise decomposition residual (Frobenius) between the two
-    sample sets, assembled from stacked Gramians in one pass."""
-    q = data.in_dim
-    rows = np.cumsum((0,) + data.factor_dims)
-    resid = np.kron(np.ones((len(a.z), len(b.z))), np.eye(q, dtype=complex))
-    resid -= _columns(a.theta).conj().T @ _columns(b.theta)
-    for k in range(data.n):
-        f_a, f_b = (_columns(s.factors[:, rows[k] : rows[k + 1]]) for s in (a, b))
-        w_a, w_b = (np.repeat(s.z[:, k], q) for s in (a, b))
-        gram = f_a.conj().T @ f_b
-        resid -= gram
-        resid += (np.conj(w_a)[:, None] * gram) * w_b[None, :]
-    per_pair = np.sqrt(
-        np.sum(np.abs(resid.reshape(len(a.z), q, len(b.z), q)) ** 2, axis=(1, 3))
-    )
-    return float(per_pair.max()) if per_pair.size else 0.0
+    sample sets.  At (l, z) it is ``g(l)* g(z) - h(l)* h(z)`` for
+    ``h = [theta; F_1; ...; F_n]``, so one product of the stacked columns
+    ``[g; -h]`` and ``[g; h]`` holds every pair's residual as a q x q block."""
+    q = a.g.shape[2]
+    left = _columns(np.concatenate([a.g, -a.theta, -a.factors], axis=1))
+    right = _columns(np.concatenate([b.g, b.theta, b.factors], axis=1))
+    # re^2 and im^2 side by side, squared in place; each block sums down its
+    # q rows, then across its 2q numbers by one product with ones
+    squares = (left.conj().T @ right).view(float)
+    squares *= squares
+    rows = squares.reshape(len(a.z), q, 2 * q * len(b.z)).sum(axis=1)
+    per_pair = rows.reshape(len(a.z) * len(b.z), 2 * q) @ np.ones(2 * q)
+    return float(np.sqrt(per_pair.max(initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,8 @@ def verify_agler_identity(
     grid = _sample(data, data.grid)
     fresh = _sample(data, _random_disc(np.random.default_rng(seed), fresh_pairs, data.n))
     return AglerReport(
-        grid_residual=_identity_residual(data, grid, grid),
-        fresh_residual=_identity_residual(data, fresh, fresh),
+        grid_residual=_identity_residual(grid, grid),
+        fresh_residual=_identity_residual(fresh, fresh),
         tol=tol,
     )
 
@@ -206,11 +204,18 @@ def _random_disc(rng, count: int, n: int) -> np.ndarray:
 
 def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
     """Grow a low-discrepancy grid until the sampled g-span dimension holds
-    still for two consecutive doublings; return that grid's samples."""
+    still for two consecutive doublings; return that grid's samples.
+
+    A Halton set is the prefix of every larger one and each point's samples
+    do not depend on the rest of the stack, so the first three grids are
+    read from one sample of the third."""
     count = _GRID_START
+    sampled = _sample(data, halton_disc(4 * count, data.n, _GRID_RADIUS))
     dims = []
     for _ in range(_GRID_DOUBLINGS):
-        samples = _sample(data, halton_disc(count, data.n, _GRID_RADIUS))
+        if count > len(sampled.z):
+            sampled = _sample(data, halton_disc(count, data.n, _GRID_RADIUS))
+        samples = _Samples._make(a[:count] for a in sampled)
         dims.append(orth_basis(_columns(samples.g), rank_tol).shape[1])
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             return samples
@@ -307,7 +312,7 @@ def assemble_colligation(
 
     samples = _stable_grid(work, rank_tol)
     probe = _Samples._make(a[:120] for a in samples)
-    ident = _identity_residual(work, probe, probe)
+    ident = _identity_residual(probe, probe)
     if ident > tol:
         raise PreconditionError(
             f"decomposition residual {ident:.3e} exceeds {tol:g} on the sample grid"

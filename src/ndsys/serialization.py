@@ -32,6 +32,7 @@ from .transfer import MatrixPolynomial
 
 __all__ = [
     "system_to_json",
+    "system_fields",
     "json_to_system",
     "signal_to_json",
     "json_to_signal",
@@ -57,19 +58,31 @@ def _pair(v: complex) -> list[float]:
 def _unpair(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise DomainError(f"expected a [re, im] pair, got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        return complex(float(obj[0]), float(obj[1]))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected a [re, im] pair of numbers, got {obj!r}") from exc
 
 
 def _matrix(m: np.ndarray) -> list:
     return [[_pair(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _unmatrix(obj) -> np.ndarray:
+def _unmatrix(obj, what: str) -> np.ndarray:
+    """The nested matrix list ``obj`` as a complex array; an error names the
+    field ``what``."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise DomainError(f"expected a nested matrix list, got {type(obj).__name__}")
-    return np.array(
-        [[_unpair(v) for v in row] for row in obj], dtype=complex
-    ).reshape(len(obj), len(obj[0]) if obj else 0)
+        raise DomainError(f"{what}: expected a nested matrix list, got {type(obj).__name__}")
+    try:
+        rows = [[_unpair(v) for v in row] for row in obj]
+        return np.array(rows, dtype=complex).reshape(len(obj), len(obj[0]) if obj else 0)
+    except DomainError as exc:
+        raise DomainError(f"{what}: {exc}") from exc
+    except ValueError as exc:  # numpy refuses ragged rows
+        lengths = sorted({len(row) for row in obj})
+        raise DomainError(
+            f"{what}: matrix rows must have one length, got lengths {lengths}"
+        ) from exc
 
 
 def system_to_json(sys: MultiLSDS) -> dict:
@@ -84,10 +97,24 @@ def system_to_json(sys: MultiLSDS) -> dict:
     }
 
 
+def system_fields(sys: MultiLSDS) -> dict:
+    """The JSON layout of `system_to_json` with each tuple left as one
+    ``(n, rows, cols)`` complex array, which `dump` writes with the same
+    bytes."""
+    sys.require_wellformed()
+    fields = {"n": sys.n, "dims": {"x": sys.dim_x, "nm": sys.dim_in, "np": sys.dim_out}}
+    for key, ops in zip("ABCD", (sys.a, sys.b, sys.c, sys.d)):
+        fields[key] = np.array(ops.mats, dtype=complex)
+    return fields
+
+
 def _need(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise DomainError(f"{context}: missing key {key!r}")
-    return obj[key]
+    try:
+        return obj[key]
+    except (KeyError, TypeError) as exc:
+        if isinstance(obj, dict):
+            raise DomainError(f"{context}: missing key {key!r}") from exc
+        raise DomainError(f"{context} must be a JSON object, got {type(obj).__name__}") from exc
 
 
 def json_to_system(obj: dict) -> MultiLSDS:
@@ -95,12 +122,14 @@ def json_to_system(obj: dict) -> MultiLSDS:
         raise DomainError(f"system file must be a JSON object, got {type(obj).__name__}")
     n = whole(_need(obj, "n", "system"), "system: n")
     dims = _need(obj, "dims", "system")
+    if not isinstance(dims, dict):
+        raise DomainError(f"system: dims must be an object, got {type(dims).__name__}")
     tuples = {}
     for key in ("A", "B", "C", "D"):
         raw = _need(obj, key, "system")
         if not isinstance(raw, list) or len(raw) != n:
             raise DomainError(f"system: {key} must list {n} matrices")
-        tuples[key] = OperatorTuple(tuple(_unmatrix(m) for m in raw))
+        tuples[key] = OperatorTuple(tuple(_unmatrix(m, f"system: {key}") for m in raw))
     sys = MultiLSDS(a=tuples["A"], b=tuples["B"], c=tuples["C"], d=tuples["D"])
     stated = tuple(whole(dims.get(key, -1), f"system: dims {key}") for key in ("x", "nm", "np"))
     if stated != (sys.dim_x, sys.dim_in, sys.dim_out):
@@ -175,10 +204,19 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
         raise DomainError(f"polynomial must be a JSON object, got {type(obj).__name__}")
     n = whole(_need(obj, "n", "polynomial"), "polynomial: n")
     shape = _need(obj, "shape", "polynomial")
+    if not (isinstance(shape, list) and len(shape) == 2):
+        raise DomainError(f"polynomial: shape must be a [rows, cols] list, got {shape!r}")
+    terms = obj.get("terms", [])
+    if not isinstance(terms, list):
+        raise DomainError(f"polynomial: terms must be a list, got {type(terms).__name__}")
     coeffs = {}
-    for item in obj.get("terms", []):
-        t = tuple(whole(v, "polynomial: exponent") for v in _need(item, "t", "polynomial term"))
-        coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"))
+    for item in terms:
+        exps = _need(item, "t", "polynomial term")
+        try:
+            t = tuple(whole(v, "polynomial: exponent") for v in exps)
+        except TypeError as exc:
+            raise DomainError(f"polynomial term: t must list exponents, got {exps!r}") from exc
+        coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"), "polynomial term: m")
         if not np.isfinite(coeffs[t]).all():
             raise DomainError(f"polynomial: non-finite coefficient at exponent {list(t)}")
     rows, cols = whole(shape[0], "polynomial: shape"), whole(shape[1], "polynomial: shape")
@@ -231,12 +269,23 @@ def json_to_agler(obj: dict) -> AglerData:
     if not isinstance(obj, dict):
         raise DomainError(f"decomposition data must be a JSON object, got {type(obj).__name__}")
     theta = json_to_poly(_need(obj, "theta", "decomposition data"))
-    factors = tuple(
-        json_to_poly(f) for f in _need(obj, "factors", "decomposition data")
-    )
-    grid = tuple(
-        tuple(_unpair(v) for v in z) for z in obj.get("grid", [])
-    )
+    factors = _need(obj, "factors", "decomposition data")
+    if not isinstance(factors, list):
+        raise DomainError(
+            f"decomposition data: factors must be a list, got {type(factors).__name__}"
+        )
+    factors = tuple(json_to_poly(f) for f in factors)
+    points = obj.get("grid", [])
+    if not isinstance(points, list):
+        raise DomainError(f"decomposition data: grid must be a list, got {type(points).__name__}")
+    try:
+        grid = tuple(tuple(_unpair(v) for v in z) for z in points)
+    except TypeError as exc:  # a point that is no list of pairs; name the first
+        i = next(i for i, z in enumerate(points) if not isinstance(z, list))
+        raise DomainError(
+            f"decomposition data: grid point at index {i} must be a list of [re, im] pairs, "
+            f"got {points[i]!r}"
+        ) from exc
     for i, z in enumerate(grid):
         if not all(map(cmath.isfinite, z)):
             raise DomainError(f"decomposition data: non-finite grid point at index {i}")

@@ -21,10 +21,14 @@ bit.  `assemble_colligation_pointwise` is the realization built from
 per-point columns through it: `stack_g_columns` for the grid growth,
 `core_columns_pointwise` for the colligation core and
 `fresh_gaps_pointwise` for the fresh-point checks; its `gram` residual is
-the difference of the two sampled Gramians, formed outright.  The library
-evaluates each function once per stack of points and must reproduce its
-realized matrices and every residual but `gram` bit for bit; it reads
-`gram` from a thin QR of the stacked columns, within 1e-11 of the oracle.
+the difference of the two sampled Gramians, formed outright, and
+`identity_residual_pointwise` sums the decomposition residual variable by
+variable over a Kronecker identity.  The library evaluates each function
+once per stack of points and must reproduce its realized matrices and every
+residual but `gram` and the decomposition residuals bit for bit; it reads
+`gram` from a thin QR of the stacked columns, within 1e-11 of the oracle,
+and each decomposition residual from one Gram difference of the stacked
+g and [theta; F] columns, within 1e-12.
 
 `apply_generator_dict` and `apply_adjoint_dict` are the scattering
 generators and their adjoints walked front by front with a dict entry per

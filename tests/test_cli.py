@@ -10,7 +10,15 @@ import pytest
 
 import gen
 import oracles
-from ndsys import Box, LatticeSignal, MultiLSDS, OperatorTuple, TruncatedLPVector, canonical_fixture
+from ndsys import (
+    Box,
+    LatticeSignal,
+    MultiLSDS,
+    OperatorTuple,
+    TruncatedLPVector,
+    builtin_examples,
+    canonical_fixture,
+)
 from ndsys import cli
 from ndsys import serialization as ser
 from ndsys.cli import main
@@ -826,6 +834,37 @@ def test_realize_rejects_non_finite_data(capsys, tmp_path, part):
     code, report, err = run(capsys, ["realize", write(tmp_path, "bad.json", obj)])
     assert code == 2 and report is None
     assert "input error" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "command, path, value, named",
+    [
+        ("realize", ["grid"], 5, "grid must be a list"),
+        ("realize", ["grid"], [5], "grid point at index 0"),
+        ("realize", ["factors"], 3, "factors must be a list"),
+        ("realize", ["theta", "terms"], 5, "terms must be a list"),
+        ("realize", ["theta", "terms", 0, "t"], 5, "t must list exponents"),
+        ("realize", ["theta", "shape"], [1], "shape must be a [rows, cols] list"),
+        ("realize", ["theta", "terms", 0, "m"], [[[1.0, 0.0]], []], "polynomial term: m: matrix rows"),
+        ("check", ["A", 0], [[[0.0, 0.0]], []], "system: A: matrix rows"),
+        ("check", ["dims"], [1, 1, 1], "dims must be an object"),
+        ("check", ["A", 0, 0, 0], ["a", 0.0], "system: A: expected a [re, im] pair of numbers"),
+    ],
+    ids=["grid-5", "grid-[5]", "factors-3", "terms-5", "t-5", "shape-[1]", "ragged-m",
+         "ragged-A", "dims-list", "pair-a"],
+)
+def test_malformed_structure_exits_2_naming_the_field(capsys, tmp_path, command, path, value, named):
+    if command == "realize":
+        obj = ser.agler_to_json(canonical_fixture(grid_points=5))
+    else:
+        obj = ser.system_to_json(builtin_examples()["alpha"])
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    code, report, err = run(capsys, [command, write(tmp_path, "bad.json", obj)])
+    assert code == 2 and report is None
+    assert err.startswith("input error: ") and named in err and "Traceback" not in err
 
 
 def test_non_finite_residual_is_still_a_verification_failure(capsys, tmp_path, monkeypatch):

@@ -17,7 +17,14 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def test_spectral_norm_matches_svd():
+    # bitwise the matrix 2-norm numpy computes, on rows, columns and empties
     rng = np.random.default_rng(0)
+    shapes = [(4, 3), (1, 5), (5, 1), (1, 1), (6, 6), (0, 3), (3, 0), (0, 0)]
+    shapes += [tuple(int(v) for v in rng.integers(1, 9, size=2)) for _ in range(20)]
+    for shape in shapes:
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m *= 10.0 ** rng.integers(-8, 9)
+        assert oracles.same_bits(spectral_norm(m), float(np.linalg.norm(m, 2))), shape
     m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     assert np.isclose(spectral_norm(m), np.linalg.svd(m, compute_uv=False)[0])
 

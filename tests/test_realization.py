@@ -25,7 +25,14 @@ from ndsys import (
     transfer_eval,
     verify_agler_identity,
 )
-from ndsys.realization import _columns, _gram_gap, _padded, _sample
+from ndsys.realization import (
+    _columns,
+    _gram_gap,
+    _identity_residual,
+    _padded,
+    _sample,
+    _stable_grid,
+)
 
 
 def poly_gap(sys, theta, points):
@@ -227,6 +234,63 @@ def test_n3_realization_holds_no_point_by_point_gramian():
     assert int(proc.stdout) / 1024 < 40
 
 
+def _perturbed(data):
+    # F1 + 1e-3 z1 in every entry breaks the decomposition by about 1e-3
+    f = data.factors[0]
+    e1 = (1,) + (0,) * (data.n - 1)
+    coeffs = dict(f.coeffs)
+    coeffs[e1] = coeffs.get(e1, 0) + 1e-3 * np.ones(f.shape)
+    grown = MatrixPolynomial(n=f.n, shape=f.shape, coeffs=coeffs)
+    return AglerData(theta=data.theta, factors=(grown,) + data.factors[1:], grid=data.grid)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(canonical_fixture(), id="canonical-q1"),
+        pytest.param(gen.inner_fixture(np.random.default_rng(104), 2, 2), id="inner-q2"),
+        pytest.param(gen.zero_row_fixture(), id="zero-row"),
+        pytest.param(
+            _padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 2), id="padded"
+        ),
+        pytest.param(_perturbed(canonical_fixture()), id="perturbed-q1"),
+        pytest.param(
+            _perturbed(gen.inner_fixture(np.random.default_rng(104), 2, 2)), id="perturbed-q2"
+        ),
+    ],
+)
+def test_identity_residual_matches_the_pointwise_oracle(data):
+    # two different point sets of unequal sizes, so no pair is a diagonal one
+    a = [tuple(z) for z in halton_disc(37, data.n, 0.8)]
+    b = oracles.random_disc_points(np.random.default_rng(7), 23, data.n)
+    got = _identity_residual(_sample(data, a), _sample(data, b))
+    want = oracles.identity_residual_pointwise(data, a, b)
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def test_stable_grid_returns_the_samples_of_its_grid(monkeypatch):
+    # the first three grids are prefixes of one 800-point sample; a span
+    # dimension that grows until 1000 holds still from 1600 points on, so
+    # the grid grows to 6400 points, sampled afresh at each doubling past 800
+    def grow(m, rank_tol):
+        return np.zeros((m.shape[0], min(m.shape[1], 1000)))
+
+    cases = [
+        (canonical_fixture(), None),
+        (_padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1), None),
+        (canonical_fixture(), 6400),
+    ]
+    for data, size in cases:
+        if size is not None:
+            monkeypatch.setattr(realization, "orth_basis", grow)
+        got = _stable_grid(data, 1e-10)
+        monkeypatch.undo()
+        assert len(got.z) == (size or 800)
+        want = _sample(data, halton_disc(len(got.z), data.n, 0.8))
+        for field in want._fields:
+            assert oracles.same_bits(getattr(got, field), getattr(want, field)), field
+
+
 def test_nonvanishing_origin_rejected():
     fix = canonical_fixture()
     shifted = MatrixPolynomial(
@@ -291,10 +355,13 @@ ORACLE_CASES = [pytest.param(canonical_fixture(), id="canonical")] + [
 @pytest.mark.parametrize("data", ORACLE_CASES)
 def test_sampled_realization_matches_the_pointwise_oracle(data, padding):
     # each point's theta and factors are evaluated once into stacks; the
-    # columns, realized matrices and every residual but `gram` stay those of
-    # the per-point construction, bit for bit.  `gram` is read from a thin QR
-    # of the stacked columns, not from the two Gramians, so it agrees with
-    # the oracle to rounding level, far below its threshold tol * scale^2 >= 1e-8
+    # columns, realized matrices and every residual but `gram` and the three
+    # decomposition residuals stay those of the per-point construction, bit
+    # for bit.  `gram` is read from a thin QR of the stacked columns, and the
+    # decomposition residuals from one Gram difference of g and [theta; F],
+    # not from the Gramians summed per variable; each sums in another order,
+    # so it agrees with the oracle to rounding level, far below its
+    # threshold (tol * scale^2 >= 1e-8 for `gram`, tol = 1e-8 for the rest)
     res = assemble_colligation(data, extra_padding=padding)
     system, residuals, grid_size = oracles.assemble_colligation_pointwise(data, padding)
     assert res.grid_size == grid_size
@@ -307,13 +374,22 @@ def test_sampled_realization_matches_the_pointwise_oracle(data, padding):
     gram_got, gram_want = got.pop("gram"), want.pop("gram")
     assert abs(gram_got - gram_want) <= 1e-11
     assert gram_got <= 1e-11 and gram_want <= 1e-11
+    report = verify_agler_identity(data)
+    fresh = oracles.random_disc_points(np.random.default_rng(0), 50, data.n)
+    near = {
+        "decomposition": (got.pop("decomposition"), want.pop("decomposition")),
+        "grid_residual": (
+            report.grid_residual,
+            oracles.identity_residual_pointwise(data, data.grid, data.grid),
+        ),
+        "fresh_residual": (
+            report.fresh_residual,
+            oracles.identity_residual_pointwise(data, fresh, fresh),
+        ),
+    }
+    for key, (value, oracle) in near.items():
+        assert abs(value - oracle) <= 1e-12 and value <= 1e-12, (key, value, oracle)
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
     for key in "abcd":
         for got, want in zip(getattr(res.system, key), getattr(system, key)):
             assert oracles.same_bits(got, want)
-    report = verify_agler_identity(data)
-    fresh = oracles.random_disc_points(np.random.default_rng(0), 50, data.n)
-    assert report.grid_residual == oracles.identity_residual_pointwise(
-        data, data.grid, data.grid
-    )
-    assert report.fresh_residual == oracles.identity_residual_pointwise(data, fresh, fresh)

@@ -417,6 +417,20 @@ def test_poly_fields_are_written_as_poly_to_json(poly):
     assert ser.dump({"p": ser.poly_fields(poly)}) == ser.dump({"p": ser.poly_to_json(poly)})
 
 
+@pytest.mark.parametrize(
+    "sys",
+    [
+        pytest.param(builtin_examples()["alpha"], id="alpha"),
+        pytest.param(builtin_examples()["alpha_prime"], id="alpha_prime"),
+        pytest.param(gen.random_system(np.random.default_rng(1), 3, 4, 2, 3), id="random-n3"),
+        pytest.param(gen.random_system(np.random.default_rng(2), 1, 1, 3, 1), id="random-n1"),
+        pytest.param(gen.random_system(np.random.default_rng(3), 2, 0, 1, 2), id="dim-x-0"),
+    ],
+)
+def test_system_fields_are_written_as_system_to_json(sys):
+    assert ser.dump({"s": ser.system_fields(sys)}) == ser.dump({"s": ser.system_to_json(sys)})
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_polynomial_with_non_finite_coefficient_is_rejected(bad):
     obj = ser.agler_to_json(canonical_fixture(grid_points=4))
