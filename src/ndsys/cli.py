@@ -212,10 +212,13 @@ def _cmd_transfer(args, inputs) -> dict:
         _check_point_budget(args.grid, sys_obj)  # before the grid is drawn
     pts = _transfer_points(args, sys_obj.n, inputs)
     _check_point_budget(len(pts), sys_obj)
-    vals = transfer.transfer_eval(sys_obj, pts)
+    # one evaluation of each pencil serves the solve and the series
+    sys_obj.require_wellformed()
+    pencils = transfer._pencils(sys_obj, pts)
+    vals = transfer._solved(sys_obj, pts, pencils)
     results = {"points": serialization.Rows("transfer value", z=pts, value=vals)}
     if args.series_terms is not None and len(pts):
-        approx = transfer.transfer_eval_series(sys_obj, pts, args.series_terms)
+        approx = transfer._neumann(sys_obj, pts, args.series_terms, pencils)
         results["series_gap"] = {
             "terms": args.series_terms,
             "max_truncation_error": _largest_norm(vals - approx),

@@ -16,8 +16,8 @@ read off the window to the shared zero row; they stay numerically
 independent, so they must agree on uncontaminated window points: `simulate`
 steps whole fronts (Lamport's hyperplanes: a front depends only on the one
 before it) through the blocks, and `closed_form` gathers the data at
-``t - d`` once per offset ``d`` through the multipowers of the lifted
-colligation
+``t - d`` once per front of offsets ``d`` through the multipowers of the
+lifted colligation
 
     L_k = [[A_k, 0, B_k], [C_k, 0, D_k], [0, 0, 0]]   on X + Y + U,
 
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _PAIR_BUDGET = 2**26  # closed-form window points times the offsets in their cones
+# closed-form values gathered at once: bounds one chunk of an offset front
+_GATHER_BUDGET = 2**18
 
 
 @dataclass(frozen=True)
@@ -328,10 +330,14 @@ def closed_form(
     ``1 <= |d| <= f``, ``multinomial(d) L^d`` applied to ``[x0 | 0 | u]``
     at ``t - d``, where ``L`` is the lifted colligation (`_lift`) and the
     initial data ``x0`` is zero off the zero-order front.  The loop runs
-    over the offsets: one gather of the rows ``t - d``, with off-box reads
-    hitting a zero row, and one product serve every point of order
-    ``>= |d|`` at once.  Contamination masks agree with `simulate` exactly:
-    both reduce to whether the cone leaves the trusted region.  More than
+    over the fronts of offsets, the ``d`` with ``|d| = f``: one locate of
+    every ``t - d``, with off-box reads hitting a zero row, one gather and
+    one stacked product serve every point of order ``>= f`` at once.  The
+    products are added one offset at a time in offset order, so the sums
+    are bitwise a loop's over single offsets.  A front whose gather would
+    pass ``_GATHER_BUDGET`` values is split into chunks of consecutive
+    offsets.  Contamination masks agree with `simulate` exactly: both
+    reduce to whether the cone leaves the trusted region.  More than
     ``_PAIR_BUDGET`` point-offset pairs, or a weight past int64
     (RangeError), are refused before the table is built; a table whose
     entries stop being finite raises RangeError at that front, and so does
@@ -360,13 +366,21 @@ def closed_form(
     acc = z[:size, :xy].copy()
     dirty = np.zeros(size, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
+        # transposed views of C-ordered blocks: BLAS rounds a product by the
+        # layout of its operands, and a product per offset reads this one
+        gains = (weights[:, None, None] * powers[:, :xy]).transpose(0, 2, 1)
         for f in range(1, top + 1):
             rows, pts = slice(bounds[f], size), coords[bounds[f] :]
-            for i in range(fronts[f], fronts[f + 1]):
-                p = pts - offsets[i]
+            step = max(1, _GATHER_BUDGET // (len(pts) * z.shape[1]))
+            for start in range(fronts[f], fronts[f + 1], step):
+                chunk = slice(start, min(start + step, fronts[f + 1]))
+                p = pts[None] - offsets[chunk, None]
                 src = locate(p)
-                dirty[rows] |= (src == size) & ~(octant & (p < 0).any(axis=1))
-                acc[rows] += z[src] @ (float(weights[i]) * powers[i, :xy]).T
+                dirty[rows] |= ((src == size) & ~(octant & (p < 0).any(axis=2))).any(axis=0)
+                # one offset at a time, in offset order: a sum over the chunk
+                # first would round differently
+                for term in z[src] @ gains[chunk]:
+                    acc[rows] += term
     return _result(window, coords, bounds, acc[:, :dim_x], acc[:, dim_x:], dirty, octant)
 
 

@@ -129,6 +129,15 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pencils(sys: MultiLSDS, z: np.ndarray):
+    """The pencil values zA, zB, zC and zD at ``z``, a point or a stack as
+    for `eval_pencil`, each evaluated once, and the Frobenius norm of zA at
+    each point, which both evaluators screen by."""
+    za, zb, zc, zd = (eval_pencil(z, ops) for ops in (sys.a, sys.b, sys.c, sys.d))
+    count = len(z.reshape(-1, sys.n))
+    return za, zb, zc, zd, _frobenius(za.reshape(count, sys.dim_x, sys.dim_x))
+
+
 def transfer_eval(sys: MultiLSDS, z) -> np.ndarray:
     """Transfer function value via a direct solve.
 
@@ -140,13 +149,17 @@ def transfer_eval(sys: MultiLSDS, z) -> np.ndarray:
     """
     sys.require_wellformed()
     z = np.asarray(z, dtype=complex)
-    zd = eval_pencil(z, sys.d)
+    return _solved(sys, z, _pencils(sys, z))
+
+
+def _solved(sys: MultiLSDS, z: np.ndarray, pencils) -> np.ndarray:
+    """`transfer_eval` from the `_pencils` values at ``z``."""
+    za, zb, zc, zd, frob = pencils
     if sys.dim_x == 0:
         return zd
-    za = eval_pencil(z, sys.a)
     m = np.eye(sys.dim_x, dtype=complex) - za
     stack = m.reshape(-1, sys.dim_x, sys.dim_x)
-    near = np.flatnonzero(~(_frobenius(za.reshape(stack.shape)) <= _RESOLVENT_SAFE))
+    near = np.flatnonzero(~(frob <= _RESOLVENT_SAFE))
     if near.size:
         # LAPACK factors each matrix alone, so a subset keeps its bits
         s = np.linalg.svd(stack[near], compute_uv=False)
@@ -156,7 +169,7 @@ def transfer_eval(sys: MultiLSDS, z) -> np.ndarray:
                 f"resolvent factor singular at z={tuple(z.reshape(-1, sys.n)[near[bad[0]]])}",
                 sigma_min=float(s[bad[0], -1]),
             )
-    return zd + eval_pencil(z, sys.c) @ np.linalg.solve(m, eval_pencil(z, sys.b))
+    return zd + zc @ np.linalg.solve(m, zb)
 
 
 def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
@@ -173,23 +186,28 @@ def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
     if terms < 0:
         raise DomainError(f"terms must be >= 0, got {terms}")
     z = np.asarray(z, dtype=complex)
-    za = eval_pencil(z, sys.a)
+    return _neumann(sys, z, terms, _pencils(sys, z))
+
+
+def _neumann(sys: MultiLSDS, z: np.ndarray, terms: int, pencils) -> np.ndarray:
+    """`transfer_eval_series` from the `_pencils` values at ``z``."""
     pts = z.reshape(-1, sys.n)
-    stack = za.reshape(len(pts), sys.dim_x, sys.dim_x)
-    near = np.flatnonzero(~(_frobenius(stack) * _CONTRACTION_MARGIN < 1.0))
+    *values, frob = pencils
+    za, zb, zc, zd = (v.reshape((len(pts),) + v.shape[-2:]) for v in values)
+    near = np.flatnonzero(~(frob * _CONTRACTION_MARGIN < 1.0))
     if near.size:
-        norm_za = np.linalg.svd(stack[near], compute_uv=False)[:, 0]
+        norm_za = np.linalg.svd(za[near], compute_uv=False)[:, 0]
         bad = np.flatnonzero(norm_za >= 1.0)
         if bad.size:
             raise DivergenceError(
                 f"series needs ||zA|| < 1, got {float(norm_za[bad[0]]):.6f} "
                 f"at z={tuple(pts[near[bad[0]]])}"
             )
-    a, b = _block(stack), _rows(eval_pencil(pts, sys.b))
+    a, b = _block(za), _rows(zb)
     h = b
     for _ in range(terms):
         h = b + _product(a, h)
-    out = _rows(eval_pencil(pts, sys.d)) + _product(_block(eval_pencil(pts, sys.c)), h)
+    out = _rows(zd) + _product(_block(zc), h)
     value = np.empty((len(pts), sys.dim_out, sys.dim_in), dtype=complex)
     value.real, value.imag = np.moveaxis(out.reshape(2, sys.dim_out, sys.dim_in, len(pts)), -1, 1)
     return value if z.ndim == 2 else value[0]

@@ -6,7 +6,10 @@ offset at a time, and `energy_balance_report_dict` rescans every signal
 once per front.  All three follow the definitions word for word and are
 slow; the library's `simulate`, `closed_form` and `energy_balance_report`
 must reproduce them: values to rounding, masks and contamination flags
-exactly.
+exactly.  `closed_form_offsets` is the library's closed form run one
+offset at a time, one locate and one product per offset; `closed_form`,
+which stacks the offsets of a front, must reproduce it bit for bit, masks
+included.
 
 `eval_pencil_point`, `dissipativity_scan_pointwise`, `transfer_eval_point`
 and `transfer_eval_series_point` evaluate the pencil, the torus scan and
@@ -102,12 +105,12 @@ from ndsys import (
 )
 from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
 from ndsys.cli import _resolve_path
-from ndsys.lattice import order
+from ndsys.lattice import _window_index, order
 from ndsys.laxphillips import _check_dims
-from ndsys.pencil import _cube, multinomial, sym_multipower_table
+from ndsys.pencil import _cube, _weights, multinomial, sym_multipower_table
 from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json, signal_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
-from ndsys.system import _check_signals, _octant_exact
+from ndsys.system import _check_signals, _lift, _octant_exact, _result, _scatter
 from ndsys.transfer import _SINGULAR_REL
 
 
@@ -273,6 +276,36 @@ def closed_form_dict(sys, window, input_signal, init):
         contaminated_outputs=frozenset(dirty_outputs),
         octant_exact=octant,
     )
+
+
+def closed_form_offsets(sys, window, input_signal, init):
+    """The library's closed form with its offset loop written out: one
+    locate, one mask update and one product per offset ``d``, serving every
+    window point of order ``>= |d|`` at once, added in offset order."""
+    _check_signals(sys, window, input_signal, init)
+    octant = _octant_exact(input_signal, init)
+    dim_x, dim_in = sys.dim_x, sys.dim_in
+    coords, bounds, locate = _window_index(window.box, window.n_max, dim_x + dim_in + sys.dim_out)
+    size, top = len(coords), len(bounds) - 2
+    weights = _weights(sys.n, top)
+    offsets, fronts, _ = _cube(sys.n, top)
+    powers = sym_multipower_table(_lift(sys), top)
+
+    xy = dim_x + sys.dim_out
+    z = np.zeros((size + 1, xy + dim_in), dtype=complex)
+    _scatter(init, locate, z[:, :dim_x])
+    _scatter(input_signal, locate, z[:, xy:])
+    acc = z[:size, :xy].copy()
+    dirty = np.zeros(size, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in range(1, top + 1):
+            rows, pts = slice(bounds[f], size), coords[bounds[f] :]
+            for i in range(fronts[f], fronts[f + 1]):
+                p = pts - offsets[i]
+                src = locate(p)
+                dirty[rows] |= (src == size) & ~(octant & (p < 0).any(axis=1))
+                acc[rows] += z[src] @ (float(weights[i]) * powers[i, :xy]).T
+    return _result(window, coords, bounds, acc[:, :dim_x], acc[:, dim_x:], dirty, octant)
 
 
 def front_energy_dict(signal, n):

@@ -22,6 +22,7 @@ from ndsys import (
 from ndsys import cli
 from ndsys import serialization as ser
 from ndsys.cli import main
+from ndsys.numerics import _largest_norm, halton_disc
 
 
 def run(capsys, argv):
@@ -252,6 +253,33 @@ def test_transfer_at_listed_points(capsys, tmp_path):
         for item in report["results"]["maclaurin"]["terms"]
     }
     assert np.allclose(terms[(1, 1)], [[[1.0, 0.0]]], atol=1e-12)
+
+
+def test_a_series_request_evaluates_each_pencil_once(capsys, monkeypatch):
+    import ndsys.transfer
+
+    evaluated = []
+
+    def spy(z, ops, real=ndsys.transfer.eval_pencil):
+        evaluated.append(ops)
+        return real(z, ops)
+
+    monkeypatch.setattr(ndsys.transfer, "eval_pencil", spy)
+    argv = ["transfer", "builtin:alpha_prime", "--grid", "16", "--series-terms", "8"]
+    code, report, _ = run(capsys, argv)
+    assert code == 0
+    sys = builtin_examples()["alpha_prime"]
+    assert len(evaluated) == 4
+    for got, want in zip(evaluated, (sys.a, sys.b, sys.c, sys.d)):
+        assert np.array_equal(got.mats, want.mats)
+    # the shared values are the ones each public evaluator computes alone
+    monkeypatch.undo()
+    pts = halton_disc(16, 2, 0.7)
+    vals = ndsys.transfer.transfer_eval(sys, pts)
+    approx = ndsys.transfer.transfer_eval_series(sys, pts, 8)
+    got = np.array([entry["value"] for entry in report["results"]["points"]])
+    assert oracles.same_bits(got, vals.view(float).reshape(got.shape))
+    assert report["results"]["series_gap"]["max_truncation_error"] == _largest_norm(vals - approx)
 
 
 def test_transfer_arity_mismatch_is_an_input_error(capsys, tmp_path):

@@ -286,6 +286,82 @@ def test_offset_gathers_match_the_pointwise_closed_form(case):
     _assert_results_agree(got, want)
 
 
+def _assert_same_bits(got, want):
+    assert got.octant_exact == want.octant_exact
+    assert got.contaminated_states == want.contaminated_states
+    assert got.contaminated_outputs == want.contaminated_outputs
+    for a, b in ((got.states, want.states), (got.outputs, want.outputs)):
+        assert np.array_equal(a.points, b.points)
+        assert oracles.same_bits(a.values, b.values)
+
+
+@settings(max_examples=120, deadline=None)
+@given(windows())
+def test_offset_fronts_match_the_offset_loop_bitwise(case):
+    sys, window, inp, init = case
+    want = oracles.closed_form_offsets(sys, window, inp, init)
+    _assert_same_bits(closed_form(sys, window, inp, init), want)
+
+
+def _axis_window():
+    """n = 3 to order 40 on the box (0,0,0)..(40,0,0): most of the 12,340
+    offsets of the cone read off the box."""
+    rng = np.random.default_rng(18)
+    sys = gen.random_system(rng, 3, 3, 1, 2)
+    box = Box((0, 0, 0), (40, 0, 0))
+    inp = LatticeSignal(3, 1, {(i, 0, 0): rng.standard_normal(1) + 0j for i in range(0, 41, 3)})
+    init = LatticeSignal(3, 3, {(0, 0, 0): rng.standard_normal(3) + 0j})
+    return sys, SimulationWindow(box, 40), inp, init
+
+
+def _straddling_window():
+    """A box across the origin with data at negative coordinates, so both
+    masks are set."""
+    rng = np.random.default_rng(20)
+    sys = gen.random_system(rng, 2, 2, 2, 1)
+    box = Box((-2, -1), (3, 3))
+    inp = dense_input(rng, 2, 2, box, 5)
+    init = LatticeSignal(2, 2, {(-1, 1): rng.standard_normal(2) + 0j})
+    return sys, SimulationWindow(box, 5), inp, init
+
+
+@pytest.mark.parametrize("make", [_axis_window, _straddling_window], ids=["axis", "straddling"])
+def test_offset_fronts_match_the_offset_loop_on_fixed_windows(make):
+    sys, window, inp, init = make()
+    want = oracles.closed_form_offsets(sys, window, inp, init)
+    _assert_same_bits(closed_form(sys, window, inp, init), want)
+
+
+@pytest.mark.parametrize(
+    "budget, chunks", [(None, [2, 3, 4, 5, 6]), (1, [1] * 20)], ids=["whole-fronts", "single-offsets"]
+)
+def test_closed_form_locates_once_per_front_chunk(monkeypatch, budget, chunks):
+    import ndsys.system
+
+    if budget is not None:
+        monkeypatch.setattr(ndsys.system, "_GATHER_BUDGET", budget)
+    queries = []
+
+    def spy_index(*args):
+        coords, bounds, locate = _window_index(*args)
+
+        def spy(pts):
+            queries.append(pts.shape)
+            return locate(pts)
+
+        return coords, bounds, spy
+
+    monkeypatch.setattr(ndsys.system, "_window_index", spy_index)
+    sys, window, inp, init = _straddling_window()
+    got = closed_form(sys, window, inp, init)
+    # the two scatters of the data, then one query per chunk of a front of
+    # offsets (front f of Z^2 holds f + 1 of them), never one per offset
+    # unless the budget holds a single one
+    assert [len(q) for q in queries] == [2, 2] + [3] * len(chunks)
+    assert [q[0] for q in queries[2:]] == chunks
+    _assert_same_bits(got, oracles.closed_form_offsets(sys, window, inp, init))
+
+
 @pytest.mark.parametrize(
     "box, n_max",
     [
