@@ -10,11 +10,12 @@ is what `conservativity_check` measures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, RangeError
 from .numerics import orth_basis, spectral_norm
 from .pencil import OperatorTuple, eval_pencil
 from .system import MultiLSDS
@@ -47,6 +48,13 @@ _CHUNK = 4096
 # point that reaches the best representative's norm therefore has its own
 # representative within the margin of the best, and is rechecked.
 _RECHECK = 1e-10
+# Every block product an analysis forms stays below this.  With each real
+# and imaginary part of a block entry at most M, blocks at most d on a side
+# and n directions, a sum of n products G_j^H G_k or G_j G_k^H has parts at
+# most 2 n d M^2 (rounding adds a relative n d 2^-53 at most), so a
+# Frobenius, hence spectral, norm at most 2 sqrt(2) n d^2 M^2 < 4 n d^2 M^2.
+# A torus pencil value, n unit multiples of blocks, has parts at most 2 n M.
+_PRODUCT_CAP = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,20 @@ def _torus_grid(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray, in
     return axis[idx], orbit, per_axis ** (n - 1)
 
 
+def _require_bounded(blocks: OperatorTuple) -> None:
+    """Raise RangeError, before any product is formed, when block entries
+    are large enough that a block product or its norm could overflow: every
+    part must stay within sqrt(_PRODUCT_CAP / (4 n d^2))."""
+    top = float(np.abs(np.array(blocks.mats).view(float)).max(initial=0.0))
+    size = max(blocks.rows, blocks.cols, 1)
+    limit = math.sqrt(_PRODUCT_CAP / (4 * blocks.n * size * size))
+    if top > limit:
+        raise RangeError(
+            f"a block entry part of {top:.6g} exceeds {limit:.6g}, the size that keeps "
+            "every block product finite"
+        )
+
+
 def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
     """The pencil norm at each of the ``(S, n)`` points, one stacked SVD per
     ``_CHUNK`` of them."""
@@ -152,6 +174,7 @@ def dissipativity_scan(
     grid index.
     """
     blocks = sys.blocks()
+    _require_bounded(blocks)
     grid, orbit, orbits = _torus_grid(sys.n, samples)
 
     sigma = np.full(len(grid), -1.0)  # a skipped point stays below the rest
@@ -227,6 +250,7 @@ class ConservativityCertificate:
 def conservativity_check(sys: MultiLSDS, tol: float = 1e-9) -> ConservativityCertificate:
     """Measure how far the block family is from conservative."""
     blocks = sys.blocks()
+    _require_bounded(blocks)
     rows, cols = blocks.rows, blocks.cols
     gram = sum(g.conj().T @ g for g in blocks) - np.eye(cols)
     cogram = sum(g @ g.conj().T for g in blocks) - np.eye(rows)

@@ -152,8 +152,8 @@ def _cmd_simulate(args, inputs) -> dict:
     return {
         "evaluator": "closed_form" if args.closed_form else "recursion",
         "octant_exact": result.octant_exact,
-        "states": result.states,
-        "outputs": result.outputs,
+        "states": serialization.signal_to_json(result.states),
+        "outputs": serialization.signal_to_json(result.outputs),
         "contaminated_states": sorted(
             list(t) for t in result.contaminated_states
         ),
@@ -225,7 +225,7 @@ def _cmd_transfer(args, inputs) -> dict:
         }
     if args.coeffs is not None:
         poly = transfer.maclaurin_poly(sys_obj, args.coeffs)
-        results["maclaurin"] = serialization.poly_fields(poly)
+        results["maclaurin"] = serialization.poly_to_json(poly)
     return results
 
 
@@ -250,7 +250,7 @@ def _cmd_realize(args, inputs) -> dict:
         "conservative": result.conservative,
         "residuals": result.residuals,
         "thresholds": {"identity": check.tol, **result.thresholds},
-        "system": serialization.system_fields(result.system),
+        "system": serialization.system_to_json(result.system),
     }
 
 
@@ -263,13 +263,13 @@ def _cmd_laxphillips(args, inputs) -> dict:
         vec = serialization.json_to_lp_vector(_load(args.vector, inputs))
         if op == "gamma":
             out = laxphillips.gamma_map(vec)
-            return {"vector": serialization.lp_vector_fields(out)}
+            return {"vector": serialization.lp_vector_to_json(out)}
         apply_fn = (
             laxphillips.apply_generator if op == "generator" else laxphillips.apply_adjoint
         )
         out, mask = apply_fn(sys_obj, args.k, vec)
         return {
-            "vector": serialization.lp_vector_fields(out),
+            "vector": serialization.lp_vector_to_json(out),
             "mask": {p: sorted(map(list, getattr(mask, p))) for p in ("u_plus", "y", "u_minus")},
         }
     if args.box is None:

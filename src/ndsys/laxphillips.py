@@ -186,6 +186,11 @@ def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
 
 
 def _random_interior_vector(sys: MultiLSDS, box: Box, margin: int, rng) -> TruncatedLPVector:
+    if any(hi - lo < 2 * margin for lo, hi in zip(box.lo, box.hi)):
+        raise DomainError(
+            f"box lo={box.lo} hi={box.hi} is too small: the interior vector keeps {margin} "
+            f"layer(s) off every face, so each side must span at least {2 * margin + 1} points"
+        )
     points = _box_points(sys, box.shrunk(margin))[0]  # seeds draw front by front
     orders = points.sum(axis=1)
 

@@ -1,16 +1,20 @@
-"""JSON encodings for systems, signals, polynomials, and scattering vectors.
+"""JSON encodings for systems, signals, polynomials, Agler data and
+scattering vectors.
 
-Complex scalars are [re, im] pairs, matrices are nested row-major lists of
-pairs.  Every writer sorts keys and entry lists, so serialization is
-deterministic; floats use repr round-tripping, so parse(serialize(x))
+Each object has one encoder, ``X_to_json``, and one decoder, ``json_to_X``.
+An encoder returns the layout `dump` writes: plain JSON values, complex
+ndarrays (the tuples A-D, an Agler grid) and `Rows` tables (signal entries,
+polynomial terms).  A file is the text ``dump(X_to_json(obj))``: complex
+scalars as [re, im] pairs, matrices as nested row-major lists of pairs,
+keys and entry lists sorted, so serialization is deterministic; floats use
+repr round-tripping, so ``json_to_X(json.loads(dump(X_to_json(x))))``
 restores x bit for bit.  Malformed input, non-finite numbers included,
 surfaces as DomainError (or ShapeError for structurally valid but
 dimensionally inconsistent data), never as a raw KeyError or TypeError.
 
-`dump` writes strict JSON and takes `Rows` tables, complex ndarrays and
-LatticeSignal values anywhere in its argument: it writes each one straight
-from its arrays, with the bytes the standard library writes for its
-nested-list form.
+`dump` writes strict JSON and takes `Rows` tables and complex ndarrays
+anywhere in its argument: it writes each one straight from its arrays, with
+the bytes the standard library writes for its nested-list form.
 """
 
 from __future__ import annotations
@@ -32,14 +36,11 @@ from .transfer import MatrixPolynomial
 
 __all__ = [
     "system_to_json",
-    "system_fields",
     "json_to_system",
     "signal_to_json",
     "json_to_signal",
     "poly_to_json",
-    "poly_fields",
     "json_to_poly",
-    "lp_vector_fields",
     "lp_vector_to_json",
     "json_to_lp_vector",
     "agler_to_json",
@@ -48,11 +49,6 @@ __all__ = [
     "dump",
     "load_file",
 ]
-
-
-def _pair(v: complex) -> list[float]:
-    v = complex(v)
-    return [v.real, v.imag]
 
 
 def _unpair(obj) -> complex:
@@ -64,18 +60,15 @@ def _unpair(obj) -> complex:
         raise DomainError(f"expected a [re, im] pair of numbers, got {obj!r}") from exc
 
 
-def _matrix(m: np.ndarray) -> list:
-    return [[_pair(v) for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _unmatrix(obj, what: str) -> np.ndarray:
+def _unmatrix(obj, what: str, cols: int) -> np.ndarray:
     """The nested matrix list ``obj`` as a complex array; an error names the
-    field ``what``."""
+    field ``what``.  A matrix with no rows has ``cols`` columns: its text
+    ``[]`` does not carry them."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise DomainError(f"{what}: expected a nested matrix list, got {type(obj).__name__}")
     try:
         rows = [[_unpair(v) for v in row] for row in obj]
-        return np.array(rows, dtype=complex).reshape(len(obj), len(obj[0]) if obj else 0)
+        return np.array(rows, dtype=complex).reshape(len(obj), len(obj[0]) if obj else cols)
     except DomainError as exc:
         raise DomainError(f"{what}: {exc}") from exc
     except ValueError as exc:  # numpy refuses ragged rows
@@ -86,21 +79,7 @@ def _unmatrix(obj, what: str) -> np.ndarray:
 
 
 def system_to_json(sys: MultiLSDS) -> dict:
-    sys.require_wellformed()
-    return {
-        "n": sys.n,
-        "dims": {"x": sys.dim_x, "nm": sys.dim_in, "np": sys.dim_out},
-        "A": [_matrix(m) for m in sys.a],
-        "B": [_matrix(m) for m in sys.b],
-        "C": [_matrix(m) for m in sys.c],
-        "D": [_matrix(m) for m in sys.d],
-    }
-
-
-def system_fields(sys: MultiLSDS) -> dict:
-    """The JSON layout of `system_to_json` with each tuple left as one
-    ``(n, rows, cols)`` complex array, which `dump` writes with the same
-    bytes."""
+    """The system with each tuple as one ``(n, rows, cols)`` complex array."""
     sys.require_wellformed()
     fields = {"n": sys.n, "dims": {"x": sys.dim_x, "nm": sys.dim_in, "np": sys.dim_out}}
     for key, ops in zip("ABCD", (sys.a, sys.b, sys.c, sys.d)):
@@ -117,6 +96,13 @@ def _need(obj: dict, key: str, context: str):
         raise DomainError(f"{context} must be a JSON object, got {type(obj).__name__}") from exc
 
 
+def _list(value, what: str) -> list:
+    """``value``, which must be a JSON list; an error names the field ``what``."""
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def json_to_system(obj: dict) -> MultiLSDS:
     if not isinstance(obj, dict):
         raise DomainError(f"system file must be a JSON object, got {type(obj).__name__}")
@@ -124,14 +110,19 @@ def json_to_system(obj: dict) -> MultiLSDS:
     dims = _need(obj, "dims", "system")
     if not isinstance(dims, dict):
         raise DomainError(f"system: dims must be an object, got {type(dims).__name__}")
+    stated = tuple(
+        whole(_need(dims, key, "system: dims"), f"system: dims {key}") for key in ("x", "nm", "np")
+    )
+    if min(stated) < 0:
+        raise DomainError(f"system: dims must be >= 0, got {stated}")
+    x, nm, _ = stated
     tuples = {}
-    for key in ("A", "B", "C", "D"):
+    for key, cols in zip("ABCD", (x, nm, x, nm)):
         raw = _need(obj, key, "system")
         if not isinstance(raw, list) or len(raw) != n:
             raise DomainError(f"system: {key} must list {n} matrices")
-        tuples[key] = OperatorTuple(tuple(_unmatrix(m, f"system: {key}") for m in raw))
+        tuples[key] = OperatorTuple(tuple(_unmatrix(m, f"system: {key}", cols) for m in raw))
     sys = MultiLSDS(a=tuples["A"], b=tuples["B"], c=tuples["C"], d=tuples["D"])
-    stated = tuple(whole(dims.get(key, -1), f"system: dims {key}") for key in ("x", "nm", "np"))
     if stated != (sys.dim_x, sys.dim_in, sys.dim_out):
         raise DomainError(
             f"system: stated dims {stated} disagree with matrices "
@@ -145,11 +136,11 @@ def json_to_system(obj: dict) -> MultiLSDS:
 
 
 def signal_to_json(sig: LatticeSignal) -> dict:
-    pairs = np.stack([sig.values.real, sig.values.imag], -1).tolist()
+    """The signal with its entries as a `Rows` table, points sorted."""
     return {
         "n": sig.n,
         "dim": sig.dim,
-        "entries": [{"t": t, "v": v} for t, v in zip(sig.points.tolist(), pairs)],
+        "entries": Rows("signal value", t=sig.points, v=sig.values),
     }
 
 
@@ -158,7 +149,9 @@ def json_to_signal(obj: dict) -> LatticeSignal:
         raise DomainError(f"signal must be a JSON object, got {type(obj).__name__}")
     n = whole(_need(obj, "n", "signal"), "signal: n")
     dim = whole(_need(obj, "dim", "signal"), "signal: dim")
-    items = obj.get("entries", [])
+    if dim < 0:
+        raise DomainError(f"signal: dim must be >= 0, got {dim}")
+    items = _list(obj.get("entries", []), "signal: entries")
     points = [_need(item, "t", "signal entry") for item in items]
     try:
         pairs = np.array([_need(item, "v", "signal entry") for item in items], dtype=float)
@@ -175,18 +168,8 @@ def json_to_signal(obj: dict) -> LatticeSignal:
 
 
 def poly_to_json(poly: MatrixPolynomial) -> dict:
-    return {
-        "n": poly.n,
-        "shape": list(poly.shape),
-        "terms": [
-            {"t": list(t), "m": _matrix(m)} for t, m in poly.term_items()
-        ],
-    }
-
-
-def poly_fields(poly: MatrixPolynomial) -> dict:
-    """The JSON layout of `poly_to_json` with its terms left as a `Rows`
-    table, which `dump` writes from its arrays with the same bytes."""
+    """The polynomial with its terms as a `Rows` table, in `term_items`
+    order."""
     exps, mats = zip(*poly.term_items()) if poly.coeffs else ((), ())
     return {
         "n": poly.n,
@@ -206,38 +189,30 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
     shape = _need(obj, "shape", "polynomial")
     if not (isinstance(shape, list) and len(shape) == 2):
         raise DomainError(f"polynomial: shape must be a [rows, cols] list, got {shape!r}")
-    terms = obj.get("terms", [])
-    if not isinstance(terms, list):
-        raise DomainError(f"polynomial: terms must be a list, got {type(terms).__name__}")
+    rows, cols = (whole(v, "polynomial: shape") for v in shape)
+    if min(rows, cols) < 0:
+        raise DomainError(f"polynomial: shape must hold sizes >= 0, got {shape!r}")
     coeffs = {}
-    for item in terms:
+    for item in _list(obj.get("terms", []), "polynomial: terms"):
         exps = _need(item, "t", "polynomial term")
         try:
             t = tuple(whole(v, "polynomial: exponent") for v in exps)
         except TypeError as exc:
             raise DomainError(f"polynomial term: t must list exponents, got {exps!r}") from exc
-        coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"), "polynomial term: m")
+        if t in coeffs:
+            raise DomainError(f"polynomial: exponent {list(t)} is given twice")
+        coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"), "polynomial term: m", cols)
         if not np.isfinite(coeffs[t]).all():
             raise DomainError(f"polynomial: non-finite coefficient at exponent {list(t)}")
-    rows, cols = whole(shape[0], "polynomial: shape"), whole(shape[1], "polynomial: shape")
     return MatrixPolynomial(n=n, shape=(rows, cols), coeffs=coeffs)
-
-
-def lp_vector_fields(vec: TruncatedLPVector) -> dict:
-    """The JSON layout of a vector with its three parts left as
-    LatticeSignal values, which `dump` writes as `signal_to_json` does."""
-    return {
-        "box": {"lo": list(vec.box.lo), "hi": list(vec.box.hi)},
-        "u_plus": vec.u_plus,
-        "y": vec.y,
-        "u_minus": vec.u_minus,
-    }
 
 
 def lp_vector_to_json(vec: TruncatedLPVector) -> dict:
     return {
-        key: signal_to_json(v) if isinstance(v, LatticeSignal) else v
-        for key, v in lp_vector_fields(vec).items()
+        "box": {"lo": list(vec.box.lo), "hi": list(vec.box.hi)},
+        "u_plus": signal_to_json(vec.u_plus),
+        "y": signal_to_json(vec.y),
+        "u_minus": signal_to_json(vec.u_minus),
     }
 
 
@@ -245,12 +220,13 @@ def json_to_lp_vector(obj: dict) -> TruncatedLPVector:
     if not isinstance(obj, dict):
         raise DomainError(f"vector must be a JSON object, got {type(obj).__name__}")
     box_obj = _need(obj, "box", "vector")
-    box = Box(
-        tuple(whole(v, "vector box: lo") for v in _need(box_obj, "lo", "vector box")),
-        tuple(whole(v, "vector box: hi") for v in _need(box_obj, "hi", "vector box")),
-    )
+
+    def bound(key):
+        what = f"vector box: {key}"
+        return tuple(whole(v, what) for v in _list(_need(box_obj, key, "vector box"), what))
+
     return TruncatedLPVector(
-        box=box,
+        box=Box(bound("lo"), bound("hi")),
         u_plus=json_to_signal(_need(obj, "u_plus", "vector")),
         y=json_to_signal(_need(obj, "y", "vector")),
         u_minus=json_to_signal(_need(obj, "u_minus", "vector")),
@@ -261,7 +237,7 @@ def agler_to_json(data: AglerData) -> dict:
     return {
         "theta": poly_to_json(data.theta),
         "factors": [poly_to_json(f) for f in data.factors],
-        "grid": [[_pair(v) for v in z] for z in data.grid],
+        "grid": np.array(data.grid, dtype=complex).reshape(len(data.grid), data.theta.n),
     }
 
 
@@ -269,15 +245,9 @@ def json_to_agler(obj: dict) -> AglerData:
     if not isinstance(obj, dict):
         raise DomainError(f"decomposition data must be a JSON object, got {type(obj).__name__}")
     theta = json_to_poly(_need(obj, "theta", "decomposition data"))
-    factors = _need(obj, "factors", "decomposition data")
-    if not isinstance(factors, list):
-        raise DomainError(
-            f"decomposition data: factors must be a list, got {type(factors).__name__}"
-        )
+    factors = _list(_need(obj, "factors", "decomposition data"), "decomposition data: factors")
     factors = tuple(json_to_poly(f) for f in factors)
-    points = obj.get("grid", [])
-    if not isinstance(points, list):
-        raise DomainError(f"decomposition data: grid must be a list, got {type(points).__name__}")
+    points = _list(obj.get("grid", []), "decomposition data: grid")
     try:
         grid = tuple(tuple(_unpair(v) for v in z) for z in points)
     except TypeError as exc:  # a point that is no list of pairs; name the first
@@ -307,7 +277,7 @@ class Rows:
 
 
 # What `dump` leaves in the text for each table or complex array it meets.
-_PLACEHOLDER = "\x00LatticeSignal"
+_PLACEHOLDER = "\x00array"
 _PLACED = json.dumps(_PLACEHOLDER)
 
 
@@ -359,17 +329,13 @@ def _write_array(value, indent: str) -> str:
 def dump(obj: Any) -> str:
     """Deterministic strict JSON text: sorted keys, two-space indent.
 
-    ``obj`` may hold `Rows` tables, complex ndarrays and LatticeSignal values
-    anywhere: each is written from its arrays, with the bytes the standard
-    library writes for its nested-list form (a signal's is `signal_to_json`).
-    A NaN or infinite number raises DomainError.
+    ``obj`` may hold `Rows` tables and complex ndarrays anywhere: each is
+    written from its arrays, with the bytes the standard library writes for
+    its nested-list form.  A NaN or infinite number raises DomainError.
     """
     arrays = []
 
     def place(value):
-        if isinstance(value, LatticeSignal):
-            table = Rows("signal value", t=value.points, v=value.values)
-            return {"dim": value.dim, "entries": table, "n": value.n}
         if isinstance(value, Rows) or isinstance(value, np.ndarray) and value.dtype.kind == "c":
             arrays.append(value)
             return _PLACEHOLDER

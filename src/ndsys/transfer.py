@@ -67,6 +67,8 @@ class MatrixPolynomial:
             key = as_index(t, self.n)
             if any(v < 0 for v in key):
                 raise DomainError(f"negative exponent {key}")
+            if key in clean:
+                raise DomainError(f"polynomial: exponent {list(key)} is given twice")
             clean[key] = _freeze_matrix(m, shape)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coeffs", clean)

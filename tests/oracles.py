@@ -42,12 +42,13 @@ exactly, values to 1e-12.  `signal_to_json_dict` and `json_to_signal_dict`
 are the signal codec one entry and one pair at a time.
 
 `dump_reference` is the report writer as the standard library alone
-writes it: every LatticeSignal first becomes its `signal_to_json` dict, and
-every `Rows` table and complex array its nested lists, built entry by entry.
+writes it: every `Rows` table and complex array of an encoder's output (a
+signal's entries and a polynomial's terms, a system's tuples and an Agler
+grid) first becomes its nested lists, built entry by entry.
 `list_built_results` builds the arrays of a `transfer`, `check` or
 `laxphillips --op associated` result as the CLI built them before it handed
-them to `dump`, a Maclaurin block as `poly_to_json` writes it.
-`serialization.dump` writes all of these from their arrays and must
+them to `dump`, a Maclaurin block as the nested lists of its `poly_to_json`
+terms.  `serialization.dump` writes all of these from their arrays and must
 produce the same bytes.
 
 `sym_multipower_table_loops` and `bordered_multipower_table_loops` build
@@ -108,7 +109,7 @@ from ndsys.cli import _resolve_path
 from ndsys.lattice import _window_index, order
 from ndsys.laxphillips import _check_dims
 from ndsys.pencil import _cube, _weights, multinomial, sym_multipower_table
-from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json, signal_to_json
+from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _lift, _octant_exact, _result, _scatter
 from ndsys.transfer import _SINGULAR_REL
@@ -775,7 +776,7 @@ def list_built_results(argv, results):
     """``results`` of the command line ``argv`` with its arrays built as
     nested lists, as the CLI built its reports before it handed the arrays
     to `dump`; a Maclaurin block is `poly_to_json` of the system's
-    `maclaurin_poly`."""
+    `maclaurin_poly` with its terms built as nested lists."""
     command = argv[0]
     out = dict(results)
     if command == "transfer":
@@ -787,7 +788,7 @@ def list_built_results(argv, results):
         if "--coeffs" in argv:
             system = json_to_system(load_file(_resolve_path(argv[1])))
             order = int(argv[argv.index("--coeffs") + 1])
-            out["maclaurin"] = poly_to_json(maclaurin_poly(system, order))
+            out["maclaurin"] = _plain(poly_to_json(maclaurin_poly(system, order)))
     elif command == "check":
         scan = dict(results["torus_scan"])
         scan["witness"] = [complex_out(z) for z in scan["witness"]]
@@ -798,8 +799,6 @@ def list_built_results(argv, results):
 
 
 def _plain(obj):
-    if isinstance(obj, LatticeSignal):
-        return signal_to_json(obj)
     if isinstance(obj, Rows):
         count = len(next(iter(obj.fields.values())))
         return [{name: nested_out(a[i]) for name, a in obj.fields.items()} for i in range(count)]

@@ -13,6 +13,7 @@ from ndsys import (
     MultiLSDS,
     OperatorTuple,
     PreconditionError,
+    RangeError,
     block_structure,
     builtin_examples,
     closely_connected_subspace,
@@ -388,3 +389,19 @@ def test_cnu_detects_a_unitary_summand():
     assert conservativity_check(grown).passed
     assert grown.dim_x == 4
     assert closely_connected_subspace(grown).shape[1] == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("analyse", [conservativity_check, dissipativity_scan, block_structure])
+def test_blocks_whose_products_can_overflow_are_refused_before_any_product(analyse, monkeypatch):
+    import ndsys.analysis
+
+    def product(*args, **kwargs):
+        raise AssertionError("a pencil value was formed")
+
+    monkeypatch.setattr(ndsys.analysis, "eval_pencil", product)
+    rng = np.random.default_rng(7)
+    sys = gen.random_system(rng, 3, 2, 1, 2)
+    big = MultiLSDS(OperatorTuple([a * 1e160 for a in sys.a]), sys.b, sys.c, sys.d)
+    with pytest.raises(RangeError, match="exceeds .*, the size that keeps every block product finite"):
+        analyse(big)

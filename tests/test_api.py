@@ -13,8 +13,9 @@ MODULES = [ndsys] + [
     if info.name != "__main__"
 ]
 
-# helpers that no subcommand called; a dotted name is a method of the class
-# the package exports under the first part
+# helpers that no subcommand called, and the array-layout twins of the
+# `*_to_json` encoders; a dotted name is a method of the class the package
+# exports under the first part
 REMOVED = [
     "CommutingTuple",
     "SchurSampleReport",
@@ -37,6 +38,9 @@ REMOVED = [
     "sub",
     "unit",
     "halton_torus",
+    "system_fields",
+    "poly_fields",
+    "lp_vector_fields",
 ]
 
 

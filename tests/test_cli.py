@@ -33,16 +33,17 @@ def run(capsys, argv):
 
 
 def write(tmp_path, name, obj):
-    # the standard library writer: it also writes the NaN and Infinity
-    # input files that the CLI must refuse
+    # a string is the file's text, as ``ser.dump(X_to_json(obj))`` writes
+    # it; anything else goes through the standard library writer, which also
+    # writes the NaN and Infinity input files that the CLI must refuse
     path = tmp_path / name
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     return str(path)
 
 
 def impulse_file(tmp_path):
     sig = LatticeSignal(2, 1, {(0, 0): np.array([1.0 + 0j])})
-    return write(tmp_path, "impulse.json", ser.signal_to_json(sig))
+    return write(tmp_path, "impulse.json", ser.dump(ser.signal_to_json(sig)))
 
 
 def test_check_builtin_system(capsys):
@@ -104,7 +105,7 @@ def test_a_check_budget_rounds_down_to_a_tensor_grid(capsys, tmp_path):
     assert code == 0 and report["results"]["torus_scan"]["samples"] == 31**2
     # the n = 4 default budget is 1e5, not 32^4
     n4 = gen.dissipative_system(np.random.default_rng(0), 4, 3, 3)
-    code, report, _ = run(capsys, ["check", write(tmp_path, "n4.json", ser.system_to_json(n4))])
+    code, report, _ = run(capsys, ["check", write(tmp_path, "n4.json", ser.dump(ser.system_to_json(n4)))])
     assert code == 0 and report["results"]["torus_scan"]["samples"] == 17**4
 
 
@@ -165,9 +166,9 @@ def test_closed_form_weight_overflow_exits_2_before_any_table(capsys, tmp_path, 
     sig = LatticeSignal(3, 1, {(80, 0, 0): np.array([1.0 + 0j])})
     argv = [
         "simulate",
-        write(tmp_path, "sys.json", ser.system_to_json(sys_obj)),
+        write(tmp_path, "sys.json", ser.dump(ser.system_to_json(sys_obj))),
         "--input",
-        write(tmp_path, "input.json", ser.signal_to_json(sig)),
+        write(tmp_path, "input.json", ser.dump(ser.signal_to_json(sig))),
         "--box",
         "80:80,0:0,0:0",
         "--nmax",
@@ -209,7 +210,7 @@ def test_simulate_accepts_negative_boxes(capsys, tmp_path):
             "simulate",
             "builtin:alpha",
             "--input",
-            write(tmp_path, "offoctant.json", ser.signal_to_json(sig)),
+            write(tmp_path, "offoctant.json", ser.dump(ser.signal_to_json(sig))),
             "--box=-2:2,-2:2",
             "--nmax",
             "2",
@@ -227,7 +228,7 @@ def test_simulate_dimension_mismatch_is_an_input_error(capsys, tmp_path):
             "simulate",
             "builtin:alpha",
             "--input",
-            write(tmp_path, "wide.json", ser.signal_to_json(wide)),
+            write(tmp_path, "wide.json", ser.dump(ser.signal_to_json(wide))),
             "--box",
             "0:2,0:2",
             "--nmax",
@@ -291,7 +292,7 @@ def test_transfer_arity_mismatch_is_an_input_error(capsys, tmp_path):
 
 def test_realize_canonical_data(capsys, tmp_path):
     data = write(
-        tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30))
+        tmp_path, "canon.json", ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30)))
     )
     code, report, _ = run(capsys, ["realize", data])
     assert code == 0
@@ -304,7 +305,7 @@ def test_realize_canonical_data(capsys, tmp_path):
 
 
 def test_realize_with_a_zero_row_factor(capsys, tmp_path):
-    data = write(tmp_path, "zero_row.json", ser.agler_to_json(gen.zero_row_fixture()))
+    data = write(tmp_path, "zero_row.json", ser.dump(ser.agler_to_json(gen.zero_row_fixture())))
     code, report, _ = run(capsys, ["realize", data])
     assert code == 0
     res = report["results"]
@@ -316,7 +317,7 @@ def test_realize_with_a_zero_row_factor(capsys, tmp_path):
 
 def test_realize_reports_the_thresholds_it_applied(capsys, tmp_path):
     data = write(
-        tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30))
+        tmp_path, "canon.json", ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30)))
     )
     # the identity check clamps --tol to 1e-8; the assembly keeps its own
     for tol, identity in (("1e-12", 1e-12), ("1e-3", 1e-8)):
@@ -333,7 +334,7 @@ def test_realize_reports_the_thresholds_it_applied(capsys, tmp_path):
 
 def test_realize_padding_flag(capsys, tmp_path):
     data = write(
-        tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30))
+        tmp_path, "canon.json", ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30)))
     )
     code, report, _ = run(capsys, ["realize", data, "--padding", "2"])
     assert code == 0
@@ -354,7 +355,7 @@ def test_realize_impossible_data_is_a_verification_failure(capsys, tmp_path):
         for _ in range(2)
     )
     data = AglerData(theta=theta, factors=factors, grid=tuple(halton_disc(10, 2, 0.7)))
-    path = write(tmp_path, "wide.json", ser.agler_to_json(data))
+    path = write(tmp_path, "wide.json", ser.dump(ser.agler_to_json(data)))
     code, _, err = run(capsys, ["realize", path])
     assert code == 3
     assert "verification failure" in err
@@ -368,7 +369,7 @@ def test_laxphillips_generator_and_gamma(capsys, tmp_path):
         LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
         LatticeSignal(2, 1, {(0, 1): np.array([2.0 + 0j])}),
     )
-    vec_path = write(tmp_path, "vec.json", ser.lp_vector_to_json(vec))
+    vec_path = write(tmp_path, "vec.json", ser.dump(ser.lp_vector_to_json(vec)))
     code, report, _ = run(
         capsys,
         ["laxphillips", "builtin:alpha", "--op", "generator", "--vector", vec_path, "--k", "0"],
@@ -391,7 +392,7 @@ def _report_argv(tmp_path, command):
         sig = LatticeSignal(2, 1, {(0, 0): np.array([1.0 + 0.5j]), (-1, 2): np.array([-0.0j])})
         init = LatticeSignal(2, 1, {(1, -1): np.array([1e-310 - 2.5j])})
         paths = [
-            write(tmp_path, name, ser.signal_to_json(s))
+            write(tmp_path, name, ser.dump(ser.signal_to_json(s)))
             for name, s in (("input.json", sig), ("init.json", init))
         ]
         return ["simulate", "builtin:alpha", "--input", paths[0], "--init", paths[1],
@@ -402,7 +403,7 @@ def _report_argv(tmp_path, command):
         LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j]), (0, 0): np.array([1e-300j])}),
         LatticeSignal(2, 1, {(0, 1): np.array([2.0 + 0j])}),
     )
-    path = write(tmp_path, "vec.json", ser.lp_vector_to_json(vec))
+    path = write(tmp_path, "vec.json", ser.dump(ser.lp_vector_to_json(vec)))
     return ["laxphillips", "builtin:alpha", "--op", command, "--vector", path, "--k", "1"]
 
 
@@ -680,7 +681,7 @@ def test_laxphillips_rejects_a_fractional_vector_point(capsys, tmp_path):
         LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
         LatticeSignal(2, 1, {}),
     )
-    obj = ser.lp_vector_to_json(vec)
+    obj = json.loads(ser.dump(ser.lp_vector_to_json(vec)))
     obj["y"]["entries"][0]["t"] = [0.5, -0.5]
     argv = ["laxphillips", "builtin:alpha", "--op", "generator"]
     code, report, err = run(capsys, argv + ["--vector", write(tmp_path, "frac.json", obj)])
@@ -695,7 +696,7 @@ def test_laxphillips_rejects_non_finite_vector(capsys, tmp_path):
         LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
         LatticeSignal(2, 1, {}),
     )
-    obj = ser.lp_vector_to_json(vec)
+    obj = json.loads(ser.dump(ser.lp_vector_to_json(vec)))
     obj["y"]["entries"][0]["v"][0][1] = float("inf")
     argv = ["laxphillips", "builtin:alpha", "--op", "generator"]
     code, _, err = run(capsys, argv + ["--vector", write(tmp_path, "inf.json", obj)])
@@ -781,7 +782,7 @@ def test_negative_tol_from_flag_config_or_env_is_an_input_error(capsys, tmp_path
     ],
 )
 def test_negative_seed_is_an_input_error(capsys, tmp_path, argv):
-    data = write(tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30)))
+    data = write(tmp_path, "canon.json", ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30))))
     argv = [data if a == "DATA" else a for a in argv]
     code, report, err = run(capsys, argv)
     assert code == 2 and report is None
@@ -828,7 +829,7 @@ def test_box_axis_that_is_not_lo_hi_is_an_input_error(capsys, tmp_path, box):
 
 def test_check_reports_a_unitary_summand_as_not_closely_connected(capsys, tmp_path):
     grown = gen.with_unitary_summand(np.random.default_rng(8))
-    code, report, _ = run(capsys, ["check", write(tmp_path, "grown.json", ser.system_to_json(grown))])
+    code, report, _ = run(capsys, ["check", write(tmp_path, "grown.json", ser.dump(ser.system_to_json(grown)))])
     assert code == 0
     assert report["results"]["conservativity"]["passed"] is True
     assert report["results"]["closely_connected"] == {"dim_state": 4, "dim_connected": 2}
@@ -841,7 +842,7 @@ def test_overflowing_result_is_an_input_error(capsys, tmp_path):
         "n": 1, "dims": {"x": 1, "nm": 1, "np": 1},
         "A": [[[[1e200, 0.0]]]], "B": [one], "C": [one], "D": [[[[0.0, 0.0]]]],
     }
-    impulse = ser.signal_to_json(LatticeSignal(1, 1, {(0,): np.ones(1)}))
+    impulse = ser.dump(ser.signal_to_json(LatticeSignal(1, 1, {(0,): np.ones(1)})))
     argv = ["simulate", write(tmp_path, "big.json", system)]
     argv += ["--input", write(tmp_path, "impulse.json", impulse), "--box", "0:4", "--nmax", "4"]
     code = main(argv)
@@ -852,9 +853,36 @@ def test_overflowing_result_is_an_input_error(capsys, tmp_path):
     assert captured.err == "input error: the trajectory on front 3 is not finite\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_takes_blocks_at_the_overflow_bound(capsys, tmp_path):
+    obj = json.loads(ser.dump(ser.system_to_json(builtin_examples()["alpha"])))
+    bound = (2.0**1000 / (4 * 2 * 2 * 2)) ** 0.5  # alpha: n = 2 directions, 2 x 2 blocks
+    obj["A"][0][0][0] = [bound, -bound]
+    code, report, _ = run(capsys, ["check", write(tmp_path, "edge.json", obj)])
+    assert code == 0
+    assert all(np.isfinite(v) for v in report["results"]["conservativity"]["residuals"].values())
+    assert np.isfinite(report["results"]["torus_scan"]["max_norm"])
+
+
+@pytest.mark.parametrize(
+    "op, box, named",
+    [
+        ("commute", "--box=-1:1,-1:1", "box lo=(-1, -1) hi=(1, 1) is too small: the interior vector "
+         "keeps 2 layer(s) off every face, so each side must span at least 5 points"),
+        ("metric", "--box=0:0,0:0", "box lo=(0, 0) hi=(0, 0) is too small: the interior vector "
+         "keeps 1 layer(s) off every face, so each side must span at least 3 points"),
+    ],
+    ids=["commute", "metric"],
+)
+def test_a_box_too_small_for_an_interior_vector_names_the_given_box(capsys, op, box, named):
+    code, report, err = run(capsys, ["laxphillips", "builtin:alpha", "--op", op, box])
+    assert code == 2 and report is None
+    assert err == f"input error: {named}\n"
+
+
 @pytest.mark.parametrize("part", ["theta", "grid"])
 def test_realize_rejects_non_finite_data(capsys, tmp_path, part):
-    obj = ser.agler_to_json(canonical_fixture(grid_points=30))
+    obj = json.loads(ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30))))
     if part == "theta":
         obj["theta"]["terms"][0]["m"][0][0] = [float("nan"), 0.0]
     else:
@@ -862,6 +890,32 @@ def test_realize_rejects_non_finite_data(capsys, tmp_path, part):
     code, report, err = run(capsys, ["realize", write(tmp_path, "bad.json", obj)])
     assert code == 2 and report is None
     assert "input error" in err and "non-finite" in err
+
+
+def _malformed_request(tmp_path, command, path, value):
+    """The argv of ``command`` on a file whose field at ``path`` holds
+    ``value``: decomposition data for realize, a system for check, an input
+    signal for simulate and a vector for laxphillips."""
+    empty = LatticeSignal(2, 1, {})
+    obj = json.loads(ser.dump({
+        "realize": lambda: ser.agler_to_json(canonical_fixture(grid_points=5)),
+        "check": lambda: ser.system_to_json(builtin_examples()["alpha"]),
+        "simulate": lambda: ser.signal_to_json(empty),
+        "laxphillips": lambda: ser.lp_vector_to_json(
+            TruncatedLPVector(Box((-2, -2), (2, 2)), empty, empty, empty)
+        ),
+    }[command]()))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    file = write(tmp_path, "bad.json", obj)
+    return {
+        "realize": ["realize", file],
+        "check": ["check", file],
+        "simulate": ["simulate", "builtin:alpha", "--input", file, "--box", "0:1,0:1", "--nmax", "1"],
+        "laxphillips": ["laxphillips", "builtin:alpha", "--op", "gamma", "--vector", file],
+    }[command]
 
 
 @pytest.mark.parametrize(
@@ -877,20 +931,22 @@ def test_realize_rejects_non_finite_data(capsys, tmp_path, part):
         ("check", ["A", 0], [[[0.0, 0.0]], []], "system: A: matrix rows"),
         ("check", ["dims"], [1, 1, 1], "dims must be an object"),
         ("check", ["A", 0, 0, 0], ["a", 0.0], "system: A: expected a [re, im] pair of numbers"),
+        ("simulate", ["entries"], 5, "signal: entries must be a list"),
+        ("simulate", ["dim"], -1, "signal: dim must be >= 0, got -1"),
+        ("laxphillips", ["box", "lo"], 5, "vector box: lo must be a list"),
+        ("realize", ["theta", "shape"], [-1, 1], "polynomial: shape must hold sizes >= 0"),
+        ("realize", ["theta", "terms"], [{"t": [1, 1], "m": [[[1.0, 0.0]]]}] * 2,
+         "polynomial: exponent [1, 1] is given twice"),
+        ("check", ["A", 0, 0, 0], [1e308, 1e308], "a block entry part of 1e+308 exceeds"),
+        ("check", ["A", 0, 0, 0], [1e200, 0.0], "a block entry part of 1e+200 exceeds"),
     ],
     ids=["grid-5", "grid-[5]", "factors-3", "terms-5", "t-5", "shape-[1]", "ragged-m",
-         "ragged-A", "dims-list", "pair-a"],
+         "ragged-A", "dims-list", "pair-a", "entries-5", "dim--1", "lo-5", "shape-[-1, 1]",
+         "exponent-twice", "A-1e308", "A-1e200"],
 )
+@pytest.mark.filterwarnings("error")
 def test_malformed_structure_exits_2_naming_the_field(capsys, tmp_path, command, path, value, named):
-    if command == "realize":
-        obj = ser.agler_to_json(canonical_fixture(grid_points=5))
-    else:
-        obj = ser.system_to_json(builtin_examples()["alpha"])
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    code, report, err = run(capsys, [command, write(tmp_path, "bad.json", obj)])
+    code, report, err = run(capsys, _malformed_request(tmp_path, command, path, value))
     assert code == 2 and report is None
     assert err.startswith("input error: ") and named in err and "Traceback" not in err
 
@@ -902,7 +958,7 @@ def test_non_finite_residual_is_still_a_verification_failure(capsys, tmp_path, m
         raise RealizationError("residuals above threshold", report={"transfer": float("nan")})
 
     monkeypatch.setattr(realization, "assemble_colligation", failing)
-    data = write(tmp_path, "canon.json", ser.agler_to_json(canonical_fixture(grid_points=30)))
+    data = write(tmp_path, "canon.json", ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30))))
     code, report, err = run(capsys, ["realize", data])
     assert code == 3 and report is None
     assert "verification failure" in err and "'transfer': nan" in err
@@ -929,7 +985,7 @@ def test_negative_series_terms_are_an_input_error_with_or_without_points(capsys,
 
 def _n1_system(tmp_path):
     rng = np.random.default_rng(3)
-    return write(tmp_path, "n1.json", ser.system_to_json(gen.random_system(rng, 1, 2, 1, 1, scale=0.4)))
+    return write(tmp_path, "n1.json", ser.dump(ser.system_to_json(gen.random_system(rng, 1, 2, 1, 1, scale=0.4))))
 
 
 @pytest.mark.parametrize(
@@ -960,7 +1016,7 @@ def test_coeffs_whose_table_stops_being_finite_exit_2_without_warnings(capsys, t
         path = _n1_system(tmp_path)
     else:
         ops = (OperatorTuple((np.array([[v]]),)) for v in (1.04, 1.0, 1.0, 0.0))
-        path = write(tmp_path, "a104.json", ser.system_to_json(MultiLSDS(*ops)))
+        path = write(tmp_path, "a104.json", ser.dump(ser.system_to_json(MultiLSDS(*ops))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, report, err = run(capsys, ["transfer", path, "--grid", "2", "--coeffs", "20000"])
@@ -974,9 +1030,9 @@ def test_closed_form_whose_table_stops_being_finite_exits_2_without_warnings(cap
     sig = LatticeSignal(1, 1, {(5,): np.array([1.0 + 0j])})
     argv = [
         "simulate",
-        write(tmp_path, "sys.json", ser.system_to_json(MultiLSDS(*ops))),
+        write(tmp_path, "sys.json", ser.dump(ser.system_to_json(MultiLSDS(*ops)))),
         "--input",
-        write(tmp_path, "input.json", ser.signal_to_json(sig)),
+        write(tmp_path, "input.json", ser.dump(ser.signal_to_json(sig))),
         "--box",
         "0:40",
         "--nmax",
@@ -1052,7 +1108,7 @@ def test_a_vector_on_a_wide_box_exits_2(capsys, tmp_path, op):
         LatticeSignal(2, 1, {(1, -1): np.array([1.0 + 0j])}),
         LatticeSignal(2, 1, {(0, 1): np.array([2.0 + 0j])}),
     )
-    path = write(tmp_path, "vec.json", ser.lp_vector_to_json(vec))
+    path = write(tmp_path, "vec.json", ser.dump(ser.lp_vector_to_json(vec)))
     code, report, err = run(capsys, ["laxphillips", "builtin:alpha", "--op", op, "--vector", path])
     assert code == 2 and report is None
     assert err.startswith("input error: ") and "budget of 2**24" in err
@@ -1074,9 +1130,9 @@ def test_overflowing_trajectories_exit_2_without_warnings(capsys, tmp_path, a, p
     sig = LatticeSignal(1, 1, {(point,): np.array([value + 0j])})
     argv = [
         "simulate",
-        write(tmp_path, "sys.json", ser.system_to_json(MultiLSDS(*ops))),
+        write(tmp_path, "sys.json", ser.dump(ser.system_to_json(MultiLSDS(*ops)))),
         "--input",
-        write(tmp_path, "input.json", ser.signal_to_json(sig)),
+        write(tmp_path, "input.json", ser.dump(ser.signal_to_json(sig))),
         "--box",
         "0:40",
         "--nmax",
