@@ -196,32 +196,34 @@ def dissipativity_scan(
 
 def _refine(blocks: OperatorTuple, z0, sigma0, steps: int = 50):
     # ascend sigma_max over torus phases; the gradient comes from the top
-    # singular pair, d sigma = Re(u^H (i z_k G_k) v) d phi_k
+    # singular pair, d sigma = Re(u^H (i z_k G_k) v) d phi_k.  A rejected
+    # trial sends phi back to best_phi, often the point the last step
+    # decomposed, so the pair and the gradient are kept until phi moves
     phi = np.array([np.angle(z) for z in z0], dtype=float)
-    best_phi = phi.copy()
+    best_phi = phi
     best = sigma0
     eta = 0.1
+    decomposed = None  # the phases the gradient belongs to
     for _ in range(steps):
-        z = np.exp(1j * phi)
-        sigma, u, v = _top_pair(eval_pencil(z, blocks))
-        if sigma > best:
-            best = sigma
-            best_phi = phi.copy()
-        grad = np.array(
-            [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
-        )
-        step = eta * grad
-        trial = best_phi + step
-        z_trial = np.exp(1j * trial)
-        sigma_trial = spectral_norm(eval_pencil(z_trial, blocks))
+        if phi is not decomposed:
+            decomposed = phi
+            z = np.exp(1j * phi)
+            sigma, u, v = _top_pair(eval_pencil(z, blocks))
+            if sigma > best:
+                best = sigma
+                best_phi = phi
+            grad = np.array(
+                [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
+            )
+        trial = best_phi + eta * grad
+        sigma_trial = spectral_norm(eval_pencil(np.exp(1j * trial), blocks))
         if sigma_trial > best:
             phi = trial
             eta *= 1.5
         else:
             phi = best_phi
             eta *= 0.5
-    z_best = np.exp(1j * best_phi)
-    return best, tuple(complex(v) for v in z_best)
+    return best, tuple(complex(v) for v in np.exp(1j * best_phi))
 
 
 @dataclass(frozen=True)

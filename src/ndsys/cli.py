@@ -6,7 +6,8 @@ to stdout.  Exit codes: 0 when a result was computed (negative analysis
 verdicts are results, not failures), 2 for input problems (parse, shape,
 arity, domain, singular evaluation points), 3 for verification failures
 (realization residuals, Gram mismatches, rank ambiguity, violated
-preconditions).
+preconditions), 1 when stdout was closed before the report was written
+(e.g. ``ndsys transfer ... | head``), without a traceback.
 
 The shared flags --tol and --seed apply everywhere; --config, after the
 subcommand, names a JSON object of that subcommand's flags, parsed as if
@@ -450,7 +451,14 @@ def main(argv=None) -> int:
     except NdsysError as exc:
         _sys.stderr.write(f"error: {exc}\n")
         return 2
-    print(text)
+    try:
+        print(text)
+        _sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so that the flush at
+        # interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        return 1
     return 0
 
 

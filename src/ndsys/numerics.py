@@ -41,6 +41,13 @@ def orth_basis(
 ) -> np.ndarray:
     """Orthonormal basis of the column span of ``m``.
 
+    The basis is read from the small factor of a thin QR, not from ``m``
+    itself (Chan's R-SVD): ``m^H = Q R`` gives ``m = R^H Q^H`` with
+    ``Q^H Q = I``, so the left singular vectors and the singular values of
+    ``m`` are those of ``R^H``.  ``R^H`` has as many columns as the smaller
+    side of ``m``, so a wide sampled matrix is decomposed through a square
+    one of its row count.
+
     Singular values below ``rank_tol`` relative to the largest count as
     zero.  With ``dead_zone`` set, a singular value falling between
     ``rank_tol / 10`` and ``rank_tol`` (relative) makes the rank decision
@@ -48,7 +55,8 @@ def orth_basis(
     """
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    r = np.linalg.qr(m.conj().T, mode="r")
+    u, s, _ = np.linalg.svd(r.conj().T, full_matrices=False)
     top = s[0]
     if top == 0.0:
         return np.zeros((m.shape[0], 0), dtype=complex)
@@ -66,14 +74,36 @@ def orth_basis(
 def ordered_completion(q: np.ndarray) -> np.ndarray:
     """Columns completing the orthonormal ``q`` to a full basis.
 
-    The completion is the one induced by the standard basis order, via a
-    Householder factorization of ``[q, I]``; deterministic for fixed input.
+    The completion is Gram-Schmidt of the standard basis in its order:
+    each ``e_j`` is projected off the span of ``q`` and of the columns
+    taken so far (twice, for orthogonality to rounding), and its remainder,
+    normalized, is the next column unless its norm is at most
+    ``1 / (2 sqrt(dim))``; such an ``e_j`` lies nearly inside the span and
+    is skipped.  The squared remainders of all ``e_j`` sum to the
+    codimension of the span, so while that is positive one of them is at
+    least ``1 / sqrt(dim)`` and the scan always completes.  Each column
+    depends on the span of ``q`` alone, not on the phases or the rotation
+    of its basis.
     """
     dim, r = q.shape
     if r >= dim:
         return np.zeros((dim, 0), dtype=complex)
-    full, _ = np.linalg.qr(np.hstack([q, np.eye(dim, dtype=complex)]))
-    return full[:, r:dim]
+    # columns not yet found stay zero and project nothing off
+    basis = np.zeros((dim, dim), dtype=complex)
+    basis[:, :r] = q
+    floor = 0.5 / np.sqrt(dim)
+    found = r
+    for j in range(dim):
+        v = -(basis @ basis[j].conj())
+        v[j] += 1.0
+        v -= basis @ (basis.conj().T @ v)
+        norm = float(np.linalg.norm(v))
+        if norm > floor:
+            basis[:, found] = v / norm
+            found += 1
+            if found == dim:
+                break
+    return basis[:, r:]
 
 
 def _primes(count: int) -> list[int]:

@@ -227,16 +227,21 @@ def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
     )
 
 
-def _gram_gap(dom: np.ndarray, img: np.ndarray) -> tuple[float, float]:
+def _gram_gap(
+    dom: np.ndarray, img: np.ndarray
+) -> tuple[float, float, np.ndarray, np.ndarray]:
     """``||dom^H dom - img^H img||_F`` and ``||dom||_2`` without forming
-    either Gramian: Q has orthonormal columns in the thin QR
-    ``[dom; img]^H = Q R``, so they are ``||R_dom R_dom^H - R_img R_img^H||_F``
-    and ``||R_dom||_2``, R_dom and R_img the leading ``len(dom)`` and the
-    remaining columns of R."""
+    either Gramian, and the small factors that stand for ``dom`` and
+    ``img``.  Q has orthonormal columns in the thin QR
+    ``[dom; img]^H = Q R``, so with R_dom and R_img the leading
+    ``len(dom)`` and the remaining columns of R, ``dom = R_dom^H Q^H`` and
+    ``img = R_img^H Q^H``: the two norms are
+    ``||R_dom R_dom^H - R_img R_img^H||_F`` and ``||R_dom||_2``, and
+    ``R_dom^H`` and ``R_img^H`` are returned after them."""
     r = np.linalg.qr(np.vstack([dom, img]).conj().T, mode="r")
     r_dom, r_img = r[:, : len(dom)], r[:, len(dom) :]
     gap = float(np.linalg.norm(r_dom @ r_dom.conj().T - r_img @ r_img.conj().T))
-    return gap, spectral_norm(r_dom)
+    return gap, spectral_norm(r_dom), r_dom.conj().T, r_img.conj().T
 
 
 @dataclass(frozen=True)
@@ -341,15 +346,18 @@ def assemble_colligation(
     # and its norm is read from a thin QR of M^H
     dom_cols = _columns(samples.g[:, :m_total])
     img_cols = _columns(np.concatenate([state(samples), samples.theta], axis=1))
-    gram_gap, dom_norm = _gram_gap(dom_cols, img_cols)
+    gram_gap, dom_norm, dom_r, img_r = _gram_gap(dom_cols, img_cols)
     scale = max(1.0, dom_norm)
     if gram_gap > tol * scale * scale:
         raise PreconditionError(
             f"colligation core: Gramians differ by {gram_gap:.3e}, "
             f"beyond {tol:g} at scale {scale:.3g}"
         )
-    dom_basis = orth_basis(dom_cols, rank_tol, dead_zone=True)
-    mapped = img_cols @ np.linalg.pinv(dom_basis.conj().T @ dom_cols)
+    # the columns are dom_r Q^H and img_r Q^H with Q^H Q = I: dom_r has the
+    # left singular vectors and values of dom, and (X Q^H)^+ = Q X^+, so
+    # the core map reads the small factors alone
+    dom_basis = orth_basis(dom_r, rank_tol, dead_zone=True)
+    mapped = img_r @ np.linalg.pinv(dom_basis.conj().T @ dom_r)
     iso_gap = float(
         np.linalg.norm(
             mapped.conj().T @ mapped - np.eye(mapped.shape[1], dtype=complex)

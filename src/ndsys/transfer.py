@@ -62,6 +62,8 @@ class MatrixPolynomial:
         if self.n < 1:
             raise DomainError(f"variable count must be >= 1, got {self.n}")
         shape = (int(self.shape[0]), int(self.shape[1]))
+        if min(shape) < 0:
+            raise DomainError(f"polynomial: shape must hold sizes >= 0, got {list(shape)!r}")
         clean = {}
         for t, m in self.coeffs.items():
             key = as_index(t, self.n)

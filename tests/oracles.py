@@ -16,22 +16,29 @@ and `transfer_eval_series_point` evaluate the pencil, the torus scan and
 the transfer function one point at a time, the series by the two-product
 loop with an SVD at every point.  The library's stacked versions must
 reproduce them bit for bit, errors included, except the series values:
-the library sums them by Horner's rule, within 1e-12 relative.
+the library sums them by Horner's rule, within 1e-12 relative.  The scan
+polishes its maximum by `refine_stepwise`, the ascent that decomposes its
+current point at every step; the library's, which decomposes a point
+only when the ascent moves, must reproduce it bit for bit.
 
 `matrix_poly_eval_point` sums a matrix polynomial term by term at one
 point; `MatrixPolynomial.evaluate` over a stack must reproduce it bit for
 bit.  `assemble_colligation_pointwise` is the realization built from
 per-point columns through it: `stack_g_columns` for the grid growth,
 `core_columns_pointwise` for the colligation core and
-`fresh_gaps_pointwise` for the fresh-point checks; its `gram` residual is
-the difference of the two sampled Gramians, formed outright, and
-`identity_residual_pointwise` sums the decomposition residual variable by
-variable over a Kronecker identity.  The library evaluates each function
-once per stack of points and must reproduce its realized matrices and every
-residual but `gram` and the decomposition residuals bit for bit; it reads
-`gram` from a thin QR of the stacked columns, within 1e-11 of the oracle,
-and each decomposition residual from one Gram difference of the stacked
-g and [theta; F] columns, within 1e-12.
+`fresh_gaps_pointwise` for the fresh-point checks.  It decomposes the
+sampled matrices themselves: every span basis is `orth_basis_svd`, the
+thin SVD of the matrix, and the core map takes the pseudo-inverse of the
+wide domain columns.  Its `gram` residual is the difference of the two
+sampled Gramians, formed outright, and `identity_residual_pointwise` sums
+the decomposition residual variable by variable over a Kronecker
+identity.  The library evaluates each function once per stack of points,
+so its columns are bitwise the oracle's.  It reads every span basis and
+the core map from the small R of a thin QR (`orth_basis`), so it must
+reach the same grid size, every residual within 1e-11 (each decomposition
+residual within 1e-12) and the same realized matrices within 1e-12: its
+span bases carry other phases than the oracle's, and the extension pairs
+the `ordered_completion` of each span, which depends on the span alone.
 
 `apply_generator_dict` and `apply_adjoint_dict` are the scattering
 generators and their adjoints walked front by front with a dict entry per
@@ -93,6 +100,7 @@ from ndsys import (
     EnergyReport,
     EnergyRow,
     LatticeSignal,
+    RankAmbiguityError,
     SimulationResult,
     SingularityError,
     TorusScanReport,
@@ -101,14 +109,13 @@ from ndsys import (
     halton_disc,
     maclaurin_poly,
     ordered_completion,
-    orth_basis,
     spectral_norm,
 )
-from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _refine
+from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _top_pair
 from ndsys.cli import _resolve_path
 from ndsys.lattice import _window_index, order
 from ndsys.laxphillips import _check_dims
-from ndsys.pencil import _cube, _weights, multinomial, sym_multipower_table
+from ndsys.pencil import _cube, _weights, eval_pencil, multinomial, sym_multipower_table
 from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json
 from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
 from ndsys.system import _check_signals, _lift, _octant_exact, _result, _scatter
@@ -410,10 +417,38 @@ def dissipativity_scan_pointwise(sys, samples=None, refine=True, tol=1e-9):
             best = sigma
             witness = z
     if refine:
-        best, witness = _refine(blocks, witness, best)
+        best, witness = refine_stepwise(blocks, witness, best)
     return TorusScanReport(
         max_norm=best, witness=witness, samples=len(phases), refined=refine, tol=tol
     )
+
+
+def refine_stepwise(blocks, z0, sigma0, steps=50):
+    """The torus ascent that decomposes its current point at every step,
+    also when a rejected trial sent it back to a point it decomposed
+    before."""
+    phi = np.array([np.angle(z) for z in z0], dtype=float)
+    best_phi = phi.copy()
+    best = sigma0
+    eta = 0.1
+    for _ in range(steps):
+        z = np.exp(1j * phi)
+        sigma, u, v = _top_pair(eval_pencil(z, blocks))
+        if sigma > best:
+            best = sigma
+            best_phi = phi.copy()
+        grad = np.array(
+            [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
+        )
+        trial = best_phi + eta * grad
+        sigma_trial = spectral_norm(eval_pencil(np.exp(1j * trial), blocks))
+        if sigma_trial > best:
+            phi = trial
+            eta *= 1.5
+        else:
+            phi = best_phi
+            eta *= 0.5
+    return best, tuple(complex(v) for v in np.exp(1j * best_phi))
 
 
 def transfer_eval_point(sys, z):
@@ -539,6 +574,26 @@ def fresh_gaps_pointwise(data, system, basis_x, f0, fresh_points=100, seed=0):
     return transfer_gap, intermediate_gap
 
 
+def orth_basis_svd(m, rank_tol=1e-10, dead_zone=False):
+    """Orthonormal basis of the column span of ``m`` from a thin SVD of
+    ``m`` itself, its rank cut and dead zone those of `orth_basis`."""
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0), dtype=complex)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    top = s[0]
+    if top == 0.0:
+        return np.zeros((m.shape[0], 0), dtype=complex)
+    rel = s / top
+    if dead_zone:
+        stuck = [float(v) for v in rel if rank_tol / 10 <= v <= rank_tol]
+        if stuck:
+            raise RankAmbiguityError(
+                f"relative singular values {stuck} fall inside the "
+                f"[{rank_tol / 10:g}, {rank_tol:g}] dead zone"
+            )
+    return u[:, : int(np.sum(rel > rank_tol))]
+
+
 def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e-8):
     """The realization of admissible data from per-point columns: the system,
     the residuals and the grid size, without the verdicts."""
@@ -547,7 +602,7 @@ def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e
     count, dims = _GRID_START, []
     for _ in range(_GRID_DOUBLINGS):
         grid = halton_disc(count, n, _GRID_RADIUS)
-        dims.append(orth_basis(stack_g_columns(work, grid), rank_tol).shape[1])
+        dims.append(orth_basis_svd(stack_g_columns(work, grid), rank_tol).shape[1])
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
             break
         count *= 2
@@ -557,10 +612,10 @@ def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e
     basis_x = np.linalg.svd(f0, full_matrices=True)[0][:, q:]
     x_dim = m_total - q
     dom, img = core_columns_pointwise(work, grid, basis_x, f0)
-    dom_basis = orth_basis(dom, rank_tol, dead_zone=True)
+    dom_basis = orth_basis_svd(dom, rank_tol, dead_zone=True)
     mapped = img @ np.linalg.pinv(dom_basis.conj().T @ dom)
     dom_rest = ordered_completion(dom_basis)
-    img_rest = ordered_completion(orth_basis(mapped, rank_tol))
+    img_rest = ordered_completion(orth_basis_svd(mapped, rank_tol))
     extension = (
         mapped @ dom_basis.conj().T
         + img_rest[:, : dom_rest.shape[1]] @ dom_rest.conj().T

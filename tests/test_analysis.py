@@ -181,6 +181,39 @@ def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, sampl
     assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, False))
 
 
+def _ascent_cases():
+    cases = dict(builtin_examples())
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(20 + n)
+        cases[f"dissipative-n{n}"] = gen.dissipative_system(rng, n, 3, 2)
+        cases[f"conservative-n{n}"] = gen.conservative_system(rng, n, 3, 2)
+        cases[f"random-n{n}"] = gen.random_system(rng, n, 3, 2, 2, scale=0.6)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_ascent_cases()))
+def test_refined_scan_matches_the_stepwise_ascent_bitwise(monkeypatch, name):
+    # the ascent keeps the top pair of the point it last decomposed, so a
+    # rejected trial that returns there decomposes nothing new; the maximum
+    # and the witness stay those of the ascent that decomposes every step
+    import ndsys.analysis
+
+    sys = _ascent_cases()[name]
+    coarse = dissipativity_scan(sys, refine=False)
+    decomposed = []
+    top_pair = ndsys.analysis._top_pair
+    monkeypatch.setattr(
+        ndsys.analysis, "_top_pair", lambda m: decomposed.append(m) or top_pair(m)
+    )
+    got = dissipativity_scan(sys)
+    best, witness = oracles.refine_stepwise(sys.blocks(), coarse.witness, coarse.max_norm)
+    assert type(got.max_norm) is type(best) and got.max_norm == best
+    assert [type(v) for v in got.witness] == [type(v) for v in witness]
+    assert oracles.same_bits(np.array(got.witness), np.array(witness))
+    assert 1 <= len(decomposed) <= 50
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(decomposed, decomposed[1:]))
+
+
 @pytest.mark.parametrize("name", ["alpha", "alpha_prime"])
 def test_scan_of_a_conservative_pencil_matches_the_pointwise_oracle(name):
     # the norm is 1 up to rounding at every point, so the maximum can sit at
@@ -315,6 +348,11 @@ def test_block_structure_reconstructs_the_members(seed):
         g = sys.block(k)
         recon = bs.bases_out[k] @ bs.diag_blocks[k] @ bs.bases_in[k].conj().T
         assert np.linalg.norm(g - recon) <= 1e-10
+        # the bases come from R-SVD and span what the thin SVD of the
+        # block itself spans
+        for basis, m in ((bs.bases_in[k], g.conj().T), (bs.bases_out[k], g)):
+            want = oracles.orth_basis_svd(m, rank_tol=0.5)
+            assert np.abs(basis @ basis.conj().T - want @ want.conj().T).max() <= 1e-12
         # diagonal blocks are unitary
         d = bs.diag_blocks[k]
         assert np.linalg.norm(d.conj().T @ d - np.eye(d.shape[0])) <= 1e-10

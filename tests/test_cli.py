@@ -974,6 +974,22 @@ def test_module_invocation(tmp_path):
     assert json.loads(proc.stdout)["schema"] == "ndsys/1"
 
 
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the report of a 3000-point transfer is about 1 MB, far past the pipe
+    # buffer, so the writer meets the closed read end
+    proc = subprocess.Popen(
+        [_sys.executable, "-m", "ndsys", "transfer", "builtin:alpha", "--grid", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""
+
+
 @pytest.mark.parametrize("where", [["--grid", "0"], ["--points", "none.json"], ["--grid", "3"]])
 def test_negative_series_terms_are_an_input_error_with_or_without_points(capsys, tmp_path, where):
     if where[0] == "--points":

@@ -12,6 +12,7 @@ import oracles
 import ndsys
 from ndsys import RankAmbiguityError, halton_disc
 from ndsys.numerics import _halton_unit, _largest_norm, ordered_completion, orth_basis, spectral_norm
+from ndsys.realization import _columns, _padded, _sample
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -56,17 +57,65 @@ def test_orth_basis_spans_and_truncates():
 
 
 def test_orth_basis_zero_and_empty():
-    assert orth_basis(np.zeros((3, 2))).shape == (3, 0)
-    assert orth_basis(np.zeros((3, 0))).shape == (3, 0)
+    for m, shape in [
+        (np.zeros((3, 2)), (3, 0)),
+        (np.zeros((3, 0)), (3, 0)),
+        (np.zeros((0, 3)), (0, 0)),
+    ]:
+        assert orth_basis(m).shape == oracles.orth_basis_svd(m).shape == shape
 
 
 def test_orth_basis_dead_zone():
-    m = np.diag([1.0, 1e-8, 1e-15])
-    assert orth_basis(m, rank_tol=1e-10, dead_zone=True).shape[1] == 2
-    with pytest.raises(RankAmbiguityError):
-        orth_basis(m, rank_tol=3e-8, dead_zone=True)
-    # without the guard the cutoff silently decides
-    assert orth_basis(m, rank_tol=3e-8).shape[1] == 1
+    # singular values 1, 1e-8 and 1e-15: diagonal, and between random
+    # isometries square and wide; the rank cut and the dead zone decide as
+    # the thin SVD of the matrix itself (the oracle) decides
+    rng = np.random.default_rng(12)
+    u = gen.haar_unitary(rng, 3)
+    v = np.linalg.qr(rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3)))[0]
+    s = np.diag([1.0, 1e-8, 1e-15])
+    for m in (s, u @ s @ gen.haar_unitary(rng, 3), u @ s @ v.conj().T):
+        for basis in (orth_basis, oracles.orth_basis_svd):
+            assert basis(m, rank_tol=1e-10, dead_zone=True).shape[1] == 2
+            assert basis(m, rank_tol=1e-6, dead_zone=True).shape[1] == 1
+            with pytest.raises(RankAmbiguityError, match="dead zone"):
+                basis(m, rank_tol=3e-8, dead_zone=True)
+            # without the guard the cutoff silently decides
+            assert basis(m, rank_tol=3e-8).shape[1] == 1
+
+
+def _orth_basis_cases():
+    rng = np.random.default_rng(11)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # the pencil-certify realize shape: n = 3, q = 2 inner data, padding 1
+    work = _padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1)
+    return {
+        "sampled-10x1600": _columns(_sample(work, halton_disc(800, 3, 0.8)).g),
+        "wide": cplx(6, 300),
+        "wide-rank-2": cplx(7, 2) @ cplx(2, 40),
+        "tall": cplx(9, 4),
+        "tall-rank-2": cplx(9, 2) @ cplx(2, 4),
+        "square": cplx(5, 5),
+        "square-rank-3-small": 1e-9 * (cplx(5, 3) @ cplx(3, 5)),
+        "real-wide": rng.standard_normal((3, 50)),
+        "one-row": cplx(1, 30),
+        "one-column": cplx(30, 1),
+        "repeated-singular-values": gen.haar_unitary(rng, 4)[:, :3]
+        @ np.diag([1.0, 1.0, 0.5])
+        @ np.linalg.qr(cplx(60, 3))[0].conj().T,
+    }
+
+
+@pytest.mark.parametrize("name", list(_orth_basis_cases()))
+def test_orth_basis_matches_the_svd_oracle(name):
+    # R-SVD against the thin SVD of the matrix itself: the same rank and
+    # the same span, as a projector
+    m = _orth_basis_cases()[name]
+    got, want = orth_basis(m), oracles.orth_basis_svd(m)
+    assert got.shape == want.shape
+    assert np.abs(got @ got.conj().T - want @ want.conj().T).max(initial=0.0) <= 1e-12
 
 
 def test_ordered_completion_is_unitary_and_deterministic():
@@ -77,6 +126,33 @@ def test_ordered_completion_is_unitary_and_deterministic():
     full = np.hstack([q, rest])
     assert np.allclose(full.conj().T @ full, np.eye(5), atol=1e-12)
     assert np.array_equal(rest, ordered_completion(q))
+
+
+@pytest.mark.parametrize("kind", ["generic", "inside-axes", "one-axis"])
+def test_ordered_completion_depends_on_the_span_alone(kind):
+    # a rotated basis of one span (any unitary, so also another choice of
+    # singular vectors where singular values repeat) has the same
+    # completion.  "inside-axes" spans coordinate axes 0-2, as a padded
+    # realization's domain does, so e_0..e_2 project to rounding-level
+    # remainders and are skipped; "one-axis" holds e_1
+    rng = np.random.default_rng(5)
+    if kind == "generic":
+        q = orth_basis(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+    elif kind == "inside-axes":
+        q = np.vstack([gen.haar_unitary(rng, 3), np.zeros((3, 3))])
+    else:
+        q = np.eye(6, dtype=complex)[:, [1]]
+    rest = ordered_completion(q)
+    assert rest.shape == (6, 6 - q.shape[1])
+    full = np.hstack([q, rest])
+    assert np.abs(full.conj().T @ full - np.eye(6)).max() <= 1e-14
+    for _ in range(3):
+        turned = q @ gen.haar_unitary(rng, q.shape[1])
+        assert np.abs(ordered_completion(turned) - rest).max() <= 1e-14
+    if kind != "generic":
+        # the skipped axes leave the completion to the others, in order
+        axes = [j for j in range(6) if np.abs(q[j]).max() == 0.0]
+        assert np.abs(np.abs(rest) - np.eye(6)[:, axes]).max() <= 1e-14
 
 
 def test_ordered_completion_of_full_basis_is_empty():

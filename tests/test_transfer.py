@@ -434,6 +434,15 @@ def test_matrix_polynomial_refuses_a_fractional_exponent():
     assert list(p.coeffs) == [(1, 0)]
 
 
+@pytest.mark.parametrize("shape", [(-1, 2), (2, -1), (-3, -3)])
+def test_matrix_polynomial_refuses_a_negative_shape(shape):
+    # in the wording of json_to_poly, with or without terms
+    want = rf"polynomial: shape must hold sizes >= 0, got \[{shape[0]}, {shape[1]}\]"
+    for coeffs in ({}, {(0,): np.zeros((1, 1))}):
+        with pytest.raises(DomainError, match=want):
+            MatrixPolynomial(1, shape, coeffs)
+
+
 def test_matrix_polynomial_rejects_mixed_shapes():
     from ndsys import ShapeError
 
