@@ -6,7 +6,14 @@ simulation and closed-form trajectory formulas, symmetrized multipowers,
 transfer functions on the polydisc, conservativity and dissipativity
 analysis, translation-generator (scattering) views, and assembly of a
 system from a transfer-function decomposition.
+
+``import ndsys`` loads the core modules: errors, lattice, pencil, system,
+numerics and serialization.  The engines (analysis, transfer, laxphillips
+and realization) load on the first use of one of their names, so a caller
+pays only for the engines it uses.
 """
+
+import sys as _sys
 
 from .errors import (
     ArityError,
@@ -34,45 +41,74 @@ from .system import (
     validate,
 )
 from .numerics import halton_disc, ordered_completion, orth_basis, spectral_norm
-from .analysis import (
-    BlockStructure,
-    ConservativityCertificate,
-    TorusScanReport,
-    block_structure,
-    closely_connected_subspace,
-    conservativity_check,
-    dissipativity_scan,
-)
-from .transfer import (
-    MatrixPolynomial,
-    maclaurin_poly,
-    transfer_eval,
-    transfer_eval_series,
-)
-from .laxphillips import (
-    LPMask,
-    MetricReport,
-    OneParamSystemView,
-    TruncatedLPVector,
-    apply_adjoint,
-    apply_generator,
-    associated_one_param,
-    commutation_residual,
-    gamma_map,
-    metric_check,
-)
-from .realization import (
-    AglerData,
-    AglerReport,
-    RealizationResult,
-    assemble_colligation,
-    builtin_examples,
-    canonical_fixture,
-    verify_agler_identity,
-)
 from . import serialization
 
 __version__ = "0.1.0"
+
+# Each engine name and the module that defines it.
+_ENGINE_NAMES = {
+    name: module
+    for module, names in {
+        "analysis": (
+            "TorusScanReport",
+            "dissipativity_scan",
+            "ConservativityCertificate",
+            "conservativity_check",
+            "BlockStructure",
+            "block_structure",
+            "closely_connected_subspace",
+        ),
+        "transfer": (
+            "MatrixPolynomial",
+            "transfer_eval",
+            "transfer_eval_series",
+            "maclaurin_poly",
+        ),
+        "laxphillips": (
+            "TruncatedLPVector",
+            "LPMask",
+            "apply_generator",
+            "apply_adjoint",
+            "gamma_map",
+            "commutation_residual",
+            "MetricReport",
+            "metric_check",
+            "OneParamSystemView",
+            "associated_one_param",
+        ),
+        "realization": (
+            "AglerData",
+            "AglerReport",
+            "verify_agler_identity",
+            "RealizationResult",
+            "assemble_colligation",
+            "builtin_examples",
+            "canonical_fixture",
+        ),
+    }.items()
+    for name in names
+}
+_ENGINES = frozenset(_ENGINE_NAMES.values())
+
+
+def __getattr__(name: str):
+    """An engine module or one of its names, imported on first use.  A name
+    is looked up in its home module on every access and never stored here
+    (only the import system binds the engine module itself), so a patch on
+    the home module is what callers see."""
+    module = _ENGINE_NAMES.get(name, name)
+    if module not in _ENGINES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the builtin __import__, unlike importlib.import_module, is timed by
+    # ``python -X importtime``, so an engine shows there when it loads
+    __import__(f"{__name__}.{module}")
+    engine = _sys.modules[f"{__name__}.{module}"]
+    return engine if module == name else getattr(engine, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_ENGINES, *__all__})
+
 
 __all__ = [
     "NdsysError",
@@ -105,33 +141,6 @@ __all__ = [
     "orth_basis",
     "ordered_completion",
     "halton_disc",
-    "TorusScanReport",
-    "dissipativity_scan",
-    "ConservativityCertificate",
-    "conservativity_check",
-    "BlockStructure",
-    "block_structure",
-    "closely_connected_subspace",
-    "MatrixPolynomial",
-    "transfer_eval",
-    "transfer_eval_series",
-    "maclaurin_poly",
-    "TruncatedLPVector",
-    "LPMask",
-    "apply_generator",
-    "apply_adjoint",
-    "gamma_map",
-    "commutation_residual",
-    "MetricReport",
-    "metric_check",
-    "OneParamSystemView",
-    "associated_one_param",
-    "AglerData",
-    "AglerReport",
-    "verify_agler_identity",
-    "RealizationResult",
-    "assemble_colligation",
-    "builtin_examples",
-    "canonical_fixture",
+    *_ENGINE_NAMES,
     "serialization",
 ]

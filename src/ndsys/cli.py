@@ -14,12 +14,19 @@ subcommand, names a JSON object of that subcommand's flags, parsed as if
 written just after its name.  Precedence: explicit flag, then config file,
 then the NDSYS_TOL environment variable (for tol), then built-ins.  System
 paths of the form builtin:NAME resolve to bundled example files.
+
+Each interpreter start pays for what its subcommand runs: this module
+loads the package core (errors, lattice, pencil, system, numerics,
+serialization), and each subcommand imports its engine when it runs:
+check the analysis module, transfer the transfer module, realize the
+realization module (which brings analysis and transfer), laxphillips the
+laxphillips module.  simulate needs the core alone, and loads csv only
+for --energy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import math
@@ -30,7 +37,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import analysis, laxphillips, realization, serialization, transfer
+from . import serialization
 from .errors import (
     ArityError,
     DivergenceError,
@@ -62,20 +69,24 @@ _VERIFICATION_ERRORS = (PreconditionError, RealizationError, RankAmbiguityError)
 
 
 def _resolve_path(path: str) -> str:
+    """``path``, or the bundled file that ``builtin:NAME`` names.  NAME must
+    be the name of a bundled file, so it holds no path separator and no
+    ``..``."""
     if path.startswith("builtin:"):
         name = path.split(":", 1)[1]
-        ref = resources.files("ndsys").joinpath(f"data/{name}.json")
-        if not ref.is_file():
-            raise DomainError(f"no bundled file named {name!r}")
-        return str(ref)
+        data = resources.files("ndsys").joinpath("data")
+        bundled = sorted(ref.name.removesuffix(".json") for ref in data.iterdir() if ref.name.endswith(".json"))
+        if name not in bundled:
+            raise DomainError(f"no bundled file named {name!r}; bundled: {', '.join(bundled)}")
+        return str(data.joinpath(f"{name}.json"))
     return path
 
 
 def _load(path: str, inputs: list):
-    """The parsed JSON file at ``path``; its digest joins ``inputs``."""
-    obj = serialization.load_file(path)
-    with open(path, "rb") as fh:
-        inputs.append({"path": path, "sha256": hashlib.sha256(fh.read()).hexdigest()})
+    """The parsed JSON file at ``path``; the digest of the bytes parsed
+    joins ``inputs``."""
+    obj, raw = serialization.read_json(path)
+    inputs.append({"path": path, "sha256": hashlib.sha256(raw).hexdigest()})
     return obj
 
 
@@ -97,6 +108,8 @@ def _load_system(path: str, inputs: list):
 
 
 def _cmd_check(args, inputs) -> dict:
+    from . import analysis
+
     sys_obj = _load_system(args.system, inputs)
     problems = validate(sys_obj)
     cert = analysis.conservativity_check(sys_obj, tol=args.tol)
@@ -146,10 +159,15 @@ def _cmd_simulate(args, inputs) -> dict:
         for r in report.rows
     ]
     if args.energy is not None:
-        with open(args.energy, "w", newline="") as fh:
-            writer = csv.writer(fh)  # it writes a float as its repr
-            writer.writerow(columns)
-            writer.writerows({**row, "contaminated": int(row["contaminated"])}.values() for row in rows)
+        import csv
+
+        try:
+            with open(args.energy, "w", newline="") as fh:
+                writer = csv.writer(fh)  # it writes a float as its repr
+                writer.writerow(columns)
+                writer.writerows({**row, "contaminated": int(row["contaminated"])}.values() for row in rows)
+        except OSError as exc:
+            raise DomainError(f"cannot write the energy ledger to {args.energy}: {exc.strerror or exc}") from exc
     return {
         "evaluator": "closed_form" if args.closed_form else "recursion",
         "octant_exact": result.octant_exact,
@@ -206,6 +224,8 @@ def _check_point_budget(count: int, sys_obj) -> None:
 
 
 def _cmd_transfer(args, inputs) -> dict:
+    from . import transfer
+
     sys_obj = _load_system(args.system, inputs)
     if args.series_terms is not None and args.series_terms < 0:
         raise DomainError(f"series terms must be >= 0, got {args.series_terms}")
@@ -231,6 +251,8 @@ def _cmd_transfer(args, inputs) -> dict:
 
 
 def _cmd_realize(args, inputs) -> dict:
+    from . import realization
+
     path = _resolve_path(args.data)
     data = serialization.json_to_agler(_load(path, inputs))
     check = realization.verify_agler_identity(
@@ -256,6 +278,8 @@ def _cmd_realize(args, inputs) -> dict:
 
 
 def _cmd_laxphillips(args, inputs) -> dict:
+    from . import laxphillips
+
     sys_obj = _load_system(args.system, inputs)
     op = args.op
     if op in ("generator", "adjoint", "gamma"):

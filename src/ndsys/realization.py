@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import serialization
 from .analysis import conservativity_check
 from .errors import (
     DomainError,
@@ -467,8 +468,6 @@ def builtin_examples() -> dict[str, MultiLSDS]:
     three-dimensional one.  Both are conservative and closely connected,
     witnessing non-uniqueness of conservative realizations.  They are read
     from the files that ``builtin:alpha`` and ``builtin:alpha_prime`` name."""
-    from . import serialization  # serialization imports this module
-
     data = resources.files("ndsys") / "data"
     return {
         name: serialization.json_to_system(serialization.load_file(str(data / f"{name}.json")))

@@ -22,17 +22,19 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .lattice import Box, LatticeSignal, whole
-from .laxphillips import TruncatedLPVector
 from .pencil import OperatorTuple
-from .realization import AglerData
 from .system import MultiLSDS
-from .transfer import MatrixPolynomial
+
+if TYPE_CHECKING:  # the engines load when a decoder needs them
+    from .laxphillips import TruncatedLPVector
+    from .realization import AglerData
+    from .transfer import MatrixPolynomial
 
 __all__ = [
     "system_to_json",
@@ -48,6 +50,7 @@ __all__ = [
     "Rows",
     "dump",
     "load_file",
+    "read_json",
 ]
 
 
@@ -183,6 +186,8 @@ def poly_to_json(poly: MatrixPolynomial) -> dict:
 
 
 def json_to_poly(obj: dict) -> MatrixPolynomial:
+    from .transfer import MatrixPolynomial
+
     if not isinstance(obj, dict):
         raise DomainError(f"polynomial must be a JSON object, got {type(obj).__name__}")
     n = whole(_need(obj, "n", "polynomial"), "polynomial: n")
@@ -217,6 +222,8 @@ def lp_vector_to_json(vec: TruncatedLPVector) -> dict:
 
 
 def json_to_lp_vector(obj: dict) -> TruncatedLPVector:
+    from .laxphillips import TruncatedLPVector
+
     if not isinstance(obj, dict):
         raise DomainError(f"vector must be a JSON object, got {type(obj).__name__}")
     box_obj = _need(obj, "box", "vector")
@@ -242,6 +249,8 @@ def agler_to_json(data: AglerData) -> dict:
 
 
 def json_to_agler(obj: dict) -> AglerData:
+    from .realization import AglerData
+
     if not isinstance(obj, dict):
         raise DomainError(f"decomposition data must be a JSON object, got {type(obj).__name__}")
     theta = json_to_poly(_need(obj, "theta", "decomposition data"))
@@ -357,11 +366,25 @@ def dump(obj: Any) -> str:
 
 
 def load_file(path: str) -> Any:
-    """Parse a JSON file, folding parse failures into DomainError."""
+    """Parse a JSON file, folding read and parse failures into DomainError."""
+    return read_json(path)[0]
+
+
+def read_json(path: str) -> tuple[Any, bytes]:
+    """The parsed JSON file at ``path`` and the bytes it was parsed from,
+    read once.  A file that cannot be read (missing, a directory, no
+    permission), that is not UTF-8 or that is not JSON raises DomainError
+    naming ``path``."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError as exc:
         raise DomainError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise DomainError(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    try:
+        return json.loads(raw.decode("utf-8")), raw
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: invalid JSON ({exc})") from exc

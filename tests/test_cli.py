@@ -1,6 +1,8 @@
 """Command-line entry point: exit codes, report schema, and precedence."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys as _sys
 import warnings
@@ -87,6 +89,76 @@ def test_missing_file_is_an_input_error(capsys, tmp_path):
         code, _, err = run(capsys, argv)
         assert code == 2, argv
         assert "input error" in err and "no such file" in err, argv
+
+
+@pytest.mark.parametrize("kind", ["directory", "under a file", "no permission", "not UTF-8"])
+def test_an_unreadable_file_is_an_input_error_that_names_it(capsys, tmp_path, monkeypatch, kind):
+    impulse = impulse_file(tmp_path)
+    bad = str(tmp_path / "bad.json")
+    if kind == "directory":
+        os.mkdir(bad)
+    elif kind == "under a file":
+        bad = os.path.join(impulse, "bad.json")
+    elif kind == "no permission":
+        # a mode of 000 does not stop root, so the refusal is simulated
+        def refuse(path, *args, **kwargs):
+            if path == bad:
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ser, "open", refuse, raising=False)
+    else:
+        with open(bad, "wb") as fh:
+            fh.write(b'{"n": "\xff"}')
+    sim = ["simulate", "builtin:alpha", "--box", "0:2,0:2", "--nmax", "1"]
+    for argv in (
+        ["check", bad],
+        ["check", "builtin:alpha", "--config", bad],
+        sim + ["--input", bad],
+        sim + ["--input", impulse, "--init", bad],
+        ["transfer", "builtin:alpha", "--points", bad],
+        ["laxphillips", "builtin:alpha", "--op", "gamma", "--vector", bad],
+        ["realize", bad],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 2, argv
+        assert err.startswith(f"input error: {bad}: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_an_input_file_is_read_once_and_its_digest_is_of_the_bytes_parsed(capsys, tmp_path, monkeypatch):
+    path = impulse_file(tmp_path)
+    opened, real_open = [], open
+
+    def counting(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    code, report, _ = run(capsys, ["simulate", "builtin:alpha", "--input", path, "--box", "0:2,0:2", "--nmax", "1"])
+    monkeypatch.undo()
+    assert code == 0 and opened.count(path) == 1
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert report["inputs"][1] == {"path": path, "sha256": digest}
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_energy_path_is_an_input_error_that_names_it(capsys, tmp_path, where):
+    target = str(tmp_path / "missing" / "energy.csv") if where == "missing directory" else str(tmp_path)
+    argv = ["simulate", "builtin:alpha", "--input", impulse_file(tmp_path), "--box", "0:2,0:2", "--nmax", "1"]
+    code, report, err = run(capsys, argv + ["--energy", target])
+    assert code == 2 and report is None
+    assert err.startswith(f"input error: cannot write the energy ledger to {target}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "name", ["../../ndsys/data/alpha", "../data/alpha", "data/../alpha", "./alpha", "/alpha", "alpha/", "..", ""]
+)
+def test_builtin_takes_bundled_names_only(capsys, name):
+    for argv in (["check", f"builtin:{name}"], ["realize", f"builtin:{name}"]):
+        code, report, err = run(capsys, argv)
+        assert code == 2 and report is None, argv
+        assert err == f"input error: no bundled file named {name!r}; bundled: alpha, alpha_prime\n", err
 
 
 def test_scan_budget_over_the_cap_is_an_input_error(capsys, monkeypatch):
