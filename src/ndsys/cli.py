@@ -27,13 +27,13 @@ for --energy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import math
 import os
 import sys as _sys
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -69,16 +69,9 @@ _VERIFICATION_ERRORS = (PreconditionError, RealizationError, RankAmbiguityError)
 
 
 def _resolve_path(path: str) -> str:
-    """``path``, or the bundled file that ``builtin:NAME`` names.  NAME must
-    be the name of a bundled file, so it holds no path separator and no
-    ``..``."""
+    """``path``, or the bundled file that ``builtin:NAME`` names."""
     if path.startswith("builtin:"):
-        name = path.split(":", 1)[1]
-        data = resources.files("ndsys").joinpath("data")
-        bundled = sorted(ref.name.removesuffix(".json") for ref in data.iterdir() if ref.name.endswith(".json"))
-        if name not in bundled:
-            raise DomainError(f"no bundled file named {name!r}; bundled: {', '.join(bundled)}")
-        return str(data.joinpath(f"{name}.json"))
+        return serialization.bundled(path.split(":", 1)[1])
     return path
 
 
@@ -149,25 +142,29 @@ def _cmd_simulate(args, inputs) -> dict:
         init = LatticeSignal(sys_obj.n, sys_obj.dim_x, {})
     window = SimulationWindow(_parse_box(args.box, sys_obj.n), args.nmax)
     evaluator = closed_form if args.closed_form else simulate
-    result = evaluator(sys_obj, window, input_signal, init)
-    report = energy_balance_report(
-        sys_obj, window, input_signal, init, tol=args.tol, result=result
-    )
     columns = ("n", "E_minus", "E_plus", "E_x", "lhs", "rhs", "contaminated")
-    rows = [
-        dict(zip(columns, (r.n, r.e_minus, r.e_plus, r.e_x, r.lhs, r.rhs, r.contaminated)))
-        for r in report.rows
-    ]
-    if args.energy is not None:
-        import csv
+    # the ledger file opens before the run, so an unwritable path is refused
+    # first; mode "a" leaves an existing file whole until the run is done
+    try:
+        opened = contextlib.nullcontext() if args.energy is None else open(args.energy, "a", newline="")
+        with opened as ledger:
+            result = evaluator(sys_obj, window, input_signal, init)
+            report = energy_balance_report(
+                sys_obj, window, input_signal, init, tol=args.tol, result=result
+            )
+            rows = [
+                dict(zip(columns, (r.n, r.e_minus, r.e_plus, r.e_x, r.lhs, r.rhs, r.contaminated)))
+                for r in report.rows
+            ]
+            if ledger is not None:
+                import csv
 
-        try:
-            with open(args.energy, "w", newline="") as fh:
-                writer = csv.writer(fh)  # it writes a float as its repr
+                ledger.truncate(0)
+                writer = csv.writer(ledger)  # it writes a float as its repr
                 writer.writerow(columns)
                 writer.writerows({**row, "contaminated": int(row["contaminated"])}.values() for row in rows)
-        except OSError as exc:
-            raise DomainError(f"cannot write the energy ledger to {args.energy}: {exc.strerror or exc}") from exc
+    except OSError as exc:
+        raise DomainError(f"cannot write the energy ledger to {args.energy}: {exc.strerror or exc}") from exc
     return {
         "evaluator": "closed_form" if args.closed_form else "recursion",
         "octant_exact": result.octant_exact,
@@ -191,27 +188,7 @@ def _cmd_simulate(args, inputs) -> dict:
 def _transfer_points(args, n: int, inputs: list) -> np.ndarray:
     if args.points is None:
         return halton_disc(args.grid, n, 0.7)
-    raw = _load(args.points, inputs)
-    if not isinstance(raw, list):
-        raise DomainError("points file must hold a JSON list of points")
-    try:
-        coords = np.array(raw, dtype=float)
-    except (TypeError, ValueError):
-        coords = np.zeros(0)
-    if coords.shape[1:] != (n, 2) or not np.isfinite(coords).all():
-        for item in raw:  # the error names the first bad point
-            try:
-                z = np.array(item, dtype=float)
-            except (TypeError, ValueError):
-                z = None
-            if not isinstance(item, list) or z is None or (item and z.shape[1:] != (2,)):
-                raise DomainError(f"point {item} must be a list of [re, im] pairs")
-            if len(z) != n:
-                raise ArityError(f"point {item} has arity {len(z)}, system has {n}")
-            if not np.isfinite(z).all():
-                raise DomainError(f"point {item} has non-finite coordinates")
-        coords = np.zeros((0, n, 2))  # no point failed, so the list is empty
-    return coords.view(complex)[..., 0]
+    return serialization.json_to_points(_load(args.points, inputs), n)
 
 
 def _check_point_budget(count: int, sys_obj) -> None:

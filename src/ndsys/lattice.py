@@ -242,6 +242,10 @@ class LatticeSignal:
         count = len(self.points)
         try:
             coords = np.array(self.points, dtype=float).reshape(count, n)
+        except OverflowError as exc:  # an integer coordinate past the float range
+            huge = (p.tolist() for p in map(np.ravel, self.points))
+            bad = next(p for p in huge if any(isinstance(c, int) and abs(c) >= 2**63 for c in p))
+            raise DomainError(f"point {bad} lies outside the int64 lattice range") from exc
         except (TypeError, ValueError) as exc:
             raise ArityError(f"expected {count} points of Z^{n} as integers") from exc
         fraction = ~np.isfinite(coords) | (coords != np.round(coords))

@@ -96,9 +96,6 @@ class OperatorTuple:
         """Memberwise conjugate transpose."""
         return OperatorTuple(tuple(m.conj().T for m in self.mats))
 
-    def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(m.view(float))) for m in self.mats)
-
 
 def eval_pencil(z, ops: OperatorTuple) -> np.ndarray:
     """The pencil value ``sum_k z_k ops_k`` at one point ``(n,)``, or the

@@ -17,7 +17,6 @@ points before the result is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from typing import NamedTuple
 
 import numpy as np
@@ -468,9 +467,8 @@ def builtin_examples() -> dict[str, MultiLSDS]:
     three-dimensional one.  Both are conservative and closely connected,
     witnessing non-uniqueness of conservative realizations.  They are read
     from the files that ``builtin:alpha`` and ``builtin:alpha_prime`` name."""
-    data = resources.files("ndsys") / "data"
     return {
-        name: serialization.json_to_system(serialization.load_file(str(data / f"{name}.json")))
+        name: serialization.json_to_system(serialization.load_file(serialization.bundled(name)))
         for name in ("alpha", "alpha_prime")
     }
 

@@ -12,6 +12,12 @@ restores x bit for bit.  Malformed input, non-finite numbers included,
 surfaces as DomainError (or ShapeError for structurally valid but
 dimensionally inconsistent data), never as a raw KeyError or TypeError.
 
+One decoder, `_complex`, reads every field of [re, im] pairs: the tuples
+A-D, signal values, polynomial coefficients, the Agler grid and a points
+file (`json_to_points`).  A field is a list of items of one fixed shape;
+the first item that breaks it, or holds a number that is not finite as a
+float, raises DomainError naming the field and the item's index path.
+
 `dump` writes strict JSON and takes `Rows` tables and complex ndarrays
 anywhere in its argument: it writes each one straight from its arrays, with
 the bytes the standard library writes for its nested-list form.
@@ -19,9 +25,10 @@ the bytes the standard library writes for its nested-list form.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+import os
+import sys as _sys
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -47,38 +54,53 @@ __all__ = [
     "json_to_lp_vector",
     "agler_to_json",
     "json_to_agler",
+    "json_to_points",
     "Rows",
     "dump",
     "load_file",
+    "bundled",
     "read_json",
 ]
 
 
-def _unpair(obj) -> complex:
-    if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-        raise DomainError(f"expected a [re, im] pair, got {obj!r}")
-    try:
-        return complex(float(obj[0]), float(obj[1]))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"expected a [re, im] pair of numbers, got {obj!r}") from exc
+def _refuse(node, shape: tuple[int, ...], what: str, path: list) -> None:
+    """Raise DomainError, naming the field ``what`` and an index path, at the
+    first place where ``node`` (at ``path``) departs from nested lists of
+    ``shape`` holding finite numbers."""
+    if shape and isinstance(node, list) and len(node) == shape[0]:
+        for i, item in enumerate(node):
+            _refuse(item, shape[1:], what, path + [i])
+        return
+    if shape:
+        problem = "must be a [re, im] pair" if len(shape) == 1 else f"must be a list of {shape[0]}"
+    elif not isinstance(node, (int, float)):
+        problem = "must be a number"
+    elif abs(node) <= _sys.float_info.max:  # false for nan, inf and integers past the float range
+        return
+    else:
+        problem = "is non-finite"
+    got = f"a list of {len(node)}" if isinstance(node, list) else repr(node)
+    raise DomainError(f"{what}: item {path} {problem}, got {got if len(got) <= 40 else got[:37] + '...'}")
 
 
-def _unmatrix(obj, what: str, cols: int) -> np.ndarray:
-    """The nested matrix list ``obj`` as a complex array; an error names the
-    field ``what``.  A matrix with no rows has ``cols`` columns: its text
-    ``[]`` does not carry them."""
-    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise DomainError(f"{what}: expected a nested matrix list, got {type(obj).__name__}")
+def _complex(obj, what: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The JSON list ``obj`` as a complex array of shape ``(len(obj),) +
+    shape``: each item nested lists of ``shape`` ending in [re, im] pairs of
+    finite numbers.  Anything else raises DomainError in one form, naming
+    the field ``what`` and the index path of the first bad item."""
+    want = (len(_list(obj, what)), *shape, 2)
     try:
-        rows = [[_unpair(v) for v in row] for row in obj]
-        return np.array(rows, dtype=complex).reshape(len(obj), len(obj[0]) if obj else cols)
-    except DomainError as exc:
-        raise DomainError(f"{what}: {exc}") from exc
-    except ValueError as exc:  # numpy refuses ragged rows
-        lengths = sorted({len(row) for row in obj})
-        raise DomainError(
-            f"{what}: matrix rows must have one length, got lengths {lengths}"
-        ) from exc
+        a = np.array(obj)  # a str or object array for a string, None or an int past uint64
+        fits = a.shape == want and np.isfinite(a).all()  # which isfinite refuses with TypeError
+    except (TypeError, ValueError, OverflowError):
+        fits = False
+    if not fits:  # name the first bad item, or read what numpy could not type
+        _refuse(obj, want, what, [])
+        try:
+            a = np.array(obj, dtype=float).reshape(want)
+        except (ValueError, OverflowError) as exc:  # no items, of a shape numpy cannot hold
+            raise DomainError(f"{what}: items of shape {list(shape)} are past numpy's range") from exc
+    return a.astype(float, copy=False).view(complex)[..., 0]
 
 
 def system_to_json(sys: MultiLSDS) -> dict:
@@ -118,24 +140,14 @@ def json_to_system(obj: dict) -> MultiLSDS:
     )
     if min(stated) < 0:
         raise DomainError(f"system: dims must be >= 0, got {stated}")
-    x, nm, _ = stated
-    tuples = {}
-    for key, cols in zip("ABCD", (x, nm, x, nm)):
-        raw = _need(obj, key, "system")
-        if not isinstance(raw, list) or len(raw) != n:
-            raise DomainError(f"system: {key} must list {n} matrices")
-        tuples[key] = OperatorTuple(tuple(_unmatrix(m, f"system: {key}", cols) for m in raw))
-    sys = MultiLSDS(a=tuples["A"], b=tuples["B"], c=tuples["C"], d=tuples["D"])
-    if stated != (sys.dim_x, sys.dim_in, sys.dim_out):
-        raise DomainError(
-            f"system: stated dims {stated} disagree with matrices "
-            f"({sys.dim_x}, {sys.dim_in}, {sys.dim_out})"
-        )
-    for key, t in zip("ABCD", (sys.a, sys.b, sys.c, sys.d)):
-        if not t.is_finite():
-            raise DomainError(f"system: {key} has non-finite entries")
-    sys.require_wellformed()
-    return sys
+    x, nm, ny = stated
+    tuples = []  # read with the shapes dims states, so the system is well formed
+    for key, shape in zip("ABCD", ((x, x), (x, nm), (ny, x), (ny, nm))):
+        mats = _complex(_need(obj, key, "system"), f"system: {key}", shape)
+        if len(mats) != n:
+            raise DomainError(f"system: {key} must list {n} matrices, got {len(mats)}")
+        tuples.append(OperatorTuple(tuple(mats)))
+    return MultiLSDS(*tuples)
 
 
 def signal_to_json(sig: LatticeSignal) -> dict:
@@ -156,17 +168,7 @@ def json_to_signal(obj: dict) -> LatticeSignal:
         raise DomainError(f"signal: dim must be >= 0, got {dim}")
     items = _list(obj.get("entries", []), "signal: entries")
     points = [_need(item, "t", "signal entry") for item in items]
-    try:
-        pairs = np.array([_need(item, "v", "signal entry") for item in items], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"signal: each value must list {dim} [re, im] pairs") from exc
-    if pairs.shape != (len(items), dim, 2) and (pairs.size or len(items) * dim):
-        raise DomainError(f"signal: each value must list {dim} [re, im] pairs")
-    values = pairs.reshape(len(items), dim, 2).view(complex)[..., 0]
-    finite = np.isfinite(values).all(axis=1)
-    if not finite.all():
-        bad = points[int(np.argmin(finite))]
-        raise DomainError(f"signal: non-finite value at {list(bad)}")
+    values = _complex([_need(item, "v", "signal entry") for item in items], "signal entries: v", (dim,))
     return LatticeSignal.from_arrays(n, dim, points, values)
 
 
@@ -197,8 +199,11 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
     rows, cols = (whole(v, "polynomial: shape") for v in shape)
     if min(rows, cols) < 0:
         raise DomainError(f"polynomial: shape must hold sizes >= 0, got {shape!r}")
+    terms = _list(obj.get("terms", []), "polynomial: terms")
+    mats = [_need(item, "m", "polynomial term") for item in terms]
+    mats = _complex(mats, "polynomial terms: m", (rows, cols))
     coeffs = {}
-    for item in _list(obj.get("terms", []), "polynomial: terms"):
+    for item, m in zip(terms, mats):
         exps = _need(item, "t", "polynomial term")
         try:
             t = tuple(whole(v, "polynomial: exponent") for v in exps)
@@ -206,9 +211,7 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
             raise DomainError(f"polynomial term: t must list exponents, got {exps!r}") from exc
         if t in coeffs:
             raise DomainError(f"polynomial: exponent {list(t)} is given twice")
-        coeffs[t] = _unmatrix(_need(item, "m", "polynomial term"), "polynomial term: m", cols)
-        if not np.isfinite(coeffs[t]).all():
-            raise DomainError(f"polynomial: non-finite coefficient at exponent {list(t)}")
+        coeffs[t] = m
     return MatrixPolynomial(n=n, shape=(rows, cols), coeffs=coeffs)
 
 
@@ -240,6 +243,12 @@ def json_to_lp_vector(obj: dict) -> TruncatedLPVector:
     )
 
 
+def json_to_points(obj: list, n: int) -> np.ndarray:
+    """The ``(S, n)`` complex array of a points file: a list of points,
+    each a list of ``n`` [re, im] pairs."""
+    return _complex(obj, "points", (n,))
+
+
 def agler_to_json(data: AglerData) -> dict:
     return {
         "theta": poly_to_json(data.theta),
@@ -256,18 +265,8 @@ def json_to_agler(obj: dict) -> AglerData:
     theta = json_to_poly(_need(obj, "theta", "decomposition data"))
     factors = _list(_need(obj, "factors", "decomposition data"), "decomposition data: factors")
     factors = tuple(json_to_poly(f) for f in factors)
-    points = _list(obj.get("grid", []), "decomposition data: grid")
-    try:
-        grid = tuple(tuple(_unpair(v) for v in z) for z in points)
-    except TypeError as exc:  # a point that is no list of pairs; name the first
-        i = next(i for i, z in enumerate(points) if not isinstance(z, list))
-        raise DomainError(
-            f"decomposition data: grid point at index {i} must be a list of [re, im] pairs, "
-            f"got {points[i]!r}"
-        ) from exc
-    for i, z in enumerate(grid):
-        if not all(map(cmath.isfinite, z)):
-            raise DomainError(f"decomposition data: non-finite grid point at index {i}")
+    # AglerData reads the grid fastest as nested lists
+    grid = _complex(obj.get("grid", []), "decomposition data: grid", (theta.n,)).tolist()
     return AglerData(theta=theta, factors=factors, grid=grid)
 
 
@@ -365,6 +364,20 @@ def dump(obj: Any) -> str:
     return "".join(out)
 
 
+# The bundled example files, next to the package's __init__.py.
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+def bundled(name: str) -> str:
+    """The path of the bundled file ``NAME.json`` that ``builtin:NAME``
+    names.  NAME must be the name of a bundled file, so it holds no path
+    separator and no ``..``."""
+    names = sorted(f.removesuffix(".json") for f in os.listdir(_DATA) if f.endswith(".json"))
+    if name not in names:
+        raise DomainError(f"no bundled file named {name!r}; bundled: {', '.join(names)}")
+    return os.path.join(_DATA, f"{name}.json")
+
+
 def load_file(path: str) -> Any:
     """Parse a JSON file, folding read and parse failures into DomainError."""
     return read_json(path)[0]
@@ -386,5 +399,5 @@ def read_json(path: str) -> tuple[Any, bytes]:
         return json.loads(raw.decode("utf-8")), raw
     except UnicodeDecodeError as exc:
         raise DomainError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise DomainError(f"{path}: invalid JSON ({exc})") from exc

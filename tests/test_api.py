@@ -46,6 +46,7 @@ REMOVED = [
     "system_fields",
     "poly_fields",
     "lp_vector_fields",
+    "OperatorTuple.is_finite",
 ]
 
 
@@ -163,3 +164,20 @@ def test_an_unknown_name_raises_attribute_error_and_loads_nothing():
     )
     names = ["no_such_name", *(name for name in REMOVED if "." not in name)]
     assert fresh("-c", code, *names).stdout.split() == CORE
+
+
+def test_check_finds_bundled_files_without_site_or_importlib_resources():
+    # without site nothing has loaded importlib.resources before ndsys
+    # starts, so an import of it would show here; numpy's directory stands
+    # in for the site-packages that -S leaves off the path
+    import numpy
+
+    path = os.pathsep.join([SRC, os.path.dirname(os.path.dirname(numpy.__file__))])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "ndsys", "check", "builtin:alpha"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    named = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "ndsys.analysis" in named
+    assert not {name for name in named if name.startswith("importlib.resources")}

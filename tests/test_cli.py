@@ -14,6 +14,7 @@ import gen
 import oracles
 from ndsys import (
     Box,
+    DomainError,
     LatticeSignal,
     MultiLSDS,
     OperatorTuple,
@@ -149,6 +150,37 @@ def test_an_unwritable_energy_path_is_an_input_error_that_names_it(capsys, tmp_p
     code, report, err = run(capsys, argv + ["--energy", target])
     assert code == 2 and report is None
     assert err.startswith(f"input error: cannot write the energy ledger to {target}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_energy_path_is_refused_before_the_run(capsys, tmp_path, monkeypatch, where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    target = str(tmp_path / "missing" / "energy.csv") if where == "missing directory" else str(tmp_path)
+    argv = ["simulate", "builtin:alpha", "--input", impulse_file(tmp_path), "--box", "0:2,0:2", "--nmax", "1"]
+    code, report, err = run(capsys, argv + ["--energy", target])
+    assert code == 2 and report is None
+    assert err.startswith(f"input error: cannot write the energy ledger to {target}: ") and err.count("\n") == 1, err
+
+
+def test_a_run_that_fails_leaves_an_existing_energy_ledger_whole(capsys, tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise DomainError("the run failed")
+
+    ledger = tmp_path / "energy.csv"
+    ledger.write_text("an earlier ledger\n" * 100)
+    monkeypatch.setattr(cli, "simulate", fail)
+    argv = ["simulate", "builtin:alpha", "--input", impulse_file(tmp_path), "--box", "0:2,0:2", "--nmax", "1"]
+    code, report, err = run(capsys, argv + ["--energy", str(ledger)])
+    assert (code, report, err) == (2, None, "input error: the run failed\n")
+    assert ledger.read_text() == "an earlier ledger\n" * 100
+    # a run that succeeds replaces the longer earlier file with its ledger
+    monkeypatch.undo()
+    code, _, _ = run(capsys, argv + ["--energy", str(ledger)])
+    assert code == 0
+    assert ledger.read_text().splitlines() == ["n,E_minus,E_plus,E_x,lhs,rhs,contaminated", "1,1.0,0.0,1.0,1.0,1.0,0"]
 
 
 @pytest.mark.parametrize(
@@ -558,26 +590,26 @@ def test_points_file_parses_as_the_per_point_reader_does(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "points, named, kind",
+    "points, named",
     [
-        ([[["a", 0.0], [0.1, 0.0]]], "[['a', 0.0], [0.1, 0.0]]", "[re, im] pairs"),
-        ([[0.1, 0.2]], "[0.1, 0.2]", "[re, im] pairs"),
-        ([[[0.1], [0.1, 0.0]]], "[[0.1], [0.1, 0.0]]", "[re, im] pairs"),
-        ([[[0.1, 0.0, 5.0], [0.1, 0.0]]], "[[0.1, 0.0, 5.0], [0.1, 0.0]]", "[re, im] pairs"),
-        ([[[0.1, 0.0], [0.2, 0.0]], 7], "7", "[re, im] pairs"),
+        ([[["a", 0.0], [0.1, 0.0]]], "[0, 0, 0] must be a number, got 'a'"),
+        ([[0.1, 0.2]], "[0, 0] must be a [re, im] pair, got 0.1"),
+        ([[[0.1], [0.1, 0.0]]], "[0, 0] must be a [re, im] pair, got a list of 1"),
+        ([[[0.1, 0.0, 5.0], [0.1, 0.0]]], "[0, 0] must be a [re, im] pair, got a list of 3"),
+        ([[[0.1, 0.0], [0.2, 0.0]], 7], "[1] must be a list of 2, got 7"),
         ([[[0.1, 0.0], [0.2, 0.0]], [[0.1, 0.0, 1.0], [0.2, 0.0, 1.0]]],
-         "[[0.1, 0.0, 1.0], [0.2, 0.0, 1.0]]", "[re, im] pairs"),
-        ([[[0.1, 0.0], [0.2, 0.0]], []], "[]", "arity 0"),
-        ([[[float("nan"), 0.0], [0.2, 0.0]], [[0.1]]], "[[nan, 0.0], [0.2, 0.0]]", "non-finite"),
+         "[1, 0] must be a [re, im] pair, got a list of 3"),
+        ([[[0.1, 0.0], [0.2, 0.0]], []], "[1] must be a list of 2, got a list of 0"),
+        ([[[float("nan"), 0.0], [0.2, 0.0]], [[0.1]]], "[0, 0, 0] is non-finite, got nan"),
     ],
     ids=["string", "bare-pair", "short-pair", "long-pair", "number", "all-long", "empty-point",
          "non-finite-first"],
 )
-def test_malformed_points_file_is_an_input_error(capsys, tmp_path, points, named, kind):
+def test_malformed_points_file_is_an_input_error(capsys, tmp_path, points, named):
     path = write(tmp_path, "bad.json", points)
     code, report, err = run(capsys, ["transfer", "builtin:alpha", "--points", path])
     assert code == 2 and report is None
-    assert err.startswith("input error: point " + named) and kind in err
+    assert err == f"input error: points: item {named}\n"
 
 
 def test_laxphillips_commute_and_metric(capsys):
@@ -994,15 +1026,16 @@ def _malformed_request(tmp_path, command, path, value):
     "command, path, value, named",
     [
         ("realize", ["grid"], 5, "grid must be a list"),
-        ("realize", ["grid"], [5], "grid point at index 0"),
+        ("realize", ["grid"], [5], "decomposition data: grid: item [0] must be a list of 2, got 5"),
         ("realize", ["factors"], 3, "factors must be a list"),
         ("realize", ["theta", "terms"], 5, "terms must be a list"),
         ("realize", ["theta", "terms", 0, "t"], 5, "t must list exponents"),
         ("realize", ["theta", "shape"], [1], "shape must be a [rows, cols] list"),
-        ("realize", ["theta", "terms", 0, "m"], [[[1.0, 0.0]], []], "polynomial term: m: matrix rows"),
-        ("check", ["A", 0], [[[0.0, 0.0]], []], "system: A: matrix rows"),
+        ("realize", ["theta", "terms", 0, "m"], [[[1.0, 0.0]], []],
+         "polynomial terms: m: item [0] must be a list of 1, got a list of 2"),
+        ("check", ["A", 0], [[[0.0, 0.0]], []], "system: A: item [0] must be a list of 1, got a list of 2"),
         ("check", ["dims"], [1, 1, 1], "dims must be an object"),
-        ("check", ["A", 0, 0, 0], ["a", 0.0], "system: A: expected a [re, im] pair of numbers"),
+        ("check", ["A", 0, 0, 0], ["a", 0.0], "system: A: item [0, 0, 0, 0] must be a number, got 'a'"),
         ("simulate", ["entries"], 5, "signal: entries must be a list"),
         ("simulate", ["dim"], -1, "signal: dim must be >= 0, got -1"),
         ("laxphillips", ["box", "lo"], 5, "vector box: lo must be a list"),
@@ -1021,6 +1054,75 @@ def test_malformed_structure_exits_2_naming_the_field(capsys, tmp_path, command,
     code, report, err = run(capsys, _malformed_request(tmp_path, command, path, value))
     assert code == 2 and report is None
     assert err.startswith("input error: ") and named in err and "Traceback" not in err
+
+
+# Each reader of [re, im] pairs: its request (FILE the file it reads), that
+# file's content, the field's name, and the key path in the file and the
+# field's item path of one pair and of one list whose siblings share its
+# length.
+_READERS = {
+    "system": (
+        ["check", "FILE"],
+        lambda: ser.system_to_json(builtin_examples()["alpha_prime"]),
+        "system: A", ["A", 1, 2, 0], [1, 2, 0], ["A", 1], [1],
+    ),
+    "signal": (
+        ["simulate", "builtin:alpha", "--input", "FILE", "--box", "0:1,0:1", "--nmax", "1"],
+        lambda: ser.signal_to_json(LatticeSignal(2, 1, {(0, 0): np.ones(1), (1, 0): np.ones(1)})),
+        "signal entries: v", ["entries", 1, "v", 0], [1, 0], ["entries", 1, "v"], [1],
+    ),
+    "polynomial": (
+        ["realize", "FILE"],
+        lambda: ser.agler_to_json(canonical_fixture(grid_points=4)),
+        "polynomial terms: m", ["theta", "terms", 0, "m", 0, 0], [0, 0, 0], ["theta", "terms", 0, "m", 0], [0, 0],
+    ),
+    "grid": (
+        ["realize", "FILE"],
+        lambda: ser.agler_to_json(canonical_fixture(grid_points=4)),
+        "decomposition data: grid", ["grid", 2, 1], [2, 1], ["grid", 2], [2],
+    ),
+    "points": (
+        ["transfer", "builtin:alpha", "--points", "FILE"],
+        lambda: np.array([[0.1, 0.2], [0.3j, 0.4]]),
+        "points", [1, 0], [1, 0], [1], [1],
+    ),
+}
+
+
+def _at(obj, keys):
+    for key in keys:
+        obj = obj[key]
+    return obj
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize(
+    "corruption, problem",
+    [
+        ("huge", "is non-finite, got 1000"),
+        ("ragged", "must be a list of"),
+        ("triple", "must be a [re, im] pair, got a list of 3"),
+        ("string", "must be a number, got 'x'"),
+        ("nan", "is non-finite, got nan"),
+    ],
+)
+def test_every_pair_reader_refuses_a_corrupted_item_naming_it(capsys, tmp_path, reader, corruption, problem):
+    argv, content, field, pair_keys, pair, list_keys, listed = _READERS[reader]
+    obj = json.loads(ser.dump(content()))
+    named = {"huge": pair + [0], "ragged": listed, "triple": pair, "string": pair + [1], "nan": pair + [0]}[corruption]
+    pair_node = _at(obj, pair_keys)
+    if corruption == "ragged":
+        _at(obj, list_keys).pop()
+    elif corruption == "triple":
+        pair_node.append(0.0)
+    elif corruption == "string":
+        pair_node[1] = "x"
+    else:
+        pair_node[0] = 10**400 if corruption == "huge" else float("nan")
+    file = write(tmp_path, "bad.json", obj)
+    code, report, err = run(capsys, [file if a == "FILE" else a for a in argv])
+    assert code == 2 and report is None
+    assert err.startswith(f"input error: {field}: item {named} {problem}") and err.count("\n") == 1, err
 
 
 def test_non_finite_residual_is_still_a_verification_failure(capsys, tmp_path, monkeypatch):
