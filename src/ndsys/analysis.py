@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, RangeError
+from .errors import DomainError, PreconditionError, RangeError, _quote
 from .numerics import orth_basis, spectral_norm
 from .pencil import OperatorTuple, eval_pencil
 from .system import MultiLSDS
@@ -32,10 +32,8 @@ __all__ = [
 
 _GRID_CAP = 100_000
 _AXIS_DEFAULT = 32
-# the largest scan budget taken: the grid is held whole, n complex numbers
-# a point, so a larger one is refused before anything is allocated
-_SAMPLE_CAP = 2**24
-# points per stacked SVD: bounds the scan's working memory
+_SAMPLE_CAP = 2**24  # the largest scan budget taken
+# points per stacked SVD: with the representatives, bounds the scan's memory
 _CHUNK = 4096
 # Recheck margin, in units of 1 + sum_k ||G_k||_2.  The pencil is linear,
 # so the points z and w z (|w| = 1) of one diagonal orbit have the same norm
@@ -90,31 +88,40 @@ def _axis_size(n: int, samples: int) -> int:
     return per_axis - 1 if per_axis**n > samples else per_axis
 
 
-def _torus_grid(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray, int]:
-    """The ``P^n`` tensor grid of the torus, ``P = floor(samples^(1/n))`` the
-    largest axis whose grid fits the budget: the points as one ``(P^n, n)``
-    array, the diagonal orbit of each point, and the number of orbits.
-
-    Orbit ``o`` is represented by point ``o``, so the representatives are
-    the first points.  The orbit of index ``j`` is
-    ``(j_2 - j_1, ..., j_n - j_1) mod P``, numbered as its ``j_1 = 0``
-    member is.
-    """
+def _representatives(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The ``P`` phases of the largest axis whose ``P^n`` torus grid fits the
+    budget, and the axis indices ``(0, r_2, ..., r_n)`` of the ``P^(n-1)``
+    diagonal-orbit representatives: orbit ``o``, of flat grid index ``o``."""
     if samples is None:
         samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
     if samples < 1:
-        raise DomainError(f"sample budget must be >= 1, got {samples}")
+        raise DomainError(f"sample budget must be >= 1, got {_quote(samples)}")
     if samples > _SAMPLE_CAP:
-        raise DomainError(f"sample budget must be <= {_SAMPLE_CAP}, got {samples}")
+        raise DomainError(f"sample budget must be <= {_SAMPLE_CAP}, got {_quote(samples)}")
     per_axis = _axis_size(n, samples)
-    # scalar phase arithmetic: numpy's vectorised complex division rounds
+    # real phase arithmetic: numpy's vectorised complex division rounds
     # differently, and the grid must not move
-    axis = np.exp([2j * np.pi * j / per_axis for j in range(per_axis)])
-    # C order of the index grid is itertools.product order
-    idx = np.indices((per_axis,) * n).reshape(n, -1).T
-    place = per_axis ** np.arange(n - 2, -1, -1)
-    orbit = (idx[:, 1:] - idx[:, :1]) % per_axis @ place
-    return axis[idx], orbit, per_axis ** (n - 1)
+    axis = np.exp(1j * (2 * np.pi * np.arange(per_axis) / per_axis))
+    return axis, np.indices((1,) + (per_axis,) * (n - 1)).reshape(n, -1).T
+
+
+class _Members:
+    """The members ``(s, r_2 + s, ..., r_n + s) mod P``, ``s = 1..P-1``, of the
+    orbits with representatives ``reps``, looked up on ``axis`` a slice at a
+    time; member ``t`` has ``s = 1 + t // len(reps)`` and ``reps[t % len(reps)]``."""
+
+    def __init__(self, axis: np.ndarray, reps: np.ndarray):
+        self.axis, self.reps = axis, reps
+
+    def __len__(self) -> int:
+        return len(self.reps) * (len(self.axis) - 1)
+
+    def indices(self, t: np.ndarray) -> np.ndarray:
+        s, o = np.divmod(t, len(self.reps))
+        return (self.reps[o] + s[:, None] + 1) % len(self.axis)
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        return self.axis[self.indices(np.arange(*part.indices(len(self))))]
 
 
 def _require_bounded(blocks: OperatorTuple) -> None:
@@ -131,15 +138,12 @@ def _require_bounded(blocks: OperatorTuple) -> None:
         )
 
 
-def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
-    """The pencil norm at each of the ``(S, n)`` points, one stacked SVD per
-    ``_CHUNK`` of them."""
-    sigma = np.zeros(len(points))
-    if blocks.rows and blocks.cols:
-        for start in range(0, len(points), _CHUNK):
-            stack = eval_pencil(points[start : start + _CHUNK], blocks)
-            sigma[start : start + _CHUNK] = np.linalg.svd(stack, compute_uv=False)[:, 0]
-    return sigma
+def _sigma_max(points, blocks: OperatorTuple):
+    """The pencil norm at ``points``, ``(S, n)`` or a sequence that builds a
+    slice of them when asked, one stacked SVD per ``_CHUNK``, chunk by chunk."""
+    for start in range(0, len(points), _CHUNK):
+        sigma = np.linalg.svd(eval_pencil(points[start : start + _CHUNK], blocks), compute_uv=False)
+        yield sigma[:, 0] if sigma.shape[1] else np.zeros(len(sigma))
 
 
 def _top_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -169,28 +173,33 @@ def dissipativity_scan(
     grid, so it is computed at one representative per orbit, then at the
     other members of the orbits whose representative comes within a
     rounding margin of the best one; every point that can be the maximum
-    is computed on its own grid value.  The maximum is the first one in
-    enumeration order, so ties resolve to the lexicographically smallest
-    grid index.
+    is computed on its own grid value, looked up on the axis one chunk at a
+    time.  Ties resolve to the lowest flat grid index ``sum_k j_k P^(n-k)``.
     """
     blocks = sys.blocks()
     _require_bounded(blocks)
-    grid, orbit, orbits = _torus_grid(sys.n, samples)
-
-    sigma = np.full(len(grid), -1.0)  # a skipped point stays below the rest
-    sigma[:orbits] = _sigma_max(grid[:orbits], blocks)
+    axis, reps = _representatives(sys.n, samples)
+    sigma = np.concatenate(list(_sigma_max(axis[reps], blocks)))
     margin = _RECHECK * (1.0 + sum(spectral_norm(g) for g in blocks))
-    near = sigma[:orbits] >= sigma[:orbits].max() - margin
-    rest = orbits + np.flatnonzero(near[orbit[orbits:]])
-    sigma[rest] = _sigma_max(grid[rest], blocks)
-    i = int(np.argmax(sigma))
-    best, witness = float(sigma[i]), tuple(grid[i])
+    at = int(np.argmax(sigma))  # a representative's flat index is its row
+    best, witness = sigma[at], reps[at]
+    members = _Members(axis, reps[sigma >= best - margin])
+    for i, part in enumerate(_sigma_max(members, blocks)):
+        top = part.max()
+        if top >= best:
+            idx = members.indices(i * _CHUNK + np.flatnonzero(part == top))
+            flat = np.ravel_multi_index(idx.T, (len(axis),) * sys.n)
+            k = flat.argmin()
+            # a member's flat index passes every representative's
+            if top > best or flat[k] < at:
+                best, at, witness = top, flat[k], idx[k]
+    best, witness = float(best), tuple(axis[witness])
 
     if refine:
         best, witness = _refine(blocks, witness, best)
 
     return TorusScanReport(
-        max_norm=best, witness=witness, samples=len(grid), refined=refine, tol=tol
+        max_norm=best, witness=witness, samples=len(axis) ** sys.n, refined=refine, tol=tol
     )
 
 
@@ -198,17 +207,20 @@ def _refine(blocks: OperatorTuple, z0, sigma0, steps: int = 50):
     # ascend sigma_max over torus phases; the gradient comes from the top
     # singular pair, d sigma = Re(u^H (i z_k G_k) v) d phi_k.  A rejected
     # trial sends phi back to best_phi, often the point the last step
-    # decomposed, so the pair and the gradient are kept until phi moves
+    # decomposed, so the pair and the gradient are kept until phi moves, and
+    # an accepted trial holds its point and pencil value for the next step
     phi = np.array([np.angle(z) for z in z0], dtype=float)
     best_phi = phi
     best = sigma0
     eta = 0.1
-    decomposed = None  # the phases the gradient belongs to
+    decomposed = held = None  # the phases of the gradient, and of z and value
     for _ in range(steps):
         if phi is not decomposed:
             decomposed = phi
-            z = np.exp(1j * phi)
-            sigma, u, v = _top_pair(eval_pencil(z, blocks))
+            if phi is not held:
+                z = np.exp(1j * phi)
+                value = eval_pencil(z, blocks)
+            sigma, u, v = _top_pair(value)
             if sigma > best:
                 best = sigma
                 best_phi = phi
@@ -216,9 +228,11 @@ def _refine(blocks: OperatorTuple, z0, sigma0, steps: int = 50):
                 [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
             )
         trial = best_phi + eta * grad
-        sigma_trial = spectral_norm(eval_pencil(np.exp(1j * trial), blocks))
-        if sigma_trial > best:
-            phi = trial
+        z_trial = np.exp(1j * trial)
+        value_trial = eval_pencil(z_trial, blocks)
+        if spectral_norm(value_trial) > best:
+            phi = held = trial
+            z, value = z_trial, value_trial
             eta *= 1.5
         else:
             phi = best_phi

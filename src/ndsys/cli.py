@@ -49,6 +49,7 @@ from .errors import (
     RealizationError,
     ShapeError,
     SingularityError,
+    _quote,
 )
 from .lattice import Box, LatticeSignal, SimulationWindow
 from .numerics import _largest_norm, halton_disc
@@ -56,6 +57,7 @@ from .system import closed_form, energy_balance_report, simulate, validate
 
 SCHEMA = "ndsys/1"
 _POINT_BUDGET = 2**24  # transfer points times (n + dim_x**2 + dim_out * dim_in)
+_SERIES_BUDGET = 2**17  # --series-terms; points times terms keep to _POINT_BUDGET
 
 _INPUT_ERRORS = (
     DomainError,
@@ -191,12 +193,17 @@ def _transfer_points(args, n: int, inputs: list) -> np.ndarray:
     return serialization.json_to_points(_load(args.points, inputs), n)
 
 
-def _check_point_budget(count: int, sys_obj) -> None:
+def _check_point_budget(count: int, sys_obj, terms: int | None) -> None:
     width = sys_obj.n + sys_obj.dim_x**2 + sys_obj.dim_out * sys_obj.dim_in
     if count * width > _POINT_BUDGET:
         raise DomainError(
             f"the transfer request holds {count} points of {width} values each, "
             "past the budget of 2**24 values"
+        )
+    if terms is not None and (terms > _SERIES_BUDGET or count * terms > _POINT_BUDGET):
+        raise DomainError(
+            f"--series-terms {_quote(terms)} on {count} points is past the budget of "
+            "2**17 terms and 2**24 point-terms"
         )
 
 
@@ -205,11 +212,11 @@ def _cmd_transfer(args, inputs) -> dict:
 
     sys_obj = _load_system(args.system, inputs)
     if args.series_terms is not None and args.series_terms < 0:
-        raise DomainError(f"series terms must be >= 0, got {args.series_terms}")
+        raise DomainError(f"series terms must be >= 0, got {_quote(args.series_terms)}")
     if args.points is None:
-        _check_point_budget(args.grid, sys_obj)  # before the grid is drawn
+        _check_point_budget(args.grid, sys_obj, args.series_terms)  # before the grid is drawn
     pts = _transfer_points(args, sys_obj.n, inputs)
-    _check_point_budget(len(pts), sys_obj)
+    _check_point_budget(len(pts), sys_obj, args.series_terms)
     # one evaluation of each pencil serves the solve and the series
     sys_obj.require_wellformed()
     pencils = transfer._pencils(sys_obj, pts)

@@ -20,6 +20,13 @@ __all__ = [
 ]
 
 
+def _quote(value) -> str:
+    """``repr(value)`` cut at 40 characters, so a message that quotes an
+    input integer or list stays one short line however large it is."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 class NdsysError(Exception):
     """Base class for all package errors."""
 

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ArityError, DomainError, ShapeError
+from .errors import ArityError, DomainError, ShapeError, _quote
 
 __all__ = [
     "order",
@@ -44,9 +44,9 @@ def whole(value, what: str) -> int:
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
+        raise DomainError(f"{what} must be an integer, got {_quote(value)}") from exc
     if out != value and not isinstance(value, str):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {_quote(value)}")
     return out
 
 
@@ -54,7 +54,7 @@ def as_index(t: Iterable[int], n: int | None = None) -> tuple[int, ...]:
     """Coerce to an int tuple, checking length against ``n`` when given."""
     out = tuple(whole(v, "a lattice coordinate") for v in t)
     if n is not None and len(out) != n:
-        raise ArityError(f"expected a point of Z^{n}, got length {len(out)}")
+        raise ArityError(f"expected a point of Z^{_quote(n)}, got length {len(out)}")
     return out
 
 
@@ -153,6 +153,12 @@ def _row_locator(points: np.ndarray):
     return locate
 
 
+def _check_reach(lo, hi, what: str) -> None:
+    """Refuse bounds ``lo..hi`` whose coordinates or orders could leave int64."""
+    if sum(max(-a, b) for a, b in zip(lo, hi)) >= 2**62:
+        raise DomainError(f"the {what} lo={_quote(lo)} hi={_quote(hi)} reaches past the int64 lattice range")
+
+
 def _window_index(box: Box, last: int, width: int, first: int = 0):
     """The box points of order first..last, front by front and
     lexicographically within a front: their ``(P, n)`` coordinates, the
@@ -168,8 +174,7 @@ def _window_index(box: Box, last: int, width: int, first: int = 0):
     n = box.n
     lo = [max(a, first - sum(box.hi) + b) for a, b in zip(box.lo, box.hi)]
     hi = [min(b, last - sum(box.lo) + a) for a, b in zip(box.lo, box.hi)]
-    if sum(max(-a, b) for a, b in zip(lo, hi)) >= 2**62:
-        raise DomainError(f"the window {lo}..{hi} reaches past the int64 lattice range")
+    _check_reach(lo, hi, "window")
     top = min(last, sum(hi))
     coords, orders = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
     for i in range(n):
@@ -245,7 +250,7 @@ class LatticeSignal:
         except OverflowError as exc:  # an integer coordinate past the float range
             huge = (p.tolist() for p in map(np.ravel, self.points))
             bad = next(p for p in huge if any(isinstance(c, int) and abs(c) >= 2**63 for c in p))
-            raise DomainError(f"point {bad} lies outside the int64 lattice range") from exc
+            raise DomainError(f"point {_quote(bad)} lies outside the int64 lattice range") from exc
         except (TypeError, ValueError) as exc:
             raise ArityError(f"expected {count} points of Z^{n} as integers") from exc
         fraction = ~np.isfinite(coords) | (coords != np.round(coords))
@@ -257,7 +262,7 @@ class LatticeSignal:
         reach = np.abs(coords).sum(axis=1)
         if (reach >= 2.0**63).any():  # coordinates and orders must not overflow int64
             bad = [int(c) for c in self.points[int(np.argmax(reach >= 2.0**63))]]
-            raise DomainError(f"point {bad} lies outside the int64 lattice range")
+            raise DomainError(f"point {_quote(bad)} lies outside the int64 lattice range")
         points = np.array(self.points, dtype=np.int64).reshape(count, n)
         try:
             values = np.array(self.values, dtype=complex).reshape(count, dim)

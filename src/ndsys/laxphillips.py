@@ -13,17 +13,19 @@ The box points are the window index (`lattice._window_index`) of the whole
 box, and an off-box read is the row locator's miss, the shared zero row.
 A box of more than 2**24 values, ``dim_x + dim_in + dim_out`` a point, and
 an associated view of more than 2**24 values are refused before they are
-built.
+built, and `gamma_map` refuses such a box and one past the int64 lattice
+range as the generators do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .lattice import _VALUE_BUDGET, Box, LatticeSignal, _window_index
+from .errors import DomainError, ShapeError, _quote
+from .lattice import _VALUE_BUDGET, Box, LatticeSignal, _check_reach, _window_index
 from .pencil import OperatorTuple
 from .system import MultiLSDS, conjugate
 
@@ -121,7 +123,7 @@ def apply_generator(
     _check_dims(sys, vec)
     n = sys.n
     if not 0 <= k < n:
-        raise DomainError(f"direction {k} outside 0..{n - 1}")
+        raise DomainError(f"direction {_quote(k)} outside 0..{n - 1}")
     box = vec.box
     points, locate = _box_points(sys, box)
     orders = points.sum(axis=1)
@@ -176,8 +178,19 @@ def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
     This is the unitary identification between the space of a system and
     that of its conjugate; applying it twice restores the vector exactly.
     Negation reverses lexicographic order, so each reflected signal is its
-    original's arrays negated and read backwards.
+    original's arrays negated and read backwards.  A box past the int64
+    lattice range or of more than 2**24 values is refused, as by
+    `apply_generator`, without building its index.
     """
+    lo, hi = vec.box.lo, vec.box.hi
+    _check_reach(lo, hi, "box")
+    total = math.prod(float(b - a + 1) for a, b in zip(lo, hi))
+    width = vec.u_plus.dim + vec.y.dim + vec.u_minus.dim
+    if total * width > _VALUE_BUDGET:
+        raise DomainError(
+            f"the box spans {total:.0f} lattice points of {width} values each, "
+            "past the budget of 2**24 values"
+        )
 
     def flip(sig: LatticeSignal) -> LatticeSignal:
         return LatticeSignal.from_arrays(sig.n, sig.dim, -sig.points[::-1], sig.values[::-1])
@@ -324,7 +337,7 @@ def associated_one_param(sys: MultiLSDS, k: int, box: Box) -> OneParamSystemView
     sys.require_wellformed()
     n = sys.n
     if not 0 <= k < n:
-        raise DomainError(f"direction {k} outside 0..{n - 1}")
+        raise DomainError(f"direction {_quote(k)} outside 0..{n - 1}")
     if box.n != n:
         raise ShapeError(f"box in Z^{box.n}, system in Z^{n}")
     front, _, locate = _window_index(box, 0, sys.dim_x + sys.dim_in + sys.dim_out)

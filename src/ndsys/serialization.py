@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, _quote
 from .lattice import Box, LatticeSignal, whole
 from .pencil import OperatorTuple
 from .system import MultiLSDS
@@ -72,15 +72,15 @@ def _refuse(node, shape: tuple[int, ...], what: str, path: list) -> None:
             _refuse(item, shape[1:], what, path + [i])
         return
     if shape:
-        problem = "must be a [re, im] pair" if len(shape) == 1 else f"must be a list of {shape[0]}"
+        problem = "must be a [re, im] pair" if len(shape) == 1 else f"must be a list of {_quote(shape[0])}"
     elif not isinstance(node, (int, float)):
         problem = "must be a number"
     elif abs(node) <= _sys.float_info.max:  # false for nan, inf and integers past the float range
         return
     else:
         problem = "is non-finite"
-    got = f"a list of {len(node)}" if isinstance(node, list) else repr(node)
-    raise DomainError(f"{what}: item {path} {problem}, got {got if len(got) <= 40 else got[:37] + '...'}")
+    got = f"a list of {len(node)}" if isinstance(node, list) else _quote(node)
+    raise DomainError(f"{what}: item {path} {problem}, got {got}")
 
 
 def _complex(obj, what: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -145,7 +145,7 @@ def json_to_system(obj: dict) -> MultiLSDS:
     for key, shape in zip("ABCD", ((x, x), (x, nm), (ny, x), (ny, nm))):
         mats = _complex(_need(obj, key, "system"), f"system: {key}", shape)
         if len(mats) != n:
-            raise DomainError(f"system: {key} must list {n} matrices, got {len(mats)}")
+            raise DomainError(f"system: {key} must list {_quote(n)} matrices, got {len(mats)}")
         tuples.append(OperatorTuple(tuple(mats)))
     return MultiLSDS(*tuples)
 

@@ -1,12 +1,17 @@
 """Metric classification: torus scan, conservativity, block structure,
 close connectedness."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+import ndsys
 import oracles
 from ndsys import (
     DomainError,
@@ -240,6 +245,22 @@ def test_scan_ties_resolve_to_the_lowest_grid_index():
     assert same_scan(report, oracles.dissipativity_scan_pointwise(sys, 64, False))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 5])
+@pytest.mark.parametrize("n,samples", [(2, 64), (3, 125)])
+def test_scan_ties_across_chunks_resolve_to_the_lowest_grid_index(monkeypatch, chunk, n, samples):
+    # only G_1 is nonzero, so every orbit ties with every other and the
+    # members of one shift s tie exactly, across chunk boundaries too
+    import ndsys.analysis
+
+    monkeypatch.setattr(ndsys.analysis, "_CHUNK", chunk)
+    base = gen.dissipative_system(np.random.default_rng(5), 1, 2, 2)
+    z = np.zeros((2, 2), dtype=complex)
+    sys = MultiLSDS(*(OperatorTuple((getattr(base, k)[0],) + (z,) * (n - 1)) for k in "abcd"))
+    report = dissipativity_scan(sys, samples=samples, refine=False)
+    assert all(v == 1.0 for v in report.witness[1:])  # index 0 on every other axis
+    assert same_scan(report, oracles.dissipativity_scan_pointwise(sys, samples, False))
+
+
 def test_scan_rejects_empty_budget():
     with pytest.raises(DomainError):
         dissipativity_scan(builtin_examples()["alpha"], samples=0)
@@ -268,25 +289,35 @@ def grid_budgets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grid_budgets())
-def test_torus_grid_is_the_largest_tensor_grid_within_the_budget(case):
-    from ndsys.analysis import _axis_size, _torus_grid
+@given(grid_budgets(), st.integers(0, 2**32 - 1))
+def test_torus_grid_is_the_largest_tensor_grid_within_the_budget(case, seed):
+    from ndsys.analysis import _axis_size, _Members, _representatives
 
     n, budget = case
     per_axis = _axis_size(n, budget)
     assert per_axis**n <= budget < (per_axis + 1) ** n
     if per_axis**n > 5000:
-        return  # the grid itself is checked where it is small
-    grid, orbit, orbits = _torus_grid(n, budget)
-    assert grid.shape == (per_axis**n, n) and orbits == per_axis ** (n - 1)
-    # each point's axis index from its phase, and the orbit from the index
-    j = np.rint(np.angle(grid) * per_axis / (2 * np.pi)).astype(int) % per_axis
-    assert np.allclose(grid, np.exp(2j * np.pi * j / per_axis))
-    want = np.zeros(len(grid), dtype=int)
-    for k in range(1, n):
-        want = want * per_axis + (j[:, k] - j[:, 0]) % per_axis
-    assert np.array_equal(orbit, want)
-    assert np.array_equal(orbit[:orbits], np.arange(orbits))
+        return  # the points themselves are checked where the grid is small
+    axis, reps = _representatives(n, budget)
+    members = _Members(axis, reps)
+    assert len(axis) == per_axis and len(reps) == per_axis ** (n - 1)
+    assert len(members) == per_axis**n - len(reps)
+    place = per_axis ** np.arange(n - 1, -1, -1)
+    t = np.arange(len(members))
+    idx = members.indices(t)
+    # orbit o is its j_1 = 0 member, at flat index o; member t is the
+    # representative t mod P^(n-1) shifted by s = 1 + t // P^(n-1)
+    assert (reps[:, 0] == 0).all() and np.array_equal(reps @ place, np.arange(len(reps)))
+    assert np.array_equal(idx[:, 0], 1 + t // len(reps))
+    assert np.array_equal((idx - idx[:, :1]) % per_axis, reps[t % len(reps)])
+    # together they are every grid point once, each with the phases of the
+    # pointwise grid row at its flat index, in any slicing
+    flat = np.concatenate([reps @ place, idx @ place])
+    assert np.array_equal(np.sort(flat), np.arange(per_axis**n))
+    cut = np.random.default_rng(seed).integers(0, len(members) + 1)
+    points = np.concatenate([axis[reps], members[:cut], members[cut : len(members)]])
+    want = np.array(oracles.torus_grid_pointwise(n, budget), dtype=complex)
+    assert oracles.same_bits(points, want[flat])
 
 
 def test_default_scans_take_the_largest_tensor_grid_under_the_cap():
@@ -443,3 +474,62 @@ def test_blocks_whose_products_can_overflow_are_refused_before_any_product(analy
     big = MultiLSDS(OperatorTuple([a * 1e160 for a in sys.a]), sys.b, sys.c, sys.d)
     with pytest.raises(RangeError, match="exceeds .*, the size that keeps every block product finite"):
         analyse(big)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_a_scan_at_the_budget_cap_holds_no_grid():
+    # an n = 3 dissipative scan at 2**24 points holds the 256^2
+    # representatives, a few near orbits and one chunk: a P^n grid with its
+    # indices and norms took 1.28 GB
+    code = """
+import resource, numpy as np, gen
+from ndsys import dissipativity_scan
+sys = gen.dissipative_system(np.random.default_rng(0), 3, 3, 2)
+dissipativity_scan(sys, samples=64)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = dissipativity_scan(sys, samples=2**24, refine=False)
+print(report.samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndsys.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    samples, grown_kib = map(int, proc.stdout.split())
+    assert samples == 2**24 and grown_kib < 100 * 1024
+
+
+@pytest.mark.parametrize("name", list(_ascent_cases()))
+def test_the_ascent_decomposes_an_accepted_trial_without_evaluating_it_again(monkeypatch, name):
+    # the pencil is evaluated at the start point, at each step's trial and
+    # at a return to a best point whose value the ascent no longer holds;
+    # the step after an accepted trial decomposes that trial's own value
+    import ndsys.analysis
+
+    sys = _ascent_cases()[name]
+    coarse = dissipativity_scan(sys, refine=False)
+    log = []
+    eval_pencil, spectral_norm, top_pair = (
+        ndsys.analysis.eval_pencil, ndsys.analysis.spectral_norm, ndsys.analysis._top_pair
+    )
+
+    def evaluated(z, ops):
+        log.append(("eval", z.tobytes(), eval_pencil(z, ops)))
+        return log[-1][2]
+
+    monkeypatch.setattr(ndsys.analysis, "eval_pencil", evaluated)
+    monkeypatch.setattr(ndsys.analysis, "spectral_norm", lambda m: log.append(("trial", m)) or spectral_norm(m))
+    monkeypatch.setattr(ndsys.analysis, "_top_pair", lambda m: log.append(("svd", m)) or top_pair(m))
+    ndsys.analysis._refine(sys.blocks(), coarse.witness, coarse.max_norm)
+    evals = [e for e in log if e[0] == "eval"]
+    trials = [e[1] for e in log if e[0] == "trial"]
+    phases = {id(value): z for _, z, value in evals}
+    last_trial = None
+    fresh = 0
+    for event in log:
+        if event[0] == "trial":
+            last_trial = event[1]
+        elif event[0] == "svd":
+            if last_trial is not None and phases[id(event[1])] == phases[id(last_trial)]:
+                assert event[1] is last_trial
+            fresh += not any(event[1] is m for m in trials)
+    assert len(trials) == 50 and len(evals) == len(trials) + fresh

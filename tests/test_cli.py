@@ -754,7 +754,7 @@ def test_simulate_rejects_non_finite_input(capsys, tmp_path):
     "entries, named",
     [
         ([{"t": [0, 0], "v": [[1.0, 0.0]]}, {"t": [0, 0], "v": [[5.0, 0.0]]}], "[0, 0]"),
-        ([{"t": [10**20, -(10**20)], "v": [[1.0, 0.0]]}], f"[{10**20}, {-(10**20)}]"),
+        ([{"t": [10**20, -(10**20)], "v": [[1.0, 0.0]]}], "point " + f"[{10**20}, {-(10**20)}]"[:37] + "..."),
         ([{"t": [1.5, -0.5], "v": [[1.0, 0.0]]}], "non-integer coordinate 1.5"),
     ],
     ids=["repeated-point", "outside-int64", "fractional-coordinate"],
@@ -1173,6 +1173,43 @@ def test_negative_series_terms_are_an_input_error_with_or_without_points(capsys,
     assert "input error: series terms must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize(
+    "where, count, terms, passes",
+    [
+        (["--grid", "1"], 1, 2**17, True),
+        (["--grid", "1"], 1, 2**17 + 1, False),
+        (["--grid", "128"], 128, 2**17, True),
+        (["--grid", "129"], 129, 2**17, False),
+        (["--grid", "2000"], 2000, 8388, True),
+        (["--grid", "2000"], 2000, 8389, False),
+        (["--grid", "3"], 3, 10**23, False),
+        (["--points", "pts.json"], 2, 2**17 + 1, False),
+    ],
+)
+def test_series_terms_are_refused_past_their_budget_before_the_series_runs(
+    capsys, tmp_path, monkeypatch, where, count, terms, passes
+):
+    # the budget is 2**17 terms and 2**24 points times terms; the series is
+    # stubbed, and a refused request must not reach it
+    import ndsys.transfer
+
+    def neumann(sys, z, terms, pencils):
+        assert passes, "the series ran"
+        return np.zeros((len(z), sys.dim_out, sys.dim_in), dtype=complex)
+
+    monkeypatch.setattr(ndsys.transfer, "_neumann", neumann)
+    if where[0] == "--points":
+        where = ["--points", write(tmp_path, "pts.json", [[[0.1, 0.0], [0.2, 0.0]]] * count)]
+    code, report, err = run(capsys, ["transfer", "builtin:alpha", *where, "--series-terms", str(terms)])
+    if passes:
+        assert code == 0 and report["results"]["series_gap"]["terms"] == terms
+    else:
+        assert code == 2 and err == (
+            f"input error: --series-terms {terms} on {count} points is past the budget of "
+            "2**17 terms and 2**24 point-terms\n"
+        )
+
+
 def _n1_system(tmp_path):
     rng = np.random.default_rng(3)
     return write(tmp_path, "n1.json", ser.dump(ser.system_to_json(gen.random_system(rng, 1, 2, 1, 1, scale=0.4))))
@@ -1290,7 +1327,7 @@ def test_wide_scattering_boxes_exit_2_before_they_are_built(capsys, argv):
         assert "window" not in err
 
 
-@pytest.mark.parametrize("op", ["generator", "adjoint"])
+@pytest.mark.parametrize("op", ["generator", "adjoint", "gamma"])
 def test_a_vector_on_a_wide_box_exits_2(capsys, tmp_path, op):
     vec = TruncatedLPVector(
         Box((-(10**7), -(10**7)), (10**7, 10**7)),
@@ -1333,3 +1370,37 @@ def test_overflowing_trajectories_exit_2_without_warnings(capsys, tmp_path, a, p
         code, report, err = run(capsys, argv)
     assert code == 2 and report is None
     assert err == f"input error: {message}\n"
+
+
+BIG = 10**400
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["system-n", "system-n-list", "system-dims", "direction", "signal-point", "samples", "gamma-bound"],
+)
+def test_a_huge_input_value_is_quoted_in_at_most_40_characters(capsys, tmp_path, case):
+    # each message used to print the whole value, 401 digits or a 200-item list
+    system = json.loads(ser.dump(ser.system_to_json(builtin_examples()["alpha"])))
+    box = ["--box", "0:2,0:2"]
+    if case == "system-n":
+        argv = ["check", write(tmp_path, "s.json", {**system, "n": BIG})]
+    elif case == "system-n-list":
+        argv = ["check", write(tmp_path, "s.json", {**system, "n": [0] * 200})]
+    elif case == "system-dims":
+        argv = ["check", write(tmp_path, "s.json", {**system, "dims": {**system["dims"], "x": BIG}})]
+    elif case == "direction":
+        argv = ["laxphillips", "builtin:alpha", "--op", "associated", *box, "--k", str(BIG)]
+    elif case == "signal-point":
+        signal = {"n": 2, "dim": 1, "entries": [{"t": [BIG, 0], "v": [[1.0, 0.0]]}]}
+        argv = ["simulate", "builtin:alpha", "--input", write(tmp_path, "t.json", signal), *box, "--nmax", "2"]
+    elif case == "samples":
+        argv = ["check", "builtin:alpha", "--samples", str(BIG)]
+    else:
+        vec = TruncatedLPVector(Box((-2, -2), (2, 2)), *(LatticeSignal(2, 1, {}) for _ in range(3)))
+        vec = json.loads(ser.dump(ser.lp_vector_to_json(vec)))
+        vec["box"]["lo"][1] = -BIG
+        argv = ["laxphillips", "builtin:alpha", "--op", "gamma", "--vector", write(tmp_path, "v.json", vec)]
+    code, report, err = run(capsys, argv)
+    assert code == 2 and report is None and err.startswith("input error: ") and err.count("\n") == 1
+    assert "..." in err and len(err) < 120, err

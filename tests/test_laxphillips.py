@@ -329,6 +329,28 @@ def test_a_vector_on_a_wide_box_is_refused(apply):
         apply(sys, 0, vec)
 
 
+def test_gamma_checks_its_box_at_the_budget_edge_before_reflecting(monkeypatch):
+    # 4 values a point (u_plus in C^2, y and u_minus in C^1): a 2048 x 2048
+    # box holds 2**24 values, one more row passes the budget, and so do
+    # bounds whose reach passes 2**62
+    def vector(lo, hi):
+        y = LatticeSignal(2, 1, {(0, 0): np.array([1.0 + 0j])})
+        return TruncatedLPVector(Box(lo, hi), LatticeSignal(2, 2, {}), y, LatticeSignal(2, 1, {}))
+
+    at = gamma_map(vector((0, 0), (2047, 2047)))
+    assert at.box == Box((-2047, -2047), (0, 0)) and at.y.entries.keys() == {(0, 0)}
+    wide, far = vector((0, 0), (2047, 2048)), vector((0, -(2**62)), (3, 3))
+
+    def reflect(*args):
+        raise AssertionError("the vector was reflected")
+
+    monkeypatch.setattr(LatticeSignal, "from_arrays", reflect)
+    with pytest.raises(DomainError, match="spans 4196352 lattice points of 4 values each, past the budget"):
+        gamma_map(wide)
+    with pytest.raises(DomainError, match="reaches past the int64 lattice range"):
+        gamma_map(far)
+
+
 @st.composite
 def lp_cases(draw):
     """A system, a box and a vector on it: dense up to the box faces or
