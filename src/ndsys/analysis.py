@@ -35,17 +35,6 @@ _AXIS_DEFAULT = 32
 _SAMPLE_CAP = 2**24  # the largest scan budget taken
 # points per stacked SVD: with the representatives, bounds the scan's memory
 _CHUNK = 4096
-# Recheck margin, in units of 1 + sum_k ||G_k||_2.  The pencil is linear,
-# so the points z and w z (|w| = 1) of one diagonal orbit have the same norm
-# in exact arithmetic.  A computed norm is off by rounding only: the axis
-# phases are a few ulp u = 2^-53 off 2 pi j / P, and eval_pencil's n-term
-# sum and the backward-stable SVD each add a small multiple (n, the block
-# size) of u sum_k ||G_k||.  That error e stays below 1e4 u (1 + sum_k
-# ||G_k||) for any block a scan can hold, so two members of one orbit differ
-# by at most 2 e, well inside the margin of about 1e6 u.  An orbit holding a
-# point that reaches the best representative's norm therefore has its own
-# representative within the margin of the best, and is rechecked.
-_RECHECK = 1e-10
 # Every block product an analysis forms stays below this.  With each real
 # and imaginary part of a block entry at most M, blocks at most d on a side
 # and n directions, a sum of n products G_j^H G_k or G_j G_k^H has parts at
@@ -61,7 +50,10 @@ class TorusScanReport:
 
     This is a semi-decision: ``dissipative`` False comes with a certifying
     witness (a torus point where the norm exceeds 1 + tol), while True only
-    says the sampled and refined points stayed contractive.
+    says the sampled and refined points stayed contractive.  ``samples``
+    counts the ``P^n`` torus grid scanned; the norm is computed at its
+    ``P^(n-1)`` points with ``z_1 = 1``, one per diagonal orbit, so an
+    unrefined witness has ``z_1 = 1``.
     """
 
     max_norm: float
@@ -88,10 +80,11 @@ def _axis_size(n: int, samples: int) -> int:
     return per_axis - 1 if per_axis**n > samples else per_axis
 
 
-def _representatives(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The ``P`` phases of the largest axis whose ``P^n`` torus grid fits the
-    budget, and the axis indices ``(0, r_2, ..., r_n)`` of the ``P^(n-1)``
-    diagonal-orbit representatives: orbit ``o``, of flat grid index ``o``."""
+def _representatives(n: int, samples: int | None) -> tuple[int, np.ndarray]:
+    """The axis size ``P`` of the largest ``P^n`` torus grid within the
+    budget, and the ``(P^(n-1), n)`` points of its diagonal-orbit
+    representatives, the grid points with ``j_1 = 0``: orbit ``o`` is row
+    ``o`` and flat grid index ``o``."""
     if samples is None:
         samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
     if samples < 1:
@@ -100,28 +93,10 @@ def _representatives(n: int, samples: int | None) -> tuple[np.ndarray, np.ndarra
         raise DomainError(f"sample budget must be <= {_SAMPLE_CAP}, got {_quote(samples)}")
     per_axis = _axis_size(n, samples)
     # real phase arithmetic: numpy's vectorised complex division rounds
-    # differently, and the grid must not move
-    axis = np.exp(1j * (2 * np.pi * np.arange(per_axis) / per_axis))
-    return axis, np.indices((1,) + (per_axis,) * (n - 1)).reshape(n, -1).T
-
-
-class _Members:
-    """The members ``(s, r_2 + s, ..., r_n + s) mod P``, ``s = 1..P-1``, of the
-    orbits with representatives ``reps``, looked up on ``axis`` a slice at a
-    time; member ``t`` has ``s = 1 + t // len(reps)`` and ``reps[t % len(reps)]``."""
-
-    def __init__(self, axis: np.ndarray, reps: np.ndarray):
-        self.axis, self.reps = axis, reps
-
-    def __len__(self) -> int:
-        return len(self.reps) * (len(self.axis) - 1)
-
-    def indices(self, t: np.ndarray) -> np.ndarray:
-        s, o = np.divmod(t, len(self.reps))
-        return (self.reps[o] + s[:, None] + 1) % len(self.axis)
-
-    def __getitem__(self, part: slice) -> np.ndarray:
-        return self.axis[self.indices(np.arange(*part.indices(len(self))))]
+    # differently, and the grid must not move.  Every representative has
+    # z_1 = 1, so an n = 1 scan takes the axis at j = 0 alone
+    axis = np.exp(1j * (2 * np.pi * np.arange(per_axis if n > 1 else 1) / per_axis))
+    return per_axis, axis[np.indices((1,) + (per_axis,) * (n - 1)).reshape(n, -1).T]
 
 
 def _require_bounded(blocks: OperatorTuple) -> None:
@@ -138,12 +113,14 @@ def _require_bounded(blocks: OperatorTuple) -> None:
         )
 
 
-def _sigma_max(points, blocks: OperatorTuple):
-    """The pencil norm at ``points``, ``(S, n)`` or a sequence that builds a
-    slice of them when asked, one stacked SVD per ``_CHUNK``, chunk by chunk."""
+def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
+    """The pencil norm at the ``(S, n)`` points, one stacked SVD per
+    ``_CHUNK`` of them."""
+    parts = []
     for start in range(0, len(points), _CHUNK):
         sigma = np.linalg.svd(eval_pencil(points[start : start + _CHUNK], blocks), compute_uv=False)
-        yield sigma[:, 0] if sigma.shape[1] else np.zeros(len(sigma))
+        parts.append(sigma[:, 0] if sigma.shape[1] else np.zeros(len(sigma)))
+    return np.concatenate(parts)
 
 
 def _top_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -169,37 +146,36 @@ def dissipativity_scan(
         Polish the best grid point with 50 gradient-ascent steps on the
         top singular value, stepping in torus phases.
 
-    The norm is constant on each diagonal orbit ``{w z : |w| = 1}`` of the
-    grid, so it is computed at one representative per orbit, then at the
-    other members of the orbits whose representative comes within a
-    rounding margin of the best one; every point that can be the maximum
-    is computed on its own grid value, looked up on the axis one chunk at a
-    time.  Ties resolve to the lowest flat grid index ``sum_k j_k P^(n-k)``.
+    The pencil is linear, ``G(w z) = w G(z)`` for ``|w| = 1``, so the norm
+    is constant on each diagonal orbit ``{w z : |w| = 1}`` of the grid.  It
+    is computed once per orbit, at the ``P^(n-1)`` representatives with
+    ``z_1 = 1`` (the grid points with ``j_1 = 0``), and the first maximum is
+    kept: ties resolve to the lowest representative, which is also the
+    lowest flat grid index ``sum_k j_k P^(n-k)`` among them.  ``samples``
+    reports ``P^n``, the grid the representatives stand for, and the grid
+    witness has ``z_1 = 1``; refinement starts from it.
+
+    A computed norm is off the exact one by rounding only: the axis phases
+    are a few ulp ``u = 2^-53`` off ``2 pi j / P``, and the n-term pencil sum
+    and the backward-stable SVD each add a small multiple (n, the block
+    size) of ``u sum_k ||G_k||``.  That error stays below
+    ``1e4 u (1 + sum_k ||G_k||)`` for any block a scan can hold, so the
+    maximum over the representatives lies below the maximum of the norms
+    computed at every grid point by at most ``2e4 u (1 + sum_k ||G_k||)``,
+    about ``2.2e-12 (1 + sum_k ||G_k||)``.
     """
     blocks = sys.blocks()
     _require_bounded(blocks)
-    axis, reps = _representatives(sys.n, samples)
-    sigma = np.concatenate(list(_sigma_max(axis[reps], blocks)))
-    margin = _RECHECK * (1.0 + sum(spectral_norm(g) for g in blocks))
-    at = int(np.argmax(sigma))  # a representative's flat index is its row
-    best, witness = sigma[at], reps[at]
-    members = _Members(axis, reps[sigma >= best - margin])
-    for i, part in enumerate(_sigma_max(members, blocks)):
-        top = part.max()
-        if top >= best:
-            idx = members.indices(i * _CHUNK + np.flatnonzero(part == top))
-            flat = np.ravel_multi_index(idx.T, (len(axis),) * sys.n)
-            k = flat.argmin()
-            # a member's flat index passes every representative's
-            if top > best or flat[k] < at:
-                best, at, witness = top, flat[k], idx[k]
-    best, witness = float(best), tuple(axis[witness])
+    per_axis, reps = _representatives(sys.n, samples)
+    sigma = _sigma_max(reps, blocks)
+    at = int(np.argmax(sigma))
+    best, witness = float(sigma[at]), tuple(reps[at])
 
     if refine:
         best, witness = _refine(blocks, witness, best)
 
     return TorusScanReport(
-        max_norm=best, witness=witness, samples=len(axis) ** sys.n, refined=refine, tol=tol
+        max_norm=best, witness=witness, samples=per_axis**sys.n, refined=refine, tol=tol
     )
 
 

@@ -11,15 +11,22 @@ offset at a time, one locate and one product per offset; `closed_form`,
 which stacks the offsets of a front, must reproduce it bit for bit, masks
 included.
 
-`eval_pencil_point`, `dissipativity_scan_pointwise`, `transfer_eval_point`
+`eval_pencil_point`, `dissipativity_scan_orbits`, `transfer_eval_point`
 and `transfer_eval_series_point` evaluate the pencil, the torus scan and
 the transfer function one point at a time, the series by the two-product
 loop with an SVD at every point.  The library's stacked versions must
 reproduce them bit for bit, errors included, except the series values:
 the library sums them by Horner's rule, within 1e-12 relative.  The scan
-polishes its maximum by `refine_stepwise`, the ascent that decomposes its
-current point at every step; the library's, which decomposes a point
-only when the ascent moves, must reproduce it bit for bit.
+oracle takes one spectral norm per diagonal orbit, at the ``j_1 = 0``
+rows of `torus_grid_pointwise`, and keeps the first strict maximum.
+`dissipativity_scan_pointwise` takes one at every point of the ``P^n``
+grid: the library's unrefined maximum must lie at most the rounding gap
+that `dissipativity_scan` states below it, and the two verdicts must
+agree wherever the maximum is farther than that gap from ``1 + tol``.
+Both polish their maximum by `refine_stepwise`, the ascent that
+decomposes its current point at every step; the library's, which
+decomposes a point only when the ascent moves, must reproduce it bit for
+bit.
 
 `matrix_poly_eval_point` sums a matrix polynomial term by term at one
 point; `MatrixPolynomial.evaluate` over a stack must reproduce it bit for
@@ -390,25 +397,33 @@ def eval_pencil_point(z, ops):
     return acc
 
 
-def torus_grid_pointwise(n, samples):
-    """The scan points as a list of tuples, built point by point on the
-    largest tensor grid within the budget, its axis found by integer search."""
+def torus_axis_pointwise(n, samples):
+    """The axis size of the largest tensor grid within the budget, found
+    by integer search."""
     if samples is None:
         samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
     per_axis = 1
     while (per_axis + 1) ** n <= samples:
         per_axis += 1
+    return per_axis
+
+
+def torus_grid_pointwise(n, samples, orbits=False):
+    """The scan points as a list of tuples, built point by point on the
+    largest tensor grid within the budget; with ``orbits``, only its rows
+    with ``j_1 = 0``, one per diagonal orbit."""
+    per_axis = torus_axis_pointwise(n, samples)
+    first = range(1 if orbits else per_axis)
     return [
         tuple(np.exp(2j * np.pi * j / per_axis) for j in idx)
-        for idx in itertools.product(range(per_axis), repeat=n)
+        for idx in itertools.product(first, *[range(per_axis)] * (n - 1))
     ]
 
 
-def dissipativity_scan_pointwise(sys, samples=None, refine=True, tol=1e-9):
-    """The torus scan with one spectral norm per point; the first strict
-    maximum in enumeration order is the witness."""
+def _scan_points(sys, phases, samples, refine, tol):
+    """One spectral norm per point of ``phases``; the first strict maximum
+    in enumeration order is the witness."""
     blocks = sys.blocks()
-    phases = torus_grid_pointwise(sys.n, samples)
     best = -1.0
     witness = phases[0]
     for z in phases:
@@ -419,8 +434,21 @@ def dissipativity_scan_pointwise(sys, samples=None, refine=True, tol=1e-9):
     if refine:
         best, witness = refine_stepwise(blocks, witness, best)
     return TorusScanReport(
-        max_norm=best, witness=witness, samples=len(phases), refined=refine, tol=tol
+        max_norm=best, witness=witness, samples=samples, refined=refine, tol=tol
     )
+
+
+def dissipativity_scan_pointwise(sys, samples=None, refine=True, tol=1e-9):
+    """The torus scan with one spectral norm at every point of the grid."""
+    phases = torus_grid_pointwise(sys.n, samples)
+    return _scan_points(sys, phases, len(phases), refine, tol)
+
+
+def dissipativity_scan_orbits(sys, samples=None, refine=True, tol=1e-9):
+    """The torus scan with one spectral norm per diagonal orbit, at the grid
+    rows with ``j_1 = 0``; it reports the ``P^n`` points they stand for."""
+    phases = torus_grid_pointwise(sys.n, samples, orbits=True)
+    return _scan_points(sys, phases, torus_axis_pointwise(sys.n, samples) ** sys.n, refine, tol)
 
 
 def refine_stepwise(blocks, z0, sigma0, steps=50):

@@ -1,6 +1,7 @@
 """Metric classification: torus scan, conservativity, block structure,
 close connectedness."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from ndsys import (
     closely_connected_subspace,
     conservativity_check,
     dissipativity_scan,
+    spectral_norm,
     transfer_eval,
 )
 from ndsys.system import conjugate
@@ -95,7 +97,6 @@ def test_scan_witness_is_on_the_torus_and_attains():
     sys = gen.dissipative_system(rng, 2, 2, 2)
     report = dissipativity_scan(sys, samples=25, refine=False)
     assert all(abs(abs(z) - 1.0) <= 1e-12 for z in report.witness)
-    from ndsys import spectral_norm
     from ndsys.pencil import eval_pencil
 
     stacked = [sys.block(k) for k in range(sys.n)]
@@ -137,42 +138,50 @@ def scan_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(scan_cases())
-def test_scan_matches_the_pointwise_oracle_bitwise(case):
+def test_scan_matches_the_orbit_oracle_bitwise(case):
     sys, samples, refine = case
     got = dissipativity_scan(sys, samples=samples, refine=refine)
-    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, refine))
+    assert same_scan(got, oracles.dissipativity_scan_orbits(sys, samples, refine))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases())
+def test_scan_is_within_the_rounding_gap_of_the_full_grid_oracle(case):
+    # the representatives are grid points, so their maximum is at most the
+    # full grid's, and below it by at most the gap dissipativity_scan states
+    sys, samples, _ = case
+    got = dissipativity_scan(sys, samples=samples, refine=False)
+    want = oracles.dissipativity_scan_pointwise(sys, samples, False)
+    gap = 2e4 * 2.0**-53 * (1.0 + sum(spectral_norm(g) for g in sys.blocks()))
+    assert got.samples == want.samples
+    assert 0.0 <= want.max_norm - got.max_norm <= gap
+    if abs(got.max_norm - (1.0 + got.tol)) > gap:
+        assert got.dissipative == want.dissipative
 
 
 @pytest.mark.parametrize(
     "n,samples,refine",
-    [(2, 65**2, False), (3, None, True)],
+    [(3, 65**3, False), (4, None, True)],
 )
-def test_scan_across_chunks_matches_the_pointwise_oracle(n, samples, refine):
-    # more grid points than one stacked SVD takes, on a given and the
-    # default budget
+def test_scan_across_chunks_matches_the_orbit_oracle(n, samples, refine):
+    # more orbits than one stacked SVD takes, on a given and the default
+    # budget: 65^2 and 17^3 representatives
     sys = gen.dissipative_system(np.random.default_rng(9), n, 4, 2)
     got = dissipativity_scan(sys, samples=samples, refine=refine)
-    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, refine))
+    assert same_scan(got, oracles.dissipativity_scan_orbits(sys, samples, refine))
 
 
-def test_scan_recheck_across_chunks_matches_the_pointwise_oracle(monkeypatch):
-    # a conservative pencil has norm 1 everywhere, so every orbit is
-    # rechecked: one call takes the 70 * 69 non-representatives of the 70^2
-    # grid under the budget 5000, more than one stacked SVD takes
+def test_scan_of_a_conservative_pencil_across_chunks_matches_the_orbit_oracle(monkeypatch):
+    # a conservative pencil has norm 1 everywhere, up to rounding: one call
+    # takes the 65^2 representatives of the 65^3 grid, more than one
+    # stacked SVD takes, and the first maximum among them is kept
     import ndsys.analysis
 
-    rows = []
-    sigma_max = ndsys.analysis._sigma_max
-
-    def counted(points, blocks):
-        rows.append(len(points))
-        return sigma_max(points, blocks)
-
-    monkeypatch.setattr(ndsys.analysis, "_sigma_max", counted)
-    sys = gen.conservative_system(np.random.default_rng(9), 2, 4, 2)
-    got = dissipativity_scan(sys, samples=5000, refine=False)
-    assert rows == [70, 70 * 69] and max(rows) > ndsys.analysis._CHUNK
-    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, 5000, False))
+    rows = count_sigma_rows(monkeypatch)
+    sys = gen.conservative_system(np.random.default_rng(9), 3, 4, 2)
+    got = dissipativity_scan(sys, samples=65**3, refine=False)
+    assert rows == [65**2] and rows[0] > ndsys.analysis._CHUNK
+    assert same_scan(got, oracles.dissipativity_scan_orbits(sys, 65**3, False))
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -183,7 +192,7 @@ def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, sampl
     monkeypatch.setattr(ndsys.analysis, "_CHUNK", chunk)
     sys = gen.dissipative_system(np.random.default_rng(n), n, 3, 2)
     got = dissipativity_scan(sys, samples=samples, refine=False)
-    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, samples, False))
+    assert same_scan(got, oracles.dissipativity_scan_orbits(sys, samples, False))
 
 
 def _ascent_cases():
@@ -220,17 +229,18 @@ def test_refined_scan_matches_the_stepwise_ascent_bitwise(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["alpha", "alpha_prime"])
-def test_scan_of_a_conservative_pencil_matches_the_pointwise_oracle(name):
+def test_scan_of_a_conservative_pencil_matches_the_orbit_oracle(name):
     # the norm is 1 up to rounding at every point, so the maximum can sit at
-    # any member of any orbit
+    # any representative
     sys = builtin_examples()[name]
     got = dissipativity_scan(sys, refine=False)
-    assert same_scan(got, oracles.dissipativity_scan_pointwise(sys, None, False))
+    assert got.witness[0] == 1.0
+    assert same_scan(got, oracles.dissipativity_scan_orbits(sys, None, False))
 
 
 def test_scan_ties_resolve_to_the_lowest_grid_index():
-    # G_2 = 0: the pencil, and so its norm, does not depend on z_2, and every
-    # maximum repeats along the whole z_2 axis
+    # G_2 = 0: the pencil, and so its norm, does not depend on z_2, and at
+    # z_1 = 1 every representative holds the same pencil value G_1
     rng = np.random.default_rng(5)
     base = gen.dissipative_system(rng, 1, 2, 2)
     z = np.zeros((2, 2), dtype=complex)
@@ -241,15 +251,15 @@ def test_scan_ties_resolve_to_the_lowest_grid_index():
         d=OperatorTuple((base.d[0], z)),
     )
     report = dissipativity_scan(sys, samples=64, refine=False)
-    assert report.witness[1] == 1.0  # index 0 on the z_2 axis
-    assert same_scan(report, oracles.dissipativity_scan_pointwise(sys, 64, False))
+    assert report.witness == (1.0, 1.0)  # index 0 on both axes
+    assert same_scan(report, oracles.dissipativity_scan_orbits(sys, 64, False))
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 5])
 @pytest.mark.parametrize("n,samples", [(2, 64), (3, 125)])
 def test_scan_ties_across_chunks_resolve_to_the_lowest_grid_index(monkeypatch, chunk, n, samples):
-    # only G_1 is nonzero, so every orbit ties with every other and the
-    # members of one shift s tie exactly, across chunk boundaries too
+    # only G_1 is nonzero, so every representative holds the pencil value
+    # G_1 and ties exactly with every other, across chunk boundaries too
     import ndsys.analysis
 
     monkeypatch.setattr(ndsys.analysis, "_CHUNK", chunk)
@@ -257,8 +267,8 @@ def test_scan_ties_across_chunks_resolve_to_the_lowest_grid_index(monkeypatch, c
     z = np.zeros((2, 2), dtype=complex)
     sys = MultiLSDS(*(OperatorTuple((getattr(base, k)[0],) + (z,) * (n - 1)) for k in "abcd"))
     report = dissipativity_scan(sys, samples=samples, refine=False)
-    assert all(v == 1.0 for v in report.witness[1:])  # index 0 on every other axis
-    assert same_scan(report, oracles.dissipativity_scan_pointwise(sys, samples, False))
+    assert all(v == 1.0 for v in report.witness)  # index 0 on every axis
+    assert same_scan(report, oracles.dissipativity_scan_orbits(sys, samples, False))
 
 
 def test_scan_rejects_empty_budget():
@@ -289,35 +299,22 @@ def grid_budgets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(grid_budgets(), st.integers(0, 2**32 - 1))
-def test_torus_grid_is_the_largest_tensor_grid_within_the_budget(case, seed):
-    from ndsys.analysis import _axis_size, _Members, _representatives
+@given(grid_budgets())
+def test_torus_grid_is_the_largest_tensor_grid_within_the_budget(case):
+    from ndsys.analysis import _axis_size, _representatives
 
     n, budget = case
     per_axis = _axis_size(n, budget)
     assert per_axis**n <= budget < (per_axis + 1) ** n
     if per_axis**n > 5000:
         return  # the points themselves are checked where the grid is small
-    axis, reps = _representatives(n, budget)
-    members = _Members(axis, reps)
-    assert len(axis) == per_axis and len(reps) == per_axis ** (n - 1)
-    assert len(members) == per_axis**n - len(reps)
-    place = per_axis ** np.arange(n - 1, -1, -1)
-    t = np.arange(len(members))
-    idx = members.indices(t)
-    # orbit o is its j_1 = 0 member, at flat index o; member t is the
-    # representative t mod P^(n-1) shifted by s = 1 + t // P^(n-1)
-    assert (reps[:, 0] == 0).all() and np.array_equal(reps @ place, np.arange(len(reps)))
-    assert np.array_equal(idx[:, 0], 1 + t // len(reps))
-    assert np.array_equal((idx - idx[:, :1]) % per_axis, reps[t % len(reps)])
-    # together they are every grid point once, each with the phases of the
-    # pointwise grid row at its flat index, in any slicing
-    flat = np.concatenate([reps @ place, idx @ place])
-    assert np.array_equal(np.sort(flat), np.arange(per_axis**n))
-    cut = np.random.default_rng(seed).integers(0, len(members) + 1)
-    points = np.concatenate([axis[reps], members[:cut], members[cut : len(members)]])
+    size, reps = _representatives(n, budget)
+    assert size == per_axis and reps.shape == (per_axis ** (n - 1), n)
+    # orbit o is its j_1 = 0 member, at flat index o: the first P^(n-1)
+    # rows of the pointwise grid, with their phases bit for bit
     want = np.array(oracles.torus_grid_pointwise(n, budget), dtype=complex)
-    assert oracles.same_bits(points, want[flat])
+    assert (reps[:, 0] == 1.0).all()
+    assert oracles.same_bits(reps, want[: len(reps)])
 
 
 def test_default_scans_take_the_largest_tensor_grid_under_the_cap():
@@ -329,7 +326,8 @@ def test_default_scans_take_the_largest_tensor_grid_under_the_cap():
         assert same_scan(report, dissipativity_scan(sys, samples=samples, refine=False))
 
 
-def test_scan_computes_the_norm_once_per_orbit_away_from_the_maximum(monkeypatch):
+def count_sigma_rows(monkeypatch):
+    """The number of points of each `_sigma_max` call, as the scan makes them."""
     import ndsys.analysis
 
     rows = []
@@ -340,16 +338,26 @@ def test_scan_computes_the_norm_once_per_orbit_away_from_the_maximum(monkeypatch
         return sigma_max(points, blocks)
 
     monkeypatch.setattr(ndsys.analysis, "_sigma_max", counted)
-    # generic: one representative per orbit, then the orbits near the top
-    sys = gen.dissipative_system(np.random.default_rng(1), 3, 3, 3)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["dissipative", "conservative"])
+def test_scan_computes_the_norm_once_per_orbit(monkeypatch, kind):
+    # one pass over the P^(n-1) representatives, also where the norm is 1 on
+    # the whole torus and every orbit reaches the maximum up to rounding
+    rows = count_sigma_rows(monkeypatch)
+    sys = getattr(gen, f"{kind}_system")(np.random.default_rng(1), 3, 3, 3)
     report = dissipativity_scan(sys, refine=False)
-    assert report.samples == 32**3
-    assert sum(rows) <= 32**2 + 2 * 32
-    # conservative: the norm is 1 on the whole torus, so every orbit is near
-    # the top and every point is computed, none twice
-    rows.clear()
-    report = dissipativity_scan(builtin_examples()["alpha_prime"], refine=False)
-    assert sum(rows) == report.samples == 32**2
+    assert rows == [32**2] and report.samples == 32**3
+
+
+def test_an_n1_scan_at_the_budget_cap_computes_one_norm(monkeypatch):
+    # the one diagonal orbit is the whole circle
+    rows = count_sigma_rows(monkeypatch)
+    sys = gen.dissipative_system(np.random.default_rng(0), 1, 3, 2)
+    report = dissipativity_scan(sys, samples=2**24)
+    assert rows == [1] and report.samples == 2**24
+    assert report == dataclasses.replace(dissipativity_scan(sys, samples=1), samples=2**24)
 
 
 def test_block_structure_of_the_one_dimensional_example():
@@ -479,8 +487,8 @@ def test_blocks_whose_products_can_overflow_are_refused_before_any_product(analy
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
 def test_a_scan_at_the_budget_cap_holds_no_grid():
     # an n = 3 dissipative scan at 2**24 points holds the 256^2
-    # representatives, a few near orbits and one chunk: a P^n grid with its
-    # indices and norms took 1.28 GB
+    # representatives and one chunk: a P^n grid with its indices and norms
+    # took 1.28 GB
     code = """
 import resource, numpy as np, gen
 from ndsys import dissipativity_scan

@@ -346,16 +346,24 @@ def test_signal_header_that_is_not_an_integer_is_rejected(key, bad):
         ser.json_to_signal(obj)
 
 
-def _decoder_cases():
-    sys_obj = ser.system_to_json(builtin_examples()["alpha"])
-    poly_obj = ser.poly_to_json(canonical_fixture(4).theta)
+def _decoder_objects():
+    """A system, polynomial, vector and signal, each in its JSON layout."""
     vec = TruncatedLPVector(
         box=Box((-2, -2), (2, 2)),
         u_plus=LatticeSignal(2, 1, {}),
         y=LatticeSignal(2, 1, {(1, -1): np.ones(1)}),
         u_minus=LatticeSignal(2, 1, {}),
     )
-    vec_obj = ser.lp_vector_to_json(vec)
+    return (
+        ser.system_to_json(builtin_examples()["alpha"]),
+        ser.poly_to_json(canonical_fixture(4).theta),
+        ser.lp_vector_to_json(vec),
+        ser.signal_to_json(LatticeSignal(2, 1, {(0, 0): np.ones(1), (1, -1): np.ones(1)})),
+    )
+
+
+def _decoder_cases():
+    sys_obj, poly_obj, vec_obj, _ = _decoder_objects()
     cases = [
         (ser.json_to_system, sys_obj, lambda o: o.__setitem__("n", 2.5), "system: n"),
         (ser.json_to_system, sys_obj, lambda o: o["dims"].__setitem__("x", 1.5), "system: dims x"),
@@ -373,6 +381,42 @@ def test_decoders_refuse_a_fractional_integer_field(decode, obj, spoil, named):
     decode(obj)
     spoil(obj)
     with pytest.raises(DomainError, match=f"{named} must be an integer"):
+        decode(obj)
+
+
+def _string_cases():
+    sys_obj, poly_obj, vec_obj, sig_obj = _decoder_objects()
+    cases = [
+        (ser.json_to_system, sys_obj, lambda o: o.__setitem__("n", "2"), "system: n", "'2'"),
+        (ser.json_to_system, sys_obj, lambda o: o["dims"].__setitem__("x", "1"), "system: dims x", "'1'"),
+        (ser.json_to_signal, sig_obj, lambda o: o.__setitem__("n", "2"), "signal: n", "'2'"),
+        (ser.json_to_signal, sig_obj, lambda o: o.__setitem__("dim", "1"), "signal: dim", "'1'"),
+        (ser.json_to_signal, sig_obj, lambda o: o["entries"][0].__setitem__("t", ["1", 0]), "signal entries: t", "'1'"),
+        (ser.json_to_signal, sig_obj, lambda o: o["entries"][1].__setitem__("t", [1, "-1"]), "signal entries: t", "'-1'"),
+        (ser.json_to_poly, poly_obj, lambda o: o.__setitem__("n", "2"), "polynomial: n", "'2'"),
+        (ser.json_to_poly, poly_obj, lambda o: o.__setitem__("shape", [1, "1"]), "polynomial: shape", "'1'"),
+        (ser.json_to_poly, poly_obj, lambda o: o["terms"][0].__setitem__("t", ["0", 1]), "polynomial: exponent", "'0'"),
+        (ser.json_to_poly, poly_obj, lambda o: o["terms"][0].__setitem__("t", "01"), "polynomial: exponent", "'0'"),
+        (ser.json_to_lp_vector, vec_obj, lambda o: o["box"].__setitem__("lo", ["-2", -2]), "vector box: lo", "'-2'"),
+        (ser.json_to_lp_vector, vec_obj, lambda o: o["box"].__setitem__("hi", [2, "2"]), "vector box: hi", "'2'"),
+        (
+            ser.json_to_lp_vector,
+            vec_obj,
+            lambda o: o["y"]["entries"][0].__setitem__("t", [1, "-1"]),
+            "signal entries: t",
+            "'-1'",
+        ),
+    ]
+    return [pytest.param(*case, id=f"{case[-2]} {case[-1]}") for case in cases]
+
+
+@pytest.mark.parametrize("decode, obj, spoil, named, quoted", _string_cases())
+def test_decoders_refuse_a_string_in_an_integer_field(decode, obj, spoil, named, quoted):
+    # int("2") parses, so `whole` alone would read the string as 2
+    obj = _parsed(obj)
+    decode(obj)
+    spoil(obj)
+    with pytest.raises(DomainError, match=re.escape(f"{named} must be an integer, got {quoted}")):
         decode(obj)
 
 
