@@ -53,7 +53,9 @@ class TorusScanReport:
     says the sampled and refined points stayed contractive.  ``samples``
     counts the ``P^n`` torus grid scanned; the norm is computed at its
     ``P^(n-1)`` points with ``z_1 = 1``, one per diagonal orbit, so an
-    unrefined witness has ``z_1 = 1``.
+    unrefined witness has ``z_1 = 1``.  ``refined`` says the ascent ran,
+    possibly with no trial step: it stops at once where the gradient is
+    only rounding.
     """
 
     max_norm: float
@@ -143,8 +145,10 @@ def dissipativity_scan(
         tensor grid within it, so a perfect n-th power is scanned whole and
         any other budget rounds down.  Defaults to 32^n capped at 1e5.
     refine : bool
-        Polish the best grid point with 50 gradient-ascent steps on the
-        top singular value, stepping in torus phases.
+        Polish the best grid point with at most 50 gradient-ascent steps on
+        the top singular value, stepping in torus phases; the ascent stops
+        where the gradient is only rounding, at once on a conservative or
+        n = 1 pencil, and takes no step on an empty pencil value.
 
     The pencil is linear, ``G(w z) = w G(z)`` for ``|w| = 1``, so the norm
     is constant on each diagonal orbit ``{w z : |w| = 1}`` of the grid.  It
@@ -184,13 +188,25 @@ def _refine(blocks: OperatorTuple, z0, sigma0, steps: int = 50):
     # singular pair, d sigma = Re(u^H (i z_k G_k) v) d phi_k.  A rejected
     # trial sends phi back to best_phi, often the point the last step
     # decomposed, so the pair and the gradient are kept until phi moves, and
-    # an accepted trial holds its point and pencil value for the next step
+    # an accepted trial holds its point and pencil value for the next step.
+    # It stops at the first decomposition whose gradient components are all
+    # within `flat`: a computed component is off the exact one by rounding
+    # only, a small multiple (n, the block size) of u ||G_k||_F, u = 2^-53,
+    # from the pencil sum, the backward-stable SVD and the product, and that
+    # stays below 1e4 u (1 + sum_k ||G_k||_F) for any block a scan can hold.
+    # Where the exact gradient is 0 the exact ascent cannot move either,
+    # trial = best_phi + eta * 0.  On a conservative pencil (a unitary value
+    # has a skew derivative) and an n = 1 pencil (u^H (i z G) v = i sigma)
+    # that is every point.  An empty pencil value has no pair to decompose
+    # and is flat too
     phi = np.array([np.angle(z) for z in z0], dtype=float)
     best_phi = phi
     best = sigma0
     eta = 0.1
+    mats = np.array(blocks.mats)
+    flat = 1e4 * 2.0**-53 * (1.0 + float(np.linalg.norm(mats, axis=(1, 2)).sum()))
     decomposed = held = None  # the phases of the gradient, and of z and value
-    for _ in range(steps):
+    for _ in range(steps if mats.size else 0):
         if phi is not decomposed:
             decomposed = phi
             if phi is not held:
@@ -200,9 +216,10 @@ def _refine(blocks: OperatorTuple, z0, sigma0, steps: int = 50):
             if sigma > best:
                 best = sigma
                 best_phi = phi
-            grad = np.array(
-                [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
-            )
+            grad = [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
+            if max(map(abs, grad)) <= flat:
+                break
+            grad = np.array(grad)
         trial = best_phi + eta * grad
         z_trial = np.exp(1j * trial)
         value_trial = eval_pencil(z_trial, blocks)

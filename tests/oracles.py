@@ -26,7 +26,10 @@ agree wherever the maximum is farther than that gap from ``1 + tol``.
 Both polish their maximum by `refine_stepwise`, the ascent that
 decomposes its current point at every step; the library's, which
 decomposes a point only when the ascent moves, must reproduce it bit for
-bit.
+bit.  Both stop at the first point whose gradient components are all
+within ``1e4 u (1 + sum_k ||G_k||_F)``, ``u = 2^-53``, only rounding
+(at once on a conservative or n = 1 pencil), and take no step on an empty
+pencil value.
 
 `matrix_poly_eval_point` sums a matrix polynomial term by term at one
 point; `MatrixPolynomial.evaluate` over a stack must reproduce it bit for
@@ -454,12 +457,15 @@ def dissipativity_scan_orbits(sys, samples=None, refine=True, tol=1e-9):
 def refine_stepwise(blocks, z0, sigma0, steps=50):
     """The torus ascent that decomposes its current point at every step,
     also when a rejected trial sent it back to a point it decomposed
-    before."""
+    before, and stops at the first point whose gradient is only rounding."""
     phi = np.array([np.angle(z) for z in z0], dtype=float)
     best_phi = phi.copy()
     best = sigma0
     eta = 0.1
+    flat = 1e4 * 2.0**-53 * (1.0 + sum(np.linalg.norm(g) for g in blocks))
     for _ in range(steps):
+        if blocks.rows == 0 or blocks.cols == 0:
+            break
         z = np.exp(1j * phi)
         sigma, u, v = _top_pair(eval_pencil(z, blocks))
         if sigma > best:
@@ -468,6 +474,8 @@ def refine_stepwise(blocks, z0, sigma0, steps=50):
         grad = np.array(
             [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
         )
+        if np.all(np.abs(grad) <= flat):
+            break
         trial = best_phi + eta * grad
         sigma_trial = spectral_norm(eval_pencil(np.exp(1j * trial), blocks))
         if sigma_trial > best:

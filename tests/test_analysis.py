@@ -131,9 +131,12 @@ def scan_cases(draw):
     if kind == "real":
         # real blocks: the norm at the conjugate point is the same, so the
         # maximum ties across two diagonal orbits
-        real = {k: OperatorTuple(tuple(m.real + 0j for m in getattr(sys, k))) for k in "abcd"}
-        sys = MultiLSDS(**real)
+        sys = _real_copy(sys)
     return sys, samples, draw(st.booleans())
+
+
+def _real_copy(sys):
+    return MultiLSDS(**{k: OperatorTuple(tuple(m.real + 0j for m in getattr(sys, k))) for k in "abcd"})
 
 
 @settings(max_examples=60, deadline=None)
@@ -142,6 +145,16 @@ def test_scan_matches_the_orbit_oracle_bitwise(case):
     sys, samples, refine = case
     got = dissipativity_scan(sys, samples=samples, refine=refine)
     assert same_scan(got, oracles.dissipativity_scan_orbits(sys, samples, refine))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases())
+def test_refinement_never_lowers_the_grid_maximum(case):
+    # the ascent starts from the grid maximum and keeps a point only when
+    # its norm is larger, also where it stops at once on a flat gradient
+    sys, samples, _ = case
+    coarse = dissipativity_scan(sys, samples=samples, refine=False)
+    assert dissipativity_scan(sys, samples=samples).max_norm >= coarse.max_norm
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,6 +216,41 @@ def _ascent_cases():
         cases[f"conservative-n{n}"] = gen.conservative_system(rng, n, 3, 2)
         cases[f"random-n{n}"] = gen.random_system(rng, n, 3, 2, 2, scale=0.6)
     return cases
+
+
+def _is_flat(name):
+    """The conservative ascent cases: the norm is 1 on the whole torus."""
+    return name in builtin_examples() or name.startswith("conservative")
+
+
+def _dissipative_ascent_cases():
+    """The ascent cases whose norm varies on the torus, gen's dissipative
+    systems at n = 2..4 and seeds 0..5, and the real-block copy of each."""
+    cases = {name: sys for name, sys in _ascent_cases().items() if not _is_flat(name)}
+    for n in (2, 3, 4):
+        for seed in range(6):
+            cases[f"gen-n{n}-seed{seed}"] = gen.dissipative_system(np.random.default_rng(seed), n, 3, 2)
+    cases.update({f"{name}-real": _real_copy(sys) for name, sys in cases.items()})
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_dissipative_ascent_cases()))
+def test_the_ascent_stops_early_only_where_the_exact_gradient_is_zero(monkeypatch, name):
+    # an ascent on a varying norm takes all 50 trial steps, except from a
+    # start point where the exact gradient vanishes: a pencil
+    # with one nonzero block (gen at n = 2, seed 0) has a constant norm, and
+    # real blocks give f(phi) = f(-phi), stationary at a real witness
+    import ndsys.analysis
+
+    sys = _dissipative_ascent_cases()[name]
+    coarse = dissipativity_scan(sys, refine=False)
+    trials = []
+    spectral_norm = ndsys.analysis.spectral_norm
+    monkeypatch.setattr(ndsys.analysis, "spectral_norm", lambda m: trials.append(m) or spectral_norm(m))
+    dissipativity_scan(sys)
+    one_block = sum(bool(np.any(g)) for g in sys.blocks()) == 1
+    real_point = name.endswith("-real") and all(abs(z.imag) < 1e-12 for z in coarse.witness)
+    assert len(trials) == (0 if one_block or real_point else 50)
 
 
 @pytest.mark.parametrize("name", list(_ascent_cases()))
@@ -358,6 +406,41 @@ def test_an_n1_scan_at_the_budget_cap_computes_one_norm(monkeypatch):
     report = dissipativity_scan(sys, samples=2**24)
     assert rows == [1] and report.samples == 2**24
     assert report == dataclasses.replace(dissipativity_scan(sys, samples=1), samples=2**24)
+
+
+@pytest.mark.parametrize("samples", [None, 2**24])
+def test_an_n1_ascent_decomposes_its_start_point_alone(monkeypatch, samples):
+    # the norm is constant on the circle, so the gradient at the grid
+    # witness is only rounding and the ascent takes no trial step
+    import ndsys.analysis
+
+    log = []
+    top_pair, spectral_norm = ndsys.analysis._top_pair, ndsys.analysis.spectral_norm
+    monkeypatch.setattr(ndsys.analysis, "_top_pair", lambda m: log.append("svd") or top_pair(m))
+    monkeypatch.setattr(ndsys.analysis, "spectral_norm", lambda m: log.append("trial") or spectral_norm(m))
+    sys = gen.dissipative_system(np.random.default_rng(0), 1, 3, 2)
+    report = dissipativity_scan(sys, samples=samples)
+    assert log == ["svd"]
+    want = oracles.dissipativity_scan_orbits(sys)  # one orbit at every budget
+    assert same_scan(report, dataclasses.replace(want, samples=report.samples))
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("dims", [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0)])
+def test_a_pencil_with_an_empty_side_has_norm_zero(monkeypatch, dims, n, refine):
+    # no state and no input or no output: every pencil value is empty, so
+    # the ascent has no pair to decompose and the grid maximum 0 stands
+    import ndsys.analysis
+
+    def top_pair(m):
+        raise AssertionError("an empty pencil value was decomposed")
+
+    monkeypatch.setattr(ndsys.analysis, "_top_pair", top_pair)
+    sys = gen.random_system(np.random.default_rng(n), n, *dims)
+    report = dissipativity_scan(sys, refine=refine)
+    assert report.max_norm == 0.0 and report.dissipative and report.refined == refine
+    assert same_scan(report, oracles.dissipativity_scan_orbits(sys, None, refine))
 
 
 def test_block_structure_of_the_one_dimensional_example():
@@ -528,6 +611,11 @@ def test_the_ascent_decomposes_an_accepted_trial_without_evaluating_it_again(mon
     monkeypatch.setattr(ndsys.analysis, "spectral_norm", lambda m: log.append(("trial", m)) or spectral_norm(m))
     monkeypatch.setattr(ndsys.analysis, "_top_pair", lambda m: log.append(("svd", m)) or top_pair(m))
     ndsys.analysis._refine(sys.blocks(), coarse.witness, coarse.max_norm)
+    if _is_flat(name):
+        # the gradient at the start point is only rounding: one evaluation,
+        # one decomposition and no trial
+        assert [e[0] for e in log] == ["eval", "svd"]
+        return
     evals = [e for e in log if e[0] == "eval"]
     trials = [e[1] for e in log if e[0] == "trial"]
     phases = {id(value): z for _, z, value in evals}

@@ -939,6 +939,17 @@ def test_check_reports_a_unitary_summand_as_not_closely_connected(capsys, tmp_pa
     assert report["results"]["closely_connected"] == {"dim_state": 4, "dim_connected": 2}
 
 
+@pytest.mark.parametrize("dims", [(0, 0, 0), (0, 1, 0), (0, 0, 1)])
+@pytest.mark.parametrize("refine", [[], ["--no-refine"]])
+def test_check_of_a_pencil_with_an_empty_side_reports_norm_zero(capsys, tmp_path, dims, refine):
+    empty = gen.random_system(np.random.default_rng(0), 2, *dims)
+    path = write(tmp_path, "empty.json", ser.dump(ser.system_to_json(empty)))
+    code, report, err = run(capsys, ["check", path] + refine)
+    assert code == 0, err
+    scan = report["results"]["torus_scan"]
+    assert scan["max_norm"] == 0.0 and scan["dissipative"] is True
+
+
 @pytest.mark.filterwarnings("error")
 def test_overflowing_result_is_an_input_error(capsys, tmp_path):
     one = [[[1.0, 0.0]]]
