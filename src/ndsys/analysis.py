@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, RangeError, _quote
+from .errors import PreconditionError, RangeError, _quote, _require_within
 from .numerics import orth_basis, spectral_norm
 from .pencil import OperatorTuple, eval_pencil
 from .system import MultiLSDS
@@ -32,7 +32,6 @@ __all__ = [
 
 _GRID_CAP = 100_000
 _AXIS_DEFAULT = 32
-_SAMPLE_CAP = 2**24  # the largest scan budget taken
 # points per stacked SVD: with the representatives, bounds the scan's memory
 _CHUNK = 4096
 # Every block product an analysis forms stays below this.  With each real
@@ -89,10 +88,8 @@ def _representatives(n: int, samples: int | None) -> tuple[int, np.ndarray]:
     ``o`` and flat grid index ``o``."""
     if samples is None:
         samples = min(_AXIS_DEFAULT**n, _GRID_CAP)
-    if samples < 1:
-        raise DomainError(f"sample budget must be >= 1, got {_quote(samples)}")
-    if samples > _SAMPLE_CAP:
-        raise DomainError(f"sample budget must be <= {_SAMPLE_CAP}, got {_quote(samples)}")
+    _require_within("sample budget", samples, low=1)
+    _require_within(f"sample budget {_quote(samples)}", samples, budget="values")
     per_axis = _axis_size(n, samples)
     # real phase arithmetic: numpy's vectorised complex division rounds
     # differently, and the grid must not move.  Every representative has

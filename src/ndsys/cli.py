@@ -50,14 +50,13 @@ from .errors import (
     ShapeError,
     SingularityError,
     _quote,
+    _require_within,
 )
 from .lattice import Box, LatticeSignal, SimulationWindow
 from .numerics import _largest_norm, halton_disc
 from .system import closed_form, energy_balance_report, simulate, validate
 
 SCHEMA = "ndsys/1"
-_POINT_BUDGET = 2**24  # transfer points times (n + dim_x**2 + dim_out * dim_in)
-_SERIES_BUDGET = 2**17  # --series-terms; points times terms keep to _POINT_BUDGET
 
 _INPUT_ERRORS = (
     DomainError,
@@ -194,25 +193,23 @@ def _transfer_points(args, n: int, inputs: list) -> np.ndarray:
 
 
 def _check_point_budget(count: int, sys_obj, terms: int | None) -> None:
+    """Refuse points past the values budget, ``n + dim_x**2 + dim_out *
+    dim_in`` values each, and series terms past the terms budget or, times
+    the points, past the values budget."""
     width = sys_obj.n + sys_obj.dim_x**2 + sys_obj.dim_out * sys_obj.dim_in
-    if count * width > _POINT_BUDGET:
-        raise DomainError(
-            f"the transfer request holds {count} points of {width} values each, "
-            "past the budget of 2**24 values"
-        )
-    if terms is not None and (terms > _SERIES_BUDGET or count * terms > _POINT_BUDGET):
-        raise DomainError(
-            f"--series-terms {_quote(terms)} on {count} points is past the budget of "
-            "2**17 terms and 2**24 point-terms"
-        )
+    _require_within(f"{_quote(count)} points of {width} values each", count * width, budget="values")
+    if terms is not None:
+        _require_within(f"--series-terms {_quote(terms)}", terms, budget="terms")
+        what = f"--series-terms {_quote(terms)} on {_quote(count)} points"
+        _require_within(what, count * terms, budget="values")
 
 
 def _cmd_transfer(args, inputs) -> dict:
     from . import transfer
 
     sys_obj = _load_system(args.system, inputs)
-    if args.series_terms is not None and args.series_terms < 0:
-        raise DomainError(f"series terms must be >= 0, got {_quote(args.series_terms)}")
+    if args.series_terms is not None:
+        _require_within("series terms", args.series_terms, low=0)
     if args.points is None:
         _check_point_budget(args.grid, sys_obj, args.series_terms)  # before the grid is drawn
     pts = _transfer_points(args, sys_obj.n, inputs)
@@ -431,8 +428,7 @@ def main(argv=None) -> int:
             args.tol = env_tol
         if not math.isfinite(args.tol) or args.tol < 0:
             raise DomainError(f"tol must be a finite number >= 0, got {args.tol!r}")
-        if args.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {args.seed}")
+        _require_within("seed", args.seed, low=0)
         inputs: list = []
         results = _DISPATCH[args.command](args, inputs)
         text = serialization.dump(

@@ -27,6 +27,45 @@ def _quote(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def whole(value, what: str) -> int:
+    """``value`` as an int, the one integer reader of the package and its
+    files; a fractional number is refused, not truncated, and so is a
+    string, which never equals the int it parses to."""
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be an integer, got {_quote(value)}") from exc
+    if out != value:
+        raise DomainError(f"{what} must be an integer, got {_quote(value)}")
+    return out
+
+
+# the budgets of every count that a request sizes an allocation by
+_BUDGETS = {
+    # window, box and view values, transfer point values and point-terms,
+    # torus samples, the box values of all trials
+    "values": 2**24,
+    "pairs": 2**26,  # closed-form point-offset pairs
+    # Maclaurin coefficients (every order it admits has int64 weights for
+    # n <= 4) and series terms
+    "terms": 2**17,
+}
+
+
+def _require_within(what: str, count, low=None, budget: str | None = None) -> None:
+    """Refuse ``count`` below ``low`` or past the ``budget`` entry of
+    `_BUDGETS` with DomainError, before anything is allocated.  A floor
+    reads the count with `whole` and quotes it after ``what``, its name; a
+    budget message follows ``what``, a clause that states the count."""
+    if low is not None and whole(count, what) < low:
+        raise DomainError(f"{what} must be >= {low}, got {_quote(count)}")
+    if budget is not None and count > _BUDGETS[budget]:
+        limit = _BUDGETS[budget]
+        power = limit.bit_length() - 1
+        shown = f"2**{power}" if limit == 2**power else str(limit)
+        raise DomainError(f"{what}, past the budget of {shown} {budget}")
+
+
 class NdsysError(Exception):
     """Base class for all package errors."""
 

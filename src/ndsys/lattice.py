@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ArityError, DomainError, ShapeError, _quote
+from .errors import ArityError, DomainError, ShapeError, _quote, _require_within, whole
 
 __all__ = [
     "order",
@@ -31,23 +31,10 @@ __all__ = [
     "LatticeSignal",
 ]
 
-_VALUE_BUDGET = 2**24  # window points times the values each point carries
-
 
 def order(t: tuple[int, ...]) -> int:
     """Sum of the coordinates of ``t``."""
     return sum(t)
-
-
-def whole(value, what: str) -> int:
-    """``value`` as an int; a fractional number is refused, not truncated."""
-    try:
-        out = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{what} must be an integer, got {_quote(value)}") from exc
-    if out != value and not isinstance(value, str):
-        raise DomainError(f"{what} must be an integer, got {_quote(value)}")
-    return out
 
 
 def as_index(t: Iterable[int], n: int | None = None) -> tuple[int, ...]:
@@ -111,8 +98,7 @@ class SimulationWindow:
     n_max: int
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
+        _require_within("n_max", self.n_max, low=1)
 
     @property
     def n(self) -> int:
@@ -167,9 +153,8 @@ def _window_index(box: Box, last: int, width: int, first: int = 0):
 
     Each axis is clipped to the values that the index points take, then the
     prefixes grow one axis at a time by their feasible ranges, so the cost
-    follows the point count however wide the box.  More than
-    ``_VALUE_BUDGET`` values, ``width`` a point, are refused before they are
-    allocated.
+    follows the point count however wide the box.  More than the values
+    budget, ``width`` values a point, is refused before it is allocated.
     """
     n = box.n
     lo = [max(a, first - sum(box.hi) + b) for a, b in zip(box.lo, box.hi)]
@@ -181,11 +166,8 @@ def _window_index(box: Box, last: int, width: int, first: int = 0):
         start = np.maximum(lo[i], first - orders - sum(hi[i + 1 :]))
         count = np.maximum(np.minimum(hi[i], top - orders - sum(lo[i + 1 :])) - start + 1, 0)
         total = count.sum(dtype=float)  # every prefix grows into an index point
-        if total * width > _VALUE_BUDGET:
-            raise DomainError(
-                f"the request spans {total:.0f} lattice points or more of {width} values each, "
-                "past the budget of 2**24 values"
-            )
+        what = f"the request spans {total:.0f} lattice points or more of {width} values each"
+        _require_within(what, total * width, budget="values")
         col = np.repeat(start - np.cumsum(count) + count, count) + np.arange(int(total))
         coords = np.column_stack([np.repeat(coords, count, axis=0), col])
         orders = np.repeat(orders, count) + col
@@ -240,13 +222,15 @@ class LatticeSignal:
 
     def __post_init__(self):
         n, dim = self.n, self.dim
-        if n < 1:
-            raise DomainError(f"lattice dimension must be >= 1, got {n}")
-        if dim < 0:
-            raise DomainError(f"value dimension must be >= 0, got {dim}")
+        _require_within("lattice dimension", n, low=1)
+        _require_within("value dimension", dim, low=0)
         count = len(self.points)
         try:
-            coords = np.array(self.points, dtype=float).reshape(count, n)
+            raw = np.asarray(self.points)  # free on an int64 array
+            if raw.dtype.kind in "USOc":  # a float conversion reads "1" as 1 and drops 1j
+                for c in np.array(self.points, dtype=object).ravel():
+                    whole(c, "a lattice coordinate")
+            coords = raw.astype(float).reshape(count, n)
         except OverflowError as exc:  # an integer coordinate past the float range
             huge = (p.tolist() for p in map(np.ravel, self.points))
             bad = next(p for p in huge if any(isinstance(c, int) and abs(c) >= 2**63 for c in p))
@@ -263,7 +247,7 @@ class LatticeSignal:
         if (reach >= 2.0**63).any():  # coordinates and orders must not overflow int64
             bad = [int(c) for c in self.points[int(np.argmax(reach >= 2.0**63))]]
             raise DomainError(f"point {_quote(bad)} lies outside the int64 lattice range")
-        points = np.array(self.points, dtype=np.int64).reshape(count, n)
+        points = raw.astype(np.int64).reshape(count, n)
         try:
             values = np.array(self.values, dtype=complex).reshape(count, dim)
         except ValueError as exc:

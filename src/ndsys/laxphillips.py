@@ -11,10 +11,10 @@ Vectors are truncated to a box.  A read outside the box yields zero and
 masks the written point, mirroring the window semantics of simulation.
 The box points are the window index (`lattice._window_index`) of the whole
 box, and an off-box read is the row locator's miss, the shared zero row.
-A box of more than 2**24 values, ``dim_x + dim_in + dim_out`` a point, and
-an associated view of more than 2**24 values are refused before they are
-built, and `gamma_map` refuses such a box and one past the int64 lattice
-range as the generators do.
+A box past the values budget, ``dim_x + dim_in + dim_out`` values a point,
+an associated view past it and trials whose boxes together pass it are
+refused before they are built, and `gamma_map` refuses such a box and one
+past the int64 lattice range as the generators do.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, _quote
-from .lattice import _VALUE_BUDGET, Box, LatticeSignal, _check_reach, _window_index
+from .errors import DomainError, ShapeError, _quote, _require_within
+from .lattice import Box, LatticeSignal, _check_reach, _window_index
 from .pencil import OperatorTuple
 from .system import MultiLSDS, conjugate
 
@@ -99,8 +99,8 @@ def _check_dims(sys: MultiLSDS, vec: TruncatedLPVector):
 
 def _box_points(sys: MultiLSDS, box: Box):
     """The window index of the whole box, front by front, and its row
-    locator; a box of more than 2**24 values, ``dim_x + dim_in + dim_out``
-    a point, is refused before it is built."""
+    locator; a box past the values budget, ``dim_x + dim_in + dim_out``
+    values a point, is refused before it is built."""
     width = sys.dim_x + sys.dim_in + sys.dim_out
     coords, _, locate = _window_index(box, sum(box.hi), width, sum(box.lo))
     return coords, locate
@@ -179,23 +179,30 @@ def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
     that of its conjugate; applying it twice restores the vector exactly.
     Negation reverses lexicographic order, so each reflected signal is its
     original's arrays negated and read backwards.  A box past the int64
-    lattice range or of more than 2**24 values is refused, as by
-    `apply_generator`, without building its index.
+    lattice range or the values budget is refused, as by `apply_generator`,
+    without building its index.
     """
     lo, hi = vec.box.lo, vec.box.hi
     _check_reach(lo, hi, "box")
-    total = math.prod(float(b - a + 1) for a, b in zip(lo, hi))
+    total = math.prod(b - a + 1 for a, b in zip(lo, hi))
     width = vec.u_plus.dim + vec.y.dim + vec.u_minus.dim
-    if total * width > _VALUE_BUDGET:
-        raise DomainError(
-            f"the box spans {total:.0f} lattice points of {width} values each, "
-            "past the budget of 2**24 values"
-        )
+    what = f"the box spans {_quote(total)} lattice points of {width} values each"
+    _require_within(what, total * width, budget="values")
 
     def flip(sig: LatticeSignal) -> LatticeSignal:
         return LatticeSignal.from_arrays(sig.n, sig.dim, -sig.points[::-1], sig.values[::-1])
 
     return TruncatedLPVector(vec.box.negated(), flip(vec.u_minus), flip(vec.y), flip(vec.u_plus))
+
+
+def _check_trials(sys: MultiLSDS, box: Box, trials: int) -> None:
+    """Refuse fewer than one trial, and trials whose generator boxes hold
+    more than the values budget together, before the first trial."""
+    _require_within("trials", trials, low=1)
+    width = sys.dim_x + sys.dim_in + sys.dim_out
+    values = math.prod(b - a + 1 for a, b in zip(box.lo, box.hi)) * width
+    what = f"{_quote(trials)} trials of {_quote(values)} box values"
+    _require_within(what, trials * values, budget="values")
 
 
 def _random_interior_vector(sys: MultiLSDS, box: Box, margin: int, rng) -> TruncatedLPVector:
@@ -239,10 +246,10 @@ def commutation_residual(
     j, over random interior vectors, compared on jointly clean points.
 
     For n = 1 the two generators coincide and the residual is vacuously 0.
-    Fewer than one trial raises DomainError.
+    Fewer than one trial, or trials past the values budget, raise
+    DomainError.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be at least 1, got {trials}")
+    _check_trials(sys, box, trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -290,10 +297,10 @@ def metric_check(
 
     Interior support (one layer off every face) makes the truncated image
     exact and fully contained in the box, so the ratios are true norm
-    ratios of the untruncated generator.  Fewer than one trial raises DomainError.
+    ratios of the untruncated generator.  Fewer than one trial, or trials
+    past the values budget, raise DomainError.
     """
-    if trials < 1:
-        raise DomainError(f"trials must be at least 1, got {trials}")
+    _check_trials(sys, box, trials)
     rng = np.random.default_rng(seed)
     ratios = []
     for k in range(sys.n):
@@ -330,9 +337,9 @@ def associated_one_param(sys: MultiLSDS, k: int, box: Box) -> OneParamSystemView
     zero-order front of ``box``.
 
     For n = 1 the front is the single origin point and the matrices reduce
-    to the system's own members bit for bit.  A view of more than 2**24
-    values, ``m**2 (dim_x + dim_out)(dim_x + dim_in)`` for ``m`` front
-    points, is refused before it is allocated.
+    to the system's own members bit for bit.  A view past the values
+    budget, ``m**2 (dim_x + dim_out)(dim_x + dim_in)`` values for ``m``
+    front points, is refused before it is allocated.
     """
     sys.require_wellformed()
     n = sys.n
@@ -345,10 +352,7 @@ def associated_one_param(sys: MultiLSDS, k: int, box: Box) -> OneParamSystemView
     if not m:
         raise DomainError("the box misses the zero-order front entirely")
     values = m * m * (sys.dim_x + sys.dim_out) * (sys.dim_x + sys.dim_in)
-    if values > _VALUE_BUDGET:
-        raise DomainError(
-            f"the view of {m} front points holds {values} values, past the budget of 2**24"
-        )
+    _require_within(f"the view of {m} front points holds {values} values", values, budget="values")
     e = np.eye(n, dtype=np.int64)
 
     def shift_matrix(j: int) -> np.ndarray:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, RankAmbiguityError
+from .errors import RankAmbiguityError, _require_within
 
 __all__ = [
     "spectral_norm",
@@ -125,8 +125,7 @@ def _halton_unit(count: int, dims: int) -> np.ndarray:
     ``scipy.stats.qmc.Halton(dims, scramble=False).random(count)`` bit for
     bit.  Raises DomainError for a negative ``count``.
     """
-    if count < 0:
-        raise DomainError(f"a Halton set needs a nonnegative point count, got {count}")
+    _require_within("the Halton point count", count, low=0)
     out = np.zeros((count, dims))
     for k, base in enumerate(_primes(dims)):
         index, f = np.arange(count), 1.0

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ArityError, DomainError, RangeError, ShapeError
+from .errors import ArityError, DomainError, RangeError, ShapeError, _require_within
 from .lattice import Box, _window_index, as_index
 
 __all__ = [
@@ -153,8 +153,7 @@ def _cube(n: int, top: int):
     ``s_k = 0``.  The arrays are read-only: the table builder and both of
     its callers read the same index, so it is built once per ``(n, top)``.
     """
-    if top < 0:
-        raise DomainError(f"the top order must be >= 0, got {top}")
+    _require_within("the top order", top, low=0)
     coords, bounds, locate = _window_index(Box((0,) * n, (top,) * n), top, n)
     pred = locate(coords[:, None] - np.eye(n, dtype=np.int64))
     for out in (coords, bounds, pred):

@@ -28,6 +28,7 @@ from .errors import (
     PreconditionError,
     RealizationError,
     ShapeError,
+    _require_within,
 )
 from .numerics import (
     _largest_norm,
@@ -299,8 +300,7 @@ def assemble_colligation(
     Raises RealizationError when any verification residual survives above
     its threshold.
     """
-    if extra_padding < 0:
-        raise DomainError(f"extra_padding must be >= 0, got {extra_padding}")
+    _require_within("extra_padding", extra_padding, low=0)
     p, q = data.out_dim, data.in_dim
     if p < q:
         raise RealizationError(

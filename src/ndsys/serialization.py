@@ -12,8 +12,9 @@ restores x bit for bit.  Malformed input, non-finite numbers included,
 surfaces as DomainError (or ShapeError for structurally valid but
 dimensionally inconsistent data), never as a raw KeyError or TypeError.
 An integer field (a count, a size, an exponent, a box bound, a signal
-coordinate) takes a JSON number of integral value; a string is refused,
-although the Python constructors read one of digits.
+coordinate) takes a JSON number of integral value and is read as the
+Python constructors read it, by `errors.whole` or `LatticeSignal`: a
+string is refused in both.
 
 One decoder, `_complex`, reads every field of [re, im] pairs: the tuples
 A-D, signal values, polynomial coefficients, the Agler grid and a points
@@ -36,8 +37,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, _quote
-from .lattice import Box, LatticeSignal, whole
+from .errors import DomainError, ShapeError, _quote, _require_within, whole
+from .lattice import Box, LatticeSignal
 from .pencil import OperatorTuple
 from .system import MultiLSDS
 
@@ -124,29 +125,6 @@ def _need(obj: dict, key: str, context: str):
         raise DomainError(f"{context} must be a JSON object, got {type(obj).__name__}") from exc
 
 
-def _integer(value, what: str) -> int:
-    """``value``, which must be a JSON integer: `whole` also reads a string
-    of digits, which a file must not hold where an integer belongs."""
-    if isinstance(value, str):
-        raise DomainError(f"{what} must be an integer, got {_quote(value)}")
-    return whole(value, what)
-
-
-def _points(points: list, what: str):
-    """The coordinate lists ``points`` for `LatticeSignal.from_arrays`: an
-    int64 array when numpy reads them as one, else the lists themselves,
-    which it checks.  A string among them, which numpy would read as a
-    number, raises DomainError; one conversion, no per-point loop."""
-    try:
-        typed = np.array(points)
-    except (TypeError, ValueError, OverflowError):  # ragged lists
-        return points
-    if typed.dtype.kind == "U":
-        bad = next(c for c in np.array(points, dtype=object).ravel() if isinstance(c, str))
-        raise DomainError(f"{what} must be an integer, got {_quote(bad)}")
-    return typed if typed.dtype.kind == "i" else points
-
-
 def _list(value, what: str) -> list:
     """``value``, which must be a JSON list; an error names the field ``what``."""
     if not isinstance(value, list):
@@ -157,16 +135,15 @@ def _list(value, what: str) -> list:
 def json_to_system(obj: dict) -> MultiLSDS:
     if not isinstance(obj, dict):
         raise DomainError(f"system file must be a JSON object, got {type(obj).__name__}")
-    n = _integer(_need(obj, "n", "system"), "system: n")
+    n = whole(_need(obj, "n", "system"), "system: n")
     dims = _need(obj, "dims", "system")
     if not isinstance(dims, dict):
         raise DomainError(f"system: dims must be an object, got {type(dims).__name__}")
-    stated = tuple(
-        _integer(_need(dims, key, "system: dims"), f"system: dims {key}") for key in ("x", "nm", "np")
-    )
-    if min(stated) < 0:
-        raise DomainError(f"system: dims must be >= 0, got {stated}")
-    x, nm, ny = stated
+    keys = ("x", "nm", "np")
+    stated = {key: whole(_need(dims, key, "system: dims"), f"system: dims {key}") for key in keys}
+    for key, size in stated.items():
+        _require_within(f"system: dims {key}", size, low=0)
+    x, nm, ny = stated.values()
     tuples = []  # read with the shapes dims states, so the system is well formed
     for key, shape in zip("ABCD", ((x, x), (x, nm), (ny, x), (ny, nm))):
         mats = _complex(_need(obj, key, "system"), f"system: {key}", shape)
@@ -188,12 +165,11 @@ def signal_to_json(sig: LatticeSignal) -> dict:
 def json_to_signal(obj: dict) -> LatticeSignal:
     if not isinstance(obj, dict):
         raise DomainError(f"signal must be a JSON object, got {type(obj).__name__}")
-    n = _integer(_need(obj, "n", "signal"), "signal: n")
-    dim = _integer(_need(obj, "dim", "signal"), "signal: dim")
-    if dim < 0:
-        raise DomainError(f"signal: dim must be >= 0, got {dim}")
+    n = whole(_need(obj, "n", "signal"), "signal: n")
+    dim = whole(_need(obj, "dim", "signal"), "signal: dim")
+    _require_within("signal: dim", dim, low=0)
     items = _list(obj.get("entries", []), "signal: entries")
-    points = _points([_need(item, "t", "signal entry") for item in items], "signal entries: t")
+    points = [_need(item, "t", "signal entry") for item in items]  # read by the signal in one conversion
     values = _complex([_need(item, "v", "signal entry") for item in items], "signal entries: v", (dim,))
     return LatticeSignal.from_arrays(n, dim, points, values)
 
@@ -218,11 +194,11 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
 
     if not isinstance(obj, dict):
         raise DomainError(f"polynomial must be a JSON object, got {type(obj).__name__}")
-    n = _integer(_need(obj, "n", "polynomial"), "polynomial: n")
+    n = whole(_need(obj, "n", "polynomial"), "polynomial: n")
     shape = _need(obj, "shape", "polynomial")
     if not (isinstance(shape, list) and len(shape) == 2):
         raise DomainError(f"polynomial: shape must be a [rows, cols] list, got {shape!r}")
-    rows, cols = (_integer(v, "polynomial: shape") for v in shape)
+    rows, cols = (whole(v, "polynomial: shape") for v in shape)
     if min(rows, cols) < 0:
         raise DomainError(f"polynomial: shape must hold sizes >= 0, got {shape!r}")
     terms = _list(obj.get("terms", []), "polynomial: terms")
@@ -232,7 +208,7 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
     for item, m in zip(terms, mats):
         exps = _need(item, "t", "polynomial term")
         try:
-            t = tuple(_integer(v, "polynomial: exponent") for v in exps)
+            t = tuple(whole(v, "polynomial: exponent") for v in exps)
         except TypeError as exc:
             raise DomainError(f"polynomial term: t must list exponents, got {exps!r}") from exc
         if t in coeffs:
@@ -259,7 +235,7 @@ def json_to_lp_vector(obj: dict) -> TruncatedLPVector:
 
     def bound(key):
         what = f"vector box: {key}"
-        return tuple(_integer(v, what) for v in _list(_need(box_obj, key, "vector box"), what))
+        return tuple(whole(v, what) for v in _list(_need(box_obj, key, "vector box"), what))
 
     return TruncatedLPVector(
         box=Box(bound("lo"), bound("hi")),

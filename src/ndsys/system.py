@@ -27,9 +27,10 @@ offsets, their multinomial weights and the table are rows of one index,
 the window index (`lattice._window_index`) of the cube ``0..top``.  The
 Maclaurin coefficients of the transfer function are its ``Y, U`` corners.
 `energy_balance_report` buckets every signal by order in one pass, so it is
-linear in the window.  A window of more than 2**24 values, and a closed form
-of more than 2**26 point-offset pairs, is refused before it is allocated; a
-trajectory or a front energy that stops being finite raises RangeError.
+linear in the window.  A window past the values budget, and a closed form
+past the pairs budget of point-offset pairs (`errors._BUDGETS`), is refused
+before it is allocated; a trajectory or a front energy that stops being
+finite raises RangeError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, RangeError, ShapeError
+from .errors import DomainError, PreconditionError, RangeError, ShapeError, _require_within
 from .lattice import Box, LatticeSignal, SimulationWindow, _window_index, order
 from .pencil import OperatorTuple, _cube, _weights, sym_multipower_table
 
@@ -56,7 +57,6 @@ __all__ = [
     "EnergyReport",
 ]
 
-_PAIR_BUDGET = 2**26  # closed-form window points times the offsets in their cones
 # closed-form values gathered at once: bounds one chunk of an offset front
 _GATHER_BUDGET = 2**18
 
@@ -337,11 +337,11 @@ def closed_form(
     are bitwise a loop's over single offsets.  A front whose gather would
     pass ``_GATHER_BUDGET`` values is split into chunks of consecutive
     offsets.  Contamination masks agree with `simulate` exactly: both
-    reduce to whether the cone leaves the trusted region.  More than
-    ``_PAIR_BUDGET`` point-offset pairs, or a weight past int64
-    (RangeError), are refused before the table is built; a table whose
-    entries stop being finite raises RangeError at that front, and so does
-    a trajectory, at its lowest such front.
+    reduce to whether the cone leaves the trusted region.  Point-offset
+    pairs past the pairs budget, or a weight past int64 (RangeError), are
+    refused before the table is built; a table whose entries stop being
+    finite raises RangeError at that front, and so does a trajectory, at
+    its lowest such front.
     """
     _check_signals(sys, window, input_signal, init)
     octant = _octant_exact(input_signal, init)
@@ -349,10 +349,7 @@ def closed_form(
     coords, bounds, locate = _window_index(window.box, window.n_max, dim_x + dim_in + sys.dim_out)
     size, top = len(coords), len(bounds) - 2
     pairs = sum(int(p) * (math.comb(f + n, n) - 1) for f, p in enumerate(np.diff(bounds)))
-    if pairs > _PAIR_BUDGET:
-        raise DomainError(
-            f"the closed form needs {pairs} point-offset pairs, past the budget of 2**26"
-        )
+    _require_within(f"the closed form needs {pairs} point-offset pairs", pairs, budget="pairs")
     weights = _weights(n, top)
     offsets, fronts, _ = _cube(n, top)
     powers = sym_multipower_table(_lift(sys), top)

@@ -22,6 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ArityError, DivergenceError, DomainError, ShapeError, SingularityError
+from .errors import _quote, _require_within, whole
 from .lattice import as_index, order
 from .pencil import _cube, _weights, eval_pencil, sym_multipower_table
 from .system import MultiLSDS, _lift
@@ -38,7 +39,6 @@ _SINGULAR_REL = 1e-13
 _RESOLVENT_SAFE = 0.99
 # ||zA||_2 <= ||zA||_F; the margin covers the rounding of both norms
 _CONTRACTION_MARGIN = 1 + 1e-12
-_TERM_BUDGET = 2**17  # Maclaurin coefficients; keeps every int64 order for n <= 4
 
 
 def _freeze_matrix(m, shape) -> np.ndarray:
@@ -59,9 +59,8 @@ class MatrixPolynomial:
     coeffs: Mapping[tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"variable count must be >= 1, got {self.n}")
-        shape = (int(self.shape[0]), int(self.shape[1]))
+        _require_within("variable count", self.n, low=1)
+        shape = (whole(self.shape[0], "polynomial: shape"), whole(self.shape[1], "polynomial: shape"))
         if min(shape) < 0:
             raise DomainError(f"polynomial: shape must hold sizes >= 0, got {list(shape)!r}")
         clean = {}
@@ -187,8 +186,7 @@ def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
     Frobenius norm cannot clear are checked by an SVD.
     """
     sys.require_wellformed()
-    if terms < 0:
-        raise DomainError(f"terms must be >= 0, got {terms}")
+    _require_within("terms", terms, low=0)
     z = np.asarray(z, dtype=complex)
     return _neumann(sys, z, terms, _pencils(sys, z))
 
@@ -221,18 +219,15 @@ def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
     """All Maclaurin coefficients with 1 <= |t| <= max_order as one polynomial,
     ``multinomial(t) L^t[Y, U]`` from one table of the lifted colligation.
 
-    More than 2**17 coefficients (DomainError), or a multinomial weight past
-    int64 (RangeError), are refused before the table is built, and a table
-    whose entries stop being finite raises RangeError at that front.
+    Coefficients past the terms budget (DomainError), or a multinomial
+    weight past int64 (RangeError), are refused before the table is built,
+    and a table whose entries stop being finite raises RangeError at that
+    front.
     """
-    if max_order < 1:
-        raise DomainError(f"max_order must be >= 1, got {max_order}")
+    _require_within("max_order", max_order, low=1)
     sys.require_wellformed()
     count = math.comb(max_order + sys.n, sys.n) - 1
-    if count > _TERM_BUDGET:
-        raise DomainError(
-            f"order {max_order} has {count} Maclaurin coefficients, past the budget of 2**17"
-        )
+    _require_within(f"{_quote(count)} Maclaurin coefficients", count, budget="terms")
     weights = _weights(sys.n, max_order)
     exps = _cube(sys.n, max_order)[0]
     table = sym_multipower_table(_lift(sys), max_order)

@@ -1200,8 +1200,9 @@ def test_negative_series_terms_are_an_input_error_with_or_without_points(capsys,
 def test_series_terms_are_refused_past_their_budget_before_the_series_runs(
     capsys, tmp_path, monkeypatch, where, count, terms, passes
 ):
-    # the budget is 2**17 terms and 2**24 points times terms; the series is
-    # stubbed, and a refused request must not reach it
+    # the budget is 2**17 terms and 2**24 points times terms, each with its
+    # own message; the series is stubbed, and a refused request must not
+    # reach it
     import ndsys.transfer
 
     def neumann(sys, z, terms, pencils):
@@ -1214,10 +1215,11 @@ def test_series_terms_are_refused_past_their_budget_before_the_series_runs(
     code, report, err = run(capsys, ["transfer", "builtin:alpha", *where, "--series-terms", str(terms)])
     if passes:
         assert code == 0 and report["results"]["series_gap"]["terms"] == terms
+    elif terms > 2**17:
+        assert code == 2 and err == f"input error: --series-terms {terms}, past the budget of 2**17 terms\n"
     else:
         assert code == 2 and err == (
-            f"input error: --series-terms {terms} on {count} points is past the budget of "
-            "2**17 terms and 2**24 point-terms\n"
+            f"input error: --series-terms {terms} on {count} points, past the budget of 2**24 values\n"
         )
 
 
@@ -1297,21 +1299,116 @@ def test_transfer_point_budget_is_checked_before_the_grid_is_drawn(capsys, monke
     assert "input error" in err and "4194305 points of 4 values each, past the budget of 2**24" in err
 
 
-def test_transfer_point_budget_is_checked_before_a_points_file_is_evaluated(capsys, tmp_path, monkeypatch):
-    import ndsys.cli
+class _Unreached:
+    """A heavy step that a refused request must not reach: calling it or
+    reading an attribute of it fails."""
 
-    def evaluate(*args, **kwargs):
-        raise AssertionError("a pencil was evaluated")
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("the heavy step ran")
 
-    pts = write(tmp_path, "pts.json", [[[0.1, 0.0], [0.2, 0.0]]] * 3)
-    monkeypatch.setattr(ndsys.cli, "_POINT_BUDGET", 2 * 4)
-    monkeypatch.setattr(ndsys.transfer, "eval_pencil", evaluate)
-    code, report, err = run(capsys, ["transfer", "builtin:alpha", "--points", pts])
+    def __getattr__(self, name):
+        raise AssertionError("the heavy step ran")
+
+
+def _vector_file(tmp_path):
+    vec = TruncatedLPVector(Box((0, 0), (1, 1)), *(LatticeSignal(2, 1, {}) for _ in range(3)))
+    return write(tmp_path, "vec.json", ser.dump(ser.lp_vector_to_json(vec)))
+
+
+def _points_file(tmp_path):
+    return write(tmp_path, "pts.json", [[[0.1, 0.0], [0.2, 0.0]]] * 3)
+
+
+# builtin:alpha has n = 2 and dim_x = dim_in = dim_out = 1: 3 values a box
+# or window point, 4 a transfer point.  Each request needs exactly
+# ``count`` of the budget; an argument given as a function is the path of
+# the file it writes.
+_BUDGET_SITES = {
+    "simulate window": (
+        "values", 9 * 3, "the request spans 9 lattice points or more of 3 values each",
+        ["simulate", "builtin:alpha", "--input", impulse_file, "--box", "0:2,0:2", "--nmax", "4"],
+        "ndsys.lattice._row_locator",
+    ),
+    "closed-form pairs": (
+        # orders 1, 2, 3 hold 2, 2, 1 points, with 2, 5, 9 offsets each
+        "pairs", 2 * 2 + 2 * 5 + 9, "the closed form needs 23 point-offset pairs",
+        ["simulate", "builtin:alpha", "--input", impulse_file, "--box", "0:1,0:2", "--nmax", "3", "--closed-form"],
+        "ndsys.system.sym_multipower_table",
+    ),
+    "coeffs terms": (
+        "terms", 14, "14 Maclaurin coefficients",
+        ["transfer", "builtin:alpha", "--grid", "1", "--coeffs", "4"],
+        "ndsys.transfer.sym_multipower_table",
+    ),
+    "associated view": (
+        "values", 3**2 * 2 * 2, "the view of 3 front points holds 36 values",
+        ["laxphillips", "builtin:alpha", "--op", "associated", "--box=-1:1,-1:1"],
+        "numpy.kron",
+    ),
+    "gamma box": (
+        "values", 4 * 3, "the box spans 4 lattice points of 3 values each",
+        ["laxphillips", "builtin:alpha", "--op", "gamma", "--vector", _vector_file],
+        "ndsys.laxphillips.LatticeSignal",
+    ),
+    "generator box": (
+        "values", 4 * 3, "the request spans 4 lattice points or more of 3 values each",
+        ["laxphillips", "builtin:alpha", "--op", "generator", "--vector", _vector_file],
+        "ndsys.lattice._row_locator",
+    ),
+    "transfer grid": (
+        "values", 3 * 4, "3 points of 4 values each",
+        ["transfer", "builtin:alpha", "--grid", "3"],
+        "ndsys.cli.halton_disc",
+    ),
+    "transfer points file": (
+        "values", 3 * 4, "3 points of 4 values each",
+        ["transfer", "builtin:alpha", "--points", _points_file],
+        "ndsys.transfer.eval_pencil",
+    ),
+    "series terms": (
+        "terms", 4, "--series-terms 4",
+        ["transfer", "builtin:alpha", "--grid", "1", "--series-terms", "4"],
+        "ndsys.transfer._neumann",
+    ),
+    "series point-terms": (
+        "values", 3 * 5, "--series-terms 5 on 3 points",
+        ["transfer", "builtin:alpha", "--grid", "3", "--series-terms", "5"],
+        "ndsys.transfer._neumann",
+    ),
+    "samples": (
+        "values", 16, "sample budget 16",
+        ["check", "builtin:alpha", "--samples", "16"],
+        "ndsys.analysis._axis_size",
+    ),
+    "metric trials": (
+        "values", 2 * 9 * 3, "2 trials of 27 box values",
+        ["laxphillips", "builtin:alpha", "--op", "metric", "--box", "0:2,0:2", "--trials", "2"],
+        "ndsys.laxphillips.apply_generator",
+    ),
+    "commute trials": (
+        "values", 2 * 25 * 3, "2 trials of 75 box values",
+        ["laxphillips", "builtin:alpha", "--op", "commute", "--box", "0:4,0:4", "--j", "1", "--trials", "2"],
+        "ndsys.laxphillips.apply_generator",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", list(_BUDGET_SITES))
+def test_every_budget_is_read_from_the_one_table_at_its_edge(capsys, tmp_path, monkeypatch, site):
+    # at the budget the request runs; one below it, the same request exits
+    # 2 before its heavy step, and the message gives the lowered budget
+    import ndsys.errors
+
+    key, count, named, argv, heavy = _BUDGET_SITES[site]
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    monkeypatch.setitem(ndsys.errors._BUDGETS, key, count)
+    code, report, err = run(capsys, argv)
+    assert code == 0 and report is not None, err
+    monkeypatch.setitem(ndsys.errors._BUDGETS, key, count - 1)
+    monkeypatch.setattr(heavy, _Unreached())
+    code, report, err = run(capsys, argv)
     assert code == 2 and report is None
-    assert "input error" in err and "3 points of 4 values each" in err
-    monkeypatch.setattr(ndsys.cli, "_POINT_BUDGET", 3 * 4)
-    with pytest.raises(AssertionError, match="a pencil was evaluated"):
-        main(["transfer", "builtin:alpha", "--points", pts])
+    assert err == f"input error: {named}, past the budget of {count - 1} {key}\n"
 
 
 WIDE = "--box=-10000000:10000000,-10000000:10000000"
@@ -1334,7 +1431,7 @@ def test_wide_scattering_boxes_exit_2_before_they_are_built(capsys, argv):
     assert err.startswith("input error: ") and err.count("\n") == 1
     assert "budget of 2**24" in err
     if "metric" in argv:
-        assert "the request spans 19999999 lattice points or more" in err
+        assert "5 trials of 1200000120000003 box values" in err
         assert "window" not in err
 
 
@@ -1388,7 +1485,22 @@ BIG = 10**400
 
 @pytest.mark.parametrize(
     "case",
-    ["system-n", "system-n-list", "system-dims", "direction", "signal-point", "samples", "gamma-bound"],
+    [
+        "system-n",
+        "system-n-list",
+        "system-dims",
+        "direction",
+        "signal-point",
+        "samples",
+        "gamma-bound",
+        "coeffs",
+        "grid",
+        "nmax",
+        "seed",
+        "trials",
+        "trials-budget",
+        "padding",
+    ],
 )
 def test_a_huge_input_value_is_quoted_in_at_most_40_characters(capsys, tmp_path, case):
     # each message used to print the whole value, 401 digits or a 200-item list
@@ -1407,6 +1519,21 @@ def test_a_huge_input_value_is_quoted_in_at_most_40_characters(capsys, tmp_path,
         argv = ["simulate", "builtin:alpha", "--input", write(tmp_path, "t.json", signal), *box, "--nmax", "2"]
     elif case == "samples":
         argv = ["check", "builtin:alpha", "--samples", str(BIG)]
+    elif case == "coeffs":
+        argv = ["transfer", "builtin:alpha", "--grid", "1", "--coeffs", str(BIG)]
+    elif case == "grid":
+        argv = ["transfer", "builtin:alpha", "--grid", str(BIG)]
+    elif case == "nmax":
+        argv = ["simulate", "builtin:alpha", "--input", impulse_file(tmp_path), *box, "--nmax", str(-BIG)]
+    elif case == "seed":
+        argv = ["check", "builtin:alpha", "--seed", str(-BIG)]
+    elif case == "trials":
+        argv = ["laxphillips", "builtin:alpha", "--op", "metric", *box, "--trials", str(-BIG)]
+    elif case == "trials-budget":
+        argv = ["laxphillips", "builtin:alpha", "--op", "commute", "--box", "0:4,0:4", "--trials", str(BIG)]
+    elif case == "padding":
+        data = ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30)))
+        argv = ["realize", write(tmp_path, "canon.json", data), "--padding", str(-BIG)]
     else:
         vec = TruncatedLPVector(Box((-2, -2), (2, 2)), *(LatticeSignal(2, 1, {}) for _ in range(3)))
         vec = json.loads(ser.dump(ser.lp_vector_to_json(vec)))

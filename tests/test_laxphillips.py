@@ -290,17 +290,6 @@ def test_associated_view_is_the_pointwise_assembly_bitwise(n, lo, hi):
             assert np.array_equal(got, want)
 
 
-def test_associated_view_budget_is_checked_at_its_edge(monkeypatch):
-    import ndsys.laxphillips
-
-    # alpha: dim_x = dim_in = dim_out = 1, so 4 m**2 values for m front points
-    sys = builtin_examples()["alpha"]
-    monkeypatch.setattr(ndsys.laxphillips, "_VALUE_BUDGET", 4 * 3**2)
-    assert len(associated_one_param(sys, 0, Box((-1, -1), (1, 1))).front) == 3
-    with pytest.raises(DomainError, match="view of 4 front points holds 64 values"):
-        associated_one_param(sys, 0, Box((-1, -2), (2, 1)))
-
-
 @pytest.mark.parametrize(
     "probe",
     [

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -391,8 +392,20 @@ def _string_cases():
         (ser.json_to_system, sys_obj, lambda o: o["dims"].__setitem__("x", "1"), "system: dims x", "'1'"),
         (ser.json_to_signal, sig_obj, lambda o: o.__setitem__("n", "2"), "signal: n", "'2'"),
         (ser.json_to_signal, sig_obj, lambda o: o.__setitem__("dim", "1"), "signal: dim", "'1'"),
-        (ser.json_to_signal, sig_obj, lambda o: o["entries"][0].__setitem__("t", ["1", 0]), "signal entries: t", "'1'"),
-        (ser.json_to_signal, sig_obj, lambda o: o["entries"][1].__setitem__("t", [1, "-1"]), "signal entries: t", "'-1'"),
+        (
+            ser.json_to_signal,
+            sig_obj,
+            lambda o: o["entries"][0].__setitem__("t", ["1", 0]),
+            "a lattice coordinate",
+            "'1'",
+        ),
+        (
+            ser.json_to_signal,
+            sig_obj,
+            lambda o: o["entries"][1].__setitem__("t", [1, "-1"]),
+            "a lattice coordinate",
+            "'-1'",
+        ),
         (ser.json_to_poly, poly_obj, lambda o: o.__setitem__("n", "2"), "polynomial: n", "'2'"),
         (ser.json_to_poly, poly_obj, lambda o: o.__setitem__("shape", [1, "1"]), "polynomial: shape", "'1'"),
         (ser.json_to_poly, poly_obj, lambda o: o["terms"][0].__setitem__("t", ["0", 1]), "polynomial: exponent", "'0'"),
@@ -403,7 +416,7 @@ def _string_cases():
             ser.json_to_lp_vector,
             vec_obj,
             lambda o: o["y"]["entries"][0].__setitem__("t", [1, "-1"]),
-            "signal entries: t",
+            "a lattice coordinate",
             "'-1'",
         ),
     ]
@@ -412,7 +425,7 @@ def _string_cases():
 
 @pytest.mark.parametrize("decode, obj, spoil, named, quoted", _string_cases())
 def test_decoders_refuse_a_string_in_an_integer_field(decode, obj, spoil, named, quoted):
-    # int("2") parses, so `whole` alone would read the string as 2
+    # int("2") parses, but `whole` refuses the string, as the library does
     obj = _parsed(obj)
     decode(obj)
     spoil(obj)
@@ -601,9 +614,41 @@ def test_poly_listing_an_exponent_twice_is_rejected():
     ]}
     with pytest.raises(DomainError, match=re.escape("polynomial: exponent [1, 1] is given twice")):
         ser.json_to_poly(obj)
-    # keys that differ in Python but name one exponent
-    with pytest.raises(DomainError, match=re.escape("polynomial: exponent [1, 1] is given twice")):
-        MatrixPolynomial(2, (1, 1), {(1, 1): np.ones((1, 1)), ("1", 1): np.zeros((1, 1))})
+
+
+def _trials(trials):
+    from ndsys.laxphillips import metric_check
+
+    return metric_check(builtin_examples()["alpha"], Box((0, 0), (4, 4)), trials=trials)
+
+
+@pytest.mark.parametrize(
+    "build, named, quoted",
+    [
+        # the key ("1", 1) no longer names the exponent (1, 1)
+        (lambda: MatrixPolynomial(2, (1, 1), {(1, 1): np.ones((1, 1)), ("1", 1): np.ones((1, 1))}), None, "'1'"),
+        (lambda: Box((0, "1"), (1, 2)), None, "'1'"),
+        (lambda: LatticeSignal.from_arrays(2, 1, [["1", 0]], np.ones((1, 1))), None, "'1'"),
+        (lambda: LatticeSignal(2, 1, {(0, "1"): np.ones(1)}), None, "'1'"),
+        # a float conversion would drop the imaginary part with a warning
+        (lambda: LatticeSignal.from_arrays(2, 1, np.array([[1 + 1j, 0]]), np.ones((1, 1))), None, "(1+1j)"),
+        (lambda: LatticeSignal.from_arrays(2, 1, [[1 + 0j, 0]], np.ones((1, 1))), None, "(1+0j)"),
+        # int() truncated a shape of 1.5, and a string met its floor with a bare TypeError
+        (lambda: MatrixPolynomial(2, ("1", 1), {}), "polynomial: shape", "'1'"),
+        (lambda: MatrixPolynomial(2, (1.5, 1), {(1, 0): np.ones((1, 1))}), "polynomial: shape", "1.5"),
+        (lambda: MatrixPolynomial("2", (1, 1), {}), "variable count", "'2'"),
+        (lambda: LatticeSignal("2", 1, {}), "lattice dimension", "'2'"),
+        (lambda: LatticeSignal(2, 1.5, {}), "value dimension", "1.5"),
+        (lambda: _trials(2.5), "trials", "2.5"),
+    ],
+)
+def test_the_library_reads_every_integer_as_a_file_does(build, named, quoted):
+    # one reader, `whole`, serves both: int("1") parses, but "1" != 1
+    named = named or "a lattice coordinate"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(f"{named} must be an integer, got {quoted}")):
+            build()
 
 
 def test_dump_is_deterministic_and_sorted():
