@@ -234,6 +234,7 @@ def _cmd_transfer(args, inputs) -> dict:
 def _cmd_realize(args, inputs) -> dict:
     from . import realization
 
+    _require_within("padding", args.padding, low=0)  # before the identity check runs
     path = _resolve_path(args.data)
     data = serialization.json_to_agler(_load(path, inputs))
     check = realization.verify_agler_identity(

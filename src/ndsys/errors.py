@@ -52,18 +52,23 @@ _BUDGETS = {
 }
 
 
-def _require_within(what: str, count, low=None, budget: str | None = None) -> None:
+def _require_within(what: str, count, low=None, budget: str | None = None):
     """Refuse ``count`` below ``low`` or past the ``budget`` entry of
-    `_BUDGETS` with DomainError, before anything is allocated.  A floor
-    reads the count with `whole` and quotes it after ``what``, its name; a
-    budget message follows ``what``, a clause that states the count."""
-    if low is not None and whole(count, what) < low:
-        raise DomainError(f"{what} must be >= {low}, got {_quote(count)}")
+    `_BUDGETS` with DomainError, before anything is allocated, and return
+    it.  A floor reads the count with `whole`, returns the int it read and
+    quotes the count after ``what``, its name; a budget message follows
+    ``what``, a clause that states the count."""
+    if low is not None:
+        read = whole(count, what)
+        if read < low:
+            raise DomainError(f"{what} must be >= {low}, got {_quote(count)}")
+        count = read
     if budget is not None and count > _BUDGETS[budget]:
         limit = _BUDGETS[budget]
         power = limit.bit_length() - 1
         shown = f"2**{power}" if limit == 2**power else str(limit)
         raise DomainError(f"{what}, past the budget of {shown} {budget}")
+    return count
 
 
 class NdsysError(Exception):

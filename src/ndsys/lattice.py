@@ -98,7 +98,7 @@ class SimulationWindow:
     n_max: int
 
     def __post_init__(self):
-        _require_within("n_max", self.n_max, low=1)
+        object.__setattr__(self, "n_max", _require_within("n_max", self.n_max, low=1))
 
     @property
     def n(self) -> int:
@@ -221,9 +221,8 @@ class LatticeSignal:
         return sig
 
     def __post_init__(self):
-        n, dim = self.n, self.dim
-        _require_within("lattice dimension", n, low=1)
-        _require_within("value dimension", dim, low=0)
+        self.n = n = _require_within("lattice dimension", self.n, low=1)
+        self.dim = dim = _require_within("value dimension", self.dim, low=0)
         count = len(self.points)
         try:
             raw = np.asarray(self.points)  # free on an int64 array

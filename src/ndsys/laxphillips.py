@@ -195,14 +195,16 @@ def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
     return TruncatedLPVector(vec.box.negated(), flip(vec.u_minus), flip(vec.y), flip(vec.u_plus))
 
 
-def _check_trials(sys: MultiLSDS, box: Box, trials: int) -> None:
+def _check_trials(sys: MultiLSDS, box: Box, trials: int) -> int:
     """Refuse fewer than one trial, and trials whose generator boxes hold
-    more than the values budget together, before the first trial."""
-    _require_within("trials", trials, low=1)
+    more than the values budget together, before the first trial; return
+    the trial count as an int."""
+    trials = _require_within("trials", trials, low=1)
     width = sys.dim_x + sys.dim_in + sys.dim_out
     values = math.prod(b - a + 1 for a, b in zip(box.lo, box.hi)) * width
     what = f"{_quote(trials)} trials of {_quote(values)} box values"
     _require_within(what, trials * values, budget="values")
+    return trials
 
 
 def _random_interior_vector(sys: MultiLSDS, box: Box, margin: int, rng) -> TruncatedLPVector:
@@ -249,7 +251,7 @@ def commutation_residual(
     Fewer than one trial, or trials past the values budget, raise
     DomainError.
     """
-    _check_trials(sys, box, trials)
+    trials = _check_trials(sys, box, trials)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -300,7 +302,7 @@ def metric_check(
     ratios of the untruncated generator.  Fewer than one trial, or trials
     past the values budget, raise DomainError.
     """
-    _check_trials(sys, box, trials)
+    trials = _check_trials(sys, box, trials)
     rng = np.random.default_rng(seed)
     ratios = []
     for k in range(sys.n):

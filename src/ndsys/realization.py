@@ -300,7 +300,7 @@ def assemble_colligation(
     Raises RealizationError when any verification residual survives above
     its threshold.
     """
-    _require_within("extra_padding", extra_padding, low=0)
+    extra_padding = _require_within("extra_padding", extra_padding, low=0)
     p, q = data.out_dim, data.in_dim
     if p < q:
         raise RealizationError(

@@ -59,7 +59,7 @@ class MatrixPolynomial:
     coeffs: Mapping[tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        _require_within("variable count", self.n, low=1)
+        object.__setattr__(self, "n", _require_within("variable count", self.n, low=1))
         shape = (whole(self.shape[0], "polynomial: shape"), whole(self.shape[1], "polynomial: shape"))
         if min(shape) < 0:
             raise DomainError(f"polynomial: shape must hold sizes >= 0, got {list(shape)!r}")
@@ -186,7 +186,7 @@ def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
     Frobenius norm cannot clear are checked by an SVD.
     """
     sys.require_wellformed()
-    _require_within("terms", terms, low=0)
+    terms = _require_within("terms", terms, low=0)
     z = np.asarray(z, dtype=complex)
     return _neumann(sys, z, terms, _pencils(sys, z))
 
@@ -224,7 +224,7 @@ def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
     and a table whose entries stop being finite raises RangeError at that
     front.
     """
-    _require_within("max_order", max_order, low=1)
+    max_order = _require_within("max_order", max_order, low=1)
     sys.require_wellformed()
     count = math.comb(max_order + sys.n, sys.n) - 1
     _require_within(f"{_quote(count)} Maclaurin coefficients", count, budget="terms")

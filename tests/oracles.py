@@ -15,18 +15,23 @@ included.
 and `transfer_eval_series_point` evaluate the pencil, the torus scan and
 the transfer function one point at a time, the series by the two-product
 loop with an SVD at every point.  The library's stacked versions must
-reproduce them bit for bit, errors included, except the series values:
-the library sums them by Horner's rule, within 1e-12 relative.  The scan
-oracle takes one spectral norm per diagonal orbit, at the ``j_1 = 0``
-rows of `torus_grid_pointwise`, and keeps the first strict maximum.
-`dissipativity_scan_pointwise` takes one at every point of the ``P^n``
-grid: the library's unrefined maximum must lie at most the rounding gap
-that `dissipativity_scan` states below it, and the two verdicts must
-agree wherever the maximum is farther than that gap from ``1 + tol``.
+reproduce them bit for bit, errors included, except two.  The library
+sums the series values by Horner's rule, within 1e-12 relative.  The scan
+oracle takes one spectral norm, an SVD (`norms_pointwise`), per diagonal
+orbit, at the ``j_1 = 0`` rows of `torus_grid_pointwise`, and keeps the
+first strict maximum; the library takes each norm from a Hermitian
+eigensolve of the value's smaller Gram, so its maximum must lie within
+the rounding bound ``e`` that `dissipativity_scan` states of the
+oracle's, at the oracle's witness bit for bit wherever the oracle's top
+norm beats every other orbit's by more than ``2 e``.
+`dissipativity_scan_pointwise` takes one SVD at every point of the
+``P^n`` grid: the library's unrefined maximum must lie at most ``e``
+above it and ``2 e`` below it, and the two verdicts must agree wherever
+the maximum is farther than ``2 e`` from ``1 + tol``.
 Both polish their maximum by `refine_stepwise`, the ascent that
 decomposes its current point at every step; the library's, which
 decomposes a point only when the ascent moves, must reproduce it bit for
-bit.  Both stop at the first point whose gradient components are all
+bit from the same start point and norm.  Both stop at the first point whose gradient components are all
 within ``1e4 u (1 + sum_k ||G_k||_F)``, ``u = 2^-53``, only rounding
 (at once on a conservative or n = 1 pencil), and take no step on an empty
 pencil value.
@@ -423,14 +428,18 @@ def torus_grid_pointwise(n, samples, orbits=False):
     ]
 
 
+def norms_pointwise(blocks, phases):
+    """The pencil norm at each point of ``phases``, by an SVD."""
+    return [spectral_norm(eval_pencil_point(z, blocks)) for z in phases]
+
+
 def _scan_points(sys, phases, samples, refine, tol):
     """One spectral norm per point of ``phases``; the first strict maximum
     in enumeration order is the witness."""
     blocks = sys.blocks()
     best = -1.0
     witness = phases[0]
-    for z in phases:
-        sigma = spectral_norm(eval_pencil_point(z, blocks))
+    for z, sigma in zip(phases, norms_pointwise(blocks, phases)):
         if sigma > best:
             best = sigma
             witness = z

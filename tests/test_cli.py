@@ -445,6 +445,23 @@ def test_realize_padding_flag(capsys, tmp_path):
     assert report["results"]["state_dim"] == 3
 
 
+def test_realize_refuses_a_negative_padding_before_the_identity_check(capsys, tmp_path, monkeypatch):
+    import ndsys.realization
+
+    calls = []
+    verify = ndsys.realization.verify_agler_identity
+    monkeypatch.setattr(
+        ndsys.realization, "verify_agler_identity", lambda *a, **k: calls.append(a) or verify(*a, **k)
+    )
+    data = write(
+        tmp_path, "canon.json", ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30)))
+    )
+    code, report, err = run(capsys, ["realize", data, "--padding", "-1"])
+    assert code == 2 and report is None
+    assert err == "input error: padding must be >= 0, got -1\n"
+    assert calls == []
+
+
 def test_realize_impossible_data_is_a_verification_failure(capsys, tmp_path):
     from ndsys import AglerData, MatrixPolynomial, halton_disc
 

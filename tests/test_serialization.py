@@ -651,6 +651,50 @@ def test_the_library_reads_every_integer_as_a_file_does(build, named, quoted):
             build()
 
 
+def _floors():
+    """Each library floor as ``(name, call)``: ``call(count)`` runs it on
+    ``count`` and returns what it built, as arrays or a tuple of them."""
+    from ndsys import assemble_colligation, maclaurin_poly, simulate, transfer_eval_series
+    from ndsys.laxphillips import commutation_residual
+    from ndsys.lattice import SimulationWindow
+
+    alpha = builtin_examples()["alpha"]
+    box = Box((0, 0), (4, 4))
+    impulse = LatticeSignal(2, 1, {(0, 0): np.ones(1)})
+
+    def window(count):
+        run = simulate(alpha, SimulationWindow(Box((0, 0), (3, 3)), count), impulse, LatticeSignal(2, 1, {}))
+        return run.states.values, run.outputs.values
+
+    def poly(count):
+        p = maclaurin_poly(alpha, count)
+        return sorted(p.coeffs), np.array(list(p.coeffs.values()))
+
+    return [
+        ("terms", lambda count: transfer_eval_series(alpha, np.array([0.3, -0.2j]), count)),
+        ("max_order", poly),
+        ("trials", lambda count: np.array(_trials(count).ratios)),
+        ("trials", lambda count: commutation_residual(alpha, 0, 1, box, trials=count)),
+        ("extra_padding", lambda count: assemble_colligation(canonical_fixture(grid_points=30), count).system.a[0]),
+        ("n_max", window),
+        ("lattice dimension", lambda count: LatticeSignal(count, 1, {(0, 0): np.ones(1)}).points),
+        ("value dimension", lambda count: LatticeSignal(2, count, {(0, 0): np.ones(2)}).values),
+        ("variable count", lambda count: MatrixPolynomial(count, (1, 1), {(1, 0): np.ones((1, 1))}).evaluate((0.5, 0.5))),
+    ]
+
+
+@pytest.mark.parametrize("named, call", _floors(), ids=[name for name, _ in _floors()])
+def test_an_integral_float_at_a_floor_goes_on_as_its_int(named, call):
+    # `whole` reads 2.0 as 2, and the floor hands that int on: the float
+    # builds the same bits, and a fraction is refused as a file's would be
+    def bits(out):
+        return [np.asarray(v).tobytes() for v in (out if isinstance(out, tuple) else (out,))]
+
+    assert bits(call(2.0)) == bits(call(2))
+    with pytest.raises(DomainError, match=re.escape(f"{named} must be an integer, got 2.5")):
+        call(2.5)
+
+
 def test_dump_is_deterministic_and_sorted():
     text = ser.dump({"b": 1, "a": [1.5, 2.0]})
     assert text == ser.dump({"a": [1.5, 2.0], "b": 1})
