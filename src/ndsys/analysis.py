@@ -32,8 +32,8 @@ __all__ = [
 
 _GRID_CAP = 100_000
 _AXIS_DEFAULT = 32
-# points per stacked eigensolve: with the representatives, bounds the scan's memory
-_CHUNK = 4096
+# bytes of pencil values and Grams per stacked eigensolve: bounds the scan's memory
+_CHUNK_BYTES = 2**24
 # Every block product an analysis forms stays below this.  With each real
 # and imaginary part of a block entry at most M, blocks at most d on a side
 # and n directions, a sum of n products G_j^H G_k or G_j G_k^H has parts at
@@ -118,15 +118,18 @@ def _require_bounded(blocks: OperatorTuple) -> None:
 
 def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
     """The pencil norm at the ``(S, n)`` points, one stacked Hermitian
-    eigensolve per ``_CHUNK`` of them.  The largest singular value of a
-    pencil value ``G`` is the root of the largest eigenvalue of the Gram on
-    its smaller side, ``G G^H`` when it has at most as many rows as columns
-    and ``G^H G`` otherwise; rounding can leave that eigenvalue a little
-    below 0, which reads as norm 0.  A pencil with an empty side has an
-    empty Gram and norm 0."""
+    eigensolve per chunk of them: as many points as have their values and
+    Grams within ``_CHUNK_BYTES``, and at least one.  The largest singular
+    value of a pencil value ``G`` is the root of the largest eigenvalue of
+    the Gram on its smaller side, ``G G^H`` when it has at most as many rows
+    as columns and ``G^H G`` otherwise; rounding can leave that eigenvalue a
+    little below 0, which reads as norm 0.  A pencil with an empty side has
+    an empty Gram and norm 0."""
+    per_point = 16 * (blocks.rows * blocks.cols + min(blocks.rows, blocks.cols) ** 2)
+    chunk = max(1, _CHUNK_BYTES // max(per_point, 1))
     parts = []
-    for start in range(0, len(points), _CHUNK):
-        value = eval_pencil(points[start : start + _CHUNK], blocks)
+    for start in range(0, len(points), chunk):
+        value = eval_pencil(points[start : start + chunk], blocks)
         adjoint = value.conj().swapaxes(1, 2)
         gram = value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
         eig = np.linalg.eigvalsh(gram)

@@ -1,23 +1,26 @@
 """Colligation assembly from decomposed Schur-class data.
 
-Input is a polynomial matrix function theta vanishing at the origin
-together with polynomial factors F_1, ..., F_n certifying the decomposition
+Input is a matrix function theta vanishing at the origin together with
+factors F_1, ..., F_n certifying the decomposition
 
     I - theta(l)* theta(z) = sum_k (1 - conj(l_k) z_k) F_k(l)* F_k(z)
 
-on the open polydisc.  Stacking the factors yields two vector polynomials
-whose Gramians coincide, so the correspondence between them extends to an
+on the open polydisc.  theta and the factors are read only through ``n``,
+``shape`` and a batched ``evaluate`` (a `MatrixPolynomial` or any object
+with these).  Stacking the factors yields two vector functions whose
+Gramians coincide, so the correspondence between them extends to an
 isometry; cutting that isometry along the coordinate summands of the
 stacked space produces the blocks of a system whose transfer function
-reproduces theta.  All spans are sampled on deterministic low-discrepancy
-grids and every identity used along the way is re-verified on fresh
-points before the result is returned.
+reproduces theta.  Padding appends zero rows to the first factor's sampled
+values.  All spans are sampled on deterministic low-discrepancy grids and
+every identity used along the way is re-verified on fresh points before
+the result is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -56,34 +59,41 @@ _GRID_RADIUS = 0.8
 _GRID_DOUBLINGS = 6
 
 
+class _Function(Protocol):
+    """theta or a factor: ``evaluate`` maps ``(S, n)`` points to ``(S, *shape)``."""
+
+    n: int
+    shape: tuple[int, int]
+
+    def evaluate(self, z: np.ndarray) -> np.ndarray: ...
+
+
 @dataclass(frozen=True)
 class AglerData:
     """Decomposition data: theta, its factors, and the sample grid.
 
-    Shapes are validated at construction; the decomposition identity
-    itself is measured by `verify_agler_identity` (and again inside
-    `assemble_colligation`), not here, so that defective data can still be
-    diagnosed.
+    theta and each factor may be a `MatrixPolynomial` or any object with
+    ``n``, ``shape`` and an ``evaluate`` that takes an ``(S, n)`` stack of
+    points; nothing else of them is read.  Shapes are validated at
+    construction; the decomposition identity itself is measured by
+    `verify_agler_identity` (and again inside `assemble_colligation`), not
+    here, so that defective data can still be diagnosed.
     """
 
-    theta: MatrixPolynomial
-    factors: tuple[MatrixPolynomial, ...]
+    theta: _Function
+    factors: tuple[_Function, ...]
     grid: tuple[tuple[complex, ...], ...]
 
     def __post_init__(self):
         n = self.theta.n
         if len(self.factors) != n:
-            raise ShapeError(
-                f"need one factor per variable: got {len(self.factors)} for n = {n}"
-            )
+            raise ShapeError(f"need one factor per variable: got {len(self.factors)} for n = {n}")
         q = self.theta.shape[1]
         for k, f in enumerate(self.factors):
             if f.n != n:
                 raise ShapeError(f"factor {k} has {f.n} variables, theta has {n}")
             if f.shape[1] != q:
-                raise ShapeError(
-                    f"factor {k} has {f.shape[1]} columns, theta has {q}"
-                )
+                raise ShapeError(f"factor {k} has {f.shape[1]} columns, theta has {q}")
         grid = tuple(tuple(complex(v) for v in z) for z in self.grid)
         for z in grid:
             if len(z) != n:
@@ -123,12 +133,16 @@ class _Samples(NamedTuple):
     g: np.ndarray
 
 
-def _sample(data: AglerData, points) -> _Samples:
+def _sample(data: AglerData, points, padding: int = 0) -> _Samples:
+    """The samples at ``points``, with ``padding`` zero rows appended to
+    the first factor's values."""
     z = np.asarray(points, dtype=complex).reshape(-1, data.n)
     q = data.in_dim
-    factors = np.concatenate([f.evaluate(z) for f in data.factors], axis=1)
+    values = [f.evaluate(z) for f in data.factors]
+    values[0] = np.concatenate([values[0], np.zeros((len(z), padding, q), dtype=complex)], axis=1)
+    factors = np.concatenate(values, axis=1)
     # weight on the left: numpy rounds w * F and F * w differently
-    weighted = np.repeat(z, data.factor_dims, axis=1)[:, :, None] * factors
+    weighted = np.repeat(z, [v.shape[1] for v in values], axis=1)[:, :, None] * factors
     eye = np.broadcast_to(np.eye(q, dtype=complex), (len(z), q, q))
     return _Samples(
         z=z,
@@ -203,19 +217,20 @@ def _random_disc(rng, count: int, n: int) -> np.ndarray:
     return _GRID_RADIUS * np.sqrt(u[..., 0]) * np.exp(2j * np.pi * u[..., 1])
 
 
-def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
+def _stable_grid(data: AglerData, rank_tol: float, padding: int = 0) -> _Samples:
     """Grow a low-discrepancy grid until the sampled g-span dimension holds
-    still for two consecutive doublings; return that grid's samples.
+    still for two consecutive doublings; return that grid's samples, padded
+    as by `_sample`.
 
     A Halton set is the prefix of every larger one and each point's samples
     do not depend on the rest of the stack, so the first three grids are
     read from one sample of the third."""
     count = _GRID_START
-    sampled = _sample(data, halton_disc(4 * count, data.n, _GRID_RADIUS))
+    sampled = _sample(data, halton_disc(4 * count, data.n, _GRID_RADIUS), padding)
     dims = []
     for _ in range(_GRID_DOUBLINGS):
         if count > len(sampled.z):
-            sampled = _sample(data, halton_disc(count, data.n, _GRID_RADIUS))
+            sampled = _sample(data, halton_disc(count, data.n, _GRID_RADIUS), padding)
         samples = _Samples._make(a[:count] for a in sampled)
         dims.append(orth_basis(_columns(samples.g), rank_tol).shape[1])
         if len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]:
@@ -228,9 +243,7 @@ def _stable_grid(data: AglerData, rank_tol: float) -> _Samples:
     )
 
 
-def _gram_gap(
-    dom: np.ndarray, img: np.ndarray
-) -> tuple[float, float, np.ndarray, np.ndarray]:
+def _gram_gap(dom: np.ndarray, img: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
     """``||dom^H dom - img^H img||_F`` and ``||dom||_2`` without forming
     either Gramian, and the small factors that stand for ``dom`` and
     ``img``.  Q has orthonormal columns in the thin QR
@@ -243,6 +256,11 @@ def _gram_gap(
     r_dom, r_img = r[:, : len(dom)], r[:, len(dom) :]
     gap = float(np.linalg.norm(r_dom @ r_dom.conj().T - r_img @ r_img.conj().T))
     return gap, spectral_norm(r_dom), r_dom.conj().T, r_img.conj().T
+
+
+def _isometry_gap(m: np.ndarray) -> float:
+    """``||m^H m - I||_F``: how far ``m`` is from an isometry."""
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -259,23 +277,6 @@ class RealizationResult:
     conservative: bool
     residuals: dict[str, float]
     thresholds: dict[str, float]
-
-
-def _padded(data: AglerData, padding: int) -> AglerData:
-    if padding == 0:
-        return data
-    f0 = data.factors[0]
-    grown = MatrixPolynomial(
-        n=f0.n,
-        shape=(f0.shape[0] + padding, f0.shape[1]),
-        coeffs={
-            t: np.vstack([m, np.zeros((padding, f0.shape[1]))])
-            for t, m in f0.coeffs.items()
-        },
-    )
-    return AglerData(
-        theta=data.theta, factors=(grown,) + data.factors[1:], grid=data.grid
-    )
 
 
 def assemble_colligation(
@@ -307,15 +308,12 @@ def assemble_colligation(
             f"output dimension {p} below input dimension {q}: the stacked "
             "correspondence cannot extend isometrically"
         )
-    work = _padded(data, extra_padding)
-    origin = _sample(work, [(0.0,) * work.n])
-    theta0 = origin.theta[0]
-    if float(np.linalg.norm(theta0)) > tol:
-        raise PreconditionError(
-            f"theta must vanish at the origin, got norm {np.linalg.norm(theta0):.3e}"
-        )
+    origin = _sample(data, [(0.0,) * data.n], extra_padding)
+    theta0 = float(np.linalg.norm(origin.theta[0]))
+    if theta0 > tol:
+        raise PreconditionError(f"theta must vanish at the origin, got norm {theta0:.3e}")
 
-    samples = _stable_grid(work, rank_tol)
+    samples = _stable_grid(data, rank_tol, extra_padding)
     probe = _Samples._make(a[:120] for a in samples)
     ident = _identity_residual(probe, probe)
     if ident > tol:
@@ -323,19 +321,16 @@ def assemble_colligation(
             f"decomposition residual {ident:.3e} exceeds {tol:g} on the sample grid"
         )
 
-    m_total = sum(work.factor_dims)
     f0 = origin.factors[0]
-    f0_gap = float(np.linalg.norm(f0.conj().T @ f0 - np.eye(q, dtype=complex)))
+    m_total = len(f0)
+    f0_gap = _isometry_gap(f0)
 
-    # state coordinates: the orthocomplement of ran F(0) inside the stack
-    u, _, _ = np.linalg.svd(f0, full_matrices=True)
-    basis_x = u[:, q:]
+    # state coordinates: the orthocomplement of ran F(0) inside the stack;
+    # [basis_x, F(0)] is unitary when F(0) is an isometry
+    basis_x = np.linalg.svd(f0)[0][:, q:]
     x_dim = m_total - q
-    split_gap = float(
-        np.linalg.norm(
-            basis_x @ basis_x.conj().T + f0 @ f0.conj().T - np.eye(m_total)
-        )
-    )
+    embed = np.hstack([basis_x, f0])
+    split_gap = _isometry_gap(embed.conj().T)
 
     def state(s: _Samples) -> np.ndarray:
         return basis_x.conj().T @ (s.factors - f0)
@@ -358,11 +353,7 @@ def assemble_colligation(
     # the core map reads the small factors alone
     dom_basis = orth_basis(dom_r, rank_tol, dead_zone=True)
     mapped = img_r @ np.linalg.pinv(dom_basis.conj().T @ dom_r)
-    iso_gap = float(
-        np.linalg.norm(
-            mapped.conj().T @ mapped - np.eye(mapped.shape[1], dtype=complex)
-        )
-    )
+    iso_gap = _isometry_gap(mapped)
     if iso_gap > tol:
         raise RealizationError(
             f"core isometry residual {iso_gap:.3e} exceeds {tol:g}",
@@ -371,48 +362,30 @@ def assemble_colligation(
 
     # extend by pairing the ordered completions of both sides
     dom_rest = ordered_completion(dom_basis)
-    img_span = orth_basis(mapped, rank_tol)
-    img_rest = ordered_completion(img_span)
+    img_rest = ordered_completion(orth_basis(mapped, rank_tol))
     if dom_rest.shape[1] > img_rest.shape[1]:
         raise RealizationError(
             f"no isometric extension: domain completion {dom_rest.shape[1]} "
             f"exceeds image completion {img_rest.shape[1]}"
         )
-    extension = (
-        mapped @ dom_basis.conj().T
-        + img_rest[:, : dom_rest.shape[1]] @ dom_rest.conj().T
-    )
-    ext_gap = float(
-        np.linalg.norm(
-            extension.conj().T @ extension - np.eye(m_total, dtype=complex)
-        )
-    )
+    extension = mapped @ dom_basis.conj().T + img_rest[:, : dom_rest.shape[1]] @ dom_rest.conj().T
+    ext_gap = _isometry_gap(extension)
 
-    embed = np.hstack([basis_x, f0])
-    offsets = np.cumsum((0,) + work.factor_dims)
-    blocks_a, blocks_b, blocks_c, blocks_d = [], [], [], []
-    for k in range(work.n):
-        select = np.zeros((m_total, m_total))
-        select[offsets[k] : offsets[k + 1], offsets[k] : offsets[k + 1]] = np.eye(
-            work.factor_dims[k]
-        )
-        g_k = extension @ select @ embed
-        blocks_a.append(g_k[:x_dim, :x_dim])
-        blocks_b.append(g_k[:x_dim, x_dim:])
-        blocks_c.append(g_k[x_dim:, :x_dim])
-        blocks_d.append(g_k[x_dim:, x_dim:])
+    # block k is the extension on summand k's rows of the stacked space
+    cuts = np.cumsum((0, data.factor_dims[0] + extra_padding) + data.factor_dims[1:])
+    g = np.stack([extension[:, lo:hi] @ embed[lo:hi] for lo, hi in zip(cuts, cuts[1:])])
     system = MultiLSDS(
-        a=OperatorTuple(tuple(blocks_a)),
-        b=OperatorTuple(tuple(blocks_b)),
-        c=OperatorTuple(tuple(blocks_c)),
-        d=OperatorTuple(tuple(blocks_d)),
+        a=OperatorTuple(tuple(g[:, :x_dim, :x_dim])),
+        b=OperatorTuple(tuple(g[:, :x_dim, x_dim:])),
+        c=OperatorTuple(tuple(g[:, x_dim:, :x_dim])),
+        d=OperatorTuple(tuple(g[:, x_dim:, x_dim:])),
     )
 
     cert = conservativity_check(system, tol=tol)
-    conservative = cert.passed
     iso_side = max(cert.residuals["iso"], cert.residuals["iso_cross"])
 
-    fresh = _sample(work, _random_disc(np.random.default_rng(seed), fresh_points, work.n))
+    fresh_z = _random_disc(np.random.default_rng(seed), fresh_points, data.n)
+    fresh = _sample(data, fresh_z, extra_padding)
     transfer_gap = _largest_norm(transfer_eval(system, fresh.z) - fresh.theta)
     resolved = np.linalg.solve(
         np.eye(x_dim, dtype=complex) - eval_pencil(fresh.z, system.a),
@@ -432,21 +405,19 @@ def assemble_colligation(
         "transfer": transfer_gap,
         "intermediate": intermediate_gap,
     }
-    problems = []
-    if f0_gap > tol:
-        problems.append(f"F(0) isometry residual {f0_gap:.3e}")
-    if split_gap > tol:
-        problems.append(f"orthogonal splitting residual {split_gap:.3e}")
-    if ext_gap > tol:
-        problems.append(f"extension isometry residual {ext_gap:.3e}")
-    if p == q and not conservative:
-        problems.append(f"conservativity residual {cert.max_residual:.3e}")
-    if p > q and iso_side > tol:
-        problems.append(f"pencil isometry residual {iso_side:.3e}")
-    if transfer_gap > transfer_tol:
-        problems.append(f"transfer mismatch {transfer_gap:.3e}")
-    if intermediate_gap > transfer_tol:
-        problems.append(f"intermediate identity residual {intermediate_gap:.3e}")
+    problems = [
+        text
+        for failed, text in [
+            (f0_gap > tol, f"F(0) isometry residual {f0_gap:.3e}"),
+            (split_gap > tol, f"orthogonal splitting residual {split_gap:.3e}"),
+            (ext_gap > tol, f"extension isometry residual {ext_gap:.3e}"),
+            (p == q and not cert.passed, f"conservativity residual {cert.max_residual:.3e}"),
+            (p > q and iso_side > tol, f"pencil isometry residual {iso_side:.3e}"),
+            (transfer_gap > transfer_tol, f"transfer mismatch {transfer_gap:.3e}"),
+            (intermediate_gap > transfer_tol, f"intermediate identity residual {intermediate_gap:.3e}"),
+        ]
+        if failed
+    ]
     if problems:
         raise RealizationError("; ".join(problems), report=residuals)
 
@@ -455,7 +426,7 @@ def assemble_colligation(
         state_dim=x_dim,
         padding=extra_padding,
         grid_size=len(samples.z),
-        conservative=conservative,
+        conservative=cert.passed,
         residuals=residuals,
         thresholds={"residual": tol, "transfer": transfer_tol, "rank": rank_tol},
     )
@@ -479,8 +450,6 @@ def canonical_fixture(grid_points: int = 50) -> AglerData:
     The identity telescopes exactly, so the residual is zero in exact
     arithmetic at every point pair.
     """
-    theta = MatrixPolynomial(n=2, shape=(1, 1), coeffs={(1, 1): np.eye(1)})
-    f1 = MatrixPolynomial(n=2, shape=(1, 1), coeffs={(0, 1): np.eye(1)})
-    f2 = MatrixPolynomial(n=2, shape=(1, 1), coeffs={(0, 0): np.eye(1)})
+    theta, f1, f2 = (MatrixPolynomial(2, (1, 1), {t: np.eye(1)}) for t in [(1, 1), (0, 1), (0, 0)])
     grid = tuple(halton_disc(grid_points, 2, _GRID_RADIUS))
     return AglerData(theta=theta, factors=(f1, f2), grid=grid)

@@ -252,6 +252,13 @@ def json_to_points(obj: list, n: int) -> np.ndarray:
 
 
 def agler_to_json(data: AglerData) -> dict:
+    """Raises DomainError, naming it, on a theta or factor that is not a
+    `MatrixPolynomial`: a function known only by its values has no terms."""
+    from .transfer import MatrixPolynomial
+
+    for name, f in [("theta", data.theta), *((f"factor {k}", f) for k, f in enumerate(data.factors))]:
+        if not isinstance(f, MatrixPolynomial):
+            raise DomainError(f"decomposition data: {name} is a {type(f).__name__}, not a MatrixPolynomial")
     return {
         "theta": poly_to_json(data.theta),
         "factors": [poly_to_json(f) for f in data.factors],

@@ -115,6 +115,7 @@ from ndsys import (
     EnergyReport,
     EnergyRow,
     LatticeSignal,
+    MatrixPolynomial,
     RankAmbiguityError,
     SimulationResult,
     SingularityError,
@@ -132,7 +133,7 @@ from ndsys.lattice import _window_index, order
 from ndsys.laxphillips import _check_dims
 from ndsys.pencil import _cube, _weights, eval_pencil, multinomial, sym_multipower_table
 from ndsys.serialization import Rows, json_to_system, load_file, poly_to_json
-from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, _padded
+from ndsys.realization import _GRID_DOUBLINGS, _GRID_RADIUS, _GRID_START, AglerData
 from ndsys.system import _check_signals, _lift, _octant_exact, _result, _scatter
 from ndsys.transfer import _SINGULAR_REL
 
@@ -639,10 +640,25 @@ def orth_basis_svd(m, rank_tol=1e-10, dead_zone=False):
     return u[:, : int(np.sum(rel > rank_tol))]
 
 
+def padded(data, padding):
+    """The data with ``padding`` zero rows appended to the first factor's
+    coefficients: the padding the realization applies to sampled values,
+    made on the polynomial instead."""
+    if padding == 0:
+        return data
+    f0 = data.factors[0]
+    grown = MatrixPolynomial(
+        n=f0.n,
+        shape=(f0.shape[0] + padding, f0.shape[1]),
+        coeffs={t: np.vstack([m, np.zeros((padding, f0.shape[1]))]) for t, m in f0.coeffs.items()},
+    )
+    return AglerData(theta=data.theta, factors=(grown,) + data.factors[1:], grid=data.grid)
+
+
 def assemble_colligation_pointwise(data, extra_padding=0, rank_tol=1e-10, tol=1e-8):
     """The realization of admissible data from per-point columns: the system,
     the residuals and the grid size, without the verdicts."""
-    work = _padded(data, extra_padding)
+    work = padded(data, extra_padding)
     n, q = work.n, work.in_dim
     count, dims = _GRID_START, []
     for _ in range(_GRID_DOUBLINGS):

@@ -307,16 +307,25 @@ def test_blocks_at_the_overflow_limit_scan_to_a_finite_norm(refine):
         dissipativity_scan(over)
 
 
+def set_chunk(monkeypatch, blocks, points):
+    """Set the chunk budget so that `_sigma_max` takes ``points`` points of
+    the pencil ``blocks`` per stacked eigensolve."""
+    import ndsys.analysis
+
+    side = min(blocks.rows, blocks.cols)
+    budget = points * 16 * (blocks.rows * blocks.cols + side * side)
+    monkeypatch.setattr(ndsys.analysis, "_CHUNK_BYTES", budget)
+
+
 def test_scan_of_a_conservative_pencil_across_chunks_matches_the_orbit_oracle(monkeypatch):
     # a conservative pencil has norm 1 everywhere, up to rounding: one call
     # takes the 65^2 representatives of the 65^3 grid, more than one
     # stacked eigensolve takes, and the first maximum among them is kept
-    import ndsys.analysis
-
     rows = count_sigma_rows(monkeypatch)
     sys = gen.conservative_system(np.random.default_rng(9), 3, 4, 2)
+    set_chunk(monkeypatch, sys.blocks(), 4096)
     got = dissipativity_scan(sys, samples=65**3, refine=False)
-    assert rows == [65**2] and rows[0] > ndsys.analysis._CHUNK
+    assert rows == [65**2] and rows[0] > 4096
     assert near_orbit_oracle(got, sys, 65**3)
 
 
@@ -329,7 +338,7 @@ def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, sampl
     sys = gen.dissipative_system(np.random.default_rng(n), n, 3, 2)
     reps = ndsys.analysis._representatives(n, samples)[1]
     norms = ndsys.analysis._sigma_max(reps, sys.blocks())
-    monkeypatch.setattr(ndsys.analysis, "_CHUNK", chunk)
+    set_chunk(monkeypatch, sys.blocks(), chunk)
     assert oracles.same_bits(ndsys.analysis._sigma_max(reps, sys.blocks()), norms)
     assert near_orbit_oracle(dissipativity_scan(sys, samples=samples, refine=False), sys, samples)
 
@@ -446,12 +455,10 @@ def test_scan_ties_resolve_to_the_lowest_grid_index():
 def test_scan_ties_across_chunks_resolve_to_the_lowest_grid_index(monkeypatch, chunk, n, samples):
     # only G_1 is nonzero, so every representative holds the pencil value
     # G_1 and ties exactly with every other, across chunk boundaries too
-    import ndsys.analysis
-
-    monkeypatch.setattr(ndsys.analysis, "_CHUNK", chunk)
     base = gen.dissipative_system(np.random.default_rng(5), 1, 2, 2)
     z = np.zeros((2, 2), dtype=complex)
     sys = MultiLSDS(*(OperatorTuple((getattr(base, k)[0],) + (z,) * (n - 1)) for k in "abcd"))
+    set_chunk(monkeypatch, sys.blocks(), chunk)
     report = dissipativity_scan(sys, samples=samples, refine=False)
     assert all(v == 1.0 for v in report.witness)  # index 0 on every axis
     assert ties_at_the_lowest_representative(report, sys, samples)
@@ -726,6 +733,50 @@ print(report.samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - befor
     assert proc.returncode == 0, proc.stderr
     samples, grown_kib = map(int, proc.stdout.split())
     assert samples == 2**24 and grown_kib < 100 * 1024
+
+
+@pytest.mark.parametrize("dim_x,dim_io,points,chunk", [(4, 2, None, 1024), (30, 10, None, 327), (4, 2, 7, 7)])
+def test_a_chunk_holds_as_many_points_as_its_byte_budget(monkeypatch, dim_x, dim_io, points, chunk):
+    # 16 bytes a complex entry, rows * cols of a value and m^2 of its Gram:
+    # a 6 x 6 point takes 1,152 bytes, so the default n = 3 scan's 1,024
+    # representatives make one chunk, and a 40 x 40 point 51,200 bytes;
+    # `set_chunk` sets a budget of the points it is given
+    import ndsys.analysis
+
+    sys = gen.random_system(np.random.default_rng(0), 3, dim_x, dim_io, dim_io)
+    if points is not None:
+        set_chunk(monkeypatch, sys.blocks(), points)
+    sizes = []
+    eval_pencil = ndsys.analysis.eval_pencil
+    monkeypatch.setattr(
+        ndsys.analysis, "eval_pencil", lambda z, ops: sizes.append(len(z)) or eval_pencil(z, ops)
+    )
+    reps = ndsys.analysis._representatives(3, None)[1]
+    ndsys.analysis._sigma_max(reps, sys.blocks())
+    whole, rest = divmod(len(reps), chunk)
+    assert len(reps) == 1024 and sizes == [chunk] * whole + [rest] * (rest > 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
+def test_a_scan_of_large_blocks_holds_one_chunk_of_its_budget():
+    # the default n = 3 scan of 80 x 80 blocks takes its 1,024
+    # representatives 81 at a time; all in one chunk, they grew the
+    # process by 299 MB
+    code = """
+import resource, numpy as np, gen
+from ndsys import dissipativity_scan
+sys = gen.random_system(np.random.default_rng(0), 3, 70, 10, 10)
+dissipativity_scan(sys, samples=8, refine=False)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+report = dissipativity_scan(sys, refine=False)
+print(report.samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ndsys.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(__file__)]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    samples, grown_kib = map(int, proc.stdout.split())
+    assert samples == 32**3 and grown_kib < 100 * 1024
 
 
 @pytest.mark.parametrize("name", list(_ascent_cases()))

@@ -12,7 +12,7 @@ import oracles
 import ndsys
 from ndsys import RankAmbiguityError, halton_disc
 from ndsys.numerics import _halton_unit, _largest_norm, ordered_completion, orth_basis, spectral_norm
-from ndsys.realization import _columns, _padded, _sample
+from ndsys.realization import _columns, _sample
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -90,7 +90,7 @@ def _orth_basis_cases():
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     # the pencil-certify realize shape: n = 3, q = 2 inner data, padding 1
-    work = _padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1)
+    work = oracles.padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1)
     return {
         "sampled-10x1600": _columns(_sample(work, halton_disc(800, 3, 0.8)).g),
         "wide": cplx(6, 300),

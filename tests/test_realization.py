@@ -18,9 +18,11 @@ from ndsys import (
     RealizationError,
     ShapeError,
     assemble_colligation,
+    block_structure,
     builtin_examples,
     canonical_fixture,
     conservativity_check,
+    eval_pencil,
     halton_disc,
     realization,
     transfer_eval,
@@ -30,7 +32,6 @@ from ndsys.realization import (
     _columns,
     _gram_gap,
     _identity_residual,
-    _padded,
     _sample,
     _stable_grid,
 )
@@ -105,6 +106,54 @@ def test_padding_grows_the_state_without_touching_the_transfer(padding):
     assert res.conservative
     pts = halton_disc(20, 2, 0.8)
     assert poly_gap(res.system, fix.theta, pts) <= 1e-8
+
+
+class Sampled:
+    """A matrix function known only by ``n``, ``shape`` and an ``evaluate``
+    of an ``(S, n)`` stack of points: no coefficients to read."""
+
+    def __init__(self, n, shape, evaluate):
+        self.n, self.shape, self.evaluate = n, shape, evaluate
+
+
+def decomposition_of(system):
+    """theta = transfer_eval(system, .) and the factors F_k(z) = Q_k^* [x(z); I]
+    of a conservative system, for x(z) = (I - zA)^-1 zB and Q_k the basis
+    of the initial space of G_k: ``[x; theta] = G(z) [x; I]`` and the
+    initial spaces split the space orthogonally, so the decomposition
+    identity holds."""
+    q = system.dim_in
+
+    def stacked(z):
+        x = np.linalg.solve(np.eye(system.dim_x) - eval_pencil(z, system.a), eval_pencil(z, system.b))
+        return np.concatenate([x, np.broadcast_to(np.eye(q), (len(z), q, q))], axis=1)
+
+    factors = tuple(
+        Sampled(system.n, (basis.shape[1], q), lambda z, basis=basis: basis.conj().T @ stacked(z))
+        for basis in block_structure(system).bases_in
+    )
+    theta = Sampled(system.n, (system.dim_out, q), lambda z: transfer_eval(system, z))
+    return AglerData(theta=theta, factors=factors, grid=halton_disc(50, system.n, 0.8))
+
+
+ROUND_TRIP_CASES = {
+    **builtin_examples(),
+    # factor rows 2, 1 and 2: no direction is left without a block
+    "conservative-n3": gen.conservative_system(np.random.default_rng(1), 3, 3, 2),
+}
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("name", list(ROUND_TRIP_CASES))
+def test_a_system_realizes_back_from_factors_known_only_by_evaluate(name, padding):
+    system = ROUND_TRIP_CASES[name]
+    data = decomposition_of(system)
+    assert verify_agler_identity(data).passed
+    res = assemble_colligation(data, extra_padding=padding)
+    assert res.conservative
+    assert res.state_dim == system.dim_x + padding
+    points = np.array(oracles.random_disc_points(np.random.default_rng(2), 40, system.n))
+    assert np.abs(transfer_eval(res.system, points) - transfer_eval(system, points)).max() <= 1e-12
 
 
 def test_negative_padding_rejected():
@@ -203,7 +252,7 @@ def test_gramian_mismatch_is_refused_past_the_decomposition_probe(monkeypatch):
 def test_gram_gap_matches_the_explicit_gramian_difference(perturb):
     # the R-factor form against the two Gramians formed outright, on the
     # per-point core columns of one oracle case's 800-point grid
-    work = _padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1)
+    work = oracles.padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1)
     f0 = np.vstack([f.evaluate(np.zeros((1, 3)))[0] for f in work.factors])
     basis_x = np.linalg.svd(f0, full_matrices=True)[0][:, 2:]
     dom, img = oracles.core_columns_pointwise(work, halton_disc(800, 3, 0.8), basis_x, f0)
@@ -263,7 +312,7 @@ def _perturbed(data):
         pytest.param(gen.inner_fixture(np.random.default_rng(104), 2, 2), id="inner-q2"),
         pytest.param(gen.zero_row_fixture(), id="zero-row"),
         pytest.param(
-            _padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 2), id="padded"
+            oracles.padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 2), id="padded"
         ),
         pytest.param(_perturbed(canonical_fixture()), id="perturbed-q1"),
         pytest.param(
@@ -289,7 +338,7 @@ def test_stable_grid_returns_the_samples_of_its_grid(monkeypatch):
 
     cases = [
         (canonical_fixture(), None),
-        (_padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1), None),
+        (oracles.padded(gen.inner_fixture(np.random.default_rng(104), 3, 2), 1), None),
         (canonical_fixture(), 6400),
     ]
     for data, size in cases:
@@ -345,14 +394,18 @@ def test_rank_dead_zone_is_refused():
 
 
 @pytest.mark.parametrize("padding", [1, 3])
-def test_padded_factor_evaluates_as_the_factor_over_zero_rows(padding):
+def test_padded_samples_are_the_samples_of_the_padded_polynomial(padding):
+    # zero rows appended to F_1's sampled values are bitwise the values of
+    # F_1's polynomial grown by zero coefficient rows, weighted ones too
     data = gen.inner_fixture(np.random.default_rng(104), 3, 2)
-    work = _padded(data, padding)
+    work = oracles.padded(data, padding)
     z = halton_disc(40, 3, 0.8)
-    f0 = data.factors[0].evaluate(z)
-    zeros = np.zeros((len(z), padding, f0.shape[2]), dtype=complex)
-    assert oracles.same_bits(work.factors[0].evaluate(z), np.concatenate([f0, zeros], axis=1))
-    assert work.theta is data.theta and work.factors[1:] == data.factors[1:]
+    for got, want in [
+        (_sample(data, z, padding), _sample(work, z)),
+        (_stable_grid(data, 1e-10, padding), _stable_grid(work, 1e-10)),
+    ]:
+        for field in want._fields:
+            assert oracles.same_bits(getattr(got, field), getattr(want, field)), field
 
 
 ORACLE_CASES = [pytest.param(canonical_fixture(), id="canonical")] + [
@@ -381,10 +434,10 @@ def test_sampled_realization_matches_the_pointwise_oracle(data, padding):
     res = assemble_colligation(data, extra_padding=padding)
     system, residuals, grid_size = oracles.assemble_colligation_pointwise(data, padding)
     assert res.grid_size == grid_size
-    work = _padded(data, padding)
     grid = halton_disc(grid_size, data.n, 0.8)
     assert oracles.same_bits(
-        _columns(_sample(work, grid).g), oracles.stack_g_columns(work, grid)
+        _columns(_sample(data, grid, padding).g),
+        oracles.stack_g_columns(oracles.padded(data, padding), grid),
     )
     assert res.residuals.keys() == residuals.keys()
     for key, value in res.residuals.items():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import gen
 import oracles
 from ndsys import (
+    AglerData,
     Box,
     DomainError,
     LatticeSignal,
@@ -521,6 +522,25 @@ def test_agler_round_trip():
     assert back.factor_dims == data.factor_dims
     z = (0.4, -0.3j)
     assert np.allclose(back.theta.evaluate(z), data.theta.evaluate(z))
+
+
+class _ValuesOnly:
+    """A polynomial's ``n``, ``shape`` and ``evaluate``, without its terms."""
+
+    def __init__(self, poly):
+        self.n, self.shape, self.evaluate = poly.n, poly.shape, poly.evaluate
+
+
+@pytest.mark.parametrize("which,name", [(0, "theta"), (1, "factor 0"), (2, "factor 1")])
+def test_agler_data_without_terms_is_refused_by_name(which, name):
+    # the realization takes any function with a batched evaluate; the file
+    # format holds polynomial terms only
+    data = canonical_fixture(grid_points=4)
+    parts = [data.theta, *data.factors]
+    parts[which] = _ValuesOnly(parts[which])
+    data = AglerData(theta=parts[0], factors=tuple(parts[1:]), grid=data.grid)
+    with pytest.raises(DomainError, match=rf"^decomposition data: {name} is a _ValuesOnly, not a MatrixPolynomial$"):
+        ser.agler_to_json(data)
 
 
 def _same_poly(a, b):
