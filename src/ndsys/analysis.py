@@ -387,7 +387,6 @@ def closely_connected_subspace(sys: MultiLSDS, rank_tol: float = 1e-10) -> np.nd
     Saturation sweeps apply the state members and then their adjoints in
     fixed direction order, so the basis is deterministic.
     """
-    sys.require_wellformed()
     seed = np.hstack(
         [sys.b[k] for k in range(sys.n)]
         + [sys.c[k].conj().T for k in range(sys.n)]

@@ -49,12 +49,13 @@ from .errors import (
     RealizationError,
     ShapeError,
     SingularityError,
+    _cut,
     _quote,
     _require_within,
 )
 from .lattice import Box, LatticeSignal, SimulationWindow
 from .numerics import _largest_norm, halton_disc
-from .system import closed_form, energy_balance_report, simulate, validate
+from .system import closed_form, energy_balance_report, simulate
 
 SCHEMA = "ndsys/1"
 
@@ -90,7 +91,7 @@ def _parse_box(text: str, n: int | None = None) -> Box:
         lo, hi = zip(*((int(a), int(b)) for a, b in parts))
     except ValueError as exc:
         raise DomainError(
-            f"box must look like lo:hi,lo:hi,... got {text!r}"
+            f"box must look like lo:hi,lo:hi,... got {_quote(text)}"
         ) from exc
     if n is not None and len(lo) != n:
         raise ArityError(f"box has {len(lo)} coordinates, system has {n}")
@@ -105,14 +106,13 @@ def _cmd_check(args, inputs) -> dict:
     from . import analysis
 
     sys_obj = _load_system(args.system, inputs)
-    problems = validate(sys_obj)
     cert = analysis.conservativity_check(sys_obj, tol=args.tol)
     scan = analysis.dissipativity_scan(
         sys_obj, samples=args.samples, refine=not args.no_refine, tol=args.tol
     )
     connected = analysis.closely_connected_subspace(sys_obj)
     results = {
-        "violations": [{"kind": v.kind, "message": v.message} for v in problems],
+        "violations": [],  # a defective system is refused when it is read
         "conservativity": {
             "residuals": cert.residuals,
             "passed": cert.passed,
@@ -150,9 +150,7 @@ def _cmd_simulate(args, inputs) -> dict:
         opened = contextlib.nullcontext() if args.energy is None else open(args.energy, "a", newline="")
         with opened as ledger:
             result = evaluator(sys_obj, window, input_signal, init)
-            report = energy_balance_report(
-                sys_obj, window, input_signal, init, tol=args.tol, result=result
-            )
+            report = energy_balance_report(result, input_signal, tol=args.tol)
             rows = [
                 dict(zip(columns, (r.n, r.e_minus, r.e_plus, r.e_x, r.lhs, r.rhs, r.contaminated)))
                 for r in report.rows
@@ -166,17 +164,15 @@ def _cmd_simulate(args, inputs) -> dict:
                 writer.writerows({**row, "contaminated": int(row["contaminated"])}.values() for row in rows)
     except OSError as exc:
         raise DomainError(f"cannot write the energy ledger to {args.energy}: {exc.strerror or exc}") from exc
+    # one mask serves both signals, so both keys write it
+    contaminated = sorted(map(list, result.contaminated))
     return {
         "evaluator": "closed_form" if args.closed_form else "recursion",
         "octant_exact": result.octant_exact,
         "states": serialization.signal_to_json(result.states),
         "outputs": serialization.signal_to_json(result.outputs),
-        "contaminated_states": sorted(
-            list(t) for t in result.contaminated_states
-        ),
-        "contaminated_outputs": sorted(
-            list(t) for t in result.contaminated_outputs
-        ),
+        "contaminated_states": contaminated,
+        "contaminated_outputs": contaminated,
         "energy": {
             "rows": rows,
             "dissipative_consistent": report.dissipative_consistent,
@@ -215,7 +211,6 @@ def _cmd_transfer(args, inputs) -> dict:
     pts = _transfer_points(args, sys_obj.n, inputs)
     _check_point_budget(len(pts), sys_obj, args.series_terms)
     # one evaluation of each pencil serves the solve and the series
-    sys_obj.require_wellformed()
     pencils = transfer._pencils(sys_obj, pts)
     vals = transfer._solved(sys_obj, pts, pencils)
     results = {"points": serialization.Rows("transfer value", z=pts, value=vals)}
@@ -314,7 +309,10 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are input errors (exit 2)."""
 
     def error(self, message):
-        raise DomainError(f"{self.prog}: {message}")
+        # argparse echoes the arguments it refuses: each long word is cut as
+        # `_quote` cuts a value, and a message of many words at 160 characters
+        words = " ".join(map(_cut, message.split(" ")))
+        raise DomainError(f"{self.prog}: {_cut(words, 160)}")
 
 
 def _config_flags(path: str) -> list[str]:
@@ -328,7 +326,7 @@ def _config_flags(path: str) -> list[str]:
         if key == "config":
             raise DomainError("config key 'config' is refused: a config file cannot name another")
         if value is False or not isinstance(value, (str, int, float)):
-            raise DomainError(f"config key {key!r} must hold a string, a number or true")
+            raise DomainError(f"config key {_quote(key)} must hold a string, a number or true")
         flag = "--" + key.replace("_", "-")
         flags.append(flag if value is True else f"{flag}={value}")
     return flags
@@ -341,7 +339,7 @@ def _env_tol() -> float:
     try:
         return float(env_tol) if env_tol is not None else 1e-9
     except ValueError:
-        raise DomainError(f"NDSYS_TOL must be a float, got {env_tol!r}")
+        raise DomainError(f"NDSYS_TOL must be a float, got {_quote(env_tol)}")
 
 
 @functools.cache

@@ -20,11 +20,16 @@ __all__ = [
 ]
 
 
+def _cut(text: str, width: int = 40) -> str:
+    """``text`` cut at ``width`` characters, ending in "..." when cut."""
+    return text if len(text) <= width else text[: width - 3] + "..."
+
+
 def _quote(value) -> str:
     """``repr(value)`` cut at 40 characters, so a message that quotes an
-    input integer or list stays one short line however large it is."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
+    input integer, string or list stays one short line however large it
+    is."""
+    return _cut(repr(value))
 
 
 def whole(value, what: str) -> int:

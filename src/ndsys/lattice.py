@@ -56,7 +56,7 @@ class Box:
         lo = as_index(self.lo)
         hi = as_index(self.hi, len(lo))
         if any(a > b for a, b in zip(lo, hi)):
-            raise DomainError(f"empty box: lo={lo} exceeds hi={hi}")
+            raise DomainError(f"empty box: lo={_quote(lo)} exceeds hi={_quote(hi)}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 

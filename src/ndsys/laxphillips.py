@@ -85,7 +85,6 @@ class LPMask:
 
 
 def _check_dims(sys: MultiLSDS, vec: TruncatedLPVector):
-    sys.require_wellformed()
     if vec.box.n != sys.n:
         raise ShapeError(f"vector box in Z^{vec.box.n}, system in Z^{sys.n}")
     for name, have, space, want in (
@@ -210,7 +209,7 @@ def _check_trials(sys: MultiLSDS, box: Box, trials: int) -> int:
 def _random_interior_vector(sys: MultiLSDS, box: Box, margin: int, rng) -> TruncatedLPVector:
     if any(hi - lo < 2 * margin for lo, hi in zip(box.lo, box.hi)):
         raise DomainError(
-            f"box lo={box.lo} hi={box.hi} is too small: the interior vector keeps {margin} "
+            f"box lo={_quote(box.lo)} hi={_quote(box.hi)} is too small: the interior vector keeps {margin} "
             f"layer(s) off every face, so each side must span at least {2 * margin + 1} points"
         )
     points = _box_points(sys, box.shrunk(margin))[0]  # seeds draw front by front
@@ -343,7 +342,6 @@ def associated_one_param(sys: MultiLSDS, k: int, box: Box) -> OneParamSystemView
     budget, ``m**2 (dim_x + dim_out)(dim_x + dim_in)`` values for ``m``
     front points, is refused before it is allocated.
     """
-    sys.require_wellformed()
     n = sys.n
     if not 0 <= k < n:
         raise DomainError(f"direction {_quote(k)} outside 0..{n - 1}")

@@ -7,14 +7,15 @@ factors F_1, ..., F_n certifying the decomposition
 
 on the open polydisc.  theta and the factors are read only through ``n``,
 ``shape`` and a batched ``evaluate`` (a `MatrixPolynomial` or any object
-with these).  Stacking the factors yields two vector functions whose
-Gramians coincide, so the correspondence between them extends to an
-isometry; cutting that isometry along the coordinate summands of the
-stacked space produces the blocks of a system whose transfer function
-reproduces theta.  Padding appends zero rows to the first factor's sampled
-values.  All spans are sampled on deterministic low-discrepancy grids and
-every identity used along the way is re-verified on fresh points before
-the result is returned.
+with these), and a value of another shape than the declared one is refused
+with ShapeError naming its function.  Stacking the factors yields two
+vector functions whose Gramians coincide, so the correspondence between
+them extends to an isometry; cutting that isometry along the coordinate
+summands of the stacked space produces the blocks of a system whose
+transfer function reproduces theta.  Padding appends zero rows to the
+first factor's sampled values.  All spans are sampled on deterministic
+low-discrepancy grids and every identity used along the way is
+re-verified on fresh points before the result is returned.
 """
 
 from __future__ import annotations
@@ -133,12 +134,21 @@ class _Samples(NamedTuple):
     g: np.ndarray
 
 
+def _evaluate(f: _Function, z: np.ndarray, name: str) -> np.ndarray:
+    """``f`` at the ``(S, n)`` points ``z``; values of another shape than
+    ``(S, *f.shape)`` raise ShapeError naming ``f``."""
+    value, want = f.evaluate(z), (len(z), *f.shape)
+    if np.shape(value) != want:
+        raise ShapeError(f"{name} evaluates to shape {np.shape(value)}, not {want} as its shape says")
+    return value
+
+
 def _sample(data: AglerData, points, padding: int = 0) -> _Samples:
     """The samples at ``points``, with ``padding`` zero rows appended to
     the first factor's values."""
     z = np.asarray(points, dtype=complex).reshape(-1, data.n)
     q = data.in_dim
-    values = [f.evaluate(z) for f in data.factors]
+    values = [_evaluate(f, z, f"factor {k}") for k, f in enumerate(data.factors)]
     values[0] = np.concatenate([values[0], np.zeros((len(z), padding, q), dtype=complex)], axis=1)
     factors = np.concatenate(values, axis=1)
     # weight on the left: numpy rounds w * F and F * w differently
@@ -146,7 +156,7 @@ def _sample(data: AglerData, points, padding: int = 0) -> _Samples:
     eye = np.broadcast_to(np.eye(q, dtype=complex), (len(z), q, q))
     return _Samples(
         z=z,
-        theta=data.theta.evaluate(z),
+        theta=_evaluate(data.theta, z, "theta"),
         factors=factors,
         g=np.concatenate([weighted, eye], axis=1),
     )

@@ -109,7 +109,6 @@ def _complex(obj, what: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def system_to_json(sys: MultiLSDS) -> dict:
     """The system with each tuple as one ``(n, rows, cols)`` complex array."""
-    sys.require_wellformed()
     fields = {"n": sys.n, "dims": {"x": sys.dim_x, "nm": sys.dim_in, "np": sys.dim_out}}
     for key, ops in zip("ABCD", (sys.a, sys.b, sys.c, sys.d)):
         fields[key] = np.array(ops.mats, dtype=complex)
@@ -197,10 +196,10 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
     n = whole(_need(obj, "n", "polynomial"), "polynomial: n")
     shape = _need(obj, "shape", "polynomial")
     if not (isinstance(shape, list) and len(shape) == 2):
-        raise DomainError(f"polynomial: shape must be a [rows, cols] list, got {shape!r}")
+        raise DomainError(f"polynomial: shape must be a [rows, cols] list, got {_quote(shape)}")
     rows, cols = (whole(v, "polynomial: shape") for v in shape)
     if min(rows, cols) < 0:
-        raise DomainError(f"polynomial: shape must hold sizes >= 0, got {shape!r}")
+        raise DomainError(f"polynomial: shape must hold sizes >= 0, got {_quote(shape)}")
     terms = _list(obj.get("terms", []), "polynomial: terms")
     mats = [_need(item, "m", "polynomial term") for item in terms]
     mats = _complex(mats, "polynomial terms: m", (rows, cols))
@@ -210,9 +209,9 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
         try:
             t = tuple(whole(v, "polynomial: exponent") for v in exps)
         except TypeError as exc:
-            raise DomainError(f"polynomial term: t must list exponents, got {exps!r}") from exc
+            raise DomainError(f"polynomial term: t must list exponents, got {_quote(exps)}") from exc
         if t in coeffs:
-            raise DomainError(f"polynomial: exponent {list(t)} is given twice")
+            raise DomainError(f"polynomial: exponent {_quote(list(t))} is given twice")
         coeffs[t] = m
     return MatrixPolynomial(n=n, shape=(rows, cols), coeffs=coeffs)
 

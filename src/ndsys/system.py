@@ -26,11 +26,13 @@ and ``(C...B)^s`` in its corners, with ``(C...B)^(e_k) = D_k``.  The
 offsets, their multinomial weights and the table are rows of one index,
 the window index (`lattice._window_index`) of the cube ``0..top``.  The
 Maclaurin coefficients of the transfer function are its ``Y, U`` corners.
-`energy_balance_report` buckets every signal by order in one pass, so it is
-linear in the window.  A window past the values budget, and a closed form
-past the pairs budget of point-offset pairs (`errors._BUDGETS`), is refused
-before it is allocated; a trajectory or a front energy that stops being
-finite raises RangeError.
+`energy_balance_report` buckets every signal of a trajectory by order in
+one pass, so it is linear in the window.  A system is checked once, when it
+is built: `MultiLSDS` refuses a shape, arity or finiteness defect, and every
+operation here and in the engines reads a built system as given.  A window
+past the values budget, and a closed form past the pairs budget of
+point-offset pairs (`errors._BUDGETS`), is refused before it is allocated;
+a trajectory or a front energy that stops being finite raises RangeError.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ class Violation:
 class MultiLSDS:
     """System aggregate: state, input, and output operator tuples.
 
-    Construction is deliberately lenient about cross-tuple consistency so
-    that `validate` can report defects as diagnostics; operations that need
-    a well-formed system check first and raise.
+    Construction checks the system once, by `require_wellformed`: a shape
+    or arity defect raises ShapeError and a non-finite entry
+    PreconditionError, each with the text `validate` lists.  Every
+    operation then reads the tuples as given.
 
     Parameters
     ----------
@@ -96,6 +99,9 @@ class MultiLSDS:
     b: OperatorTuple
     c: OperatorTuple
     d: OperatorTuple
+
+    def __post_init__(self):
+        self.require_wellformed()
 
     @property
     def n(self) -> int:
@@ -115,16 +121,16 @@ class MultiLSDS:
 
     def block(self, k: int) -> np.ndarray:
         """The 2x2 block matrix pairing state and value spaces in direction k."""
-        self.require_wellformed()
         return np.block([[self.a[k], self.b[k]], [self.c[k], self.d[k]]])
 
     def blocks(self) -> OperatorTuple:
-        """Every direction's block, validating the system once."""
-        self.require_wellformed()
+        """Every direction's block."""
         parts = zip(self.a, self.b, self.c, self.d)
         return OperatorTuple(tuple(np.block([[a, b], [c, d]]) for a, b, c, d in parts))
 
     def require_wellformed(self):
+        """Raise for the defects `validate` lists: ShapeError when one is of
+        shape or arity, else PreconditionError."""
         problems = validate(self)
         shapeish = [v for v in problems if v.kind in ("shape", "arity")]
         if shapeish:
@@ -135,8 +141,8 @@ class MultiLSDS:
 
 def _lift(sys: MultiLSDS) -> OperatorTuple:
     """The lifted colligation ``[[A_k, 0, B_k], [C_k, 0, D_k], [0, 0, 0]]``
-    on ``X + Y + U``, built from the four tuples of a system its caller has
-    already validated."""
+    on ``X + Y + U``, built from the four tuples of a system, which was
+    checked when it was built."""
     x, y = sys.dim_x, sys.dim_x + sys.dim_out
     size = y + sys.dim_in
     mats = np.zeros((sys.n, size, size), dtype=complex)
@@ -198,24 +204,23 @@ def conjugate(sys: MultiLSDS) -> MultiLSDS:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Trajectory on a window plus boundary-contamination masks.
+    """Trajectory on a window plus its boundary-contamination mask.
 
     States cover fronts 0..n_max of the box (front 0 repeats the initial
-    data), outputs cover fronts 1..n_max.  A masked point depended, directly
-    or through earlier fronts, on a read outside the box that could not be
-    proven zero.
+    data), outputs cover fronts 1..n_max.  A point in ``contaminated``
+    depended, directly or through earlier fronts, on a read outside the box
+    that could not be proven zero.  One mask serves both signals: the state
+    and the output at ``t`` read the same predecessors.
     """
 
     window: SimulationWindow
     states: LatticeSignal
     outputs: LatticeSignal
-    contaminated_states: frozenset[tuple[int, ...]]
-    contaminated_outputs: frozenset[tuple[int, ...]]
+    contaminated: frozenset[tuple[int, ...]]
     octant_exact: bool
 
 
 def _check_signals(sys: MultiLSDS, window: SimulationWindow, input_signal, init):
-    sys.require_wellformed()
     if input_signal.n != sys.n or init.n != sys.n:
         raise ShapeError(
             f"signals live on Z^{input_signal.n}/Z^{init.n}, system on Z^{sys.n}"
@@ -259,14 +264,12 @@ def _result(window, coords, bounds, x, y, dirty, octant) -> SimulationResult:
     bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(y).all(axis=1))
     if bad.any():
         raise RangeError(f"the trajectory on front {coords[bad].sum(axis=1).min()} is not finite")
-    masked = frozenset(map(tuple, coords[dirty].tolist()))
     first = int(bounds[1])
     return SimulationResult(
         window=window,
         states=LatticeSignal.from_arrays(window.n, x.shape[1], coords, x),
         outputs=LatticeSignal.from_arrays(window.n, y.shape[1], coords[first:], y[first:]),
-        contaminated_states=masked,
-        contaminated_outputs=masked,
+        contaminated=frozenset(map(tuple, coords[dirty].tolist())),
         octant_exact=octant,
     )
 
@@ -450,24 +453,18 @@ def _by_order(signal: LatticeSignal, box: Box, n_max: int):
 
 
 def energy_balance_report(
-    sys: MultiLSDS,
-    window: SimulationWindow,
-    input_signal: LatticeSignal,
-    init: LatticeSignal,
-    tol: float = 1e-9,
-    result: SimulationResult | None = None,
+    result: SimulationResult, input_signal: LatticeSignal, tol: float = 1e-9
 ) -> EnergyReport:
-    """Simulate (or reuse ``result``) and tabulate per-front energies.
+    """Tabulate the per-front energies of ``result``, the trajectory of
+    ``input_signal`` on ``result.window``.
 
     A row is marked contaminated when any window point feeding its four
     energies is masked, or when the input carries mass on its front outside
-    the window.  Each signal and mask is read once and bucketed by order,
-    so the ledger is linear in the window.  A front whose energies are not
-    finite raises RangeError.
+    the window.  Each signal and the mask are read once and bucketed by
+    order, so the ledger is linear in the window.  A front whose energies
+    are not finite raises RangeError.
     """
-    if result is None:
-        result = simulate(sys, window, input_signal, init)
-    box, n_max = window.box, window.n_max
+    box, n_max = result.window.box, result.window.n_max
     _, e_minus, input_lost = _by_order(input_signal, box, n_max)
     e_x, _, state_lost = _by_order(result.states, box, n_max)
     e_plus = _by_order(result.outputs, box, n_max)[0]
@@ -475,27 +472,19 @@ def energy_balance_report(
     finite = np.isfinite([e_minus[:-1], e_x[:-1], e_x[1:], e_plus[1:]]).all(axis=0)
     if not finite.all():
         raise RangeError(f"the energies of front {int(np.argmin(finite)) + 1} are not finite")
-    dirty_states = {order(t) for t in result.contaminated_states}
-    dirty_outputs = {order(t) for t in result.contaminated_outputs}
-
-    rows = []
-    for front in range(1, n_max + 1):
-        prev = front - 1
-        contaminated = bool(
-            input_lost[prev]
-            or state_lost[prev]
-            or prev in dirty_states
-            or front in dirty_states
-            or front in dirty_outputs
+    dirty = np.zeros(n_max + 1, dtype=bool)
+    dirty[[order(t) for t in result.contaminated]] = True
+    # front f reads the masks of fronts f - 1 and f
+    lost = input_lost[:-1] | state_lost[:-1] | dirty[:-1] | dirty[1:]
+    rows = [
+        EnergyRow(
+            n=f,
+            e_minus=float(e_minus[f - 1]),
+            e_plus=float(e_plus[f]),
+            e_x=float(e_x[f]),
+            e_x_prev=float(e_x[f - 1]),
+            contaminated=bool(lost[f - 1]),
         )
-        rows.append(
-            EnergyRow(
-                n=front,
-                e_minus=float(e_minus[prev]),
-                e_plus=float(e_plus[front]),
-                e_x=float(e_x[front]),
-                e_x_prev=float(e_x[prev]),
-                contaminated=contaminated,
-            )
-        )
+        for f in range(1, n_max + 1)
+    ]
     return EnergyReport(rows=tuple(rows), tol=tol)

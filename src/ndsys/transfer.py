@@ -62,14 +62,14 @@ class MatrixPolynomial:
         object.__setattr__(self, "n", _require_within("variable count", self.n, low=1))
         shape = (whole(self.shape[0], "polynomial: shape"), whole(self.shape[1], "polynomial: shape"))
         if min(shape) < 0:
-            raise DomainError(f"polynomial: shape must hold sizes >= 0, got {list(shape)!r}")
+            raise DomainError(f"polynomial: shape must hold sizes >= 0, got {_quote(list(shape))}")
         clean = {}
         for t, m in self.coeffs.items():
             key = as_index(t, self.n)
             if any(v < 0 for v in key):
-                raise DomainError(f"negative exponent {key}")
+                raise DomainError(f"negative exponent {_quote(key)}")
             if key in clean:
-                raise DomainError(f"polynomial: exponent {list(key)} is given twice")
+                raise DomainError(f"polynomial: exponent {_quote(list(key))} is given twice")
             clean[key] = _freeze_matrix(m, shape)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "coeffs", clean)
@@ -150,7 +150,6 @@ def transfer_eval(sys: MultiLSDS, z) -> np.ndarray:
     A point with ||zA||_F <= 0.99 has sigma_min(I - zA) >= 0.01, so only
     the points past that screen are checked by an SVD.
     """
-    sys.require_wellformed()
     z = np.asarray(z, dtype=complex)
     return _solved(sys, z, _pencils(sys, z))
 
@@ -185,7 +184,6 @@ def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
     DivergenceError.  ||zA|| <= ||zA||_F, so only the points that the
     Frobenius norm cannot clear are checked by an SVD.
     """
-    sys.require_wellformed()
     terms = _require_within("terms", terms, low=0)
     z = np.asarray(z, dtype=complex)
     return _neumann(sys, z, terms, _pencils(sys, z))
@@ -225,7 +223,6 @@ def maclaurin_poly(sys: MultiLSDS, max_order: int) -> MatrixPolynomial:
     front.
     """
     max_order = _require_within("max_order", max_order, low=1)
-    sys.require_wellformed()
     count = math.comb(max_order + sys.n, sys.n) - 1
     _require_within(f"{_quote(count)} Maclaurin coefficients", count, budget="terms")
     weights = _weights(sys.n, max_order)

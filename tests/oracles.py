@@ -183,15 +183,14 @@ def simulate_dict(sys, window, input_signal, init):
 
     states = {}
     outputs = {}
-    dirty_states = set()
-    dirty_outputs = set()
+    masked = set()
 
     for t in front_walk(box, 0):
         states[t] = init.value(t)
 
     def read_state(p):
         if contains(box, p):
-            return states[p], p in dirty_states
+            return states[p], p in masked
         if octant and min(p) < 0:
             return np.zeros(dim_x, dtype=complex), False
         return np.zeros(dim_x, dtype=complex), True
@@ -218,15 +217,13 @@ def simulate_dict(sys, window, input_signal, init):
             states[t] = x_acc
             outputs[t] = y_acc
             if dirty:
-                dirty_states.add(t)
-                dirty_outputs.add(t)
+                masked.add(t)
 
     return SimulationResult(
         window=window,
         states=LatticeSignal(n, dim_x, states),
         outputs=LatticeSignal(n, sys.dim_out, outputs),
-        contaminated_states=frozenset(dirty_states),
-        contaminated_outputs=frozenset(dirty_outputs),
+        contaminated=frozenset(masked),
         octant_exact=octant,
     )
 
@@ -251,8 +248,7 @@ def closed_form_dict(sys, window, input_signal, init):
 
     states: dict[tuple[int, ...], np.ndarray] = {}
     outputs: dict[tuple[int, ...], np.ndarray] = {}
-    dirty_states: set[tuple[int, ...]] = set()
-    dirty_outputs: set[tuple[int, ...]] = set()
+    masked: set[tuple[int, ...]] = set()
 
     for t in front_walk(box, 0):
         states[t] = init.value(t)
@@ -289,15 +285,13 @@ def closed_form_dict(sys, window, input_signal, init):
             states[t] = x_acc
             outputs[t] = y_acc
             if dirty:
-                dirty_states.add(t)
-                dirty_outputs.add(t)
+                masked.add(t)
 
     return SimulationResult(
         window=window,
         states=LatticeSignal(n, sys.dim_x, states),
         outputs=LatticeSignal(n, sys.dim_out, outputs),
-        contaminated_states=frozenset(dirty_states),
-        contaminated_outputs=frozenset(dirty_outputs),
+        contaminated=frozenset(masked),
         octant_exact=octant,
     )
 
@@ -339,12 +333,12 @@ def front_energy_dict(signal, n):
     )
 
 
-def energy_balance_report_dict(sys, window, input_signal, init, tol=1e-9, result=None):
-    """The energy ledger, each front found by a scan of every signal."""
-    if result is None:
-        result = simulate_dict(sys, window, input_signal, init)
+def energy_balance_report_dict(result, input_signal, tol=1e-9):
+    """The energy ledger of ``result``, each front found by a scan of every
+    signal."""
+    window = result.window
     box = window.box
-    units = [unit(sys.n, k) for k in range(sys.n)]
+    units = [unit(window.n, k) for k in range(window.n)]
 
     def leaks(t):
         # mass here feeds window-external points on the next front
@@ -375,8 +369,7 @@ def energy_balance_report_dict(sys, window, input_signal, init, tol=1e-9, result
         contaminated = (
             escaped
             or lost
-            or any(order(t) in (front - 1, front) for t in result.contaminated_states)
-            or any(order(t) == front for t in result.contaminated_outputs)
+            or any(order(t) in (front - 1, front) for t in result.contaminated)
         )
         rows.append(
             EnergyRow(
@@ -499,7 +492,6 @@ def refine_stepwise(blocks, z0, sigma0, steps=50):
 
 def transfer_eval_point(sys, z):
     """zD + zC (I - zA)^-1 zB at one point, by a direct solve."""
-    sys.require_wellformed()
     z = np.asarray(z, dtype=complex)
     za = eval_pencil_point(z, sys.a)
     m = np.eye(sys.dim_x, dtype=complex) - za
@@ -519,7 +511,6 @@ def transfer_eval_point(sys, z):
 
 def transfer_eval_series_point(sys, z, terms):
     """The partial Neumann sum at one point."""
-    sys.require_wellformed()
     z = np.asarray(z, dtype=complex)
     za = eval_pencil_point(z, sys.a)
     norm_za = spectral_norm(za)

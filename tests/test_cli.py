@@ -1003,8 +1003,11 @@ def test_check_takes_blocks_at_the_overflow_bound(capsys, tmp_path):
          "keeps 2 layer(s) off every face, so each side must span at least 5 points"),
         ("metric", "--box=0:0,0:0", "box lo=(0, 0) hi=(0, 0) is too small: the interior vector "
          "keeps 1 layer(s) off every face, so each side must span at least 3 points"),
+        # bounds of 401 digits are quoted cut short
+        ("metric", f"--box={10**400}:{10**400 + 1},0:1", f"box lo=(1{'0' * 35}... hi=(1{'0' * 35}... is too "
+         "small: the interior vector keeps 1 layer(s) off every face, so each side must span at least 3 points"),
     ],
-    ids=["commute", "metric"],
+    ids=["commute", "metric", "metric-huge"],
 )
 def test_a_box_too_small_for_an_interior_vector_names_the_given_box(capsys, op, box, named):
     code, report, err = run(capsys, ["laxphillips", "builtin:alpha", "--op", op, box])
@@ -1517,11 +1520,21 @@ BIG = 10**400
         "trials",
         "trials-budget",
         "padding",
+        "theta-shape",
+        "exponent",
+        "exponent-twice",
+        "env-tol",
+        "config-key",
+        "config-value",
+        "box-text",
+        "empty-box",
     ],
 )
-def test_a_huge_input_value_is_quoted_in_at_most_40_characters(capsys, tmp_path, case):
-    # each message used to print the whole value, 401 digits or a 200-item list
+def test_a_huge_input_value_is_quoted_in_at_most_40_characters(capsys, tmp_path, monkeypatch, case):
+    # a value of 401 digits, a 200-item list, or a string or list of 50,000
+    # characters or items is quoted cut short
     system = json.loads(ser.dump(ser.system_to_json(builtin_examples()["alpha"])))
+    canon = json.loads(ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30))))
     box = ["--box", "0:2,0:2"]
     if case == "system-n":
         argv = ["check", write(tmp_path, "s.json", {**system, "n": BIG})]
@@ -1549,8 +1562,26 @@ def test_a_huge_input_value_is_quoted_in_at_most_40_characters(capsys, tmp_path,
     elif case == "trials-budget":
         argv = ["laxphillips", "builtin:alpha", "--op", "commute", "--box", "0:4,0:4", "--trials", str(BIG)]
     elif case == "padding":
-        data = ser.dump(ser.agler_to_json(canonical_fixture(grid_points=30)))
-        argv = ["realize", write(tmp_path, "canon.json", data), "--padding", str(-BIG)]
+        argv = ["realize", write(tmp_path, "canon.json", canon), "--padding", str(-BIG)]
+    elif case in ("theta-shape", "exponent", "exponent-twice"):
+        theta = canon["theta"]
+        if case == "theta-shape":
+            theta["shape"] = [1] * 50_000
+        else:
+            term = {**theta["terms"][0], "t": [BIG, -1] if case == "exponent" else [BIG, 0]}
+            theta["terms"] = [term] * (1 if case == "exponent" else 2)
+        argv = ["realize", write(tmp_path, "canon.json", canon)]
+    elif case == "env-tol":
+        monkeypatch.setenv("NDSYS_TOL", "x" * 50_000)
+        argv = ["check", "builtin:alpha"]
+    elif case in ("config-key", "config-value"):
+        config = {"k" * 50_000: 1 if case == "config-key" else None}
+        argv = ["check", "builtin:alpha", "--config", write(tmp_path, "c.json", config)]
+    elif case == "box-text":
+        text = "0:1," * 3000 + "x"
+        argv = ["simulate", "builtin:alpha", "--input", impulse_file(tmp_path), "--box", text, "--nmax", "2"]
+    elif case == "empty-box":
+        argv = ["laxphillips", "builtin:alpha", "--op", "metric", "--box", f"{BIG}:0,0:1"]
     else:
         vec = TruncatedLPVector(Box((-2, -2), (2, 2)), *(LatticeSignal(2, 1, {}) for _ in range(3)))
         vec = json.loads(ser.dump(ser.lp_vector_to_json(vec)))

@@ -156,6 +156,26 @@ def test_a_system_realizes_back_from_factors_known_only_by_evaluate(name, paddin
     assert np.abs(transfer_eval(res.system, points) - transfer_eval(system, points)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["theta", "factor 0"])
+def test_a_function_that_evaluates_to_another_shape_than_it_declares_is_named(name):
+    # the blocks are cut at the declared rows, so a function whose values
+    # have other rows is refused by name before any block is cut
+    data = decomposition_of(ROUND_TRIP_CASES["alpha_prime"])
+    f = data.theta if name == "theta" else data.factors[0]
+    taller = Sampled(f.n, (f.shape[0] + 1, f.shape[1]), f.evaluate)
+    if name == "theta":
+        data = AglerData(theta=taller, factors=data.factors, grid=data.grid)
+    else:
+        data = AglerData(theta=data.theta, factors=(taller,) + data.factors[1:], grid=data.grid)
+    rows = f.shape[0]
+    said = f"{name} evaluates to shape (50, {rows}, 1), not (50, {rows + 1}, 1) as its shape says"
+    with pytest.raises(ShapeError) as info:
+        verify_agler_identity(data)
+    assert str(info.value) == said
+    with pytest.raises(ShapeError, match=f"^{name} evaluates to shape"):
+        assemble_colligation(data)
+
+
 def test_negative_padding_rejected():
     with pytest.raises(DomainError):
         assemble_colligation(canonical_fixture(), extra_padding=-1)

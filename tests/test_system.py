@@ -1,6 +1,7 @@
 """System aggregate, trajectories, and the energy ledger."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,44 +59,66 @@ def test_dims_and_blocks():
     assert np.allclose(g[3:, 3:], sys.d[1])
 
 
-def test_validate_flags_shape_mismatch():
-    rng = np.random.default_rng(1)
-    good = gen.random_system(rng, 2, 2, 2, 2)
-    bad = MultiLSDS(
-        a=good.a,
-        b=OperatorTuple((np.zeros((3, 2)), np.zeros((3, 2)))),
-        c=good.c,
-        d=good.d,
+def _defective(kind):
+    """The four tuples of a system with one defect of ``kind``."""
+    sys = gen.random_system(np.random.default_rng(1), 2, 2, 2, 2)
+    parts = {"a": sys.a, "b": sys.b, "c": sys.c, "d": sys.d}
+    if kind == "shape":
+        parts["b"] = OperatorTuple((np.zeros((3, 2)), np.zeros((3, 2))))
+    elif kind == "arity":
+        parts["a"] = OperatorTuple((sys.a[0],))
+    else:
+        parts["d"] = OperatorTuple((np.array([[np.inf, 0], [0, 0]]), sys.d[1]))
+    return parts
+
+
+@pytest.mark.parametrize(
+    "kind, error, text",
+    [
+        ("shape", ShapeError, "shape: b has 3 rows, state dimension is 2"),
+        (
+            "arity",
+            ShapeError,
+            "arity: tuple b has 2 members, a has 1; arity: tuple c has 2 members, a has 1; "
+            "arity: tuple d has 2 members, a has 1",
+        ),
+        ("finiteness", PreconditionError, "finiteness: d[0] has non-finite entries"),
+    ],
+)
+def test_a_defective_system_is_refused_when_it_is_built(kind, error, text):
+    parts = _defective(kind)
+    # validate reads the four tuples alone, so it lists the defects of parts
+    # that no system can hold
+    assert "; ".join(map(str, validate(SimpleNamespace(**parts)))) == text
+    with pytest.raises(error) as info:
+        MultiLSDS(**parts)
+    assert str(info.value) == text
+
+
+def test_operations_on_a_built_system_do_not_validate_it_again(monkeypatch):
+    import ndsys.system as system_module
+    from ndsys import (
+        closely_connected_subspace,
+        conservativity_check,
+        dissipativity_scan,
+        transfer_eval,
     )
-    kinds = {v.kind for v in validate(bad)}
-    assert "shape" in kinds
-    with pytest.raises(ShapeError):
-        bad.require_wellformed()
 
-
-def test_validate_flags_nonfinite():
-    rng = np.random.default_rng(2)
-    sys = gen.random_system(rng, 2, 2, 1, 1)
-    poisoned = MultiLSDS(
-        a=sys.a,
-        b=sys.b,
-        c=sys.c,
-        d=OperatorTuple((np.array([[np.inf]]), sys.d[1])),
-    )
-    kinds = {v.kind for v in validate(poisoned)}
-    assert "finiteness" in kinds
-    with pytest.raises(PreconditionError):
-        poisoned.require_wellformed()
-
-
-def test_validate_flags_arity_mismatch():
-    rng = np.random.default_rng(3)
-    sys = gen.random_system(rng, 2, 2, 2, 2)
-    bad = MultiLSDS(
-        a=OperatorTuple((sys.a[0],)), b=sys.b, c=sys.c, d=sys.d
-    )
-    kinds = {v.kind for v in validate(bad)}
-    assert "arity" in kinds
+    calls = []
+    real = system_module.validate
+    monkeypatch.setattr(system_module, "validate", lambda s: calls.append(1) or real(s))
+    sys = gen.dissipative_system(np.random.default_rng(0), 2, 2, 2)
+    assert calls
+    calls.clear()
+    conservativity_check(sys)
+    dissipativity_scan(sys, samples=16)
+    closely_connected_subspace(sys)
+    maclaurin_poly(sys, 6)
+    transfer_eval(sys, np.array([[0.3, -0.2j]]))
+    sys.blocks()
+    window = SimulationWindow(Box((0, 0), (3, 3)), 3)
+    simulate(sys, window, impulse(2, 2), empty(2, sys.dim_x))
+    assert calls == []
 
 
 def test_conjugate_is_involution():
@@ -126,7 +149,7 @@ def test_worked_impulse_trajectory():
         if t != (1, 1):
             assert np.allclose(result.outputs.value(t), [0.0])
     assert result.octant_exact
-    assert not result.contaminated_states and not result.contaminated_outputs
+    assert not result.contaminated
 
 
 def test_single_initial_point_zero_input():
@@ -160,14 +183,13 @@ def test_simulate_matches_closed_form(seed):
     )
     r1 = simulate(sys, window, inp, init)
     r2 = closed_form(sys, window, inp, init)
-    assert r1.contaminated_states == r2.contaminated_states
-    assert r1.contaminated_outputs == r2.contaminated_outputs
+    assert r1.contaminated == r2.contaminated
     for t, v in r1.states.items():
-        if t not in r1.contaminated_states:
+        if t not in r1.contaminated:
             scale = max(1.0, float(np.abs(v).max()))
             assert np.allclose(v, r2.states.value(t), atol=1e-10 * scale)
     for t, v in r1.outputs.items():
-        if t not in r1.contaminated_outputs:
+        if t not in r1.contaminated:
             scale = max(1.0, float(np.abs(v).max()))
             assert np.allclose(v, r2.outputs.value(t), atol=1e-10 * scale)
 
@@ -184,7 +206,7 @@ def test_impulse_response_is_the_maclaurin_series(n):
     result = simulate(sys, window, LatticeSignal(n, 2, {origin: u0}), empty(n, 3))
     poly = maclaurin_poly(sys, top)
     assert set(result.outputs.entries) == set(poly.coeffs)
-    assert not result.contaminated_outputs
+    assert not result.contaminated
     for t, theta in poly.coeffs.items():
         want = theta @ u0
         scale = max(1.0, float(np.abs(want).max()))
@@ -193,8 +215,7 @@ def test_impulse_response_is_the_maclaurin_series(n):
 
 def _assert_results_agree(got, want):
     assert got.octant_exact == want.octant_exact
-    assert got.contaminated_states == want.contaminated_states
-    assert got.contaminated_outputs == want.contaminated_outputs
+    assert got.contaminated == want.contaminated
     for a, b in ((got.states, want.states), (got.outputs, want.outputs)):
         assert list(a.entries) == list(b.entries)
         for t, v in b.entries.items():
@@ -251,14 +272,14 @@ def test_front_engine_and_ledger_match_the_pointwise_oracles(case):
     want = oracles.simulate_dict(sys, window, inp, init)
     _assert_results_agree(got, want)
     _assert_ledgers_agree(
-        energy_balance_report(sys, window, inp, init, result=got),
-        oracles.energy_balance_report_dict(sys, window, inp, init, result=want),
+        energy_balance_report(got, inp),
+        oracles.energy_balance_report_dict(want, inp),
     )
     # the ledger takes any result, the closed form's included
     closed = closed_form(sys, window, inp, init)
     _assert_ledgers_agree(
-        energy_balance_report(sys, window, inp, init, result=closed),
-        oracles.energy_balance_report_dict(sys, window, inp, init, result=closed),
+        energy_balance_report(closed, inp),
+        oracles.energy_balance_report_dict(closed, inp),
     )
 
 
@@ -270,8 +291,8 @@ def test_one_leak_rule_marks_the_fronts_the_oracle_marks(case):
     # the ledger reads one test, lo <= t < hi, for both
     sys, window, inp, init = case
     result = oracles.simulate_dict(sys, window, inp, init)
-    got = energy_balance_report(sys, window, inp, init, result=result)
-    want = oracles.energy_balance_report_dict(sys, window, inp, init, result=result)
+    got = energy_balance_report(result, inp)
+    want = oracles.energy_balance_report_dict(result, inp)
     assert [r.contaminated for r in got.rows] == [r.contaminated for r in want.rows]
 
 
@@ -288,8 +309,7 @@ def test_offset_gathers_match_the_pointwise_closed_form(case):
 
 def _assert_same_bits(got, want):
     assert got.octant_exact == want.octant_exact
-    assert got.contaminated_states == want.contaminated_states
-    assert got.contaminated_outputs == want.contaminated_outputs
+    assert got.contaminated == want.contaminated
     for a, b in ((got.states, want.states), (got.outputs, want.outputs)):
         assert np.array_equal(a.points, b.points)
         assert oracles.same_bits(a.values, b.values)
@@ -466,7 +486,7 @@ def test_the_ledger_refuses_a_front_energy_that_is_not_finite():
             result = evaluate(sys, window, inp, empty(1, 1))
             assert np.isfinite(result.states.values).all()
             with pytest.raises(RangeError, match="the energies of front 2 are not finite"):
-                energy_balance_report(sys, window, inp, empty(1, 1), result=result)
+                energy_balance_report(result, inp)
 
 
 def test_closed_form_and_maclaurin_build_one_table_each(monkeypatch):
@@ -508,7 +528,7 @@ def test_huge_box_with_few_fronts_stays_small():
     window = SimulationWindow(Box((0, 0), (1000, 1000)), 2)
     result = simulate(sys, window, impulse(2, 1), empty(2, 2))
     assert len(result.states.entries) == 6 and len(result.outputs.entries) == 5
-    rows = energy_balance_report(sys, window, impulse(2, 1), empty(2, 2), result=result).rows
+    rows = energy_balance_report(result, impulse(2, 1)).rows
     assert [r.contaminated for r in rows] == [False, False]
 
 
@@ -536,12 +556,11 @@ def test_general_box_contaminates_boundary_reads():
     result = simulate(sys, window, inp, init)
     assert not result.octant_exact  # input mass at negative coordinates
     # (0, 1) reads (-1, 1), one step below the box floor: untrusted zero
-    assert (0, 1) in result.contaminated_states
+    assert (0, 1) in result.contaminated
     # (2, -1) reads (1, -1) and (2, -2), both inside: stays clean
-    assert (2, -1) not in result.contaminated_states
+    assert (2, -1) not in result.contaminated
     # the mask floods forward through dependents
-    assert (0, 2) in result.contaminated_states
-    assert result.contaminated_states == result.contaminated_outputs
+    assert (0, 2) in result.contaminated
 
 
 def test_octant_data_reads_below_any_negative_coordinate_exactly():
@@ -553,8 +572,8 @@ def test_octant_data_reads_below_any_negative_coordinate_exactly():
     inp = LatticeSignal(2, 1, {(2, 0): np.ones(1, dtype=complex)})
     result = simulate(sys, window, inp, empty(2, 2))
     assert result.octant_exact
-    assert (2, -1) not in result.contaminated_states
-    assert (2, 0) in result.contaminated_states
+    assert (2, -1) not in result.contaminated
+    assert (2, 0) in result.contaminated
     _assert_results_agree(result, oracles.simulate_dict(sys, window, inp, empty(2, 2)))
 
 
@@ -568,13 +587,13 @@ def test_octant_data_reads_negative_coordinates_exactly():
     inp = dense_input(rng, 2, 2, box, 2)
     result = simulate(sys, window, inp, empty(2, 2))
     assert result.octant_exact
-    assert not result.contaminated_states
+    assert not result.contaminated
 
 
 def test_energy_ledger_worked_rows():
     alpha = builtin_examples()["alpha"]
     window = SimulationWindow(Box((0, 0), (3, 3)), 2)
-    report = energy_balance_report(alpha, window, impulse(2, 1), empty(2, 1))
+    report = energy_balance_report(simulate(alpha, window, impulse(2, 1), empty(2, 1)), impulse(2, 1))
     assert [r.n for r in report.rows] == [1, 2]
     r1, r2 = report.rows
     assert np.isclose(r1.lhs, 1.0) and np.isclose(r1.rhs, 1.0)
@@ -591,7 +610,7 @@ def test_energy_equality_for_random_conservative(seed):
     window = SimulationWindow(box, 5)
     inp = dense_input(rng, 2, 2, box, 3)
     init = LatticeSignal(2, 2, {(0, 0): rng.standard_normal(2) + 0j})
-    report = energy_balance_report(sys, window, inp, init)
+    report = energy_balance_report(simulate(sys, window, inp, init), inp)
     clean = report.clean_rows
     assert len(clean) >= 3
     for row in clean:
@@ -605,7 +624,7 @@ def test_energy_inequality_for_random_dissipative(seed):
     box = Box((0, 0), (5, 5))
     window = SimulationWindow(box, 5)
     inp = dense_input(rng, 2, 2, box, 3)
-    report = energy_balance_report(sys, window, inp, empty(2, 2))
+    report = energy_balance_report(simulate(sys, window, inp, empty(2, 2)), inp)
     assert report.dissipative_consistent
     for row in report.clean_rows:
         assert row.lhs - row.rhs >= -1e-9
@@ -621,7 +640,7 @@ def test_expansive_system_breaks_the_inequality():
     )
     window = SimulationWindow(Box((0, 0), (4, 4)), 3)
     init = LatticeSignal(2, 1, {(0, 0): np.array([1.0 + 0j])})
-    report = energy_balance_report(sys, window, empty(2, 1), init)
+    report = energy_balance_report(simulate(sys, window, empty(2, 1), init), empty(2, 1))
     assert not report.dissipative_consistent
 
 
@@ -633,7 +652,7 @@ def test_leaky_fronts_are_flagged_not_asserted():
     box = Box((0, 0), (2, 2))
     window = SimulationWindow(box, 4)
     inp = dense_input(rng, 2, 2, box, 2)
-    report = energy_balance_report(sys, window, inp, empty(2, 2))
+    report = energy_balance_report(simulate(sys, window, inp, empty(2, 2)), inp)
     flags = {r.n: r.contaminated for r in report.rows}
     assert flags[1] is False
     assert flags[3] is True and flags[4] is True

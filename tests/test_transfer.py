@@ -284,20 +284,6 @@ def test_maclaurin_poly_equals_single_entry_tables_bitwise(n):
         assert oracles.same_bits(m, float(multinomial(t)) * single)
 
 
-def test_maclaurin_poly_validates_once(monkeypatch):
-    import ndsys.system as system_module
-
-    calls = []
-    real = system_module.validate
-    monkeypatch.setattr(system_module, "validate", lambda s: calls.append(1) or real(s))
-    sys = gen.dissipative_system(np.random.default_rng(0), 2, 2, 2)
-    maclaurin_poly(sys, 6)
-    assert len(calls) == 1
-    calls.clear()
-    sys.blocks()
-    assert len(calls) == 1
-
-
 def test_maclaurin_units_are_the_d_members():
     rng = np.random.default_rng(3)
     sys = gen.random_system(rng, 3, 2, 2, 2)
