@@ -54,6 +54,9 @@ _BUDGETS = {
     # Maclaurin coefficients (every order it admits has int64 weights for
     # n <= 4) and series terms
     "terms": 2**17,
+    # scattering trials: each applies the generators to a whole box, so the
+    # values budget alone admits minutes of work on a small box
+    "trials": 2**10,
 }
 
 

@@ -195,10 +195,11 @@ def gamma_map(vec: TruncatedLPVector) -> TruncatedLPVector:
 
 
 def _check_trials(sys: MultiLSDS, box: Box, trials: int) -> int:
-    """Refuse fewer than one trial, and trials whose generator boxes hold
-    more than the values budget together, before the first trial; return
-    the trial count as an int."""
+    """Refuse fewer than one trial, trials past the trials budget, and
+    trials whose generator boxes hold more than the values budget together,
+    before the first trial; return the trial count as an int."""
     trials = _require_within("trials", trials, low=1)
+    _require_within(f"{_quote(trials)} trials", trials, budget="trials")
     width = sys.dim_x + sys.dim_in + sys.dim_out
     values = math.prod(b - a + 1 for a, b in zip(box.lo, box.hi)) * width
     what = f"{_quote(trials)} trials of {_quote(values)} box values"

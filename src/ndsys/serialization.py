@@ -194,15 +194,11 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
     if not isinstance(obj, dict):
         raise DomainError(f"polynomial must be a JSON object, got {type(obj).__name__}")
     n = whole(_need(obj, "n", "polynomial"), "polynomial: n")
-    shape = _need(obj, "shape", "polynomial")
-    if not (isinstance(shape, list) and len(shape) == 2):
-        raise DomainError(f"polynomial: shape must be a [rows, cols] list, got {_quote(shape)}")
-    rows, cols = (whole(v, "polynomial: shape") for v in shape)
-    if min(rows, cols) < 0:
-        raise DomainError(f"polynomial: shape must hold sizes >= 0, got {_quote(shape)}")
+    # the constructor is the one check of the shape, before the terms are read by it
+    shape = MatrixPolynomial(n=n, shape=_need(obj, "shape", "polynomial")).shape
     terms = _list(obj.get("terms", []), "polynomial: terms")
     mats = [_need(item, "m", "polynomial term") for item in terms]
-    mats = _complex(mats, "polynomial terms: m", (rows, cols))
+    mats = _complex(mats, "polynomial terms: m", shape)
     coeffs = {}
     for item, m in zip(terms, mats):
         exps = _need(item, "t", "polynomial term")
@@ -213,7 +209,7 @@ def json_to_poly(obj: dict) -> MatrixPolynomial:
         if t in coeffs:
             raise DomainError(f"polynomial: exponent {_quote(list(t))} is given twice")
         coeffs[t] = m
-    return MatrixPolynomial(n=n, shape=(rows, cols), coeffs=coeffs)
+    return MatrixPolynomial(n=n, shape=shape, coeffs=coeffs)
 
 
 def lp_vector_to_json(vec: TruncatedLPVector) -> dict:

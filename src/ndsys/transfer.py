@@ -60,7 +60,9 @@ class MatrixPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _require_within("variable count", self.n, low=1))
-        shape = (whole(self.shape[0], "polynomial: shape"), whole(self.shape[1], "polynomial: shape"))
+        if not (isinstance(self.shape, (list, tuple)) and len(self.shape) == 2):
+            raise DomainError(f"polynomial: shape must be a [rows, cols] list, got {_quote(self.shape)}")
+        shape = tuple(whole(v, "polynomial: shape") for v in self.shape)
         if min(shape) < 0:
             raise DomainError(f"polynomial: shape must hold sizes >= 0, got {_quote(list(shape))}")
         clean = {}
@@ -115,20 +117,32 @@ def _block(m: np.ndarray) -> np.ndarray:
     complex ones."""
     (r, k), m = m.shape[1:], np.moveaxis(m, 0, -1)
     out = np.empty((2 * r, 2 * k, m.shape[2]))
-    out[:r, :k], out[:r, k:], out[r:, :k], out[r:, k:] = m.real, -m.imag, m.imag, m.real
-    return out
+    out[:r, :k], out[r:, :k] = m.real, m.imag
+    return _complete(out)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _complete(block: np.ndarray) -> np.ndarray:
+    """Fill the right half of a `_block` form from its left half, which is
+    the `_rows` form of the same complex stack."""
+    r, k = block.shape[0] // 2, block.shape[1] // 2
+    np.negative(block[r:, :k], out=block[:r, k:])
+    block[r:, k:] = block[:r, :k]
+    return block
+
+
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The pointwise product of ``(r, k, S)`` and ``(k, c, S)`` real stacks,
-    added up over the inner index in order.  Each step is one real multiply
-    or add over every point at once, so a point's value does not depend on
-    the rest of the stack or on the loop numpy picks for its shape."""
+    added up over the inner index in order, written to ``out``; ``tmp``, of
+    the same shape, holds each term.  Each step is one real multiply or add
+    over every point at once, so a point's value does not depend on the
+    rest of the stack or on the loop numpy picks for its shape."""
     if not a.shape[1]:
-        return np.zeros((a.shape[0], b.shape[1], a.shape[2]))
-    out = a[:, 0, None] * b[0]
+        out[...] = 0.0
+        return out
+    np.multiply(a[:, 0, None], b[0], out=out)
     for k in range(1, a.shape[1]):
-        out += a[:, k, None] * b[k]
+        np.multiply(a[:, k, None], b[k], out=tmp)
+        out += tmp
     return out
 
 
@@ -176,8 +190,10 @@ def _solved(sys: MultiLSDS, z: np.ndarray, pencils) -> np.ndarray:
 
 def transfer_eval_series(sys: MultiLSDS, z, terms: int) -> np.ndarray:
     """Partial Neumann sum zD + sum_{i<=terms} zC (zA)^i zB at a point or a
-    stack of points, summed by Horner's rule: h = zB, then ``terms`` times
-    h = zB + zA h, and zD + zC h.
+    stack of points, summed two terms a product by Horner's rule in
+    (zA)^2: with c = zB + zA zB, h = c for odd ``terms`` and h = zB for
+    even, then ``terms // 2`` times h = c + (zA)^2 h, and zD + zC h.
+    (zA)^2 is formed once per point, and only when ``terms >= 2``.
 
     Requires the pencil value zA to be a strict contraction so the full
     series converges geometrically; the first point where it is not raises
@@ -203,11 +219,28 @@ def _neumann(sys: MultiLSDS, z: np.ndarray, terms: int, pencils) -> np.ndarray:
                 f"series needs ||zA|| < 1, got {float(norm_za[bad[0]]):.6f} "
                 f"at z={tuple(pts[near[bad[0]]])}"
             )
-    a, b = _block(za), _rows(zb)
-    h = b
-    for _ in range(terms):
-        h = b + _product(a, h)
-    out = _rows(zd) + _product(_block(zc), h)
+    x, a, b = sys.dim_x, _block(za), _rows(zb)
+    tmp, h = np.empty_like(b), b
+    if terms:
+        # with c = zB + zA zB, sum_{i<=terms} (zA)^i zB is c + (zA)^2 c + ...
+        # + (zA)^(terms-1) c for odd terms and c + ... + (zA)^(terms-2) c +
+        # (zA)^terms zB for even, so Horner in (zA)^2 takes terms // 2 steps
+        c = _product(a, b, np.empty_like(b), tmp)
+        c += b
+        h = c if terms % 2 else b
+    if terms > 1:
+        # the left half of (zA)^2's block is zA times the left half of zA's;
+        # the right half holds that product's terms until it is filled
+        square = np.empty_like(a)
+        _product(a, a[:, :x], square[:, :x], square[:, x:])
+        _complete(square)
+        spare = [np.empty_like(b), np.empty_like(b)]
+        for i in range(terms // 2):
+            h = _product(square, h, spare[i % 2], tmp)
+            h += c
+    zc, zd = _block(zc), _rows(zd)
+    out = _product(zc, h, np.empty_like(zd), np.empty_like(zd))
+    out += zd
     value = np.empty((len(pts), sys.dim_out, sys.dim_in), dtype=complex)
     value.real, value.imag = np.moveaxis(out.reshape(2, sys.dim_out, sys.dim_in, len(pts)), -1, 1)
     return value if z.ndim == 2 else value[0]

@@ -24,8 +24,13 @@ def haar_unitary(rng, n):
 
 
 def composition(rng, total, parts):
-    """Split ``total`` into ``parts`` nonnegative summands, uniformly."""
-    cuts = np.sort(rng.integers(0, total + 1, size=parts - 1))
+    """Split ``total`` into ``parts`` summands, uniformly: each at least 1
+    when ``total >= parts``, so that every direction of a system built on
+    the split gets a block, and nonnegative otherwise."""
+    if total >= parts:
+        cuts = np.sort(rng.choice(np.arange(1, total), size=parts - 1, replace=False))
+    else:
+        cuts = np.sort(rng.integers(0, total + 1, size=parts - 1))
     edges = np.concatenate([[0], cuts, [total]])
     return np.diff(edges)
 

@@ -16,7 +16,9 @@ and `transfer_eval_series_point` evaluate the pencil, the torus scan and
 the transfer function one point at a time, the series by the two-product
 loop with an SVD at every point.  The library's stacked versions must
 reproduce them bit for bit, errors included, except two.  The library
-sums the series values by Horner's rule, within 1e-12 relative.  The scan
+sums the series by Horner's rule in ``(zA)^2``, two terms a product, so
+its values must agree within 1e-12 relative with this oracle and with
+`transfer_eval_series_horner`, Horner's rule one term a product.  The scan
 oracle takes one spectral norm, an SVD (`norms_pointwise`), per diagonal
 orbit, at the ``j_1 = 0`` rows of `torus_grid_pointwise`, and keeps the
 first strict maximum; the library takes each norm from a Hermitian
@@ -526,6 +528,17 @@ def transfer_eval_series_point(sys, z, terms):
         acc = acc + zc @ cur
         cur = za @ cur
     return acc
+
+
+def transfer_eval_series_horner(sys, z, terms):
+    """The partial Neumann sum at one point by Horner's rule one term a
+    product: h = zB, then ``terms`` times h = zB + zA h, and zD + zC h."""
+    z = np.asarray(z, dtype=complex)
+    za, zb, zc, zd = (eval_pencil_point(z, ops) for ops in (sys.a, sys.b, sys.c, sys.d))
+    h = zb
+    for _ in range(terms):
+        h = zb + za @ h
+    return zd + zc @ h
 
 
 def matrix_poly_eval_point(poly, z):

@@ -1405,6 +1405,16 @@ _BUDGET_SITES = {
         ["laxphillips", "builtin:alpha", "--op", "metric", "--box", "0:2,0:2", "--trials", "2"],
         "ndsys.laxphillips.apply_generator",
     ),
+    "metric trial count": (
+        "trials", 4, "4 trials",
+        ["laxphillips", "builtin:alpha", "--op", "metric", "--box", "0:2,0:2", "--trials", "4"],
+        "ndsys.laxphillips.apply_generator",
+    ),
+    "commute trial count": (
+        "trials", 4, "4 trials",
+        ["laxphillips", "builtin:alpha", "--op", "commute", "--box", "0:4,0:4", "--j", "1", "--trials", "4"],
+        "ndsys.laxphillips.apply_generator",
+    ),
     "commute trials": (
         "values", 2 * 25 * 3, "2 trials of 75 box values",
         ["laxphillips", "builtin:alpha", "--op", "commute", "--box", "0:4,0:4", "--j", "1", "--trials", "2"],

@@ -27,7 +27,7 @@ from ndsys import (
     transfer_eval_series,
 )
 from ndsys.numerics import halton_disc
-from ndsys.pencil import _check_weights
+from ndsys.pencil import _check_weights, eval_pencil
 from ndsys.system import _lift, conjugate
 
 
@@ -135,8 +135,9 @@ def test_stacked_transfer_matches_the_pointwise_oracles(n, dim_x, dim_io, count,
     rng = np.random.default_rng(seed)
     sys = gen.random_system(rng, n, dim_x, dim_io, dim_io + 1, scale=0.4)
     z = radius * (rng.random((count, n)) * np.exp(2j * np.pi * rng.random((count, n))))
-    # the Horner series sums in another order than the two-product oracle;
-    # without a state there is nothing to sum, and both give zD + 0
+    # the series sums by Horner's rule in (zA)^2, in another order than the
+    # two-product oracle; without a state there is nothing to sum, and both
+    # give zD + 0
     series_agrees = oracles.same_bits if dim_x == 0 else within_1e12
     cases = (
         (transfer_eval, oracles.transfer_eval_point, (), oracles.same_bits),
@@ -155,6 +156,25 @@ def test_stacked_transfer_matches_the_pointwise_oracles(n, dim_x, dim_io, count,
         for p, value in zip(z, stack):
             assert agree(value, oracle(sys, p, *extra))
             assert oracles.same_bits(fn(sys, p, *extra), value)
+
+
+# both parities, the two without a (zA)^2 step, and the benchmark's count
+_EDGE_TERMS = [0, 1, 2, 3, 30]
+
+
+@pytest.mark.parametrize("terms", _EDGE_TERMS)
+@pytest.mark.parametrize("dim_x", [0, 1, 4])
+def test_the_paired_series_agrees_with_both_oracles_at_either_parity(terms, dim_x):
+    rng = np.random.default_rng(40 + 10 * dim_x + terms)
+    sys = gen.dissipative_system(rng, 3, dim_x, 2)
+    z = halton_disc(9, 3, 0.9)
+    stack = transfer_eval_series(sys, z, terms)
+    if dim_x == 0:
+        assert oracles.same_bits(stack, eval_pencil(z, sys.d))
+    for p, value in zip(z, stack):
+        assert oracles.same_bits(transfer_eval_series(sys, p, terms), value)
+        assert within_1e12(value, oracles.transfer_eval_series_point(sys, p, terms))
+        assert within_1e12(value, oracles.transfer_eval_series_horner(sys, p, terms))
 
 
 def within_1e12(got, want):
@@ -187,14 +207,15 @@ def test_stacked_singularity_names_the_first_singular_point():
     assert exc.value.sigma_min == want.sigma_min <= 1e-13
 
 
-def test_stacked_series_divergence_names_the_first_divergent_point():
+@pytest.mark.parametrize("terms", _EDGE_TERMS)
+def test_stacked_series_divergence_names_the_first_divergent_point(terms):
     sys = _diagonal_state_system()
     z = np.array([(0.1, 0.0), (0.3, 0.9), (-0.7j, 0.0), (0.6, 0.0)])
-    oracle = functools.partial(oracles.transfer_eval_series_point, sys, terms=5)
+    oracle = functools.partial(oracles.transfer_eval_series_point, sys, terms=terms)
     want = first_point_failure(oracle, z)
     assert "got 1.400000" in str(want)  # z_1 = -0.7j, the third point
     with pytest.raises(DivergenceError) as exc:
-        transfer_eval_series(sys, z, 5)
+        transfer_eval_series(sys, z, terms)
     assert str(exc.value) == str(want)
 
 
@@ -427,6 +448,16 @@ def test_matrix_polynomial_refuses_a_negative_shape(shape):
     for coeffs in ({}, {(0,): np.zeros((1, 1))}):
         with pytest.raises(DomainError, match=want):
             MatrixPolynomial(1, shape, coeffs)
+
+
+@pytest.mark.parametrize("shape, quoted", [((2, 1, 5), "(2, 1, 5)"), ((2,), "(2,)"), (5, "5"), ("21", "'21'")])
+def test_matrix_polynomial_refuses_a_shape_that_is_not_a_pair(shape, quoted):
+    # in json_to_poly's words, since it reads a file's shape through this
+    # constructor
+    want = f"polynomial: shape must be a [rows, cols] list, got {quoted}"
+    with pytest.raises(DomainError) as exc:
+        MatrixPolynomial(2, shape, {})
+    assert str(exc.value) == want
 
 
 def test_matrix_polynomial_rejects_mixed_shapes():
