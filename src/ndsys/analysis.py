@@ -32,8 +32,16 @@ __all__ = [
 
 _GRID_CAP = 100_000
 _AXIS_DEFAULT = 32
-# bytes of pencil values and Grams per stacked eigensolve: bounds the scan's memory
+# bytes of pencil values, Grams and the screen's working copy per chunk:
+# bounds the scan's memory
 _CHUNK_BYTES = 2**24
+# the scan's screen: the points eigensolved first as the likely maxima, the
+# power steps of their guess, and the chunks screened, at least
+# _SCREEN_POINTS points of Grams _SCREEN_SIDES on a side
+_TOP = 8
+_POWER_STEPS = 2
+_SCREEN_POINTS = 128
+_SCREEN_SIDES = (3, 20)
 # Every block product an analysis forms stays below this.  With each real
 # and imaginary part of a block entry at most M, blocks at most d on a side
 # and n directions, a sum of n products G_j^H G_k or G_j G_k^H has parts at
@@ -58,7 +66,9 @@ class TorusScanReport:
     ``P^(n-1)`` points with ``z_1 = 1``, one per diagonal orbit, so an
     unrefined witness has ``z_1 = 1``.  ``refined`` says the ascent ran,
     possibly with no trial step: it stops at once where the gradient is
-    only rounding.
+    only rounding.  ``rounding_bound`` is the bound ``e`` on the rounding
+    of one computed norm (see `dissipativity_scan`): where ``|margin|`` is
+    within it, the sign of the margin is rounding.
     """
 
     max_norm: float
@@ -66,6 +76,7 @@ class TorusScanReport:
     samples: int
     refined: bool
     tol: float
+    rounding_bound: float
 
     @property
     def dissipative(self) -> bool:
@@ -116,25 +127,121 @@ def _require_bounded(blocks: OperatorTuple) -> None:
         )
 
 
-def _sigma_max(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
-    """The pencil norm at the ``(S, n)`` points, one stacked Hermitian
-    eigensolve per chunk of them: as many points as have their values and
-    Grams within ``_CHUNK_BYTES``, and at least one.  The largest singular
-    value of a pencil value ``G`` is the root of the largest eigenvalue of
-    the Gram on its smaller side, ``G G^H`` when it has at most as many rows
-    as columns and ``G^H G`` otherwise; rounding can leave that eigenvalue a
-    little below 0, which reads as norm 0.  A pencil with an empty side has
-    an empty Gram and norm 0."""
-    per_point = 16 * (blocks.rows * blocks.cols + min(blocks.rows, blocks.cols) ** 2)
+def _rounding_bound(blocks: OperatorTuple) -> float:
+    """``e = (n + 2 k + 64) m u (1 + sum_k ||G_k||)``, the rounding bound of
+    one computed norm that `dissipativity_scan` derives: ``u = 2^-53`` and
+    ``k >= m`` the longer and the shorter side of a block; 0.0 for a pencil
+    with an empty side, whose every norm is 0 exactly."""
+    longer, shorter = max(blocks.rows, blocks.cols), min(blocks.rows, blocks.cols)
+    if shorter == 0:
+        return 0.0
+    total = float(np.linalg.svd(np.array(blocks.mats), compute_uv=False)[:, 0].sum())
+    return (blocks.n + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
+
+
+def _norms(gram: np.ndarray) -> np.ndarray:
+    """The root of the largest eigenvalue of each ``(S, m, m)`` Gram, one
+    stacked Hermitian eigensolve; rounding can leave that eigenvalue a
+    little below 0, which reads as norm 0, and an empty Gram has norm 0.
+    LAPACK decomposes each matrix alone, so a norm does not depend on the
+    other matrices of the stack."""
+    eig = np.linalg.eigvalsh(gram)
+    return np.sqrt(np.maximum(eig[:, -1], 0.0)) if eig.shape[1] else np.zeros(len(eig))
+
+
+def _quotients(work: np.ndarray) -> np.ndarray:
+    """A guess at the largest eigenvalue of each of the ``(m, m, S)``
+    Hermitian matrices: the Rayleigh quotient after ``_POWER_STEPS`` power
+    steps from the column at the largest diagonal entry.  Each vector is
+    scaled to a largest part of 1 before it is multiplied, so no product
+    leaves the range of the matrices; a zero matrix reads 0.  ``einsum``
+    forms each product without a temporary the size of the stack."""
+    m, _, count = work.shape
+    diagonal = work[np.arange(m), np.arange(m)].real
+    w = work[:, diagonal.argmax(axis=0), np.arange(count)]
+    for _ in range(_POWER_STEPS + 1):
+        top = np.abs(w).max(axis=0)
+        v = w / np.where(top > 0, top, 1.0)
+        w = np.einsum("ijs,js->is", work, v)
+    return (w * v.conj()).sum(axis=0).real / np.maximum((np.abs(v) ** 2).sum(axis=0), 1.0)
+
+
+def _definite(work: np.ndarray) -> np.ndarray:
+    """Which of the ``(m, m, S)`` Hermitian matrices, read by their lower
+    triangles as the eigensolver reads them, have every pivot positive in
+    ``L D L^H`` without pivoting, computed in the lower triangles in place,
+    one column at a time.  The pivot update subtracts ``|l|^2 d >= 0`` in
+    floating point too, so a pivot never rises above its diagonal entry: a
+    matrix that fails can overflow or divide by 0 (not reported), but its
+    later pivots stay not positive."""
+    definite = np.ones(work.shape[2], dtype=bool)
+    with np.errstate(all="ignore"):
+        for j in range(len(work)):
+            pivot = work[j, j].real
+            definite &= pivot > 0
+            scaled = work[j + 1 :, j] / pivot
+            for k in range(j + 1, len(work)):
+                work[k:, k] -= scaled[k - j - 1 :] * work[k, j].conj()
+    return definite
+
+
+def _screened_norms(gram: np.ndarray, level: float, bound: float) -> np.ndarray:
+    """The norms of the ``(S, m, m)`` Grams that can hold the first maximum,
+    and -1.0 at every point shown to lie below one computed norm: that of
+    the ``_TOP`` points of largest `_quotients`, or ``level``, a computed
+    norm from an earlier chunk.  With ``M`` the largest of those, a point
+    whose ``gamma^2 I - H`` has positive pivots at ``gamma = M - bound``
+    has a computed norm below ``M`` (see `dissipativity_scan`)."""
+    # each diagonal entry is a Rayleigh quotient, at most the largest
+    # eigenvalue: where every point's is within the margin of the largest,
+    # as on a conservative pencil, the chunk is flat and eigensolved whole
+    diagonal = np.maximum.reduce([gram[:, j, j].real for j in range(gram.shape[1])])
+    low = max(math.sqrt(diagonal.max()) - bound, 0.0)
+    if diagonal.min() >= low * low:
+        return _norms(gram)
+    work = np.ascontiguousarray(gram.transpose(1, 2, 0))
+    top = np.argpartition(_quotients(work), -_TOP)[-_TOP:]
+    norms = np.full(len(gram), -1.0)
+    norms[top] = _norms(gram[top])
+    gamma = max(level, float(norms[top].max())) - bound
+    rest = np.ones(len(gram), dtype=bool)
+    rest[top] = False
+    if gamma > 0:
+        on_diagonal = np.arange(len(work))
+        np.negative(work, out=work)
+        work[on_diagonal, on_diagonal] += gamma * gamma
+        rest &= ~_definite(work)
+    norms[rest] = _norms(gram[rest])
+    return norms
+
+
+def _scan_maximum(points: np.ndarray, blocks: OperatorTuple, bound: float) -> tuple[float, int]:
+    """The first maximum of the pencil norm over the ``(S, n)`` points and
+    its index, one chunk at a time: as many points as have their values,
+    Grams and a working copy of the Grams within ``_CHUNK_BYTES``, and at
+    least one.  The largest singular value of a pencil value ``G`` is the
+    root of the largest eigenvalue of the Gram on its smaller side, ``G G^H``
+    when it has at most as many rows as columns and ``G^H G`` otherwise.  A
+    chunk of at least ``_SCREEN_POINTS`` Grams ``_SCREEN_SIDES`` on a side,
+    where screening was measured to cost less, eigensolves only the points
+    `_screened_norms` keeps; ``bound`` is `_rounding_bound`."""
+    side = min(blocks.rows, blocks.cols)
+    per_point = 16 * (blocks.rows * blocks.cols + 2 * side**2)
     chunk = max(1, _CHUNK_BYTES // max(per_point, 1))
-    parts = []
+    screens = _SCREEN_SIDES[0] <= side <= _SCREEN_SIDES[1]
+    best, at = -1.0, 0
     for start in range(0, len(points), chunk):
         value = eval_pencil(points[start : start + chunk], blocks)
         adjoint = value.conj().swapaxes(1, 2)
         gram = value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
-        eig = np.linalg.eigvalsh(gram)
-        parts.append(np.sqrt(np.maximum(eig[:, -1], 0.0)) if eig.shape[1] else np.zeros(len(eig)))
-    return np.concatenate(parts)
+        if screens and len(gram) >= _SCREEN_POINTS:
+            norms = _screened_norms(gram, best, bound)
+        else:
+            norms = _norms(gram)
+        here = int(np.argmax(norms))
+        if norms[here] > best:
+            best, at = float(norms[here]), start + here
+    return best, at
 
 
 def _top_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -187,20 +294,62 @@ def dissipativity_scan(
     ``d^2`` for blocks ``d`` on a side: about ``5.3e-14 (1 + S)`` for the
     6 x 6 blocks of an n = 3 pencil, ``3e-12 (1 + S)`` at d = 100.  The
     maximum over the representatives lies within ``2 e`` of the maximum of
-    the norms an SVD computes at every grid point.
+    the norms an SVD computes at every grid point.  The report states ``e``
+    as ``rounding_bound``.
+
+    Most representatives cannot hold the maximum, and a chunk of at least
+    ``_SCREEN_POINTS = 128`` Grams 3 to 20 on a side eigensolves only those
+    that can.  Its ``_TOP = 8`` points of largest Rayleigh quotient, after
+    two power steps from the column at the largest diagonal entry, are
+    eigensolved first; ``M``, the largest norm among them and the earlier
+    chunks, is the computed norm of a kept point.  One stacked ``L D L^H``
+    without pivoting of ``gamma^2 I - H`` at ``gamma = M - e`` then runs
+    over every Gram ``H`` of the chunk, reading its lower triangle as
+    ``eigvalsh`` does; a point whose pivots are all positive is excluded,
+    and the rest are eigensolved.  The margin ``e`` covers both errors on
+    the same computed Gram.  Positive pivots make ``L D L^H``, which is
+    ``gamma^2 I - H + F`` with ``|F| <= g |L| D |L|^H`` and ``g`` about
+    ``2 (m + 2) u`` in complex arithmetic (the backward error of Cholesky,
+    Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.5),
+    positive definite.  ``|L| D |L|^H`` is positive semidefinite with the
+    trace of ``L D L^H``, at most ``m gamma^2 / (1 - g)``, so
+    ``||F|| <= 2 m (m + 2) u gamma^2`` and the largest eigenvalue of ``H``
+    is below ``gamma^2 (1 + 2 m (m + 2) u)``.  ``eigvalsh`` adds at most
+    ``c m u ||H||``, the ``c`` above, and the root and the level's own
+    rounding a few ``u``, so the excluded point's computed norm is at most
+    ``gamma + gamma (m + 5 + c / 2) m u``, below ``gamma + e = M`` since
+    ``gamma < 1 + S`` and ``k >= m``, for any ``c`` below ``2 m + 118``.
+    A kept point holds ``M``, so no excluded point holds the maximum or
+    ties it, and LAPACK decomposes each Gram alone, whatever stack holds
+    it: the maximum and its index, and so every report value, are those
+    of an eigensolve of every representative, bit for bit.  Where every
+    Gram's largest diagonal entry lies within the margin of the largest
+    (in norm), as on a conservative pencil whose norm is 1 everywhere, no
+    point could be excluded and the chunk is eigensolved whole.  The test
+    costs a fixed numpy overhead per column and the eigensolves it saves
+    grow with the points: screening a chunk cost less from about 110
+    points of 3 x 3 Grams, 95 of 4 x 4 and 70 to 90 from 6 x 6 to 20 x 20,
+    but of 2 x 2 Grams only from about 700, and from 24 x 24 on it about
+    broke even (one core of a shared 2-vCPU Linux container, OpenBLAS on
+    one thread).
     """
     blocks = sys.blocks()
     _require_bounded(blocks)
     per_axis, reps = _representatives(sys.n, samples)
-    sigma = _sigma_max(reps, blocks)
-    at = int(np.argmax(sigma))
-    best, witness = float(sigma[at]), tuple(reps[at])
+    bound = _rounding_bound(blocks)
+    best, at = _scan_maximum(reps, blocks, bound)
+    witness = tuple(reps[at])
 
     if refine:
         best, witness = _refine(blocks, witness, best)
 
     return TorusScanReport(
-        max_norm=best, witness=witness, samples=per_axis**sys.n, refined=refine, tol=tol
+        max_norm=best,
+        witness=witness,
+        samples=per_axis**sys.n,
+        refined=refine,
+        tol=tol,
+        rounding_bound=bound,
     )
 
 

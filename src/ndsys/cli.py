@@ -125,6 +125,7 @@ def _cmd_check(args, inputs) -> dict:
             "refined": scan.refined,
             "dissipative": scan.dissipative,
             "margin": scan.margin,
+            "rounding_bound": scan.rounding_bound,
         },
         "closely_connected": {
             "dim_state": sys_obj.dim_x,

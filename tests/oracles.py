@@ -25,7 +25,12 @@ first strict maximum; the library takes each norm from a Hermitian
 eigensolve of the value's smaller Gram, so its maximum must lie within
 the rounding bound ``e`` that `dissipativity_scan` states of the
 oracle's, at the oracle's witness bit for bit wherever the oracle's top
-norm beats every other orbit's by more than ``2 e``.
+norm beats every other orbit's by more than ``2 e`` (`rounding_bound`).
+`norms_unscreened` is that eigensolve at every point, with no point
+excluded: the library eigensolves only the points its definiteness test
+cannot exclude, so its maximum and witness must be the first maximum of
+these norms bit for bit, and every excluded point's norm here must lie
+below that maximum.
 `dissipativity_scan_pointwise` takes one SVD at every point of the
 ``P^n`` grid: the library's unrefined maximum must lie at most ``e``
 above it and ``2 e`` below it, and the two verdicts must agree wherever
@@ -429,6 +434,26 @@ def norms_pointwise(blocks, phases):
     return [spectral_norm(eval_pencil_point(z, blocks)) for z in phases]
 
 
+def norms_unscreened(points, blocks):
+    """The pencil norm at each of the ``(S, n)`` points, from one stacked
+    Hermitian eigensolve of every value's Gram on its smaller side: the
+    scan's eigensolve with no point excluded."""
+    value = eval_pencil(points, blocks)
+    adjoint = value.conj().swapaxes(1, 2)
+    gram = value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
+    eig = np.linalg.eigvalsh(gram)
+    return np.sqrt(np.maximum(eig[:, -1], 0.0)) if eig.shape[1] else np.zeros(len(eig))
+
+
+def rounding_bound(blocks):
+    """``e = (n + 2 k + 64) m u (1 + sum_k ||G_k||)`` for ``k >= m`` the
+    sides of a block and ``u = 2^-53``, one SVD per block: the rounding
+    bound `dissipativity_scan` states for one computed norm."""
+    longer, shorter = max(blocks.rows, blocks.cols), min(blocks.rows, blocks.cols)
+    total = sum(spectral_norm(g) for g in blocks)
+    return (blocks.n + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
+
+
 def _scan_points(sys, phases, samples, refine, tol):
     """One spectral norm per point of ``phases``; the first strict maximum
     in enumeration order is the witness."""
@@ -442,7 +467,12 @@ def _scan_points(sys, phases, samples, refine, tol):
     if refine:
         best, witness = refine_stepwise(blocks, witness, best)
     return TorusScanReport(
-        max_norm=best, witness=witness, samples=samples, refined=refine, tol=tol
+        max_norm=best,
+        witness=witness,
+        samples=samples,
+        refined=refine,
+        tol=tol,
+        rounding_bound=rounding_bound(blocks),
     )
 
 

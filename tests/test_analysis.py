@@ -116,14 +116,10 @@ def same_scan(got, want):
 
 
 def scan_bound(sys):
-    """The rounding bound ``e = (n + 2 k + 64) m u (1 + sum_k ||G_k||)`` that
-    `dissipativity_scan` states for one computed norm, ``k >= m`` the sides
-    of a block and ``u = 2^-53``: the scan's norm lies within it of the
-    exact norm and of an SVD's of the same pencil value."""
-    blocks = sys.blocks()
-    longer, shorter = max(blocks.rows, blocks.cols), min(blocks.rows, blocks.cols)
-    total = sum(spectral_norm(g) for g in blocks)
-    return (blocks.n + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
+    """The rounding bound ``e`` that `dissipativity_scan` states for one
+    computed norm: the scan's norm lies within it of the exact norm and of
+    an SVD's of the same pencil value."""
+    return oracles.rounding_bound(sys.blocks())
 
 
 def near_orbit_oracle(got, sys, samples):
@@ -260,9 +256,9 @@ def pencil_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(pencil_cases())
 def test_each_norm_is_within_the_stated_bound_of_an_svd(case):
-    # the Gram's eigensolve against an SVD of the same value, at the
-    # representatives and at random torus points, with the scan itself
-    # against the orbit oracle; an empty side gives 0.0 exactly
+    # the Gram's eigensolve, unscreened, against an SVD of the same value,
+    # at the representatives and at random torus points, with the scan
+    # itself against the orbit oracle; an empty side gives 0.0 exactly
     import ndsys.analysis
     from ndsys.pencil import eval_pencil
 
@@ -270,7 +266,7 @@ def test_each_norm_is_within_the_stated_bound_of_an_svd(case):
     blocks = sys.blocks()
     reps = ndsys.analysis._representatives(sys.n, samples)[1]
     points = np.vstack([reps, np.exp(2j * np.pi * rng.random((8, sys.n)))])
-    got = ndsys.analysis._sigma_max(points, blocks)
+    got = oracles.norms_unscreened(points, blocks)
     want = np.array([spectral_norm(v) for v in eval_pencil(points, blocks)])
     assert got.dtype == float and got.shape == want.shape
     assert np.abs(got - want).max() <= scan_bound(sys)
@@ -308,12 +304,13 @@ def test_blocks_at_the_overflow_limit_scan_to_a_finite_norm(refine):
 
 
 def set_chunk(monkeypatch, blocks, points):
-    """Set the chunk budget so that `_sigma_max` takes ``points`` points of
-    the pencil ``blocks`` per stacked eigensolve."""
+    """Set the chunk budget so that `_scan_maximum` takes ``points`` points
+    of the pencil ``blocks`` per chunk: their values, Grams and the
+    screen's working copy of the Grams."""
     import ndsys.analysis
 
     side = min(blocks.rows, blocks.cols)
-    budget = points * 16 * (blocks.rows * blocks.cols + side * side)
+    budget = points * 16 * (blocks.rows * blocks.cols + 2 * side * side)
     monkeypatch.setattr(ndsys.analysis, "_CHUNK_BYTES", budget)
 
 
@@ -321,7 +318,7 @@ def test_scan_of_a_conservative_pencil_across_chunks_matches_the_orbit_oracle(mo
     # a conservative pencil has norm 1 everywhere, up to rounding: one call
     # takes the 65^2 representatives of the 65^3 grid, more than one
     # stacked eigensolve takes, and the first maximum among them is kept
-    rows = count_sigma_rows(monkeypatch)
+    rows = count_scan_points(monkeypatch)
     sys = gen.conservative_system(np.random.default_rng(9), 3, 4, 2)
     set_chunk(monkeypatch, sys.blocks(), 4096)
     got = dissipativity_scan(sys, samples=65**3, refine=False)
@@ -329,18 +326,26 @@ def test_scan_of_a_conservative_pencil_across_chunks_matches_the_orbit_oracle(mo
     assert near_orbit_oracle(got, sys, 65**3)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-@pytest.mark.parametrize("n,samples", [(2, 81), (3, 50)])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 200])
+@pytest.mark.parametrize("n,samples", [(2, 81), (3, 50), (3, None)])
 def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, samples):
-    # each pencil value is decomposed alone, so the chunking moves no bit
+    # each pencil value is decomposed alone, so the chunking moves no norm
+    # of the unscreened eigensolve, and a chunk's screen starts from the
+    # maximum of the chunks before it: the maximum and its witness stay
+    # those of one chunk, bit for bit, also where chunks of 200 of the
+    # 1,024 default n = 3 representatives are screened
     import ndsys.analysis
 
     sys = gen.dissipative_system(np.random.default_rng(n), n, 3, 2)
     reps = ndsys.analysis._representatives(n, samples)[1]
-    norms = ndsys.analysis._sigma_max(reps, sys.blocks())
+    norms = oracles.norms_unscreened(reps, sys.blocks())
+    parts = [oracles.norms_unscreened(reps[i : i + chunk], sys.blocks()) for i in range(0, len(reps), chunk)]
+    assert oracles.same_bits(np.concatenate(parts), norms)
+    whole = dissipativity_scan(sys, samples=samples, refine=False)
     set_chunk(monkeypatch, sys.blocks(), chunk)
-    assert oracles.same_bits(ndsys.analysis._sigma_max(reps, sys.blocks()), norms)
-    assert near_orbit_oracle(dissipativity_scan(sys, samples=samples, refine=False), sys, samples)
+    assert same_scan(dissipativity_scan(sys, samples=samples, refine=False), whole)
+    assert whole.max_norm == norms.max() and whole.witness == tuple(reps[np.argmax(norms)])
+    assert near_orbit_oracle(whole, sys, samples)
 
 
 def _ascent_cases():
@@ -464,6 +469,126 @@ def test_scan_ties_across_chunks_resolve_to_the_lowest_grid_index(monkeypatch, c
     assert ties_at_the_lowest_representative(report, sys, samples)
 
 
+@st.composite
+def screen_cases(draw):
+    """Pencils at n = 1..4 on the default budget or one up to 2^16, so
+    that some chunks are large enough to screen, with a chunk size of the
+    scan: 1, 7, 64 or the byte budget's."""
+    n = draw(st.integers(1, 4))
+    samples = draw(st.sampled_from([None, draw(st.integers(1, 2**16))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim_x, dim_io = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["dissipative", "conservative", "random"]))
+    if kind == "random":
+        sys = gen.random_system(rng, n, dim_x, dim_io, dim_io, scale=draw(st.sampled_from([0.3, 1.0])))
+    else:
+        sys = getattr(gen, f"{kind}_system")(rng, n, dim_x, dim_io)
+    return sys, samples, draw(st.sampled_from([1, 7, 64, None]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(screen_cases())
+def test_the_screened_scan_keeps_the_first_maximum_of_every_norm(case):
+    # the screen eigensolves some of the representatives; their maximum
+    # and its index are those of the unscreened eigensolve, bit for bit
+    import ndsys.analysis
+
+    sys, samples, chunk = case
+    reps = ndsys.analysis._representatives(sys.n, samples)[1]
+    norms = oracles.norms_unscreened(reps, sys.blocks())
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            set_chunk(patch, sys.blocks(), chunk)
+        got = dissipativity_scan(sys, samples=samples, refine=False)
+    at = int(np.argmax(norms))
+    assert type(got.max_norm) is float and got.max_norm == norms[at]
+    assert oracles.same_bits(np.array(got.witness), reps[at])
+
+
+def screen_masks(monkeypatch):
+    """The norms `_screened_norms` returns, one array a screened chunk: -1.0
+    marks a point the definiteness test excluded."""
+    import ndsys.analysis
+
+    masks = []
+    screened = ndsys.analysis._screened_norms
+    monkeypatch.setattr(
+        ndsys.analysis, "_screened_norms", lambda *args: masks.append(screened(*args)) or masks[-1]
+    )
+    return masks
+
+
+def _screened_cases():
+    cases = {}
+    for seed in range(4):
+        for n in (3, 4):
+            cases[f"dissipative-n{n}-seed{seed}"] = gen.dissipative_system(np.random.default_rng(seed), n, 4, 2)
+        cases[f"random-n3-seed{seed}"] = gen.random_system(np.random.default_rng(seed), 3, 4, 2, 2, scale=0.6)
+    cases["real-n3"] = _real_copy(cases["dissipative-n3-seed1"])
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_screened_cases()))
+def test_every_excluded_point_lies_below_the_maximum(monkeypatch, name):
+    # the default scan's representatives make one chunk: each point the test
+    # excludes has an unscreened norm strictly below the reported maximum,
+    # and the test excludes most of them
+    import ndsys.analysis
+
+    sys = _screened_cases()[name]
+    masks = screen_masks(monkeypatch)
+    report = dissipativity_scan(sys, refine=False)
+    reps = ndsys.analysis._representatives(sys.n, None)[1]
+    norms = oracles.norms_unscreened(reps, sys.blocks())
+    assert len(masks) == 1 and len(masks[0]) == len(reps)
+    excluded = masks[0] == -1.0
+    assert excluded.sum() > len(reps) // 2
+    assert (norms[excluded] < report.max_norm).all()
+    assert oracles.same_bits(masks[0][~excluded], norms[~excluded])
+
+
+@pytest.mark.parametrize("kind", ["exact", "conjugate"])
+def test_representatives_within_the_margin_are_kept_and_the_lowest_wins(monkeypatch, kind):
+    # exact: G_3 = 0, so the 32 representatives of one z_2 hold one pencil
+    # value and tie bit for bit; conjugate: real blocks, so the norm at
+    # the conjugate representative is the same up to rounding.  Every
+    # representative within the margin of the maximum is eigensolved, and
+    # the first maximum, the lowest representative among the tied, wins
+    import ndsys.analysis
+
+    base = gen.dissipative_system(np.random.default_rng(6), 3, 3, 2)
+    if kind == "exact":
+        sys = MultiLSDS(*(OperatorTuple(tuple(getattr(base, k))[:2] + (getattr(base, k)[2] * 0,)) for k in "abcd"))
+    else:
+        sys = _real_copy(base)
+    masks = screen_masks(monkeypatch)
+    report = dissipativity_scan(sys, refine=False)
+    reps = ndsys.analysis._representatives(3, None)[1]
+    norms = oracles.norms_unscreened(reps, sys.blocks())
+    near = np.flatnonzero(norms >= norms.max() - report.rounding_bound)
+    assert len(near) >= 2 and (masks[0][near] == norms[near]).all()
+    assert (masks[0] == -1.0).sum() > len(reps) // 2
+    first = np.flatnonzero(norms == norms.max())[0]
+    if kind == "exact":
+        assert len(np.flatnonzero(norms == norms.max())) == 32 and first % 32 == 0
+    assert oracles.same_bits(np.array(report.witness), reps[first])
+
+
+@pytest.mark.parametrize("shift,sign", [(-3.0, 1.0), (0.0, 0.0), (3.0, -1.0)])
+def test_the_margin_is_read_against_the_rounding_bound(shift, sign):
+    # a conservative pencil scaled by 1 + shift * e has that norm at every
+    # torus point: at shift 0 the computed maximum lies within e of 1 and
+    # the sign of the margin is rounding; three bounds away it is decided
+    base = gen.conservative_system(np.random.default_rng(4), 3, 3, 2)
+    scale = 1.0 + shift * oracles.rounding_bound(base.blocks())
+    sys = MultiLSDS(*(OperatorTuple(tuple(scale * m for m in getattr(base, k))) for k in "abcd"))
+    report = dissipativity_scan(sys)
+    bound = report.rounding_bound
+    assert bound > 0 and abs(bound / oracles.rounding_bound(sys.blocks()) - 1) <= 1e-14
+    assert abs(report.max_norm - scale) <= bound
+    assert (np.sign(report.margin) if abs(report.margin) > bound else 0.0) == sign
+
+
 def test_scan_rejects_empty_budget():
     with pytest.raises(DomainError):
         dissipativity_scan(builtin_examples()["alpha"], samples=0)
@@ -519,34 +644,55 @@ def test_default_scans_take_the_largest_tensor_grid_under_the_cap():
         assert same_scan(report, dissipativity_scan(sys, samples=samples, refine=False))
 
 
-def count_sigma_rows(monkeypatch):
-    """The number of points of each `_sigma_max` call, as the scan makes them."""
+def count_scan_points(monkeypatch):
+    """The number of points of each `_scan_maximum` call, as the scan makes
+    them."""
     import ndsys.analysis
 
     rows = []
-    sigma_max = ndsys.analysis._sigma_max
+    scan_maximum = ndsys.analysis._scan_maximum
 
-    def counted(points, blocks):
+    def counted(points, blocks, bound):
         rows.append(len(points))
-        return sigma_max(points, blocks)
+        return scan_maximum(points, blocks, bound)
 
-    monkeypatch.setattr(ndsys.analysis, "_sigma_max", counted)
+    monkeypatch.setattr(ndsys.analysis, "_scan_maximum", counted)
     return rows
 
 
-@pytest.mark.parametrize("kind", ["dissipative", "conservative"])
-def test_scan_computes_the_norm_once_per_orbit(monkeypatch, kind):
-    # one pass over the P^(n-1) representatives, also where the norm is 1 on
-    # the whole torus and every orbit reaches the maximum up to rounding
-    rows = count_sigma_rows(monkeypatch)
-    sys = getattr(gen, f"{kind}_system")(np.random.default_rng(1), 3, 3, 3)
+def count_eigensolved(monkeypatch):
+    """The number of Grams of each stacked eigensolve the scan makes."""
+    import ndsys.analysis
+
+    rows = []
+    norms = ndsys.analysis._norms
+    monkeypatch.setattr(ndsys.analysis, "_norms", lambda gram: rows.append(len(gram)) or norms(gram))
+    return rows
+
+
+@pytest.mark.parametrize("n,kind,eigensolved", [
+    pytest.param(3, "dissipative", range(8, 1024 // 10), id="dissipative"),
+    pytest.param(3, "conservative", [1024], id="conservative"),
+    pytest.param(2, "dissipative", [32], id="n2-dissipative"),
+    pytest.param(2, "conservative", [32], id="n2-conservative"),
+])
+def test_scan_computes_the_norm_once_per_orbit(monkeypatch, n, kind, eigensolved):
+    # one pass over the P^(n-1) representatives.  Of the 1,024 n = 3
+    # orbits the screen eigensolves its 8 likely maxima and fewer than a
+    # tenth in all where the pencil is dissipative; where the norm is 1 on
+    # the whole torus every orbit reaches the maximum up to rounding and
+    # each is eigensolved once; the 32 n = 2 orbits are too few to screen,
+    # so each is eigensolved once
+    points, rows = count_scan_points(monkeypatch), count_eigensolved(monkeypatch)
+    sys = getattr(gen, f"{kind}_system")(np.random.default_rng(1), n, 3, 3)
     report = dissipativity_scan(sys, refine=False)
-    assert rows == [32**2] and report.samples == 32**3
+    assert points == [32 ** (n - 1)] and report.samples == 32**n
+    assert sum(rows) in eigensolved
 
 
 def test_an_n1_scan_at_the_budget_cap_computes_one_norm(monkeypatch):
     # the one diagonal orbit is the whole circle
-    rows = count_sigma_rows(monkeypatch)
+    rows = count_scan_points(monkeypatch)
     sys = gen.dissipative_system(np.random.default_rng(0), 1, 3, 2)
     report = dissipativity_scan(sys, samples=2**24)
     assert rows == [1] and report.samples == 2**24
@@ -735,12 +881,13 @@ print(report.samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - befor
     assert samples == 2**24 and grown_kib < 100 * 1024
 
 
-@pytest.mark.parametrize("dim_x,dim_io,points,chunk", [(4, 2, None, 1024), (30, 10, None, 327), (4, 2, 7, 7)])
+@pytest.mark.parametrize("dim_x,dim_io,points,chunk", [(4, 2, None, 1024), (30, 10, None, 218), (4, 2, 7, 7)])
 def test_a_chunk_holds_as_many_points_as_its_byte_budget(monkeypatch, dim_x, dim_io, points, chunk):
-    # 16 bytes a complex entry, rows * cols of a value and m^2 of its Gram:
-    # a 6 x 6 point takes 1,152 bytes, so the default n = 3 scan's 1,024
-    # representatives make one chunk, and a 40 x 40 point 51,200 bytes;
-    # `set_chunk` sets a budget of the points it is given
+    # 16 bytes a complex entry, rows * cols of a value and m^2 each of its
+    # Gram and of the screen's working copy: a 6 x 6 point takes 1,728
+    # bytes, so the default n = 3 scan's 1,024 representatives make one
+    # chunk, and a 40 x 40 point 76,800 bytes; `set_chunk` sets a budget of
+    # the points it is given
     import ndsys.analysis
 
     sys = gen.random_system(np.random.default_rng(0), 3, dim_x, dim_io, dim_io)
@@ -752,7 +899,7 @@ def test_a_chunk_holds_as_many_points_as_its_byte_budget(monkeypatch, dim_x, dim
         ndsys.analysis, "eval_pencil", lambda z, ops: sizes.append(len(z)) or eval_pencil(z, ops)
     )
     reps = ndsys.analysis._representatives(3, None)[1]
-    ndsys.analysis._sigma_max(reps, sys.blocks())
+    ndsys.analysis._scan_maximum(reps, sys.blocks(), ndsys.analysis._rounding_bound(sys.blocks()))
     whole, rest = divmod(len(reps), chunk)
     assert len(reps) == 1024 and sizes == [chunk] * whole + [rest] * (rest > 0)
 
@@ -760,8 +907,8 @@ def test_a_chunk_holds_as_many_points_as_its_byte_budget(monkeypatch, dim_x, dim
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
 def test_a_scan_of_large_blocks_holds_one_chunk_of_its_budget():
     # the default n = 3 scan of 80 x 80 blocks takes its 1,024
-    # representatives 81 at a time; all in one chunk, they grew the
-    # process by 299 MB
+    # representatives 54 at a time; all in one chunk, their values and
+    # Grams alone grew the process by 299 MB
     code = """
 import resource, numpy as np, gen
 from ndsys import dissipativity_scan

@@ -248,7 +248,39 @@ def test_only_the_points_past_the_frobenius_screen_reach_an_svd(monkeypatch):
         assert within_1e12(partial, oracles.transfer_eval_series_point(sys, p, 7))
 
 
-@pytest.mark.parametrize("failing", [(0.5, 0.3), (1.0, -0.2j), (-0.5j, 0.0), (0.6, 0.0)])
+def fails_like_the_pointwise_oracles(sys, z):
+    """The stacked resolvent and series (4 terms) at ``z`` raise what their
+    pointwise oracles raise first, or agree with them: the resolvent bit
+    for bit, the series, summed two terms a product, within 1e-12 relative
+    of the two-product oracle.  Returns the evaluators that summed."""
+    cases = (
+        (transfer_eval, (), oracles.transfer_eval_point, oracles.same_bits),
+        (
+            transfer_eval_series,
+            (4,),
+            functools.partial(oracles.transfer_eval_series_point, terms=4),
+            within_1e12,
+        ),
+    )
+    summed = []
+    for fn, extra, oracle, agree in cases:
+        want = first_point_failure(functools.partial(oracle, sys), z)
+        if want is None:
+            for p, value in zip(z, fn(sys, z, *extra)):
+                assert agree(value, oracle(sys, p))
+            summed.append(fn)
+            continue
+        with pytest.raises(type(want)) as exc:
+            fn(sys, z, *extra)
+        assert str(exc.value) == str(want)
+        assert getattr(exc.value, "sigma_min", None) == getattr(want, "sigma_min", None)
+    return summed
+
+
+_FAILING = [(0.5, 0.3), (1.0, -0.2j), (-0.5j, 0.0), (0.6, 0.0)]
+
+
+@pytest.mark.parametrize("failing", _FAILING)
 @pytest.mark.parametrize("at", [0, 3, 8])
 def test_a_mixed_stack_fails_like_the_pointwise_oracles(failing, at):
     # I - zA is singular only at z_1 = 0.5 and 1; the series diverges from
@@ -256,20 +288,19 @@ def test_a_mixed_stack_fails_like_the_pointwise_oracles(failing, at):
     sys = _diagonal_state_system()
     points = _SCREENED + _PAST_THE_SCREENS + [(0.7, 0.0)]
     z = np.array(points[:at] + [failing] + points[at:])
-    cases = (
-        (transfer_eval, (), oracles.transfer_eval_point),
-        (transfer_eval_series, (4,), functools.partial(oracles.transfer_eval_series_point, terms=4)),
-    )
-    for fn, extra, oracle in cases:
-        want = first_point_failure(functools.partial(oracle, sys), z)
-        if want is None:
-            for p, value in zip(z, fn(sys, z, *extra)):
-                assert oracles.same_bits(value, oracle(sys, p))
-            continue
-        with pytest.raises(type(want)) as exc:
-            fn(sys, z, *extra)
-        assert str(exc.value) == str(want)
-        assert getattr(exc.value, "sigma_min", None) == getattr(want, "sigma_min", None)
+    assert transfer_eval_series not in fails_like_the_pointwise_oracles(sys, z)
+
+
+@pytest.mark.parametrize("inserted", _FAILING + [(0.3, 0.2j)])
+@pytest.mark.parametrize("at", [0, 3, 7])
+def test_a_mixed_stack_without_a_divergent_tail_sums_like_the_pointwise_oracles(inserted, at):
+    # the stacks above without their last point: where every point lies
+    # below |z_1| = 0.5 the series sums, and is compared point by point
+    sys = _diagonal_state_system()
+    points = _SCREENED + _PAST_THE_SCREENS
+    z = np.array(points[:at] + [inserted] + points[at:])
+    summed = fails_like_the_pointwise_oracles(sys, z)
+    assert (transfer_eval_series in summed) == (abs(inserted[0]) < 0.5)
 
 
 def test_stacked_transfer_takes_an_empty_stack():
