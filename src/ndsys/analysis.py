@@ -10,6 +10,7 @@ is what `conservativity_check` measures.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,8 @@ _TOP = 8
 _POWER_STEPS = 2
 _SCREEN_POINTS = 128
 _SCREEN_SIDES = (3, 20)
+# the refinement's compass search takes at most this many stencils
+_STENCILS = 100
 # Every block product an analysis forms stays below this.  With each real
 # and imaginary part of a block entry at most M, blocks at most d on a side
 # and n directions, a sum of n products G_j^H G_k or G_j G_k^H has parts at
@@ -63,10 +66,10 @@ class TorusScanReport:
     witness (a torus point where the norm exceeds 1 + tol), while True only
     says the sampled and refined points stayed contractive.  ``samples``
     counts the ``P^n`` torus grid scanned; the norm is computed at its
-    ``P^(n-1)`` points with ``z_1 = 1``, one per diagonal orbit, so an
-    unrefined witness has ``z_1 = 1``.  ``refined`` says the ascent ran,
-    possibly with no trial step: it stops at once where the gradient is
-    only rounding.  ``rounding_bound`` is the bound ``e`` on the rounding
+    ``P^(n-1)`` points with ``z_1 = 1``, one per diagonal orbit, and the
+    refinement moves only ``z_2..z_n``, so every witness has ``z_1 = 1``.
+    ``refined`` says the compass search ran, possibly one stencil or, at
+    n = 1, none.  ``rounding_bound`` is the bound ``e`` on the rounding
     of one computed norm (see `dissipativity_scan`): where ``|margin|`` is
     within it, the sign of the margin is rounding.
     """
@@ -137,6 +140,15 @@ def _rounding_bound(blocks: OperatorTuple) -> float:
         return 0.0
     total = float(np.linalg.svd(np.array(blocks.mats), compute_uv=False)[:, 0].sum())
     return (blocks.n + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
+
+
+def _grams(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
+    """The Gram on the smaller side of the pencil value ``G`` at each of
+    the ``(S, n)`` points: ``G G^H`` when it has at most as many rows as
+    columns, ``G^H G`` otherwise."""
+    value = eval_pencil(points, blocks)
+    adjoint = value.conj().swapaxes(1, 2)
+    return value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
 
 
 def _norms(gram: np.ndarray) -> np.ndarray:
@@ -219,11 +231,10 @@ def _scan_maximum(points: np.ndarray, blocks: OperatorTuple, bound: float) -> tu
     """The first maximum of the pencil norm over the ``(S, n)`` points and
     its index, one chunk at a time: as many points as have their values,
     Grams and a working copy of the Grams within ``_CHUNK_BYTES``, and at
-    least one.  The largest singular value of a pencil value ``G`` is the
-    root of the largest eigenvalue of the Gram on its smaller side, ``G G^H``
-    when it has at most as many rows as columns and ``G^H G`` otherwise.  A
-    chunk of at least ``_SCREEN_POINTS`` Grams ``_SCREEN_SIDES`` on a side,
-    where screening was measured to cost less, eigensolves only the points
+    least one.  The largest singular value of a pencil value is the root
+    of the largest eigenvalue of its `_grams` Gram.  A chunk of at least
+    ``_SCREEN_POINTS`` Grams ``_SCREEN_SIDES`` on a side, where screening
+    was measured to cost less, eigensolves only the points
     `_screened_norms` keeps; ``bound`` is `_rounding_bound`."""
     side = min(blocks.rows, blocks.cols)
     per_point = 16 * (blocks.rows * blocks.cols + 2 * side**2)
@@ -231,9 +242,7 @@ def _scan_maximum(points: np.ndarray, blocks: OperatorTuple, bound: float) -> tu
     screens = _SCREEN_SIDES[0] <= side <= _SCREEN_SIDES[1]
     best, at = -1.0, 0
     for start in range(0, len(points), chunk):
-        value = eval_pencil(points[start : start + chunk], blocks)
-        adjoint = value.conj().swapaxes(1, 2)
-        gram = value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
+        gram = _grams(points[start : start + chunk], blocks)
         if screens and len(gram) >= _SCREEN_POINTS:
             norms = _screened_norms(gram, best, bound)
         else:
@@ -242,11 +251,6 @@ def _scan_maximum(points: np.ndarray, blocks: OperatorTuple, bound: float) -> tu
         if norms[here] > best:
             best, at = float(norms[here]), start + here
     return best, at
-
-
-def _top_pair(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    u, s, vh = np.linalg.svd(m)
-    return float(s[0]), u[:, 0], vh[0].conj()
 
 
 def dissipativity_scan(
@@ -264,10 +268,8 @@ def dissipativity_scan(
         tensor grid within it, so a perfect n-th power is scanned whole and
         any other budget rounds down.  Defaults to 32^n capped at 1e5.
     refine : bool
-        Polish the best grid point with at most 50 gradient-ascent steps on
-        the top singular value, stepping in torus phases; the ascent stops
-        where the gradient is only rounding, at once on a conservative or
-        n = 1 pencil, and takes no step on an empty pencil value.
+        Polish the best grid point by a compass search on the scan's own
+        norms, at most ``_STENCILS = 100`` stencils (see below).
 
     The pencil is linear, ``G(w z) = w G(z)`` for ``|w| = 1``, so the norm
     is constant on each diagonal orbit ``{w z : |w| = 1}`` of the grid.  It
@@ -277,6 +279,18 @@ def dissipativity_scan(
     lowest flat grid index ``sum_k j_k P^(n-k)`` among them.  ``samples``
     reports ``P^n``, the grid the representatives stand for, and the grid
     witness has ``z_1 = 1``; refinement starts from it.
+
+    The refinement is a compass search (Kolda, Lewis and Torczon,
+    Optimization by direct search, SIAM Review 45, 2003) on the same
+    norms: ``z_1`` stays 1 and each step takes the norms of the
+    ``{-1, 0, 1}^(n-1)`` stencil of step ``h`` around the current phases
+    of ``z_2..z_n``, centre first, from ``h = pi / P``.  It moves to the
+    stencil's first maximum where that norm beats the best so far, and
+    halves ``h`` otherwise, so the grid maximum and witness stand unless a
+    stencil point beats them, and the reported maximum is a computed norm
+    at the witness.  It stops when the stencil's norms lie within ``e`` of
+    each other, where their order is rounding: after one stencil on a
+    conservative pencil or an empty side, and an n = 1 scan runs none.
 
     A computed norm is the root of the largest eigenvalue of the Gram on
     the smaller side of the pencil value, and is off the exact one by
@@ -341,7 +355,7 @@ def dissipativity_scan(
     witness = tuple(reps[at])
 
     if refine:
-        best, witness = _refine(blocks, witness, best)
+        best, witness = _refine(blocks, witness, best, per_axis, bound)
 
     return TorusScanReport(
         max_norm=best,
@@ -353,54 +367,28 @@ def dissipativity_scan(
     )
 
 
-def _refine(blocks: OperatorTuple, z0, sigma0, steps: int = 50):
-    # ascend sigma_max over torus phases; the gradient comes from the top
-    # singular pair, d sigma = Re(u^H (i z_k G_k) v) d phi_k.  A rejected
-    # trial sends phi back to best_phi, often the point the last step
-    # decomposed, so the pair and the gradient are kept until phi moves, and
-    # an accepted trial holds its point and pencil value for the next step.
-    # It stops at the first decomposition whose gradient components are all
-    # within `flat`: a computed component is off the exact one by rounding
-    # only, a small multiple (n, the block size) of u ||G_k||_F, u = 2^-53,
-    # from the pencil sum, the backward-stable SVD and the product, and that
-    # stays below 1e4 u (1 + sum_k ||G_k||_F) for any block a scan can hold.
-    # Where the exact gradient is 0 the exact ascent cannot move either,
-    # trial = best_phi + eta * 0.  On a conservative pencil (a unitary value
-    # has a skew derivative) and an n = 1 pencil (u^H (i z G) v = i sigma)
-    # that is every point.  An empty pencil value has no pair to decompose
-    # and is flat too
-    phi = np.array([np.angle(z) for z in z0], dtype=float)
-    best_phi = phi
-    best = sigma0
-    eta = 0.1
-    mats = np.array(blocks.mats)
-    flat = 1e4 * 2.0**-53 * (1.0 + float(np.linalg.norm(mats, axis=(1, 2)).sum()))
-    decomposed = held = None  # the phases of the gradient, and of z and value
-    for _ in range(steps if mats.size else 0):
-        if phi is not decomposed:
-            decomposed = phi
-            if phi is not held:
-                z = np.exp(1j * phi)
-                value = eval_pencil(z, blocks)
-            sigma, u, v = _top_pair(value)
-            if sigma > best:
-                best = sigma
-                best_phi = phi
-            grad = [(u.conj() @ (1j * z[k] * blocks[k] @ v)).real for k in range(blocks.n)]
-            if max(map(abs, grad)) <= flat:
-                break
-            grad = np.array(grad)
-        trial = best_phi + eta * grad
-        z_trial = np.exp(1j * trial)
-        value_trial = eval_pencil(z_trial, blocks)
-        if spectral_norm(value_trial) > best:
-            phi = held = trial
-            z, value = z_trial, value_trial
-            eta *= 1.5
+def _refine(
+    blocks: OperatorTuple, witness: tuple, best: float, per_axis: int, bound: float
+) -> tuple[float, tuple]:
+    """Polish the grid maximum ``best`` at ``witness``, on a grid of
+    ``per_axis`` points an axis, by a compass search over the phases of
+    ``z_2..z_n`` with ``z_1 = 1`` held, until a stencil's norms lie within
+    ``bound``, `_rounding_bound` (see `dissipativity_scan`)."""
+    offsets = np.array(list(itertools.product((0.0, -1.0, 1.0), repeat=blocks.n - 1)))
+    phases = np.angle(np.array(witness[1:]))
+    step = math.pi / per_axis
+    for _ in range(_STENCILS if blocks.n > 1 else 0):
+        trial = phases + step * offsets
+        points = np.hstack([np.ones((len(trial), 1)), np.exp(1j * trial)])
+        norms = _norms(_grams(points, blocks))
+        top = int(np.argmax(norms))
+        if norms[top] > best:
+            best, phases, witness = float(norms[top]), trial[top], tuple(points[top])
         else:
-            phi = best_phi
-            eta *= 0.5
-    return best, tuple(complex(v) for v in np.exp(1j * best_phi))
+            step /= 2
+        if norms[top] - norms.min() <= bound:
+            break
+    return best, witness
 
 
 @dataclass(frozen=True)
@@ -435,10 +423,9 @@ def conservativity_check(sys: MultiLSDS, tol: float = 1e-9) -> ConservativityCer
     cogram = sum(g @ g.conj().T for g in blocks) - np.eye(rows)
     cross = 0.0
     cocross = 0.0
+    # ||G_j^H G_k|| = ||G_k^H G_j||: one product per unordered pair
     for k in range(blocks.n):
-        for j in range(blocks.n):
-            if k == j:
-                continue
+        for j in range(k + 1, blocks.n):
             cross = max(cross, spectral_norm(blocks[k].conj().T @ blocks[j]))
             cocross = max(cocross, spectral_norm(blocks[k] @ blocks[j].conj().T))
     residuals = {

@@ -37,6 +37,7 @@ a trajectory or a front energy that stops being finite raises RangeError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -124,7 +125,12 @@ class MultiLSDS:
         return np.block([[self.a[k], self.b[k]], [self.c[k], self.d[k]]])
 
     def blocks(self) -> OperatorTuple:
-        """Every direction's block."""
+        """Every direction's block, stacked on the first call and kept: the
+        system and its members are read-only."""
+        return self._blocks
+
+    @functools.cached_property
+    def _blocks(self) -> OperatorTuple:
         parts = zip(self.a, self.b, self.c, self.d)
         return OperatorTuple(tuple(np.block([[a, b], [c, d]]) for a, b, c, d in parts))
 

@@ -35,13 +35,17 @@ below that maximum.
 ``P^n`` grid: the library's unrefined maximum must lie at most ``e``
 above it and ``2 e`` below it, and the two verdicts must agree wherever
 the maximum is farther than ``2 e`` from ``1 + tol``.
-Both polish their maximum by `refine_stepwise`, the ascent that
-decomposes its current point at every step; the library's, which
-decomposes a point only when the ascent moves, must reproduce it bit for
-bit from the same start point and norm.  Both stop at the first point whose gradient components are all
-within ``1e4 u (1 + sum_k ||G_k||_F)``, ``u = 2^-53``, only rounding
-(at once on a conservative or n = 1 pencil), and take no step on an empty
-pencil value.
+Both polish their maximum by `refine_stepwise`, a gradient ascent on the
+top singular value that decomposes its current point at every step and
+stops at the first point whose gradient components are all within
+``1e4 u (1 + sum_k ||G_k||_F)``, ``u = 2^-53``, only rounding.  The
+library polishes by a compass search on its own norms instead: from the
+default grid's maximum of a test system it must climb at least as high,
+up to ``2 e``, and never below the grid maximum.  `cross_residuals_ordered`
+takes the two cross residuals of `conservativity_check` over every ordered
+pair of distinct directions; the library takes one order of each pair,
+``||G_j^H G_k|| = ||G_k^H G_j||``, so its residuals must agree within a
+few ulps.
 
 `matrix_poly_eval_point` sums a matrix polynomial term by term at one
 point; `MatrixPolynomial.evaluate` over a stack must reproduce it bit for
@@ -134,7 +138,7 @@ from ndsys import (
     ordered_completion,
     spectral_norm,
 )
-from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _top_pair
+from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP
 from ndsys.cli import _resolve_path
 from ndsys.lattice import _window_index, order
 from ndsys.laxphillips import _check_dims
@@ -502,7 +506,8 @@ def refine_stepwise(blocks, z0, sigma0, steps=50):
         if blocks.rows == 0 or blocks.cols == 0:
             break
         z = np.exp(1j * phi)
-        sigma, u, v = _top_pair(eval_pencil(z, blocks))
+        u, s, vh = np.linalg.svd(eval_pencil(z, blocks))
+        sigma, u, v = float(s[0]), u[:, 0], vh[0].conj()
         if sigma > best:
             best = sigma
             best_phi = phi.copy()
@@ -520,6 +525,16 @@ def refine_stepwise(blocks, z0, sigma0, steps=50):
             phi = best_phi
             eta *= 0.5
     return best, tuple(complex(v) for v in np.exp(1j * best_phi))
+
+
+def cross_residuals_ordered(blocks):
+    """The largest ``||G_k^H G_j||`` and ``||G_k G_j^H||`` over every ordered
+    pair ``k != j``, one SVD per product; 0.0 at n = 1."""
+    cross = cocross = 0.0
+    for k, j in itertools.permutations(range(blocks.n), 2):
+        cross = max(cross, spectral_norm(blocks[k].conj().T @ blocks[j]))
+        cocross = max(cocross, spectral_norm(blocks[k] @ blocks[j].conj().T))
+    return {"iso_cross": cross, "coiso_cross": cocross}
 
 
 def transfer_eval_point(sys, z):

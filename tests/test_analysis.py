@@ -50,6 +50,28 @@ def test_certificate_reports_four_identity_families():
     assert set(cert.residuals) == {"iso", "iso_cross", "coiso", "coiso_cross"}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["dissipative", "conservative", "random", "rectangular"])
+def test_cross_residuals_match_the_ordered_pair_oracle(n, kind):
+    # the library takes one order of each pair of directions; the norm of
+    # the adjoint product is the same, so the cross residuals agree with
+    # every ordered pair's within a few ulps of the largest block product
+    rng = np.random.default_rng(n)
+    if kind == "rectangular":
+        sys = gen.random_system(rng, n, 3, 1, 2, scale=2.0)
+    elif kind == "random":
+        sys = gen.random_system(rng, n, 3, 2, 2, scale=0.6)
+    else:
+        sys = getattr(gen, f"{kind}_system")(rng, n, 3, 2)
+    got = conservativity_check(sys).residuals
+    want = oracles.cross_residuals_ordered(sys.blocks())
+    scale = max(spectral_norm(g) for g in sys.blocks()) ** 2
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 4 * np.finfo(float).eps * max(scale, 1.0), name
+    if n == 1:
+        assert got["iso_cross"] == got["coiso_cross"] == 0.0
+
+
 def test_random_contraction_fails_conservativity():
     sys = gen.dissipative_system(np.random.default_rng(1), 2, 2, 2)
     assert not conservativity_check(sys).passed
@@ -140,11 +162,38 @@ def near_orbit_oracle(got, sys, samples):
     )
 
 
-def ascends_stepwise(got, sys, coarse):
-    """A refined scan is the stepwise ascent from its own grid maximum, bit
-    for bit."""
-    best, witness = oracles.refine_stepwise(sys.blocks(), coarse.witness, coarse.max_norm)
-    return same_scan(got, dataclasses.replace(coarse, max_norm=best, witness=witness, refined=True))
+def library_norm(sys, z):
+    """The scan's own norm at the torus point ``z``: the root of the
+    largest eigenvalue of the pencil value's smaller Gram."""
+    import ndsys.analysis
+
+    return float(ndsys.analysis._norms(ndsys.analysis._grams(np.array([z]), sys.blocks()))[0])
+
+
+def refines_within_the_bound(got, sys, coarse):
+    """A refined scan from its own grid maximum: the grid's samples, a
+    maximum no lower than the grid's, and a witness with ``z_1 = 1`` on
+    the torus whose norm, the scan's own, is the maximum bit for bit and
+    within `scan_bound` of an SVD's at the same point."""
+    z = np.array(got.witness)
+    return (
+        type(got.max_norm) is float
+        and got.refined
+        and got.samples == coarse.samples
+        and got.max_norm >= coarse.max_norm
+        and got.witness[0] == 1 + 0j
+        and np.abs(np.abs(z) - 1.0).max() <= 1e-15
+        and library_norm(sys, z) == got.max_norm
+        and abs(oracles.norms_pointwise(sys.blocks(), [z])[0] - got.max_norm) <= scan_bound(sys)
+    )
+
+
+def reaches_the_ascent(got, sys, coarse):
+    """A refined scan within the bound of its grid maximum, no more than
+    twice `scan_bound` below the stepwise ascent's maximum from the same
+    start point."""
+    best, _ = oracles.refine_stepwise(sys.blocks(), coarse.witness, coarse.max_norm)
+    return refines_within_the_bound(got, sys, coarse) and got.max_norm >= best - 2 * scan_bound(sys)
 
 
 @st.composite
@@ -176,12 +225,14 @@ def _real_copy(sys):
 def test_scan_matches_the_orbit_oracle_within_the_rounding_bound(case):
     # the grid maximum is within the stated bound of the oracle's, at its
     # witness where rounding cannot reorder the orbits, and the refined
-    # scan is the stepwise ascent from it
+    # maximum is a norm of the scan's own at a torus point with z_1 = 1.
+    # On a coarse grid the search and the oracle's ascent can climb
+    # different local maxima, so neither bounds the other
     sys, samples, refine = case
     coarse = dissipativity_scan(sys, samples=samples, refine=False)
     assert near_orbit_oracle(coarse, sys, samples)
     if refine:
-        assert ascends_stepwise(dissipativity_scan(sys, samples=samples), sys, coarse)
+        assert refines_within_the_bound(dissipativity_scan(sys, samples=samples), sys, coarse)
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,7 +273,7 @@ def test_scan_across_chunks_matches_the_orbit_oracle(n, samples, refine):
     coarse = dissipativity_scan(sys, samples=samples, refine=False)
     assert near_orbit_oracle(coarse, sys, samples)
     if refine:
-        assert ascends_stepwise(dissipativity_scan(sys, samples=samples), sys, coarse)
+        assert reaches_the_ascent(dissipativity_scan(sys, samples=samples), sys, coarse)
 
 
 def _cut(sys, dim_in, dim_out):
@@ -348,72 +399,89 @@ def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, sampl
     assert near_orbit_oracle(whole, sys, samples)
 
 
-def _ascent_cases():
+def _refine_cases():
+    """The built-in examples, the conservative `gen.with_unitary_summand`,
+    and at n = 1..4 gen's dissipative, conservative, random and
+    empty-side (no state, no output) pencils and its dissipative systems
+    at seeds 0..5."""
     cases = dict(builtin_examples())
-    for n in (2, 3, 4):
+    cases["unitary-summand"] = gen.with_unitary_summand(np.random.default_rng(5))
+    for n in (1, 2, 3, 4):
         rng = np.random.default_rng(20 + n)
         cases[f"dissipative-n{n}"] = gen.dissipative_system(rng, n, 3, 2)
         cases[f"conservative-n{n}"] = gen.conservative_system(rng, n, 3, 2)
         cases[f"random-n{n}"] = gen.random_system(rng, n, 3, 2, 2, scale=0.6)
-    return cases
-
-
-def _is_flat(name):
-    """The conservative ascent cases: the norm is 1 on the whole torus."""
-    return name in builtin_examples() or name.startswith("conservative")
-
-
-def _dissipative_ascent_cases():
-    """The ascent cases whose norm varies on the torus, gen's dissipative
-    systems at n = 2..4 and seeds 0..5, and the real-block copy of each."""
-    cases = {name: sys for name, sys in _ascent_cases().items() if not _is_flat(name)}
-    for n in (2, 3, 4):
+        cases[f"empty-n{n}"] = gen.random_system(rng, n, 0, 2, 0)
         for seed in range(6):
             cases[f"gen-n{n}-seed{seed}"] = gen.dissipative_system(np.random.default_rng(seed), n, 3, 2)
-    cases.update({f"{name}-real": _real_copy(sys) for name, sys in cases.items()})
     return cases
 
 
-@pytest.mark.parametrize("name", list(_dissipative_ascent_cases()))
-def test_the_ascent_stops_early_only_where_the_exact_gradient_is_zero(monkeypatch, name):
-    # an ascent on a varying norm takes all 50 trial steps, except from a
-    # start point where the exact gradient vanishes: a pencil
-    # with one nonzero block (gen at n = 2, seed 0) has a constant norm, and
-    # real blocks give f(phi) = f(-phi), stationary at a real witness
+def _is_flat(name, sys):
+    """The refinement cases whose norm is constant on the torus: 1 on a
+    conservative pencil, 0 on an empty side, and any norm at n = 1, where
+    the one diagonal orbit is the whole circle."""
+    return sys.n == 1 or name in builtin_examples() or name.startswith(("conservative", "unitary", "empty"))
+
+
+def refine_alone(monkeypatch, sys):
+    """The default unrefined and refined scans of ``sys``, the refinement of
+    the first run again alone, and the points of each stencil it took:
+    each stencil forms its points' Grams once."""
     import ndsys.analysis
 
-    sys = _dissipative_ascent_cases()[name]
-    coarse = dissipativity_scan(sys, refine=False)
-    trials = []
-    spectral_norm = ndsys.analysis.spectral_norm
-    monkeypatch.setattr(ndsys.analysis, "spectral_norm", lambda m: trials.append(m) or spectral_norm(m))
-    dissipativity_scan(sys)
-    one_block = sum(bool(np.any(g)) for g in sys.blocks()) == 1
-    real_point = name.endswith("-real") and all(abs(z.imag) < 1e-12 for z in coarse.witness)
-    assert len(trials) == (0 if one_block or real_point else 50)
-
-
-@pytest.mark.parametrize("name", list(_ascent_cases()))
-def test_refined_scan_matches_the_stepwise_ascent_bitwise(monkeypatch, name):
-    # the ascent keeps the top pair of the point it last decomposed, so a
-    # rejected trial that returns there decomposes nothing new; the maximum
-    # and the witness stay those of the ascent that decomposes every step
-    import ndsys.analysis
-
-    sys = _ascent_cases()[name]
-    coarse = dissipativity_scan(sys, refine=False)
-    decomposed = []
-    top_pair = ndsys.analysis._top_pair
+    coarse, refined = dissipativity_scan(sys, refine=False), dissipativity_scan(sys)
+    stencils = []
+    grams = ndsys.analysis._grams
     monkeypatch.setattr(
-        ndsys.analysis, "_top_pair", lambda m: decomposed.append(m) or top_pair(m)
+        ndsys.analysis, "_grams", lambda points, blocks: stencils.append(len(points)) or grams(points, blocks)
     )
-    got = dissipativity_scan(sys)
-    best, witness = oracles.refine_stepwise(sys.blocks(), coarse.witness, coarse.max_norm)
-    assert type(got.max_norm) is type(best) and got.max_norm == best
-    assert [type(v) for v in got.witness] == [type(v) for v in witness]
-    assert oracles.same_bits(np.array(got.witness), np.array(witness))
-    assert 1 <= len(decomposed) <= 50
-    assert all(a.tobytes() != b.tobytes() for a, b in zip(decomposed, decomposed[1:]))
+    per_axis = ndsys.analysis._representatives(sys.n, None)[0]
+    best, witness = ndsys.analysis._refine(
+        sys.blocks(), coarse.witness, coarse.max_norm, per_axis, coarse.rounding_bound
+    )
+    assert same_scan(refined, dataclasses.replace(coarse, max_norm=best, witness=witness, refined=True))
+    return coarse, refined, stencils
+
+
+@pytest.mark.parametrize("name", list(_refine_cases()))
+def test_refinement_reaches_the_stepwise_ascent(name):
+    # from the default grid's maximum the search climbs as high as the
+    # gradient ascent, up to twice the bound, never below the grid
+    # maximum, and reports its own norm at a witness with z_1 = 1
+    sys = _refine_cases()[name]
+    coarse = dissipativity_scan(sys, refine=False)
+    assert reaches_the_ascent(dissipativity_scan(sys), sys, coarse)
+
+
+@pytest.mark.parametrize("name", list(_refine_cases()))
+def test_a_flat_norm_takes_at_most_one_stencil(monkeypatch, name):
+    # where the norm is constant the first stencil's norms lie within the
+    # bound of each other, and an n = 1 scan runs none; a varying norm
+    # takes full 3^(n-1)-point stencils, fewer than the cap
+    import ndsys.analysis
+
+    sys = _refine_cases()[name]
+    stencils = refine_alone(monkeypatch, sys)[2]
+    assert all(points == 3 ** (sys.n - 1) for points in stencils)
+    if _is_flat(name, sys):
+        assert len(stencils) == (sys.n > 1)
+    else:
+        assert 1 < len(stencils) < ndsys.analysis._STENCILS
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_the_search_stops_at_the_stencil_cap(monkeypatch, cap):
+    # an n = 3 dissipative pencil takes some 30 stencils to flatten; under
+    # a lower cap the search takes exactly the cap and still keeps the
+    # grid maximum or a larger norm of its own
+    import ndsys.analysis
+
+    monkeypatch.setattr(ndsys.analysis, "_STENCILS", cap)
+    sys = gen.dissipative_system(np.random.default_rng(3), 3, 3, 2)
+    coarse, refined, stencils = refine_alone(monkeypatch, sys)
+    assert stencils == [9] * cap
+    assert refines_within_the_bound(refined, sys, coarse)
 
 
 @pytest.mark.parametrize("name", ["alpha", "alpha_prime"])
@@ -699,40 +767,18 @@ def test_an_n1_scan_at_the_budget_cap_computes_one_norm(monkeypatch):
     assert report == dataclasses.replace(dissipativity_scan(sys, samples=1), samples=2**24)
 
 
-@pytest.mark.parametrize("samples", [None, 2**24])
-def test_an_n1_ascent_decomposes_its_start_point_alone(monkeypatch, samples):
-    # the norm is constant on the circle, so the gradient at the grid
-    # witness is only rounding and the ascent takes no trial step
-    import ndsys.analysis
-
-    log = []
-    top_pair, spectral_norm = ndsys.analysis._top_pair, ndsys.analysis.spectral_norm
-    monkeypatch.setattr(ndsys.analysis, "_top_pair", lambda m: log.append("svd") or top_pair(m))
-    monkeypatch.setattr(ndsys.analysis, "spectral_norm", lambda m: log.append("trial") or spectral_norm(m))
-    sys = gen.dissipative_system(np.random.default_rng(0), 1, 3, 2)
-    report = dissipativity_scan(sys, samples=samples)
-    assert log == ["svd"]
-    want = oracles.dissipativity_scan_orbits(sys)  # one orbit at every budget
-    assert abs(report.max_norm - want.max_norm) <= scan_bound(sys)
-    assert same_scan(report, dataclasses.replace(want, samples=report.samples, max_norm=report.max_norm))
-
-
 @pytest.mark.parametrize("refine", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("dims", [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0)])
-def test_a_pencil_with_an_empty_side_has_norm_zero(monkeypatch, dims, n, refine):
-    # no state and no input or no output: every pencil value is empty, so
-    # the ascent has no pair to decompose and the grid maximum 0 stands
-    import ndsys.analysis
-
-    def top_pair(m):
-        raise AssertionError("an empty pencil value was decomposed")
-
-    monkeypatch.setattr(ndsys.analysis, "_top_pair", top_pair)
+def test_a_pencil_with_an_empty_side_has_norm_zero(dims, n, refine):
+    # no state and no input or no output: every pencil value is empty and
+    # each norm 0 exactly, so no stencil beats the grid maximum 0, which
+    # stands at the grid witness
     sys = gen.random_system(np.random.default_rng(n), n, *dims)
     report = dissipativity_scan(sys, refine=refine)
     assert report.max_norm == 0.0 and report.dissipative and report.refined == refine
-    assert same_scan(report, oracles.dissipativity_scan_orbits(sys, None, refine))
+    want = oracles.dissipativity_scan_orbits(sys, None, False)
+    assert same_scan(report, dataclasses.replace(want, refined=refine))
 
 
 def test_block_structure_of_the_one_dimensional_example():
@@ -770,6 +816,42 @@ def test_block_structure_reconstructs_the_members(seed):
         # diagonal blocks are unitary
         d = bs.diag_blocks[k]
         assert np.linalg.norm(d.conj().T @ d - np.eye(d.shape[0])) <= 1e-10
+
+
+def count_block_stacks(monkeypatch):
+    """The stacks of blocks the systems build, and every stack that
+    `MultiLSDS.blocks` hands out, in call order."""
+    import ndsys.system
+
+    built, handed = [], []
+    stack, blocks = ndsys.system.OperatorTuple, MultiLSDS.blocks
+    monkeypatch.setattr(ndsys.system, "OperatorTuple", lambda mats: built.append(1) or stack(mats))
+    monkeypatch.setattr(MultiLSDS, "blocks", lambda self: handed.append(blocks(self)) or handed[-1])
+    return built, handed
+
+
+def test_one_check_builds_one_block_stack(capsys, tmp_path, monkeypatch):
+    # the conservativity check and the torus scan both read the blocks; a
+    # system is read-only, so it stacks them once and hands that stack out
+    from ndsys import serialization
+    from ndsys.cli import main
+
+    path = tmp_path / "d3.json"
+    d3 = gen.dissipative_system(np.random.default_rng(3), 3, 3, 2)
+    path.write_text(serialization.dump(serialization.system_to_json(d3)))
+    built, handed = count_block_stacks(monkeypatch)
+    assert main(["check", str(path)]) == 0, capsys.readouterr().err
+    assert len(built) == 1 and len(handed) >= 2
+    assert all(b is handed[0] for b in handed)
+
+
+def test_block_structure_reads_the_stack_its_check_built(monkeypatch):
+    # block_structure runs conservativity_check first, and both read the
+    # system's one stack of blocks
+    alpha_prime = builtin_examples()["alpha_prime"]
+    built, handed = count_block_stacks(monkeypatch)
+    block_structure(alpha_prime)
+    assert len(built) == 1 and len(handed) == 2 and handed[0] is handed[1]
 
 
 def test_block_structure_requires_conservativity():
@@ -924,45 +1006,3 @@ print(report.samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - befor
     assert proc.returncode == 0, proc.stderr
     samples, grown_kib = map(int, proc.stdout.split())
     assert samples == 32**3 and grown_kib < 100 * 1024
-
-
-@pytest.mark.parametrize("name", list(_ascent_cases()))
-def test_the_ascent_decomposes_an_accepted_trial_without_evaluating_it_again(monkeypatch, name):
-    # the pencil is evaluated at the start point, at each step's trial and
-    # at a return to a best point whose value the ascent no longer holds;
-    # the step after an accepted trial decomposes that trial's own value
-    import ndsys.analysis
-
-    sys = _ascent_cases()[name]
-    coarse = dissipativity_scan(sys, refine=False)
-    log = []
-    eval_pencil, spectral_norm, top_pair = (
-        ndsys.analysis.eval_pencil, ndsys.analysis.spectral_norm, ndsys.analysis._top_pair
-    )
-
-    def evaluated(z, ops):
-        log.append(("eval", z.tobytes(), eval_pencil(z, ops)))
-        return log[-1][2]
-
-    monkeypatch.setattr(ndsys.analysis, "eval_pencil", evaluated)
-    monkeypatch.setattr(ndsys.analysis, "spectral_norm", lambda m: log.append(("trial", m)) or spectral_norm(m))
-    monkeypatch.setattr(ndsys.analysis, "_top_pair", lambda m: log.append(("svd", m)) or top_pair(m))
-    ndsys.analysis._refine(sys.blocks(), coarse.witness, coarse.max_norm)
-    if _is_flat(name):
-        # the gradient at the start point is only rounding: one evaluation,
-        # one decomposition and no trial
-        assert [e[0] for e in log] == ["eval", "svd"]
-        return
-    evals = [e for e in log if e[0] == "eval"]
-    trials = [e[1] for e in log if e[0] == "trial"]
-    phases = {id(value): z for _, z, value in evals}
-    last_trial = None
-    fresh = 0
-    for event in log:
-        if event[0] == "trial":
-            last_trial = event[1]
-        elif event[0] == "svd":
-            if last_trial is not None and phases[id(event[1])] == phases[id(last_trial)]:
-                assert event[1] is last_trial
-            fresh += not any(event[1] is m for m in trials)
-    assert len(trials) == 50 and len(evals) == len(trials) + fresh
