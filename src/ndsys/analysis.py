@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, RangeError, _quote, _require_within
 from .numerics import orth_basis, spectral_norm
-from .pencil import OperatorTuple, eval_pencil
+from .pencil import OperatorTuple
 from .system import MultiLSDS
 
 __all__ = [
@@ -33,7 +33,7 @@ __all__ = [
 
 _GRID_CAP = 100_000
 _AXIS_DEFAULT = 32
-# bytes of pencil values, Grams and the screen's working copy per chunk:
+# bytes of Gram weights, Grams and the screen's working copy per chunk:
 # bounds the scan's memory
 _CHUNK_BYTES = 2**24
 # the scan's screen: the points eigensolved first as the likely maxima, the
@@ -50,11 +50,12 @@ _STENCILS = 100
 # and n directions, a sum of n products G_j^H G_k or G_j G_k^H has parts at
 # most 2 n d M^2 (rounding adds a relative n d 2^-53 at most), so a
 # Frobenius, hence spectral, norm at most 2 sqrt(2) n d^2 M^2 < 4 n d^2 M^2.
-# A torus pencil value, n unit multiples of blocks, has parts at most 2 n M,
-# so the Gram of its smaller side, sums of d products of two such entries,
-# has parts at most 8 n^2 d M^2 <= 2 n _PRODUCT_CAP / d, finite below 2^23
-# directions (a system with more holds more than 2^23 blocks); the
-# eigensolver scales a Gram of large norm down itself.
+# The scan's Gram at a torus point sums the n^2 products G_j G_k^H (or
+# G_k^H G_j), each entry of modulus at most 2 d M^2, with weights of modulus
+# 1, so each of its partial sums has entries of modulus at most
+# 2 n^2 d M^2 <= n _PRODUCT_CAP / (2 d), finite below 2^25 directions (a
+# system with more holds more than 2^25 blocks); the eigensolver scales a
+# Gram of large norm down itself.
 _PRODUCT_CAP = 2.0**1000
 
 
@@ -70,8 +71,9 @@ class TorusScanReport:
     refinement moves only ``z_2..z_n``, so every witness has ``z_1 = 1``.
     ``refined`` says the compass search ran, possibly one stencil or, at
     n = 1, none.  ``rounding_bound`` is the bound ``e`` on the rounding
-    of one computed norm (see `dissipativity_scan`): where ``|margin|`` is
-    within it, the sign of the margin is rounding.
+    of a computed norm that can hold the maximum (see
+    `dissipativity_scan`): where ``|margin|`` is within it, the sign of
+    the margin is rounding.
     """
 
     max_norm: float
@@ -131,24 +133,47 @@ def _require_bounded(blocks: OperatorTuple) -> None:
 
 
 def _rounding_bound(blocks: OperatorTuple) -> float:
-    """``e = (n + 2 k + 64) m u (1 + sum_k ||G_k||)``, the rounding bound of
-    one computed norm that `dissipativity_scan` derives: ``u = 2^-53`` and
-    ``k >= m`` the longer and the shorter side of a block; 0.0 for a pencil
-    with an empty side, whose every norm is 0 exactly."""
+    """``e = (n (n^2 + k + 6) + 2 k + 64) m u (1 + sum_k ||G_k||)``, the
+    rounding bound of a computed norm that can hold the maximum, which
+    `dissipativity_scan` derives: ``u = 2^-53`` and ``k >= m`` the longer
+    and the shorter side of a block; 0.0 for a pencil with an empty side,
+    whose every norm is 0 exactly."""
+    n = blocks.n
     longer, shorter = max(blocks.rows, blocks.cols), min(blocks.rows, blocks.cols)
     if shorter == 0:
         return 0.0
     total = float(np.linalg.svd(np.array(blocks.mats), compute_uv=False)[:, 0].sum())
-    return (blocks.n + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
+    return (n * (n * n + longer + 6) + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
 
 
-def _grams(points: np.ndarray, blocks: OperatorTuple) -> np.ndarray:
-    """The Gram on the smaller side of the pencil value ``G`` at each of
-    the ``(S, n)`` points: ``G G^H`` when it has at most as many rows as
-    columns, ``G^H G`` otherwise."""
-    value = eval_pencil(points, blocks)
-    adjoint = value.conj().swapaxes(1, 2)
-    return value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
+def _products(blocks: OperatorTuple) -> np.ndarray:
+    """The ``n^2`` block products of the pencil's smaller side, flattened to
+    an ``(n^2, m^2)`` array: row ``j n + k`` is ``G_j G_k^H`` when a block
+    has at most as many rows as columns and ``G_k^H G_j`` otherwise, so
+    that the Gram of the pencil value at ``z`` is the sum of the rows
+    weighted by ``z_j conj(z_k)`` (see `_grams`)."""
+    mats = np.array(blocks.mats)
+    adjoints = mats.conj().swapaxes(1, 2)
+    if blocks.rows <= blocks.cols:
+        products = mats[:, None] @ adjoints[None]
+    else:
+        products = adjoints[None] @ mats[:, None]
+    return products.reshape(blocks.n**2, -1)
+
+
+def _grams(points: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """The Gram on the smaller side of the pencil value at each of the
+    ``(S, n)`` points, ``G G^H = sum_jk z_j conj(z_k) G_j G_k^H`` (or
+    ``G^H G``), as one product of the ``(S, n^2)`` weights with the
+    `_products` rows.  numpy hands a one-row product to gemv, which rounds
+    apart from the gemm of a larger stack, so a lone point is multiplied
+    as a stack of two: a point's Gram does not depend on its stack."""
+    count = len(points)
+    weights = (points[:, :, None] * points[:, None, :].conj()).reshape(count, -1)
+    if count == 1:
+        weights = np.repeat(weights, 2, axis=0)
+    side = math.isqrt(products.shape[1])
+    return (weights @ products)[:count].reshape(count, side, side)
 
 
 def _norms(gram: np.ndarray) -> np.ndarray:
@@ -227,22 +252,23 @@ def _screened_norms(gram: np.ndarray, level: float, bound: float) -> np.ndarray:
     return norms
 
 
-def _scan_maximum(points: np.ndarray, blocks: OperatorTuple, bound: float) -> tuple[float, int]:
+def _scan_maximum(points: np.ndarray, products: np.ndarray, bound: float) -> tuple[float, int]:
     """The first maximum of the pencil norm over the ``(S, n)`` points and
-    its index, one chunk at a time: as many points as have their values,
-    Grams and a working copy of the Grams within ``_CHUNK_BYTES``, and at
-    least one.  The largest singular value of a pencil value is the root
-    of the largest eigenvalue of its `_grams` Gram.  A chunk of at least
-    ``_SCREEN_POINTS`` Grams ``_SCREEN_SIDES`` on a side, where screening
-    was measured to cost less, eigensolves only the points
+    its index, one chunk at a time: as many points as have their ``n^2``
+    Gram weights, Grams and a working copy of the Grams within
+    ``_CHUNK_BYTES``, and at least one.  The largest singular value of a
+    pencil value is the root of the largest eigenvalue of its `_grams`
+    Gram, read from the `_products` table ``products``.  A chunk of at
+    least ``_SCREEN_POINTS`` Grams ``_SCREEN_SIDES`` on a side, where
+    screening was measured to cost less, eigensolves only the points
     `_screened_norms` keeps; ``bound`` is `_rounding_bound`."""
-    side = min(blocks.rows, blocks.cols)
-    per_point = 16 * (blocks.rows * blocks.cols + 2 * side**2)
-    chunk = max(1, _CHUNK_BYTES // max(per_point, 1))
+    side = math.isqrt(products.shape[1])
+    per_point = 16 * (len(products) + 2 * side**2)
+    chunk = max(1, _CHUNK_BYTES // per_point)
     screens = _SCREEN_SIDES[0] <= side <= _SCREEN_SIDES[1]
     best, at = -1.0, 0
     for start in range(0, len(points), chunk):
-        gram = _grams(points[start : start + chunk], blocks)
+        gram = _grams(points[start : start + chunk], products)
         if screens and len(gram) >= _SCREEN_POINTS:
             norms = _screened_norms(gram, best, bound)
         else:
@@ -293,23 +319,45 @@ def dissipativity_scan(
     conservative pencil or an empty side, and an n = 1 scan runs none.
 
     A computed norm is the root of the largest eigenvalue of the Gram on
-    the smaller side of the pencil value, and is off the exact one by
-    rounding only.  Take ``u = 2^-53``, ``S = sum_k ||G_k||``, and ``k >= m``
-    the longer and the shorter side of a block.  The axis phases are a few
-    ulp off ``2 pi j / P`` and the n-term pencil sum rounds each entry, which
-    moves the value ``G`` by at most about ``(n + 20) sqrt(m) u S`` in norm.
-    Each Gram entry is an inner product of length ``k``, and
-    ``|| |G| ||^2 <= m ||G||^2``, so forming the Gram moves it by about
-    ``1.5 (k + 2) m u ||G||^2``; the backward-stable ``eigvalsh`` adds
-    ``c m u ||G||^2`` with a modest ``c``, and the root halves the relative
-    error.  The computed norm therefore lies within
-    ``e = (n + 2 k + 64) m u (1 + S)`` of the exact one, and so does the
-    largest singular value of an SVD of the same value.  The bound grows as
-    ``d^2`` for blocks ``d`` on a side: about ``5.3e-14 (1 + S)`` for the
-    6 x 6 blocks of an n = 3 pencil, ``3e-12 (1 + S)`` at d = 100.  The
+    the smaller side of the pencil value.  The Gram is quadratic in ``z``,
+    ``G G^H = sum_jk z_j conj(z_k) G_j G_k^H`` (and ``G^H G`` the same
+    with ``G_k^H G_j``), so the scan forms the ``n^2`` block products once
+    (`_products`) and the Grams of a chunk or a stencil as one product of
+    their weights ``z_j conj(z_k)`` with them (`_grams`).  Take
+    ``u = 2^-53``, ``S = sum_k ||G_k||``, and ``k >= m`` the longer and the
+    shorter side of a block.  The axis phases are a few ulp off
+    ``2 pi j / P``, which moves ``G`` by at most about ``20 u S`` in norm.
+    Each block product is a length-``k`` inner product per entry, off by
+    about ``1.5 (k + 2) u |G_j| |G_k|^H``, each weight by about ``3 u``, and
+    a Gram entry, a length-``n^2`` sum of weighted products, adds
+    ``1.5 (n^2 + 2) u sum_jk |G_j| |G_k|^H``.  That sum is
+    ``(sum_j |G_j|)(sum_k |G_k|)^H`` and ``|| |G_j| || <= sqrt(m) ||G_j||``,
+    so the computed Gram is off by about ``A = 1.5 (n^2 + k + 6) m u S^2``
+    in norm whatever the norm ``s`` at the point: the error is absolute,
+    where a Gram formed from the pencil value is off relative to ``s^2``.
+    The backward-stable ``eigvalsh`` adds ``c m u s^2`` with a modest
+    ``c``, and the root divides a change of the square by the sum of the
+    two norms, about ``2 s``, so a computed norm is off by about
+    ``A / (2 s) + c m u s / 2 + 20 u S``.
+
+    Every point that can hold the maximum has ``s >= S / n``.  Each
+    ``G_k`` is the mean of ``conj(z_k) G(z)`` over a grid of ``P >= 2``,
+    whose roots of unity sum to 0, so the grid's maximum is at least
+    ``max_k ||G_k|| >= S / n``; a refined scan's maximum is at least its
+    first stencil's, which at ``P = 1`` holds the ``P = 2``
+    representatives.  There a computed norm is off by at most about
+    ``0.75 n (n^2 + k + 6) m u S + (c / 2 + 20) m u S``, within
+    ``e = (n (n^2 + k + 6) + 2 k + 64) m u (1 + S)`` for any ``c`` up to
+    ``4 k + 88``, and so is the largest singular value of an SVD of the
+    same value.  At a point of smaller norm ``|computed^2 - s^2|`` stays
+    within ``2 e S / n``; of the maxima only that of an unrefined scan at
+    ``P = 1``, a budget below ``2^n``, can lie there, at its one
+    representative ``(1, ..., 1)``.  The bound grows as ``d^2`` for blocks
+    ``d`` on a side and as ``n^3``: about ``9.3e-14 (1 + S)`` for the
+    6 x 6 blocks of an n = 3 pencil, ``6.8e-12 (1 + S)`` at d = 100.  The
     maximum over the representatives lies within ``2 e`` of the maximum of
-    the norms an SVD computes at every grid point.  The report states ``e``
-    as ``rounding_bound``.
+    the norms an SVD computes at every grid point.  The report states
+    ``e`` as ``rounding_bound``.
 
     Most representatives cannot hold the maximum, and a chunk of at least
     ``_SCREEN_POINTS = 128`` Grams 3 to 20 on a side eigensolves only those
@@ -333,6 +381,8 @@ def dissipativity_scan(
     rounding a few ``u``, so the excluded point's computed norm is at most
     ``gamma + gamma (m + 5 + c / 2) m u``, below ``gamma + e = M`` since
     ``gamma < 1 + S`` and ``k >= m``, for any ``c`` below ``2 m + 118``.
+    The test and the eigensolve read the same computed Gram, so how the
+    Gram was formed does not enter this argument.
     A kept point holds ``M``, so no excluded point holds the maximum or
     ties it, and LAPACK decomposes each Gram alone, whatever stack holds
     it: the maximum and its index, and so every report value, are those
@@ -351,11 +401,12 @@ def dissipativity_scan(
     _require_bounded(blocks)
     per_axis, reps = _representatives(sys.n, samples)
     bound = _rounding_bound(blocks)
-    best, at = _scan_maximum(reps, blocks, bound)
+    products = _products(blocks)
+    best, at = _scan_maximum(reps, products, bound)
     witness = tuple(reps[at])
 
     if refine:
-        best, witness = _refine(blocks, witness, best, per_axis, bound)
+        best, witness = _refine(products, witness, best, per_axis, bound)
 
     return TorusScanReport(
         max_norm=best,
@@ -368,19 +419,21 @@ def dissipativity_scan(
 
 
 def _refine(
-    blocks: OperatorTuple, witness: tuple, best: float, per_axis: int, bound: float
+    products: np.ndarray, witness: tuple, best: float, per_axis: int, bound: float
 ) -> tuple[float, tuple]:
     """Polish the grid maximum ``best`` at ``witness``, on a grid of
     ``per_axis`` points an axis, by a compass search over the phases of
     ``z_2..z_n`` with ``z_1 = 1`` held, until a stencil's norms lie within
-    ``bound``, `_rounding_bound` (see `dissipativity_scan`)."""
-    offsets = np.array(list(itertools.product((0.0, -1.0, 1.0), repeat=blocks.n - 1)))
+    ``bound``, `_rounding_bound` (see `dissipativity_scan`); ``products``
+    is the `_products` table the stencils' Grams are read from."""
+    n = len(witness)
+    offsets = np.array(list(itertools.product((0.0, -1.0, 1.0), repeat=n - 1)))
     phases = np.angle(np.array(witness[1:]))
     step = math.pi / per_axis
-    for _ in range(_STENCILS if blocks.n > 1 else 0):
+    for _ in range(_STENCILS if n > 1 else 0):
         trial = phases + step * offsets
         points = np.hstack([np.ones((len(trial), 1)), np.exp(1j * trial)])
-        norms = _norms(_grams(points, blocks))
+        norms = _norms(_grams(points, products))
         top = int(np.argmax(norms))
         if norms[top] > best:
             best, phases, witness = float(norms[top]), trial[top], tuple(points[top])

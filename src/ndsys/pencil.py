@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ArityError, DomainError, RangeError, ShapeError, _require_within
+from .errors import ArityError, DomainError, RangeError, ShapeError, _quote, _require_within
 from .lattice import Box, _window_index, as_index
 
 __all__ = [
@@ -119,18 +119,21 @@ def multinomial(s: Iterable[int]) -> int:
     """Exact multinomial coefficient ``|s|! / (s_1! ... s_n!)``.
 
     Computed in exact integer arithmetic; a value beyond the signed 64-bit
-    range raises RangeError rather than wrapping.
+    range raises RangeError rather than wrapping, as soon as a partial
+    product passes it.  Every factor is at least 1, and ``comb(t, v)`` is
+    at least ``2^j`` for ``j = min(v, t - v)``, so a factor with ``j >= 63``
+    passes the range and is not computed.
     """
     s = as_index(s)
     if any(v < 0 for v in s):
-        raise DomainError(f"multinomial needs nonnegative entries, got {s}")
+        raise DomainError(f"multinomial needs nonnegative entries, got {_quote(s)}")
     out = 1
     total = 0
     for v in s:
         total += v
-        out *= math.comb(total, v)
-    if out > _INT64_MAX:
-        raise RangeError(f"multinomial({s}) = {out} exceeds 64-bit range")
+        out *= math.comb(total, v) if min(v, total - v) < 63 else _INT64_MAX + 1
+        if out > _INT64_MAX:
+            raise RangeError(f"multinomial({_quote(s)}) exceeds 64-bit range")
     return out
 
 

@@ -22,15 +22,21 @@ its values must agree within 1e-12 relative with this oracle and with
 oracle takes one spectral norm, an SVD (`norms_pointwise`), per diagonal
 orbit, at the ``j_1 = 0`` rows of `torus_grid_pointwise`, and keeps the
 first strict maximum; the library takes each norm from a Hermitian
-eigensolve of the value's smaller Gram, so its maximum must lie within
-the rounding bound ``e`` that `dissipativity_scan` states of the
-oracle's, at the oracle's witness bit for bit wherever the oracle's top
-norm beats every other orbit's by more than ``2 e`` (`rounding_bound`).
-`norms_unscreened` is that eigensolve at every point, with no point
-excluded: the library eigensolves only the points its definiteness test
-cannot exclude, so its maximum and witness must be the first maximum of
-these norms bit for bit, and every excluded point's norm here must lie
-below that maximum.
+eigensolve of the value's smaller Gram, which it reads from the ``n^2``
+block products, so its maximum must lie within the rounding bound ``e``
+that `dissipativity_scan` states of the oracle's where that is at least
+`norm_floor` (below it, the squares within ``2 e`` times the floor), at
+the oracle's witness bit for bit wherever the oracle's top norm beats
+every other orbit's by more than ``2 e`` (`rounding_bound`).
+`norms_unscreened` is that eigensolve of the library's own Grams at
+every point, with no point excluded: the library eigensolves only the
+points its definiteness test cannot exclude, so its maximum and witness
+must be the first maximum of these norms bit for bit, and every excluded
+point's norm here must lie below that maximum.  `grams_from_values`
+forms each Gram from the pencil value instead, summed first, and
+`norms_from_values` eigensolves it: each of its norms must lie within
+``e`` of an SVD's, and the library's maximum within ``e`` of its norm at
+the witness.
 `dissipativity_scan_pointwise` takes one SVD at every point of the
 ``P^n`` grid: the library's unrefined maximum must lie at most ``e``
 above it and ``2 e`` below it, and the two verdicts must agree wherever
@@ -138,7 +144,7 @@ from ndsys import (
     ordered_completion,
     spectral_norm,
 )
-from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP
+from ndsys.analysis import _AXIS_DEFAULT, _GRID_CAP, _grams, _products
 from ndsys.cli import _resolve_path
 from ndsys.lattice import _window_index, order
 from ndsys.laxphillips import _check_dims
@@ -438,24 +444,50 @@ def norms_pointwise(blocks, phases):
     return [spectral_norm(eval_pencil_point(z, blocks)) for z in phases]
 
 
-def norms_unscreened(points, blocks):
-    """The pencil norm at each of the ``(S, n)`` points, from one stacked
-    Hermitian eigensolve of every value's Gram on its smaller side: the
-    scan's eigensolve with no point excluded."""
-    value = eval_pencil(points, blocks)
-    adjoint = value.conj().swapaxes(1, 2)
-    gram = value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
+def _top_roots(gram):
+    """The root of the largest eigenvalue of each ``(S, m, m)`` Gram, one
+    stacked Hermitian eigensolve; 0 for an empty Gram."""
     eig = np.linalg.eigvalsh(gram)
     return np.sqrt(np.maximum(eig[:, -1], 0.0)) if eig.shape[1] else np.zeros(len(eig))
 
 
+def norms_unscreened(points, blocks):
+    """The pencil norm at each of the ``(S, n)`` points, from one stacked
+    Hermitian eigensolve of the scan's own Grams, read from its block
+    products: the scan's eigensolve with no point excluded."""
+    return _top_roots(_grams(points, _products(blocks)))
+
+
+def grams_from_values(points, blocks):
+    """The Gram on the smaller side of the pencil value at each of the
+    ``(S, n)`` points, formed from the value: the stacked pencil sum, then
+    the product of each value with its adjoint."""
+    value = eval_pencil(points, blocks)
+    adjoint = value.conj().swapaxes(1, 2)
+    return value @ adjoint if blocks.rows <= blocks.cols else adjoint @ value
+
+
+def norms_from_values(points, blocks):
+    """The pencil norm at each of the ``(S, n)`` points from an eigensolve
+    of `grams_from_values`."""
+    return _top_roots(grams_from_values(points, blocks))
+
+
 def rounding_bound(blocks):
-    """``e = (n + 2 k + 64) m u (1 + sum_k ||G_k||)`` for ``k >= m`` the
-    sides of a block and ``u = 2^-53``, one SVD per block: the rounding
-    bound `dissipativity_scan` states for one computed norm."""
+    """``e = (n (n^2 + k + 6) + 2 k + 64) m u (1 + sum_k ||G_k||)`` for
+    ``k >= m`` the sides of a block and ``u = 2^-53``, one SVD per block:
+    the rounding bound `dissipativity_scan` states for a computed norm of
+    at least ``sum_k ||G_k|| / n`` (`norm_floor`)."""
+    n = blocks.n
     longer, shorter = max(blocks.rows, blocks.cols), min(blocks.rows, blocks.cols)
     total = sum(spectral_norm(g) for g in blocks)
-    return (blocks.n + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
+    return (n * (n * n + longer + 6) + 2 * longer + 64) * shorter * 2.0**-53 * (1.0 + total)
+
+
+def norm_floor(blocks):
+    """``sum_k ||G_k|| / n``, one SVD per block: no maximum of the pencil
+    norm over a torus grid of ``P >= 2`` points an axis lies below it."""
+    return sum(spectral_norm(g) for g in blocks) / blocks.n
 
 
 def _scan_points(sys, phases, samples, refine, tol):

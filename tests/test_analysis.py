@@ -138,25 +138,39 @@ def same_scan(got, want):
 
 
 def scan_bound(sys):
-    """The rounding bound ``e`` that `dissipativity_scan` states for one
-    computed norm: the scan's norm lies within it of the exact norm and of
-    an SVD's of the same pencil value."""
+    """The rounding bound ``e`` that `dissipativity_scan` states for a
+    computed norm of at least `oracles.norm_floor`: the scan's norm lies
+    within it of the exact norm and of an SVD's of the same pencil value."""
     return oracles.rounding_bound(sys.blocks())
+
+
+def within_the_bound(got, want, sys, below=1, above=1):
+    """``want - below e <= got <= want + above e`` for ``e`` `scan_bound`,
+    wherever ``want`` is at least `oracles.norm_floor`, the floor of every
+    maximum over a grid of ``P >= 2`` points an axis; below the floor the
+    Gram's absolute rounding bounds the squares instead, by the same
+    multiples of ``2 e`` times the floor.  Elementwise on arrays."""
+    got, want = np.asarray(got), np.asarray(want)
+    bound, floor = scan_bound(sys), oracles.norm_floor(sys.blocks())
+    above_floor = want >= floor
+    gap = np.where(above_floor, got - want, got**2 - want**2)
+    scale = np.where(above_floor, bound, 2 * bound * floor)
+    return (-below * scale <= gap) & (gap <= above * scale)
 
 
 def near_orbit_oracle(got, sys, samples):
     """An unrefined scan against the orbit oracle's: the same samples, a
-    float maximum within `scan_bound` of the oracle's, and the oracle's
-    witness bit for bit wherever its top norm beats every other
-    representative's by more than twice the bound, so that rounding cannot
-    reorder them."""
+    float maximum within `scan_bound` of the oracle's (`within_the_bound`),
+    and the oracle's witness bit for bit wherever its top norm beats every
+    other representative's by more than twice the bound, so that rounding
+    cannot reorder them."""
     want = oracles.dissipativity_scan_orbits(sys, samples, False)
     bound = scan_bound(sys)
     norms = sorted(oracles.norms_pointwise(sys.blocks(), oracles.torus_grid_pointwise(sys.n, samples, True)))
     separated = len(norms) == 1 or norms[-1] - norms[-2] > 2 * bound
     return (
         type(got.max_norm) is float
-        and abs(got.max_norm - want.max_norm) <= bound
+        and within_the_bound(got.max_norm, want.max_norm, sys)
         and (got.samples, got.refined) == (want.samples, want.refined)
         and (not separated or same_scan(got, dataclasses.replace(want, max_norm=got.max_norm)))
     )
@@ -167,7 +181,8 @@ def library_norm(sys, z):
     largest eigenvalue of the pencil value's smaller Gram."""
     import ndsys.analysis
 
-    return float(ndsys.analysis._norms(ndsys.analysis._grams(np.array([z]), sys.blocks()))[0])
+    products = ndsys.analysis._products(sys.blocks())
+    return float(ndsys.analysis._norms(ndsys.analysis._grams(np.array([z]), products))[0])
 
 
 def refines_within_the_bound(got, sys, coarse):
@@ -251,13 +266,14 @@ def test_scan_is_within_the_rounding_gap_of_the_full_grid_oracle(case):
     # the representatives are grid points: each norm is within the bound of
     # the SVD's at the same value, so their maximum is at most the bound
     # above the full grid's, and below it by at most the gap
-    # dissipativity_scan states, twice the bound
+    # dissipativity_scan states, twice the bound (in the squares, below
+    # the floor that only a one-point grid's maximum can fall under)
     sys, samples, _ = case
     got = dissipativity_scan(sys, samples=samples, refine=False)
     want = oracles.dissipativity_scan_pointwise(sys, samples, False)
     bound = scan_bound(sys)
     assert got.samples == want.samples
-    assert -bound <= want.max_norm - got.max_norm <= 2 * bound
+    assert within_the_bound(got.max_norm, want.max_norm, sys, below=2)
     if abs(got.max_norm - (1.0 + got.tol)) > 2 * bound:
         assert got.dissipative == want.dissipative
 
@@ -308,7 +324,10 @@ def pencil_cases(draw):
 @given(pencil_cases())
 def test_each_norm_is_within_the_stated_bound_of_an_svd(case):
     # the Gram's eigensolve, unscreened, against an SVD of the same value,
-    # at the representatives and at random torus points, with the scan
+    # at the representatives and at random torus points: within the bound
+    # where the norm is at least the floor, and in the squares below it,
+    # where the Gram's rounding is absolute; the eigensolve of the Gram
+    # formed from the value is within the bound everywhere.  The scan
     # itself against the orbit oracle; an empty side gives 0.0 exactly
     import ndsys.analysis
     from ndsys.pencil import eval_pencil
@@ -320,7 +339,8 @@ def test_each_norm_is_within_the_stated_bound_of_an_svd(case):
     got = oracles.norms_unscreened(points, blocks)
     want = np.array([spectral_norm(v) for v in eval_pencil(points, blocks)])
     assert got.dtype == float and got.shape == want.shape
-    assert np.abs(got - want).max() <= scan_bound(sys)
+    assert within_the_bound(got, want, sys).all()
+    assert np.abs(oracles.norms_from_values(points, blocks) - want).max() <= scan_bound(sys)
     if min(blocks.rows, blocks.cols) == 0:
         assert oracles.same_bits(got, np.zeros(len(points)))
     assert near_orbit_oracle(dissipativity_scan(sys, samples=samples, refine=False), sys, samples)
@@ -356,12 +376,12 @@ def test_blocks_at_the_overflow_limit_scan_to_a_finite_norm(refine):
 
 def set_chunk(monkeypatch, blocks, points):
     """Set the chunk budget so that `_scan_maximum` takes ``points`` points
-    of the pencil ``blocks`` per chunk: their values, Grams and the
-    screen's working copy of the Grams."""
+    of the pencil ``blocks`` per chunk: their ``n^2`` Gram weights, Grams
+    and the screen's working copy of the Grams."""
     import ndsys.analysis
 
     side = min(blocks.rows, blocks.cols)
-    budget = points * 16 * (blocks.rows * blocks.cols + 2 * side * side)
+    budget = points * 16 * (blocks.n**2 + 2 * side * side)
     monkeypatch.setattr(ndsys.analysis, "_CHUNK_BYTES", budget)
 
 
@@ -399,6 +419,78 @@ def test_scan_chunk_size_does_not_change_the_result(monkeypatch, chunk, n, sampl
     assert near_orbit_oracle(whole, sys, samples)
 
 
+@pytest.mark.parametrize("dims,rows,cols", [((4, 2, 2), 6, 6), ((2, 0, 2), 4, 2)], ids=["6x6", "4x2"])
+def test_a_lone_point_has_the_gram_it_has_in_a_stack(dims, rows, cols):
+    # numpy multiplies a one-row stack by gemv, which rounds apart from the
+    # gemm of a larger stack: a lone point's Gram is its row of a stack of
+    # 2, 7 and 1,024 points bit for bit, on the G G^H side of 6 x 6 blocks
+    # and on the G^H G side of 4 x 2 blocks
+    import ndsys.analysis
+
+    blocks = gen.random_system(np.random.default_rng(36), 3, *dims).blocks()
+    assert (blocks.rows, blocks.cols) == (rows, cols)
+    products = ndsys.analysis._products(blocks)
+    points = np.exp(2j * np.pi * np.random.default_rng(7).random((1024, 3)))
+    stacks = {size: ndsys.analysis._grams(points[:size], products) for size in (2, 7, 1024)}
+    for at in (0, 1, 5, 6, 511, 1023):
+        alone = ndsys.analysis._grams(points[at : at + 1], products)
+        assert alone.shape == (1, min(rows, cols), min(rows, cols))
+        for size, gram in stacks.items():
+            assert at >= size or oracles.same_bits(alone[0], gram[at]), (at, size)
+
+
+def test_a_norm_at_a_zero_of_the_pencil_is_bounded_in_its_square():
+    # the scalar pencil (z_1 + z_2 + z_3) / 2 vanishes at the grid point
+    # (1, w, w^2), w = exp(2 pi i / 3): the Gram read from the products sums
+    # nine terms of modulus 1/4, so its rounding is absolute and the norm
+    # there reads 5.3e-9, far past e, while its square stays within 2 e
+    # times the floor sum_k ||G_k|| / n = 1/2; the Gram formed from the
+    # value is off by rounding of the value only, and the maximum, 3/2 at
+    # (1, 1, 1), is within e
+    import ndsys.analysis
+
+    z = lambda rows, cols: OperatorTuple(tuple(np.zeros((rows, cols), complex) for _ in range(3)))
+    sys = MultiLSDS(z(0, 0), z(0, 1), z(1, 0), OperatorTuple(tuple(np.array([[0.5 + 0j]]) for _ in range(3))))
+    blocks = sys.blocks()
+    reps = ndsys.analysis._representatives(3, 27)[1]
+    got = oracles.norms_unscreened(reps, blocks)
+    want = np.array(oracles.norms_pointwise(blocks, reps))
+    at = int(np.argmin(want))
+    assert want[at] < 1e-15 and abs(got[at] - want[at]) > 1e4 * scan_bound(sys)
+    assert within_the_bound(got, want, sys).all()
+    assert np.abs(oracles.norms_from_values(reps, blocks) - want).max() <= scan_bound(sys)
+    assert abs(dissipativity_scan(sys, samples=27, refine=False).max_norm - 1.5) <= scan_bound(sys)
+
+
+def _value_gram_cases():
+    """gen's dissipative pencils of 20 x 20 blocks at n = 1..6, and one with
+    no state and no output, whose every norm is 0."""
+    cases = {f"n{n}-20x20": gen.dissipative_system(np.random.default_rng(60 + n), n, 16, 4) for n in range(1, 7)}
+    cases["empty-side"] = gen.random_system(np.random.default_rng(66), 3, 0, 2, 0)
+    return cases
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("name", list(_value_gram_cases()))
+def test_the_maximum_is_within_the_bound_of_the_value_grams_and_an_svd(name, refine):
+    # the scan reads each Gram from the n^2 block products; at its witness
+    # the Gram formed from the summed pencil value and an SVD of that value
+    # both have a norm within the reported bound of its maximum, which on
+    # a grid of P >= 2 or refined is at least the floor sum_k ||G_k|| / n
+    sys = _value_gram_cases()[name]
+    report = dissipativity_scan(sys, samples=4**sys.n, refine=refine)
+    blocks, witness = sys.blocks(), np.array([report.witness])
+    from_values = oracles.norms_from_values(witness, blocks)[0]
+    svd = oracles.norms_pointwise(blocks, witness)[0]
+    bound = report.rounding_bound
+    assert np.isclose(bound, scan_bound(sys), rtol=1e-14, atol=0.0)
+    assert abs(report.max_norm - from_values) <= bound and abs(report.max_norm - svd) <= bound
+    if name == "empty-side":
+        assert report.max_norm == from_values == svd == bound == 0.0
+    else:
+        assert report.max_norm >= oracles.norm_floor(blocks) - bound
+
+
 def _refine_cases():
     """The built-in examples, the conservative `gen.with_unitary_summand`,
     and at n = 1..4 gen's dissipative, conservative, random and
@@ -434,11 +526,11 @@ def refine_alone(monkeypatch, sys):
     stencils = []
     grams = ndsys.analysis._grams
     monkeypatch.setattr(
-        ndsys.analysis, "_grams", lambda points, blocks: stencils.append(len(points)) or grams(points, blocks)
+        ndsys.analysis, "_grams", lambda points, products: stencils.append(len(points)) or grams(points, products)
     )
     per_axis = ndsys.analysis._representatives(sys.n, None)[0]
     best, witness = ndsys.analysis._refine(
-        sys.blocks(), coarse.witness, coarse.max_norm, per_axis, coarse.rounding_bound
+        ndsys.analysis._products(sys.blocks()), coarse.witness, coarse.max_norm, per_axis, coarse.rounding_bound
     )
     assert same_scan(refined, dataclasses.replace(coarse, max_norm=best, witness=witness, refined=True))
     return coarse, refined, stencils
@@ -931,9 +1023,9 @@ def test_blocks_whose_products_can_overflow_are_refused_before_any_product(analy
     import ndsys.analysis
 
     def product(*args, **kwargs):
-        raise AssertionError("a pencil value was formed")
+        raise AssertionError("a block product was formed")
 
-    monkeypatch.setattr(ndsys.analysis, "eval_pencil", product)
+    monkeypatch.setattr(ndsys.analysis, "_products", product)
     rng = np.random.default_rng(7)
     sys = gen.random_system(rng, 3, 2, 1, 2)
     big = MultiLSDS(OperatorTuple([a * 1e160 for a in sys.a]), sys.b, sys.c, sys.d)
@@ -963,25 +1055,26 @@ print(report.samples, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - befor
     assert samples == 2**24 and grown_kib < 100 * 1024
 
 
-@pytest.mark.parametrize("dim_x,dim_io,points,chunk", [(4, 2, None, 1024), (30, 10, None, 218), (4, 2, 7, 7)])
+@pytest.mark.parametrize("dim_x,dim_io,points,chunk", [(4, 2, None, 1024), (30, 10, None, 326), (4, 2, 7, 7)])
 def test_a_chunk_holds_as_many_points_as_its_byte_budget(monkeypatch, dim_x, dim_io, points, chunk):
-    # 16 bytes a complex entry, rows * cols of a value and m^2 each of its
-    # Gram and of the screen's working copy: a 6 x 6 point takes 1,728
-    # bytes, so the default n = 3 scan's 1,024 representatives make one
-    # chunk, and a 40 x 40 point 76,800 bytes; `set_chunk` sets a budget of
-    # the points it is given
+    # 16 bytes a complex entry, n^2 Gram weights and m^2 entries each of
+    # the Gram and of the screen's working copy: an n = 3 point of 6 x 6
+    # blocks takes 1,296 bytes, so the default scan's 1,024
+    # representatives make one chunk, and of 40 x 40 blocks 51,344 bytes;
+    # `set_chunk` sets a budget of the points it is given
     import ndsys.analysis
 
     sys = gen.random_system(np.random.default_rng(0), 3, dim_x, dim_io, dim_io)
     if points is not None:
         set_chunk(monkeypatch, sys.blocks(), points)
     sizes = []
-    eval_pencil = ndsys.analysis.eval_pencil
+    grams = ndsys.analysis._grams
     monkeypatch.setattr(
-        ndsys.analysis, "eval_pencil", lambda z, ops: sizes.append(len(z)) or eval_pencil(z, ops)
+        ndsys.analysis, "_grams", lambda z, products: sizes.append(len(z)) or grams(z, products)
     )
     reps = ndsys.analysis._representatives(3, None)[1]
-    ndsys.analysis._scan_maximum(reps, sys.blocks(), ndsys.analysis._rounding_bound(sys.blocks()))
+    products = ndsys.analysis._products(sys.blocks())
+    ndsys.analysis._scan_maximum(reps, products, ndsys.analysis._rounding_bound(sys.blocks()))
     whole, rest = divmod(len(reps), chunk)
     assert len(reps) == 1024 and sizes == [chunk] * whole + [rest] * (rest > 0)
 
@@ -989,8 +1082,8 @@ def test_a_chunk_holds_as_many_points_as_its_byte_budget(monkeypatch, dim_x, dim
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB is Linux's")
 def test_a_scan_of_large_blocks_holds_one_chunk_of_its_budget():
     # the default n = 3 scan of 80 x 80 blocks takes its 1,024
-    # representatives 54 at a time; all in one chunk, their values and
-    # Grams alone grew the process by 299 MB
+    # representatives 81 at a time; all in one chunk, their pencil values
+    # and Grams alone grew the process by 299 MB
     code = """
 import resource, numpy as np, gen
 from ndsys import dissipativity_scan

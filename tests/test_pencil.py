@@ -146,6 +146,29 @@ def test_multinomial_overflow_is_an_error():
         multinomial((40, 40, 40))
 
 
+@pytest.mark.parametrize(
+    "s,message",
+    [
+        # a product of 9,000 digits, past the digits Python formats
+        ((3000,) * 6, "multinomial((3000, 3000, 3000, 3000, 3000, 3000)) exceeds 64-bit range"),
+        # comb(2 10^6, 10^6) alone took 36 s to compute
+        ((10**6, 10**6), "multinomial((1000000, 1000000)) exceeds 64-bit range"),
+        ((40,) * 20, "multinomial((40, 40, 40, 40, 40, 40, 40, 40, 40, ...) exceeds 64-bit range"),
+    ],
+)
+def test_multinomial_overflow_stops_at_the_first_partial_product_past_int64(s, message):
+    with pytest.raises(RangeError) as info:
+        multinomial(s)
+    assert str(info.value) == message
+
+
+def test_multinomial_quotes_a_negative_index_cut_short():
+    # range(-1, 60) printed whole took 277 characters
+    with pytest.raises(DomainError) as info:
+        multinomial(range(-1, 60))
+    assert str(info.value) == "multinomial needs nonnegative entries, got (-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10..."
+
+
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=4))
 def test_multinomial_pascal_recursion(s):
     s = tuple(s)
